@@ -5,7 +5,7 @@ import argparse
 import time
 from fractions import Fraction
 
-from unicover.approx import (bipartite_variants, tsp_7_5_node_weighted, tsp_beta,
+from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.families import (heawood, k33, random_cubic_3ec, random_node_weights,
                                random_subcubic_2ec)
@@ -33,9 +33,9 @@ def main() -> None:
 
     print("== bipartite variants ==")
     ones = NodeWeights(tuple(Fraction(1) for _ in range(6)))
-    show("bip43 k33", bipartite_variants(k33(), ones, "tsp"))
+    show("bip43 k33", approximate("bip43", k33(), ones))
     show("bip54 heawood",
-         bipartite_variants(heawood(), NodeWeights((Fraction(1),) * 14), "twoec"))
+         approximate("bip54", heawood(), NodeWeights((Fraction(1),) * 14)))
 
     print("== weighted subcubic via connectors ==")
     for seed in range(args.instances):

@@ -1,30 +1,55 @@
 """Approximation algorithms with exact ratio certificates.
 
-Node-weighted pipelines (cubic, 3-edge-connected): build a cycle cover that
-crosses every 3- and 4-edge cut twice, then augment its contraction with a
-doubled spanning tree (tour) or a tree plus parity-fixing join (2-edge-
-connected multigraph).  General weighted pipelines work through the repaired
-connector decomposition and 1-covers or joins.  Every result re-verifies
-weight <= ratio * lower bound with exact rationals.
+Every algorithm is one row of ALGORITHM_TABLE: a recipe on a profile, with
+its ratio.  Node-weighted recipes (cubic, 3-edge-connected) build a cycle
+cover C that crosses every 3- and 4-edge cut twice and add to it a minimum
+spanning tree T of the contraction G/C: "doubled-mst" doubles T (a tour),
+"mst+join" adds a minimum join of T's odd vertices (a 2-edge-connected
+multigraph).  The beta recipes work on general weights through the repaired
+connector family: "connector+cover" takes the lightest union of a connector
+and one of its 1-covers, "connector+join" the lightest connector plus a
+join of its odd vertices.  Every result re-verifies weight <= ratio * lower
+bound with exact rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph, NodeWeights,
-                    classify, contract, multiset_degrees, multiset_union,
-                    multiset_weight, validate_structure)
-from .cyclecover import find_covering_cycle_cover, verify_contraction
+from .graph import (EdgeMultiset, GraphError, Multigraph, NodeWeights, classify,
+                    kruskal, multiset_union, multiset_weight, odd_vertices,
+                    require_profile)
+from .cyclecover import contracted_cycle_cover
 from .connectors import even_2cut_connectors
-from .decompose import DecompositionError, decompose_one_covers, min_tjoin
+from .decompose import min_tjoin, one_cover_completions
 from .lp import solve_subtour
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-ALGORITHMS = ("tsp75", "twoec1310", "bip43", "bip54", "twoecbeta", "tspbeta")
+@dataclass(frozen=True)
+class Algorithm:
+    profile: Optional[str]     # input profile; None for a beta recipe
+    recipe: str
+    object_class: str
+    ratio: Callable[[Optional[Fraction]], Fraction]   # beta = w(E) / bound -> ratio
+
+
+ALGORITHM_TABLE: Dict[str, Algorithm] = {
+    "tsp75": Algorithm("cubic-3ec", "doubled-mst", "tour",
+                       lambda beta: Fraction(7, 5)),
+    "twoec1310": Algorithm("cubic-3ec", "mst+join", "twoec-multigraph",
+                           lambda beta: Fraction(13, 10)),
+    "bip43": Algorithm("bipartite-cubic-3ec", "doubled-mst", "tour",
+                       lambda beta: Fraction(4, 3)),
+    "bip54": Algorithm("bipartite-cubic-3ec", "mst+join", "twoec-multigraph",
+                       lambda beta: Fraction(5, 4)),
+    "twoecbeta": Algorithm(None, "connector+cover", "twoec-multigraph",
+                           lambda beta: (1 + 2 * beta) / 3),
+    "tspbeta": Algorithm(None, "connector+join", "tour",
+                         lambda beta: 1 + beta / 3),
+}
+
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
 class ApproxError(GraphError):
@@ -47,161 +72,112 @@ class ApproxResult:
 
 
 def _finish(G: Multigraph, algorithm: str, sol: EdgeMultiset, z: Fraction,
-            ratio: Fraction, object_class: str, beta: Optional[Fraction] = None,
-            profile: Optional[str] = None) -> ApproxResult:
+            beta: Optional[Fraction]) -> ApproxResult:
+    spec = ALGORITHM_TABLE[algorithm]
+    ratio = spec.ratio(beta)
     weight = multiset_weight(G, sol)
     if weight > ratio * z:
         raise ApproxError(
             f"{algorithm}: weight {weight} exceeds the bound {ratio} * {z}")
-    labels = classify(G, sol)
-    if object_class not in labels:
-        raise ApproxError(f"{algorithm}: output is not a {object_class}")
+    if spec.object_class not in classify(G, sol):
+        raise ApproxError(f"{algorithm}: output is not a {spec.object_class}")
     return ApproxResult(
         algorithm=algorithm,
         solution=tuple(sorted((eid, m) for eid, m in sol.items() if m > 0)),
         weight=weight,
         lower_bound=z,
         ratio=ratio,
-        object_class=object_class,
+        object_class=spec.object_class,
         beta=beta,
-        profile=profile,
+        profile=spec.profile,
     )
 
 
-def _node_weighted_setup(G: Multigraph, f: NodeWeights, profile: str):
-    report = validate_structure(G, profile)
-    if not report.passed:
-        raise ApproxError(f"profile {profile} fails: {report.violation}")
+def _parity_join(G: Multigraph, F: EdgeMultiset) -> Tuple[Fraction, EdgeMultiset]:
+    """Minimum join of the odd-degree vertices of F."""
+    return min_tjoin(G, {e.id: e.weight for e in G.edges}, odd_vertices(G, F))
+
+
+def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResult:
+    spec = ALGORITHM_TABLE[algorithm]
+    require_profile(G, spec.profile, ApproxError)
     Gw = f.induced_graph(G)
     z = 2 * f.total()
-    cc = find_covering_cycle_cover(Gw)
-    contraction = verify_contraction(Gw, cc)
-    if not contraction.passed:
-        raise ApproxError(f"bad contraction: {contraction.violation}")
+    cc, H = contracted_cycle_cover(Gw)
     # Cycle covers and perfect matchings have fixed weight on these inputs.
-    if multiset_weight(Gw, cc.cover_multiset()) != z:
+    C = cc.cover_multiset()
+    if multiset_weight(Gw, C) != z:
         raise ApproxError("cycle cover weight is not twice the node weight sum")
     matching = {eid: 1 for eid in cc.matching}
     if multiset_weight(Gw, matching) != z / 2:
         raise ApproxError("perfect matching weight is not the node weight sum")
-    H, _ = contract(Gw, cc.cover_multiset())
-    return Gw, z, cc, H
-
-
-def _mst(H: Multigraph) -> EdgeMultiset:
-    order = sorted(H.edges, key=lambda e: (e.weight, e.id))
-    parent = list(range(H.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree: EdgeMultiset = {}
-    for e in order:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-            tree[e.id] = 1
+    tree = kruskal(list(range(H.n)), sorted(H.edges, key=lambda e: (e.weight, e.id)))
     if len(tree) != H.n - 1:
         raise ApproxError("contraction is disconnected")
-    return tree
+    T = {e.id: 1 for e in tree}
+    if spec.recipe == "doubled-mst":
+        augment = {eid: 2 for eid in T}
+    else:   # a one-vertex contraction has an empty tree and nothing to join
+        augment = multiset_union(T, _parity_join(H, T)[1]) if T else {}
+    return _finish(Gw, algorithm, multiset_union(C, augment), z, None)
 
 
-def _christofides_on(H: Multigraph) -> EdgeMultiset:
-    """Tour of the multigraph H: spanning tree plus a minimum join fixing the
-    tree's odd-degree vertices."""
-    if H.n == 1:
-        return {}
-    tree = _mst(H)
-    deg = multiset_degrees(H, tree)
-    odd = {v for v in range(H.n) if deg[v] % 2 == 1}
-    weights = {e.id: e.weight for e in H.edges}
-    _, join = min_tjoin(H, weights, odd)
-    return multiset_union(tree, join)
+def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
+    lp = solve_subtour(G)
+    family = even_2cut_connectors(G, lp.x)
+    z = lp.value
+    if z <= 0:
+        raise ApproxError("zero lower bound; weights vanish")
+    beta = G.total_weight() / z
+    if ALGORITHM_TABLE[algorithm].recipe == "connector+cover":
+        # 1-covers are drawn from everywhere-1/2 outside the connector; the
+        # first lightest union found wins.
+        candidates = [obj for t in family.terms
+                      for _, obj in one_cover_completions(G, t.multiset(), Fraction(1, 2))]
+        if not candidates:
+            raise ApproxError("the connector family has no 1-cover completion")
+        sol = min(candidates, key=lambda obj: multiset_weight(G, obj))
+    else:
+        best = min(family.terms, key=lambda t: (multiset_weight(G, t.multiset()), t.edges))
+        F = best.multiset()
+        if multiset_weight(G, F) > z:
+            raise ApproxError("every connector in the family outweighs the bound")
+        jw, join = _parity_join(G, F)
+        if 3 * jw > G.total_weight():
+            raise ApproxError("parity join weighs more than a third of the graph")
+        sol = multiset_union(F, join)
+    return _finish(G, algorithm, sol, z, beta)
+
+
+def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]) -> ApproxResult:
+    """Run an algorithm of ALGORITHM_TABLE.  A node-weighted algorithm needs
+    f; a beta algorithm runs on G weighted by f, or by its own edge weights
+    when f is None."""
+    if algorithm not in ALGORITHM_TABLE:
+        raise ApproxError(f"unknown algorithm {algorithm!r}")
+    if ALGORITHM_TABLE[algorithm].profile is None:
+        return _beta(f.induced_graph(G) if f is not None else G, algorithm)
+    if f is None:
+        raise ApproxError(f"{algorithm} needs node-weights")
+    return _node_weighted(G, f, algorithm)
 
 
 def tsp_7_5_node_weighted(G: Multigraph, f: NodeWeights) -> ApproxResult:
     """Tour of weight at most (7/5) of the cut lower bound."""
-    Gw, z, cc, H = _node_weighted_setup(G, f, "cubic-3ec")
-    tree = _mst(H) if H.n > 1 else {}
-    sol = multiset_union(cc.cover_multiset(), {eid: 2 for eid in tree})
-    return _finish(Gw, "tsp75", sol, z, Fraction(7, 5), "tour", profile="cubic-3ec")
+    return _node_weighted(G, f, "tsp75")
 
 
 def twoec_13_10_node_weighted(G: Multigraph, f: NodeWeights) -> ApproxResult:
     """2-edge-connected multigraph of weight at most (13/10) of the bound."""
-    Gw, z, cc, H = _node_weighted_setup(G, f, "cubic-3ec")
-    sol = multiset_union(cc.cover_multiset(), _christofides_on(H))
-    return _finish(Gw, "twoec1310", sol, z, Fraction(13, 10), "twoec-multigraph",
-                   profile="cubic-3ec")
-
-
-def bipartite_variants(G: Multigraph, f: NodeWeights, target: str) -> ApproxResult:
-    """Bipartite improvements: tour at 4/3 or 2EC multigraph at 5/4."""
-    if target not in ("tsp", "twoec"):
-        raise ApproxError(f"unknown target {target!r}")
-    Gw, z, cc, H = _node_weighted_setup(G, f, "bipartite-cubic-3ec")
-    if target == "tsp":
-        tree = _mst(H) if H.n > 1 else {}
-        sol = multiset_union(cc.cover_multiset(), {eid: 2 for eid in tree})
-        return _finish(Gw, "bip43", sol, z, Fraction(4, 3), "tour",
-                       profile="bipartite-cubic-3ec")
-    sol = multiset_union(cc.cover_multiset(), _christofides_on(H))
-    return _finish(Gw, "bip54", sol, z, Fraction(5, 4), "twoec-multigraph",
-                   profile="bipartite-cubic-3ec")
-
-
-def _connector_family(G: Multigraph):
-    lp = solve_subtour(G)
-    comb = even_2cut_connectors(G, lp.x)
-    return lp, comb
+    return _node_weighted(G, f, "twoec1310")
 
 
 def twoec_beta(G: Multigraph) -> ApproxResult:
     """2-edge-connected multigraph of weight at most (1+2*beta)/3 times the
     cut lower bound, where beta = w(E) / lower bound."""
-    lp, comb = _connector_family(G)
-    z = lp.value
-    if z <= 0:
-        raise ApproxError("zero lower bound; weights vanish")
-    beta = G.total_weight() / z
-    ratio = (1 + 2 * beta) / 3
-    best: Optional[EdgeMultiset] = None
-    best_weight: Optional[Fraction] = None
-    for term in comb.terms:
-        F = term.multiset()
-        y = {e.id: Fraction(1, 2) for e in G.edges if F.get(e.id, 0) == 0}
-        covers = decompose_one_covers(G, F, y, Fraction(1, 2))
-        for cover_term in covers.terms:
-            cand = multiset_union(F, cover_term.multiset())
-            w = multiset_weight(G, cand)
-            if best_weight is None or w < best_weight:
-                best_weight = w
-                best = cand
-    assert best is not None
-    return _finish(G, "twoecbeta", best, z, ratio, "twoec-multigraph", beta=beta)
+    return _beta(G, "twoecbeta")
 
 
 def tsp_beta(G: Multigraph) -> ApproxResult:
     """Tour of weight at most (1+beta/3) times the cut lower bound."""
-    lp, comb = _connector_family(G)
-    z = lp.value
-    if z <= 0:
-        raise ApproxError("zero lower bound; weights vanish")
-    beta = G.total_weight() / z
-    ratio = 1 + beta / 3
-    best_term = min(comb.terms,
-                    key=lambda t: (multiset_weight(G, t.multiset()), t.edges))
-    F = best_term.multiset()
-    if multiset_weight(G, F) > z:
-        raise ApproxError("every connector in the family outweighs the bound")
-    deg = multiset_degrees(G, F)
-    T = {v for v in range(G.n) if deg[v] % 2 == 1}
-    weights = {e.id: e.weight for e in G.edges}
-    jw, join = min_tjoin(G, weights, T)
-    if 3 * jw > G.total_weight():
-        raise ApproxError("parity join weighs more than a third of the graph")
-    sol = multiset_union(F, join)
-    return _finish(G, "tspbeta", sol, z, ratio, "tour", beta=beta)
+    return _beta(G, "tspbeta")

@@ -12,17 +12,16 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import serialize
-from .approx import (ALGORITHMS, ApproxError, bipartite_variants, tsp_7_5_node_weighted,
-                     tsp_beta, twoec_13_10_node_weighted, twoec_beta)
+from .approx import ALGORITHMS, approximate
 from .connectors import even_2cut_connectors
-from .covers import VARIANTS, CoverError, uniform_cover
-from .cyclecover import CycleCoverError, find_covering_cycle_cover
-from .decompose import (DecompositionError, decompose_connectors,
-                        decompose_spanning_trees)
+from .covers import VARIANTS, uniform_cover
+from .cyclecover import find_covering_cycle_cover
+from .decompose import decompose_connectors, decompose_spanning_trees
 from .families import FAMILY_NAMES, named_family
 from .graph import GraphError, Multigraph, NodeWeights
-from .lp import LpInputError, solve_subtour
+from .lp import solve_subtour
 from .serialize import ParseError
+from .simplex import LpError
 from .verify import verify_document
 
 EXIT_OK = 0
@@ -106,21 +105,8 @@ def _cmd_uniform_cover(args) -> int:
 def _cmd_approx(args) -> int:
     G = _read_graph(args.input)
     f = _node_weights(args.node_weights, G.n)
-    if args.alg in ("tsp75", "twoec1310", "bip43", "bip54"):
-        if f is None:
-            raise ApproxError(f"--node-weights is required for {args.alg}")
-        if args.alg == "tsp75":
-            res = tsp_7_5_node_weighted(G, f)
-        elif args.alg == "twoec1310":
-            res = twoec_13_10_node_weighted(G, f)
-        elif args.alg == "bip43":
-            res = bipartite_variants(G, f, "tsp")
-        else:
-            res = bipartite_variants(G, f, "twoec")
-        Gw = f.induced_graph(G)
-    else:
-        Gw = f.induced_graph(G) if f is not None else G
-        res = twoec_beta(Gw) if args.alg == "twoecbeta" else tsp_beta(Gw)
+    res = approximate(args.alg, G, f)
+    Gw = f.induced_graph(G) if f is not None else G
     _emit(args, serialize.approx_to_json(Gw, res),
           f"{res.algorithm}: weight {serialize.frac_str(res.weight)} <= "
           f"{serialize.frac_str(res.ratio)} * {serialize.frac_str(res.lower_bound)}")
@@ -195,8 +181,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ApproxError, CoverError, CycleCoverError, DecompositionError,
-            LpInputError, GraphError) as exc:
+    # Every library error is a GraphError, apart from the simplex's LpError.
+    except (GraphError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    connected_components)
+                    connected_components, spanning_connected)
 from .decompose import (ConvexCombination, DecompositionError, caratheodory_reduce,
-                        clip_at_two, decompose_connectors, make_combination)
+                        clip_at_two, decompose_connectors, make_combination,
+                        require_inside)
 from .lp import membership
 
 ZERO = Fraction(0)
@@ -54,7 +55,7 @@ def _support_edges(G: Multigraph, x: EdgeVector):
 def two_cut_pairs(G: Multigraph, x: EdgeVector) -> List[Tuple[int, int]]:
     """Pairs of support edges whose joint removal disconnects the support."""
     support = _support_edges(G, x)
-    if len(connected_components(G.n, ((e.u, e.v) for e in support))) != 1:
+    if not spanning_connected(G, x):
         raise GraphError("support is not spanning connected")
     pairs: List[Tuple[int, int]] = []
     for a in range(len(support)):
@@ -75,29 +76,14 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> TwoCutClasses:
     Two edges are related when their removal disconnects the support; the
     relation is transitive on these classes, which is asserted pairwise.
     """
-    check = membership(G, x, "subtour")
-    if not check.inside:
-        raise DecompositionError(f"x is outside the cut polyhedron: {check.detail}", check)
+    require_inside(membership(G, x, "subtour"))
     pairs = two_cut_pairs(G, x)
     ids = sorted({eid for p in pairs for eid in p})
-    parent = {eid: eid for eid in ids}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    index = {eid: i for i, eid in enumerate(ids)}
     pair_set = {frozenset(p) for p in pairs}
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: Dict[int, Set[int]] = {}
-    for eid in ids:
-        groups.setdefault(find(eid), set()).add(eid)
     classes = []
-    for members in groups.values():
+    for group in connected_components(len(ids), ((index[a], index[b]) for a, b in pairs)):
+        members = frozenset(ids[i] for i in group)
         members_sorted = sorted(members)
         for i, a in enumerate(members_sorted):
             for b in members_sorted[i + 1:]:
@@ -108,15 +94,15 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> TwoCutClasses:
             raise DecompositionError(
                 "two edges of one cut class are below 1; x violates a cut constraint")
         if sub_one:
-            classes.append(TwoCutClass(frozenset(members), "D2", sub_one[0]))
+            classes.append(TwoCutClass(members, "D2", sub_one[0]))
         else:
-            classes.append(TwoCutClass(frozenset(members), "D1", None))
+            classes.append(TwoCutClass(members, "D1", None))
     classes.sort(key=lambda c: c.min_id())
     return TwoCutClasses(tuple(classes))
 
 
 def normalize_connectors(family: ConvexCombination, x: EdgeVector,
-                         G: Optional[Multigraph] = None) -> ConvexCombination:
+                         G: Multigraph) -> ConvexCombination:
     """Rebalance an equality decomposition so that for every edge e, no term
     uses two copies while another uses none.
 
@@ -128,7 +114,7 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
         raise DecompositionError("normalization needs an equality decomposition")
     terms: List[Tuple[Fraction, EdgeMultiset]] = [
         (t.coefficient, t.multiset()) for t in family.terms]
-    limit = (G.m if G is not None else len(x)) + 1
+    limit = G.m + 1
     for eid in sorted(x):
         doubled = [(lam, f) for lam, f in terms if f.get(eid, 0) == 2]
         absent = [(lam, f) for lam, f in terms if f.get(eid, 0) == 0]
@@ -154,23 +140,11 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
         # the no-2-and-0 invariant on the edges already processed.
         if len(terms) > limit:
             terms = caratheodory_reduce(terms, limit)
-    if G is not None:
-        return make_combination(G, terms, family.target_vector(), "equals")
-    from .decompose import Term
-    merged: Dict[Tuple[Tuple[int, int], ...], Fraction] = {}
-    for coeff, f in terms:
-        key = tuple(sorted((eid, m) for eid, m in f.items() if m > 0))
-        merged[key] = merged.get(key, ZERO) + coeff
-    out = tuple(Term(coeff, key, frozenset())
-                for key, coeff in sorted(merged.items()))
-    return ConvexCombination(out, family.target, "equals")
+    return make_combination(G, terms, family.target_vector(), "equals")
 
 
 def _term_is_connector(G: Multigraph, f: EdgeMultiset) -> bool:
-    if any(m > 2 or m < 0 for m in f.values()):
-        return False
-    comps = connected_components(G.n, ((e.u, e.v) for e in G.edges if f.get(e.id, 0) > 0))
-    return len(comps) == 1
+    return all(0 <= m <= 2 for m in f.values()) and spanning_connected(G, f)
 
 
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:

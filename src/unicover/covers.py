@@ -1,10 +1,10 @@
 """Certified uniform covers: write an everywhere-alpha vector as a dominating
 convex combination of tours or 2-edge-connected spanning multigraphs.
 
-Each construction mixes two sub-combinations with hard-coded rational weights
-and re-verifies the result exactly: coefficients sum to 1, per-edge slack
-alpha - coverage is nonnegative, and every term passes its structural
-classifier.
+Every variant is one row of VARIANT_TABLE: three constructions, each used
+with two sets of rationals.  The result is re-verified exactly: coefficients
+sum to 1, per-edge slack alpha - coverage is nonnegative, and every term
+passes its structural classifier.
 """
 from __future__ import annotations
 
@@ -13,27 +13,59 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    classify, multiset_union, validate_structure)
-from .cyclecover import CycleCoverResult, find_covering_cycle_cover, verify_contraction
-from .decompose import (ConvexCombination, DecompositionError, caratheodory_reduce,
-                        decompose_one_covers, decompose_spanning_trees,
-                        make_combination, verify_combination, wolsey_tours)
+                    classify, multiset_union, require_profile)
+from .cyclecover import contracted_cycle_cover
+from .decompose import (ConvexCombination, caratheodory_reduce, decompose_spanning_trees,
+                        make_combination, one_cover_completions, wolsey_tours)
 from .lp import everywhere
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-VARIANTS = ("18/19", "12/13", "15/17", "8/9", "7/8", "3/4")
 
-# variant -> (alpha, required object class, required profile, subgraph only)
-VARIANT_SPEC = {
-    "18/19": (Fraction(18, 19), "tour", "cubic-3ec", False),
-    "12/13": (Fraction(12, 13), "tour", "bipartite-cubic-3ec", False),
-    "15/17": (Fraction(15, 17), "twoec-multigraph", "cubic-3ec", False),
-    "8/9": (Fraction(8, 9), "twoec-multigraph", "cubic-3ec", True),
-    "7/8": (Fraction(7, 8), "twoec-multigraph", "bipartite-cubic-3ec", False),
-    "3/4": (Fraction(3, 4), "twoec-multigraph", "4regular-4ec", True),
+@dataclass(frozen=True)
+class Variant:
+    """How one variant is built and what its certificate must show.
+
+    With C a cycle cover crossing every 3- and 4-edge cut twice, and x the
+    vector 1/2 on C and 1 off C, the constructions are:
+      "cycles+doubled-trees": mixing[0] * (C plus doubled spanning trees of
+          G/C packed from everywhere-r) + mixing[1] * (Wolsey tours of x);
+      "cycles+tours": mixing[0] * (C plus Wolsey tours of G/C from
+          everywhere-r) + mixing[1] * (trees of x, each completed by 1-covers);
+      "tree+cover": trees of everywhere-r, each completed by 1-covers.
+    The 1-covers of a tree are drawn from everywhere-cover_r outside it.
+    """
+    alpha: Fraction
+    object_class: str                  # required label of every term
+    profile: str
+    subgraph_only: bool                # no term may double an edge
+    construction: str
+    r: Fraction
+    cover_r: Optional[Fraction]
+    mixing: Tuple[Fraction, ...]       # weights of a cycle-cover construction's parts
+
+
+VARIANT_TABLE: Dict[str, Variant] = {
+    "18/19": Variant(Fraction(18, 19), "tour", "cubic-3ec", False,
+                     "cycles+doubled-trees", Fraction(2, 5), None,
+                     (Fraction(15, 19), Fraction(4, 19))),
+    "12/13": Variant(Fraction(12, 13), "tour", "bipartite-cubic-3ec", False,
+                     "cycles+doubled-trees", Fraction(1, 3), None,
+                     (Fraction(9, 13), Fraction(4, 13))),
+    "15/17": Variant(Fraction(15, 17), "twoec-multigraph", "cubic-3ec", False,
+                     "cycles+tours", Fraction(2, 5), Fraction(1, 2),
+                     (Fraction(5, 17), Fraction(12, 17))),
+    "8/9": Variant(Fraction(8, 9), "twoec-multigraph", "cubic-3ec", True,
+                   "tree+cover", Fraction(2, 3), Fraction(1, 2), ()),
+    "7/8": Variant(Fraction(7, 8), "twoec-multigraph", "bipartite-cubic-3ec", False,
+                   "cycles+tours", Fraction(1, 3), Fraction(1, 2),
+                   (Fraction(1, 4), Fraction(3, 4))),
+    "3/4": Variant(Fraction(3, 4), "twoec-multigraph", "4regular-4ec", True,
+                   "tree+cover", Fraction(1, 2), Fraction(1, 3), ()),
 }
+
+VARIANTS = tuple(VARIANT_TABLE)
 
 
 class CoverError(GraphError):
@@ -55,27 +87,6 @@ class Certificate:
         return {eid: v for eid, v in self.slack}
 
 
-def _certificate(G: Multigraph, variant: str, profile: str, alpha: Fraction,
-                 object_class: str,
-                 terms: List[Tuple[Fraction, EdgeMultiset]],
-                 metadata: List[Tuple[str, str]]) -> Certificate:
-    terms = caratheodory_reduce(terms, G.m + 1)
-    target = {e.id: alpha for e in G.edges}
-    comb = make_combination(G, terms, target, "dominated-by")
-    cert = Certificate(
-        variant=variant,
-        profile=profile,
-        alpha=alpha,
-        object_class=object_class,
-        combination=comb,
-        slack=tuple(sorted((eid, alpha - v) for eid, v in _full_coverage(G, comb).items())),
-        max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
-        metadata=tuple(sorted(metadata)),
-    )
-    check_certificate(G, cert)
-    return cert
-
-
 def _full_coverage(G: Multigraph, comb: ConvexCombination) -> EdgeVector:
     cover = comb.coverage()
     return {e.id: cover.get(e.id, ZERO) for e in G.edges}
@@ -83,18 +94,12 @@ def _full_coverage(G: Multigraph, comb: ConvexCombination) -> EdgeVector:
 
 def check_certificate(G: Multigraph, cert: Certificate) -> None:
     """Re-verify a certificate from its raw fields; raises on any defect."""
-    if cert.variant not in VARIANT_SPEC:
-        raise CoverError(f"unknown variant {cert.variant!r}")
-    want_alpha, want_class, want_profile, subgraph_only = VARIANT_SPEC[cert.variant]
-    if cert.alpha != want_alpha:
-        raise CoverError(f"variant {cert.variant} requires alpha {want_alpha}, not {cert.alpha}")
-    if cert.object_class != want_class:
-        raise CoverError(f"variant {cert.variant} certifies {want_class} terms")
-    if cert.profile != want_profile:
-        raise CoverError(f"variant {cert.variant} requires profile {want_profile}")
-    report = validate_structure(G, cert.profile)
-    if not report.passed:
-        raise CoverError(f"profile {cert.profile} fails: {report.violation}")
+    spec = _spec(cert.variant)
+    for field in ("alpha", "object_class", "profile"):
+        want, got = getattr(spec, field), getattr(cert, field)
+        if got != want:
+            raise CoverError(f"variant {cert.variant} requires {field} {want}, not {got}")
+    require_profile(G, cert.profile, CoverError)
     comb = cert.combination
     total = sum((t.coefficient for t in comb.terms), ZERO)
     if total != 1:
@@ -125,154 +130,74 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
         seen_max = max(seen_max, max((m for _, m in t.edges), default=0))
     if seen_max != cert.max_multiplicity:
         raise CoverError("stored max multiplicity is wrong")
-    if subgraph_only and seen_max > 1:
+    if spec.subgraph_only and seen_max > 1:
         raise CoverError("subgraph variant contains a doubled edge")
     if len(comb.terms) > G.m + 1:
         raise CoverError("term count exceeds the combination size bound")
 
 
-def _cycle_cover_setup(G: Multigraph, profile: str):
-    report = validate_structure(G, profile)
-    if not report.passed:
-        raise CoverError(f"profile {profile} fails: {report.violation}")
-    cc = find_covering_cycle_cover(G)
-    contraction = verify_contraction(G, cc)
-    if not contraction.passed:
-        raise CoverError(f"bad contraction: {contraction.violation}")
-    from .graph import contract
-    H, _ = contract(G, cc.cover_multiset())
-    return cc, H
+def _spec(variant: str) -> Variant:
+    if variant not in VARIANT_TABLE:
+        raise CoverError(f"unknown variant {variant!r}")
+    return VARIANT_TABLE[variant]
 
 
-def _mix(parts: List[Tuple[Fraction, List[Tuple[Fraction, EdgeMultiset]]]]
-         ) -> List[Tuple[Fraction, EdgeMultiset]]:
-    out: List[Tuple[Fraction, EdgeMultiset]] = []
-    for weight, terms in parts:
-        for coeff, obj in terms:
-            out.append((weight * coeff, obj))
-    return out
-
-
-def _doubled_tree_terms(cc: CycleCoverResult, H: Multigraph, r: Fraction
-                        ) -> List[Tuple[Fraction, EdgeMultiset]]:
-    """Cycle cover plus doubled spanning trees of the contraction, packed
-    from the everywhere-r vector on the contraction."""
-    C = cc.cover_multiset()
-    if H.n == 1:
-        return [(ONE, C)]
-    trees = decompose_spanning_trees(H, everywhere(H, r))
-    return [(t.coefficient, multiset_union(C, {eid: 2 * m for eid, m in t.edges}))
-            for t in trees.terms]
-
-
-def _contracted_tour_terms(cc: CycleCoverResult, H: Multigraph, r: Fraction
-                           ) -> List[Tuple[Fraction, EdgeMultiset]]:
-    """Cycle cover plus tours of the contraction packed from (3/2) r."""
-    C = cc.cover_multiset()
-    if H.n == 1:
-        return [(ONE, C)]
-    tours = wolsey_tours(H, everywhere(H, r))
-    return [(t.coefficient, multiset_union(C, t.multiset())) for t in tours.terms]
-
-
-def _tree_cover_terms(G: Multigraph, x: EdgeVector, off_tree: Fraction,
-                      alpha: Fraction) -> List[Tuple[Fraction, EdgeMultiset]]:
+def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
+                      ) -> List[Tuple[Fraction, EdgeMultiset]]:
     """Trees packed from x, each completed by 1-covers of its bridges drawn
-    from the everywhere-off_tree vector outside the tree."""
-    trees = decompose_spanning_trees(G, x)
-    out: List[Tuple[Fraction, EdgeMultiset]] = []
-    for tree_term in trees.terms:
-        tree = tree_term.multiset()
-        y = {e.id: off_tree for e in G.edges if tree.get(e.id, 0) == 0}
-        covers = decompose_one_covers(G, tree, y, alpha)
-        for cover_term in covers.terms:
-            out.append((tree_term.coefficient * cover_term.coefficient,
-                        multiset_union(tree, cover_term.multiset())))
-    return out
+    from the everywhere-cover_r vector outside the tree."""
+    return [(tree.coefficient * coeff, obj)
+            for tree in decompose_spanning_trees(G, x).terms
+            for coeff, obj in one_cover_completions(G, tree.multiset(), cover_r)]
 
 
-def _half_on_cover_vector(G: Multigraph, cc: CycleCoverResult) -> EdgeVector:
-    C = set(cc.cover)
-    return {e.id: (Fraction(1, 2) if e.id in C else ONE) for e in G.edges}
-
-
-def tours_18_19(G: Multigraph) -> Certificate:
-    """Everywhere 18/19 dominates a convex combination of tours (cubic, 3EC)."""
-    cc, H = _cycle_cover_setup(G, "cubic-3ec")
-    doubled = _doubled_tree_terms(cc, H, Fraction(2, 5))
-    shuffled = wolsey_tours(G, _half_on_cover_vector(G, cc))
-    terms = _mix([(Fraction(15, 19), doubled),
-                  (Fraction(4, 19), [(t.coefficient, t.multiset()) for t in shuffled.terms])])
-    return _certificate(G, "18/19", "cubic-3ec", Fraction(18, 19), "tour", terms,
-                        [("mixing", "15/19,4/19"), ("cycles", str(len(cc.cycles)))])
-
-
-def tours_12_13_bipartite(G: Multigraph) -> Certificate:
-    """Everywhere 12/13 dominates a convex combination of tours (bipartite)."""
-    cc, H = _cycle_cover_setup(G, "bipartite-cubic-3ec")
-    doubled = _doubled_tree_terms(cc, H, Fraction(1, 3))
-    shuffled = wolsey_tours(G, _half_on_cover_vector(G, cc))
-    terms = _mix([(Fraction(9, 13), doubled),
-                  (Fraction(4, 13), [(t.coefficient, t.multiset()) for t in shuffled.terms])])
-    return _certificate(G, "12/13", "bipartite-cubic-3ec", Fraction(12, 13), "tour", terms,
-                        [("mixing", "9/13,4/13"), ("cycles", str(len(cc.cycles)))])
-
-
-def twoec_15_17(G: Multigraph) -> Certificate:
-    """Everywhere 15/17 dominates 2-edge-connected multigraphs (cubic, 3EC)."""
-    cc, H = _cycle_cover_setup(G, "cubic-3ec")
-    cover_tours = _contracted_tour_terms(cc, H, Fraction(2, 5))
-    tree_covers = _tree_cover_terms(G, _half_on_cover_vector(G, cc),
-                                    Fraction(1, 2), Fraction(1, 2))
-    terms = _mix([(Fraction(5, 17), cover_tours), (Fraction(12, 17), tree_covers)])
-    return _certificate(G, "15/17", "cubic-3ec", Fraction(15, 17),
-                        "twoec-multigraph", terms,
-                        [("mixing", "5/17,12/17"), ("cycles", str(len(cc.cycles)))])
-
-
-def twoec_8_9_subgraphs(G: Multigraph) -> Certificate:
-    """Everywhere 8/9 dominates 2-edge-connected subgraphs: no doubled edges."""
-    report = validate_structure(G, "cubic-3ec")
-    if not report.passed:
-        raise CoverError(f"profile cubic-3ec fails: {report.violation}")
-    terms = _tree_cover_terms(G, everywhere(G, Fraction(2, 3)),
-                              Fraction(1, 2), Fraction(1, 2))
-    return _certificate(G, "8/9", "cubic-3ec", Fraction(8, 9),
-                        "twoec-multigraph", terms, [("construction", "tree+cover")])
-
-
-def twoec_7_8_bipartite(G: Multigraph) -> Certificate:
-    """Everywhere 7/8 dominates 2-edge-connected multigraphs (bipartite)."""
-    cc, H = _cycle_cover_setup(G, "bipartite-cubic-3ec")
-    cover_tours = _contracted_tour_terms(cc, H, Fraction(1, 3))
-    tree_covers = _tree_cover_terms(G, _half_on_cover_vector(G, cc),
-                                    Fraction(1, 2), Fraction(1, 2))
-    terms = _mix([(Fraction(1, 4), cover_tours), (Fraction(3, 4), tree_covers)])
-    return _certificate(G, "7/8", "bipartite-cubic-3ec", Fraction(7, 8),
-                        "twoec-multigraph", terms,
-                        [("mixing", "1/4,3/4"), ("cycles", str(len(cc.cycles)))])
-
-
-def twoec_3_4_4regular(G: Multigraph) -> Certificate:
-    """Everywhere 3/4 dominates 2-edge-connected subgraphs (4-regular, 4EC)."""
-    report = validate_structure(G, "4regular-4ec")
-    if not report.passed:
-        raise CoverError(f"profile 4regular-4ec fails: {report.violation}")
-    terms = _tree_cover_terms(G, everywhere(G, Fraction(1, 2)),
-                              Fraction(1, 3), Fraction(1, 3))
-    return _certificate(G, "3/4", "4regular-4ec", Fraction(3, 4),
-                        "twoec-multigraph", terms, [("construction", "tree+cover")])
+def _cycle_cover_terms(G: Multigraph, spec: Variant
+                       ) -> Tuple[List[Tuple[Fraction, EdgeMultiset]], int]:
+    """The two mixed parts of a cycle-cover construction, and the number of
+    cycles in the cover."""
+    cc, H = contracted_cycle_cover(G)
+    C = cc.cover_multiset()
+    doubled = spec.construction == "cycles+doubled-trees"
+    if H.n == 1:
+        closed = [(ONE, C)]
+    else:
+        pack, mult = (decompose_spanning_trees, 2) if doubled else (wolsey_tours, 1)
+        closed = [(t.coefficient, multiset_union(C, {eid: mult * m for eid, m in t.edges}))
+                  for t in pack(H, everywhere(H, spec.r)).terms]
+    x = {e.id: (Fraction(1, 2) if e.id in C else ONE) for e in G.edges}
+    if doubled:
+        rest = [(t.coefficient, t.multiset()) for t in wolsey_tours(G, x).terms]
+    else:
+        rest = _tree_cover_terms(G, x, spec.cover_r)
+    first, second = spec.mixing
+    return ([(first * coeff, obj) for coeff, obj in closed]
+            + [(second * coeff, obj) for coeff, obj in rest]), len(cc.cycles)
 
 
 def uniform_cover(G: Multigraph, variant: str) -> Certificate:
-    builders = {
-        "18/19": tours_18_19,
-        "12/13": tours_12_13_bipartite,
-        "15/17": twoec_15_17,
-        "8/9": twoec_8_9_subgraphs,
-        "7/8": twoec_7_8_bipartite,
-        "3/4": twoec_3_4_4regular,
-    }
-    if variant not in builders:
-        raise CoverError(f"unknown variant {variant!r}")
-    return builders[variant](G)
+    """Everywhere-alpha dominates a convex combination of the variant's
+    objects; VARIANT_TABLE says how it is built."""
+    spec = _spec(variant)
+    require_profile(G, spec.profile, CoverError)
+    if spec.construction == "tree+cover":
+        terms = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r)
+        metadata = [("construction", spec.construction)]
+    else:
+        terms, cycles = _cycle_cover_terms(G, spec)
+        metadata = [("mixing", ",".join(str(w) for w in spec.mixing)),
+                    ("cycles", str(cycles))]
+    terms = caratheodory_reduce(terms, G.m + 1)
+    comb = make_combination(G, terms, everywhere(G, spec.alpha), "dominated-by")
+    cert = Certificate(
+        variant=variant,
+        profile=spec.profile,
+        alpha=spec.alpha,
+        object_class=spec.object_class,
+        combination=comb,
+        slack=tuple(sorted((eid, spec.alpha - v)
+                           for eid, v in _full_coverage(G, comb).items())),
+        max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
+        metadata=tuple(sorted(metadata)),
+    )
+    check_certificate(G, cert)
+    return cert

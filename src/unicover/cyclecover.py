@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .graph import (Cut, CutFamily, EdgeMultiset, GraphError, Multigraph,
-                    connected_components, contract, enumerate_cuts_upto,
-                    is_bipartite, multiset_degrees, validate_structure)
-
-ZERO = Fraction(0)
+from .graph import (Cut, EdgeMultiset, GraphError, Multigraph, contract,
+                    enumerate_cuts_upto, is_bipartite, multiset_degrees,
+                    validate_structure)
 
 
 class CycleCoverError(GraphError):
@@ -87,11 +85,10 @@ def _cycles_of(G: Multigraph, cover: Set[int]) -> List[List[int]]:
 
 def find_covering_cycle_cover(G: Multigraph) -> CycleCoverResult:
     report = validate_structure(G, "cubic-3ec")
-    if not report.passed:
-        if report.edge_connectivity >= 2 and all(d == 3 for d in report.degrees):
-            pass   # bridgeless cubic but only 2-edge-connected is acceptable
-        else:
-            raise CycleCoverError(f"input is not bridgeless cubic: {report.violation}")
+    # Bridgeless cubic but only 2-edge-connected is acceptable.
+    bridgeless_cubic = report.edge_connectivity >= 2 and all(d == 3 for d in report.degrees)
+    if not report.passed and not bridgeless_cubic:
+        raise CycleCoverError(f"input is not bridgeless cubic: {report.violation}")
     small = enumerate_cuts_upto(G, 4)
     targets = [c for c in small.cuts if c.size in (3, 4)]
     all_ids = set(G.edge_ids())
@@ -114,8 +111,8 @@ def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
         e = G.edge_by_id(eid)
         (intra if vertex_cycle[e.u] == vertex_cycle[e.v] else cross).append(eid)
     covered = tuple((c.edge_ids, len(cover & c.edge_ids)) for c in targets)
-    deg = multiset_degrees(G, {eid: 1 for eid in cover})
-    assert all(d == 2 for d in deg)
+    if any(d != 2 for d in multiset_degrees(G, {eid: 1 for eid in cover})):
+        raise CycleCoverError("cover is not a 2-factor")
     return CycleCoverResult(
         cover=tuple(sorted(cover)),
         cycles=tuple(tuple(c) for c in cycles),
@@ -140,7 +137,7 @@ class ContractionReport:
 def verify_contraction(G: Multigraph, result: CycleCoverResult) -> ContractionReport:
     """Check the contraction G/C: 5-edge-connected in general, and with all
     even degrees and connectivity at least 6 when G is bipartite."""
-    H, _ = contract(G, result.cover_multiset())
+    H = contract(G, result.cover_multiset())
     bip, _ = is_bipartite(G)
     if H.n == 1:
         return ContractionReport(1, H.m, 0, True, bip, True)
@@ -156,3 +153,12 @@ def verify_contraction(G: Multigraph, result: CycleCoverResult) -> ContractionRe
     elif bip and not even:
         violation = "odd degree in the contraction of a bipartite input"
     return ContractionReport(H.n, H.m, conn, even, bip, violation is None, violation)
+
+
+def contracted_cycle_cover(G: Multigraph) -> Tuple[CycleCoverResult, Multigraph]:
+    """A covering cycle cover C of G, and G/C once verify_contraction passes."""
+    cc = find_covering_cycle_cover(G)
+    report = verify_contraction(G, cc)
+    if not report.passed:
+        raise CycleCoverError(f"bad contraction: {report.violation}")
+    return cc, contract(G, cc.cover_multiset())

@@ -10,13 +10,13 @@ genuine infeasibility, not a search artifact.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    classify, connected_components, multiset_union)
+                    classify, find, kruskal, multiset_union, odd_vertices, union)
 from .lp import MembershipResult, membership, one_edge_cuts
 from .simplex import Tableau
 
@@ -146,13 +146,15 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
                     t = work[j][1] / dj
                     if t_best is None or t < t_best:
                         t_best = t
-        assert t_best is not None
+        if t_best is None:
+            raise DecompositionError("kernel vector has no nonzero entry")
         new_work = []
         for j, (key, coeff) in enumerate(work):
             c = coeff - (t_best * d[j] if j < len(d) else ZERO)
             if c > 0:
                 new_work.append((key, c))
-        assert len(new_work) < len(work)
+        if len(new_work) >= len(work):
+            raise DecompositionError("Caratheodory step dropped no term")
         work = new_work
     return [(coeff, dict(key)) for key, coeff in work]
 
@@ -292,25 +294,10 @@ def _mst_price(G: Multigraph, support: Set[int]
 
     def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
         order = sorted(edges, key=lambda e: (weights.get(e.id, ZERO), e.id))
-        parent = list(range(G.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        tree: EdgeMultiset = {}
-        total = ZERO
-        for e in order:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
-                tree[e.id] = 1
-                total += weights.get(e.id, ZERO)
+        tree = kruskal(list(range(G.n)), order)
         if len(tree) != G.n - 1:
             raise DecompositionError("support does not contain a spanning tree")
-        return total, tree
+        return sum((weights.get(e.id, ZERO) for e in tree), ZERO), {e.id: 1 for e in tree}
 
     return price
 
@@ -406,30 +393,18 @@ def _connector_price_max(G: Multigraph, support: Set[int]
         obj: EdgeMultiset = {}
         total = ZERO
         parent = list(range(G.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for e in edges:
             w = weights.get(e.id, ZERO)
             if w > 0:
                 obj[e.id] = 2
                 total += 2 * w
-                ru, rv = find(e.u), find(e.v)
-                if ru != rv:
-                    parent[ru] = rv
+                union(parent, e.u, e.v)
         # Connect the remaining components with a maximum weight forest.
         order = sorted(edges, key=lambda e: (-weights.get(e.id, ZERO), e.id))
-        for e in order:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
-                obj[e.id] = obj.get(e.id, 0) + 1
-                total += weights.get(e.id, ZERO)
-        roots = {find(v) for v in range(G.n)}
+        for e in kruskal(parent, order):
+            obj[e.id] = obj.get(e.id, 0) + 1
+            total += weights.get(e.id, ZERO)
+        roots = {find(parent, v) for v in range(G.n)}
         if len(roots) != 1:
             raise DecompositionError("graph is disconnected")
         return total, obj
@@ -476,7 +451,8 @@ def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
             if best is None or w < best or (w == best and sub < best_sub):
                 best = w
                 best_sub = sub
-        assert best is not None
+        if best is None:
+            raise DecompositionError("no candidate edge set covers every 1-edge cut of F")
         return best, {relevant[i]: 1 for i in range(k) if best_sub & (1 << i)}
 
     return price
@@ -486,7 +462,7 @@ def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
 # Public decompositions
 
 
-def _require(result: MembershipResult) -> None:
+def require_inside(result: MembershipResult) -> None:
     if not result.inside:
         raise DecompositionError(
             f"input vector is outside {result.polyhedron}: {result.detail}", result)
@@ -494,7 +470,7 @@ def _require(result: MembershipResult) -> None:
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Spanning trees of the support of x, dominated by x."""
-    _require(membership(G, x, "subtour"))
+    require_inside(membership(G, x, "subtour"))
     support = {eid for eid, v in x.items() if v > 0}
     rows = sorted((eid, x[eid]) for eid in support)
     raw = _dominated_master(rows, _mst_price(G, support))
@@ -536,7 +512,7 @@ def clip_at_two(x: EdgeVector) -> EdgeVector:
 
 def decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Equality decomposition of x (clipped at 2) into connectors of G."""
-    _require(membership(G, x, "subtour"))
+    require_inside(membership(G, x, "subtour"))
     xbar = {eid: v for eid, v in clip_at_two(x).items() if v > 0}
     rows = sorted(xbar.items())
     raw = _equality_master(rows, _connector_price_max(G, set(xbar)))
@@ -564,9 +540,7 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
     cuts = one_edge_cuts(G, F)
     if not cuts:
         return make_combination(G, [(ONE, {})], target, "dominated-by")
-    check = membership(G, y, "cover", F=F)
-    if not check.inside:
-        raise DecompositionError(f"y is outside Cover(G, F): {check.detail}", check)
+    require_inside(membership(G, y, "cover", F=F))
     rows = sorted(target.items())
     price = _one_cover_price(G, F, set(target))
     raw = _dominated_master(rows, price)
@@ -586,22 +560,25 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
     return comb
 
 
+def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction
+                          ) -> List[Tuple[Fraction, EdgeMultiset]]:
+    """F plus each 1-cover drawn from the everywhere-alpha vector outside F,
+    with the 1-cover's coefficient."""
+    y = {e.id: alpha for e in G.edges if F.get(e.id, 0) == 0}
+    covers = decompose_one_covers(G, F, y, alpha)
+    return [(t.coefficient, multiset_union(F, t.multiset())) for t in covers.terms]
+
+
 def wolsey_tours(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Tours dominated by (3/2) x: spanning trees of x, each completed with
     parity-fixing joins drawn from x/2 (polyhedral Christofides)."""
-    _require(membership(G, x, "subtour"))
+    require_inside(membership(G, x, "subtour"))
     trees = decompose_spanning_trees(G, x)
     half = {eid: v / 2 for eid, v in x.items()}
     terms: List[Tuple[Fraction, EdgeMultiset]] = []
     for tree_term in trees.terms:
         tree = tree_term.multiset()
-        deg = [0] * G.n
-        for e in G.edges:
-            mult = tree.get(e.id, 0)
-            deg[e.u] += mult
-            deg[e.v] += mult
-        odd = {v for v in range(G.n) if deg[v] % 2 == 1}
-        joins = decompose_tjoins(G, half, odd)
+        joins = decompose_tjoins(G, half, odd_vertices(G, tree))
         for join_term in joins.terms:
             tour = multiset_union(tree, join_term.multiset())
             terms.append((tree_term.coefficient * join_term.coefficient, tour))

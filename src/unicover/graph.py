@@ -6,9 +6,9 @@ after construction; every operation returns new values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 EdgeMultiset = Dict[int, int]          # edge id -> multiplicity >= 0
 EdgeVector = Dict[int, Fraction]       # edge id -> exact rational >= 0
@@ -127,22 +127,36 @@ class CutFamily:
         return [c for c in self.cuts if c.size in sizes]
 
 
+def find(parent: List[int], a: int) -> int:
+    """Root of a in the union-find forest `parent`, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def union(parent: List[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b; False when they were already one."""
+    ra, rb = find(parent, a), find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
+
+
+def kruskal(parent: List[int], order: Iterable[Edge]) -> List[Edge]:
+    """Greedy forest: the edges of `order` that join two classes of the
+    union-find `parent`, merged in as they are taken."""
+    return [e for e in order if union(parent, e.u, e.v)]
+
+
 def connected_components(n: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for u, v in edges:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
+        union(parent, u, v)
     comps: Dict[int, List[int]] = {}
     for v in range(n):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(find(parent, v), []).append(v)
     return sorted(comps.values())
 
 
@@ -187,10 +201,6 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
         raise GraphError("disconnected input")
     if G.n > BRUTE_FORCE_VERTEX_LIMIT:
         raise GraphError(f"brute-force cut enumeration capped at n <= {BRUTE_FORCE_VERTEX_LIMIT}")
-    incid: List[List[int]] = [[] for _ in range(G.n)]
-    for e in G.edges:
-        incid[e.u].append(e.id)
-        incid[e.v].append(e.id)
     found: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     rest = list(range(1, G.n))
     for size in range(0, G.n - 1):
@@ -221,12 +231,9 @@ def min_cut_unit(G: Multigraph) -> Tuple[int, Tuple[int, ...]]:
     return int(value), shore
 
 
-def contract(G: Multigraph, F: EdgeMultiset) -> Tuple[Multigraph, Dict[int, int]]:
+def contract(G: Multigraph, F: EdgeMultiset) -> Multigraph:
     """G/F: contract the edges of F, drop self-loops, keep parallel edges.
-
-    Surviving edges keep their ids; the returned map sends each surviving id to
-    its parent id (identity, provided for interface stability).
-    """
+    Surviving edges keep their ids."""
     ids = {e.id for e in G.edges}
     for eid in F:
         if eid not in ids:
@@ -240,8 +247,7 @@ def contract(G: Multigraph, F: EdgeMultiset) -> Tuple[Multigraph, Dict[int, int]
     new_edges = tuple(
         Edge(rep[e.u], rep[e.v], e.weight, e.id)
         for e in G.edges if rep[e.u] != rep[e.v])
-    H = Multigraph(len(comps), new_edges)
-    return H, {e.id: e.id for e in new_edges}
+    return Multigraph(len(comps), new_edges)
 
 
 def multiset_degrees(G: Multigraph, H: EdgeMultiset) -> List[int]:
@@ -251,6 +257,10 @@ def multiset_degrees(G: Multigraph, H: EdgeMultiset) -> List[int]:
         deg[e.u] += mult
         deg[e.v] += mult
     return deg
+
+
+def odd_vertices(G: Multigraph, H: EdgeMultiset) -> Set[int]:
+    return {v for v, d in enumerate(multiset_degrees(G, H)) if d % 2 == 1}
 
 
 def multiset_weight(G: Multigraph, H: EdgeMultiset) -> Fraction:
@@ -269,7 +279,8 @@ def multiset_union(*parts: EdgeMultiset) -> EdgeMultiset:
     return out
 
 
-def _spanning_connected(G: Multigraph, H: EdgeMultiset) -> bool:
+def spanning_connected(G: Multigraph, H: EdgeMultiset) -> bool:
+    """The support of H connects every vertex of G."""
     comps = connected_components(
         G.n, ((e.u, e.v) for e in G.edges if H.get(e.id, 0) > 0))
     return len(comps) == 1
@@ -277,12 +288,12 @@ def _spanning_connected(G: Multigraph, H: EdgeMultiset) -> bool:
 
 def _two_edge_connected(G: Multigraph, H: EdgeMultiset) -> bool:
     """Spanning and 2-edge-connected as a multigraph (no bridges)."""
-    if not _spanning_connected(G, H):
+    if not spanning_connected(G, H):
         return False
     for e in G.edges:
         if H.get(e.id, 0) == 1:
             rest = {eid: m for eid, m in H.items() if eid != e.id}
-            if not _spanning_connected(G, rest):
+            if not spanning_connected(G, rest):
                 return False
     return True
 
@@ -302,7 +313,7 @@ def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
         if not active:
             return {"tour", "twoec-multigraph", "connector"}
     deg = multiset_degrees(G, active)
-    spanning = _spanning_connected(G, active)
+    spanning = spanning_connected(G, active)
     if spanning and all(d % 2 == 0 for d in deg):
         labels.add("tour")
     if spanning and _two_edge_connected(G, active):
@@ -325,6 +336,13 @@ class StructureReport:
     edge_connectivity: int
     bipartite: bool
     violation: Optional[str] = None
+
+
+def require_profile(G: Multigraph, profile: str, error: type) -> None:
+    """Raise `error` unless G passes validate_structure for the profile."""
+    report = validate_structure(G, profile)
+    if not report.passed:
+        raise error(f"profile {profile} fails: {report.violation}")
 
 
 def validate_structure(G: Multigraph, profile: str) -> StructureReport:

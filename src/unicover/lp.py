@@ -7,10 +7,9 @@ direct enumeration at desk scale.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graph import (Cut, CutFamily, EdgeMultiset, EdgeVector, GraphError,
                     Multigraph, connected_components, cut_edges, is_connected)
@@ -67,8 +66,15 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     if 0 in best_shore:
         comp = sorted(set(range(n)) - set(best_shore))
         best_shore = tuple(comp) if comp else best_shore
-    assert best_value is not None
+    if best_value is None:
+        raise LpInputError("min cut found no phase")
     return best_value, best_shore
+
+
+def _shores(n: int) -> Iterator[Tuple[int, ...]]:
+    """Every nonempty vertex set avoiding vertex 0, in bitmask order."""
+    for mask in range(1, 1 << (n - 1)):
+        yield tuple(v for v in range(1, n) if mask & (1 << (v - 1)))
 
 
 def brute_force_min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
@@ -79,8 +85,7 @@ def brute_force_min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple
         raise LpInputError("brute force min cut capped at n <= 16")
     best = None
     best_shore: Tuple[int, ...] = ()
-    for mask in range(1, 1 << (G.n - 1)):
-        shore = tuple(v for v in range(1, G.n) if mask & (1 << (v - 1)))
+    for shore in _shores(G.n):
         value = sum((cap.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
         if best is None or value < best:
             best = value
@@ -153,8 +158,7 @@ def membership(G: Multigraph, x: EdgeVector, polyhedron: str,
         if G.n > TJOIN_ENUMERATION_LIMIT:
             raise LpInputError(
                 f"T-odd cut enumeration capped at n <= {TJOIN_ENUMERATION_LIMIT}")
-        for mask in range(1, 1 << (G.n - 1)):
-            shore = tuple(v for v in range(1, G.n) if mask & (1 << (v - 1)))
+        for shore in _shores(G.n):
             if len(set(shore) & T) % 2 == 0:
                 continue
             value = sum((x.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
@@ -221,8 +225,8 @@ def solve_subtour(G: Multigraph) -> LpResult:
             raise RuntimeError("separation returned a known cut; solver bug")
         seen.add(ids)
         shores.append(mc_shore)
-    check = membership(G, x, "subtour")
-    assert check.inside, "optimizer failed exact re-verification"
+    if not membership(G, x, "subtour").inside:
+        raise LpInputError("optimizer failed exact re-verification")
     cuts = tuple(Cut(tuple(sorted(shore)), cut_edges(G, shore)) for shore in shores)
     return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds)
 
@@ -233,12 +237,9 @@ def brute_force_subtour(G: Multigraph) -> Tuple[Fraction, EdgeVector]:
         raise LpInputError("full-family LP capped at n <= 8")
     if G.n < 3:
         raise LpInputError("LP modules reject n < 3")
-    shores = []
-    for mask in range(1, 1 << (G.n - 1)):
-        shores.append(tuple(v for v in range(1, G.n) if mask & (1 << (v - 1))))
     seen = set()
     dedup = []
-    for s in shores:
+    for s in _shores(G.n):
         ids = cut_edges(G, s)
         if ids not in seen:
             seen.add(ids)

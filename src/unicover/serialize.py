@@ -8,11 +8,11 @@ every rational as a lowest-terms string "p/q" so no consumer ever rounds.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graph import (Cut, Edge, EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    NodeWeights)
+from .graph import Cut, Edge, EdgeVector, GraphError, Multigraph, NodeWeights
 from .decompose import ConvexCombination, Term
 from .lp import LpResult
 from .cyclecover import CycleCoverResult
@@ -34,10 +34,21 @@ def frac_str(v: Fraction) -> str:
 
 
 def parse_frac(text: str, line: Optional[int] = None) -> Fraction:
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}", line)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {text.strip()!r}", line)
+
+
+@contextmanager
+def _fields(what: str) -> Iterator[None]:
+    """Turn a missing or mistyped JSON field into a ParseError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"bad {what} object: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +143,10 @@ def graph_to_json(G: Multigraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Multigraph:
-    try:
+    with _fields("graph"):
         edges = tuple(Edge(int(u), int(v), parse_frac(w), int(eid))
                       for u, v, w, eid in obj["edges"])
         return Multigraph(int(obj["n"]), edges)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad graph object: {exc}")
 
 
 def combination_to_json(comb: ConvexCombination) -> dict:
@@ -153,17 +162,14 @@ def combination_to_json(comb: ConvexCombination) -> dict:
 
 
 def combination_from_json(obj: dict) -> ConvexCombination:
-    try:
+    with _fields("combination"):
         terms = tuple(
             Term(parse_frac(t["lambda"]),
                  tuple((int(eid), int(m)) for eid, m in t["edges"]),
                  frozenset(t.get("classes", ())))
             for t in obj["terms"])
-        target = tuple(sorted((int(k), parse_frac(v))
-                              for k, v in obj["target"].items()))
+        target = tuple(sorted(vector_from_json(obj["target"]).items()))
         return ConvexCombination(terms, target, obj["relation"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad combination object: {exc}")
 
 
 def lp_result_to_json(G: Multigraph, res: LpResult) -> dict:
@@ -176,6 +182,20 @@ def lp_result_to_json(G: Multigraph, res: LpResult) -> dict:
                  for c in res.cuts],
         "separation_rounds": res.separation_rounds,
     }
+
+
+def lp_result_from_json(obj: dict) -> Tuple[Multigraph, LpResult]:
+    with _fields("lp-result"):
+        G = graph_from_json(obj["graph"])
+        res = LpResult(
+            value=parse_frac(obj["value"]),
+            x=vector_from_json(obj["x"]),
+            cuts=tuple(Cut(tuple(int(v) for v in c["shore"]),
+                           frozenset(int(eid) for eid in c["edges"]))
+                       for c in obj["cuts"]),
+            separation_rounds=int(obj["separation_rounds"]),
+        )
+        return G, res
 
 
 def cycle_cover_to_json(G: Multigraph, res: CycleCoverResult) -> dict:
@@ -191,6 +211,24 @@ def cycle_cover_to_json(G: Multigraph, res: CycleCoverResult) -> dict:
     }
 
 
+def cycle_cover_from_json(obj: dict) -> Tuple[Multigraph, CycleCoverResult]:
+    def ids(key: str) -> Tuple[int, ...]:
+        return tuple(int(eid) for eid in obj[key])
+
+    with _fields("cycle-cover"):
+        G = graph_from_json(obj["graph"])
+        res = CycleCoverResult(
+            cover=ids("cover"),
+            cycles=tuple(tuple(int(v) for v in c) for c in obj["cycles"]),
+            matching=ids("matching"),
+            intra_cycle=ids("intra_cycle"),
+            cross_cycle=ids("cross_cycle"),
+            covered_cuts=tuple((frozenset(int(eid) for eid in cut), int(count))
+                               for cut, count in obj["covered_cuts"]),
+        )
+        return G, res
+
+
 def decomposition_to_json(G: Multigraph, comb: ConvexCombination, kind: str) -> dict:
     return {
         "type": "decomposition",
@@ -198,6 +236,11 @@ def decomposition_to_json(G: Multigraph, comb: ConvexCombination, kind: str) -> 
         "graph": graph_to_json(G),
         "combination": combination_to_json(comb),
     }
+
+
+def decomposition_from_json(obj: dict) -> Tuple[Multigraph, ConvexCombination]:
+    with _fields("decomposition"):
+        return graph_from_json(obj["graph"]), combination_from_json(obj["combination"])
 
 
 def certificate_to_json(G: Multigraph, cert: Certificate) -> dict:
@@ -216,7 +259,7 @@ def certificate_to_json(G: Multigraph, cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Tuple[Multigraph, Certificate]:
-    try:
+    with _fields("certificate"):
         G = graph_from_json(obj["graph"])
         cert = Certificate(
             variant=obj["variant"],
@@ -224,14 +267,11 @@ def certificate_from_json(obj: dict) -> Tuple[Multigraph, Certificate]:
             alpha=parse_frac(obj["alpha"]),
             object_class=obj["object_class"],
             combination=combination_from_json(obj["combination"]),
-            slack=tuple(sorted((int(k), parse_frac(v))
-                               for k, v in obj["slack"].items())),
+            slack=tuple(sorted(vector_from_json(obj["slack"]).items())),
             max_multiplicity=int(obj["max_multiplicity"]),
             metadata=tuple(sorted(obj.get("metadata", {}).items())),
         )
         return G, cert
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad certificate object: {exc}")
 
 
 def approx_to_json(G: Multigraph, res: ApproxResult) -> dict:
@@ -253,7 +293,7 @@ def approx_to_json(G: Multigraph, res: ApproxResult) -> dict:
 
 
 def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
-    try:
+    with _fields("approx"):
         G = graph_from_json(obj["graph"])
         res = ApproxResult(
             algorithm=obj["algorithm"],
@@ -266,8 +306,6 @@ def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
             profile=obj.get("profile"),
         )
         return G, res
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad approx object: {exc}")
 
 
 def dumps(obj: dict) -> str:

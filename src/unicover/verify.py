@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .graph import GraphError, Multigraph, classify, multiset_weight, validate_structure
-from .approx import ApproxResult
-from .covers import CoverError, check_certificate
-from .decompose import DecompositionError, verify_combination
-from .lp import membership, solve_subtour
+from .graph import (GraphError, Multigraph, classify, enumerate_cuts_upto,
+                    multiset_degrees, multiset_weight, require_profile)
+from .approx import ALGORITHM_TABLE, ApproxResult
+from .cyclecover import CycleCoverResult
+from .covers import Certificate, check_certificate
+from .decompose import ConvexCombination, verify_combination
+from .lp import LpResult, membership, solve_subtour
 
 ZERO = Fraction(0)
 
@@ -32,92 +33,69 @@ class VerifyError(GraphError):
 
 
 def verify_document(doc: dict) -> VerifyReport:
+    """Parse a document (a malformed one raises ParseError) and re-check it;
+    a failed check is a report with ok False, naming what failed."""
     from . import serialize
-    kind = doc.get("type")
-    if kind == "uniform-cover-certificate":
-        G, cert = serialize.certificate_from_json(doc)
-        try:
-            check_certificate(G, cert)
-        except (CoverError, GraphError) as exc:
-            return VerifyReport(kind, False, str(exc))
-        return VerifyReport(kind, True, f"variant {cert.variant} on n={G.n}")
-    if kind == "approx-result":
-        G, res = serialize.approx_from_json(doc)
-        try:
-            _check_approx(G, res)
-        except (VerifyError, GraphError) as exc:
-            return VerifyReport(kind, False, str(exc))
-        return VerifyReport(kind, True, f"{res.algorithm} weight {res.weight}")
-    if kind == "decomposition":
-        G = serialize.graph_from_json(doc["graph"])
-        comb = serialize.combination_from_json(doc["combination"])
-        try:
-            verify_combination(G, comb)
-            for t in comb.terms:
-                if t.labels != frozenset(classify(G, t.multiset())):
-                    raise DecompositionError("stored term labels disagree with the classifier")
-        except (DecompositionError, GraphError) as exc:
-            return VerifyReport(kind, False, str(exc))
-        return VerifyReport(kind, True, f"{len(comb.terms)} terms, {comb.relation}")
-    if kind == "lp-result":
-        G = serialize.graph_from_json(doc["graph"])
-        value = serialize.parse_frac(doc["value"])
-        x = serialize.vector_from_json(doc["x"])
-        weight = {e.id: e.weight for e in G.edges}
-        total = sum((weight[eid] * v for eid, v in x.items()), ZERO)
-        if total != value:
-            return VerifyReport(kind, False, f"objective {total} != stored {value}")
-        check = membership(G, x, "subtour")
-        if not check.inside:
-            return VerifyReport(kind, False, f"optimizer infeasible: {check.detail}")
-        return VerifyReport(kind, True, f"value {value}")
-    if kind == "cycle-cover":
-        G = serialize.graph_from_json(doc["graph"])
-        try:
-            _check_cycle_cover(G, doc)
-        except (VerifyError, GraphError) as exc:
-            return VerifyReport(kind, False, str(exc))
-        return VerifyReport(kind, True, f"{len(doc['cycles'])} cycles")
-    return VerifyReport(str(kind), False, f"unknown document type {kind!r}")
-
-
-def _expected_ratio(res: ApproxResult) -> Optional[Fraction]:
-    fixed = {
-        "tsp75": Fraction(7, 5),
-        "twoec1310": Fraction(13, 10),
-        "bip43": Fraction(4, 3),
-        "bip54": Fraction(5, 4),
+    checks = {
+        "uniform-cover-certificate": (serialize.certificate_from_json, _check_certificate),
+        "approx-result": (serialize.approx_from_json, _check_approx),
+        "decomposition": (serialize.decomposition_from_json, _check_decomposition),
+        "lp-result": (serialize.lp_result_from_json, _check_lp_result),
+        "cycle-cover": (serialize.cycle_cover_from_json, _check_cycle_cover),
     }
-    if res.algorithm in fixed:
-        return fixed[res.algorithm]
-    if res.beta is None:
-        return None
-    if res.algorithm == "twoecbeta":
-        return (1 + 2 * res.beta) / 3
-    if res.algorithm == "tspbeta":
-        return 1 + res.beta / 3
-    return None
+    kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in checks:
+        return VerifyReport(str(kind), False, f"unknown document type {kind!r}")
+    parse, check = checks[kind]
+    G, obj = parse(doc)
+    try:
+        return VerifyReport(kind, True, check(G, obj))
+    except GraphError as exc:
+        return VerifyReport(kind, False, str(exc))
 
 
-def _check_approx(G: Multigraph, res: ApproxResult) -> None:
+def _check_certificate(G: Multigraph, cert: Certificate) -> str:
+    check_certificate(G, cert)
+    return f"variant {cert.variant} on n={G.n}"
+
+
+def _check_decomposition(G: Multigraph, comb: ConvexCombination) -> str:
+    verify_combination(G, comb)
+    for t in comb.terms:
+        if t.labels != frozenset(classify(G, t.multiset())):
+            raise VerifyError("stored term labels disagree with the classifier")
+    return f"{len(comb.terms)} terms, {comb.relation}"
+
+
+def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
+    total = sum((e.weight * lp.x.get(e.id, ZERO) for e in G.edges), ZERO)
+    if total != lp.value:
+        raise VerifyError(f"objective {total} != stored {lp.value}")
+    check = membership(G, lp.x, "subtour")
+    if not check.inside:
+        raise VerifyError(f"optimizer infeasible: {check.detail}")
+    return f"value {lp.value}"
+
+
+def _check_approx(G: Multigraph, res: ApproxResult) -> str:
     sol = res.solution_multiset()
     if any(m <= 0 for m in sol.values()):
         raise VerifyError("nonpositive multiplicity in the solution")
     weight = multiset_weight(G, sol)
     if weight != res.weight:
         raise VerifyError(f"solution weighs {weight}, not the stored {res.weight}")
-    labels = classify(G, sol)
-    if res.object_class not in labels:
+    if res.object_class not in classify(G, sol):
         raise VerifyError(f"solution is not a {res.object_class}")
-    want = _expected_ratio(res)
-    if want is None:
+    spec = ALGORITHM_TABLE.get(res.algorithm)
+    if spec is None:
         raise VerifyError(f"unknown algorithm {res.algorithm!r}")
+    if spec.profile is None and res.beta is None:
+        raise VerifyError(f"{res.algorithm} needs a stored beta")
+    want = spec.ratio(res.beta)
     if res.ratio != want:
         raise VerifyError(f"ratio {res.ratio} does not match the algorithm's {want}")
     if res.profile is not None:
-        report = validate_structure(G, res.profile)
-        if not report.passed:
-            raise VerifyError(f"profile {res.profile} fails: {report.violation}")
+        require_profile(G, res.profile, VerifyError)
     z = solve_subtour(G).value
     if res.lower_bound != z:
         raise VerifyError(f"stored lower bound {res.lower_bound} != LP optimum {z}")
@@ -125,11 +103,11 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> None:
         raise VerifyError("stored beta does not match w(E)/z")
     if weight > res.ratio * z:
         raise VerifyError(f"weight {weight} exceeds {res.ratio} * {z}")
+    return f"{res.algorithm} weight {res.weight}"
 
 
-def _check_cycle_cover(G: Multigraph, doc: dict) -> None:
-    from .graph import enumerate_cuts_upto, multiset_degrees
-    cover = {int(eid): 1 for eid in doc["cover"]}
+def _check_cycle_cover(G: Multigraph, cc: CycleCoverResult) -> str:
+    cover = cc.cover_multiset()
     ids = set(G.edge_ids())
     if not set(cover) <= ids:
         raise VerifyError("cover uses unknown edge ids")
@@ -137,8 +115,9 @@ def _check_cycle_cover(G: Multigraph, doc: dict) -> None:
     if any(d != 2 for d in deg):
         raise VerifyError("cover is not a union of cycles through every vertex")
     matching = sorted(ids - set(cover))
-    if matching != [int(e) for e in doc["matching"]]:
+    if matching != list(cc.matching):
         raise VerifyError("stored matching is not the cover's complement")
     for c in enumerate_cuts_upto(G, 4).cuts:
         if c.size in (3, 4) and len(c.edge_ids & set(cover)) < 2:
             raise VerifyError(f"cut of size {c.size} not doubly covered")
+    return f"{len(cc.cycles)} cycles"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unicover.approx import (ApproxError, bipartite_variants, tsp_7_5_node_weighted,
+from unicover.approx import (ApproxError, approximate, tsp_7_5_node_weighted,
                              tsp_beta, twoec_13_10_node_weighted, twoec_beta)
 from unicover.families import (heawood, k4, k33, petersen, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
@@ -63,24 +63,24 @@ class TestNodeWeighted:
 
 class TestBipartite:
     def test_k33_tour(self):
-        res = bipartite_variants(k33(), unit_weights(6), "tsp")
+        res = approximate("bip43", k33(), unit_weights(6))
         assert res.ratio == F(4, 3)
         assert res.weight <= F(4, 3) * res.lower_bound
 
     def test_heawood_both_targets(self):
         f = unit_weights(14)
-        tour = bipartite_variants(heawood(), f, "tsp")
-        twoec = bipartite_variants(heawood(), f, "twoec")
+        tour = approximate("bip43", heawood(), f)
+        twoec = approximate("bip54", heawood(), f)
         assert tour.ratio == F(4, 3) and twoec.ratio == F(5, 4)
         assert twoec.weight <= tour.weight
 
     def test_rejects_nonbipartite(self):
         with pytest.raises(ApproxError):
-            bipartite_variants(petersen(), unit_weights(10), "tsp")
+            approximate("bip43", petersen(), unit_weights(10))
 
-    def test_rejects_unknown_target(self):
-        with pytest.raises(ApproxError, match="target"):
-            bipartite_variants(k33(), unit_weights(6), "both")
+    def test_rejects_unknown_algorithm(self):
+        with pytest.raises(ApproxError, match="unknown algorithm"):
+            approximate("both", k33(), unit_weights(6))
 
 
 class TestBetaAlgorithms:

@@ -114,6 +114,24 @@ class TestExitCodes:
                            stdin=graph_to_text(petersen()))
         assert code == EXIT_PRECONDITION and "node-weights" in err
 
+    @pytest.mark.parametrize("doc_type", ["lp-result", "decomposition", "cycle-cover"])
+    def test_verify_malformed_document(self, capsys, monkeypatch, doc_type):
+        code, out, err = run(capsys, monkeypatch, ["verify"],
+                             stdin=json.dumps({"type": doc_type}))
+        assert code == EXIT_PRECONDITION and "parse error" in err and out == ""
+
+    @pytest.mark.parametrize("command,field", [
+        (["solve-subtour"], "x"),
+        (["decompose", "trees", "--vector", "2/3"], "combination"),
+        (["cycle-cover"], "cover"),
+    ], ids=["lp-result", "decomposition", "cycle-cover"])
+    def test_verify_mistyped_field(self, capsys, monkeypatch, command, field):
+        _, out, _ = run(capsys, monkeypatch, command, stdin=graph_to_text(petersen()))
+        doc = json.loads(out)
+        doc[field] = 7
+        code, _, err = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
+        assert code == EXIT_PRECONDITION and "parse error" in err
+
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         gfile = tmp_path / "g.txt"
         gfile.write_text(graph_to_text(petersen()))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unicover.covers import (VARIANT_SPEC, VARIANTS, CoverError,
+from unicover.covers import (VARIANT_TABLE, VARIANTS, CoverError,
                              check_certificate, uniform_cover)
 from unicover.decompose import verify_combination
 from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
@@ -27,7 +27,8 @@ INSTANCES = {
 def check(g, variant):
     cert = uniform_cover(g, variant)
     check_certificate(g, cert)
-    alpha, object_class, profile, subgraph_only = VARIANT_SPEC[variant]
+    spec = VARIANT_TABLE[variant]
+    alpha, object_class = spec.alpha, spec.object_class
     assert cert.alpha == alpha
     assert cert.object_class == object_class
     verify_combination(g, cert.combination, object_class)
@@ -36,7 +37,7 @@ def check(g, variant):
         v = cover.get(e.id, F(0))
         assert v <= alpha
         assert cert.slack_vector()[e.id] == alpha - v
-    if subgraph_only:
+    if spec.subgraph_only:
         assert cert.max_multiplicity <= 1
     return cert
 

@@ -112,7 +112,7 @@ class TestContraction:
         for seed in range(5):
             g = random_cubic_3ec(12, seed)
             res = find_covering_cycle_cover(g)
-            h, mapping = contract(g, res.cover_multiset())
+            h = contract(g, res.cover_multiset())
             assert h.m == len(res.cross_cycle)
             rep = verify_contraction(g, res)
             assert rep.passed

@@ -1,0 +1,76 @@
+"""Byte-identity gate for refactors (ROADMAP aim 2).
+
+Each case pins the sha256 of the JSON artifact that `serialize.dumps` writes
+for one cheap instance of a cover variant or an approximation algorithm.  A
+refactor must leave every digest unchanged; a change that alters artifacts on
+purpose must say why in CHANGES.md and update the digests here.
+"""
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from unicover import serialize
+from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
+                             twoec_13_10_node_weighted, twoec_beta)
+from unicover.covers import uniform_cover
+from unicover.families import (k4, k5, k33, petersen, random_node_weights,
+                               random_subcubic_2ec)
+from unicover.graph import NodeWeights
+
+
+def digest(doc: dict) -> str:
+    return hashlib.sha256(serialize.dumps(doc).encode("utf-8")).hexdigest()
+
+
+def ones(n):
+    return NodeWeights((Fraction(1),) * n)
+
+
+COVERS = [
+    ("18/19", k4, "5dd8f1128a1d12c06b1037ad2e9441a0e3b5a699ed2090ca77111b94f51d4fec"),
+    ("15/17", k4, "6316a4d32858c4ee5e26117dd056c21b55148f912f426219a1c50913fbb280b6"),
+    ("8/9", k4, "8c0fbd2af86090fd6b999a8eac8cb764ed4b96d6a42ace7004eae2c00e61fa27"),
+    ("12/13", k33, "6b4f26dca902ba77497f217881d74307a8ca8d646155a42a4372d7ab894ee2b3"),
+    ("7/8", k33, "434313f3d22d934a86b038f823dfe459884a717ea69eef3fb18b9381b7eb610a"),
+    ("3/4", k5, "a8ae58c66f5efc921253a4fed5b62b468cf08f5c8f373058b2f8ce78bb3ea65a"),
+]
+
+
+@pytest.mark.parametrize("variant,family,sha", COVERS)
+def test_cover_artifact_bytes(variant, family, sha):
+    G = family()
+    assert digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+
+
+def _node_weighted(run, family, n):
+    G, f = family(), ones(n)
+    return serialize.approx_to_json(f.induced_graph(G), run(G, f))
+
+
+def _beta(run):
+    G = random_node_weights(8, 11).induced_graph(random_subcubic_2ec(8, 3))
+    return serialize.approx_to_json(G, run(G))
+
+
+APPROX = [
+    ("tsp75", lambda: _node_weighted(tsp_7_5_node_weighted, petersen, 10),
+     "01f833e800ef9390c67df7f06d3ab294710fec17963e123621e89a3d6a7e48f8"),
+    ("twoec1310", lambda: _node_weighted(twoec_13_10_node_weighted, petersen, 10),
+     "27f560577e916e94c3a27bfa0edf3f93fb3dcd5b42dc2ed95c598b4924f9a6cd"),
+    ("bip43", lambda: _node_weighted(lambda G, f: approximate("bip43", G, f), k33, 6),
+     "38816ffcfd7406ab04396d7fbbd346f4b747978b9cf20447e86d1a33c6511051"),
+    ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f), k33, 6),
+     "c717b2e15559979e8937d45663b6053f183c1b700fbd64053a30255edc4499d5"),
+    ("twoecbeta", lambda: _beta(twoec_beta),
+     "0539bc881a1b9d8e183b4ad2e8e8f98523b950d0d3c1c43384d63bca33f1f206"),
+    ("tspbeta", lambda: _beta(tsp_beta),
+     "44e8d9647efb3f35a74bdc1f1460ae3a4757401257a0258fcf42ef47637a099d"),
+]
+
+
+@pytest.mark.parametrize("algorithm,build,sha", APPROX, ids=[a for a, _, _ in APPROX])
+def test_approx_artifact_bytes(algorithm, build, sha):
+    doc = build()
+    assert doc["algorithm"] == algorithm
+    assert digest(doc) == sha

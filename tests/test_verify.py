@@ -57,8 +57,8 @@ class TestAccepts:
 
 class TestRejects:
     def test_unknown_type(self):
-        rep = verify_document({"type": "mystery"})
-        assert not rep.ok
+        for kind in ("mystery", ["lp-result"], None):
+            assert not verify_document({"type": kind}).ok
 
     def test_certificate_lambda_tampered(self):
         doc = cert_doc()
