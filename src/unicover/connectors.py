@@ -8,6 +8,7 @@ fractional value below 1.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -189,9 +190,11 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
             raise DecompositionError(f"repair broke domination on e{eid}")
         if eid not in class_edges and v != xbar.get(eid, ZERO):
             raise DecompositionError(f"repair changed coverage off the classes on e{eid}")
-    for a, b in two_cut_pairs(G, x):
-        for _, f in terms:
-            if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:
-                raise DecompositionError(f"odd crossing of the cut {{e{a},e{b}}}")
+    # The 2-edge cuts are exactly the pairs inside one class.
+    for cls in classes.classes:
+        for a, b in itertools.combinations(sorted(cls.edge_ids), 2):
+            for _, f in terms:
+                if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:
+                    raise DecompositionError(f"odd crossing of the cut {{e{a},e{b}}}")
     terms = caratheodory_reduce(terms, G.m + 1)
     return make_combination(G, terms, dict(x), "dominated-by")

@@ -107,9 +107,8 @@ def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
         for v in cyc:
             vertex_cycle[v] = ci
     intra, cross = [], []
-    for eid in sorted(matching):
-        e = G.edge_by_id(eid)
-        (intra if vertex_cycle[e.u] == vertex_cycle[e.v] else cross).append(eid)
+    for e in sorted((e for e in G.edges if e.id in matching), key=lambda e: e.id):
+        (intra if vertex_cycle[e.u] == vertex_cycle[e.v] else cross).append(e.id)
     covered = tuple((c.edge_ids, len(cover & c.edge_ids)) for c in targets)
     if any(d != 2 for d in multiset_degrees(G, {eid: 1 for eid in cover})):
         raise CycleCoverError("cover is not a 2-factor")

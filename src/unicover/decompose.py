@@ -16,7 +16,8 @@ from math import lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    classify, find, kruskal, multiset_union, odd_vertices, union)
+                    classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
+                    union)
 from .lp import MembershipResult, membership, one_edge_cuts
 from .simplex import Tableau
 
@@ -108,7 +109,9 @@ def verify_combination(G: Multigraph, comb: ConvexCombination,
 def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
                         limit: int) -> List[Tuple[Fraction, EdgeMultiset]]:
     """Reduce to at most `limit` terms, preserving the exact coverage vector
-    and the coefficient sum.  Terms are a subset of the input objects."""
+    and the coefficient sum.  Terms are a subset of the input objects.
+    Raises DecompositionError when more than `limit` of them are affinely
+    independent."""
     merged: Dict[CanonicalObject, Fraction] = {}
     for coeff, obj in terms:
         if coeff > 0:
@@ -129,25 +132,17 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
             cols.append(col)
         d = _kernel_vector(cols, nrows)
         if d is None:
-            # The first `take` columns are independent; rotate and retry.
-            work = work[1:] + work[:1]
-            continue
-        # Step lambda -> lambda - t*d until some coefficient hits zero.
+            # Fewer than nrows + 1 columns, all of them independent.
+            raise DecompositionError(
+                f"{len(work)} affinely independent terms cannot be reduced to {limit}")
+        # Step lambda -> lambda - t*d until some coefficient hits zero; the
+        # dependent column has d_j = 1, so some entry is positive.
         t_best = None
         for j, dj in enumerate(d):
             if dj > 0:
                 t = work[j][1] / dj
                 if t_best is None or t < t_best:
                     t_best = t
-        if t_best is None:
-            d = [-v for v in d]
-            for j, dj in enumerate(d):
-                if dj > 0:
-                    t = work[j][1] / dj
-                    if t_best is None or t < t_best:
-                        t_best = t
-        if t_best is None:
-            raise DecompositionError("kernel vector has no nonzero entry")
         new_work = []
         for j, (key, coeff) in enumerate(work):
             c = coeff - (t_best * d[j] if j < len(d) else ZERO)
@@ -165,8 +160,7 @@ def _kernel_vector(cols: List[List[Fraction]], nrows: int) -> Optional[List[Frac
     # Augment each column with its combination bookkeeping.
     vecs = [list(col) for col in cols]
     combos = [[ONE if i == j else ZERO for i in range(k)] for j in range(k)]
-    pivots: List[Tuple[int, int]] = []   # (row, column index into processed)
-    processed: List[int] = []
+    pivots: List[Tuple[int, int]] = []   # (row, index of the pivot column)
     for j in range(k):
         v = vecs[j]
         cmb = combos[j]
@@ -183,21 +177,45 @@ def _kernel_vector(cols: List[List[Fraction]], nrows: int) -> Optional[List[Frac
                         cmb[r] -= factor * pc[r]
         pivot_row = next((r for r in range(nrows) if v[r]), None)
         if pivot_row is None:
-            if any(cmb):
-                return cmb
-            continue
+            return cmb
         inv = ONE / v[pivot_row]
         for r in range(nrows):
             v[r] *= inv
         for r in range(k):
             cmb[r] *= inv
         pivots.append((pivot_row, j))
-        processed.append(j)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Column generation masters
+
+
+def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
+                      improving: Callable[[], Optional[EdgeMultiset]],
+                      ) -> List[Tuple[Fraction, EdgeMultiset]]:
+    """Column generation on a master whose rows are the edges `ids`, then
+    any convexity rows.  `improving` re-optimizes the master and returns an
+    object that prices out, or None once the master is optimal over the whole
+    class.  Each new column costs `cost`.  Returns the positive lambdas."""
+    index = {eid: i for i, eid in enumerate(ids)}
+    objects: List[EdgeMultiset] = []
+    known: Set[CanonicalObject] = set()
+    while True:
+        obj = improving()
+        if obj is None:
+            break
+        key = canonical(obj)
+        if key in known:
+            raise RuntimeError("pricing returned a known column; solver bug")
+        known.add(key)
+        objects.append(dict(key))
+        col = [ZERO] * len(ids) + [ONE] * (tab.rows - len(ids))
+        for eid, mult in key:
+            col[index[eid]] = Fraction(mult)
+        tab.add_column(col, cost)
+    lambdas = tab.solution()[tab.rows:]
+    return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
 
 
 def _dominated_master(target_rows: List[Tuple[int, Fraction]],
@@ -209,34 +227,15 @@ def _dominated_master(target_rows: List[Tuple[int, Fraction]],
     weight object of the class (weight, multiset).
     """
     ids = [eid for eid, _ in target_rows]
-    index = {eid: i for i, eid in enumerate(ids)}
-    m = len(ids)
-    tab = Tableau([v for _, v in target_rows])
-    for i in range(m):
-        col = [ZERO] * m
-        col[i] = ONE
-        tab.add_column(col, ZERO)     # slack
-    tab.set_initial_basis()
-    objects: List[EdgeMultiset] = []
-    known: Set[CanonicalObject] = set()
-    while True:
+    tab = Tableau([v for _, v in target_rows], [ZERO] * len(ids))    # slacks
+
+    def improving() -> Optional[EdgeMultiset]:
         tab.optimize()
-        y = tab.duals([1] * m)
-        weights = {eid: -y[index[eid]] for eid in ids}
-        value, obj = price(weights)
-        if value >= 1:
-            break
-        key = canonical(obj)
-        if key in known:
-            raise RuntimeError("pricing returned a known column; solver bug")
-        known.add(key)
-        objects.append(dict(key))
-        col = [ZERO] * m
-        for eid, mult in key:
-            col[index[eid]] = Fraction(mult)
-        tab.add_column(col, -ONE)
-    lambdas = tab.solution(m + len(objects))[m:]
-    return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
+        y = tab.duals()
+        value, obj = price({eid: -y[i] for i, eid in enumerate(ids)})
+        return obj if value < 1 else None
+
+    return _generate_columns(tab, ids, -ONE, improving)
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]],
@@ -248,40 +247,18 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]],
     maximum weight object of the class.
     """
     ids = [eid for eid, _ in target_rows]
-    index = {eid: i for i, eid in enumerate(ids)}
-    m = len(ids)
-    nrows = m + 1                      # + convexity row
-    tab = Tableau([v for _, v in target_rows] + [ONE])
-    for i in range(nrows):
-        col = [ZERO] * nrows
-        col[i] = ONE
-        tab.add_column(col, ONE)       # artificial, cost 1
-    tab.set_initial_basis()
-    objects: List[EdgeMultiset] = []
-    known: Set[CanonicalObject] = set()
+    nrows = len(ids) + 1               # + convexity row
+    tab = Tableau([v for _, v in target_rows] + [ONE], [ONE] * nrows)   # artificials
     artificials = set(range(nrows))
-    while True:
+
+    def improving() -> Optional[EdgeMultiset]:
         tab.optimize(forbidden=artificials if tab.obj == 0 else None)
-        y = tab.duals([1] * nrows)
-        weights = {eid: y[index[eid]] for eid in ids}
-        mu = y[-1]
-        value, obj = price_max(weights)
-        if value <= -mu:
-            break
-        key = canonical(obj)
-        if key in known:
-            raise RuntimeError("pricing returned a known column; solver bug")
-        known.add(key)
-        objects.append(dict(key))
-        col = [ZERO] * nrows
-        for eid, mult in key:
-            col[index[eid]] = Fraction(mult)
-        col[-1] = ONE
-        tab.add_column(col, ZERO)
-    if tab.obj != 0:
-        return None
-    lambdas = tab.solution(nrows + len(objects))[nrows:]
-    return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
+        y = tab.duals()
+        value, obj = price_max({eid: y[i] for i, eid in enumerate(ids)})
+        return obj if value > -y[-1] else None
+
+    lambdas = _generate_columns(tab, ids, ZERO, improving)
+    return lambdas if tab.obj == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +391,25 @@ def _connector_price_max(G: Multigraph, support: Set[int]
 
 def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
                      ) -> Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]]:
-    cuts = one_edge_cuts(G, F)
-    shores = [set(shore) for shore, _ in cuts]
+    crossing = [cut_edges(G, shore) for shore, _ in one_edge_cuts(G, F)]
     relevant: List[int] = sorted(
-        eid for eid in candidate_ids
-        if any((G.edge_by_id(eid).u in s) != (G.edge_by_id(eid).v in s) for s in shores))
+        eid for eid in candidate_ids if any(eid in c for c in crossing))
     if len(relevant) > 22:
         raise DecompositionError("exhaustive 1-cover pricing capped at 22 candidate edges")
     masks: List[int] = []
-    for s in shores:
+    for c in crossing:
         mask = 0
         for i, eid in enumerate(relevant):
-            e = G.edge_by_id(eid)
-            if (e.u in s) != (e.v in s):
+            if eid in c:
                 mask |= 1 << i
         if mask == 0:
             raise DecompositionError("a 1-edge cut of F has no candidate cover edge")
         masks.append(mask)
     k = len(relevant)
-    full = (1 << len(shores)) - 1
+    full = (1 << len(crossing)) - 1
 
     def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
-        if not shores:
+        if not crossing:
             return ZERO, {}
         best = None
         best_sub = 0
@@ -550,13 +524,10 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
     terms = [(lam / sigma, obj) for lam, obj in raw]
     terms = caratheodory_reduce(terms, G.m + 1)
     comb = make_combination(G, terms, target, "dominated-by")
-    shores = [set(shore) for shore, _ in cuts]
+    crossing = [cut_edges(G, shore) for shore, _ in cuts]
     for t in comb.terms:
-        chosen = t.multiset()
-        for s in shores:
-            if not any((G.edge_by_id(eid).u in s) != (G.edge_by_id(eid).v in s)
-                       for eid in chosen):
-                raise DecompositionError("term fails to cover a 1-edge cut of F")
+        if any(c.isdisjoint(t.multiset()) for c in crossing):
+            raise DecompositionError("term fails to cover a 1-edge cut of F")
     return comb
 
 

@@ -77,9 +77,6 @@ class Multigraph:
             deg[e.v] += 1
         return deg
 
-    def incident(self, v: int) -> List[int]:
-        return [e.id for e in self.edges if v in (e.u, e.v)]
-
     def total_weight(self) -> Fraction:
         return sum((e.weight for e in self.edges), Fraction(0))
 

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graph import (Cut, CutFamily, EdgeMultiset, EdgeVector, GraphError,
-                    Multigraph, connected_components, cut_edges, is_connected)
+                    Multigraph, connected_components, cut_edges, is_connected,
+                    multiset_degrees)
 from .simplex import solve_lp
 
 TJOIN_ENUMERATION_LIMIT = 14
@@ -138,8 +139,7 @@ def membership(G: Multigraph, x: EdgeVector, polyhedron: str,
             return MembershipResult(polyhedron, False, detail=f"negative entry on e{eid}")
     if polyhedron in ("subtour", "subtour-eq"):
         if polyhedron == "subtour-eq":
-            for v in range(G.n):
-                deg = sum((x.get(eid, Fraction(0)) for eid in G.incident(v)), Fraction(0))
+            for v, deg in enumerate(multiset_degrees(G, x)):
                 if deg != 2:
                     return MembershipResult(polyhedron, False, shore=(v,), value=deg,
                                             detail=f"degree of vertex {v} is {deg}, not 2")

@@ -1,8 +1,11 @@
 """Exact rational simplex (Bland's rule) with incremental column addition.
 
 Everything is a fractions.Fraction; there is no floating point anywhere.
-The tableau keeps the initial identity block, so the basis inverse is always
-available for pricing new columns and reading off duals.
+One `Tableau` serves every LP: it is built on its identity basis (a slack or
+an artificial per row) and keeps that block, so the basis inverse is always
+available for pricing new columns and reading off duals.  `set_costs`
+reprices every column (phase 2 of `solve_lp`); the column generation loop of
+`decompose` adds columns to the same tableau.
 """
 from __future__ import annotations
 
@@ -29,11 +32,11 @@ class Unbounded(LpError):
 class Tableau:
     """min c.x  s.t.  A x = b (b >= 0), x >= 0.
 
-    Columns are supplied one by one; the first `rows` columns must form an
-    identity (slacks or artificials), providing the initial basis.
+    Column i < rows is the unit vector e_i with cost `identity_costs[i]`; these
+    columns form the initial basis.  Further columns are supplied one by one.
     """
 
-    def __init__(self, b: Sequence[Fraction]):
+    def __init__(self, b: Sequence[Fraction], identity_costs: Sequence[Fraction]):
         self.rows = len(b)
         self.b = [Fraction(v) for v in b]
         if any(v < 0 for v in self.b):
@@ -43,22 +46,38 @@ class Tableau:
         self.red: List[Fraction] = []          # reduced costs
         self.basis: List[int] = []
         self.obj = ZERO
+        for i, cost in enumerate(identity_costs):
+            col = [ZERO] * self.rows
+            col[i] = ONE
+            self.add_column(col, cost)
+        self.basis = list(range(self.rows))
+        self.set_costs(self.costs)
 
     def add_column(self, col: Sequence[Fraction], cost: Fraction) -> int:
         """Add a column given in ORIGINAL coordinates; returns its index."""
-        cost = Fraction(cost)
         if self.basis:
             rep = self._apply_basis_inverse(col)
-        else:
+        else:                                  # the identity block, in __init__
             rep = [Fraction(v) for v in col]
         self.cols.append(rep)
-        self.costs.append(cost)
-        # reduced cost = c_j - c_B . rep
+        self.costs.append(Fraction(cost))
+        self.red.append(self._reduced_cost(self.costs[-1], rep))
+        return len(self.cols) - 1
+
+    def set_costs(self, costs: Sequence[Fraction]) -> None:
+        """Replace the cost of every column and reprice against the basis."""
+        if len(costs) != len(self.cols):
+            raise LpError("one cost per column")
+        self.costs = [Fraction(c) for c in costs]
+        self.red = [self._reduced_cost(c, rep) for c, rep in zip(self.costs, self.cols)]
+        self.obj = sum((self.costs[j] * self.b[i] for i, j in enumerate(self.basis)), ZERO)
+
+    def _reduced_cost(self, cost: Fraction, rep: Sequence[Fraction]) -> Fraction:
+        # c_j - c_B . B^-1 A_j
         r = cost
         for i, bi in enumerate(self.basis):
             r -= self.costs[bi] * rep[i]
-        self.red.append(r)
-        return len(self.cols) - 1
+        return r
 
     def _apply_basis_inverse(self, col: Sequence[Fraction]) -> List[Fraction]:
         # The first `rows` columns started as the identity, so their current
@@ -71,18 +90,6 @@ class Tableau:
                     if inv_col[i]:
                         out[i] += v * inv_col[i]
         return out
-
-    def set_initial_basis(self) -> None:
-        """Declare the first `rows` columns (an identity) as the basis."""
-        if len(self.cols) < self.rows:
-            raise LpError("identity block incomplete")
-        self.basis = list(range(self.rows))
-        self.obj = sum((self.costs[j] * self.b[i] for i, j in enumerate(self.basis)), ZERO)
-        for j in range(len(self.cols)):
-            r = self.costs[j]
-            for i, bi in enumerate(self.basis):
-                r -= self.costs[bi] * self.cols[j][i]
-            self.red[j] = r
 
     def _pivot(self, row: int, col: int) -> None:
         piv = self.cols[col][row]
@@ -135,20 +142,17 @@ class Tableau:
                 raise Unbounded("unbounded LP")
             self._pivot(leave_row, enter)
 
-    def solution(self, ncols: int) -> List[Fraction]:
-        x = [ZERO] * ncols
+    def solution(self) -> List[Fraction]:
+        """The value of every column in the current basic solution."""
+        x = [ZERO] * len(self.cols)
         for i, j in enumerate(self.basis):
-            if j < ncols:
-                x[j] = self.b[i]
+            x[j] = self.b[i]
         return x
 
-    def duals(self, identity_signs: Sequence[int]) -> List[Fraction]:
-        """y_i from the reduced cost of the initial identity column of row i."""
-        y = []
-        for i in range(self.rows):
-            # column i was +/- e_i with cost costs[i]; r_i = c_i - s*y_i
-            y.append((self.costs[i] - self.red[i]) * identity_signs[i])
-        return y
+    def duals(self) -> List[Fraction]:
+        """y_i from the reduced cost of the identity column e_i of row i."""
+        # r_i = c_i - y . e_i
+        return [self.costs[i] - self.red[i] for i in range(self.rows)]
 
 
 @dataclass
@@ -180,48 +184,22 @@ def solve_lp(c: Sequence[Fraction],
             sign = -1
         norm.append((a, sense, rhs, sign))
 
-    tab = Tableau([r[2] for r in norm])
-    # Identity block: slack where possible, artificial otherwise.
-    artificial_rows = []
-    for i, (a, sense, rhs, _) in enumerate(norm):
-        col = [ZERO] * m
-        col[i] = ONE
-        if sense == "<=":
-            tab.add_column(col, ZERO)          # slack, may be basic at rhs
-        else:
-            tab.add_column(col, ONE)           # artificial (phase 1 cost)
-            artificial_rows.append(i)
+    # Identity block: slack where possible, artificial (phase 1 cost) otherwise.
+    tab = Tableau([rhs for _, _, rhs, _ in norm],
+                  [ZERO if sense == "<=" else ONE for _, sense, _, _ in norm])
+    artificials = {i for i, (_, sense, _, _) in enumerate(norm) if sense != "<="}
     for j in range(nvars):
-        col = [norm[i][0][j] for i in range(m)]
-        tab.add_column(col, ZERO)
-    surplus_index = {}
-    for i, (a, sense, rhs, _) in enumerate(norm):
+        tab.add_column([a[j] for a, _, _, _ in norm], ZERO)
+    for i, (_, sense, _, _) in enumerate(norm):
         if sense == ">=":
             col = [ZERO] * m
             col[i] = -ONE
-            surplus_index[i] = tab.add_column(col, ZERO)
-    tab.set_initial_basis()
-    artificials = set(artificial_rows)
+            tab.add_column(col, ZERO)
     tab.optimize()
     if tab.obj != 0:
         raise Infeasible("infeasible LP")
-    # Phase 2: swap in the true objective.
-    for j in range(len(tab.cols)):
-        tab.costs[j] = ZERO
-    for j in range(nvars):
-        tab.costs[m + j] = Fraction(c[j])
-    # Recompute reduced costs from scratch.
-    for j in range(len(tab.cols)):
-        r = tab.costs[j]
-        for i, bi in enumerate(tab.basis):
-            r -= tab.costs[bi] * tab.cols[j][i]
-        tab.red[j] = r
-    tab.obj = sum((tab.costs[bj] * tab.b[i] for i, bj in enumerate(tab.basis)), ZERO)
+    # Phase 2: the true objective on the structural columns, zero elsewhere.
+    tab.set_costs([ZERO] * m + list(c) + [ZERO] * (len(tab.cols) - m - nvars))
     tab.optimize(forbidden=artificials)
-    xfull = [ZERO] * len(tab.cols)
-    for i, j in enumerate(tab.basis):
-        xfull[j] = tab.b[i]
-    x = xfull[m:m + nvars]
-    signs = [r[3] for r in norm]
-    y = tab.duals(signs)
-    return LpSolution(value=tab.obj, x=x, duals=y)
+    y = [sign * v for (_, _, _, sign), v in zip(norm, tab.duals())]
+    return LpSolution(value=tab.obj, x=tab.solution()[m:m + nvars], duals=y)

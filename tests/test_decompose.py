@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from unicover.decompose import (ConvexCombination, DecompositionError,
-                                caratheodory_reduce, decompose_connectors,
+                                _equality_master, caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
                                 decompose_tjoins, make_combination, min_tjoin,
                                 verify_combination, wolsey_tours)
@@ -110,6 +110,17 @@ class TestConnectors:
             x = solve_subtour(g).x
             comb = decompose_connectors(g, x)
             assert comb.coverage() == {eid: min(v, F(2)) for eid, v in x.items()}
+
+
+class TestEqualityMaster:
+    def test_infeasible_target_returns_none(self):
+        # Exact maximum over the objects holding 0, 1 or 2 copies of edge 0;
+        # no average of them reaches 3.
+        def at_most_two_copies(weights):
+            k = max(range(3), key=lambda k: weights[0] * k)
+            return weights[0] * k, {0: k}
+
+        assert _equality_master([(0, F(3))], at_most_two_copies) is None
 
 
 class TestTJoins:
@@ -228,6 +239,10 @@ class TestCaratheodory:
             for eid, m in t.items():
                 cov2[eid] = cov2.get(eid, F(0)) + c * m
         assert cov == cov2
+
+    def test_independent_terms_over_limit_rejected(self):
+        with pytest.raises(DecompositionError, match="affinely independent"):
+            caratheodory_reduce([(F(1, 2), {0: 1}), (F(1, 2), {1: 1})], 1)
 
     def test_bound_enforced_in_verify(self):
         g = make_graph(2, [(0, 1)])

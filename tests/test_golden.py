@@ -1,7 +1,8 @@
 """Byte-identity gate for refactors (ROADMAP aim 2).
 
 Each case pins the sha256 of the JSON artifact that `serialize.dumps` writes
-for one cheap instance of a cover variant or an approximation algorithm.  A
+for one cheap instance of a cover variant, an approximation algorithm, the
+subtour LP or a decomposition of its optimum.  A
 refactor must leave every digest unchanged; a change that alters artifacts on
 purpose must say why in CHANGES.md and update the digests here.
 """
@@ -14,9 +15,11 @@ from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.covers import uniform_cover
+from unicover.decompose import decompose_connectors, decompose_spanning_trees
 from unicover.families import (k4, k5, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
 from unicover.graph import NodeWeights
+from unicover.lp import solve_subtour
 
 
 def digest(doc: dict) -> str:
@@ -74,3 +77,37 @@ def test_approx_artifact_bytes(algorithm, build, sha):
     doc = build()
     assert doc["algorithm"] == algorithm
     assert digest(doc) == sha
+
+
+def _subcubic():
+    # Its subtour LP needs 3 separation rounds.
+    return random_node_weights(10, 3).induced_graph(random_subcubic_2ec(10, 3))
+
+
+def _lp(family):
+    G = family()
+    return serialize.lp_result_to_json(G, solve_subtour(G))
+
+
+def _decomposition(family, decompose, kind):
+    G = family()
+    return serialize.decomposition_to_json(G, decompose(G, solve_subtour(G).x), kind)
+
+
+SOLVER_DOCUMENTS = [
+    ("lp-petersen", lambda: _lp(petersen),
+     "fa31900cd4753cfb91bff6edc953f8418d018bf660524cb520d7697539a8ffe2"),
+    ("lp-subcubic", lambda: _lp(_subcubic),
+     "cc2a6132be29a49233adf09faffd3abea76d17ddd45a5b8577174cd0c76eda0d"),
+    ("trees-petersen", lambda: _decomposition(petersen, decompose_spanning_trees, "trees"),
+     "890db9f6ae7b759977cde0cfed1542451aff9e00ed0494db992f3ecbcdbacdff"),
+    ("connectors-subcubic",
+     lambda: _decomposition(_subcubic, decompose_connectors, "connectors"),
+     "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
+]
+
+
+@pytest.mark.parametrize("name,build,sha", SOLVER_DOCUMENTS,
+                         ids=[n for n, _, _ in SOLVER_DOCUMENTS])
+def test_solver_document_bytes(name, build, sha):
+    assert digest(build()) == sha

@@ -43,6 +43,17 @@ class TestSimplex:
         assert all(y >= 0 for y in sol.duals)
         assert sum(y * r[2] for y, r in zip(sol.duals, rows)) == sol.value
 
+    def test_mixed_senses_and_negative_rhs(self):
+        # The first row is stored negated (x1 + x2 >= 2), so its dual comes
+        # back with the sign flipped.
+        rows = [([F(-1), F(-1)], "<=", F(-2)), ([F(1), F(0)], "<=", F(3)),
+                ([F(0), F(1)], "=", F(1))]
+        sol = solve_lp([F(1), F(2)], rows)
+        assert sol.value == 3
+        assert sol.x == [F(1), F(1)]
+        assert sol.duals == [F(-1), F(0), F(1)]
+        assert sum(y * r[2] for y, r in zip(sol.duals, rows)) == sol.value
+
 
 class TestMinCut:
     def test_k4_fractional(self):
