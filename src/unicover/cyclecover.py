@@ -8,12 +8,11 @@ first whose complement covers the enumerated small cuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import (Cut, EdgeMultiset, GraphError, Multigraph, contract,
-                    enumerate_cuts_upto, is_bipartite, multiset_degrees,
-                    validate_structure)
+                    enumerate_cuts_upto, is_bipartite, min_cut_unit,
+                    multiset_degrees, validate_structure)
 
 
 class CycleCoverError(GraphError):
@@ -140,9 +139,7 @@ def verify_contraction(G: Multigraph, result: CycleCoverResult) -> ContractionRe
     bip, _ = is_bipartite(G)
     if H.n == 1:
         return ContractionReport(1, H.m, 0, True, bip, True)
-    from .lp import min_cut
-    value, shore = min_cut(H, {e.id: Fraction(1) for e in H.edges})
-    conn = int(value)
+    conn, shore = min_cut_unit(H)
     deg = H.degrees()
     even = all(d % 2 == 0 for d in deg)
     need = 6 if bip else 5

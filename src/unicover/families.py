@@ -80,8 +80,8 @@ def random_cubic_3ec(n: int, seed: int) -> Multigraph:
     """Random cubic 3-edge-connected graph via rejection-sampled pairings."""
     if n % 2 == 1:
         raise GraphError("n must be even for a cubic graph")
-    if not (4 <= n <= 20):
-        raise GraphError("n must be between 4 and 20")
+    if not (4 <= n <= 32):
+        raise GraphError("n must be between 4 and 32")
     rng = random.Random(seed)
     for _ in range(20000):
         stubs = [v for v in range(n) for _ in range(3)]

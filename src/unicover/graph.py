@@ -13,9 +13,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 EdgeMultiset = Dict[int, int]          # edge id -> multiplicity >= 0
 EdgeVector = Dict[int, Fraction]       # edge id -> exact rational >= 0
 
-BRUTE_FORCE_VERTEX_LIMIT = 20
-
-
 class GraphError(ValueError):
     pass
 
@@ -186,31 +183,95 @@ def cut_edges(G: Multigraph, shore: Iterable[int]) -> FrozenSet[int]:
     return frozenset(e.id for e in G.edges if (e.u in side) != (e.v in side))
 
 
+def _cycle_space_labels(G: Multigraph, adj: List[List[Tuple[int, int]]]) -> Dict[int, int]:
+    """Edge id -> label, an int read as a vector over GF(2).
+
+    A spanning tree is grown from vertex 0; each non-tree edge gets its own
+    bit, and each tree edge the XOR of the bits of the non-tree edges whose
+    fundamental cycle passes through it.  Bit f of the XOR of an edge set's
+    labels is its parity against the fundamental cycle of f, so the XOR is 0
+    exactly when the set is orthogonal to the cycle space, that is, a cut.
+    G must be connected; adj is G.adjacency().
+    """
+    up = [-1] * G.n            # the tree edge from v towards vertex 0
+    seen = [False] * G.n
+    seen[0] = True
+    order, stack = [], [0]     # order lists every vertex before its descendants
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, eid in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                up[w] = eid
+                stack.append(w)
+    tree = set(up[1:])
+    label: Dict[int, int] = {}
+    for e in G.edges:
+        if e.id not in tree:
+            label[e.id] = 1 << len(label)
+    # delta(v) is a cut, so the label of v's tree edge up is the XOR of the
+    # labels of v's other edges, all known once v's descendants are done.
+    for v in reversed(order[1:]):
+        x = 0
+        for _, eid in adj[v]:
+            if eid != up[v]:
+                x ^= label[eid]
+        label[up[v]] = x
+    return label
+
+
+def _shore_of(G: Multigraph, adj: List[List[Tuple[int, int]]],
+              cut: FrozenSet[int]) -> Tuple[int, ...]:
+    """The side of the cut `cut` that holds vertex 0: 2-colour G from vertex
+    0, flipping colour across the cut's edges."""
+    colour = [-1] * G.n
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, eid in adj[v]:
+            if colour[w] == -1:
+                colour[w] = colour[v] ^ (eid in cut)
+                stack.append(w)
+    return tuple(v for v in range(G.n) if colour[v] == 0)
+
+
 def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
     """All cuts delta(S) with |delta(S)| <= k, each edge set once.
 
-    Brute force over vertex shores; shores are canonicalized to the side
-    containing vertex 0.
+    Works in the cycle space: an edge set is a cut exactly when the XOR of
+    its labels (see _cycle_space_labels) is 0.  For each size j <= k, every
+    (j-1)-subset of edges, taken in lexicographic order of edge ids, looks
+    up the edges of higher id whose label closes it.  The search costs
+    O(C(m, k-1)) dictionary lookups, plus one O(n + m) colouring per cut
+    found, which gives its shore canonicalized to the side containing
+    vertex 0.  Cuts come out sorted by size, then by sorted edge ids; a
+    connected G has one shore per edge set.
     """
     if k > 4:
         raise GraphError("cut enumeration is limited to k <= 4")
     if not is_connected(G):
         raise GraphError("disconnected input")
-    if G.n > BRUTE_FORCE_VERTEX_LIMIT:
-        raise GraphError(f"brute-force cut enumeration capped at n <= {BRUTE_FORCE_VERTEX_LIMIT}")
-    found: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-    rest = list(range(1, G.n))
-    for size in range(0, G.n - 1):
-        for extra in itertools.combinations(rest, size):
-            shore = (0,) + extra
-            if len(shore) == G.n:
-                continue
-            ids = cut_edges(G, shore)
-            if len(ids) <= k and ids not in found:
-                found[ids] = shore
-    cuts = tuple(sorted((Cut(shore, ids) for ids, shore in found.items()),
-                        key=lambda c: (c.size, sorted(c.edge_ids), c.shore)))
-    return CutFamily(cuts)
+    adj = G.adjacency()
+    label = _cycle_space_labels(G, adj)
+    ids = sorted(label)
+    labels = [label[eid] for eid in ids]
+    closing: Dict[int, List[int]] = {}     # label -> positions in ids, ascending
+    for i, x in enumerate(labels):
+        closing.setdefault(x, []).append(i)
+    cuts: List[Cut] = []
+    for j in range(1, k + 1):
+        for head in itertools.combinations(range(len(ids)), j - 1):
+            x = 0
+            for i in head:
+                x ^= labels[i]
+            after = head[-1] if head else -1
+            for last in closing.get(x, ()):
+                if last > after:
+                    edge_ids = frozenset(ids[i] for i in head + (last,))
+                    cuts.append(Cut(_shore_of(G, adj, edge_ids), edge_ids))
+    return CutFamily(tuple(cuts))
 
 
 def edge_connectivity(G: Multigraph) -> int:
@@ -223,7 +284,7 @@ def edge_connectivity(G: Multigraph) -> int:
 
 def min_cut_unit(G: Multigraph) -> Tuple[int, Tuple[int, ...]]:
     from .lp import min_cut  # deferred to avoid an import cycle
-    cap = {e.id: Fraction(1) for e in G.edges}
+    cap = {e.id: 1 for e in G.edges}
     value, shore = min_cut(G, cap)
     return int(value), shore
 

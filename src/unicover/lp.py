@@ -24,16 +24,19 @@ class LpInputError(GraphError):
 
 
 def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Exact global minimum cut of the capacity vector (Stoer-Wagner)."""
+    """Exact global minimum cut of the capacity vector (Stoer-Wagner).
+
+    Capacities may be ints or Fractions; the sums run in whichever type the
+    capacities have, and the value comes back as a Fraction."""
     n = G.n
     if n < 2:
         raise LpInputError("min cut needs at least 2 vertices")
     for eid, c in cap.items():
         if c < 0:
             raise LpInputError("negative capacity")
-    w = [[Fraction(0)] * n for _ in range(n)]
+    w = [[0] * n for _ in range(n)]
     for e in G.edges:
-        c = cap.get(e.id, Fraction(0))
+        c = cap.get(e.id, 0)
         if c:
             w[e.u][e.v] += c
             w[e.v][e.u] += c
@@ -53,7 +56,7 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
                 key[v] += w[pick][v]
         t = order[-1]
         s = order[-2]
-        phase_value = sum((w[t][v] for v in active if v != t), Fraction(0))
+        phase_value = sum(w[t][v] for v in active if v != t)
         if best_value is None or phase_value < best_value:
             best_value = phase_value
             best_shore = tuple(sorted(groups[t]))
@@ -69,7 +72,7 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
         best_shore = tuple(comp) if comp else best_shore
     if best_value is None:
         raise LpInputError("min cut found no phase")
-    return best_value, best_shore
+    return Fraction(best_value), best_shore
 
 
 def _shores(n: int) -> Iterator[Tuple[int, ...]]:

@@ -7,6 +7,7 @@ rejected on its own merits.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,17 +108,45 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> str:
 
 
 def _check_cycle_cover(G: Multigraph, cc: CycleCoverResult) -> str:
-    cover = cc.cover_multiset()
+    cover = set(cc.cover)
     ids = set(G.edge_ids())
-    if not set(cover) <= ids:
+    if list(cc.cover) != sorted(cover):
+        raise VerifyError("stored cover is not sorted without repeats")
+    if not cover <= ids:
         raise VerifyError("cover uses unknown edge ids")
-    deg = multiset_degrees(G, cover)
+    deg = multiset_degrees(G, cc.cover_multiset())
     if any(d != 2 for d in deg):
         raise VerifyError("cover is not a union of cycles through every vertex")
-    matching = sorted(ids - set(cover))
+    matching = sorted(ids - cover)
     if matching != list(cc.matching):
         raise VerifyError("stored matching is not the cover's complement")
-    for c in enumerate_cuts_upto(G, 4).cuts:
-        if c.size in (3, 4) and len(c.edge_ids & set(cover)) < 2:
+    # Each cyclically consecutive pair of a stored cycle uses up one cover
+    # edge joining them; n pairs over n cover edges use up every one.
+    if not all(cc.cycles) or \
+            sorted(v for cycle in cc.cycles for v in cycle) != list(range(G.n)):
+        raise VerifyError("stored cycles do not partition the vertices")
+    unused = Counter(frozenset((e.u, e.v)) for e in G.edges if e.id in cover)
+    for cycle in cc.cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if not unused[frozenset((a, b))]:
+                raise VerifyError(f"stored cycles step from {a} to {b} along no cover edge")
+            unused[frozenset((a, b))] -= 1
+    on_cycle = {v: i for i, cycle in enumerate(cc.cycles) for v in cycle}
+    intra, cross = [], []
+    for e in sorted(G.edges, key=lambda e: e.id):
+        if e.id not in cover:
+            (intra if on_cycle[e.u] == on_cycle[e.v] else cross).append(e.id)
+    if intra != list(cc.intra_cycle):
+        raise VerifyError(f"stored intra_cycle is not {intra}, the matching edges within one cycle")
+    if cross != list(cc.cross_cycle):
+        raise VerifyError(f"stored cross_cycle is not {cross}, the matching edges between cycles")
+    covered = []
+    for c in enumerate_cuts_upto(G, 4).of_size(3, 4):
+        crossing = len(c.edge_ids & cover)
+        if crossing < 2:
             raise VerifyError(f"cut of size {c.size} not doubly covered")
+        covered.append((c.edge_ids, crossing))
+    if tuple(covered) != cc.covered_cuts:
+        raise VerifyError("stored covered_cuts is not (cut, |cover ∩ cut|) "
+                          "for each 3- and 4-edge cut in enumeration order")
     return f"{len(cc.cycles)} cycles"

@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
+from unicover import serialize
+from unicover.approx import tsp_7_5_node_weighted, twoec_13_10_node_weighted
 from unicover.cyclecover import (CycleCoverError, _perfect_matchings,
                                  find_covering_cycle_cover, verify_contraction)
 from unicover.families import (heawood, k4, k33, mobius_kantor, petersen, prism,
-                               random_cubic_3ec)
+                               random_cubic_3ec, random_node_weights)
 from unicover.graph import contract, enumerate_cuts_upto, multiset_degrees
+from unicover.verify import verify_document
 
 from conftest import make_graph
 
@@ -116,3 +119,17 @@ class TestContraction:
             assert h.m == len(res.cross_cycle)
             rep = verify_contraction(g, res)
             assert rep.passed
+
+
+@pytest.mark.parametrize("n", [24, 28, 32])
+def test_beyond_twenty_vertices(n):
+    """Cycle covers and the node-weighted approximations past the old n <= 20
+    cap.  The approx documents are not verified here: verify re-solves the
+    subtour LP, which is the slow step at this size."""
+    g, f = random_cubic_3ec(n, 0), random_node_weights(n, 0)
+    gw = f.induced_graph(g)
+    res = find_covering_cycle_cover(gw)
+    assert verify_document(serialize.cycle_cover_to_json(gw, res)).ok
+    for run in (tsp_7_5_node_weighted, twoec_13_10_node_weighted):
+        out = run(g, f)
+        assert out.weight <= out.ratio * out.lower_bound

@@ -2,7 +2,8 @@
 
 Each case pins the sha256 of the JSON artifact that `serialize.dumps` writes
 for one cheap instance of a cover variant, an approximation algorithm, the
-subtour LP or a decomposition of its optimum.  A
+subtour LP, a decomposition of its optimum or a covering cycle cover, and of
+the small-cut family of one cubic graph.  A
 refactor must leave every digest unchanged; a change that alters artifacts on
 purpose must say why in CHANGES.md and update the digests here.
 """
@@ -15,10 +16,11 @@ from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.covers import uniform_cover
+from unicover.cyclecover import find_covering_cycle_cover
 from unicover.decompose import decompose_connectors, decompose_spanning_trees
-from unicover.families import (k4, k5, k33, petersen, random_node_weights,
-                               random_subcubic_2ec)
-from unicover.graph import NodeWeights
+from unicover.families import (k4, k5, k33, petersen, random_cubic_3ec,
+                               random_node_weights, random_subcubic_2ec)
+from unicover.graph import NodeWeights, enumerate_cuts_upto
 from unicover.lp import solve_subtour
 
 
@@ -94,6 +96,11 @@ def _decomposition(family, decompose, kind):
     return serialize.decomposition_to_json(G, decompose(G, solve_subtour(G).x), kind)
 
 
+def _cycle_cover():
+    G = random_node_weights(16, 2).induced_graph(random_cubic_3ec(16, 2))
+    return serialize.cycle_cover_to_json(G, find_covering_cycle_cover(G))
+
+
 SOLVER_DOCUMENTS = [
     ("lp-petersen", lambda: _lp(petersen),
      "fa31900cd4753cfb91bff6edc953f8418d018bf660524cb520d7697539a8ffe2"),
@@ -104,6 +111,8 @@ SOLVER_DOCUMENTS = [
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, decompose_connectors, "connectors"),
      "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
+    ("cycle-cover-cubic16", _cycle_cover,
+     "4a94b54cac17a09eed7a6eb3a190d2d3d3802f4656e7638be6b61133b6d69431"),
 ]
 
 
@@ -111,3 +120,10 @@ SOLVER_DOCUMENTS = [
                          ids=[n for n, _, _ in SOLVER_DOCUMENTS])
 def test_solver_document_bytes(name, build, sha):
     assert digest(build()) == sha
+
+
+def test_small_cut_family_bytes():
+    cuts = enumerate_cuts_upto(random_cubic_3ec(20, 1), 4).cuts
+    rows = sorted([c.size, sorted(c.edge_ids), list(c.shore)] for c in cuts)
+    assert len(rows) == 72
+    assert digest(rows) == "3f22fb16c78d52106424b23de6d5f489f8cb819300bded6dbc7abb6d8956140c"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicover.families import k4, k5, k33, petersen, prism
-from unicover.graph import (Edge, GraphError, Multigraph, NodeWeights, classify,
-                            connected_components, contract, cut_edges,
+from unicover.graph import (Cut, CutFamily, Edge, GraphError, Multigraph,
+                            NodeWeights, classify, connected_components,
+                            contract, cut_edges,
                             edge_connectivity, enumerate_cuts_upto, is_bipartite,
                             multiset_degrees, multiset_union, multiset_weight,
                             validate_structure)
@@ -76,6 +78,40 @@ class TestValidateStructure:
         assert validate_structure(c4, "subcubic-2ec").passed
 
 
+def brute_force_cuts(G, k):
+    """Reference oracle: every vertex shore holding vertex 0, smallest first,
+    keeping the first shore of each edge set of size <= k."""
+    found = {}
+    rest = list(range(1, G.n))
+    for size in range(0, G.n - 1):
+        for extra in itertools.combinations(rest, size):
+            shore = (0,) + extra
+            ids = cut_edges(G, shore)
+            if len(ids) <= k and ids not in found:
+                found[ids] = shore
+    return CutFamily(tuple(sorted((Cut(shore, ids) for ids, shore in found.items()),
+                                  key=lambda c: (c.size, sorted(c.edge_ids), c.shore))))
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random tree on up to 9 vertices plus extra edges, parallels allowed."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        pairs += [(u, v) for u, v in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+            if u != v]
+    order = draw(st.permutations(range(len(pairs))))
+    return make_graph(n, [pairs[i] for i in order])
+
+
+@given(connected_multigraphs(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_cut_enumeration_matches_brute_force(g, k):
+    assert enumerate_cuts_upto(g, k) == brute_force_cuts(g, k)
+
+
 class TestCutEnumeration:
     def test_k4_has_no_small_cuts(self):
         assert len(enumerate_cuts_upto(k4(), 2)) == 0
@@ -95,6 +131,30 @@ class TestCutEnumeration:
         for cut in fam.cuts:
             assert cut_edges(g, cut.shore) == cut.edge_ids
             assert len(cut.edge_ids) <= 4
+
+    def test_disconnected_shore(self):
+        # Blobs {0,1} and {4,5} each hang on {2,3} by two edges, so
+        # delta({0,1,4,5}) has 4 edges and a shore in two pieces.
+        g = make_graph(6, [(0, 1), (0, 2), (1, 3), (4, 5), (2, 4), (3, 5), (2, 3)])
+        fam = enumerate_cuts_upto(g, 4)
+        assert Cut((0, 1, 4, 5), frozenset({1, 2, 4, 5})) in fam.cuts
+        assert fam == brute_force_cuts(g, 4)
+
+    def test_parallel_pair_is_a_2cut(self):
+        g = make_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
+        fam = enumerate_cuts_upto(g, 2)
+        assert Cut((0, 1, 2), frozenset({3, 4})) in fam.cuts
+        assert fam == brute_force_cuts(g, 2)
+
+    def test_bridge(self):
+        g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+        assert enumerate_cuts_upto(g, 1).cuts == (Cut((0, 1, 2), frozenset({6})),)
+
+    def test_rejects_large_k_and_disconnected_input(self, c4):
+        with pytest.raises(GraphError, match="k <= 4"):
+            enumerate_cuts_upto(c4, 5)
+        with pytest.raises(GraphError, match="disconnected"):
+            enumerate_cuts_upto(make_graph(4, [(0, 1), (2, 3)]), 2)
 
     def test_edge_connectivity(self, two_triangles):
         assert edge_connectivity(k4()) == 3

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicover.families import k4, k5, k33, petersen, prism, random_cubic_3ec
-from unicover.graph import NodeWeights
+from unicover.graph import NodeWeights, cut_edges
 from unicover.lp import (LpInputError, brute_force_min_cut, brute_force_subtour,
                          everywhere, membership, min_cut, one_edge_cuts,
                          solve_subtour)
@@ -72,6 +72,14 @@ class TestMinCut:
         for g in [k4(), k33(), prism(), two_triangles, k5()]:
             cap = {e.id: F(1 + (e.id % 3), 2) for e in g.edges}
             assert min_cut(g, cap)[0] == brute_force_min_cut(g, cap)[0]
+
+    def test_int_capacities_give_a_fraction(self, two_triangles):
+        for g in [k4(), petersen(), prism(), two_triangles, random_cubic_3ec(12, 4)]:
+            cap = {e.id: 1 + e.id % 3 for e in g.edges}
+            value, shore = min_cut(g, cap)
+            assert type(value) is Fraction
+            assert value == brute_force_min_cut(g, cap)[0]
+            assert value == sum(cap[eid] for eid in cut_edges(g, shore))
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(LpInputError):

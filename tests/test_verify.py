@@ -134,6 +134,31 @@ class TestRejects:
         doc["cover"] = doc["cover"][:-1]
         assert not verify_document(doc).ok
 
+    def test_cycle_cover_cycles_tampered(self):
+        # Petersen's cover is two 5-cycles.  Walking one backwards is still
+        # the same cycle; swapping two vertices, dropping a cycle or
+        # splitting one is not.
+        doc = serialize.cycle_cover_to_json(petersen(), find_covering_cycle_cover(petersen()))
+        first, second = doc["cycles"]
+        assert verify_document(dict(doc, cycles=[first[::-1], second])).ok
+        swapped = [first[1], first[0]] + first[2:]
+        for cycles in ([swapped, second], [first], [first[:2], first[2:], second]):
+            rep = verify_document(dict(doc, cycles=cycles))
+            assert not rep.ok and "cycles" in rep.detail
+
+    def test_cycle_cover_cross_cycle_tampered(self):
+        doc = serialize.cycle_cover_to_json(petersen(), find_covering_cycle_cover(petersen()))
+        doc["cross_cycle"] = doc["cross_cycle"][1:]
+        rep = verify_document(doc)
+        assert not rep.ok and "cross_cycle" in rep.detail
+
+    def test_cycle_cover_covered_cuts_tampered(self):
+        doc = serialize.cycle_cover_to_json(petersen(), find_covering_cycle_cover(petersen()))
+        for cuts in (doc["covered_cuts"][:-1], doc["covered_cuts"][::-1],
+                     [[ids, count + 1] for ids, count in doc["covered_cuts"]]):
+            rep = verify_document(dict(doc, covered_cuts=cuts))
+            assert not rep.ok and "covered_cuts" in rep.detail
+
     def test_decomposition_label_tampered(self):
         g = k4()
         comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
