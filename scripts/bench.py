@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Run the perfbench workloads and write BENCH_<pr>.json.
+
+For every seed and workload this runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+
+with N the `run_seconds` of BENCHMARK.json, in this checkout ("change")
+and, with --baseline DIR, in a second source checkout ("parent"),
+alternating which runs first from seed to seed.  The file keeps every run's
+end-to-end metrics, failed/attempted counts and determinism fingerprint, the
+median of each metric over the seeds, and, with a baseline, the number of
+seeds on which the change was better.
+
+    python3 scripts/bench.py --pr N --seeds 1 2 3 --baseline ../parent
+"""
+import argparse
+import json
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("cover-matrix", "cubic-cuts", "subcubic-beta")
+FINGERPRINT = re.compile(r"^fingerprint: sha256 ([0-9a-f]{64})", re.M)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    found = FINGERPRINT.search(proc.stdout)
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "fingerprint": found.group(1) if found else None,
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def medians(runs: list) -> dict:
+    names = sorted({name for r in runs for name in r["metrics"]})
+    return {name: statistics.median(r["metrics"][name] for r in runs if name in r["metrics"])
+            for name in names}
+
+
+def better_counts(change: list, parent: list, declared: dict) -> dict:
+    """metric -> seeds on which the change beat the parent in that pair."""
+    out = {}
+    for name, better in declared.items():
+        wins = 0
+        for c, p in zip(change, parent):
+            a, b = c["metrics"].get(name), p["metrics"].get(name)
+            if a is not None and b is not None and (a > b if better == "higher" else a < b):
+                wins += 1
+        out[name] = wins
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", required=True, help="suffix of the output file name")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--baseline", type=Path,
+                    help="another source checkout to run in alternation, e.g. the parent commit")
+    args = ap.parse_args()
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    sides = {"change": ROOT}
+    if args.baseline is not None:
+        sides["parent"] = args.baseline.resolve()
+    runs = {side: {w: [] for w in WORKLOADS} for side in sides}
+    for i, seed in enumerate(args.seeds):
+        for w in WORKLOADS:
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            for side in order:
+                r = run_once(sides[side], w, seed, seconds)
+                runs[side][w].append(r)
+                print(f"{side:6} {w:13} seed {seed:3}  produce "
+                      f"{r['metrics'].get('produce_ops_per_s', float('nan')):9.3f} ops/s  "
+                      f"failed {r['failed']}/{r['attempted']}  {(r['fingerprint'] or '?')[:12]}",
+                      flush=True)
+
+    doc = {
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {seconds} --trace 0",
+        "seeds": args.seeds,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {platform.system()}",
+        "sides": {},
+    }
+    for side, per_workload in runs.items():
+        doc["sides"][side] = {
+            w: {"medians": medians(rs), "runs": rs} for w, rs in per_workload.items()}
+    if "parent" in runs:
+        doc["change_better_in"] = {
+            w: better_counts(runs["change"][w], runs["parent"][w], declared)
+            for w in WORKLOADS}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

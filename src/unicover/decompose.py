@@ -1,7 +1,7 @@
 """Convex decomposition of edge vectors into combinatorial objects.
 
-All decompositions run exact column generation: a rational simplex master over
-the generated objects plus an exact pricing routine (minimum spanning tree,
+All decompositions run exact column generation: a fraction-free simplex master
+over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
 exhaustive minimum 1-cover).  Optimality of the pricing step proves optimality
 of the master over the full object class, so a failed decomposition is a
@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
@@ -125,10 +125,10 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
         take = min(len(work), nrows + 1)
         cols = []
         for key, _ in work[:take]:
-            col = [ZERO] * nrows
+            col = [0] * nrows
             for eid, mult in key:
-                col[rowindex[eid]] = Fraction(mult)
-            col[-1] = ONE
+                col[rowindex[eid]] = mult
+            col[-1] = 1
             cols.append(col)
         d = _kernel_vector(cols, nrows)
         if d is None:
@@ -154,35 +154,35 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
     return [(coeff, dict(key)) for key, coeff in work]
 
 
-def _kernel_vector(cols: List[List[Fraction]], nrows: int) -> Optional[List[Fraction]]:
-    """A nonzero vector d with sum_j d_j col_j = 0, or None if independent."""
+def _kernel_vector(cols: List[List[int]], nrows: int) -> Optional[List[Fraction]]:
+    """A vector d with sum_j d_j col_j = 0, or None if the integer columns
+    are independent.
+
+    Fraction-free elimination: each column is reduced against the earlier
+    pivot columns by cross-multiplying with their pivot entry, and then it
+    and its combination are divided by their gcd.  At the first dependent
+    column j the kernel of columns 0..j is one-dimensional; d is scaled so
+    that d_j = 1 and d_i = 0 for i > j."""
     k = len(cols)
-    # Augment each column with its combination bookkeeping.
-    vecs = [list(col) for col in cols]
-    combos = [[ONE if i == j else ZERO for i in range(k)] for j in range(k)]
+    vecs: List[List[int]] = []
+    combos: List[List[int]] = []
     pivots: List[Tuple[int, int]] = []   # (row, index of the pivot column)
     for j in range(k):
-        v = vecs[j]
-        cmb = combos[j]
+        v = cols[j]
+        cmb = [0] * k
+        cmb[j] = 1
         for (prow, pj) in pivots:
             factor = v[prow]
             if factor:
-                pv = vecs[pj]
-                pc = combos[pj]
-                for r in range(nrows):
-                    if pv[r]:
-                        v[r] -= factor * pv[r]
-                for r in range(k):
-                    if pc[r]:
-                        cmb[r] -= factor * pc[r]
+                p = vecs[pj][prow]
+                v = [p * a - factor * b for a, b in zip(v, vecs[pj])]
+                cmb = [p * a - factor * b for a, b in zip(cmb, combos[pj])]
         pivot_row = next((r for r in range(nrows) if v[r]), None)
         if pivot_row is None:
-            return cmb
-        inv = ONE / v[pivot_row]
-        for r in range(nrows):
-            v[r] *= inv
-        for r in range(k):
-            cmb[r] *= inv
+            return [Fraction(c, cmb[j]) for c in cmb]
+        g = gcd(*v, *cmb)
+        vecs.append([a // g for a in v])
+        combos.append([a // g for a in cmb])
         pivots.append((pivot_row, j))
     return None
 
@@ -210,9 +210,9 @@ def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
             raise RuntimeError("pricing returned a known column; solver bug")
         known.add(key)
         objects.append(dict(key))
-        col = [ZERO] * len(ids) + [ONE] * (tab.rows - len(ids))
+        col = [0] * len(ids) + [1] * (tab.rows - len(ids))
         for eid, mult in key:
-            col[index[eid]] = Fraction(mult)
+            col[index[eid]] = mult
         tab.add_column(col, cost)
     lambdas = tab.solution()[tab.rows:]
     return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]

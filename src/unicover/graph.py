@@ -50,12 +50,6 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_by_id(self, eid: int) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise GraphError(f"no edge with id e{eid}")
-
     def edge_ids(self) -> List[int]:
         return [e.id for e in self.edges]
 

@@ -199,7 +199,7 @@ def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]) -> Tuple[
     c = [weight[eid] for eid in ids]
     rows = []
     for shore in shores:
-        a = [Fraction(0)] * len(ids)
+        a = [0] * len(ids)
         for eid in cut_edges(G, shore):
             a[index[eid]] += 1
         rows.append((a, ">=", Fraction(2)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .graph import Cut, Edge, EdgeVector, GraphError, Multigraph, NodeWeights
 from .decompose import ConvexCombination, Term
@@ -134,6 +134,14 @@ def vector_from_json(obj: Dict[str, str]) -> EdgeVector:
     return {int(k): parse_frac(v) for k, v in obj.items()}
 
 
+def _edge_set(ids: List[int], field: str) -> FrozenSet[int]:
+    """A stored cut's edge ids, read as a list so a repeat is caught."""
+    ids = tuple(int(eid) for eid in ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{field} repeats an edge id in {list(ids)}")
+    return frozenset(ids)
+
+
 def graph_to_json(G: Multigraph) -> dict:
     return {
         "n": G.n,
@@ -191,8 +199,8 @@ def lp_result_from_json(obj: dict) -> Tuple[Multigraph, LpResult]:
             value=parse_frac(obj["value"]),
             x=vector_from_json(obj["x"]),
             cuts=tuple(Cut(tuple(int(v) for v in c["shore"]),
-                           frozenset(int(eid) for eid in c["edges"]))
-                       for c in obj["cuts"]),
+                           _edge_set(c["edges"], f"cuts[{i}].edges"))
+                       for i, c in enumerate(obj["cuts"])),
             separation_rounds=int(obj["separation_rounds"]),
         )
         return G, res
@@ -223,8 +231,8 @@ def cycle_cover_from_json(obj: dict) -> Tuple[Multigraph, CycleCoverResult]:
             matching=ids("matching"),
             intra_cycle=ids("intra_cycle"),
             cross_cycle=ids("cross_cycle"),
-            covered_cuts=tuple((frozenset(int(eid) for eid in cut), int(count))
-                               for cut, count in obj["covered_cuts"]),
+            covered_cuts=tuple((_edge_set(cut, f"covered_cuts[{i}]"), int(count))
+                               for i, (cut, count) in enumerate(obj["covered_cuts"])),
         )
         return G, res
 

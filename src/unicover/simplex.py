@@ -1,20 +1,30 @@
-"""Exact rational simplex (Bland's rule) with incremental column addition.
+"""Exact fraction-free revised simplex (Bland's rule) with incremental columns.
 
-Everything is a fractions.Fraction; there is no floating point anywhere.
-One `Tableau` serves every LP: it is built on its identity basis (a slack or
-an artificial per row) and keeps that block, so the basis inverse is always
-available for pricing new columns and reading off duals.  `set_costs`
-reprices every column (phase 2 of `solve_lp`); the column generation loop of
-`decompose` adds columns to the same tableau.
+There is no floating point anywhere, and no `fractions.Fraction` inside a
+pivot or a pricing step.  One `Tableau` serves every LP.  It keeps the
+original columns as sparse ints and the basis as one integer matrix
+M = D·B⁻¹, where D = det(B) > 0, so M is the adjugate of B.  Each pivot is
+Edmonds' integer-preserving update (Bareiss 1968):
+
+    M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
+
+with α = M·A_e for the entering column e and p = α_r; every division is
+exact.  Reduced costs come from π = C·c_B·M and the original columns, and
+α is formed only for the entering column, so new columns cost nothing until
+they are priced.  The values `obj`, `solution()` and `duals()` are divided
+out once, when they are read.  The column generation loop of `decompose`
+adds columns to the same tableau; `solve_lp` scales rows to ints first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+SparseColumn = List[Tuple[int, int]]     # (row, nonzero int entry), rows ascending
 
 
 class LpError(RuntimeError):
@@ -30,129 +40,174 @@ class Unbounded(LpError):
 
 
 class Tableau:
-    """min c.x  s.t.  A x = b (b >= 0), x >= 0.
+    """min c.x  s.t.  A x = b (b >= 0), x >= 0, with A an integer matrix.
 
     Column i < rows is the unit vector e_i with cost `identity_costs[i]`; these
     columns form the initial basis.  Further columns are supplied one by one.
+    Costs and b may be any rationals.
     """
 
     def __init__(self, b: Sequence[Fraction], identity_costs: Sequence[Fraction]):
         self.rows = len(b)
-        self.b = [Fraction(v) for v in b]
-        if any(v < 0 for v in self.b):
+        b = [Fraction(v) for v in b]
+        if any(v < 0 for v in b):
             raise LpError("right-hand side must be nonnegative")
-        self.cols: List[List[Fraction]] = []   # tableau representation B^-1 A_j
-        self.costs: List[Fraction] = []
-        self.red: List[Fraction] = []          # reduced costs
-        self.basis: List[int] = []
-        self.obj = ZERO
-        for i, cost in enumerate(identity_costs):
-            col = [ZERO] * self.rows
-            col[i] = ONE
-            self.add_column(col, cost)
+        self.cols: List[SparseColumn] = []
+        self.icosts: List[int] = []            # C * cost of each column, ints
+        self.C = 1                             # common denominator of the costs
         self.basis = list(range(self.rows))
-        self.set_costs(self.costs)
+        self.L = lcm(*(v.denominator for v in b)) if b else 1
+        self.D = 1
+        self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
+        self.beta = [int(v * self.L) for v in b]    # M . b . L
+        self._pi: Optional[List[int]] = None    # C . c_B . M, once priced
+        for i, cost in enumerate(identity_costs):
+            col = [0] * self.rows
+            col[i] = 1
+            self.add_column(col, cost)
 
-    def add_column(self, col: Sequence[Fraction], cost: Fraction) -> int:
-        """Add a column given in ORIGINAL coordinates; returns its index."""
-        if self.basis:
-            rep = self._apply_basis_inverse(col)
-        else:                                  # the identity block, in __init__
-            rep = [Fraction(v) for v in col]
-        self.cols.append(rep)
-        self.costs.append(Fraction(cost))
-        self.red.append(self._reduced_cost(self.costs[-1], rep))
+    def add_column(self, col: Sequence[int], cost: Fraction) -> int:
+        """Add an integer column given in ORIGINAL coordinates; returns its index."""
+        sparse: SparseColumn = []
+        for i, v in enumerate(col):
+            if v:
+                if v.denominator != 1:
+                    raise LpError("tableau columns must be integer")
+                sparse.append((i, int(v)))
+        self.cols.append(sparse)
+        self._append_cost(cost)
         return len(self.cols) - 1
 
     def set_costs(self, costs: Sequence[Fraction]) -> None:
-        """Replace the cost of every column and reprice against the basis."""
+        """Replace the cost of every column."""
         if len(costs) != len(self.cols):
             raise LpError("one cost per column")
-        self.costs = [Fraction(c) for c in costs]
-        self.red = [self._reduced_cost(c, rep) for c, rep in zip(self.costs, self.cols)]
-        self.obj = sum((self.costs[j] * self.b[i] for i, j in enumerate(self.basis)), ZERO)
+        self.icosts, self.C, self._pi = [], 1, None
+        for cost in costs:
+            self._append_cost(cost)
 
-    def _reduced_cost(self, cost: Fraction, rep: Sequence[Fraction]) -> Fraction:
-        # c_j - c_B . B^-1 A_j
-        r = cost
-        for i, bi in enumerate(self.basis):
-            r -= self.costs[bi] * rep[i]
-        return r
+    def _append_cost(self, cost: Fraction) -> None:
+        cost = Fraction(cost)
+        if self.C % cost.denominator:
+            factor = lcm(self.C, cost.denominator) // self.C
+            self.C *= factor
+            self.icosts = [c * factor for c in self.icosts]
+            self._pi = None
+        self.icosts.append(cost.numerator * (self.C // cost.denominator))
 
-    def _apply_basis_inverse(self, col: Sequence[Fraction]) -> List[Fraction]:
-        # The first `rows` columns started as the identity, so their current
-        # tableau entries are B^-1.
-        out = [ZERO] * self.rows
-        for j, v in enumerate(col):
-            if v:
-                inv_col = self.cols[j]
-                for i in range(self.rows):
-                    if inv_col[i]:
-                        out[i] += v * inv_col[i]
-        return out
+    def _prices(self) -> List[int]:
+        """π = C·c_B·M, so the reduced cost of column j is
+        (D·C·c_j − π·A_j) / (D·C)."""
+        if self._pi is None:
+            pi = [0] * self.rows
+            for i, j in enumerate(self.basis):
+                c = self.icosts[j]
+                if c:
+                    pi = [p + c * m for p, m in zip(pi, self.M[i])]
+            self._pi = pi
+        return self._pi
 
-    def _pivot(self, row: int, col: int) -> None:
-        piv = self.cols[col][row]
-        if piv == 0:
-            raise LpError("zero pivot")
-        inv = ONE / piv
-        for c in self.cols:
-            c[row] *= inv
-        self.b[row] *= inv
-        pivot_row_cols = [j for j in range(len(self.cols)) if self.cols[j][row]]
-        for i in range(self.rows):
-            if i == row:
+    def _entering(self, forbidden: set) -> Tuple[int, int]:
+        """Bland's rule: the lowest non-forbidden column of negative reduced
+        cost, with that cost times D·C; (-1, 0) at an optimum."""
+        pi = self._prices()
+        D = self.D
+        basic = set(self.basis)
+        for j, col in enumerate(self.cols):
+            if j in basic or j in forbidden:
                 continue
-            factor = self.cols[col][i]
-            if factor:
-                for j in pivot_row_cols:
-                    self.cols[j][i] -= factor * self.cols[j][row]
-                self.b[i] -= factor * self.b[row]
-        rfac = self.red[col]
-        if rfac:
-            for j in pivot_row_cols:
-                self.red[j] -= rfac * self.cols[j][row]
-            self.obj += rfac * self.b[row]
-        self.basis[row] = col
+            r = D * self.icosts[j]
+            for i, v in col:
+                r -= pi[i] * v
+            if r < 0:
+                return j, r
+        return -1, 0
+
+    def _pivot(self, row: int, alpha: List[int], red: int) -> None:
+        """Edmonds' update on M, β and π; every division by D must be exact.
+        `red` is the entering column's reduced cost times D·C, so that
+        π' = (p·π + red·M_r) / D."""
+        D, M, p = self.D, self.M, alpha[row]
+        Mr, br = M[row], self.beta[row]
+        for i in range(self.rows):
+            a = alpha[i]
+            if i == row or (not a and p == D):
+                continue
+            num = [p * u - a * v for u, v in zip(M[i], Mr)]
+            new = [x // D for x in num]
+            b_new, b_rem = divmod(p * self.beta[i] - a * br, D)
+            # Floor division leaves nonnegative remainders (D > 0), so they
+            # are all zero exactly when the sums agree.
+            if sum(num) != sum(new) * D or b_rem:
+                raise LpError("inexact division in an integer pivot")
+            M[i] = new
+            self.beta[i] = b_new
+        pi = self._pi
+        new = [(p * u + red * v) // D for u, v in zip(pi, Mr)]
+        if sum(new) * D != p * sum(pi) + red * sum(Mr):
+            raise LpError("inexact division in an integer pivot")
+        self._pi = new
+        if p < 0:
+            # Keep D = |det B| > 0 by negating M, β and π with it.
+            self.M = [[-u for u in Mi] for Mi in M]
+            self.beta = [-b for b in self.beta]
+            self._pi = [-u for u in new]
+            p = -p
+        self.D = p
 
     def optimize(self, forbidden: Optional[set] = None) -> None:
-        """Primal simplex with Bland's rule; `forbidden` columns never enter."""
+        """Primal simplex with Bland's rule; `forbidden` columns never enter.
+
+        A forbidden column that is basic at zero (an artificial after phase
+        1) stays at zero: a step that would raise it makes it leave instead,
+        in a degenerate pivot on its negative entry."""
         forbidden = forbidden or set()
         while True:
-            enter = -1
-            for j in range(len(self.cols)):
-                if j in forbidden:
-                    continue
-                if self.red[j] < 0:
-                    enter = j
-                    break
+            enter, red = self._entering(forbidden)
             if enter < 0:
                 return
+            col = self.cols[enter]
+            alpha = [sum(Mi[k] * v for k, v in col) for Mi in self.M]
+            # Ratio test on β_i / α_i over α_i > 0 (D > 0 cancels), by
+            # cross-multiplying; ties go to the lower basis index.
             leave_row = -1
-            best: Optional[Fraction] = None
-            for i in range(self.rows):
-                a = self.cols[enter][i]
+            for i, a in enumerate(alpha):
                 if a > 0:
-                    ratio = self.b[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave_row]):
-                        best = ratio
+                    if leave_row < 0:
                         leave_row = i
+                        continue
+                    lhs = self.beta[i] * alpha[leave_row]
+                    rhs = self.beta[leave_row] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave_row]):
+                        leave_row = i
+            if forbidden and (leave_row < 0 or self.beta[leave_row]):
+                stuck = [i for i, a in enumerate(alpha) if a < 0 and not self.beta[i]
+                         and self.basis[i] in forbidden]
+                if stuck:
+                    leave_row = min(stuck, key=lambda i: self.basis[i])
             if leave_row < 0:
                 raise Unbounded("unbounded LP")
-            self._pivot(leave_row, enter)
+            self._pivot(leave_row, alpha, red)
+            self.basis[leave_row] = enter
+
+    @property
+    def obj(self) -> Fraction:
+        """c_B . x_B of the current basic solution."""
+        total = sum(self.icosts[j] * self.beta[i] for i, j in enumerate(self.basis))
+        return Fraction(total, self.C * self.D * self.L)
 
     def solution(self) -> List[Fraction]:
         """The value of every column in the current basic solution."""
         x = [ZERO] * len(self.cols)
+        scale = self.D * self.L
         for i, j in enumerate(self.basis):
-            x[j] = self.b[i]
+            x[j] = Fraction(self.beta[i], scale)
         return x
 
     def duals(self) -> List[Fraction]:
-        """y_i from the reduced cost of the identity column e_i of row i."""
-        # r_i = c_i - y . e_i
-        return [self.costs[i] - self.red[i] for i in range(self.rows)]
+        """y = c_B B⁻¹, one per row."""
+        scale = self.C * self.D
+        return [Fraction(p, scale) for p in self._prices()]
 
 
 @dataclass
@@ -171,29 +226,32 @@ def solve_lp(c: Sequence[Fraction],
     """
     nvars = len(c)
     m = len(rows)
-    # Normalize to a_i . x (+ slack) = b_i with b_i >= 0.
+    # Normalize to a_i . x (+ slack) = b_i with b_i >= 0 and a_i integer: a
+    # row with fractional coefficients is multiplied by their common
+    # denominator s, its dual divided by s.
     norm = []
     for a, sense, rhs in rows:
-        a = [Fraction(v) for v in a]
         rhs = Fraction(rhs)
         sign = 1
         if rhs < 0:
-            a = [-v for v in a]
-            rhs = -rhs
             sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
             sign = -1
-        norm.append((a, sense, rhs, sign))
+        s = lcm(*(v.denominator for v in a)) if a else 1    # ints or Fractions
+        k = sign * s
+        norm.append(([v.numerator * (k // v.denominator) for v in a], sense, rhs * k, sign, s))
 
-    # Identity block: slack where possible, artificial (phase 1 cost) otherwise.
-    tab = Tableau([rhs for _, _, rhs, _ in norm],
-                  [ZERO if sense == "<=" else ONE for _, sense, _, _ in norm])
-    artificials = {i for i, (_, sense, _, _) in enumerate(norm) if sense != "<="}
+    # Identity block: slack where possible, artificial (phase 1 cost)
+    # otherwise.  The artificial of a row scaled by s stands for s times the
+    # unscaled one, so it costs 1/s.
+    tab = Tableau([rhs for _, _, rhs, _, _ in norm],
+                  [ZERO if sense == "<=" else Fraction(1, s) for _, sense, _, _, s in norm])
+    artificials = {i for i, (_, sense, _, _, _) in enumerate(norm) if sense != "<="}
     for j in range(nvars):
-        tab.add_column([a[j] for a, _, _, _ in norm], ZERO)
-    for i, (_, sense, _, _) in enumerate(norm):
+        tab.add_column([a[j] for a, _, _, _, _ in norm], ZERO)
+    for i, (_, sense, _, _, s) in enumerate(norm):
         if sense == ">=":
-            col = [ZERO] * m
-            col[i] = -ONE
+            col = [0] * m
+            col[i] = -s
             tab.add_column(col, ZERO)
     tab.optimize()
     if tab.obj != 0:
@@ -201,5 +259,5 @@ def solve_lp(c: Sequence[Fraction],
     # Phase 2: the true objective on the structural columns, zero elsewhere.
     tab.set_costs([ZERO] * m + list(c) + [ZERO] * (len(tab.cols) - m - nvars))
     tab.optimize(forbidden=artificials)
-    y = [sign * v for (_, _, _, sign), v in zip(norm, tab.duals())]
+    y = [sign * s * v for (_, _, _, sign, s), v in zip(norm, tab.duals())]
     return LpSolution(value=tab.obj, x=tab.solution()[m:m + nvars], duals=y)

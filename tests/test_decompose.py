@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicover.decompose import (ConvexCombination, DecompositionError,
-                                _equality_master, caratheodory_reduce, decompose_connectors,
+                                _equality_master, _kernel_vector, caratheodory_reduce,
+                                decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
                                 decompose_tjoins, make_combination, min_tjoin,
                                 verify_combination, wolsey_tours)
@@ -182,11 +185,11 @@ class TestOneCovers:
         # Every term touches all three leaf cuts.
         from unicover.lp import one_edge_cuts
         shores = [set(s) for s, _ in one_edge_cuts(g, tree)]
+        edge = {e.id: e for e in g.edges}
         for t in comb.terms:
             chosen = dict(t.edges)
             for s in shores:
-                assert any((g.edge_by_id(eid).u in s) != (g.edge_by_id(eid).v in s)
-                           for eid in chosen)
+                assert any((edge[eid].u in s) != (edge[eid].v in s) for eid in chosen)
 
     def test_no_bridges_short_circuit(self, c4):
         cyc = {e.id: 1 for e in c4.edges}
@@ -269,3 +272,48 @@ class TestVerifyCombination:
         comb = make_combination(g, [(F(1), {0: 2})], {0: F(1)}, "dominated-by")
         with pytest.raises(DecompositionError, match="exceeds"):
             verify_combination(g, comb)
+
+
+def rank(cols):
+    """Rank of integer columns, by Fraction elimination (oracle helper)."""
+    rows = [[F(v) for v in col] for col in cols]
+    r = 0
+    for k in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][k]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][k] / rows[r][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def integer_columns(draw):
+    nrows = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    cols = [[draw(entry) for _ in range(nrows)] for _ in range(draw(st.integers(1, 7)))]
+    # Some columns copy a combination of earlier ones, so dependence is common.
+    for j in range(1, len(cols)):
+        if draw(st.booleans()):
+            a, b = draw(entry), draw(entry)
+            i, k = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+            cols[j] = [a * u + b * v for u, v in zip(cols[i], cols[k])]
+    return cols, nrows
+
+
+@given(integer_columns())
+@settings(max_examples=300, deadline=None)
+def test_kernel_vector_of_integer_columns(case):
+    cols, nrows = case
+    d = _kernel_vector([list(c) for c in cols], nrows)
+    if d is None:
+        assert rank(cols) == len(cols)
+        return
+    # j is the first column in the span of the columns before it.
+    j = next(j for j in range(len(cols)) if rank(cols[:j + 1]) <= j)
+    assert len(d) == len(cols) and d[j] == 1 and all(v == 0 for v in d[j + 1:])
+    for r in range(nrows):
+        assert sum((dj * col[r] for dj, col in zip(d, cols)), F(0)) == 0

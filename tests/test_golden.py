@@ -3,7 +3,9 @@
 Each case pins the sha256 of the JSON artifact that `serialize.dumps` writes
 for one cheap instance of a cover variant, an approximation algorithm, the
 subtour LP, a decomposition of its optimum or a covering cycle cover, and of
-the small-cut family of one cubic graph.  A
+the small-cut family of one cubic graph.  One more cover, 18/19 on a
+20-vertex cubic graph, is there for its size: the denominators in its
+column-generation masters reach 4.6·10⁸.  A
 refactor must leave every digest unchanged; a change that alters artifacts on
 purpose must say why in CHANGES.md and update the digests here.
 """
@@ -32,6 +34,10 @@ def ones(n):
     return NodeWeights((Fraction(1),) * n)
 
 
+def cubic20():
+    return random_cubic_3ec(20, 1)
+
+
 COVERS = [
     ("18/19", k4, "5dd8f1128a1d12c06b1037ad2e9441a0e3b5a699ed2090ca77111b94f51d4fec"),
     ("15/17", k4, "6316a4d32858c4ee5e26117dd056c21b55148f912f426219a1c50913fbb280b6"),
@@ -39,6 +45,7 @@ COVERS = [
     ("12/13", k33, "6b4f26dca902ba77497f217881d74307a8ca8d646155a42a4372d7ab894ee2b3"),
     ("7/8", k33, "434313f3d22d934a86b038f823dfe459884a717ea69eef3fb18b9381b7eb610a"),
     ("3/4", k5, "a8ae58c66f5efc921253a4fed5b62b468cf08f5c8f373058b2f8ce78bb3ea65a"),
+    ("18/19", cubic20, "4f93863e12c9eb80555da30264997c7ba8533521ea3f41012169a23cb1785285"),
 ]
 
 

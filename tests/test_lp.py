@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unicover.families import k4, k5, k33, petersen, prism, random_cubic_3ec
@@ -9,7 +9,7 @@ from unicover.graph import NodeWeights, cut_edges
 from unicover.lp import (LpInputError, brute_force_min_cut, brute_force_subtour,
                          everywhere, membership, min_cut, one_edge_cuts,
                          solve_subtour)
-from unicover.simplex import Infeasible, Unbounded, solve_lp
+from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 
 from conftest import make_graph
 
@@ -53,6 +53,155 @@ class TestSimplex:
         assert sol.x == [F(1), F(1)]
         assert sol.duals == [F(-1), F(0), F(1)]
         assert sum(y * r[2] for y, r in zip(sol.duals, rows)) == sol.value
+
+
+    def test_artificial_basic_at_zero_stays_at_zero(self):
+        # Phase 1 leaves the artificial of x >= 1 basic at zero; leaving x
+        # for the slack in phase 2 would raise it to 1.
+        sol = solve_lp([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(1))])
+        assert sol.value == 1 and sol.x == [F(1)]
+
+    def test_rejects_fractional_tableau_column(self):
+        tab = Tableau([F(1)], [F(0)])
+        with pytest.raises(LpError, match="integer"):
+            tab.add_column([F(1, 2)], F(-1))
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def feasible_bounded_lp(draw):
+    """Rows of mixed sense built around a point x0 >= 0 that meets them all,
+    plus sum(x) <= U, so the LP has an optimum whatever the sign of c."""
+    nvars = draw(st.integers(1, 4))
+    x0 = [draw(st.fractions(min_value=0, max_value=3, max_denominator=3))
+          for _ in range(nvars)]
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = [draw(small_fraction) for _ in range(nvars)]
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        slack = draw(st.fractions(min_value=0, max_value=2, max_denominator=5))
+        ax = sum((ai * xi for ai, xi in zip(a, x0)), F(0))
+        rows.append((a, sense, ax + {"<=": slack, ">=": -slack, "=": 0}[sense]))
+    rows.insert(draw(st.integers(0, len(rows))),
+                ([F(1)] * nvars, "<=", sum(x0, F(0)) + draw(st.integers(0, 2))))
+    c = [draw(small_fraction) for _ in range(nvars)]
+    return c, rows
+
+
+@given(feasible_bounded_lp())
+@settings(max_examples=300, deadline=None)
+def test_solve_lp_certifies_its_optimum(lp):
+    c, rows = lp
+    sol = solve_lp(c, rows)
+    # Primal feasibility.
+    assert all(v >= 0 for v in sol.x)
+    for a, sense, rhs in rows:
+        ax = sum((ai * xi for ai, xi in zip(a, sol.x)), F(0))
+        assert {"<=": ax <= rhs, ">=": ax >= rhs, "=": ax == rhs}[sense]
+    assert sum((ci * xi for ci, xi in zip(c, sol.x)), F(0)) == sol.value
+    # Dual feasibility: y_i <= 0 on <= rows, >= 0 on >= rows, and every
+    # reduced cost c_j - sum_i y_i a_ij is nonnegative.
+    for y, (_, sense, _) in zip(sol.duals, rows):
+        assert {"<=": y <= 0, ">=": y >= 0, "=": True}[sense]
+    for j, cj in enumerate(c):
+        assert cj - sum((y * a[j] for y, (a, _, _) in zip(sol.duals, rows)), F(0)) >= 0
+    # Strong duality, which with the two above proves optimality.
+    assert sum((y * rhs for y, (_, _, rhs) in zip(sol.duals, rows)), F(0)) == sol.value
+
+
+def dense_fraction_lp(c, rows):
+    """Oracle for the pivot sequence: `solve_lp` on a dense Fraction tableau
+    that stores every column as B^-1 A_j, with the same rules (Bland's
+    entering column, ratio ties to the lower basis index, artificials that
+    are basic at zero leave rather than rise).  Returns (value, x, duals)."""
+    m, nvars = len(rows), len(c)
+    A, b, senses, signs = [], [], [], []
+    for a, sense, rhs in rows:
+        sign = -1 if rhs < 0 else 1
+        A.append([sign * F(v) for v in a])
+        b.append(sign * F(rhs))
+        senses.append({"<=": ">=", ">=": "<="}.get(sense, sense) if sign < 0 else sense)
+        signs.append(sign)
+    surplus = [i for i in range(m) if senses[i] == ">="]
+    cols = ([[F(int(i == k)) for k in range(m)] for i in range(m)]
+            + [[A[k][j] for k in range(m)] for j in range(nvars)]
+            + [[F(-int(i == k)) for k in range(m)] for i in surplus])
+    basis = list(range(m))
+    artificials = {i for i in range(m) if senses[i] != "<="}
+
+    def optimize(costs, forbidden):
+        while True:
+            red = [costs[j] - sum(costs[basis[i]] * col[i] for i in range(m))
+                   for j, col in enumerate(cols)]
+            enter = next((j for j in range(len(cols)) if j not in forbidden and red[j] < 0),
+                         None)
+            if enter is None:
+                return
+            col = cols[enter]
+            pos = [i for i in range(m) if col[i] > 0]
+            leave = min(pos, key=lambda i: (b[i] / col[i], basis[i]), default=None)
+            stuck = [i for i in range(m) if col[i] < 0 and b[i] == 0 and basis[i] in forbidden]
+            if stuck and (leave is None or b[leave] > 0):
+                leave = min(stuck, key=lambda i: basis[i])
+            if leave is None:
+                raise Unbounded("unbounded LP")
+            piv = col[leave]
+            for other in cols:
+                other[leave] /= piv
+            b[leave] /= piv
+            for i in range(m):
+                f = col[i]
+                if i != leave and f:
+                    for other in cols:
+                        other[i] -= f * other[leave]
+                    b[i] -= f * b[leave]
+            basis[leave] = enter
+
+    def value(costs):
+        return sum((costs[basis[i]] * b[i] for i in range(m)), F(0))
+
+    phase1 = [F(int(i in artificials)) for i in range(m)] + [F(0)] * (len(cols) - m)
+    optimize(phase1, set())
+    if value(phase1) != 0:
+        raise Infeasible("infeasible LP")
+    costs = [F(0)] * m + [F(v) for v in c] + [F(0)] * len(surplus)
+    optimize(costs, artificials)
+    x = [F(0)] * len(cols)
+    for i, j in enumerate(basis):
+        x[j] = b[i]
+    duals = [signs[i] * sum((costs[basis[k]] * cols[i][k] for k in range(m)), F(0))
+             for i in range(m)]
+    return value(costs), x[m:m + nvars], duals
+
+
+@st.composite
+def any_lp(draw):
+    nvars = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rows = [([draw(entry) for _ in range(nvars)], draw(st.sampled_from(["<=", ">=", "="])),
+             draw(entry)) for _ in range(draw(st.integers(1, 4)))]
+    return [draw(entry) for _ in range(nvars)], rows
+
+
+@given(st.one_of(feasible_bounded_lp(), any_lp()))
+@example(([F(-1), F(-4), F(1)],       # phase 1 depends on the artificials' 1/s costs
+          [([F(-3, 2), F(-3), F(-4)], ">=", F(-6)), ([F(-2), F(-5), F(2)], "=", F(-5, 2)),
+           ([F(-3, 2), F(0), F(6)], "=", F(0))]))
+@settings(max_examples=300, deadline=None)
+def test_solve_lp_follows_the_fraction_tableau(lp):
+    # Degenerate LPs with several optimal vertices are common here, so the
+    # returned vertex pins the pivot sequence, not just the optimum.
+    c, rows = lp
+    try:
+        want = dense_fraction_lp(c, rows)
+    except (Infeasible, Unbounded) as exc:
+        with pytest.raises(type(exc)):
+            solve_lp(c, rows)
+        return
+    sol = solve_lp(c, rows)
+    assert (sol.value, sol.x, sol.duals) == want
 
 
 class TestMinCut:

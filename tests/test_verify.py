@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from unicover import serialize
 from unicover.approx import tsp_7_5_node_weighted, tsp_beta
 from unicover.covers import uniform_cover
@@ -8,6 +10,7 @@ from unicover.decompose import decompose_spanning_trees
 from unicover.families import k4, k33, petersen
 from unicover.graph import NodeWeights
 from unicover.lp import everywhere, solve_subtour
+from unicover.serialize import ParseError
 from unicover.verify import verify_document
 
 F = Fraction
@@ -158,6 +161,21 @@ class TestRejects:
                      [[ids, count + 1] for ids, count in doc["covered_cuts"]]):
             rep = verify_document(dict(doc, covered_cuts=cuts))
             assert not rep.ok and "covered_cuts" in rep.detail
+
+    def test_cycle_cover_repeated_cut_edge(self):
+        doc = serialize.cycle_cover_to_json(petersen(), find_covering_cycle_cover(petersen()))
+        ids, count = doc["covered_cuts"][0]
+        doc["covered_cuts"][0] = [ids + ids[:1], count]
+        with pytest.raises(ParseError, match=r"covered_cuts\[0\] repeats an edge id"):
+            verify_document(doc)
+
+    def test_lp_result_repeated_cut_edge(self):
+        g = petersen()
+        doc = serialize.lp_result_to_json(g, solve_subtour(g))
+        doc["cuts"].append({"shore": [0], "edges": [0, 1, 2, 0]})
+        i = len(doc["cuts"]) - 1
+        with pytest.raises(ParseError, match=rf"cuts\[{i}\]\.edges repeats an edge id"):
+            verify_document(doc)
 
     def test_decomposition_label_tampered(self):
         g = k4()
