@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cycle_cover)
 
     p = sub.add_parser("decompose", help="convex decomposition of an edge vector")
-    p.add_argument("what", choices=("trees", "connectors", "even2cut"))
+    p.add_argument("what", choices=serialize.DECOMPOSITION_KINDS)
     add_common(p)
     p.add_argument("--vector", default="lp",
                    help="'lp' for the LP optimizer or a rational for everywhere-r")

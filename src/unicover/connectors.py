@@ -144,10 +144,6 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
     return make_combination(G, terms, family.target_vector(), "equals")
 
 
-def _term_is_connector(G: Multigraph, f: EdgeMultiset) -> bool:
-    return all(0 <= m <= 2 for m in f.values()) and spanning_connected(G, f)
-
-
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Convex combination of connectors dominated by x, each crossing every
     2-edge cut an even number of times."""
@@ -177,9 +173,6 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
                 else:
                     raise DecompositionError(
                         "normalization left two copies on a sub-1 edge")
-    for _, f in terms:
-        if not _term_is_connector(G, f):
-            raise DecompositionError("repair broke a term; not a connector any more")
     cover: EdgeVector = {}
     for coeff, f in terms:
         for eid, m in f.items():
@@ -196,5 +189,4 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
             for _, f in terms:
                 if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:
                     raise DecompositionError(f"odd crossing of the cut {{e{a},e{b}}}")
-    terms = caratheodory_reduce(terms, G.m + 1)
-    return make_combination(G, terms, dict(x), "dominated-by")
+    return make_combination(G, terms, dict(x), "dominated-by", "connector")

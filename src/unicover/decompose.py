@@ -5,7 +5,12 @@ over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
 exhaustive minimum 1-cover).  Optimality of the pricing step proves optimality
 of the master over the full object class, so a failed decomposition is a
-genuine infeasibility, not a search artifact.
+genuine infeasibility, not a search artifact.  A failed packing names the
+master's final duals: edge weights under which every object weighs at least 1
+but x weighs less, so by LP duality x lies outside the class's dominant.
+
+Every result is built by make_combination (merge, Caratheodory reduction to
+at most |E| + 1 terms, labels) and re-checked by verify_combination.
 """
 from __future__ import annotations
 
@@ -28,9 +33,7 @@ CanonicalObject = Tuple[Tuple[int, int], ...]   # sorted ((edge id, multiplicity
 
 
 class DecompositionError(GraphError):
-    def __init__(self, message: str, membership_failure: Optional[MembershipResult] = None):
-        super().__init__(message)
-        self.membership_failure = membership_failure
+    pass
 
 
 def canonical(obj: EdgeMultiset) -> CanonicalObject:
@@ -65,21 +68,36 @@ class ConvexCombination:
 
 
 def make_combination(G: Multigraph, terms: Sequence[Tuple[Fraction, EdgeMultiset]],
-                     target: EdgeVector, relation: str) -> ConvexCombination:
-    merged: Dict[CanonicalObject, Fraction] = {}
-    for coeff, obj in terms:
-        if coeff <= 0:
-            continue
+                     target: EdgeVector, relation: str,
+                     label: Optional[str] = None) -> ConvexCombination:
+    """The terms with positive coefficients, equal objects merged, reduced to
+    at most |E| + 1 of them and labelled by the classifier.  With `label`,
+    every term must carry it."""
+    out = []
+    for coeff, obj in caratheodory_reduce(terms, G.m + 1):
         key = canonical(obj)
-        merged[key] = merged.get(key, ZERO) + coeff
-    out = tuple(Term(coeff, key, frozenset(classify(G, dict(key))))
-                for key, coeff in sorted(merged.items()))
+        labels = frozenset(classify(G, obj))
+        if label is not None and label not in labels:
+            raise DecompositionError(f"term {key} is not a {label}")
+        out.append(Term(coeff, key, labels))
     tgt = tuple(sorted((eid, Fraction(v)) for eid, v in target.items()))
-    return ConvexCombination(out, tgt, relation)
+    return ConvexCombination(tuple(out), tgt, relation)
 
 
 def verify_combination(G: Multigraph, comb: ConvexCombination,
-                       required_label: Optional[str] = None) -> None:
+                       required_label: Optional[str] = None) -> EdgeVector:
+    """Re-check a combination from its stored fields and return its coverage:
+    at most |E| + 1 terms, positive coefficients summing to 1, the relation
+    to the target, and stored labels equal to the classifier's (holding
+    `required_label`, if given)."""
+    if comb.relation not in ("equals", "dominated-by"):
+        raise DecompositionError(f"unknown relation {comb.relation!r}")
+    if len(comb.terms) > G.m + 1:
+        raise DecompositionError(
+            f"{len(comb.terms)} terms exceed the Caratheodory bound {G.m + 1}")
+    for t in comb.terms:
+        if t.coefficient <= 0:
+            raise DecompositionError(f"term {t.edges} has coefficient {t.coefficient} <= 0")
     total = sum((t.coefficient for t in comb.terms), ZERO)
     if total != 1:
         raise DecompositionError(f"coefficients sum to {total}, not 1")
@@ -92,14 +110,16 @@ def verify_combination(G: Multigraph, comb: ConvexCombination,
             raise DecompositionError(f"coverage {lhs} != target {rhs} on e{eid}")
         if comb.relation == "dominated-by" and lhs > rhs:
             raise DecompositionError(f"coverage {lhs} exceeds target {rhs} on e{eid}")
-    if required_label is not None:
-        for t in comb.terms:
-            if required_label not in t.labels:
-                raise DecompositionError(
-                    f"term {t.edges} is not a {required_label} (labels: {sorted(t.labels)})")
-    if len(comb.terms) > G.m + 1:
-        raise DecompositionError(
-            f"{len(comb.terms)} terms exceed the Caratheodory bound {G.m + 1}")
+    for t in comb.terms:
+        labels = frozenset(classify(G, t.multiset()))
+        if labels != t.labels:
+            raise DecompositionError(
+                f"stored labels {sorted(t.labels)} of term {t.edges} are not "
+                f"the classifier's {sorted(labels)}")
+        if required_label is not None and required_label not in labels:
+            raise DecompositionError(
+                f"term {t.edges} is not a {required_label} (labels: {sorted(labels)})")
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +238,40 @@ def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
     return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
 
 
-def _dominated_master(target_rows: List[Tuple[int, Fraction]],
-                      price: Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]],
-                      ) -> List[Tuple[Fraction, EdgeMultiset]]:
-    """max sum(lambda) s.t. sum(lambda * chi) <= target; returns unscaled lambdas.
+def _pack(G: Multigraph, x: EdgeVector, what: str,
+          price: Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]],
+          ) -> ConvexCombination:
+    """Objects of one class dominated by x, from the master
+    max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
 
     `price` gets nonnegative edge weights and must return an exact minimum
-    weight object of the class (weight, multiset).
+    weight object of the class (weight, multiset).  When the packing value
+    sigma is below 1, the final weights w = -y prove it: every object weighs
+    at least 1 under w, but w.x = sigma.
     """
-    ids = [eid for eid, _ in target_rows]
-    tab = Tableau([v for _, v in target_rows], [ZERO] * len(ids))    # slacks
+    rows = sorted((eid, v) for eid, v in x.items() if v > 0)
+    ids = [eid for eid, _ in rows]
+    tab = Tableau([v for _, v in rows], [ZERO] * len(ids))    # slacks
+
+    def weights() -> Dict[int, Fraction]:
+        y = tab.duals()
+        return {eid: -y[i] for i, eid in enumerate(ids)}
 
     def improving() -> Optional[EdgeMultiset]:
         tab.optimize()
-        y = tab.duals()
-        value, obj = price({eid: -y[i] for i, eid in enumerate(ids)})
+        value, obj = price(weights())
         return obj if value < 1 else None
 
-    return _generate_columns(tab, ids, -ONE, improving)
+    raw = _generate_columns(tab, ids, -ONE, improving)
+    sigma = sum((lam for lam, _ in raw), ZERO)
+    if sigma < 1:
+        w = weights()
+        shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
+        wx = sum((w[eid] * v for eid, v in rows), ZERO)
+        raise DecompositionError(
+            f"{what} packing value {sigma} < 1, so x is outside the dominant: "
+            f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
+    return make_combination(G, [(lam / sigma, obj) for lam, obj in raw], x, "dominated-by")
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]],
@@ -279,15 +315,16 @@ def _mst_price(G: Multigraph, support: Set[int]
     return price
 
 
-def min_tjoin(G: Multigraph, weights: Dict[int, Fraction], T: Set[int],
-              support: Optional[Set[int]] = None) -> Tuple[Fraction, EdgeMultiset]:
-    """Exact minimum weight T-join (nonnegative weights): shortest paths
-    between T-vertices plus an exact matching DP, symmetric difference."""
+def min_tjoin(G: Multigraph, weights: Dict[int, Fraction], T: Set[int]
+              ) -> Tuple[Fraction, EdgeMultiset]:
+    """Exact minimum weight T-join (nonnegative weights) in the edges that
+    `weights` lists: shortest paths between T-vertices plus an exact
+    matching DP, symmetric difference."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
     if not T:
         return ZERO, {}
-    allowed = support if support is not None else set(weights)
+    allowed = set(weights)
     scale = lcm(*[Fraction(weights[eid]).denominator for eid in allowed]) if allowed else 1
     iw = {eid: int(Fraction(weights[eid]) * scale) for eid in allowed}
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]
@@ -389,9 +426,10 @@ def _connector_price_max(G: Multigraph, support: Set[int]
     return price
 
 
-def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
+def _one_cover_price(crossing: List[FrozenSet[int]], candidate_ids: Set[int]
                      ) -> Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]]:
-    crossing = [cut_edges(G, shore) for shore, _ in one_edge_cuts(G, F)]
+    """Exact minimum 1-cover: a cheapest set of candidate edges meeting each
+    of the `crossing` edge sets (the 1-edge cuts of a connector)."""
     relevant: List[int] = sorted(
         eid for eid in candidate_ids if any(eid in c for c in crossing))
     if len(relevant) > 22:
@@ -409,8 +447,6 @@ def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
     full = (1 << len(crossing)) - 1
 
     def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
-        if not crossing:
-            return ZERO, {}
         best = None
         best_sub = 0
         for sub in range(1 << k):
@@ -438,22 +474,14 @@ def _one_cover_price(G: Multigraph, F: EdgeMultiset, candidate_ids: Set[int]
 
 def require_inside(result: MembershipResult) -> None:
     if not result.inside:
-        raise DecompositionError(
-            f"input vector is outside {result.polyhedron}: {result.detail}", result)
+        raise DecompositionError(f"input vector is outside {result.polyhedron}: {result.detail}")
 
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Spanning trees of the support of x, dominated by x."""
     require_inside(membership(G, x, "subtour"))
     support = {eid for eid, v in x.items() if v > 0}
-    rows = sorted((eid, x[eid]) for eid in support)
-    raw = _dominated_master(rows, _mst_price(G, support))
-    sigma = sum((lam for lam, _ in raw), ZERO)
-    if sigma < 1:
-        raise DecompositionError(f"tree packing value {sigma} < 1; x not in the dominant")
-    terms = [(lam / sigma, obj) for lam, obj in raw]
-    terms = caratheodory_reduce(terms, G.m + 1)
-    return make_combination(G, terms, dict(x), "dominated-by")
+    return _pack(G, x, "spanning tree", _mst_price(G, support))
 
 
 def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> ConvexCombination:
@@ -461,23 +489,8 @@ def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> ConvexCombina
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
     if not T:
-        return make_combination(G, [(ONE, {})], dict(x), "dominated-by")
-    support = {eid for eid, v in x.items() if v > 0}
-    rows = sorted((eid, x[eid]) for eid in support)
-
-    def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
-        return min_tjoin(G, weights, T, support=support)
-
-    raw = _dominated_master(rows, price)
-    sigma = sum((lam for lam, _ in raw), ZERO)
-    if sigma < 1:
-        check = membership(G, x, "tjoin-up", T=T)
-        raise DecompositionError(
-            f"T-join packing value {sigma} < 1; x not in the dominant "
-            f"({check.detail})", check if not check.inside else None)
-    terms = [(lam / sigma, obj) for lam, obj in raw]
-    terms = caratheodory_reduce(terms, G.m + 1)
-    return make_combination(G, terms, dict(x), "dominated-by")
+        return make_combination(G, [(ONE, {})], x, "dominated-by")
+    return _pack(G, x, "T-join", lambda weights: min_tjoin(G, weights, T))
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
@@ -492,12 +505,7 @@ def decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     raw = _equality_master(rows, _connector_price_max(G, set(xbar)))
     if raw is None:
         raise DecompositionError("x is not in the connector polytope")
-    terms = caratheodory_reduce(raw, G.m + 1)
-    comb = make_combination(G, terms, xbar, "equals")
-    for t in comb.terms:
-        if "connector" not in t.labels:
-            raise DecompositionError(f"non-connector term {t.edges}")
-    return comb
+    return make_combination(G, raw, xbar, "equals", "connector")
 
 
 def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
@@ -511,24 +519,11 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
             raise DecompositionError(f"y_e{eid} = {v} violates the alpha threshold {alpha}")
     factor = Fraction(2, 1) / (1 + alpha)
     target = {eid: factor * v for eid, v in y.items() if v > 0}
-    cuts = one_edge_cuts(G, F)
-    if not cuts:
+    crossing = [cut_edges(G, shore) for shore, _ in one_edge_cuts(G, F)]
+    if not crossing:
         return make_combination(G, [(ONE, {})], target, "dominated-by")
     require_inside(membership(G, y, "cover", F=F))
-    rows = sorted(target.items())
-    price = _one_cover_price(G, F, set(target))
-    raw = _dominated_master(rows, price)
-    sigma = sum((lam for lam, _ in raw), ZERO)
-    if sigma < 1:
-        raise DecompositionError(f"1-cover packing value {sigma} < 1")
-    terms = [(lam / sigma, obj) for lam, obj in raw]
-    terms = caratheodory_reduce(terms, G.m + 1)
-    comb = make_combination(G, terms, target, "dominated-by")
-    crossing = [cut_edges(G, shore) for shore, _ in cuts]
-    for t in comb.terms:
-        if any(c.isdisjoint(t.multiset()) for c in crossing):
-            raise DecompositionError("term fails to cover a 1-edge cut of F")
-    return comb
+    return _pack(G, target, "1-cover", _one_cover_price(crossing, set(target)))
 
 
 def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction
@@ -554,9 +549,4 @@ def wolsey_tours(G: Multigraph, x: EdgeVector) -> ConvexCombination:
             tour = multiset_union(tree, join_term.multiset())
             terms.append((tree_term.coefficient * join_term.coefficient, tour))
     target = {eid: Fraction(3, 2) * v for eid, v in x.items()}
-    terms = caratheodory_reduce(terms, G.m + 1)
-    comb = make_combination(G, terms, target, "dominated-by")
-    for t in comb.terms:
-        if "tour" not in t.labels:
-            raise DecompositionError(f"non-tour term {t.edges}")
-    return comb
+    return make_combination(G, terms, target, "dominated-by", "tour")

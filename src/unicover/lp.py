@@ -2,21 +2,18 @@
 cutting-plane subtour solver.
 
 Separation for the subtour polyhedron is an exact Stoer-Wagner min cut over
-rationals; T-odd cuts and the laminar 1-edge-cut family are separated by
-direct enumeration at desk scale.
+rationals; the laminar 1-edge-cut family of a connector is separated by
+direct enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .graph import (Cut, CutFamily, EdgeMultiset, EdgeVector, GraphError,
-                    Multigraph, connected_components, cut_edges, is_connected,
-                    multiset_degrees)
+from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError,
+                    Multigraph, connected_components, cut_edges, is_connected)
 from .simplex import solve_lp
-
-TJOIN_ENUMERATION_LIMIT = 14
 
 
 class LpInputError(GraphError):
@@ -75,28 +72,6 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     return Fraction(best_value), best_shore
 
 
-def _shores(n: int) -> Iterator[Tuple[int, ...]]:
-    """Every nonempty vertex set avoiding vertex 0, in bitmask order."""
-    for mask in range(1, 1 << (n - 1)):
-        yield tuple(v for v in range(1, n) if mask & (1 << (v - 1)))
-
-
-def brute_force_min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Reference oracle: exhaustive shore enumeration."""
-    if G.n < 2:
-        raise LpInputError("min cut needs at least 2 vertices")
-    if G.n > 16:
-        raise LpInputError("brute force min cut capped at n <= 16")
-    best = None
-    best_shore: Tuple[int, ...] = ()
-    for shore in _shores(G.n):
-        value = sum((cap.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
-        if best is None or value < best:
-            best = value
-            best_shore = shore
-    return best, best_shore
-
-
 def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...], int]]:
     """1-edge cuts of the connector F: list of (shore, bridge edge id).
 
@@ -126,48 +101,22 @@ class MembershipResult:
     value: Optional[Fraction] = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.inside
-
 
 def membership(G: Multigraph, x: EdgeVector, polyhedron: str,
-               T: Optional[Set[int]] = None,
                F: Optional[EdgeMultiset] = None) -> MembershipResult:
-    """Exact membership / separation for subtour, subtour-eq, tjoin-up, cover."""
+    """Exact membership / separation for the subtour polyhedron and for the
+    cover polyhedron of the connector F."""
     ids = set(G.edge_ids())
     for eid, value in x.items():
         if eid not in ids:
             raise LpInputError(f"vector supported outside the graph (e{eid})")
         if value < 0:
             return MembershipResult(polyhedron, False, detail=f"negative entry on e{eid}")
-    if polyhedron in ("subtour", "subtour-eq"):
-        if polyhedron == "subtour-eq":
-            for v, deg in enumerate(multiset_degrees(G, x)):
-                if deg != 2:
-                    return MembershipResult(polyhedron, False, shore=(v,), value=deg,
-                                            detail=f"degree of vertex {v} is {deg}, not 2")
+    if polyhedron == "subtour":
         value, shore = min_cut(G, x)
         if value < 2:
             return MembershipResult(polyhedron, False, shore=shore, value=value,
                                     detail=f"cut of value {value} < 2")
-        return MembershipResult(polyhedron, True)
-    if polyhedron == "tjoin-up":
-        if T is None:
-            raise LpInputError("tjoin-up needs T")
-        if len(T) % 2 == 1:
-            raise LpInputError("odd |T|")
-        if not T:
-            return MembershipResult(polyhedron, True)
-        if G.n > TJOIN_ENUMERATION_LIMIT:
-            raise LpInputError(
-                f"T-odd cut enumeration capped at n <= {TJOIN_ENUMERATION_LIMIT}")
-        for shore in _shores(G.n):
-            if len(set(shore) & T) % 2 == 0:
-                continue
-            value = sum((x.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
-            if value < 1:
-                return MembershipResult(polyhedron, False, shore=shore, value=value,
-                                        detail=f"T-odd cut of value {value} < 1")
         return MembershipResult(polyhedron, True)
     if polyhedron == "cover":
         if F is None:
@@ -188,9 +137,6 @@ class LpResult:
     cuts: Tuple[Cut, ...]          # constraint pool at termination
     separation_rounds: int
 
-    def active_cuts(self) -> CutFamily:
-        return CutFamily(self.cuts)
-
 
 def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]) -> Tuple[Fraction, EdgeVector]:
     ids = sorted(G.edge_ids())
@@ -208,13 +154,18 @@ def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]) -> Tuple[
     return sol.value, x
 
 
+def initial_shores(n: int) -> List[Tuple[int, ...]]:
+    """The first pool of solve_subtour: {v} for v = 1..n-1, and {1..n-1}."""
+    return [(v,) for v in range(1, n)] + [tuple(range(1, n))]
+
+
 def solve_subtour(G: Multigraph) -> LpResult:
     """Exact optimum of the subtour elimination LP by cutting planes."""
     if G.n < 3:
         raise LpInputError("LP modules reject n < 3")
     if not is_connected(G):
         raise LpInputError("disconnected input")
-    shores: List[Tuple[int, ...]] = [(v,) for v in range(1, G.n)] + [tuple(range(1, G.n))]
+    shores = initial_shores(G.n)
     seen = {cut_edges(G, s) for s in shores}
     rounds = 0
     while True:
@@ -232,22 +183,6 @@ def solve_subtour(G: Multigraph) -> LpResult:
         raise LpInputError("optimizer failed exact re-verification")
     cuts = tuple(Cut(tuple(sorted(shore)), cut_edges(G, shore)) for shore in shores)
     return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds)
-
-
-def brute_force_subtour(G: Multigraph) -> Tuple[Fraction, EdgeVector]:
-    """Oracle: subtour LP over the full exponential shore family (n <= 8)."""
-    if G.n > 8:
-        raise LpInputError("full-family LP capped at n <= 8")
-    if G.n < 3:
-        raise LpInputError("LP modules reject n < 3")
-    seen = set()
-    dedup = []
-    for s in _shores(G.n):
-        ids = cut_edges(G, s)
-        if ids not in seen:
-            seen.add(ids)
-            dedup.append(s)
-    return _solve_over_cuts(G, dedup)
 
 
 def everywhere(G: Multigraph, r: Fraction) -> EdgeVector:

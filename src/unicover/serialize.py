@@ -20,6 +20,11 @@ from .covers import Certificate
 from .approx import ApproxResult
 
 
+# What each kind's terms are: spanning trees, connectors, or connectors
+# crossing every 2-edge cut of the target's support an even number of times.
+DECOMPOSITION_KINDS = ("trees", "connectors", "even2cut")
+
+
 class ParseError(GraphError):
     def __init__(self, message: str, line: Optional[int] = None):
         if line is not None:
@@ -246,9 +251,13 @@ def decomposition_to_json(G: Multigraph, comb: ConvexCombination, kind: str) -> 
     }
 
 
-def decomposition_from_json(obj: dict) -> Tuple[Multigraph, ConvexCombination]:
+def decomposition_from_json(obj: dict) -> Tuple[Multigraph, Tuple[str, ConvexCombination]]:
+    """The graph, and the decomposition's kind with its combination."""
     with _fields("decomposition"):
-        return graph_from_json(obj["graph"]), combination_from_json(obj["combination"])
+        kind = obj["kind"]
+        if kind not in DECOMPOSITION_KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        return graph_from_json(obj["graph"]), (kind, combination_from_json(obj["combination"]))
 
 
 def certificate_to_json(G: Multigraph, cert: Certificate) -> dict:

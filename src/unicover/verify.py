@@ -10,14 +10,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
-from .graph import (GraphError, Multigraph, classify, enumerate_cuts_upto,
+from .graph import (GraphError, Multigraph, classify, cut_edges, enumerate_cuts_upto,
                     multiset_degrees, multiset_weight, require_profile)
 from .approx import ALGORITHM_TABLE, ApproxResult
+from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult
 from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
-from .lp import LpResult, membership, solve_subtour
+from .lp import LpResult, initial_shores, membership, solve_subtour
 
 ZERO = Fraction(0)
 
@@ -60,12 +62,22 @@ def _check_certificate(G: Multigraph, cert: Certificate) -> str:
     return f"variant {cert.variant} on n={G.n}"
 
 
-def _check_decomposition(G: Multigraph, comb: ConvexCombination) -> str:
-    verify_combination(G, comb)
-    for t in comb.terms:
-        if t.labels != frozenset(classify(G, t.multiset())):
-            raise VerifyError("stored term labels disagree with the classifier")
-    return f"{len(comb.terms)} terms, {comb.relation}"
+def _check_decomposition(G: Multigraph, doc: Tuple[str, ConvexCombination]) -> str:
+    kind, comb = doc
+    verify_combination(G, comb, "connector")
+    if kind == "trees":
+        for t in comb.terms:
+            if len(t.edges) != G.n - 1 or any(m != 1 for _, m in t.edges):
+                raise VerifyError(f"term {t.edges} is not a spanning tree")
+    elif kind == "even2cut":
+        pairs = two_cut_pairs(G, comb.target_vector())
+        for t in comb.terms:
+            f = t.multiset()
+            for a, b in pairs:
+                if (f.get(a, 0) + f.get(b, 0)) % 2:
+                    raise VerifyError(
+                        f"term {t.edges} crosses the 2-edge cut {{e{a},e{b}}} an odd number of times")
+    return f"{kind}: {len(comb.terms)} terms, {comb.relation}"
 
 
 def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
@@ -75,6 +87,26 @@ def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
     check = membership(G, lp.x, "subtour")
     if not check.inside:
         raise VerifyError(f"optimizer infeasible: {check.detail}")
+    # The pool starts with n shores; each separation round adds one whose
+    # cut is new.
+    n = G.n
+    if lp.separation_rounds != len(lp.cuts) - n:
+        raise VerifyError(f"separation_rounds {lp.separation_rounds} is not "
+                          f"len(cuts) - n = {len(lp.cuts) - n}")
+    if [c.shore for c in lp.cuts[:n]] != initial_shores(n):
+        raise VerifyError(f"the first {n} cuts are not the initial pool "
+                          f"{{v}} (v = 1..{n - 1}) and {{1..{n - 1}}}")
+    seen = set()
+    for i, c in enumerate(lp.cuts):
+        if not c.shore or list(c.shore) != sorted(set(c.shore)) \
+                or not all(0 < v < n for v in c.shore):
+            raise VerifyError(f"cuts[{i}].shore {list(c.shore)} is not a sorted set "
+                              f"of vertices in 1..{n - 1}")
+        if c.edge_ids != cut_edges(G, c.shore):
+            raise VerifyError(f"cuts[{i}].edges is not the set of edges leaving its shore")
+        if c.edge_ids in seen:
+            raise VerifyError(f"cuts[{i}] repeats the edge set of an earlier cut")
+        seen.add(c.edge_ids)
     return f"value {lp.value}"
 
 

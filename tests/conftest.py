@@ -2,12 +2,42 @@ from fractions import Fraction
 
 import pytest
 
-from unicover.graph import Edge, Multigraph
+from unicover.graph import Edge, Multigraph, cut_edges
+from unicover.lp import _solve_over_cuts
 
 
 def make_graph(n, pairs, weight=1):
     return Multigraph(n, tuple(
         Edge(u, v, Fraction(weight), i) for i, (u, v) in enumerate(pairs)))
+
+
+def shores(n):
+    """Every nonempty vertex set avoiding vertex 0, in bitmask order."""
+    for mask in range(1, 1 << (n - 1)):
+        yield tuple(v for v in range(1, n) if mask & (1 << (v - 1)))
+
+
+def brute_force_min_cut(G, cap):
+    """Reference oracle for min_cut: (value, shore) by exhaustive shore
+    enumeration."""
+    best, best_shore = None, ()
+    for shore in shores(G.n):
+        value = sum((cap.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
+        if best is None or value < best:
+            best, best_shore = value, shore
+    return best, best_shore
+
+
+def brute_force_subtour(G):
+    """Reference oracle for solve_subtour: the LP over every distinct cut,
+    as (value, x).  Exponential in n."""
+    seen, family = set(), []
+    for shore in shores(G.n):
+        ids = cut_edges(G, shore)
+        if ids not in seen:
+            seen.add(ids)
+            family.append(shore)
+    return _solve_over_cuts(G, family)
 
 
 @pytest.fixture

@@ -21,8 +21,10 @@ from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
                                random_node_weights, random_subcubic_2ec)
 from unicover.graph import (NodeWeights, classify, enumerate_cuts_upto,
                             multiset_degrees, multiset_weight)
-from unicover.lp import brute_force_subtour, solve_subtour
+from unicover.lp import solve_subtour
 from unicover.verify import verify_document
+
+from conftest import brute_force_subtour
 
 F = Fraction
 TIME_BUDGET = 60.0

@@ -1,17 +1,18 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicover.decompose import (ConvexCombination, DecompositionError,
-                                _equality_master, _kernel_vector, caratheodory_reduce,
-                                decompose_connectors,
+from unicover.decompose import (ConvexCombination, DecompositionError, Term,
+                                _equality_master, _kernel_vector, canonical,
+                                caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
                                 decompose_tjoins, make_combination, min_tjoin,
                                 verify_combination, wolsey_tours)
-from unicover.families import k4, k33, petersen, prism
-from unicover.graph import connected_components, multiset_degrees
+from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
+from unicover.graph import classify, connected_components, multiset_degrees
 from unicover.lp import everywhere
 from unicover.simplex import solve_lp
 
@@ -148,6 +149,22 @@ class TestTJoins:
         with pytest.raises(Exception, match="odd"):
             decompose_tjoins(k4(), {}, {0})
 
+    def test_outside_dominant_names_the_dual(self):
+        # The minimum {0, 1}-odd cut of 1/4 everywhere is a vertex star, 3/4.
+        for g in (k4(), random_cubic_3ec(16, 1)):
+            x = everywhere(g, F(1, 4))
+            with pytest.raises(DecompositionError,
+                               match=r"T-join packing value 3/4 < 1.*w\.x = 3/4") as info:
+                decompose_tjoins(g, x, {0, 1})
+            # The named weights certify it: every T-join weighs at least 1.
+            shown = re.search(r"w = \{(.*)\}", str(info.value)).group(1)
+            w = {e.id: F(0) for e in g.edges}
+            for eid, v in re.findall(r"e(\d+): ([\d/]+)", shown):
+                w[int(eid)] = F(v)
+            assert all(v >= 0 for v in w.values())
+            assert sum(w[eid] * v for eid, v in x.items()) == F(3, 4)
+            assert min_tjoin(g, w, {0, 1})[0] >= 1
+
 
 class TestMinTJoin:
     def exhaustive_min(self, g, weights, T):
@@ -248,10 +265,11 @@ class TestCaratheodory:
             caratheodory_reduce([(F(1, 2), {0: 1}), (F(1, 2), {1: 1})], 1)
 
     def test_bound_enforced_in_verify(self):
+        # make_combination reduces, so the oversized combination is built by hand.
         g = make_graph(2, [(0, 1)])
-        comb = make_combination(
-            g, [(F(1, 2), {0: 1}), (F(1, 4), {0: 2}), (F(1, 4), {})],
-            {0: F(1)}, "equals")
+        terms = tuple(Term(c, canonical(obj), frozenset(classify(g, obj)))
+                      for c, obj in [(F(1, 2), {0: 1}), (F(1, 4), {0: 2}), (F(1, 4), {})])
+        comb = ConvexCombination(terms, ((0, F(1)),), "equals")
         with pytest.raises(DecompositionError, match="bound"):
             verify_combination(g, comb)
 

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from unicover.families import k4, k5, k33, petersen, prism, random_cubic_3ec
 from unicover.graph import NodeWeights, cut_edges
-from unicover.lp import (LpInputError, brute_force_min_cut, brute_force_subtour,
-                         everywhere, membership, min_cut, one_edge_cuts,
+from unicover.lp import (LpInputError, everywhere, membership, min_cut, one_edge_cuts,
                          solve_subtour)
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 
-from conftest import make_graph
+from conftest import brute_force_min_cut, brute_force_subtour, make_graph
 
 F = Fraction
 
@@ -236,24 +235,10 @@ class TestMinCut:
 
 
 class TestMembership:
-    def test_everywhere_two_thirds_in_subtour_eq(self):
-        for g in [k4(), petersen(), k33()]:
-            assert membership(g, everywhere(g, F(2, 3)), "subtour-eq").inside
-
-    def test_subtour_eq_rejects_bad_degree(self, c4):
-        assert not membership(c4, everywhere(c4, F(2, 3)), "subtour-eq").inside
-
     def test_violated_cut_reported(self):
         g = petersen()
         res = membership(g, everywhere(g, F(1, 2)), "subtour")
         assert not res.inside and res.value == F(3, 2) and res.shore
-
-    def test_tjoin_up(self):
-        g = k4()
-        assert membership(g, everywhere(g, F(1, 3)), "tjoin-up", T={0, 1, 2, 3}).inside
-        assert not membership(g, everywhere(g, F(1, 4)), "tjoin-up", T={0, 1}).inside
-        with pytest.raises(LpInputError, match="odd"):
-            membership(g, {}, "tjoin-up", T={0})
 
     def test_cover_of_spanning_tree(self):
         g = k4()

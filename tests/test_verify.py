@@ -6,7 +6,9 @@ from unicover import serialize
 from unicover.approx import tsp_7_5_node_weighted, tsp_beta
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.decompose import decompose_spanning_trees
+from unicover.connectors import even_2cut_connectors
+from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
+                                make_combination)
 from unicover.families import k4, k33, petersen
 from unicover.graph import NodeWeights
 from unicover.lp import everywhere, solve_subtour
@@ -19,6 +21,11 @@ F = Fraction
 def cert_doc(g=None, variant="18/19"):
     g = g if g is not None else petersen()
     return serialize.certificate_to_json(g, uniform_cover(g, variant))
+
+
+def trees_doc(g):
+    comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+    return serialize.decomposition_to_json(g, comb, "trees")
 
 
 def approx_doc():
@@ -42,6 +49,13 @@ class TestAccepts:
         g = k4()
         comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
         assert verify_document(serialize.decomposition_to_json(g, comb, "trees")).ok
+
+    def test_decomposition_of_each_kind(self, two_triangles):
+        g, x = two_triangles, solve_subtour(two_triangles).x
+        for kind, comb in (("connectors", decompose_connectors(g, x)),
+                           ("even2cut", even_2cut_connectors(g, x))):
+            rep = verify_document(serialize.decomposition_to_json(g, comb, kind))
+            assert rep.ok and kind in rep.detail
 
     def test_lp_result(self):
         g = k33()
@@ -183,3 +197,56 @@ class TestRejects:
         doc = serialize.decomposition_to_json(g, comb, "trees")
         doc["combination"]["terms"][0]["classes"] = ["tour"]
         assert not verify_document(doc).ok
+
+    def test_decomposition_not_convex(self):
+        # Both edits keep the coefficient sum and the coverage.
+        doc = trees_doc(petersen())
+        assert verify_document(doc).ok
+        terms = doc["combination"]["terms"]
+        first = terms[0]
+        raised = dict(first, **{"lambda": serialize.frac_str(F(first["lambda"]) + 1)})
+        for edited in ([raised] + terms[1:] + [dict(first, **{"lambda": "-1/1"})],
+                       terms + [dict(first, **{"lambda": "0/1"})]):
+            doc["combination"]["terms"] = edited
+            rep = verify_document(doc)
+            assert not rep.ok and "coefficient" in rep.detail
+
+    def test_decomposition_kind_trees_needs_spanning_trees(self):
+        # The whole edge set is a connector, and 1 on every edge dominates it.
+        g = k4()
+        comb = make_combination(g, [(F(1), {e.id: 1 for e in g.edges})],
+                                everywhere(g, F(1)), "dominated-by")
+        doc = serialize.decomposition_to_json(g, comb, "trees")
+        rep = verify_document(doc)
+        assert not rep.ok and "spanning tree" in rep.detail
+        assert verify_document(dict(doc, kind="connectors")).ok
+
+    def test_decomposition_kind_even2cut_needs_even_crossings(self, two_triangles):
+        g, x = two_triangles, solve_subtour(two_triangles).x
+        doc = serialize.decomposition_to_json(g, decompose_connectors(g, x), "even2cut")
+        rep = verify_document(doc)
+        assert not rep.ok and "2-edge cut" in rep.detail
+
+    def test_decomposition_unknown_kind(self):
+        for kind in ("forests", ["trees"], None):
+            with pytest.raises(ParseError, match="kind"):
+                verify_document(dict(trees_doc(k4()), kind=kind))
+
+    def test_lp_result_cuts_tampered(self):
+        g = petersen()
+        doc = serialize.lp_result_to_json(g, solve_subtour(g))
+        rounds = doc["separation_rounds"]
+        bad_cut = {"shore": [0, 3], "edges": [5, 7, 9]}
+        for edit, field in (
+                ({"cuts": doc["cuts"] + [bad_cut], "separation_rounds": 42}, "separation_rounds"),
+                ({"separation_rounds": 42}, "separation_rounds"),
+                ({"cuts": doc["cuts"] + [bad_cut], "separation_rounds": rounds + 1}, "shore"),
+                ({"cuts": doc["cuts"] + [dict(bad_cut, shore=[3])],
+                  "separation_rounds": rounds + 1}, "edges"),
+                ({"cuts": doc["cuts"] + doc["cuts"][:1], "separation_rounds": rounds + 1},
+                 "repeats"),
+                ({"cuts": doc["cuts"][1:] + doc["cuts"][:1]}, "initial pool"),
+                ({"cuts": [dict(c, shore=c["shore"][::-1]) for c in doc["cuts"]]},
+                 "initial pool")):
+            rep = verify_document(dict(doc, **edit))
+            assert not rep.ok and field in rep.detail, (edit, rep)
