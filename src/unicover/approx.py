@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-from .graph import (EdgeMultiset, GraphError, Multigraph, NodeWeights, classify,
-                    kruskal, multiset_union, multiset_weight, odd_vertices,
+from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph, NodeWeights,
+                    classify, kruskal, multiset_union, multiset_weight, odd_vertices,
                     require_profile)
 from .cyclecover import contracted_cycle_cover
 from .connectors import even_2cut_connectors
 from .decompose import min_tjoin, one_cover_completions
-from .lp import solve_subtour
+from .lp import everywhere, initial_shores, solve_subtour
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,10 @@ ALGORITHM_TABLE: Dict[str, Algorithm] = {
 
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
+# A dual solution of the subtour LP: (shore, y) pairs, one per cut
+# x(delta(shore)) >= 2 with y > 0.
+Dual = Tuple[Tuple[Tuple[int, ...], Fraction], ...]
+
 
 class ApproxError(GraphError):
     pass
@@ -61,9 +65,11 @@ class ApproxResult:
     algorithm: str
     solution: Tuple[Tuple[int, int], ...]   # sorted (edge id, multiplicity)
     weight: Fraction
-    lower_bound: Fraction
+    lower_bound: Fraction                    # the subtour LP optimum
     ratio: Fraction                          # claimed approximation factor
     object_class: str
+    x: EdgeVector                            # an LP optimum: w.x = lower_bound
+    dual: Dual                               # an optimal dual: 2 * sum(y) = lower_bound
     beta: Optional[Fraction] = None
     profile: Optional[str] = None
 
@@ -72,7 +78,7 @@ class ApproxResult:
 
 
 def _finish(G: Multigraph, algorithm: str, sol: EdgeMultiset, z: Fraction,
-            beta: Optional[Fraction]) -> ApproxResult:
+            beta: Optional[Fraction], x: EdgeVector, dual: Dual) -> ApproxResult:
     spec = ALGORITHM_TABLE[algorithm]
     ratio = spec.ratio(beta)
     weight = multiset_weight(G, sol)
@@ -88,6 +94,8 @@ def _finish(G: Multigraph, algorithm: str, sol: EdgeMultiset, z: Fraction,
         lower_bound=z,
         ratio=ratio,
         object_class=spec.object_class,
+        x=x,
+        dual=dual,
         beta=beta,
         profile=spec.profile,
     )
@@ -119,7 +127,13 @@ def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResul
         augment = {eid: 2 for eid in T}
     else:   # a one-vertex contraction has an empty tree and nothing to join
         augment = multiset_union(T, _parity_join(H, T)[1]) if T else {}
-    return _finish(Gw, algorithm, multiset_union(C, augment), z, None)
+    # The LP optimum in closed form: 2/3 on every edge meets each cut (of 3
+    # or more edges) with 2, and y = f_v on the cut around each vertex v
+    # (the shore {1..n-1} stands for {0}) is tight on every edge, as
+    # w_uv = f_u + f_v; both weigh 2 f(V) = z.
+    dual = tuple(zip(initial_shores(G.n), f.f[1:] + f.f[:1]))
+    return _finish(Gw, algorithm, multiset_union(C, augment), z, None,
+                   everywhere(Gw, Fraction(2, 3)), dual)
 
 
 def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
@@ -146,7 +160,8 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
         if 3 * jw > G.total_weight():
             raise ApproxError("parity join weighs more than a third of the graph")
         sol = multiset_union(F, join)
-    return _finish(G, algorithm, sol, z, beta)
+    dual = tuple((c.shore, y) for c, y in zip(lp.cuts, lp.duals) if y)
+    return _finish(G, algorithm, sol, z, beta, lp.x, dual)
 
 
 def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]) -> ApproxResult:

@@ -136,9 +136,13 @@ class LpResult:
     x: EdgeVector
     cuts: Tuple[Cut, ...]          # constraint pool at termination
     separation_rounds: int
+    duals: Tuple[Fraction, ...]    # an optimal y >= 0, one per cut; 2 * sum(y) = value
 
 
-def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]) -> Tuple[Fraction, EdgeVector]:
+def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]
+                     ) -> Tuple[Fraction, EdgeVector, List[Fraction]]:
+    """min w.x over x(delta(S)) >= 2 for each shore S: the value, x, and
+    an optimal dual, one y >= 0 per shore."""
     ids = sorted(G.edge_ids())
     index = {eid: i for i, eid in enumerate(ids)}
     weight = {e.id: e.weight for e in G.edges}
@@ -151,7 +155,7 @@ def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]) -> Tuple[
         rows.append((a, ">=", Fraction(2)))
     sol = solve_lp(c, rows)
     x = {eid: sol.x[i] for i, eid in enumerate(ids) if sol.x[i] != 0}
-    return sol.value, x
+    return sol.value, x, sol.duals
 
 
 def initial_shores(n: int) -> List[Tuple[int, ...]]:
@@ -169,7 +173,7 @@ def solve_subtour(G: Multigraph) -> LpResult:
     seen = {cut_edges(G, s) for s in shores}
     rounds = 0
     while True:
-        value, x = _solve_over_cuts(G, shores)
+        value, x, duals = _solve_over_cuts(G, shores)
         mc_value, mc_shore = min_cut(G, x)
         if mc_value >= 2:
             break
@@ -182,7 +186,8 @@ def solve_subtour(G: Multigraph) -> LpResult:
     if not membership(G, x, "subtour").inside:
         raise LpInputError("optimizer failed exact re-verification")
     cuts = tuple(Cut(tuple(sorted(shore)), cut_edges(G, shore)) for shore in shores)
-    return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds)
+    return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds,
+                    duals=tuple(duals))
 
 
 def everywhere(G: Multigraph, r: Fraction) -> EdgeVector:

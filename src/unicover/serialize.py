@@ -147,6 +147,14 @@ def _edge_set(ids: List[int], field: str) -> FrozenSet[int]:
     return frozenset(ids)
 
 
+def _edge_pairs(pairs: List[List[int]], field: str) -> Tuple[Tuple[int, int], ...]:
+    """Stored (edge id, multiplicity) pairs; a repeated id is caught as in
+    _edge_set, so no two readers of the pairs can disagree."""
+    pairs = tuple((int(eid), int(m)) for eid, m in pairs)
+    _edge_set([eid for eid, _ in pairs], field)
+    return pairs
+
+
 def graph_to_json(G: Multigraph) -> dict:
     return {
         "n": G.n,
@@ -178,9 +186,9 @@ def combination_from_json(obj: dict) -> ConvexCombination:
     with _fields("combination"):
         terms = tuple(
             Term(parse_frac(t["lambda"]),
-                 tuple((int(eid), int(m)) for eid, m in t["edges"]),
+                 _edge_pairs(t["edges"], f"terms[{i}].edges"),
                  frozenset(t.get("classes", ())))
-            for t in obj["terms"])
+            for i, t in enumerate(obj["terms"]))
         target = tuple(sorted(vector_from_json(obj["target"]).items()))
         return ConvexCombination(terms, target, obj["relation"])
 
@@ -191,8 +199,8 @@ def lp_result_to_json(G: Multigraph, res: LpResult) -> dict:
         "graph": graph_to_json(G),
         "value": frac_str(res.value),
         "x": vector_to_json(res.x),
-        "cuts": [{"shore": list(c.shore), "edges": sorted(c.edge_ids)}
-                 for c in res.cuts],
+        "cuts": [{"shore": list(c.shore), "edges": sorted(c.edge_ids), "y": frac_str(y)}
+                 for c, y in zip(res.cuts, res.duals)],
         "separation_rounds": res.separation_rounds,
     }
 
@@ -207,6 +215,7 @@ def lp_result_from_json(obj: dict) -> Tuple[Multigraph, LpResult]:
                            _edge_set(c["edges"], f"cuts[{i}].edges"))
                        for i, c in enumerate(obj["cuts"])),
             separation_rounds=int(obj["separation_rounds"]),
+            duals=tuple(parse_frac(c["y"]) for c in obj["cuts"]),
         )
         return G, res
 
@@ -301,6 +310,8 @@ def approx_to_json(G: Multigraph, res: ApproxResult) -> dict:
         "lower_bound": frac_str(res.lower_bound),
         "ratio": frac_str(res.ratio),
         "object_class": res.object_class,
+        "x": vector_to_json(res.x),
+        "dual": [[list(shore), frac_str(y)] for shore, y in res.dual],
     }
     if res.beta is not None:
         out["beta"] = frac_str(res.beta)
@@ -314,11 +325,14 @@ def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
         G = graph_from_json(obj["graph"])
         res = ApproxResult(
             algorithm=obj["algorithm"],
-            solution=tuple((int(eid), int(m)) for eid, m in obj["solution"]),
+            solution=_edge_pairs(obj["solution"], "solution"),
             weight=parse_frac(obj["weight"]),
             lower_bound=parse_frac(obj["lower_bound"]),
             ratio=parse_frac(obj["ratio"]),
             object_class=obj["object_class"],
+            x=vector_from_json(obj["x"]),
+            dual=tuple((tuple(int(v) for v in shore), parse_frac(y))
+                       for shore, y in obj["dual"]),
             beta=parse_frac(obj["beta"]) if "beta" in obj else None,
             profile=obj.get("profile"),
         )

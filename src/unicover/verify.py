@@ -1,25 +1,29 @@
 """Independent re-verification of serialized artifacts.
 
-Verification never calls the construction pipelines: it rebuilds every claim
-from the raw JSON fields (graph, terms, coefficients, bounds) and checks them
-with exact arithmetic, so a certificate produced elsewhere is accepted or
-rejected on its own merits.
+Verification never calls the construction pipelines or the simplex: it
+rebuilds every claim from the raw JSON fields (graph, terms, coefficients,
+bounds) and checks them with exact arithmetic, so a certificate produced
+elsewhere is accepted or rejected on its own merits.  A stored subtour LP
+optimum is certified by weak duality: a primal x in the subtour polytope
+(one min cut) and a dual y >= 0 on cuts that no edge overloads, with
+w.x = 2 * sum(y) = the stored value.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Sequence, Tuple
 
-from .graph import (GraphError, Multigraph, classify, cut_edges, enumerate_cuts_upto,
-                    multiset_degrees, multiset_weight, require_profile)
+from .graph import (EdgeVector, GraphError, Multigraph, classify, cut_edges,
+                    enumerate_cuts_upto, multiset_degrees, multiset_weight,
+                    require_profile)
 from .approx import ALGORITHM_TABLE, ApproxResult
 from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult
 from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
-from .lp import LpResult, initial_shores, membership, solve_subtour
+from .lp import LpResult, initial_shores, membership
 
 ZERO = Fraction(0)
 
@@ -80,13 +84,43 @@ def _check_decomposition(G: Multigraph, doc: Tuple[str, ConvexCombination]) -> s
     return f"{kind}: {len(comb.terms)} terms, {comb.relation}"
 
 
-def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
-    total = sum((e.weight * lp.x.get(e.id, ZERO) for e in G.edges), ZERO)
-    if total != lp.value:
-        raise VerifyError(f"objective {total} != stored {lp.value}")
-    check = membership(G, lp.x, "subtour")
+def _check_shore(shore: Tuple[int, ...], n: int, field: str) -> None:
+    if not shore or list(shore) != sorted(set(shore)) or not all(0 < v < n for v in shore):
+        raise VerifyError(f"{field} {list(shore)} is not a sorted set of vertices in 1..{n - 1}")
+
+
+def _check_subtour_optimum(G: Multigraph, value: Fraction, x: EdgeVector,
+                           dual: Sequence[Tuple[Tuple[int, ...], Fraction]],
+                           fields: Tuple[str, str] = ("lower_bound", "dual")) -> None:
+    """value is the subtour LP optimum: x is feasible, the (shore, y) pairs
+    are a feasible dual, and both weigh value.  fields names the stored
+    value and dual in a report."""
+    value_field, dual_field = fields
+    check = membership(G, x, "subtour")
     if not check.inside:
-        raise VerifyError(f"optimizer infeasible: {check.detail}")
+        raise VerifyError(f"x is not in the subtour polytope: {check.detail}")
+    total = sum((e.weight * x.get(e.id, ZERO) for e in G.edges), ZERO)
+    if total != value:
+        raise VerifyError(f"x weighs {total}, not the stored {value_field} {value}")
+    n = G.n
+    load: Dict[int, Fraction] = {}
+    for i, (shore, y) in enumerate(dual):
+        _check_shore(shore, n, f"{dual_field}[{i}] shore")
+        if y < 0:
+            raise VerifyError(f"{dual_field}[{i}] has y = {y} < 0")
+        for eid in cut_edges(G, shore):
+            load[eid] = load.get(eid, ZERO) + y
+    for e in G.edges:
+        if load.get(e.id, ZERO) > e.weight:
+            raise VerifyError(f"the y of {dual_field} load e{e.id} with {load[e.id]}, "
+                              f"more than its weight {e.weight}")
+    bound = 2 * sum((y for _, y in dual), ZERO)
+    if bound != value:
+        raise VerifyError(f"2 * sum(y) over {dual_field} is {bound}, "
+                          f"not the stored {value_field} {value}")
+
+
+def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
     # The pool starts with n shores; each separation round adds one whose
     # cut is new.
     n = G.n
@@ -98,15 +132,14 @@ def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
                           f"{{v}} (v = 1..{n - 1}) and {{1..{n - 1}}}")
     seen = set()
     for i, c in enumerate(lp.cuts):
-        if not c.shore or list(c.shore) != sorted(set(c.shore)) \
-                or not all(0 < v < n for v in c.shore):
-            raise VerifyError(f"cuts[{i}].shore {list(c.shore)} is not a sorted set "
-                              f"of vertices in 1..{n - 1}")
+        _check_shore(c.shore, n, f"cuts[{i}].shore")
         if c.edge_ids != cut_edges(G, c.shore):
             raise VerifyError(f"cuts[{i}].edges is not the set of edges leaving its shore")
         if c.edge_ids in seen:
             raise VerifyError(f"cuts[{i}] repeats the edge set of an earlier cut")
         seen.add(c.edge_ids)
+    _check_subtour_optimum(G, lp.value, lp.x, [(c.shore, y) for c, y in zip(lp.cuts, lp.duals)],
+                           ("value", "cuts"))
     return f"value {lp.value}"
 
 
@@ -129,10 +162,9 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> str:
         raise VerifyError(f"ratio {res.ratio} does not match the algorithm's {want}")
     if res.profile is not None:
         require_profile(G, res.profile, VerifyError)
-    z = solve_subtour(G).value
-    if res.lower_bound != z:
-        raise VerifyError(f"stored lower bound {res.lower_bound} != LP optimum {z}")
-    if res.beta is not None and res.beta != G.total_weight() / z:
+    z = res.lower_bound
+    _check_subtour_optimum(G, z, res.x, res.dual)
+    if res.beta is not None and (z <= 0 or res.beta != G.total_weight() / z):
         raise VerifyError("stored beta does not match w(E)/z")
     if weight > res.ratio * z:
         raise VerifyError(f"weight {weight} exceeds {res.ratio} * {z}")

@@ -30,7 +30,7 @@ def brute_force_min_cut(G, cap):
 
 def brute_force_subtour(G):
     """Reference oracle for solve_subtour: the LP over every distinct cut,
-    as (value, x).  Exponential in n."""
+    as (value, x, duals).  Exponential in n."""
     seen, family = set(), []
     for shore in shores(G.n):
         ids = cut_edges(G, shore)

@@ -124,8 +124,9 @@ class TestContraction:
 @pytest.mark.parametrize("n", [24, 28, 32])
 def test_beyond_twenty_vertices(n):
     """Cycle covers and the node-weighted approximations past the old n <= 20
-    cap.  The approx documents are not verified here: verify re-solves the
-    subtour LP, which is the slow step at this size."""
+    cap, each verified from its document.  verify checks an approx
+    document's stored LP optimum and dual without solving the LP, so this
+    stays fast at n = 32."""
     g, f = random_cubic_3ec(n, 0), random_node_weights(n, 0)
     gw = f.induced_graph(g)
     res = find_covering_cycle_cover(gw)
@@ -133,3 +134,4 @@ def test_beyond_twenty_vertices(n):
     for run in (tsp_7_5_node_weighted, twoec_13_10_node_weighted):
         out = run(g, f)
         assert out.weight <= out.ratio * out.lower_bound
+        assert verify_document(serialize.approx_to_json(gw, out)).ok

@@ -24,6 +24,7 @@ from unicover.families import (k4, k5, k33, petersen, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
 from unicover.graph import NodeWeights, enumerate_cuts_upto
 from unicover.lp import solve_subtour
+from unicover.verify import verify_document
 
 
 def digest(doc: dict) -> str:
@@ -67,17 +68,17 @@ def _beta(run):
 
 APPROX = [
     ("tsp75", lambda: _node_weighted(tsp_7_5_node_weighted, petersen, 10),
-     "01f833e800ef9390c67df7f06d3ab294710fec17963e123621e89a3d6a7e48f8"),
+     "737523519c52da64f4a84e978d95d8e2a8ca531f3092d52b5a3417cc159d880c"),
     ("twoec1310", lambda: _node_weighted(twoec_13_10_node_weighted, petersen, 10),
-     "27f560577e916e94c3a27bfa0edf3f93fb3dcd5b42dc2ed95c598b4924f9a6cd"),
+     "e83366a8356a84d0d57d208d679ca7442e8669aad5cecd8b033c8a285dd472d5"),
     ("bip43", lambda: _node_weighted(lambda G, f: approximate("bip43", G, f), k33, 6),
-     "38816ffcfd7406ab04396d7fbbd346f4b747978b9cf20447e86d1a33c6511051"),
+     "4d037b06445450d569486d5fd4c0a213480c3cc5bba656a4c4581aff8582b10b"),
     ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f), k33, 6),
-     "c717b2e15559979e8937d45663b6053f183c1b700fbd64053a30255edc4499d5"),
+     "5844e8fe36bbcd1619e164c47b598f41b1f7378432741922b20d46b3f71cb132"),
     ("twoecbeta", lambda: _beta(twoec_beta),
-     "0539bc881a1b9d8e183b4ad2e8e8f98523b950d0d3c1c43384d63bca33f1f206"),
+     "6c5b99468e9ecd80fc2c2680e5d02259815c97a4355448b7cd26094a449ab11c"),
     ("tspbeta", lambda: _beta(tsp_beta),
-     "44e8d9647efb3f35a74bdc1f1460ae3a4757401257a0258fcf42ef47637a099d"),
+     "7331c8044bf03a05665d9c016138b1bb32402edc26d42aec1512cceefc41da4c"),
 ]
 
 
@@ -86,6 +87,7 @@ def test_approx_artifact_bytes(algorithm, build, sha):
     doc = build()
     assert doc["algorithm"] == algorithm
     assert digest(doc) == sha
+    assert verify_document(doc).ok
 
 
 def _subcubic():
@@ -110,9 +112,9 @@ def _cycle_cover():
 
 SOLVER_DOCUMENTS = [
     ("lp-petersen", lambda: _lp(petersen),
-     "fa31900cd4753cfb91bff6edc953f8418d018bf660524cb520d7697539a8ffe2"),
+     "088bcf86fdcf14a11c06e4e709323683035307dc8b3b3185bf52cde18510ada1"),
     ("lp-subcubic", lambda: _lp(_subcubic),
-     "cc2a6132be29a49233adf09faffd3abea76d17ddd45a5b8577174cd0c76eda0d"),
+     "d0411e2fa3cb10ec867b3af1c73f7ba3e177753afe97a42ec5ca2d3da85bba41"),
     ("trees-petersen", lambda: _decomposition(petersen, decompose_spanning_trees, "trees"),
      "890db9f6ae7b759977cde0cfed1542451aff9e00ed0494db992f3ecbcdbacdff"),
     ("connectors-subcubic",
@@ -126,7 +128,9 @@ SOLVER_DOCUMENTS = [
 @pytest.mark.parametrize("name,build,sha", SOLVER_DOCUMENTS,
                          ids=[n for n, _, _ in SOLVER_DOCUMENTS])
 def test_solver_document_bytes(name, build, sha):
-    assert digest(build()) == sha
+    doc = build()
+    assert digest(doc) == sha
+    assert verify_document(doc).ok
 
 
 def test_small_cut_family_bytes():

@@ -1,15 +1,18 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from unicover import serialize
-from unicover.approx import tsp_7_5_node_weighted, tsp_beta
+from unicover import serialize, simplex
+from unicover.approx import (tsp_7_5_node_weighted, tsp_beta, twoec_13_10_node_weighted,
+                             twoec_beta)
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
 from unicover.connectors import even_2cut_connectors
 from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
                                 make_combination)
-from unicover.families import k4, k33, petersen
+from unicover.families import (k4, k33, petersen, random_node_weights,
+                               random_subcubic_2ec)
 from unicover.graph import NodeWeights
 from unicover.lp import everywhere, solve_subtour
 from unicover.serialize import ParseError
@@ -31,6 +34,64 @@ def trees_doc(g):
 def approx_doc():
     g = NodeWeights((F(1),) * 10).induced_graph(petersen())
     return serialize.approx_to_json(g, tsp_beta(g))
+
+
+def node_weighted_doc(run):
+    g, f = petersen(), random_node_weights(10, 5)
+    return serialize.approx_to_json(f.induced_graph(g), run(g, f))
+
+
+def beta_doc(run):
+    g = random_node_weights(8, 11).induced_graph(random_subcubic_2ec(8, 3))
+    return serialize.approx_to_json(g, run(g))
+
+
+# One approx document of each kind of stored optimum: the closed form of
+# the node-weighted algorithms and the cutting-plane LP of the beta ones.
+OPTIMUM_DOCS = {
+    "tsp75": lambda: node_weighted_doc(tsp_7_5_node_weighted),
+    "twoec1310": lambda: node_weighted_doc(twoec_13_10_node_weighted),
+    "twoecbeta": lambda: beta_doc(twoec_beta),
+    "tspbeta": lambda: beta_doc(tsp_beta),
+}
+
+
+def _raise_y(doc):
+    # Past the graph's whole weight, the cut's every edge is overloaded.
+    total = sum(F(w) for _, _, w, _ in doc["graph"]["edges"])
+    shore, y = doc["dual"][0]
+    doc["dual"][0] = [shore, serialize.frac_str(F(y) + total)]
+
+
+def _set_y(doc, y):
+    doc["dual"][0] = [doc["dual"][0][0], y]
+
+
+def _set_shore(doc, shore):
+    doc["dual"][-1] = [shore, doc["dual"][-1][1]]
+
+
+def _scale_x(doc, r):
+    doc["x"] = {k: serialize.frac_str(F(v) * r) for k, v in doc["x"].items()}
+
+
+def _raise_x(doc):
+    # A larger x stays in the subtour polytope but weighs more.
+    doc["x"]["0"] = serialize.frac_str(F(doc["x"].get("0", "0")) + 1)
+
+
+# edit of an approx document -> (the field, and the check, the report names)
+OPTIMUM_EDITS = {
+    "y-raised": (_raise_y, "dual", "more than its weight"),
+    "cut-dropped": (lambda doc: doc["dual"].pop(), "dual", "2 * sum(y)"),
+    "y-negative": (lambda doc: _set_y(doc, "-1/1"), "dual[0]", "y = -1 < 0"),
+    "shore-with-0": (lambda doc: _set_shore(doc, [0] + doc["dual"][-1][0]),
+                     "shore", "not a sorted set"),
+    "shore-unsorted": (lambda doc: _set_shore(doc, list(range(doc["graph"]["n"] - 1, 0, -1))),
+                       "shore", "not a sorted set"),
+    "x-scaled": (lambda doc: _scale_x(doc, F(9, 10)), "x", "not in the subtour polytope"),
+    "x-off-bound": (_raise_x, "x", "not the stored lower_bound"),
+}
 
 
 class TestAccepts:
@@ -60,6 +121,12 @@ class TestAccepts:
     def test_lp_result(self):
         g = k33()
         doc = serialize.lp_result_to_json(g, solve_subtour(g))
+        assert verify_document(doc).ok
+
+    @pytest.mark.parametrize("algorithm", OPTIMUM_DOCS)
+    def test_approx_stores_an_optimum(self, algorithm):
+        doc = OPTIMUM_DOCS[algorithm]()
+        assert doc["algorithm"] == algorithm and doc["dual"]
         assert verify_document(doc).ok
 
     def test_cycle_cover(self):
@@ -236,7 +303,7 @@ class TestRejects:
         g = petersen()
         doc = serialize.lp_result_to_json(g, solve_subtour(g))
         rounds = doc["separation_rounds"]
-        bad_cut = {"shore": [0, 3], "edges": [5, 7, 9]}
+        bad_cut = {"shore": [0, 3], "edges": [5, 7, 9], "y": "0/1"}
         for edit, field in (
                 ({"cuts": doc["cuts"] + [bad_cut], "separation_rounds": 42}, "separation_rounds"),
                 ({"separation_rounds": 42}, "separation_rounds"),
@@ -250,3 +317,89 @@ class TestRejects:
                  "initial pool")):
             rep = verify_document(dict(doc, **edit))
             assert not rep.ok and field in rep.detail, (edit, rep)
+
+    @pytest.mark.parametrize("edit", OPTIMUM_EDITS)
+    @pytest.mark.parametrize("algorithm", OPTIMUM_DOCS)
+    def test_approx_optimum_tampered(self, algorithm, edit):
+        doc = OPTIMUM_DOCS[algorithm]()
+        change, field, check = OPTIMUM_EDITS[edit]
+        change(doc)
+        rep = verify_document(doc)
+        assert not rep.ok and field in rep.detail and check in rep.detail, rep
+
+    def test_approx_zero_lower_bound(self):
+        # On zero weights, x = 1 and the empty dual certify a bound of 0,
+        # against which no beta = w(E) / 0 can be checked.
+        g = k4().with_weights({e.id: 0 for e in k4().edges})
+        tour = {frozenset(p) for p in ((0, 1), (1, 2), (2, 3), (3, 0))}
+        doc = {"type": "approx-result", "graph": serialize.graph_to_json(g),
+               "algorithm": "tspbeta", "object_class": "tour",
+               "solution": [[e.id, 1] for e in g.edges if frozenset((e.u, e.v)) in tour],
+               "weight": "0/1", "lower_bound": "0/1", "beta": "1/1", "ratio": "4/3",
+               "x": {str(e.id): "1/1" for e in g.edges}, "dual": []}
+        rep = verify_document(doc)
+        assert not rep.ok and "beta" in rep.detail
+
+    def test_lp_result_not_optimal(self):
+        # x = 1 everywhere is feasible and weighs its value 15, but the
+        # optimum is 10: no stored dual can certify 15.
+        g = petersen()
+        doc = serialize.lp_result_to_json(g, solve_subtour(g))
+        assert doc["value"] == "10/1"
+        doc.update(x={str(e.id): "1/1" for e in g.edges}, value="15/1")
+        rep = verify_document(doc)
+        assert not rep.ok and "2 * sum(y) over cuts is 10" in rep.detail
+
+    def test_lp_result_dual_tampered(self):
+        g = petersen()
+        doc = serialize.lp_result_to_json(g, solve_subtour(g))
+        doc["cuts"][0]["y"] = "-1/1"
+        rep = verify_document(doc)
+        assert not rep.ok and "cuts[0] has y = -1" in rep.detail
+        doc["cuts"][0]["y"] = "2/1"
+        rep = verify_document(doc)
+        assert not rep.ok and "the y of cuts load" in rep.detail
+
+    def test_decomposition_repeated_term_edge(self, two_triangles):
+        # The second term's [7, 2] split into [7, 1], [7, 1] keeps the
+        # coverage but not the term classify would see.
+        g, x = two_triangles, solve_subtour(two_triangles).x
+        doc = serialize.decomposition_to_json(g, decompose_connectors(g, x), "connectors")
+        edges = doc["combination"]["terms"][1]["edges"]
+        assert edges[-1] == [7, 2]
+        edges[-1:] = [[7, 1], [7, 1]]
+        with pytest.raises(ParseError, match=r"terms\[1\]\.edges repeats an edge id"):
+            verify_document(doc)
+
+    def test_approx_repeated_solution_edge(self):
+        doc = approx_doc()
+        eid, m = next(p for p in doc["solution"] if p[1] == 2)
+        doc["solution"].remove([eid, m])
+        doc["solution"] += [[eid, 1], [eid, 1]]
+        with pytest.raises(ParseError, match="solution repeats an edge id"):
+            verify_document(doc)
+
+
+def test_verify_never_enters_the_simplex(monkeypatch, two_triangles):
+    g, x = two_triangles, solve_subtour(two_triangles).x
+    docs = [cert_doc(k4()), trees_doc(k4()),
+            serialize.decomposition_to_json(g, even_2cut_connectors(g, x), "even2cut"),
+            serialize.lp_result_to_json(k33(), solve_subtour(k33())),
+            serialize.cycle_cover_to_json(petersen(), find_covering_cycle_cover(petersen()))]
+    docs += [build() for build in OPTIMUM_DOCS.values()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran an LP solver")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unicover"):
+            for attr in ("solve_lp", "solve_subtour"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(simplex.Tableau, "optimize", refuse)
+    kinds = set()
+    for doc in docs:
+        rep = verify_document(doc)
+        assert rep.ok, rep
+        kinds.add(rep.kind)
+    assert len(kinds) == 5
