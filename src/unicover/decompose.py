@@ -3,7 +3,10 @@
 All decompositions run exact column generation: a fraction-free simplex master
 over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
-exhaustive minimum 1-cover).  Optimality of the pricing step proves optimality
+minimum 1-cover over the minimal covers, listed once per connector).  The
+masters price with their undivided integer duals (π, s), y = π / s: each
+oracle's choices depend only on the order of the weights, which scaling by
+s > 0 keeps, ties included.  Optimality of the pricing step proves optimality
 of the master over the full object class, so a failed decomposition is a
 genuine infeasibility, not a search artifact.  A failed packing names the
 master's final duals: edge weights under which every object weighs at least 1
@@ -18,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
@@ -30,6 +33,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CanonicalObject = Tuple[Tuple[int, int], ...]   # sorted ((edge id, multiplicity), ...)
+Weights = Dict[int, Union[int, Fraction]]       # edge id -> pricing weight
+Oracle = Callable[[Weights], Tuple[Union[int, Fraction], EdgeMultiset]]
 
 
 class DecompositionError(GraphError):
@@ -238,34 +243,31 @@ def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
     return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
 
 
-def _pack(G: Multigraph, x: EdgeVector, what: str,
-          price: Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]],
-          ) -> ConvexCombination:
+def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> ConvexCombination:
     """Objects of one class dominated by x, from the master
     max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
 
-    `price` gets nonnegative edge weights and must return an exact minimum
-    weight object of the class (weight, multiset).  When the packing value
-    sigma is below 1, the final weights w = -y prove it: every object weighs
-    at least 1 under w, but w.x = sigma.
+    `price` gets nonnegative edge weights, the int duals -π on the scale s,
+    and must return an exact minimum weight object of the class (weight,
+    multiset); the object prices out when it weighs less than s.  When the
+    packing value sigma is below 1, the final weights w = -y = -π / s prove
+    it: every object weighs at least 1 under w, but w.x = sigma.
     """
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
     ids = [eid for eid, _ in rows]
     tab = Tableau([v for _, v in rows], [ZERO] * len(ids))    # slacks
 
-    def weights() -> Dict[int, Fraction]:
-        y = tab.duals()
-        return {eid: -y[i] for i, eid in enumerate(ids)}
-
     def improving() -> Optional[EdgeMultiset]:
         tab.optimize()
-        value, obj = price(weights())
-        return obj if value < 1 else None
+        pi, s = tab.int_duals()
+        value, obj = price({eid: -pi[i] for i, eid in enumerate(ids)})
+        return obj if value < s else None
 
     raw = _generate_columns(tab, ids, -ONE, improving)
     sigma = sum((lam for lam, _ in raw), ZERO)
     if sigma < 1:
-        w = weights()
+        y = tab.duals()
+        w = {eid: -y[i] for i, eid in enumerate(ids)}
         shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
         wx = sum((w[eid] * v for eid, v in rows), ZERO)
         raise DecompositionError(
@@ -274,13 +276,13 @@ def _pack(G: Multigraph, x: EdgeVector, what: str,
     return make_combination(G, [(lam / sigma, obj) for lam, obj in raw], x, "dominated-by")
 
 
-def _equality_master(target_rows: List[Tuple[int, Fraction]],
-                     price_max: Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]],
+def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
                      ) -> Optional[List[Tuple[Fraction, EdgeMultiset]]]:
     """Find lambda >= 0, sum = 1, sum(lambda * chi) = target; None if impossible.
 
-    `price_max` gets arbitrary-sign edge weights and must return an exact
-    maximum weight object of the class.
+    `price_max` gets arbitrary-sign edge weights, the int duals π of the
+    edge rows, and must return an exact maximum weight object of the class;
+    it prices out when it weighs more than -π of the convexity row.
     """
     ids = [eid for eid, _ in target_rows]
     nrows = len(ids) + 1               # + convexity row
@@ -289,9 +291,9 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]],
 
     def improving() -> Optional[EdgeMultiset]:
         tab.optimize(forbidden=artificials if tab.obj == 0 else None)
-        y = tab.duals()
-        value, obj = price_max({eid: y[i] for i, eid in enumerate(ids)})
-        return obj if value > -y[-1] else None
+        pi, _ = tab.int_duals()
+        value, obj = price_max({eid: pi[i] for i, eid in enumerate(ids)})
+        return obj if value > -pi[-1] else None
 
     lambdas = _generate_columns(tab, ids, ZERO, improving)
     return lambdas if tab.obj == 0 else None
@@ -301,32 +303,32 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]],
 # Pricing routines
 
 
-def _mst_price(G: Multigraph, support: Set[int]
-               ) -> Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]]:
+def _mst_price(G: Multigraph, support: Set[int]) -> Oracle:
     edges = sorted((e for e in G.edges if e.id in support), key=lambda e: e.id)
 
-    def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
-        order = sorted(edges, key=lambda e: (weights.get(e.id, ZERO), e.id))
+    def price(weights: Weights) -> Tuple[Union[int, Fraction], EdgeMultiset]:
+        order = sorted(edges, key=lambda e: (weights.get(e.id, 0), e.id))
         tree = kruskal(list(range(G.n)), order)
         if len(tree) != G.n - 1:
             raise DecompositionError("support does not contain a spanning tree")
-        return sum((weights.get(e.id, ZERO) for e in tree), ZERO), {e.id: 1 for e in tree}
+        return sum(weights.get(e.id, 0) for e in tree), {e.id: 1 for e in tree}
 
     return price
 
 
-def min_tjoin(G: Multigraph, weights: Dict[int, Fraction], T: Set[int]
-              ) -> Tuple[Fraction, EdgeMultiset]:
-    """Exact minimum weight T-join (nonnegative weights) in the edges that
-    `weights` lists: shortest paths between T-vertices plus an exact
-    matching DP, symmetric difference."""
+def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, EdgeMultiset]:
+    """Exact minimum weight T-join (nonnegative int or Fraction weights) in
+    the edges that `weights` lists: shortest paths between T-vertices plus an
+    exact matching DP, symmetric difference, all over the weights scaled to
+    ints."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
     if not T:
         return ZERO, {}
     allowed = set(weights)
-    scale = lcm(*[Fraction(weights[eid]).denominator for eid in allowed]) if allowed else 1
-    iw = {eid: int(Fraction(weights[eid]) * scale) for eid in allowed}
+    scale = lcm(*(weights[eid].denominator for eid in allowed))
+    iw = {eid: weights[eid].numerator * (scale // weights[eid].denominator)
+          for eid in allowed}
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]
     for e in G.edges:
         if e.id in allowed:
@@ -395,29 +397,27 @@ def min_tjoin(G: Multigraph, weights: Dict[int, Fraction], T: Set[int]
             join[eid] = join.get(eid, 0) ^ 1
         mask &= ~(1 << i) & ~(1 << j)
     join = {eid: 1 for eid, m in join.items() if m}
-    total = sum((Fraction(weights[eid]) for eid in join), ZERO)
-    return total, join
+    return Fraction(sum(iw[eid] for eid in join), scale), join
 
 
-def _connector_price_max(G: Multigraph, support: Set[int]
-                         ) -> Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]]:
+def _connector_price_max(G: Multigraph, support: Set[int]) -> Oracle:
     edges = [e for e in G.edges if e.id in support]
 
-    def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
+    def price(weights: Weights) -> Tuple[Union[int, Fraction], EdgeMultiset]:
         obj: EdgeMultiset = {}
-        total = ZERO
+        total = 0
         parent = list(range(G.n))
         for e in edges:
-            w = weights.get(e.id, ZERO)
+            w = weights.get(e.id, 0)
             if w > 0:
                 obj[e.id] = 2
                 total += 2 * w
                 union(parent, e.u, e.v)
         # Connect the remaining components with a maximum weight forest.
-        order = sorted(edges, key=lambda e: (-weights.get(e.id, ZERO), e.id))
+        order = sorted(edges, key=lambda e: (-weights.get(e.id, 0), e.id))
         for e in kruskal(parent, order):
             obj[e.id] = obj.get(e.id, 0) + 1
-            total += weights.get(e.id, ZERO)
+            total += weights.get(e.id, 0)
         roots = {find(parent, v) for v in range(G.n)}
         if len(roots) != 1:
             raise DecompositionError("graph is disconnected")
@@ -426,46 +426,73 @@ def _connector_price_max(G: Multigraph, support: Set[int]
     return price
 
 
-def _one_cover_price(crossing: List[FrozenSet[int]], candidate_ids: Set[int]
-                     ) -> Callable[[Dict[int, Fraction]], Tuple[Fraction, EdgeMultiset]]:
+def _one_cover_price(crossing: List[FrozenSet[int]], candidate_ids: Set[int]) -> Oracle:
     """Exact minimum 1-cover: a cheapest set of candidate edges meeting each
-    of the `crossing` edge sets (the 1-edge cuts of a connector)."""
+    of the `crossing` edge sets (the 1-edge cuts of a connector), ties going
+    to the lowest bitmask over the sorted candidates.
+
+    The minimal covers are listed once, here; each call weighs only them.
+    Under nonnegative weights every cover contains a minimal cover that
+    weighs no more and has a lower bitmask, so this is the argmin over all
+    covers.  A negative weight raises DecompositionError."""
     relevant: List[int] = sorted(
         eid for eid in candidate_ids if any(eid in c for c in crossing))
     if len(relevant) > 22:
-        raise DecompositionError("exhaustive 1-cover pricing capped at 22 candidate edges")
-    masks: List[int] = []
+        raise DecompositionError("1-cover pricing capped at 22 candidate edges")
     for c in crossing:
-        mask = 0
-        for i, eid in enumerate(relevant):
-            if eid in c:
-                mask |= 1 << i
-        if mask == 0:
+        if not any(eid in c for eid in relevant):
             raise DecompositionError("a 1-edge cut of F has no candidate cover edge")
-        masks.append(mask)
-    k = len(relevant)
-    full = (1 << len(crossing)) - 1
+    # hits[i]: the crossing sets that candidate i meets, as a bitmask.
+    hits = [sum(1 << ci for ci, c in enumerate(crossing) if eid in c) for eid in relevant]
+    covers = [tuple(i for i in range(len(relevant)) if sub >> i & 1)
+              for sub in sorted(_minimal_covers(hits, (1 << len(crossing)) - 1))]
 
-    def price(weights: Dict[int, Fraction]) -> Tuple[Fraction, EdgeMultiset]:
-        best = None
-        best_sub = 0
-        for sub in range(1 << k):
-            covered = 0
-            for ci, mask in enumerate(masks):
-                if mask & sub:
-                    covered |= 1 << ci
-            if covered != full:
-                continue
-            w = sum((weights.get(relevant[i], ZERO)
-                     for i in range(k) if sub & (1 << i)), ZERO)
-            if best is None or w < best or (w == best and sub < best_sub):
-                best = w
-                best_sub = sub
-        if best is None:
-            raise DecompositionError("no candidate edge set covers every 1-edge cut of F")
-        return best, {relevant[i]: 1 for i in range(k) if best_sub & (1 << i)}
+    def price(weights: Weights) -> Tuple[Fraction, EdgeMultiset]:
+        w = [weights.get(eid, 0) for eid in relevant]
+        if any(v < 0 for v in w):
+            raise DecompositionError("1-cover pricing needs nonnegative weights")
+        scale = lcm(*(v.denominator for v in w))
+        iw = [v.numerator * (scale // v.denominator) for v in w]
+        best, best_cover = None, ()
+        for cover in covers:
+            total = sum(iw[i] for i in cover)
+            if best is None or total < best:
+                best, best_cover = total, cover
+        return Fraction(best, scale), {relevant[i]: 1 for i in best_cover}
 
     return price
+
+
+def _minimal_covers(hits: List[int], full: int) -> List[int]:
+    """Every inclusion-minimal set of candidates (a bitmask) whose `hits`
+    together make `full`.  Candidates are taken in index order; one is taken
+    only if it meets a set not met yet, and the search stops at a cover.  A
+    cover found is minimal when each candidate in it meets a set that no
+    other candidate in it meets."""
+    k = len(hits)
+    reach = [0] * (k + 1)              # reach[i]: sets that candidates i.. meet
+    for i in range(k - 1, -1, -1):
+        reach[i] = reach[i + 1] | hits[i]
+    out: List[int] = []
+
+    def extend(i: int, sub: int, covered: int) -> None:
+        if covered == full:
+            once = twice = 0
+            for j in range(k):
+                if sub >> j & 1:
+                    twice |= once & hits[j]
+                    once |= hits[j]
+            if all(hits[j] & ~twice for j in range(k) if sub >> j & 1):
+                out.append(sub)
+            return
+        if covered | reach[i] != full:
+            return
+        if hits[i] & ~covered:
+            extend(i + 1, sub | 1 << i, covered | hits[i])
+        extend(i + 1, sub, covered)
+
+    extend(0, 0, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Exact rational LP layer: global min cut, membership oracles and the
 cutting-plane subtour solver.
 
-Separation for the subtour polyhedron is an exact Stoer-Wagner min cut over
-rationals; the laminar 1-edge-cut family of a connector is separated by
-direct enumeration.
+Separation for the subtour polyhedron is an exact Stoer-Wagner min cut, run
+over the capacities scaled to ints; the laminar 1-edge-cut family of a
+connector is separated by direct enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError,
@@ -23,23 +24,27 @@ class LpInputError(GraphError):
 def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     """Exact global minimum cut of the capacity vector (Stoer-Wagner).
 
-    Capacities may be ints or Fractions; the sums run in whichever type the
-    capacities have, and the value comes back as a Fraction."""
+    Capacities may be ints or Fractions.  The phases run over the capacities
+    times the lcm of their denominators, in ints; scaling keeps every
+    comparison, so the shore is the one the rationals give.  The value comes
+    back as a Fraction."""
     n = G.n
     if n < 2:
         raise LpInputError("min cut needs at least 2 vertices")
     for eid, c in cap.items():
         if c < 0:
             raise LpInputError("negative capacity")
+    scale = lcm(*(c.denominator for c in cap.values()))
     w = [[0] * n for _ in range(n)]
     for e in G.edges:
         c = cap.get(e.id, 0)
         if c:
+            c = c.numerator * (scale // c.denominator)
             w[e.u][e.v] += c
             w[e.v][e.u] += c
     groups: List[List[int]] = [[v] for v in range(n)]
     active = list(range(n))
-    best_value: Optional[Fraction] = None
+    best_value: Optional[int] = None
     best_shore: Tuple[int, ...] = ()
     while len(active) > 1:
         # Minimum cut phase starting from the first active vertex.
@@ -69,7 +74,7 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
         best_shore = tuple(comp) if comp else best_shore
     if best_value is None:
         raise LpInputError("min cut found no phase")
-    return Fraction(best_value), best_shore
+    return Fraction(best_value, scale), best_shore
 
 
 def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...], int]]:

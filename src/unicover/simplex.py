@@ -13,7 +13,9 @@ exact.  Reduced costs come from π = C·c_B·M and the original columns, and
 α is formed only for the entering column, so new columns cost nothing until
 they are priced.  The values `obj`, `solution()` and `duals()` are divided
 out once, when they are read.  The column generation loop of `decompose`
-adds columns to the same tableau; `solve_lp` scales rows to ints first.
+adds columns to the same tableau and prices them from the undivided duals
+(`int_duals()`), so pricing builds no Fraction; `solve_lp` scales rows to
+ints first.
 """
 from __future__ import annotations
 
@@ -206,8 +208,12 @@ class Tableau:
 
     def duals(self) -> List[Fraction]:
         """y = c_B B⁻¹, one per row."""
-        scale = self.C * self.D
-        return [Fraction(p, scale) for p in self._prices()]
+        pi, s = self.int_duals()
+        return [Fraction(p, s) for p in pi]
+
+    def int_duals(self) -> Tuple[List[int], int]:
+        """The duals undivided: (π, s) with y = π / s and s = C·D > 0."""
+        return list(self._prices()), self.C * self.D
 
 
 @dataclass

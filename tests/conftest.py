@@ -40,6 +40,22 @@ def brute_force_subtour(G):
     return _solve_over_cuts(G, family)
 
 
+def exhaustive_one_cover(crossing, candidate_ids, weights):
+    """Reference oracle for decompose._one_cover_price: (value, edges) of a
+    cheapest candidate set meeting every crossing set, found by summing the
+    Fraction weights over every subset of the candidates that meet one, with
+    ties going to the lowest bitmask."""
+    relevant = sorted(eid for eid in candidate_ids if any(eid in c for c in crossing))
+    best, best_sub = None, 0
+    for sub in range(1 << len(relevant)):
+        chosen = {relevant[i] for i in range(len(relevant)) if sub >> i & 1}
+        if all(chosen & c for c in crossing):
+            w = sum((Fraction(weights.get(eid, 0)) for eid in chosen), Fraction(0))
+            if best is None or w < best:
+                best, best_sub = w, sub
+    return best, {relevant[i]: 1 for i in range(len(relevant)) if best_sub >> i & 1}
+
+
 @pytest.fixture
 def c4():
     return make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

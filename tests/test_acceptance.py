@@ -15,16 +15,17 @@ from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
 from unicover.connectors import even_2cut_connectors, two_cut_pairs
 from unicover.covers import check_certificate, uniform_cover
 from unicover.cyclecover import _perfect_matchings, find_covering_cycle_cover
-from unicover.decompose import min_tjoin
+from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
+                                min_tjoin)
 from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
                                petersen, prism, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
 from unicover.graph import (NodeWeights, classify, enumerate_cuts_upto,
                             multiset_degrees, multiset_weight)
-from unicover.lp import solve_subtour
+from unicover.lp import everywhere, solve_subtour
 from unicover.verify import verify_document
 
-from conftest import brute_force_subtour
+from conftest import brute_force_subtour, make_graph
 
 F = Fraction
 TIME_BUDGET = 60.0
@@ -330,20 +331,159 @@ def _mutated_approx():
             yield d
 
 
+def _two_triangles():
+    return make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (5, 0)])
+
+
+def _mutated_decompositions():
+    two_triangles = _two_triangles()
+    docs = [serialize.decomposition_to_json(
+        g, decompose_spanning_trees(g, everywhere(g, F(2, 3))), "trees")
+        for g in (k4(), petersen(), prism())]
+    for g in (k33(), two_triangles):
+        x = solve_subtour(g).x
+        docs.append(serialize.decomposition_to_json(g, decompose_connectors(g, x),
+                                                    "connectors"))
+    x = solve_subtour(two_triangles).x
+    docs.append(serialize.decomposition_to_json(
+        two_triangles, even_2cut_connectors(two_triangles, x), "even2cut"))
+    for doc in docs:
+        def fresh():
+            return serialize.loads(serialize.dumps(doc))
+
+        d = fresh()
+        terms = d["combination"]["terms"]
+        terms[0]["lambda"] = serialize.frac_str(serialize.parse_frac(terms[0]["lambda"]) + F(1, 7))
+        yield d
+        d = fresh()
+        terms = d["combination"]["terms"]
+        terms[0]["lambda"] = serialize.frac_str(serialize.parse_frac(terms[0]["lambda"]) / 2)
+        yield d
+        d = fresh()
+        d["combination"]["terms"].append(d["combination"]["terms"][0])
+        yield d
+        d = fresh()
+        d["combination"]["terms"][0]["edges"][0][1] += 1
+        yield d
+        d = fresh()
+        del d["combination"]["terms"][0]["edges"][0]
+        yield d
+        d = fresh()
+        d["combination"]["terms"][0]["classes"] = ["cycle-cover"]
+        yield d
+        d = fresh()
+        target = d["combination"]["target"]
+        for eid in target:
+            target[eid] = serialize.frac_str(serialize.parse_frac(target[eid]) / 2)
+        yield d
+        d = fresh()
+        d["combination"]["relation"] = "contains"
+        yield d
+
+
+def _mutated_lp_results():
+    graphs = [k4(), petersen(), prism(), k33(), _two_triangles()]
+    graphs += [random_node_weights(8, s + 3000).induced_graph(random_subcubic_2ec(8, s))
+               for s in range(2)]
+    for g in graphs:
+        doc = serialize.lp_result_to_json(g, solve_subtour(g))
+
+        def fresh():
+            return serialize.loads(serialize.dumps(doc))
+
+        d = fresh()
+        d["value"] = serialize.frac_str(serialize.parse_frac(d["value"]) + 1)
+        yield d
+        d = fresh()
+        eid = sorted(d["x"], key=int)[0]
+        d["x"][eid] = serialize.frac_str(serialize.parse_frac(d["x"][eid]) + F(1, 3))
+        yield d
+        d = fresh()
+        cut = next(c for c in d["cuts"] if serialize.parse_frac(c["y"]) > 0)
+        cut["y"] = serialize.frac_str(serialize.parse_frac(cut["y"]) + 1)
+        yield d
+        d = fresh()
+        d["separation_rounds"] += 1
+        yield d
+        d = fresh()
+        del d["cuts"][-1]
+        yield d
+        d = fresh()
+        d["cuts"][0]["shore"] = [2]
+        yield d
+        d = fresh()
+        cut = d["cuts"][0]
+        cut["edges"] = sorted(set(cut["edges"]) ^ {d["graph"]["edges"][-1][3]})
+        yield d
+        d = fresh()
+        # Raise the weight of the edge that x loads most.
+        heavy = max(d["x"], key=lambda k: (serialize.parse_frac(d["x"][k]), -int(k)))
+        for e in d["graph"]["edges"]:
+            if e[3] == int(heavy):
+                e[2] = serialize.frac_str(serialize.parse_frac(e[2]) + 1)
+        yield d
+
+
+def _mutated_cycle_covers():
+    graphs = [k4(), petersen(), prism(), k33(), heawood()]
+    graphs += [random_cubic_3ec(10 + 2 * s, s) for s in range(3)]
+    for g in graphs:
+        doc = serialize.cycle_cover_to_json(g, find_covering_cycle_cover(g))
+
+        def fresh():
+            return serialize.loads(serialize.dumps(doc))
+
+        d = fresh()
+        del d["cover"][0]
+        yield d
+        d = fresh()
+        d["matching"] = d["matching"][1:]
+        yield d
+        d = fresh()
+        # On a cycle of length >= 4 (every graph here has one), swapping the
+        # first two vertices steps along a chord.
+        longest = max(d["cycles"], key=len)
+        longest[0], longest[1] = longest[1], longest[0]
+        yield d
+        d = fresh()
+        if d["cross_cycle"]:
+            d["intra_cycle"] = sorted(d["intra_cycle"] + d["cross_cycle"][:1])
+            d["cross_cycle"] = d["cross_cycle"][1:]
+        else:
+            d["cross_cycle"] = d["intra_cycle"][:1]
+            d["intra_cycle"] = d["intra_cycle"][1:]
+        yield d
+        d = fresh()
+        d["covered_cuts"][0][1] += 1
+        yield d
+        d = fresh()
+        del d["covered_cuts"][-1]
+        yield d
+        d = fresh()
+        e = next(e for e in d["graph"]["edges"] if e[3] == d["cover"][0])
+        e[1] = (e[1] + 1) % d["graph"]["n"]
+        if e[1] == e[0]:
+            e[1] = (e[1] + 1) % d["graph"]["n"]
+        yield d
+
+
 def test_criterion_7_mutation_robustness(capsys):
     rejected = 0
     total = 0
     survivors = []
-    for doc in itertools.chain(_mutated_certificates(), _mutated_approx()):
-        if total >= 200:
-            break
+    kinds = set()
+    for doc in itertools.chain(_mutated_certificates(), _mutated_approx(),
+                               _mutated_decompositions(), _mutated_lp_results(),
+                               _mutated_cycle_covers()):
         total += 1
+        kinds.add(doc["type"])
         rep = verify_document(doc)
         if rep.ok:
             survivors.append((total, doc.get("type"), rep.detail))
         else:
             rejected += 1
-    ok = total >= 200 and rejected == total
-    report(capsys, 7, ok, f"{rejected}/{total} mutations rejected")
+    ok = total >= 200 and rejected == total and len(kinds) == 5
+    report(capsys, 7, ok, f"{rejected}/{total} mutations of {len(kinds)} document types rejected")
     assert total >= 200, f"only {total} mutations generated"
+    assert len(kinds) == 5, f"mutations cover only {sorted(kinds)}"
     assert not survivors, f"mutations passed verification: {survivors}"

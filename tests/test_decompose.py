@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
-                                _equality_master, _kernel_vector, canonical,
+                                _equality_master, _kernel_vector, _minimal_covers,
+                                _one_cover_price, canonical,
                                 caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
                                 decompose_tjoins, make_combination, min_tjoin,
@@ -16,7 +17,7 @@ from unicover.graph import classify, connected_components, multiset_degrees
 from unicover.lp import everywhere
 from unicover.simplex import solve_lp
 
-from conftest import make_graph
+from conftest import exhaustive_one_cover, make_graph
 
 F = Fraction
 
@@ -188,6 +189,73 @@ class TestMinTJoin:
                 deg = multiset_degrees(g, join)
                 assert {v for v in range(g.n) if deg[v] % 2 == 1} == T
                 assert value == self.exhaustive_min(g, weights, T)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_tjoin_is_scale_invariant(data):
+    # The masters price with int duals -π where the Fraction duals are -π/s.
+    g = data.draw(st.sampled_from([k4(), prism(), petersen()]))
+    iw = {e.id: data.draw(st.integers(0, 6)) for e in g.edges}
+    s = data.draw(st.integers(1, 12))
+    T = set(data.draw(st.sampled_from([[0, 1], [0, 3], [0, 1, 2, 3]])))
+    value, join = min_tjoin(g, iw, T)
+    scaled_value, scaled_join = min_tjoin(g, {eid: F(v, s) for eid, v in iw.items()}, T)
+    assert scaled_join == join
+    assert scaled_value == value / s
+
+
+WEIGHT = st.sampled_from([0, F(0), F(1, 3), F(1, 2), F(1), 1, F(3, 2), 2])
+
+
+@st.composite
+def crossing_family(draw):
+    """Crossing edge sets over the ids 0..k+1, each holding a candidate,
+    and candidate weights with zeros and ties."""
+    k = draw(st.integers(1, 8))
+    candidates = set(range(k))
+    crossing = []
+    for _ in range(draw(st.integers(1, 6))):
+        extra = draw(st.sets(st.integers(0, k + 1), max_size=k))
+        crossing.append(frozenset(extra | {draw(st.integers(0, k - 1))}))
+    weights = {eid: draw(WEIGHT) for eid in sorted(candidates)
+               if draw(st.booleans()) or eid == 0}
+    return crossing, candidates, weights
+
+
+@given(crossing_family())
+@settings(max_examples=300, deadline=None)
+def test_one_cover_price_matches_exhaustive_scan(case):
+    crossing, candidates, weights = case
+    value, cover = _one_cover_price(crossing, candidates)(weights)
+    assert (value, cover) == exhaustive_one_cover(crossing, candidates, weights)
+
+
+@given(st.lists(st.integers(1, 63), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_minimal_covers_are_all_the_minimal_covers(hits):
+    full = 0
+    for h in hits:
+        full |= h
+
+    def covers(sub):
+        got = 0
+        for i, h in enumerate(hits):
+            if sub >> i & 1:
+                got |= h
+        return got == full
+
+    want = [sub for sub in range(1 << len(hits)) if covers(sub)
+            and not any(sub >> i & 1 and covers(sub & ~(1 << i)) for i in range(len(hits)))]
+    assert sorted(_minimal_covers(hits, full)) == want
+
+
+def test_one_cover_price_rejects_a_negative_weight():
+    crossing = [frozenset({0, 1}), frozenset({1, 2})]
+    price = _one_cover_price(crossing, {0, 1, 2})
+    assert price({0: 1, 1: 3, 2: 1}) == (2, {0: 1, 2: 1})
+    with pytest.raises(DecompositionError, match="nonnegative"):
+        price({0: 1, 1: F(-1, 2), 2: 1})
 
 
 class TestOneCovers:

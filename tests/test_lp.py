@@ -8,6 +8,7 @@ from unicover.families import k4, k5, k33, petersen, prism, random_cubic_3ec
 from unicover.graph import NodeWeights, cut_edges
 from unicover.lp import (LpInputError, everywhere, membership, min_cut, one_edge_cuts,
                          solve_subtour)
+from unicover import simplex
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 
 from conftest import brute_force_min_cut, brute_force_subtour, make_graph
@@ -108,6 +109,37 @@ def test_solve_lp_certifies_its_optimum(lp):
         assert cj - sum((y * a[j] for y, (a, _, _) in zip(sol.duals, rows)), F(0)) >= 0
     # Strong duality, which with the two above proves optimality.
     assert sum((y * rhs for y, (_, _, rhs) in zip(sol.duals, rows)), F(0)) == sol.value
+
+
+class CheckedTableau(Tableau):
+    """A Tableau that checks its undivided duals after every optimize: π/s
+    equals duals(), and π prices every basic column at its cost and no
+    allowed column below it (costs are stored times C, so s·c_j = D·C·c_j)."""
+    checked = 0
+
+    def optimize(self, forbidden=None):
+        super().optimize(forbidden)
+        pi, s = self.int_duals()
+        assert s > 0 and all(type(p) is int for p in pi)
+        assert [F(p, s) for p in pi] == self.duals()
+        for j, col in enumerate(self.cols):
+            priced = sum(pi[i] * v for i, v in col)
+            if j in self.basis:
+                assert priced == self.D * self.icosts[j]
+            elif j not in (forbidden or ()):
+                assert priced <= self.D * self.icosts[j]
+        CheckedTableau.checked += 1
+
+
+@given(feasible_bounded_lp())
+@settings(max_examples=100, deadline=None)
+def test_int_duals_undivided_equal_duals(lp):
+    c, rows = lp
+    before = CheckedTableau.checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "Tableau", CheckedTableau)
+        solve_lp(c, rows)
+    assert CheckedTableau.checked == before + 2     # phase 1 and phase 2
 
 
 def dense_fraction_lp(c, rows):
