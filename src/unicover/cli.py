@@ -2,7 +2,8 @@
 
 Commands read a graph in the text format from a file argument or stdin and
 write JSON (or a short summary) to stdout.  Exit codes: 0 success, 2 for
-precondition, profile, or parse failures, 1 for verification failures.
+precondition, profile, or parse failures and internal solver failures, 1 for
+verification failures.
 """
 from __future__ import annotations
 

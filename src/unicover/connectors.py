@@ -11,14 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     connected_components, spanning_connected)
 from .decompose import (ConvexCombination, DecompositionError, caratheodory_reduce,
-                        clip_at_two, decompose_connectors, make_combination,
-                        require_inside)
-from .lp import membership
+                        clip_at_two, decompose_connectors, make_combination)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,13 +38,6 @@ class TwoCutClasses:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def edge_to_class(self) -> Dict[int, TwoCutClass]:
-        out: Dict[int, TwoCutClass] = {}
-        for cls in self.classes:
-            for eid in cls.edge_ids:
-                out[eid] = cls
-        return out
 
 
 def _support_edges(G: Multigraph, x: EdgeVector):
@@ -76,8 +67,9 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> TwoCutClasses:
 
     Two edges are related when their removal disconnects the support; the
     relation is transitive on these classes, which is asserted pairwise.
+    x is taken to be in the subtour polytope: even_2cut_connectors, the
+    caller, has tested it in decompose_connectors.
     """
-    require_inside(membership(G, x, "subtour"))
     pairs = two_cut_pairs(G, x)
     ids = sorted({eid for p in pairs for eid in p})
     index = {eid: i for i, eid in enumerate(ids)}

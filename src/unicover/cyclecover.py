@@ -4,11 +4,14 @@ cut at least twice, found by complete search over perfect matchings.
 In a cubic graph a 2-factor is the complement of a perfect matching, so the
 search enumerates perfect matchings in canonical edge-id order and returns the
 first whose complement covers the enumerated small cuts.
+
+contracted_cycle_cover runs the search without find_covering_cycle_cover's
+profile test, for callers that have tested a stronger profile already.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from .graph import (Cut, EdgeMultiset, GraphError, Multigraph, contract,
                     enumerate_cuts_upto, is_bipartite, min_cut_unit,
@@ -37,7 +40,7 @@ def _perfect_matchings(G: Multigraph):
     edges = sorted(G.edges, key=lambda e: e.id)
     n = G.n
 
-    def rec(start: int, used: Set[int], chosen: List[int]):
+    def rec(used: Set[int], chosen: List[int]):
         if len(used) == n:
             yield tuple(chosen)
             return
@@ -48,12 +51,12 @@ def _perfect_matchings(G: Multigraph):
                 chosen.append(e.id)
                 used.add(e.u)
                 used.add(e.v)
-                yield from rec(start, used, chosen)
+                yield from rec(used, chosen)
                 chosen.pop()
                 used.discard(e.u)
                 used.discard(e.v)
 
-    yield from rec(0, set(), [])
+    yield from rec(set(), [])
 
 
 def _cycles_of(G: Multigraph, cover: Set[int]) -> List[List[int]]:
@@ -83,11 +86,18 @@ def _cycles_of(G: Multigraph, cover: Set[int]) -> List[List[int]]:
 
 
 def find_covering_cycle_cover(G: Multigraph) -> CycleCoverResult:
+    """The first 2-factor of the bridgeless cubic G, in matching order, that
+    crosses every 3- and 4-edge cut at least twice."""
     report = validate_structure(G, "cubic-3ec")
     # Bridgeless cubic but only 2-edge-connected is acceptable.
     bridgeless_cubic = report.edge_connectivity >= 2 and all(d == 3 for d in report.degrees)
     if not report.passed and not bridgeless_cubic:
         raise CycleCoverError(f"input is not bridgeless cubic: {report.violation}")
+    return _search(G)
+
+
+def _search(G: Multigraph) -> CycleCoverResult:
+    """find_covering_cycle_cover without its profile test."""
     small = enumerate_cuts_upto(G, 4)
     targets = [c for c in small.cuts if c.size in (3, 4)]
     all_ids = set(G.edge_ids())
@@ -121,40 +131,27 @@ def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
     )
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    n: int
-    m: int
-    edge_connectivity: int
-    all_degrees_even: bool
-    bipartite_input: bool
-    passed: bool
-    violation: Optional[str] = None
-
-
-def verify_contraction(G: Multigraph, result: CycleCoverResult) -> ContractionReport:
-    """Check the contraction G/C: 5-edge-connected in general, and with all
-    even degrees and connectivity at least 6 when G is bipartite."""
+def verify_contraction(G: Multigraph, result: CycleCoverResult) -> Multigraph:
+    """G/C for the cover C of `result`, once it is checked: 5-edge-connected
+    in general, and with all even degrees and connectivity at least 6 when G
+    is bipartite.  Raises CycleCoverError otherwise."""
     H = contract(G, result.cover_multiset())
-    bip, _ = is_bipartite(G)
     if H.n == 1:
-        return ContractionReport(1, H.m, 0, True, bip, True)
+        return H
     conn, shore = min_cut_unit(H)
-    deg = H.degrees()
-    even = all(d % 2 == 0 for d in deg)
-    need = 6 if bip else 5
-    violation = None
-    if conn < need:
-        violation = f"{conn}-edge cut in the contraction (shore {shore})"
-    elif bip and not even:
-        violation = "odd degree in the contraction of a bipartite input"
-    return ContractionReport(H.n, H.m, conn, even, bip, violation is None, violation)
+    bip, _ = is_bipartite(G)
+    if conn < (6 if bip else 5):
+        raise CycleCoverError(
+            f"bad contraction: {conn}-edge cut in the contraction (shore {shore})")
+    if bip and any(d % 2 for d in H.degrees()):
+        raise CycleCoverError(
+            "bad contraction: odd degree in the contraction of a bipartite input")
+    return H
 
 
 def contracted_cycle_cover(G: Multigraph) -> Tuple[CycleCoverResult, Multigraph]:
-    """A covering cycle cover C of G, and G/C once verify_contraction passes."""
-    cc = find_covering_cycle_cover(G)
-    report = verify_contraction(G, cc)
-    if not report.passed:
-        raise CycleCoverError(f"bad contraction: {report.violation}")
-    return cc, contract(G, cc.cover_multiset())
+    """A covering cycle cover C of G, and G/C once verify_contraction passes.
+    The caller has tested G's profile (cubic and 3-edge-connected), so the
+    search runs without a second test."""
+    cc = _search(G)
+    return cc, verify_contraction(G, cc)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
                     union)
-from .lp import MembershipResult, membership, one_edge_cuts
+from .lp import membership, one_edge_cuts
 from .simplex import Tableau
 
 ZERO = Fraction(0)
@@ -232,7 +232,7 @@ def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
             break
         key = canonical(obj)
         if key in known:
-            raise RuntimeError("pricing returned a known column; solver bug")
+            raise DecompositionError("pricing returned a known column; solver bug")
         known.add(key)
         objects.append(dict(key))
         col = [0] * len(ids) + [1] * (tab.rows - len(ids))
@@ -499,14 +499,15 @@ def _minimal_covers(hits: List[int], full: int) -> List[int]:
 # Public decompositions
 
 
-def require_inside(result: MembershipResult) -> None:
-    if not result.inside:
-        raise DecompositionError(f"input vector is outside {result.polyhedron}: {result.detail}")
+def _require_subtour(G: Multigraph, x: EdgeVector) -> None:
+    check = membership(G, x)
+    if not check.inside:
+        raise DecompositionError(f"input vector is outside subtour: {check.detail}")
 
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Spanning trees of the support of x, dominated by x."""
-    require_inside(membership(G, x, "subtour"))
+    _require_subtour(G, x)
     support = {eid for eid, v in x.items() if v > 0}
     return _pack(G, x, "spanning tree", _mst_price(G, support))
 
@@ -526,7 +527,7 @@ def clip_at_two(x: EdgeVector) -> EdgeVector:
 
 def decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Equality decomposition of x (clipped at 2) into connectors of G."""
-    require_inside(membership(G, x, "subtour"))
+    _require_subtour(G, x)
     xbar = {eid: v for eid, v in clip_at_two(x).items() if v > 0}
     rows = sorted(xbar.items())
     raw = _equality_master(rows, _connector_price_max(G, set(xbar)))
@@ -541,15 +542,23 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise GraphError("alpha must be in (0, 1]")
+    ids = set(G.edge_ids())
     for eid, v in y.items():
+        if eid not in ids:
+            raise DecompositionError(f"vector supported outside the graph (e{eid})")
         if v != 0 and v < alpha:
             raise DecompositionError(f"y_e{eid} = {v} violates the alpha threshold {alpha}")
     factor = Fraction(2, 1) / (1 + alpha)
     target = {eid: factor * v for eid, v in y.items() if v > 0}
-    crossing = [cut_edges(G, shore) for shore, _ in one_edge_cuts(G, F)]
+    cuts = one_edge_cuts(G, F)
+    crossing = [cut_edges(G, shore) for shore, _ in cuts]
     if not crossing:
         return make_combination(G, [(ONE, {})], target, "dominated-by")
-    require_inside(membership(G, y, "cover", F=F))
+    for (_, bridge), c in zip(cuts, crossing):
+        value = sum((y.get(eid, ZERO) for eid in c), ZERO)
+        if value < 1:
+            raise DecompositionError(f"input vector is outside cover: 1-edge cut "
+                                     f"of F at e{bridge} has value {value} < 1")
     return _pack(G, target, "1-cover", _one_cover_price(crossing, set(target)))
 
 
@@ -564,8 +573,8 @@ def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction
 
 def wolsey_tours(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Tours dominated by (3/2) x: spanning trees of x, each completed with
-    parity-fixing joins drawn from x/2 (polyhedral Christofides)."""
-    require_inside(membership(G, x, "subtour"))
+    parity-fixing joins drawn from x/2 (polyhedral Christofides).
+    decompose_spanning_trees tests x for subtour membership."""
     trees = decompose_spanning_trees(G, x)
     half = {eid: v / 2 for eid, v in x.items()}
     terms: List[Tuple[Fraction, EdgeMultiset]] = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .graph import Edge, GraphError, Multigraph, NodeWeights, validate_structure
 

@@ -24,9 +24,6 @@ class Edge:
     weight: Fraction
     id: int
 
-    def other(self, vertex: int) -> int:
-        return self.v if vertex == self.u else self.u
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -268,14 +265,6 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
     return CutFamily(tuple(cuts))
 
 
-def edge_connectivity(G: Multigraph) -> int:
-    """Exact edge connectivity (number of edges in a global min cut)."""
-    if G.n < 2:
-        return 0
-    value, _ = min_cut_unit(G)
-    return value
-
-
 def min_cut_unit(G: Multigraph) -> Tuple[int, Tuple[int, ...]]:
     from .lp import min_cut  # deferred to avoid an import cycle
     cap = {e.id: 1 for e in G.edges}
@@ -398,13 +387,15 @@ def require_profile(G: Multigraph, profile: str, error: type) -> None:
 
 
 def validate_structure(G: Multigraph, profile: str) -> StructureReport:
+    """G against the profile's degrees, edge connectivity and parity, from
+    one global min cut; a failing cut is named by that cut's edges."""
     if profile not in PROFILES:
         raise GraphError(f"unknown profile {profile!r}")
     if G.n == 0:
         raise GraphError("empty graph")
     deg = G.degrees()
     bip, _ = is_bipartite(G)
-    conn = edge_connectivity(G) if G.n >= 2 else 0
+    conn, shore = min_cut_unit(G) if G.n >= 2 else (0, ())
 
     def report(violation: Optional[str]) -> StructureReport:
         return StructureReport(profile, violation is None, tuple(deg), conn, bip, violation)
@@ -421,12 +412,10 @@ def validate_structure(G: Multigraph, profile: str) -> StructureReport:
                 return report(f"vertex {v} has degree {d}")
     need_conn = {"cubic-3ec": 3, "bipartite-cubic-3ec": 3, "subcubic-2ec": 2, "4regular-4ec": 4}[profile]
     if conn < need_conn:
-        if G.n < 2 or not is_connected(G):
+        if conn == 0:
             return report("disconnected input")
-        value, shore = min_cut_unit(G)
-        ids = sorted(cut_edges(G, shore))
-        names = "{" + ",".join(f"e{i}" for i in ids) + "}"
-        return report(f"{value}-edge cut {names}")
+        names = "{" + ",".join(f"e{i}" for i in sorted(cut_edges(G, shore))) + "}"
+        return report(f"{conn}-edge cut {names}")
     if profile == "bipartite-cubic-3ec" and not bip:
         return report("odd cycle found")
     return report(None)

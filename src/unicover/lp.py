@@ -1,9 +1,9 @@
-"""Exact rational LP layer: global min cut, membership oracles and the
-cutting-plane subtour solver.
+"""Exact rational LP layer: global min cut, the subtour membership test and
+the cutting-plane subtour solver.
 
 Separation for the subtour polyhedron is an exact Stoer-Wagner min cut, run
-over the capacities scaled to ints; the laminar 1-edge-cut family of a
-connector is separated by direct enumeration.
+over the capacities scaled to ints; the 1-edge cuts of a connector are
+listed by direct enumeration (decompose_one_covers checks a vector on them).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError,
                     Multigraph, connected_components, cut_edges, is_connected)
-from .simplex import solve_lp
+from .simplex import LpError, solve_lp
 
 
 class LpInputError(GraphError):
@@ -100,39 +100,26 @@ def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...],
 
 @dataclass(frozen=True)
 class MembershipResult:
-    polyhedron: str
     inside: bool
     shore: Optional[Tuple[int, ...]] = None
     value: Optional[Fraction] = None
     detail: str = ""
 
 
-def membership(G: Multigraph, x: EdgeVector, polyhedron: str,
-               F: Optional[EdgeMultiset] = None) -> MembershipResult:
-    """Exact membership / separation for the subtour polyhedron and for the
-    cover polyhedron of the connector F."""
+def membership(G: Multigraph, x: EdgeVector) -> MembershipResult:
+    """Exact membership / separation for the subtour polyhedron: x >= 0 and
+    x(delta(S)) >= 2 for every proper nonempty S, by one global min cut."""
     ids = set(G.edge_ids())
     for eid, value in x.items():
         if eid not in ids:
             raise LpInputError(f"vector supported outside the graph (e{eid})")
         if value < 0:
-            return MembershipResult(polyhedron, False, detail=f"negative entry on e{eid}")
-    if polyhedron == "subtour":
-        value, shore = min_cut(G, x)
-        if value < 2:
-            return MembershipResult(polyhedron, False, shore=shore, value=value,
-                                    detail=f"cut of value {value} < 2")
-        return MembershipResult(polyhedron, True)
-    if polyhedron == "cover":
-        if F is None:
-            raise LpInputError("cover needs F")
-        for shore, bridge in one_edge_cuts(G, F):
-            value = sum((x.get(eid, Fraction(0)) for eid in cut_edges(G, shore)), Fraction(0))
-            if value < 1:
-                return MembershipResult(polyhedron, False, shore=shore, value=value,
-                                        detail=f"1-edge cut of F at e{bridge} has value {value} < 1")
-        return MembershipResult(polyhedron, True)
-    raise LpInputError(f"unknown polyhedron {polyhedron!r}")
+            return MembershipResult(False, detail=f"negative entry on e{eid}")
+    value, shore = min_cut(G, x)
+    if value < 2:
+        return MembershipResult(False, shore=shore, value=value,
+                                detail=f"cut of value {value} < 2")
+    return MembershipResult(True)
 
 
 @dataclass(frozen=True)
@@ -169,7 +156,9 @@ def initial_shores(n: int) -> List[Tuple[int, ...]]:
 
 
 def solve_subtour(G: Multigraph) -> LpResult:
-    """Exact optimum of the subtour elimination LP by cutting planes."""
+    """Exact optimum of the subtour elimination LP by cutting planes.  The
+    loop stops at the first x whose min cut is at least 2, so that last
+    separation is the subtour test of x."""
     if G.n < 3:
         raise LpInputError("LP modules reject n < 3")
     if not is_connected(G):
@@ -185,11 +174,9 @@ def solve_subtour(G: Multigraph) -> LpResult:
         rounds += 1
         ids = cut_edges(G, mc_shore)
         if ids in seen:
-            raise RuntimeError("separation returned a known cut; solver bug")
+            raise LpError("separation returned a known cut; solver bug")
         seen.add(ids)
         shores.append(mc_shore)
-    if not membership(G, x, "subtour").inside:
-        raise LpInputError("optimizer failed exact re-verification")
     cuts = tuple(Cut(tuple(sorted(shore)), cut_edges(G, shore)) for shore in shores)
     return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds,
                     duals=tuple(duals))

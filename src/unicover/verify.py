@@ -63,6 +63,7 @@ def verify_document(doc: dict) -> VerifyReport:
 
 def _check_certificate(G: Multigraph, cert: Certificate) -> str:
     check_certificate(G, cert)
+    require_profile(G, cert.profile, VerifyError)
     return f"variant {cert.variant} on n={G.n}"
 
 
@@ -96,7 +97,7 @@ def _check_subtour_optimum(G: Multigraph, value: Fraction, x: EdgeVector,
     are a feasible dual, and both weigh value.  fields names the stored
     value and dual in a report."""
     value_field, dual_field = fields
-    check = membership(G, x, "subtour")
+    check = membership(G, x)
     if not check.inside:
         raise VerifyError(f"x is not in the subtour polytope: {check.detail}")
     total = sum((e.weight * x.get(e.id, ZERO) for e in G.edges), ZERO)

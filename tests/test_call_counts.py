@@ -1,0 +1,84 @@
+"""Each public entry point tests a fact about its input once: one profile
+test per call, and no global min cut of a (graph, capacity) pair that the
+call has already cut.  Graphs are immutable, so the stages after the test
+can trust it."""
+import sys
+from collections import Counter
+
+import pytest
+
+from unicover import graph, lp
+from unicover.approx import ALGORITHM_TABLE, approximate
+from unicover.covers import VARIANTS, uniform_cover
+from unicover.cyclecover import find_covering_cycle_cover
+from unicover.families import (heawood, k5, k33, petersen, random_node_weights,
+                               random_subcubic_2ec)
+
+COVER_INPUTS = {"18/19": petersen, "12/13": k33, "15/17": petersen,
+                "8/9": petersen, "7/8": heawood, "3/4": k5}
+
+
+def _key(G, cap):
+    # min_cut reads the edges' ends and ids, not their weights.
+    return (G.n, tuple((e.u, e.v, e.id) for e in G.edges)), tuple(sorted(cap.items()))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts validate_structure calls and lists the min_cut keys, through
+    every binding of the two functions in the library's modules."""
+    seen = {"validate_structure": 0, "min_cut": []}
+    validate_structure, min_cut = graph.validate_structure, lp.min_cut
+
+    def counted_validate(G, profile):
+        seen["validate_structure"] += 1
+        return validate_structure(G, profile)
+
+    def listed_min_cut(G, cap):
+        seen["min_cut"].append(_key(G, cap))
+        return min_cut(G, cap)
+
+    for name, module in list(sys.modules.items()):
+        if name == "unicover" or name.startswith("unicover."):
+            for attr, value in list(vars(module).items()):
+                if value is validate_structure:
+                    monkeypatch.setattr(module, attr, counted_validate)
+                elif value is min_cut:
+                    monkeypatch.setattr(module, attr, listed_min_cut)
+    return seen
+
+
+def _repeated(keys):
+    return {key: count for key, count in Counter(keys).items() if count > 1}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_uniform_cover_tests_each_fact_once(calls, variant):
+    uniform_cover(COVER_INPUTS[variant](), variant)
+    assert calls["validate_structure"] == 1
+    assert _repeated(calls["min_cut"]) == {}
+
+
+def test_find_covering_cycle_cover_tests_each_fact_once(calls):
+    find_covering_cycle_cover(petersen())
+    assert calls["validate_structure"] == 1
+    assert _repeated(calls["min_cut"]) == {}
+
+
+@pytest.mark.parametrize("algorithm", tuple(ALGORITHM_TABLE))
+def test_approximate_tests_each_fact_once(calls, algorithm):
+    profile = ALGORITHM_TABLE[algorithm].profile
+    if profile is None:
+        G, f = random_subcubic_2ec(10, 3), random_node_weights(10, 3)
+    else:
+        G = heawood() if profile.startswith("bipartite") else petersen()
+        f = random_node_weights(G.n, 1)
+    res = approximate(algorithm, G, f)
+    assert calls["validate_structure"] == (0 if profile is None else 1)
+    repeated = _repeated(calls["min_cut"])
+    if profile is None:
+        # solve_subtour's last separation and decompose_connectors' input
+        # test cut the same LP optimum, at two public entry points.
+        assert repeated == {_key(G, res.x): 2}
+    else:
+        assert repeated == {}

@@ -1,10 +1,13 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from unicover import decompose, lp
 from unicover.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, main
 from unicover.families import petersen
+from unicover.graph import kruskal
 from unicover.serialize import graph_from_text, graph_to_text
 
 
@@ -131,6 +134,26 @@ class TestExitCodes:
         doc[field] = 7
         code, _, err = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
         assert code == EXIT_PRECONDITION and "parse error" in err
+
+    def test_pricing_failure_exits_2(self, capsys, monkeypatch):
+        # An oracle that keeps returning the same tree is a solver bug, not
+        # a failed verification.
+        g = petersen()
+        tree = {e.id: 1 for e in kruskal(list(range(g.n)), g.edges)}
+        monkeypatch.setattr(decompose, "_mst_price",
+                            lambda G, support: lambda weights: (0, dict(tree)))
+        code, out, err = run(capsys, monkeypatch, ["decompose", "trees", "--vector", "2/3"],
+                             stdin=graph_to_text(g))
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err == "error: pricing returned a known column; solver bug\n"
+
+    def test_separation_failure_exits_2(self, capsys, monkeypatch):
+        # A min cut that names a cut of the initial pool as violated.
+        monkeypatch.setattr(lp, "min_cut", lambda G, cap: (Fraction(0), (1,)))
+        code, out, err = run(capsys, monkeypatch, ["solve-subtour"],
+                             stdin=graph_to_text(petersen()))
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err == "error: separation returned a known cut; solver bug\n"
 
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         gfile = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from unicover.cyclecover import (CycleCoverError, _perfect_matchings,
                                  find_covering_cycle_cover, verify_contraction)
 from unicover.families import (heawood, k4, k33, mobius_kantor, petersen, prism,
                                random_cubic_3ec, random_node_weights)
-from unicover.graph import contract, enumerate_cuts_upto, multiset_degrees
+from unicover.graph import contract, enumerate_cuts_upto, min_cut_unit, multiset_degrees
 from unicover.verify import verify_document
 
 from conftest import make_graph
@@ -91,34 +92,36 @@ class TestFindCover:
 class TestContraction:
     def test_petersen_contraction_5ec(self):
         g = petersen()
-        res = find_covering_cycle_cover(g)
-        rep = verify_contraction(g, res)
-        assert rep.passed
-        assert rep.n <= 2 or rep.edge_connectivity >= 5
+        h = verify_contraction(g, find_covering_cycle_cover(g))
+        assert h.n > 1 and min_cut_unit(h)[0] >= 5
 
     def test_bipartite_contraction_even_6ec(self):
         for g in [k33(), heawood(), mobius_kantor()]:
-            res = find_covering_cycle_cover(g)
-            rep = verify_contraction(g, res)
-            assert rep.passed and rep.bipartite_input
-            assert rep.all_degrees_even
-            if rep.n > 1:
-                assert rep.edge_connectivity >= 6
+            h = verify_contraction(g, find_covering_cycle_cover(g))
+            assert all(d % 2 == 0 for d in h.degrees())
+            if h.n > 1:
+                assert min_cut_unit(h)[0] >= 6
 
     def test_hamiltonian_cover_contracts_to_point(self):
         g = k4()
-        res = find_covering_cycle_cover(g)
-        rep = verify_contraction(g, res)
-        assert rep.n == 1 and rep.passed
+        h = verify_contraction(g, find_covering_cycle_cover(g))
+        assert h.n == 1 and h.m == 0
 
     def test_contraction_edges_are_matching(self):
         for seed in range(5):
             g = random_cubic_3ec(12, seed)
             res = find_covering_cycle_cover(g)
-            h = contract(g, res.cover_multiset())
+            h = verify_contraction(g, res)
+            assert h == contract(g, res.cover_multiset())
             assert h.m == len(res.cross_cycle)
-            rep = verify_contraction(g, res)
-            assert rep.passed
+
+    def test_rejects_a_cover_missing_a_3_edge_cut(self):
+        # The prism's two triangles leave the three rungs, a 3-edge cut, as
+        # G/C: two vertices joined by three edges.
+        g = prism()
+        res = replace(find_covering_cycle_cover(g), cover=(0, 1, 2, 3, 4, 5))
+        with pytest.raises(CycleCoverError, match="bad contraction: 3-edge cut"):
+            verify_contraction(g, res)
 
 
 @pytest.mark.parametrize("n", [24, 28, 32])

@@ -288,6 +288,24 @@ class TestOneCovers:
         with pytest.raises(DecompositionError, match="alpha"):
             decompose_one_covers(g, tree, y, F(1, 2))
 
+    def test_vector_outside_cover_rejected(self):
+        # 2/5 on the two non-star edges at vertex 1 gives its 1-edge cut 4/5.
+        g = k4()
+        tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
+        y = {e.id: F(2, 5) for e in g.edges if e.id not in tree}
+        with pytest.raises(DecompositionError) as info:
+            decompose_one_covers(g, tree, y, F(2, 5))
+        assert str(info.value) == ("input vector is outside cover: "
+                                   "1-edge cut of F at e0 has value 4/5 < 1")
+
+    def test_vector_outside_the_graph_rejected(self):
+        g = k4()
+        tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
+        y = {e.id: F(1, 2) for e in g.edges if e.id not in tree}
+        y[99] = F(1, 2)
+        with pytest.raises(DecompositionError, match=r"outside the graph \(e99\)"):
+            decompose_one_covers(g, tree, y, F(1, 2))
+
 
 class TestWolseyTours:
     def test_hamiltonian_cycle_identity(self, c4):
@@ -307,6 +325,11 @@ class TestWolseyTours:
         comb = wolsey_tours(g, everywhere(g, F(2, 3)))
         verify_combination(g, comb, "tour")
         assert all(v <= F(1) for v in comb.coverage().values())
+
+    def test_vector_outside_subtour_rejected(self):
+        g = petersen()
+        with pytest.raises(DecompositionError, match="outside subtour"):
+            wolsey_tours(g, everywhere(g, F(1, 2)))
 
 
 class TestCaratheodory:

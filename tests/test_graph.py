@@ -9,7 +9,7 @@ from unicover.families import k4, k5, k33, petersen, prism
 from unicover.graph import (Cut, CutFamily, Edge, GraphError, Multigraph,
                             NodeWeights, classify, connected_components,
                             contract, cut_edges,
-                            edge_connectivity, enumerate_cuts_upto, is_bipartite,
+                            enumerate_cuts_upto, is_bipartite, min_cut_unit,
                             multiset_degrees, multiset_union, multiset_weight,
                             validate_structure)
 
@@ -71,11 +71,18 @@ class TestValidateStructure:
                            (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
                            (2, 6), (3, 7)])
         report = validate_structure(g, "cubic-3ec")
-        assert not report.passed
-        assert "2-edge cut" in report.violation
+        assert not report.passed and report.edge_connectivity == 2
+        assert report.violation == "2-edge cut {e10,e11}"
 
     def test_subcubic_accepts_cycle(self, c4):
         assert validate_structure(c4, "subcubic-2ec").passed
+
+    def test_disconnected_input_named(self):
+        two_k4 = make_graph(8, [(a + s, b + s) for s in (0, 4)
+                                for a, b in itertools.combinations(range(4), 2)])
+        report = validate_structure(two_k4, "cubic-3ec")
+        assert not report.passed and report.edge_connectivity == 0
+        assert report.violation == "disconnected input"
 
 
 def brute_force_cuts(G, k):
@@ -157,9 +164,9 @@ class TestCutEnumeration:
             enumerate_cuts_upto(make_graph(4, [(0, 1), (2, 3)]), 2)
 
     def test_edge_connectivity(self, two_triangles):
-        assert edge_connectivity(k4()) == 3
-        assert edge_connectivity(petersen()) == 3
-        assert edge_connectivity(two_triangles) == 2
+        for g, want in ((k4(), 3), (petersen(), 3), (two_triangles, 2)):
+            value, shore = min_cut_unit(g)
+            assert value == want == len(cut_edges(g, shore))
 
 
 class TestContract:

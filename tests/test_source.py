@@ -14,3 +14,104 @@ def test_library_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert sorted(SOURCE.glob("*.py")), f"no sources under {SOURCE}"
     assert not found, f"assert statements in the library: {found}"
+
+
+
+def _parents(tree):
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _enclosing(node, parent, kind):
+    while node in parent:
+        node = parent[node]
+        if isinstance(node, kind):
+            return node
+    return None
+
+
+def _fields_guarded(tree, parent):
+    """A test for the nodes of serialize.py whose ValueError `_fields` turns
+    into a ParseError: those inside a `with _fields(...)` block, and those in
+    functions called only from such nodes."""
+
+    def under_fields(node):
+        while True:
+            node = _enclosing(node, parent, ast.With)
+            if node is None:
+                return False
+            if any(getattr(getattr(item.context_expr, "func", None), "id", None) == "_fields"
+                   for item in node.items):
+                return True
+
+    def caller(node):
+        fn = _enclosing(node, parent, ast.FunctionDef)
+        return fn.name if fn else None
+
+    sites = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            sites.setdefault(node.func.id, []).append(node)
+    guarded_functions = set()
+    while True:
+        more = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and sites.get(fn.name)
+                and all(under_fields(c) or caller(c) in guarded_functions
+                        for c in sites[fn.name])}
+        if more <= guarded_functions:
+            return lambda node: under_fields(node) or caller(node) in guarded_functions
+        guarded_functions |= more
+
+
+def test_library_raises_only_its_own_errors():
+    # cli.main turns GraphError and LpError into exit code 2; anything else
+    # would surface as a traceback with exit code 1, the code of a failed
+    # verification.
+    import builtins
+    import importlib
+    from unicover.graph import GraphError
+    from unicover.simplex import LpError
+
+    modules, trees, parents = {}, {}, {}
+    for path in sorted(SOURCE.glob("*.py")):
+        modules[path.stem] = importlib.import_module(f"unicover.{path.stem}")
+        trees[path.stem] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parents[path.stem] = _parents(trees[path.stem])
+    calls = {}                     # function name -> [(module name, call node)]
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, []).append((stem, node))
+
+    def resolve(stem, expr):
+        name = getattr(expr, "id", None) or getattr(expr, "attr", None)
+        if name is None:           # a bare re-raise or a computed exception
+            return ast.unparse(expr) if expr else "a bare raise", None
+        return name, getattr(modules[stem], name, getattr(builtins, name, None))
+
+    def raised(stem, node):
+        """(name, class) for each exception class that `node` can raise; a
+        class passed in as a parameter is resolved at every call site."""
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        fn = _enclosing(node, parents[stem], ast.FunctionDef)
+        params = [a.arg for a in fn.args.args] if fn else []
+        if isinstance(exc, ast.Name) and exc.id in params:
+            i = params.index(exc.id)
+            for site_stem, call in calls.get(fn.name, []):
+                arg = call.args[i] if i < len(call.args) else next(
+                    k.value for k in call.keywords if k.arg == exc.id)
+                yield resolve(site_stem, arg)
+        else:
+            yield resolve(stem, exc)
+
+    guarded = _fields_guarded(trees["serialize"], parents["serialize"])
+    found = []
+    for stem, tree in trees.items():
+        for node in (n for n in ast.walk(tree) if isinstance(n, ast.Raise)):
+            for name, cls in raised(stem, node):
+                if isinstance(cls, type) and issubclass(cls, (GraphError, LpError)):
+                    continue
+                if stem == "serialize" and cls is ValueError and guarded(node):
+                    continue
+                found.append(f"{stem}.py:{node.lineno} raises {name}")
+    assert trees, f"no sources under {SOURCE}"
+    assert not found, f"raises outside GraphError and LpError: {found}"
