@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    connected_components, spanning_connected)
+from .graph import EdgeMultiset, EdgeVector, GraphError, Multigraph, support_labels
 from .decompose import (ConvexCombination, DecompositionError, caratheodory_reduce,
                         clip_at_two, decompose_connectors, make_combination)
 
@@ -28,70 +27,53 @@ class TwoCutClass:
     kind: str                      # "D1" (all values >= 1) or "D2"
     distinguished: Optional[int]   # the unique sub-1 edge of a D2 class
 
-    def min_id(self) -> int:
-        return min(self.edge_ids)
 
-
-@dataclass(frozen=True)
-class TwoCutClasses:
-    classes: Tuple[TwoCutClass, ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def _support_edges(G: Multigraph, x: EdgeVector):
-    return [e for e in G.edges if x.get(e.id, ZERO) > 0]
+def _two_cut_labels(G: Multigraph, x: EdgeVector) -> Dict[int, int]:
+    """The cycle-space labels of the support of x, which must be spanning
+    and 2-edge-connected: no label is 0."""
+    label = support_labels(G, x)
+    if label is None:
+        raise GraphError("support is not spanning connected")
+    if 0 in label.values():
+        raise GraphError("support is not 2-edge-connected")
+    return label
 
 
 def two_cut_pairs(G: Multigraph, x: EdgeVector) -> List[Tuple[int, int]]:
-    """Pairs of support edges whose joint removal disconnects the support."""
-    support = _support_edges(G, x)
-    if not spanning_connected(G, x):
-        raise GraphError("support is not spanning connected")
-    pairs: List[Tuple[int, int]] = []
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            ea, eb = support[a], support[b]
-            rest = [(e.u, e.v) for e in support if e.id not in (ea.id, eb.id)]
-            comps = connected_components(G.n, rest)
-            if len(comps) == 2:
-                pairs.append((ea.id, eb.id))
-            elif len(comps) > 2:
-                raise GraphError("support is not 2-edge-connected")
-    return pairs
+    """Pairs of support edges whose joint removal disconnects the support:
+    the pairs with equal labels, in the order of G's edges."""
+    label = _two_cut_labels(G, x)
+    support = [e.id for e in G.edges if e.id in label]
+    return [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
+            if label[a] == label[b]]
 
 
-def two_cut_classes(G: Multigraph, x: EdgeVector) -> TwoCutClasses:
-    """Equivalence classes of edges lying in 2-edge cuts, tagged D1 or D2.
+def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
+    """Equivalence classes of edges lying in 2-edge cuts, tagged D1 or D2,
+    sorted by least edge id.
 
-    Two edges are related when their removal disconnects the support; the
-    relation is transitive on these classes, which is asserted pairwise.
-    x is taken to be in the subtour polytope: even_2cut_connectors, the
-    caller, has tested it in decompose_connectors.
+    Two edges are related when their removal disconnects the support, that
+    is, when their labels are equal, so a class is a label held by two or
+    more edges.  x is taken to be in the subtour polytope:
+    even_2cut_connectors, the caller, has tested it in decompose_connectors.
     """
-    pairs = two_cut_pairs(G, x)
-    ids = sorted({eid for p in pairs for eid in p})
-    index = {eid: i for i, eid in enumerate(ids)}
-    pair_set = {frozenset(p) for p in pairs}
+    label = _two_cut_labels(G, x)
+    groups: Dict[int, List[int]] = {}
+    for eid in sorted(label):
+        groups.setdefault(label[eid], []).append(eid)
     classes = []
-    for group in connected_components(len(ids), ((index[a], index[b]) for a, b in pairs)):
-        members = frozenset(ids[i] for i in group)
-        members_sorted = sorted(members)
-        for i, a in enumerate(members_sorted):
-            for b in members_sorted[i + 1:]:
-                if frozenset((a, b)) not in pair_set:
-                    raise GraphError(f"2-cut relation is not transitive on {{e{a},e{b}}}")
-        sub_one = [eid for eid in members_sorted if x.get(eid, ZERO) < 1]
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        sub_one = [eid for eid in members if x[eid] < 1]
         if len(sub_one) > 1:
             raise DecompositionError(
                 "two edges of one cut class are below 1; x violates a cut constraint")
         if sub_one:
-            classes.append(TwoCutClass(members, "D2", sub_one[0]))
+            classes.append(TwoCutClass(frozenset(members), "D2", sub_one[0]))
         else:
-            classes.append(TwoCutClass(members, "D1", None))
-    classes.sort(key=lambda c: c.min_id())
-    return TwoCutClasses(tuple(classes))
+            classes.append(TwoCutClass(frozenset(members), "D1", None))
+    return tuple(classes)
 
 
 def normalize_connectors(family: ConvexCombination, x: EdgeVector,
@@ -143,11 +125,11 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     base = decompose_connectors(G, x)
     classes = two_cut_classes(G, x)
     norm = normalize_connectors(base, xbar, G=G)
-    if len(classes) == 0:
+    if not classes:
         return norm
     terms: List[Tuple[Fraction, EdgeMultiset]] = [
         (t.coefficient, t.multiset()) for t in norm.terms]
-    for cls in classes.classes:
+    for cls in classes:
         members = sorted(cls.edge_ids)
         if cls.kind == "D1":
             for _, f in terms:
@@ -169,14 +151,14 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     for coeff, f in terms:
         for eid, m in f.items():
             cover[eid] = cover.get(eid, ZERO) + coeff * m
-    class_edges = {eid for cls in classes.classes for eid in cls.edge_ids}
+    class_edges = {eid for cls in classes for eid in cls.edge_ids}
     for eid, v in cover.items():
         if v > xbar.get(eid, ZERO):
             raise DecompositionError(f"repair broke domination on e{eid}")
         if eid not in class_edges and v != xbar.get(eid, ZERO):
             raise DecompositionError(f"repair changed coverage off the classes on e{eid}")
     # The 2-edge cuts are exactly the pairs inside one class.
-    for cls in classes.classes:
+    for cls in classes:
         for a, b in itertools.combinations(sorted(cls.edge_ids), 2):
             for _, f in terms:
                 if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:

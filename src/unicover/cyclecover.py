@@ -139,7 +139,7 @@ def verify_contraction(G: Multigraph, result: CycleCoverResult) -> Multigraph:
     if H.n == 1:
         return H
     conn, shore = min_cut_unit(H)
-    bip, _ = is_bipartite(G)
+    bip = is_bipartite(G)
     if conn < (6 if bip else 5):
         raise CycleCoverError(
             f"bad contraction: {conn}-edge cut in the contraction (shore {shore})")

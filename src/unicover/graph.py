@@ -8,7 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 EdgeMultiset = Dict[int, int]          # edge id -> multiplicity >= 0
 EdgeVector = Dict[int, Fraction]       # edge id -> exact rational >= 0
@@ -52,11 +53,7 @@ class Multigraph:
 
     def adjacency(self) -> List[List[Tuple[int, int]]]:
         """adj[v] = list of (neighbour, edge id)."""
-        adj: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.u].append((e.v, e.id))
-            adj[e.v].append((e.u, e.id))
-        return adj
+        return _adjacency(self.n, self.edges)
 
     def degrees(self) -> List[int]:
         deg = [0] * self.n
@@ -71,6 +68,14 @@ class Multigraph:
     def with_weights(self, weights: Mapping[int, Fraction]) -> "Multigraph":
         return Multigraph(self.n, tuple(
             Edge(e.u, e.v, Fraction(weights[e.id]), e.id) for e in self.edges))
+
+
+def _adjacency(n: int, edges: Iterable[Edge]) -> List[List[Tuple[int, int]]]:
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for e in edges:
+        adj[e.u].append((e.v, e.id))
+        adj[e.v].append((e.u, e.id))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,7 @@ def is_connected(G: Multigraph) -> bool:
     return len(connected_components(G.n, ((e.u, e.v) for e in G.edges))) == 1
 
 
-def is_bipartite(G: Multigraph) -> Tuple[bool, Optional[List[int]]]:
-    """Returns (bipartite, colouring or odd-cycle witness as None)."""
+def is_bipartite(G: Multigraph) -> bool:
     colour = [-1] * G.n
     adj = G.adjacency()
     for s in range(G.n):
@@ -165,8 +169,8 @@ def is_bipartite(G: Multigraph) -> Tuple[bool, Optional[List[int]]]:
                     colour[w] = 1 - colour[v]
                     stack.append(w)
                 elif colour[w] == colour[v]:
-                    return False, None
-    return True, colour
+                    return False
+    return True
 
 
 def cut_edges(G: Multigraph, shore: Iterable[int]) -> FrozenSet[int]:
@@ -174,18 +178,26 @@ def cut_edges(G: Multigraph, shore: Iterable[int]) -> FrozenSet[int]:
     return frozenset(e.id for e in G.edges if (e.u in side) != (e.v in side))
 
 
-def _cycle_space_labels(G: Multigraph, adj: List[List[Tuple[int, int]]]) -> Dict[int, int]:
-    """Edge id -> label, an int read as a vector over GF(2).
+def _cycle_space_labels(edges: Sequence[Edge], adj: List[List[Tuple[int, int]]]
+                        ) -> Optional[Dict[int, int]]:
+    """Edge id -> label, an int read as a vector over GF(2), for the graph
+    on the vertices of adj with these edges; None when some vertex is not
+    reached from vertex 0 (the graph is not connected).
 
     A spanning tree is grown from vertex 0; each non-tree edge gets its own
     bit, and each tree edge the XOR of the bits of the non-tree edges whose
     fundamental cycle passes through it.  Bit f of the XOR of an edge set's
     labels is its parity against the fundamental cycle of f, so the XOR is 0
     exactly when the set is orthogonal to the cycle space, that is, a cut.
-    G must be connected; adj is G.adjacency().
+    So an edge is a bridge exactly when its label is 0, and two edges that
+    are not bridges form a 2-edge cut exactly when their labels are equal.
+    adj is the edges' adjacency, as Multigraph.adjacency gives it.
     """
-    up = [-1] * G.n            # the tree edge from v towards vertex 0
-    seen = [False] * G.n
+    n = len(adj)
+    if n == 0:
+        return None
+    up = [-1] * n              # the tree edge from v towards vertex 0
+    seen = [False] * n
     seen[0] = True
     order, stack = [], [0]     # order lists every vertex before its descendants
     while stack:
@@ -196,9 +208,11 @@ def _cycle_space_labels(G: Multigraph, adj: List[List[Tuple[int, int]]]) -> Dict
                 seen[w] = True
                 up[w] = eid
                 stack.append(w)
+    if len(order) < n:
+        return None
     tree = set(up[1:])
     label: Dict[int, int] = {}
-    for e in G.edges:
+    for e in edges:
         if e.id not in tree:
             label[e.id] = 1 << len(label)
     # delta(v) is a cut, so the label of v's tree edge up is the XOR of the
@@ -242,10 +256,10 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
     """
     if k > 4:
         raise GraphError("cut enumeration is limited to k <= 4")
-    if not is_connected(G):
-        raise GraphError("disconnected input")
     adj = G.adjacency()
-    label = _cycle_space_labels(G, adj)
+    label = _cycle_space_labels(G.edges, adj)
+    if label is None:
+        raise GraphError("disconnected input")
     ids = sorted(label)
     labels = [label[eid] for eid in ids]
     closing: Dict[int, List[int]] = {}     # label -> positions in ids, ascending
@@ -320,23 +334,13 @@ def multiset_union(*parts: EdgeMultiset) -> EdgeMultiset:
     return out
 
 
-def spanning_connected(G: Multigraph, H: EdgeMultiset) -> bool:
-    """The support of H connects every vertex of G."""
-    comps = connected_components(
-        G.n, ((e.u, e.v) for e in G.edges if H.get(e.id, 0) > 0))
-    return len(comps) == 1
-
-
-def _two_edge_connected(G: Multigraph, H: EdgeMultiset) -> bool:
-    """Spanning and 2-edge-connected as a multigraph (no bridges)."""
-    if not spanning_connected(G, H):
-        return False
-    for e in G.edges:
-        if H.get(e.id, 0) == 1:
-            rest = {eid: m for eid, m in H.items() if eid != e.id}
-            if not spanning_connected(G, rest):
-                return False
-    return True
+def support_labels(G: Multigraph, H: Union[EdgeMultiset, EdgeVector]
+                   ) -> Optional[Dict[int, int]]:
+    """The cycle-space labels (see _cycle_space_labels) of the support of H,
+    the edges of G with H positive, each taken once; None when that support
+    does not connect every vertex of G."""
+    support = [e for e in G.edges if H.get(e.id, 0) > 0]
+    return _cycle_space_labels(support, _adjacency(G.n, support))
 
 
 def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
@@ -354,10 +358,12 @@ def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
         if not active:
             return {"tour", "twoec-multigraph", "connector"}
     deg = multiset_degrees(G, active)
-    spanning = spanning_connected(G, active)
+    label = support_labels(G, active)
+    spanning = label is not None
     if spanning and all(d % 2 == 0 for d in deg):
         labels.add("tour")
-    if spanning and _two_edge_connected(G, active):
+    # A bridge of the support, used once, is a bridge of the multigraph.
+    if spanning and all(label[e.id] for e in G.edges if active.get(e.id) == 1):
         labels.add("twoec-multigraph")
     if spanning and all(m <= 2 for m in active.values()):
         labels.add("connector")
@@ -394,7 +400,7 @@ def validate_structure(G: Multigraph, profile: str) -> StructureReport:
     if G.n == 0:
         raise GraphError("empty graph")
     deg = G.degrees()
-    bip, _ = is_bipartite(G)
+    bip = is_bipartite(G)
     conn, shore = min_cut_unit(G) if G.n >= 2 else (0, ())
 
     def report(violation: Optional[str]) -> StructureReport:

@@ -3,7 +3,8 @@ the cutting-plane subtour solver.
 
 Separation for the subtour polyhedron is an exact Stoer-Wagner min cut, run
 over the capacities scaled to ints; the 1-edge cuts of a connector are
-listed by direct enumeration (decompose_one_covers checks a vector on them).
+read off the cycle-space labels of its support (decompose_one_covers checks
+a vector on them).
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError,
-                    Multigraph, connected_components, cut_edges, is_connected)
+from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
+                    _shore_of, cut_edges, is_connected, support_labels)
 from .simplex import LpError, solve_lp
 
 
@@ -78,23 +79,23 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
 
 
 def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...], int]]:
-    """1-edge cuts of the connector F: list of (shore, bridge edge id).
+    """1-edge cuts of the connector F: list of (shore, bridge edge id), in
+    edge-id order.
 
-    A shore is reported once per bridge, canonicalized to the side avoiding
+    A bridge is an edge used once whose label in the support of F is 0.  A
+    shore is reported once per bridge, canonicalized to the side avoiding
     vertex 0.
     """
-    support = [e for e in G.edges if F.get(e.id, 0) > 0]
+    label = support_labels(G, F)
+    if label is None:
+        raise LpInputError("F is not connected")
+    support = Multigraph(G.n, tuple(e for e in G.edges if e.id in label))
+    adj = support.adjacency()
     cuts: List[Tuple[Tuple[int, ...], int]] = []
-    for e in sorted(support, key=lambda e: e.id):
-        if F.get(e.id, 0) != 1:
-            continue
-        rest = [(f.u, f.v) for f in support if f.id != e.id]
-        comps = connected_components(G.n, rest)
-        if len(comps) == 2:
-            shore = comps[0] if 0 not in comps[0] else comps[1]
-            cuts.append((tuple(shore), e.id))
-        elif len(comps) > 2:
-            raise LpInputError("F is not connected")
+    for eid in sorted(label):
+        if label[eid] == 0 and F[eid] == 1:
+            near = set(_shore_of(support, adj, frozenset((eid,))))
+            cuts.append((tuple(v for v in range(G.n) if v not in near), eid))
     return cuts
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unicover.graph import Edge, Multigraph, cut_edges
+from unicover.graph import Edge, Multigraph, connected_components, cut_edges
 from unicover.lp import _solve_over_cuts
 
 
@@ -54,6 +54,46 @@ def exhaustive_one_cover(crossing, candidate_ids, weights):
             if best is None or w < best:
                 best, best_sub = w, sub
     return best, {relevant[i]: 1 for i in range(len(relevant)) if best_sub >> i & 1}
+
+
+def support_components(G, H, without=()):
+    """Components of the support of H (the edges of G with H positive) less
+    the edges `without`."""
+    return connected_components(G.n, ((e.u, e.v) for e in G.edges
+                                      if H.get(e.id, 0) > 0 and e.id not in without))
+
+
+def support_bridges(G, H):
+    """Reference oracle for the bridges of a spanning support: (shore, edge
+    id) for each support edge, taken once whatever H holds on it, whose
+    removal splits the support, in edge-id order, by removing it and
+    recounting components.  The shore is the side avoiding vertex 0."""
+    cuts = []
+    for eid in sorted(e.id for e in G.edges if H.get(e.id, 0) > 0):
+        comps = support_components(G, H, (eid,))
+        if len(comps) == 2:
+            cuts.append((tuple(next(c for c in comps if 0 not in c)), eid))
+    return cuts
+
+
+def one_edge_cuts_oracle(G, F):
+    """Reference oracle for lp.one_edge_cuts on a spanning support: the
+    support's bridges that F uses once."""
+    return [(shore, eid) for shore, eid in support_bridges(G, F) if F[eid] == 1]
+
+
+def two_edge_connected(G, H):
+    """Reference oracle for classify's twoec-multigraph label: the support
+    spans G and no edge used once is a bridge of it."""
+    return len(support_components(G, H)) == 1 and not one_edge_cuts_oracle(G, H)
+
+
+def two_cut_pairs_oracle(G, x):
+    """Reference oracle for connectors.two_cut_pairs: the pairs of support
+    edges, in the order of G's edges, whose removal splits the support."""
+    support = [e.id for e in G.edges if x.get(e.id, 0) > 0]
+    return [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
+            if len(support_components(G, x, (a, b))) > 1]
 
 
 @pytest.fixture

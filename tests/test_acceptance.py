@@ -12,7 +12,7 @@ from fractions import Fraction
 from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
-from unicover.connectors import even_2cut_connectors, two_cut_pairs
+from unicover.connectors import even_2cut_connectors
 from unicover.covers import check_certificate, uniform_cover
 from unicover.cyclecover import _perfect_matchings, find_covering_cycle_cover
 from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
@@ -25,7 +25,7 @@ from unicover.graph import (NodeWeights, classify, enumerate_cuts_upto,
 from unicover.lp import everywhere, solve_subtour
 from unicover.verify import verify_document
 
-from conftest import brute_force_subtour, make_graph
+from conftest import brute_force_subtour, make_graph, two_cut_pairs_oracle
 
 F = Fraction
 TIME_BUDGET = 60.0
@@ -98,7 +98,7 @@ def test_criterion_3_connector_decomposition(capsys):
             cover = comb.coverage()
             for eid, v in cover.items():
                 assert v <= min(x.get(eid, F(0)), F(2))
-            pairs = two_cut_pairs(g, x)
+            pairs = two_cut_pairs_oracle(g, x)
             for t in comb.terms:
                 f = t.multiset()
                 for a, b in pairs:

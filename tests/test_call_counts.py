@@ -1,7 +1,8 @@
 """Each public entry point tests a fact about its input once: one profile
 test per call, and no global min cut of a (graph, capacity) pair that the
 call has already cut.  Graphs are immutable, so the stages after the test
-can trust it."""
+can trust it.  Bridges and 2-edge cuts are read from one cycle-space
+labelling, with no component count."""
 import sys
 from collections import Counter
 
@@ -9,9 +10,10 @@ import pytest
 
 from unicover import graph, lp
 from unicover.approx import ALGORITHM_TABLE, approximate
+from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.families import (heawood, k5, k33, petersen, random_node_weights,
+from unicover.families import (heawood, k4, k5, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
 
 COVER_INPUTS = {"18/19": petersen, "12/13": k33, "15/17": petersen,
@@ -23,12 +25,23 @@ def _key(G, cap):
     return (G.n, tuple((e.u, e.v, e.id) for e in G.edges)), tuple(sorted(cap.items()))
 
 
+def _patch(monkeypatch, original, replacement):
+    """Replace every binding of `original` in the library's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "unicover" or name.startswith("unicover."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts validate_structure calls and lists the min_cut keys, through
-    every binding of the two functions in the library's modules."""
-    seen = {"validate_structure": 0, "min_cut": []}
+    """Counts validate_structure, _cycle_space_labels and
+    connected_components calls and lists the min_cut keys, through every
+    binding of the functions in the library's modules."""
+    seen = {"validate_structure": 0, "labels": 0, "components": 0, "min_cut": []}
     validate_structure, min_cut = graph.validate_structure, lp.min_cut
+    labels, components = graph._cycle_space_labels, graph.connected_components
 
     def counted_validate(G, profile):
         seen["validate_structure"] += 1
@@ -38,13 +51,18 @@ def calls(monkeypatch):
         seen["min_cut"].append(_key(G, cap))
         return min_cut(G, cap)
 
-    for name, module in list(sys.modules.items()):
-        if name == "unicover" or name.startswith("unicover."):
-            for attr, value in list(vars(module).items()):
-                if value is validate_structure:
-                    monkeypatch.setattr(module, attr, counted_validate)
-                elif value is min_cut:
-                    monkeypatch.setattr(module, attr, listed_min_cut)
+    def counted_labels(edges, adj):
+        seen["labels"] += 1
+        return labels(edges, adj)
+
+    def counted_components(n, edges):
+        seen["components"] += 1
+        return components(n, edges)
+
+    _patch(monkeypatch, validate_structure, counted_validate)
+    _patch(monkeypatch, min_cut, listed_min_cut)
+    _patch(monkeypatch, labels, counted_labels)
+    _patch(monkeypatch, components, counted_components)
     return seen
 
 
@@ -82,3 +100,16 @@ def test_approximate_tests_each_fact_once(calls, algorithm):
         assert repeated == {_key(G, res.x): 2}
     else:
         assert repeated == {}
+
+
+@pytest.mark.parametrize("name", ("classify", "one_edge_cuts", "two_cut_classes"))
+def test_small_cuts_label_once(calls, c4, name):
+    g = petersen()
+    doubled = {e.id: 2 if e.id == 0 else 1 for e in g.edges}
+    star = {e.id: 1 for e in k4().edges if 0 in (e.u, e.v)}
+    run = {"classify": lambda: graph.classify(g, doubled),
+           "one_edge_cuts": lambda: lp.one_edge_cuts(k4(), star),
+           "two_cut_classes": lambda: two_cut_classes(c4, lp.everywhere(c4, 1))}[name]
+    assert run()
+    assert calls["labels"] == 1
+    assert calls["components"] == 0

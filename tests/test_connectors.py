@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicover.connectors import (even_2cut_connectors, normalize_connectors,
                                  two_cut_classes, two_cut_pairs)
 from unicover.decompose import (DecompositionError, decompose_connectors,
                                 verify_combination)
 from unicover.families import k4, petersen, random_subcubic_2ec
-from unicover.graph import GraphError
-from unicover.lp import everywhere
+from unicover.graph import GraphError, classify, multiset_degrees
+from unicover.lp import LpInputError, everywhere, one_edge_cuts
 
-from conftest import make_graph
+from conftest import (make_graph, one_edge_cuts_oracle, support_bridges,
+                      support_components, two_cut_pairs_oracle, two_edge_connected)
 
 F = Fraction
 
@@ -43,12 +46,20 @@ class TestTwoCutPairs:
         with pytest.raises(GraphError, match="connected"):
             two_cut_pairs(c4, {0: F(1), 2: F(1)})
 
+    def test_rejects_a_support_with_a_bridge(self):
+        # The pendant edge 3-4 is a bridge, so no pair is a 2-edge cut.
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        with pytest.raises(GraphError, match="support is not 2-edge-connected"):
+            two_cut_pairs(g, everywhere(g, F(1)))
+        with pytest.raises(GraphError, match="support is not 2-edge-connected"):
+            two_cut_classes(g, everywhere(g, F(1)))
+
 
 class TestTwoCutClasses:
     def test_c4_single_d1_class(self, c4):
         classes = two_cut_classes(c4, everywhere(c4, F(1)))
         assert len(classes) == 1
-        cls = classes.classes[0]
+        cls = classes[0]
         assert cls.kind == "D1" and cls.edge_ids == frozenset({0, 1, 2, 3})
 
     def test_k4_no_classes(self):
@@ -60,9 +71,9 @@ class TestTwoCutClasses:
 
     def test_two_triangles_mixed(self, two_triangles):
         classes = two_cut_classes(two_triangles, two_triangles_x(two_triangles))
-        kinds = {frozenset(c.edge_ids): c.kind for c in classes.classes}
+        kinds = {frozenset(c.edge_ids): c.kind for c in classes}
         assert kinds[frozenset({6, 7})] == "D2"
-        d2 = next(c for c in classes.classes if c.kind == "D2")
+        d2 = next(c for c in classes if c.kind == "D2")
         assert d2.distinguished == 6
 
     def test_rejects_vector_outside_polyhedron(self, two_triangles):
@@ -101,7 +112,7 @@ class TestEven2CutConnectors:
         comb = even_2cut_connectors(g, x)
         verify_combination(g, comb, "connector")
         assert comb.relation == "dominated-by"
-        for a, b in two_cut_pairs(g, x):
+        for a, b in two_cut_pairs_oracle(g, x):
             for t in comb.terms:
                 f = t.multiset()
                 assert (f.get(a, 0) + f.get(b, 0)) % 2 == 0
@@ -131,3 +142,63 @@ class TestEven2CutConnectors:
         for seed in range(8):
             g = random_subcubic_2ec(10, seed)
             self.check(g, everywhere(g, F(1)))
+
+
+@st.composite
+def supports(draw):
+    """A small multigraph with parallel edges, an edge multiset H with
+    multiplicities up to 2 and a vector x with halves, each possibly
+    leaving edges out."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, (i + 1) % n) for i in range(n)] if draw(st.booleans()) else []
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), min_size=1, max_size=8))
+    g = make_graph(n, pairs)
+    H = {e.id: draw(st.sampled_from((0, 1, 1, 2))) for e in g.edges}
+    x = {e.id: draw(st.sampled_from((F(0), F(1, 2), F(1), F(1), F(3, 2), F(2))))
+         for e in g.edges}
+    return g, H, x
+
+
+@given(supports())
+@settings(max_examples=200, deadline=None)
+def test_small_cuts_match_the_remove_and_recount_oracles(case):
+    g, H, x = case
+    spanning = len(support_components(g, H)) == 1
+    even = all(d % 2 == 0 for d in multiset_degrees(g, H))
+    expected = {label for label, holds in (
+        ("tour", spanning and even), ("twoec-multigraph", two_edge_connected(g, H)),
+        ("connector", spanning)) if holds}
+    assert classify(g, H) - {"cycle-cover"} == expected
+    if spanning:
+        assert one_edge_cuts(g, H) == one_edge_cuts_oracle(g, H)
+    else:
+        with pytest.raises(LpInputError, match="F is not connected"):
+            one_edge_cuts(g, H)
+
+    if len(support_components(g, x)) > 1:
+        error = "support is not spanning connected"
+    elif support_bridges(g, x):
+        error = "support is not 2-edge-connected"
+    else:
+        pairs = two_cut_pairs_oracle(g, x)
+        assert two_cut_pairs(g, x) == pairs
+        partners = {}
+        for a, b in pairs:
+            partners.setdefault(a, {a}).add(b)
+            partners.setdefault(b, {b}).add(a)
+        classes = sorted({frozenset(c) for c in partners.values()}, key=min)
+        if any(sum(x[eid] < 1 for eid in c) > 1 for c in classes):
+            with pytest.raises(DecompositionError, match="below 1"):
+                two_cut_classes(g, x)
+        else:
+            got = two_cut_classes(g, x)
+            assert [c.edge_ids for c in got] == classes
+            for c in got:
+                sub_one = [eid for eid in c.edge_ids if x[eid] < 1]
+                assert (c.kind, c.distinguished) == (
+                    ("D2", sub_one[0]) if sub_one else ("D1", None))
+        return
+    for scan in (two_cut_pairs, two_cut_classes):
+        with pytest.raises(GraphError, match=error):
+            scan(g, x)

@@ -231,8 +231,8 @@ class TestHelpers:
         assert multiset_degrees(g, u) == [3, 2, 1]
 
     def test_bipartite_detection(self):
-        assert is_bipartite(k33())[0]
-        assert not is_bipartite(k4())[0]
+        assert is_bipartite(k33())
+        assert not is_bipartite(k4())
 
 
 @st.composite

@@ -285,6 +285,13 @@ class TestMembership:
             assert crossing & set(tree) == {bridge}
             assert sum(y.get(eid, F(0)) for eid in crossing) == 1
 
+    def test_one_edge_cuts_reject_a_disconnected_connector(self):
+        # A triangle 0-1-2 and the edge 3-4, with e4 = 2-3 unused: no edge of
+        # F is a bridge of a connected F, so none may be listed.
+        g = make_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (2, 3)])
+        with pytest.raises(LpInputError, match="F is not connected"):
+            one_edge_cuts(g, {0: 1, 1: 1, 2: 1, 3: 2})
+
     def test_negative_entry_rejected(self):
         res = membership(k4(), {0: F(-1)})
         assert not res.inside and "negative" in res.detail

@@ -18,6 +18,8 @@ from unicover.lp import everywhere, solve_subtour
 from unicover.serialize import ParseError
 from unicover.verify import verify_document
 
+from conftest import make_graph
+
 F = Fraction
 
 
@@ -293,6 +295,16 @@ class TestRejects:
         doc = serialize.decomposition_to_json(g, decompose_connectors(g, x), "even2cut")
         rep = verify_document(doc)
         assert not rep.ok and "2-edge cut" in rep.detail
+
+    def test_decomposition_kind_even2cut_needs_a_bridgeless_support(self):
+        # The 4-cycle with a pendant edge: the one term crosses every pair of
+        # edges evenly, but the pendant edge is a bridge of the support.
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        comb = make_combination(g, [(F(1), {e.id: 1 for e in g.edges})],
+                                everywhere(g, F(1)), "dominated-by")
+        rep = verify_document(serialize.decomposition_to_json(g, comb, "even2cut"))
+        assert not rep.ok and "not 2-edge-connected" in rep.detail
+        assert verify_document(serialize.decomposition_to_json(g, comb, "connectors")).ok
 
     def test_decomposition_unknown_kind(self):
         for kind in ("forests", ["trees"], None):
