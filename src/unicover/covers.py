@@ -8,6 +8,7 @@ passes its structural classifier.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -112,6 +113,25 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
         raise CoverError("stored max multiplicity is wrong")
     if spec.subgraph_only and seen_max > 1:
         raise CoverError("subgraph variant contains a doubled edge")
+    meta = dict(cert.metadata)
+    want = _metadata(spec, meta.get("cycles"))   # cycles: range-checked below
+    if set(meta) != set(want):
+        raise CoverError(f"metadata fields {sorted(meta)} are not {sorted(want)}")
+    for field, value in want.items():
+        if meta[field] != value:
+            raise CoverError(f"metadata {field} {meta[field]!r} is not {value!r}")
+    if "cycles" in want:   # the cover is not stored, so a range is all there is
+        cycles = meta["cycles"]
+        if not (isinstance(cycles, str) and re.fullmatch(r"[1-9][0-9]*", cycles)
+                and len(cycles) <= len(str(G.n)) and 2 * int(cycles) <= G.n):
+            raise CoverError(f"metadata cycles {cycles!r} is not a count from 1 to n/2")
+
+
+def _metadata(spec: Variant, cycles: object) -> Dict[str, object]:
+    """The metadata of a certificate of the variant."""
+    if spec.construction == "tree+cover":
+        return {"construction": spec.construction}
+    return {"mixing": ",".join(str(w) for w in spec.mixing), "cycles": cycles}
 
 
 def _spec(variant: str) -> Variant:
@@ -158,12 +178,9 @@ def uniform_cover(G: Multigraph, variant: str) -> Certificate:
     spec = _spec(variant)
     require_profile(G, spec.profile, CoverError)
     if spec.construction == "tree+cover":
-        terms = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r)
-        metadata = [("construction", spec.construction)]
+        terms, cycles = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r), None
     else:
         terms, cycles = _cycle_cover_terms(G, spec)
-        metadata = [("mixing", ",".join(str(w) for w in spec.mixing)),
-                    ("cycles", str(cycles))]
     comb = make_combination(G, terms, everywhere(G, spec.alpha), "dominated-by")
     cover = comb.coverage()
     cert = Certificate(
@@ -174,7 +191,7 @@ def uniform_cover(G: Multigraph, variant: str) -> Certificate:
         combination=comb,
         slack=tuple(sorted((e.id, spec.alpha - cover.get(e.id, ZERO)) for e in G.edges)),
         max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
-        metadata=tuple(sorted(metadata)),
+        metadata=tuple(sorted(_metadata(spec, str(cycles)).items())),
     )
     check_certificate(G, cert)
     return cert

@@ -13,13 +13,15 @@ master's final duals: edge weights under which every object weighs at least 1
 but x weighs less, so by LP duality x lies outside the class's dominant.
 
 Every result is built by make_combination (merge, Caratheodory reduction to
-at most |E| + 1 terms, labels) and re-checked by verify_combination.
+at most |E| + 1 terms in one fraction-free elimination pass, labels) and
+re-checked by verify_combination.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -136,80 +138,59 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
     """Reduce to at most `limit` terms, preserving the exact coverage vector
     and the coefficient sum.  Terms are a subset of the input objects.
     Raises DecompositionError when more than `limit` of them are affinely
-    independent."""
+    independent.
+
+    One fraction-free elimination over the columns (chi, 1) of the sorted
+    terms: cross-multiply by the pivot entries, then divide by the gcd.  At
+    a dependent column j the kernel of columns 0..j is one-dimensional; its
+    vector d steps the coefficients until some reach 0, and the elimination
+    resumes at the first dropped column, the ones before it unchanged."""
     merged: Dict[CanonicalObject, Fraction] = {}
     for coeff, obj in terms:
         if coeff > 0:
             key = canonical(obj)
             merged[key] = merged.get(key, ZERO) + coeff
     work = sorted(merged.items())
+    rowindex = {eid: i for i, eid in enumerate(sorted({e for key, _ in work for e, _ in key}))}
+    vecs: List[List[int]] = []      # reduced kept columns
+    combos: List[List[int]] = []    # their combinations of columns 0..i
+    pivots: List[int] = []          # their pivot rows
+    j = 0
     while len(work) > limit:
-        ids = sorted({eid for key, _ in work for eid, _ in key})
-        rowindex = {eid: i for i, eid in enumerate(ids)}
-        nrows = len(ids) + 1
-        take = min(len(work), nrows + 1)
-        cols = []
-        for key, _ in work[:take]:
-            col = [0] * nrows
-            for eid, mult in key:
-                col[rowindex[eid]] = mult
-            col[-1] = 1
-            cols.append(col)
-        d = _kernel_vector(cols, nrows)
-        if d is None:
-            # Fewer than nrows + 1 columns, all of them independent.
+        if j == len(work):
             raise DecompositionError(
                 f"{len(work)} affinely independent terms cannot be reduced to {limit}")
-        # Step lambda -> lambda - t*d until some coefficient hits zero; the
-        # dependent column has d_j = 1, so some entry is positive.
-        t_best = None
-        for j, dj in enumerate(d):
-            if dj > 0:
-                t = work[j][1] / dj
-                if t_best is None or t < t_best:
-                    t_best = t
-        new_work = []
-        for j, (key, coeff) in enumerate(work):
-            c = coeff - (t_best * d[j] if j < len(d) else ZERO)
-            if c > 0:
-                new_work.append((key, c))
-        if len(new_work) >= len(work):
-            raise DecompositionError("Caratheodory step dropped no term")
-        work = new_work
-    return [(coeff, dict(key)) for key, coeff in work]
-
-
-def _kernel_vector(cols: List[List[int]], nrows: int) -> Optional[List[Fraction]]:
-    """A vector d with sum_j d_j col_j = 0, or None if the integer columns
-    are independent.
-
-    Fraction-free elimination: each column is reduced against the earlier
-    pivot columns by cross-multiplying with their pivot entry, and then it
-    and its combination are divided by their gcd.  At the first dependent
-    column j the kernel of columns 0..j is one-dimensional; d is scaled so
-    that d_j = 1 and d_i = 0 for i > j."""
-    k = len(cols)
-    vecs: List[List[int]] = []
-    combos: List[List[int]] = []
-    pivots: List[Tuple[int, int]] = []   # (row, index of the pivot column)
-    for j in range(k):
-        v = cols[j]
-        cmb = [0] * k
-        cmb[j] = 1
-        for (prow, pj) in pivots:
+        v = [0] * (len(rowindex) + 1)
+        for eid, mult in work[j][0]:
+            v[rowindex[eid]] = mult
+        v[-1] = 1
+        cmb = [0] * j + [1]
+        for i, prow in enumerate(pivots):
             factor = v[prow]
             if factor:
-                p = vecs[pj][prow]
-                v = [p * a - factor * b for a, b in zip(v, vecs[pj])]
-                cmb = [p * a - factor * b for a, b in zip(cmb, combos[pj])]
-        pivot_row = next((r for r in range(nrows) if v[r]), None)
-        if pivot_row is None:
-            return [Fraction(c, cmb[j]) for c in cmb]
-        g = gcd(*v, *cmb)
-        vecs.append([a // g for a in v])
-        combos.append([a // g for a in cmb])
-        pivots.append((pivot_row, j))
-    return None
+                p = vecs[i][prow]
+                v = [p * a - factor * b for a, b in zip(v, vecs[i])]
+                cmb = [p * a - factor * b for a, b in zip_longest(cmb, combos[i], fillvalue=0)]
+        pivot_row = next((r for r, a in enumerate(v) if a), None)
+        if pivot_row is not None:
+            g = gcd(*v, *cmb)
+            vecs.append([a // g for a in v])
+            combos.append([a // g for a in cmb])
+            pivots.append(pivot_row)
+            j += 1
+            continue
+        # d_i = cmb[i] / cmb[j]; step lambda -> lambda - t*d with t the
+        # least lambda_i / d_i over d_i > 0, which d_j = 1 makes exist.
+        t = min(work[i][1] * cmb[j] / c for i, c in enumerate(cmb) if c * cmb[j] > 0)
+        stepped = [(key, coeff - t * cmb[i] / cmb[j] if i <= j else coeff)
+                   for i, (key, coeff) in enumerate(work)]
+        first = next((i for i, (_, coeff) in enumerate(stepped) if coeff == 0), None)
+        if first is None:
+            raise DecompositionError("Caratheodory step dropped no term")
+        work = [(key, coeff) for key, coeff in stepped if coeff > 0]
+        del vecs[first:], combos[first:], pivots[first:]
+        j = first
+    return [(coeff, dict(key)) for key, coeff in work]
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +317,10 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
             adj[e.v].append((e.u, iw[e.id], e.id))
     terms = sorted(T)
     tindex = {v: i for i, v in enumerate(terms)}
-    INF = float("inf")
-    dist_rows: List[List[int]] = []
+    dist_rows: List[List[Optional[int]]] = []    # None: not reached
     paths: Dict[Tuple[int, int], List[int]] = {}
     for s in terms:
-        dist = [INF] * G.n
+        dist: List[Optional[int]] = [None] * G.n
         prev_edge: List[Optional[Tuple[int, int]]] = [None] * G.n
         dist[s] = 0
         heap = [(0, s)]
@@ -350,13 +330,13 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
                 continue
             for w, cost, eid in adj[v]:
                 nd = d + cost
-                if nd < dist[w]:
+                if dist[w] is None or nd < dist[w]:
                     dist[w] = nd
                     prev_edge[w] = (v, eid)
                     heapq.heappush(heap, (nd, w))
         dist_rows.append([dist[t] for t in terms])
         for t in terms:
-            if t != s and dist[t] < INF:
+            if t != s and dist[t] is not None:
                 path = []
                 v = t
                 while v != s:
@@ -380,7 +360,7 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
             jb = j & -j
             jidx = jb.bit_length() - 1
             d = dist_rows[i][jidx]
-            if d < INF:
+            if d is not None:
                 nm = mask | (1 << i) | jb
                 nv = dp[mask] + d
                 if dp[nm] is None or nv < dp[nm]:

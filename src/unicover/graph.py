@@ -98,7 +98,9 @@ class NodeWeights:
 
 @dataclass(frozen=True)
 class Cut:
-    shore: Tuple[int, ...]        # canonical side, contains vertex 0
+    # One side: enumerate_cuts_upto gives the side holding vertex 0, and
+    # LpResult.cuts the side avoiding it.
+    shore: Tuple[int, ...]
     edge_ids: FrozenSet[int]
 
     @property
@@ -381,7 +383,6 @@ class StructureReport:
     passed: bool
     degrees: Tuple[int, ...]
     edge_connectivity: int
-    bipartite: bool
     violation: Optional[str] = None
 
 
@@ -400,11 +401,10 @@ def validate_structure(G: Multigraph, profile: str) -> StructureReport:
     if G.n == 0:
         raise GraphError("empty graph")
     deg = G.degrees()
-    bip = is_bipartite(G)
     conn, shore = min_cut_unit(G) if G.n >= 2 else (0, ())
 
     def report(violation: Optional[str]) -> StructureReport:
-        return StructureReport(profile, violation is None, tuple(deg), conn, bip, violation)
+        return StructureReport(profile, violation is None, tuple(deg), conn, violation)
 
     need_degree = {"cubic-3ec": 3, "bipartite-cubic-3ec": 3, "4regular-4ec": 4}
     if profile in need_degree:
@@ -422,6 +422,6 @@ def validate_structure(G: Multigraph, profile: str) -> StructureReport:
             return report("disconnected input")
         names = "{" + ",".join(f"e{i}" for i in sorted(cut_edges(G, shore))) + "}"
         return report(f"{conn}-edge cut {names}")
-    if profile == "bipartite-cubic-3ec" and not bip:
+    if profile == "bipartite-cubic-3ec" and not is_bipartite(G):
         return report("odd cycle found")
     return report(None)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from unicover.decompose import DecompositionError, canonical
 from unicover.graph import Edge, Multigraph, connected_components, cut_edges
 from unicover.lp import _solve_over_cuts
 
@@ -54,6 +56,75 @@ def exhaustive_one_cover(crossing, candidate_ids, weights):
             if best is None or w < best:
                 best, best_sub = w, sub
     return best, {relevant[i]: 1 for i in range(len(relevant)) if best_sub >> i & 1}
+
+
+def kernel_vector(cols, nrows):
+    """A vector d with sum_j d_j col_j = 0, or None if the integer columns
+    are independent.
+
+    Fraction-free elimination: each column is reduced against the earlier
+    pivot columns by cross-multiplying with their pivot entry, and then it
+    and its combination are divided by their gcd.  At the first dependent
+    column j the kernel of columns 0..j is one-dimensional; d is scaled so
+    that d_j = 1 and d_i = 0 for i > j."""
+    k = len(cols)
+    vecs, combos, pivots = [], [], []   # pivots: (row, index of the pivot column)
+    for j in range(k):
+        v = cols[j]
+        cmb = [0] * k
+        cmb[j] = 1
+        for (prow, pj) in pivots:
+            factor = v[prow]
+            if factor:
+                p = vecs[pj][prow]
+                v = [p * a - factor * b for a, b in zip(v, vecs[pj])]
+                cmb = [p * a - factor * b for a, b in zip(cmb, combos[pj])]
+        pivot_row = next((r for r in range(nrows) if v[r]), None)
+        if pivot_row is None:
+            return [Fraction(c, cmb[j]) for c in cmb]
+        g = gcd(*v, *cmb)
+        vecs.append([a // g for a in v])
+        combos.append([a // g for a in cmb])
+        pivots.append((pivot_row, j))
+    return None
+
+
+def restart_caratheodory(terms, limit):
+    """Reference oracle for decompose.caratheodory_reduce: after each
+    dropped term, rebuild the rows and columns of the terms left and find
+    the kernel vector of their first dependent column from scratch."""
+    merged = {}
+    for coeff, obj in terms:
+        if coeff > 0:
+            key = canonical(obj)
+            merged[key] = merged.get(key, Fraction(0)) + coeff
+    work = sorted(merged.items())
+    while len(work) > limit:
+        ids = sorted({eid for key, _ in work for eid, _ in key})
+        rowindex = {eid: i for i, eid in enumerate(ids)}
+        nrows = len(ids) + 1
+        take = min(len(work), nrows + 1)
+        cols = []
+        for key, _ in work[:take]:
+            col = [0] * nrows
+            for eid, mult in key:
+                col[rowindex[eid]] = mult
+            col[-1] = 1
+            cols.append(col)
+        d = kernel_vector(cols, nrows)
+        if d is None:
+            raise DecompositionError(
+                f"{len(work)} affinely independent terms cannot be reduced to {limit}")
+        t_best = min(work[j][1] / dj for j, dj in enumerate(d) if dj > 0)
+        new_work = []
+        for j, (key, coeff) in enumerate(work):
+            c = coeff - (t_best * d[j] if j < len(d) else 0)
+            if c > 0:
+                new_work.append((key, c))
+        if len(new_work) >= len(work):
+            raise DecompositionError("Caratheodory step dropped no term")
+        work = new_work
+    return [(coeff, dict(key)) for key, coeff in work]
 
 
 def support_components(G, H, without=()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
-                                _equality_master, _kernel_vector, _minimal_covers,
+                                _equality_master, _minimal_covers,
                                 _one_cover_price, canonical,
                                 caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
@@ -17,7 +17,7 @@ from unicover.graph import classify, connected_components, multiset_degrees
 from unicover.lp import everywhere
 from unicover.simplex import solve_lp
 
-from conftest import exhaustive_one_cover, make_graph
+from conftest import exhaustive_one_cover, kernel_vector, make_graph, restart_caratheodory
 
 F = Fraction
 
@@ -417,7 +417,7 @@ def integer_columns(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernel_vector_of_integer_columns(case):
     cols, nrows = case
-    d = _kernel_vector([list(c) for c in cols], nrows)
+    d = kernel_vector([list(c) for c in cols], nrows)
     if d is None:
         assert rank(cols) == len(cols)
         return
@@ -426,3 +426,31 @@ def test_kernel_vector_of_integer_columns(case):
     assert len(d) == len(cols) and d[j] == 1 and all(v == 0 for v in d[j + 1:])
     for r in range(nrows):
         assert sum((dj * col[r] for dj, col in zip(d, cols)), F(0)) == 0
+
+
+@st.composite
+def term_lists(draw):
+    """Terms over m <= 4 edges with multiplicities 0-2: each object of a pool
+    of m + 2 to 12 distinct ones, more than the rank m + 1, then repeats
+    drawn from the pool; and a limit from m - 1 to m + 2, below and above
+    the rank."""
+    m = draw(st.integers(1, 4))
+    obj = st.dictionaries(st.integers(0, m - 1), st.integers(0, 2), max_size=m)
+    pool = draw(st.lists(obj, min_size=m + 2, max_size=12, unique_by=canonical))
+    coeff = st.builds(F, st.integers(0, 5), st.integers(1, 6))
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=6))
+    terms = [(draw(coeff), obj) for obj in pool + repeats]
+    return terms, draw(st.integers(m - 1, m + 2))
+
+
+@given(term_lists())
+@settings(max_examples=300, deadline=None)
+def test_caratheodory_matches_the_restarting_oracle(case):
+    terms, limit = case
+    try:
+        want = restart_caratheodory(terms, limit)
+    except DecompositionError as exc:
+        with pytest.raises(DecompositionError, match=re.escape(str(exc))):
+            caratheodory_reduce(terms, limit)
+        return
+    assert caratheodory_reduce(terms, limit) == want

@@ -17,6 +17,7 @@ import pytest
 from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
+from unicover.connectors import even_2cut_connectors
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
 from unicover.decompose import decompose_connectors, decompose_spanning_trees
@@ -95,6 +96,11 @@ def _subcubic():
     return random_node_weights(10, 3).induced_graph(random_subcubic_2ec(10, 3))
 
 
+def _subcubic8():
+    # normalize_connectors re-reduces its terms 8 times on this one.
+    return random_node_weights(8, 1).induced_graph(random_subcubic_2ec(8, 1))
+
+
 def _lp(family):
     G = family()
     return serialize.lp_result_to_json(G, solve_subtour(G))
@@ -120,6 +126,9 @@ SOLVER_DOCUMENTS = [
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, decompose_connectors, "connectors"),
      "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
+    ("even2cut-subcubic8",
+     lambda: _decomposition(_subcubic8, even_2cut_connectors, "even2cut"),
+     "e2024abec43370cda747e1fda27e822e8186df77647257d46d198c58323e131f"),
     ("cycle-cover-cubic16", _cycle_cover,
      "4a94b54cac17a09eed7a6eb3a190d2d3d3802f4656e7638be6b61133b6d69431"),
 ]

@@ -16,6 +16,18 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_library_has_no_floats():
+    # Every number in the library is an int or a Fraction: no float() call,
+    # no float annotation or sentinel, and no float literal.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "float"
+                  or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
+    assert sorted(SOURCE.glob("*.py")), f"no sources under {SOURCE}"
+    assert not found, f"floats in the library: {found}"
+
 
 def _parents(tree):
     return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}

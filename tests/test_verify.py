@@ -96,6 +96,26 @@ OPTIMUM_EDITS = {
 }
 
 
+# (variant, stored metadata, what the report names); the graph is Petersen
+# for 18/19 (n = 10, so at most 5 cycles) and K4 for 8/9.
+METADATA_EDITS = {
+    "extra-fields": ("18/19", {"mixing": "1/2,1/2", "cycles": "99", "anything": "x"},
+                     "metadata fields"),
+    "foreign-fields": ("18/19", {"a": [1]}, "metadata fields"),
+    "cycles-missing": ("18/19", {"mixing": "15/19,4/19"}, "metadata fields"),
+    "mixing": ("18/19", {"mixing": "1/2,1/2", "cycles": "2"}, "metadata mixing"),
+    "cycles-over-n/2": ("18/19", {"mixing": "15/19,4/19", "cycles": "6"}, "metadata cycles"),
+    "cycles-zero": ("18/19", {"mixing": "15/19,4/19", "cycles": "0"}, "metadata cycles"),
+    "cycles-padded": ("18/19", {"mixing": "15/19,4/19", "cycles": "02"}, "metadata cycles"),
+    "cycles-not-text": ("18/19", {"mixing": "15/19,4/19", "cycles": 2}, "metadata cycles"),
+    # past the digits int() converts by default
+    "cycles-5000-digits": ("18/19", {"mixing": "15/19,4/19", "cycles": "9" * 5000},
+                           "metadata cycles"),
+    "construction": ("8/9", {"construction": "cycles+tours"}, "metadata construction"),
+    "construction-missing": ("8/9", {}, "metadata fields"),
+}
+
+
 class TestAccepts:
     def test_certificate(self):
         assert verify_document(cert_doc()).ok
@@ -182,6 +202,14 @@ class TestRejects:
         doc = cert_doc()
         doc["variant"] = "15/17"
         assert not verify_document(doc).ok
+
+    @pytest.mark.parametrize("edit", METADATA_EDITS)
+    def test_certificate_metadata_tampered(self, edit):
+        variant, metadata, named = METADATA_EDITS[edit]
+        doc = cert_doc(petersen() if variant == "18/19" else k4(), variant)
+        doc["metadata"] = metadata
+        rep = verify_document(doc)
+        assert not rep.ok and named in rep.detail
 
     def test_certificate_wrong_graph(self):
         doc = cert_doc()
