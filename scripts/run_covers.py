@@ -1,12 +1,23 @@
 #!/usr/bin/env python3
-"""Run every uniform-cover variant over the named instance corpus and print
-an exact per-variant slack table."""
+"""Run uniform-cover variants over the named instance corpus and generated
+n-vertex instances, and print an exact per-variant slack table with each
+certificate's time and the sha256 of its JSON (the bytes `unicover cover`
+writes).
+
+The generated instances are random_cubic_3ec(n, seed + i), i < --random, for
+the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones.  One
+row of the ROADMAP's size table, for example:
+
+    PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --seed 1 --random 1
+"""
 import argparse
+import hashlib
 import time
 from fractions import Fraction
 
-from unicover.covers import uniform_cover
-from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
+from unicover import serialize
+from unicover.covers import VARIANT_TABLE, VARIANTS, uniform_cover
+from unicover.families import (_lcf, c8_12, heawood, k4, k5, k33, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
 
 CORPUS = {
@@ -19,27 +30,40 @@ CORPUS = {
 }
 
 
+def generated(variant: str, n: int, seed: int, count: int) -> list:
+    profile = VARIANT_TABLE[variant].profile
+    if profile == "cubic-3ec":
+        return [(f"random_cubic_3ec({n}, {s})", random_cubic_3ec(n, s))
+                for s in range(seed, seed + count)]
+    if profile == "bipartite-cubic-3ec" and count > 0:
+        return [(f"lcf[5,-5]^{n // 2}", _lcf(n, [5 if i % 2 == 0 else -5 for i in range(n)]))]
+    return []
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--variant", action="append", choices=VARIANTS,
+                        help="run only this variant (repeatable; default: all)")
+    parser.add_argument("--n", type=int, default=10, help="vertices of a generated instance")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first random instance")
     parser.add_argument("--random", type=int, default=3,
-                        help="number of random cubic instances for 18/19")
-    parser.add_argument("--n", type=int, default=10)
+                        help="random instances per cubic-3ec variant; 0 generates none")
     args = parser.parse_args()
 
-    corpus = {k: list(v) for k, v in CORPUS.items()}
-    for seed in range(args.random):
-        corpus["18/19"].append((f"random(n={args.n},seed={seed})",
-                                random_cubic_3ec(args.n, seed)))
-
-    for variant, instances in corpus.items():
+    for variant in args.variant or VARIANTS:
         print(f"== variant {variant} ==")
+        instances = CORPUS[variant] + generated(variant, args.n, args.seed, args.random)
         for name, G in instances:
-            t0 = time.time()
+            t0 = time.perf_counter()
             cert = uniform_cover(G, variant)
+            elapsed = time.perf_counter() - t0
             slack = min((v for _, v in cert.slack), default=Fraction(0))
+            text = serialize.dumps(serialize.certificate_to_json(G, cert))
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             print(f"  {name:28s} terms={len(cert.combination.terms):3d} "
                   f"maxmult={cert.max_multiplicity} min-slack={slack} "
-                  f"[{time.time() - t0:.2f}s]")
+                  f"[{elapsed:.2f}s] sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -136,41 +136,57 @@ def verify_combination(G: Multigraph, comb: ConvexCombination,
 def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
                         limit: int) -> List[Tuple[Fraction, EdgeMultiset]]:
     """Reduce to at most `limit` terms, preserving the exact coverage vector
-    and the coefficient sum.  Terms are a subset of the input objects.
-    Raises DecompositionError when more than `limit` of them are affinely
-    independent.
+    and the coefficient sum.  Terms are a subset of the input objects.  A
+    term with a zero coefficient is skipped.  Raises DecompositionError on a
+    negative coefficient, and when more than `limit` of the terms are
+    affinely independent.
 
     One fraction-free elimination over the columns (chi, 1) of the sorted
-    terms: cross-multiply by the pivot entries, then divide by the gcd.  At
-    a dependent column j the kernel of columns 0..j is one-dimensional; its
-    vector d steps the coefficients until some reach 0, and the elimination
-    resumes at the first dropped column, the ones before it unchanged."""
+    terms: cross-multiply by the pivot entries, then divide by the gcd.  The
+    coefficients are ints c over one common denominator Q.  At a dependent
+    column j the kernel of the columns so far is one-dimensional; its vector
+    d (d_j > 0) steps c_i -> c_i·d_k − c_k·d_i and Q -> Q·d_k, with k the
+    least c_k / d_k over d_k > 0, found by cross-multiplying; the terms that
+    reach 0 drop.  If one earlier term f drops, every stored combination is
+    rewritten without f through d and the pass goes on at the next column;
+    if term j drops, nothing needs rewriting.  Only when several drop is the
+    echelon form cut back, to its longest prefix before the first dropped
+    column whose combinations use only the prefix's own columns, and the
+    columns after it are eliminated again.  The kernel at the first
+    dependent column is unique up to scale, so the steps are those of
+    restarting the elimination after every drop."""
     merged: Dict[CanonicalObject, Fraction] = {}
     for coeff, obj in terms:
-        if coeff > 0:
+        if coeff < 0:
+            raise DecompositionError(f"term {canonical(obj)} has coefficient {coeff} < 0")
+        if coeff:
             key = canonical(obj)
             merged[key] = merged.get(key, ZERO) + coeff
-    work = sorted(merged.items())
-    rowindex = {eid: i for i, eid in enumerate(sorted({e for key, _ in work for e, _ in key}))}
+    keys = sorted(merged)
+    if len(keys) <= limit:
+        return [(merged[key], dict(key)) for key in keys]
+    Q = lcm(*(merged[key].denominator for key in keys))
+    c = [merged[key].numerator * (Q // merged[key].denominator) for key in keys]
+    rowindex = {eid: i for i, eid in enumerate(sorted({e for key in keys for e, _ in key}))}
     vecs: List[List[int]] = []      # reduced kept columns
-    combos: List[List[int]] = []    # their combinations of columns 0..i
+    combos: List[List[int]] = []    # each one's combination of the columns 0..j-1
     pivots: List[int] = []          # their pivot rows
     j = 0
-    while len(work) > limit:
-        if j == len(work):
+    while len(keys) > limit:
+        if j == len(keys):
             raise DecompositionError(
-                f"{len(work)} affinely independent terms cannot be reduced to {limit}")
+                f"{len(keys)} affinely independent terms cannot be reduced to {limit}")
         v = [0] * (len(rowindex) + 1)
-        for eid, mult in work[j][0]:
+        for eid, mult in keys[j]:
             v[rowindex[eid]] = mult
         v[-1] = 1
         cmb = [0] * j + [1]
-        for i, prow in enumerate(pivots):
+        for vec, combo, prow in zip(vecs, combos, pivots):
             factor = v[prow]
             if factor:
-                p = vecs[i][prow]
-                v = [p * a - factor * b for a, b in zip(v, vecs[i])]
-                cmb = [p * a - factor * b for a, b in zip_longest(cmb, combos[i], fillvalue=0)]
+                p = vec[prow]
+                v = [p * a - factor * b for a, b in zip(v, vec)]
+                cmb = [p * a - factor * b for a, b in zip_longest(cmb, combo, fillvalue=0)]
         pivot_row = next((r for r, a in enumerate(v) if a), None)
         if pivot_row is not None:
             g = gcd(*v, *cmb)
@@ -179,18 +195,61 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
             pivots.append(pivot_row)
             j += 1
             continue
-        # d_i = cmb[i] / cmb[j]; step lambda -> lambda - t*d with t the
-        # least lambda_i / d_i over d_i > 0, which d_j = 1 makes exist.
-        t = min(work[i][1] * cmb[j] / c for i, c in enumerate(cmb) if c * cmb[j] > 0)
-        stepped = [(key, coeff - t * cmb[i] / cmb[j] if i <= j else coeff)
-                   for i, (key, coeff) in enumerate(work)]
-        first = next((i for i, (_, coeff) in enumerate(stepped) if coeff == 0), None)
-        if first is None:
-            raise DecompositionError("Caratheodory step dropped no term")
-        work = [(key, coeff) for key, coeff in stepped if coeff > 0]
-        del vecs[first:], combos[first:], pivots[first:]
-        j = first
-    return [(coeff, dict(key)) for key, coeff in work]
+        d = cmb if cmb[j] > 0 else [-a for a in cmb]
+        k = j
+        for i, di in enumerate(d):
+            if di > 0 and c[i] * d[k] < c[k] * di:
+                k = i
+        ck, dk = c[k], d[k]
+        c = [a * dk - ck * b for a, b in zip_longest(c, d, fillvalue=0)]
+        Q *= dk
+        g = gcd(Q, *c)
+        if g > 1:
+            Q //= g
+            c = [a // g for a in c]
+        dropped = [i for i in range(j + 1) if not c[i]]
+        if len(dropped) > 1:
+            j = _kept_prefix(combos, dropped[0])
+            del vecs[j:], combos[j:], pivots[j:]
+        elif dropped[0] < j:
+            _rewrite_without(vecs, combos, d, dropped[0])
+        for i in reversed(dropped):
+            del keys[i], c[i]
+    return [(Fraction(a, Q), dict(key)) for key, a in zip(keys, c)]
+
+
+def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],
+                     d: List[int], f: int) -> None:
+    """Rewrite each combination without column f, which the kernel vector d
+    (d_f > 0) expresses by the others: combo -> s·combo − t·d with
+    s / t = d_f / combo_f in lowest terms, its vector scaled by s, and then
+    drop position f."""
+    df = d[f]
+    for i, combo in enumerate(combos):
+        cf = combo[f] if f < len(combo) else 0
+        if cf:
+            g = gcd(df, cf)
+            s, t = df // g, cf // g
+            combo = [s * a - t * b for a, b in zip_longest(combo, d, fillvalue=0)]
+            if s != 1:
+                vec = [s * a for a in vecs[i]]
+                g = gcd(*vec, *combo)
+                vecs[i] = [a // g for a in vec]
+                combo = [a // g for a in combo]
+            combos[i] = combo
+        if f < len(combo):
+            del combo[f]
+
+
+def _kept_prefix(combos: List[List[int]], first: int) -> int:
+    """The length k <= `first` of the longest prefix of the echelon form
+    whose combinations use only the columns 0..k-1."""
+    kept = top = 0
+    for i, combo in enumerate(combos[:first]):
+        top = max(top, max(p for p, a in enumerate(combo) if a))
+        if top <= i:
+            kept = i + 1
+    return kept
 
 
 # ---------------------------------------------------------------------------

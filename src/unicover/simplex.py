@@ -9,13 +9,15 @@ Edmonds' integer-preserving update (Bareiss 1968):
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
 
 with α = M·A_e for the entering column e and p = α_r; every division is
-exact.  Reduced costs come from π = C·c_B·M and the original columns, and
-α is formed only for the entering column, so new columns cost nothing until
-they are priced.  The values `obj`, `solution()` and `duals()` are divided
-out once, when they are read.  The column generation loop of `decompose`
-adds columns to the same tableau and prices them from the undivided duals
-(`int_duals()`), so pricing builds no Fraction; `solve_lp` scales rows to
-ints first.
+exact.  Each row is formed once, by floor division, and checked as a whole:
+floor remainders are nonnegative, so they are all zero exactly when
+p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for π).  Reduced costs come
+from π = C·c_B·M and the original columns, and α is formed only for the
+entering column, so new columns cost nothing until they are priced.  The
+values `obj`, `solution()` and `duals()` are divided out once, when they
+are read.  The column generation loop of `decompose` adds columns to the
+same tableau and prices them from the undivided duals (`int_duals()`), so
+pricing builds no Fraction; `solve_lp` scales rows to ints first.
 """
 from __future__ import annotations
 
@@ -126,21 +128,22 @@ class Tableau:
         return -1, 0
 
     def _pivot(self, row: int, alpha: List[int], red: int) -> None:
-        """Edmonds' update on M, β and π; every division by D must be exact.
-        `red` is the entering column's reduced cost times D·C, so that
-        π' = (p·π + red·M_r) / D."""
+        """Edmonds' update on M, β and π; every division by D must be exact,
+        or LpError is raised.  `red` is the entering column's reduced cost
+        times D·C, so that π' = (p·π + red·M_r) / D."""
         D, M, p = self.D, self.M, alpha[row]
         Mr, br = M[row], self.beta[row]
+        sr = sum(Mr)
         for i in range(self.rows):
             a = alpha[i]
             if i == row or (not a and p == D):
                 continue
-            num = [p * u - a * v for u, v in zip(M[i], Mr)]
-            new = [x // D for x in num]
+            Mi = M[i]
+            new = [(p * u - a * v) // D for u, v in zip(Mi, Mr)]
             b_new, b_rem = divmod(p * self.beta[i] - a * br, D)
             # Floor division leaves nonnegative remainders (D > 0), so they
-            # are all zero exactly when the sums agree.
-            if sum(num) != sum(new) * D or b_rem:
+            # are all zero exactly when the row's sums agree.
+            if p * sum(Mi) - a * sr != D * sum(new) or b_rem:
                 raise LpError("inexact division in an integer pivot")
             M[i] = new
             self.beta[i] = b_new

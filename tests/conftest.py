@@ -89,12 +89,18 @@ def kernel_vector(cols, nrows):
     return None
 
 
-def restart_caratheodory(terms, limit):
+def restart_caratheodory(terms, limit, steps=None):
     """Reference oracle for decompose.caratheodory_reduce: after each
     dropped term, rebuild the rows and columns of the terms left and find
-    the kernel vector of their first dependent column from scratch."""
+    the kernel vector of their first dependent column from scratch.
+
+    Each step's kind is appended to `steps`, if given: "new" when only the
+    dependent column's own term drops, "earlier" when only one term before
+    it drops, "several" when more than one drops."""
     merged = {}
     for coeff, obj in terms:
+        if coeff < 0:
+            raise DecompositionError(f"term {canonical(obj)} has coefficient {coeff} < 0")
         if coeff > 0:
             key = canonical(obj)
             merged[key] = merged.get(key, Fraction(0)) + coeff
@@ -123,6 +129,11 @@ def restart_caratheodory(terms, limit):
                 new_work.append((key, c))
         if len(new_work) >= len(work):
             raise DecompositionError("Caratheodory step dropped no term")
+        if steps is not None:
+            j = max(i for i, dj in enumerate(d) if dj)
+            dropped = [i for i, dj in enumerate(d) if work[i][1] == t_best * dj]
+            steps.append("several" if len(dropped) > 1 else
+                         "new" if dropped == [j] else "earlier")
         work = new_work
     return [(coeff, dict(key)) for key, coeff in work]
 

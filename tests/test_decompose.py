@@ -1,10 +1,13 @@
 import re
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from unicover import decompose
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 _equality_master, _minimal_covers,
                                 _one_cover_price, canonical,
@@ -351,6 +354,16 @@ class TestCaratheodory:
                 cov2[eid] = cov2.get(eid, F(0)) + c * m
         assert cov == cov2
 
+    def test_negative_coefficient_rejected(self):
+        terms = [(F(3, 2), {0: 1}), (F(-1, 2), {1: 1})]
+        with pytest.raises(DecompositionError,
+                           match=re.escape("term ((1, 1),) has coefficient -1/2 < 0")):
+            caratheodory_reduce(terms, 5)
+
+    def test_zero_coefficient_skipped(self):
+        terms = [(F(1), {0: 1}), (F(0), {1: 1}), (0, {})]
+        assert caratheodory_reduce(terms, 1) == [(F(1), {0: 1})]
+
     def test_independent_terms_over_limit_rejected(self):
         with pytest.raises(DecompositionError, match="affinely independent"):
             caratheodory_reduce([(F(1, 2), {0: 1}), (F(1, 2), {1: 1})], 1)
@@ -428,29 +441,100 @@ def test_kernel_vector_of_integer_columns(case):
         assert sum((dj * col[r] for dj, col in zip(d, cols)), F(0)) == 0
 
 
+COEFF = st.builds(F, st.integers(0, 5), st.integers(1, 6))
+TIED = st.sampled_from([F(1), F(2)])
+
+
 @st.composite
-def term_lists(draw):
+def term_lists(draw, coeff=COEFF):
     """Terms over m <= 4 edges with multiplicities 0-2: each object of a pool
     of m + 2 to 12 distinct ones, more than the rank m + 1, then repeats
     drawn from the pool; and a limit from m - 1 to m + 2, below and above
-    the rank."""
+    the rank.  With `coeff` TIED, ratio tests tie often, so steps drop
+    several terms at once."""
     m = draw(st.integers(1, 4))
     obj = st.dictionaries(st.integers(0, m - 1), st.integers(0, 2), max_size=m)
     pool = draw(st.lists(obj, min_size=m + 2, max_size=12, unique_by=canonical))
-    coeff = st.builds(F, st.integers(0, 5), st.integers(1, 6))
     repeats = draw(st.lists(st.sampled_from(pool), max_size=6))
     terms = [(draw(coeff), obj) for obj in pool + repeats]
     return terms, draw(st.integers(m - 1, m + 2))
 
 
-@given(term_lists())
-@settings(max_examples=300, deadline=None)
-def test_caratheodory_matches_the_restarting_oracle(case):
-    terms, limit = case
+def reduce_with_paths(terms, limit):
+    """caratheodory_reduce's result, and how many of its steps rewrote the
+    stored combinations without one earlier term ("earlier") or cut the
+    echelon form back ("several")."""
+    paths = Counter()
+    rewrite, prefix = decompose._rewrite_without, decompose._kept_prefix
+
+    def spy_rewrite(*args):
+        paths["earlier"] += 1
+        return rewrite(*args)
+
+    def spy_prefix(*args):
+        paths["several"] += 1
+        return prefix(*args)
+
+    with mock.patch.object(decompose, "_rewrite_without", spy_rewrite), \
+            mock.patch.object(decompose, "_kept_prefix", spy_prefix):
+        return caratheodory_reduce(terms, limit), paths
+
+
+def check_against_oracle(terms, limit):
+    """caratheodory_reduce gives the restarting oracle's list, order and
+    coefficients, or its error, through the same kinds of steps; returns
+    the oracle's step kinds."""
+    steps = []
     try:
-        want = restart_caratheodory(terms, limit)
+        want = restart_caratheodory(terms, limit, steps)
     except DecompositionError as exc:
         with pytest.raises(DecompositionError, match=re.escape(str(exc))):
             caratheodory_reduce(terms, limit)
-        return
-    assert caratheodory_reduce(terms, limit) == want
+        return steps
+    got, paths = reduce_with_paths(terms, limit)
+    assert got == want
+    assert paths == Counter(kind for kind in steps if kind != "new")
+    return steps
+
+
+@given(st.one_of(term_lists(), term_lists(TIED)))
+@settings(max_examples=400, deadline=None)
+def test_caratheodory_matches_the_restarting_oracle(case):
+    check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("terms, limit, steps", [
+    # 0, 1 and 2 copies of one edge: the kernel vector is (1, -2, 1).
+    ([(F(1, 2), {}), (F(1, 4), {0: 1}), (F(1, 4), {0: 2})], 2, ["new"]),
+    ([(F(1, 4), {}), (F(1, 4), {0: 1}), (F(1, 2), {0: 2})], 2, ["earlier"]),
+    ([(F(1, 4), {}), (F(1, 2), {0: 1}), (F(1, 4), {0: 2})], 2, ["several"]),
+    ([(F(1, 8), {}), (F(1, 8), {0: 1}), (F(1, 4), {0: 2}), (F(1, 4), {0: 3}),
+      (F(1, 4), {0: 4})], 2, ["earlier", "new", "earlier"]),
+    # Cutting back after a rewrite, then eliminating again.
+    ([(F(2), {}), (F(1), {0: 1}), (F(1), {0: 1, 1: 1}), (F(2), {0: 1, 1: 2}),
+      (F(1), {0: 2, 1: 1})], 3, ["earlier", "several"]),
+    ([(F(2), {}), (F(1), {0: 1}), (F(1), {0: 1, 1: 1}), (F(2), {0: 1, 1: 2}),
+      (F(1), {0: 2, 1: 1}), (F(1), {0: 2, 1: 2})], 2, ["earlier", "several", "several"]),
+    # The cut back must stop at a rewritten combination that reaches past
+    # the later ones.
+    ([(F(1), {0: 1, 1: 2, 2: 1}), (F(2), {0: 2, 1: 2}), (F(1), {1: 2, 2: 1}),
+      (F(2), {0: 2, 1: 1}), (F(1), {0: 1, 1: 1}), (F(1), {}), (F(1), {0: 2, 1: 2, 2: 2})],
+     3, ["earlier", "several", "new"]),
+])
+def test_caratheodory_step_kinds(terms, limit, steps):
+    assert check_against_oracle(terms, limit) == steps
+
+
+@pytest.mark.parametrize("kind", ["new", "earlier", "several"])
+def test_tied_term_lists_reach_each_step_kind(kind):
+    def reaches(case):
+        steps = []
+        try:
+            restart_caratheodory(*case, steps)
+        except DecompositionError:
+            pass
+        return kind in steps
+
+    find(term_lists(TIED), reaches,
+         settings=settings(database=None, derandomize=True, max_examples=1000,
+                           phases=[Phase.generate]))

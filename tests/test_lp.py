@@ -66,6 +66,26 @@ class TestSimplex:
         with pytest.raises(LpError, match="integer"):
             tab.add_column([F(1, 2)], F(-1))
 
+    def test_pivot_rejects_an_inexact_row_update(self):
+        # With D = 2 tampered in, row 1 becomes (M_1 - M_0) / 2 = (-1, 1) / 2:
+        # both floor remainders are 1, though the numerators sum to 0, so a
+        # divisibility test of that sum alone would pass.  The π update,
+        # (π + 0·M_0) / 2 = 0, would be exact.
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab._prices()
+        tab.D = 2
+        with pytest.raises(LpError, match="inexact division"):
+            tab._pivot(0, [1, 1], 0)
+
+    def test_pivot_rejects_an_inexact_dual_update(self):
+        # One row, so no row update; with D = 2 tampered in, π becomes
+        # (2·0 + 1·1) / 2.
+        tab = Tableau([F(1)], [F(0)])
+        tab._prices()
+        tab.D = 2
+        with pytest.raises(LpError, match="inexact division"):
+            tab._pivot(0, [2], 1)
+
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
