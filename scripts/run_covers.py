@@ -4,11 +4,11 @@ n-vertex instances, and print an exact per-variant slack table with each
 certificate's time and the sha256 of its JSON (the bytes `unicover cover`
 writes).
 
-The generated instances are random_cubic_3ec(n, seed + i), i < --random, for
-the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones.  One
-row of the ROADMAP's size table, for example:
+The generated instances are random_cubic_3ec(n, 1 + i), i < --random, for
+the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
+--random is 0.  One row of the ROADMAP's size table, for example:
 
-    PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --seed 1 --random 1
+    PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
 """
 import argparse
 import hashlib
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from unicover import serialize
 from unicover.covers import VARIANT_TABLE, VARIANTS, uniform_cover
-from unicover.families import (_lcf, c8_12, heawood, k4, k5, k33, mobius_kantor,
+from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
 
 CORPUS = {
@@ -30,13 +30,13 @@ CORPUS = {
 }
 
 
-def generated(variant: str, n: int, seed: int, count: int) -> list:
+def generated(variant: str, n: int, count: int) -> list:
     profile = VARIANT_TABLE[variant].profile
     if profile == "cubic-3ec":
         return [(f"random_cubic_3ec({n}, {s})", random_cubic_3ec(n, s))
-                for s in range(seed, seed + count)]
+                for s in range(1, 1 + count)]
     if profile == "bipartite-cubic-3ec" and count > 0:
-        return [(f"lcf[5,-5]^{n // 2}", _lcf(n, [5 if i % 2 == 0 else -5 for i in range(n)]))]
+        return [(f"lcf[5,-5]^{n // 2}", lcf_5(n))]
     return []
 
 
@@ -46,14 +46,14 @@ def main() -> None:
     parser.add_argument("--variant", action="append", choices=VARIANTS,
                         help="run only this variant (repeatable; default: all)")
     parser.add_argument("--n", type=int, default=10, help="vertices of a generated instance")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first random instance")
     parser.add_argument("--random", type=int, default=3,
-                        help="random instances per cubic-3ec variant; 0 generates none")
+                        help="random instances per cubic-3ec variant; the bipartite "
+                             "variants get their one LCF instance unless this is 0")
     args = parser.parse_args()
 
     for variant in args.variant or VARIANTS:
         print(f"== variant {variant} ==")
-        instances = CORPUS[variant] + generated(variant, args.n, args.seed, args.random)
+        instances = CORPUS[variant] + generated(variant, args.n, args.random)
         for name, G in instances:
             t0 = time.perf_counter()
             cert = uniform_cover(G, variant)

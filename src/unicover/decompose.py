@@ -77,9 +77,10 @@ class ConvexCombination:
 def make_combination(G: Multigraph, terms: Sequence[Tuple[Fraction, EdgeMultiset]],
                      target: EdgeVector, relation: str,
                      label: Optional[str] = None) -> ConvexCombination:
-    """The terms with positive coefficients, equal objects merged, reduced to
-    at most |E| + 1 of them and labelled by the classifier.  With `label`,
-    every term must carry it."""
+    """The terms, equal objects merged, reduced to at most |E| + 1 of them
+    and labelled by the classifier.  A term with a zero coefficient is
+    skipped; a negative coefficient raises DecompositionError.  With
+    `label`, every term must carry it."""
     out = []
     for coeff, obj in caratheodory_reduce(terms, G.m + 1):
         key = canonical(obj)
@@ -149,10 +150,8 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
     least c_k / d_k over d_k > 0, found by cross-multiplying; the terms that
     reach 0 drop.  If one earlier term f drops, every stored combination is
     rewritten without f through d and the pass goes on at the next column;
-    if term j drops, nothing needs rewriting.  Only when several drop is the
-    echelon form cut back, to its longest prefix before the first dropped
-    column whose combinations use only the prefix's own columns, and the
-    columns after it are eliminated again.  The kernel at the first
+    if term j drops, nothing needs rewriting.  Only when several drop does
+    the elimination start again from column 0.  The kernel at the first
     dependent column is unique up to scale, so the steps are those of
     restarting the elimination after every drop."""
     merged: Dict[CanonicalObject, Fraction] = {}
@@ -209,8 +208,8 @@ def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
             c = [a // g for a in c]
         dropped = [i for i in range(j + 1) if not c[i]]
         if len(dropped) > 1:
-            j = _kept_prefix(combos, dropped[0])
-            del vecs[j:], combos[j:], pivots[j:]
+            j = 0
+            del vecs[:], combos[:], pivots[:]
         elif dropped[0] < j:
             _rewrite_without(vecs, combos, d, dropped[0])
         for i in reversed(dropped):
@@ -239,17 +238,6 @@ def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],
             combos[i] = combo
         if f < len(combo):
             del combo[f]
-
-
-def _kept_prefix(combos: List[List[int]], first: int) -> int:
-    """The length k <= `first` of the longest prefix of the echelon form
-    whose combinations use only the columns 0..k-1."""
-    kept = top = 0
-    for i, combo in enumerate(combos[:first]):
-        top = max(top, max(p for p, a in enumerate(combo) if a))
-        if top <= i:
-            kept = i + 1
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,17 @@ def _lcf(n: int, jumps: Sequence[int]) -> Multigraph:
     return _graph(n, pairs)
 
 
+def lcf_5(n: int) -> Multigraph:
+    """LCF [5, -5]^(n/2), n even: bipartite and cubic."""
+    return _lcf(n, [5 if i % 2 == 0 else -5 for i in range(n)])
+
+
 def heawood() -> Multigraph:
-    return _lcf(14, [5 if i % 2 == 0 else -5 for i in range(14)])
+    return lcf_5(14)
 
 
 def mobius_kantor() -> Multigraph:
-    return _lcf(16, [5 if i % 2 == 0 else -5 for i in range(16)])
+    return lcf_5(16)
 
 
 def c8_12() -> Multigraph:
