@@ -3,7 +3,9 @@ cut at least twice, found by complete search over perfect matchings.
 
 In a cubic graph a 2-factor is the complement of a perfect matching, so the
 search enumerates perfect matchings in canonical edge-id order and returns the
-first whose complement covers the enumerated small cuts.
+first whose complement covers the enumerated small cuts.  Those cuts, the
+profile test (cubic-2ec: cubic and bridgeless) and verify_contraction's
+check all come from the cycle-space labels of graph.enumerate_cuts_upto.
 
 contracted_cycle_cover runs the search without find_covering_cycle_cover's
 profile test, for callers that have tested a stronger profile already.
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .graph import (Cut, EdgeMultiset, GraphError, Multigraph, contract,
-                    enumerate_cuts_upto, is_bipartite, min_cut_unit,
-                    multiset_degrees, validate_structure)
+from .graph import (EdgeMultiset, GraphError, Multigraph, contract, describe_cut,
+                    enumerate_cuts_upto, is_bipartite, multiset_degrees,
+                    require_profile)
 
 
 class CycleCoverError(GraphError):
@@ -88,28 +90,23 @@ def _cycles_of(G: Multigraph, cover: Set[int]) -> List[List[int]]:
 def find_covering_cycle_cover(G: Multigraph) -> CycleCoverResult:
     """The first 2-factor of the bridgeless cubic G, in matching order, that
     crosses every 3- and 4-edge cut at least twice."""
-    report = validate_structure(G, "cubic-3ec")
-    # Bridgeless cubic but only 2-edge-connected is acceptable.
-    bridgeless_cubic = report.edge_connectivity >= 2 and all(d == 3 for d in report.degrees)
-    if not report.passed and not bridgeless_cubic:
-        raise CycleCoverError(f"input is not bridgeless cubic: {report.violation}")
+    require_profile(G, "cubic-2ec", CycleCoverError)
     return _search(G)
 
 
 def _search(G: Multigraph) -> CycleCoverResult:
     """find_covering_cycle_cover without its profile test."""
-    small = enumerate_cuts_upto(G, 4)
-    targets = [c for c in small.cuts if c.size in (3, 4)]
+    targets = [c for c in enumerate_cuts_upto(G, 4) if len(c) >= 3]
     all_ids = set(G.edge_ids())
     for matching in _perfect_matchings(G):
         cover = all_ids - set(matching)
-        if all(len(cover & c.edge_ids) >= 2 for c in targets):
+        if all(len(cover & c) >= 2 for c in targets):
             return _build_result(G, cover, set(matching), targets)
     raise CycleCoverError("no cycle cover found covering all 3- and 4-edge cuts")
 
 
 def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
-                  targets: List[Cut]) -> CycleCoverResult:
+                  targets: List[FrozenSet[int]]) -> CycleCoverResult:
     cycles = _cycles_of(G, cover)
     vertex_cycle: Dict[int, int] = {}
     for ci, cyc in enumerate(cycles):
@@ -118,7 +115,7 @@ def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
     intra, cross = [], []
     for e in sorted((e for e in G.edges if e.id in matching), key=lambda e: e.id):
         (intra if vertex_cycle[e.u] == vertex_cycle[e.v] else cross).append(e.id)
-    covered = tuple((c.edge_ids, len(cover & c.edge_ids)) for c in targets)
+    covered = tuple((c, len(cover & c)) for c in targets)
     if any(d != 2 for d in multiset_degrees(G, {eid: 1 for eid in cover})):
         raise CycleCoverError("cover is not a 2-factor")
     return CycleCoverResult(
@@ -134,16 +131,17 @@ def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
 def verify_contraction(G: Multigraph, result: CycleCoverResult) -> Multigraph:
     """G/C for the cover C of `result`, once it is checked: 5-edge-connected
     in general, and with all even degrees and connectivity at least 6 when G
-    is bipartite.  Raises CycleCoverError otherwise."""
+    is bipartite.  Raises CycleCoverError otherwise.
+
+    H has no cut of at most 4 edges, and when all its degrees are even
+    every cut of H is even, so at least 6."""
     H = contract(G, result.cover_multiset())
     if H.n == 1:
         return H
-    conn, shore = min_cut_unit(H)
-    bip = is_bipartite(G)
-    if conn < (6 if bip else 5):
-        raise CycleCoverError(
-            f"bad contraction: {conn}-edge cut in the contraction (shore {shore})")
-    if bip and any(d % 2 for d in H.degrees()):
+    small = enumerate_cuts_upto(H, 4)
+    if small:
+        raise CycleCoverError(f"bad contraction: {describe_cut(small[0])} in the contraction")
+    if is_bipartite(G) and any(d % 2 for d in H.degrees()):
         raise CycleCoverError(
             "bad contraction: odd degree in the contraction of a bipartite input")
     return H

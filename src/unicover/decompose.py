@@ -365,7 +365,7 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
     terms = sorted(T)
     tindex = {v: i for i, v in enumerate(terms)}
     dist_rows: List[List[Optional[int]]] = []    # None: not reached
-    paths: Dict[Tuple[int, int], List[int]] = {}
+    prev_rows: List[List[Optional[Tuple[int, int]]]] = []
     for s in terms:
         dist: List[Optional[int]] = [None] * G.n
         prev_edge: List[Optional[Tuple[int, int]]] = [None] * G.n
@@ -382,15 +382,7 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
                     prev_edge[w] = (v, eid)
                     heapq.heappush(heap, (nd, w))
         dist_rows.append([dist[t] for t in terms])
-        for t in terms:
-            if t != s and dist[t] is not None:
-                path = []
-                v = t
-                while v != s:
-                    pv, eid = prev_edge[v]
-                    path.append(eid)
-                    v = pv
-                paths[(s, t)] = path
+        prev_rows.append(prev_edge)
     t = len(terms)
     full = (1 << t) - 1
     dp: List[Optional[int]] = [None] * (1 << t)
@@ -419,8 +411,11 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
     join: Dict[int, int] = {}
     mask = full
     while mask:
+        # The shortest path from terms[i] to terms[j], walked back from j.
         i, j = choice[mask]
-        for eid in paths[(terms[i], terms[j])]:
+        v = terms[j]
+        while v != terms[i]:
+            v, eid = prev_rows[i][v]
             join[eid] = join.get(eid, 0) ^ 1
         mask &= ~(1 << i) & ~(1 << j)
     join = {eid: 1 for eid, m in join.items() if m}

@@ -98,25 +98,8 @@ class NodeWeights:
 
 @dataclass(frozen=True)
 class Cut:
-    # One side: enumerate_cuts_upto gives the side holding vertex 0, and
-    # LpResult.cuts the side avoiding it.
-    shore: Tuple[int, ...]
+    shore: Tuple[int, ...]         # the side avoiding vertex 0
     edge_ids: FrozenSet[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class CutFamily:
-    cuts: Tuple[Cut, ...]
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def of_size(self, *sizes: int) -> List[Cut]:
-        return [c for c in self.cuts if c.size in sizes]
 
 
 def find(parent: List[int], a: int) -> int:
@@ -228,11 +211,11 @@ def _cycle_space_labels(edges: Sequence[Edge], adj: List[List[Tuple[int, int]]]
     return label
 
 
-def _shore_of(G: Multigraph, adj: List[List[Tuple[int, int]]],
-              cut: FrozenSet[int]) -> Tuple[int, ...]:
-    """The side of the cut `cut` that holds vertex 0: 2-colour G from vertex
-    0, flipping colour across the cut's edges."""
-    colour = [-1] * G.n
+def _shore_of(adj: List[List[Tuple[int, int]]], cut: FrozenSet[int]) -> Tuple[int, ...]:
+    """The side of the cut `cut` that avoids vertex 0: 2-colour the
+    connected graph of adj from vertex 0, flipping colour across the cut's
+    edges."""
+    colour = [-1] * len(adj)
     colour[0] = 0
     stack = [0]
     while stack:
@@ -241,33 +224,19 @@ def _shore_of(G: Multigraph, adj: List[List[Tuple[int, int]]],
             if colour[w] == -1:
                 colour[w] = colour[v] ^ (eid in cut)
                 stack.append(w)
-    return tuple(v for v in range(G.n) if colour[v] == 0)
+    return tuple(v for v, c in enumerate(colour) if c == 1)
 
 
-def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
-    """All cuts delta(S) with |delta(S)| <= k, each edge set once.
-
-    Works in the cycle space: an edge set is a cut exactly when the XOR of
-    its labels (see _cycle_space_labels) is 0.  For each size j <= k, every
-    (j-1)-subset of edges, taken in lexicographic order of edge ids, looks
-    up the edges of higher id whose label closes it.  The search costs
-    O(C(m, k-1)) dictionary lookups, plus one O(n + m) colouring per cut
-    found, which gives its shore canonicalized to the side containing
-    vertex 0.  Cuts come out sorted by size, then by sorted edge ids; a
-    connected G has one shore per edge set.
-    """
-    if k > 4:
-        raise GraphError("cut enumeration is limited to k <= 4")
-    adj = G.adjacency()
-    label = _cycle_space_labels(G.edges, adj)
-    if label is None:
-        raise GraphError("disconnected input")
+def _cuts_upto(label: Dict[int, int], k: int) -> Tuple[FrozenSet[int], ...]:
+    """The edge sets of at most k edges whose labels XOR to 0: every
+    (j-1)-subset of edges, in lexicographic order of edge ids, looks up the
+    edges of higher id whose label closes it."""
     ids = sorted(label)
     labels = [label[eid] for eid in ids]
     closing: Dict[int, List[int]] = {}     # label -> positions in ids, ascending
     for i, x in enumerate(labels):
         closing.setdefault(x, []).append(i)
-    cuts: List[Cut] = []
+    cuts: List[FrozenSet[int]] = []
     for j in range(1, k + 1):
         for head in itertools.combinations(range(len(ids)), j - 1):
             x = 0
@@ -276,16 +245,30 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> CutFamily:
             after = head[-1] if head else -1
             for last in closing.get(x, ()):
                 if last > after:
-                    edge_ids = frozenset(ids[i] for i in head + (last,))
-                    cuts.append(Cut(_shore_of(G, adj, edge_ids), edge_ids))
-    return CutFamily(tuple(cuts))
+                    cuts.append(frozenset(ids[i] for i in head + (last,)))
+    return tuple(cuts)
 
 
-def min_cut_unit(G: Multigraph) -> Tuple[int, Tuple[int, ...]]:
-    from .lp import min_cut  # deferred to avoid an import cycle
-    cap = {e.id: 1 for e in G.edges}
-    value, shore = min_cut(G, cap)
-    return int(value), shore
+def enumerate_cuts_upto(G: Multigraph, k: int) -> Tuple[FrozenSet[int], ...]:
+    """The edge set of every cut delta(S) with |delta(S)| <= k, each once,
+    sorted by size, then by sorted edge ids.
+
+    Works in the cycle space: an edge set is a cut exactly when the XOR of
+    its labels (see _cycle_space_labels) is 0.  For each size j <= k the
+    search costs O(C(m, j-1)) dictionary lookups.
+    """
+    if k > 4:
+        raise GraphError("cut enumeration is limited to k <= 4")
+    label = _cycle_space_labels(G.edges, G.adjacency())
+    if label is None:
+        raise GraphError("disconnected input")
+    return _cuts_upto(label, k)
+
+
+def describe_cut(edge_ids: Iterable[int]) -> str:
+    """'k-edge cut {e..}', the edges in id order."""
+    ids = sorted(edge_ids)
+    return f"{len(ids)}-edge cut {{" + ",".join(f"e{i}" for i in ids) + "}"
 
 
 def contract(G: Multigraph, F: EdgeMultiset) -> Multigraph:
@@ -374,15 +357,21 @@ def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
     return labels
 
 
-PROFILES = ("cubic-3ec", "subcubic-2ec", "bipartite-cubic-3ec", "4regular-4ec")
+# profile -> (allowed vertex degrees, edge connectivity needed).
+# cubic-2ec is the bridgeless cubic input of find_covering_cycle_cover.
+PROFILES: Dict[str, Tuple[range, int]] = {
+    "cubic-3ec": (range(3, 4), 3),
+    "cubic-2ec": (range(3, 4), 2),
+    "subcubic-2ec": (range(4), 2),
+    "bipartite-cubic-3ec": (range(3, 4), 3),
+    "4regular-4ec": (range(4, 5), 4),
+}
 
 
 @dataclass(frozen=True)
 class StructureReport:
     profile: str
     passed: bool
-    degrees: Tuple[int, ...]
-    edge_connectivity: int
     violation: Optional[str] = None
 
 
@@ -394,34 +383,31 @@ def require_profile(G: Multigraph, profile: str, error: type) -> None:
 
 
 def validate_structure(G: Multigraph, profile: str) -> StructureReport:
-    """G against the profile's degrees, edge connectivity and parity, from
-    one global min cut; a failing cut is named by that cut's edges."""
+    """G against the profile's degrees, edge connectivity and parity.
+
+    Connectivity is read from the cycle-space labels (see
+    _cycle_space_labels): a graph they do not span, or a single vertex, is a
+    disconnected input, and otherwise the smallest cut below the profile's
+    connectivity, the first that enumerate_cuts_upto lists, is named by its
+    edges."""
     if profile not in PROFILES:
         raise GraphError(f"unknown profile {profile!r}")
     if G.n == 0:
         raise GraphError("empty graph")
-    deg = G.degrees()
-    conn, shore = min_cut_unit(G) if G.n >= 2 else (0, ())
+    degrees, need = PROFILES[profile]
 
     def report(violation: Optional[str]) -> StructureReport:
-        return StructureReport(profile, violation is None, tuple(deg), conn, violation)
+        return StructureReport(profile, violation is None, violation)
 
-    need_degree = {"cubic-3ec": 3, "bipartite-cubic-3ec": 3, "4regular-4ec": 4}
-    if profile in need_degree:
-        want = need_degree[profile]
-        for v, d in enumerate(deg):
-            if d != want:
-                return report(f"vertex {v} has degree {d}")
-    else:  # subcubic-2ec
-        for v, d in enumerate(deg):
-            if d > 3:
-                return report(f"vertex {v} has degree {d}")
-    need_conn = {"cubic-3ec": 3, "bipartite-cubic-3ec": 3, "subcubic-2ec": 2, "4regular-4ec": 4}[profile]
-    if conn < need_conn:
-        if conn == 0:
-            return report("disconnected input")
-        names = "{" + ",".join(f"e{i}" for i in sorted(cut_edges(G, shore))) + "}"
-        return report(f"{conn}-edge cut {names}")
+    for v, d in enumerate(G.degrees()):
+        if d not in degrees:
+            return report(f"vertex {v} has degree {d}")
+    label = _cycle_space_labels(G.edges, G.adjacency())
+    if label is None or G.n == 1:
+        return report("disconnected input")
+    small = _cuts_upto(label, need - 1)
+    if small:
+        return report(describe_cut(small[0]))
     if profile == "bipartite-cubic-3ec" and not is_bipartite(G):
         return report("odd cycle found")
     return report(None)

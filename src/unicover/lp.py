@@ -1,10 +1,10 @@
 """Exact rational LP layer: global min cut, the subtour membership test and
 the cutting-plane subtour solver.
 
-Separation for the subtour polyhedron is an exact Stoer-Wagner min cut, run
-over the capacities scaled to ints; the 1-edge cuts of a connector are
-read off the cycle-space labels of its support (decompose_one_covers checks
-a vector on them).
+The exact Stoer-Wagner min cut, run over the capacities scaled to ints,
+only separates and tests LP vectors: cuts of a graph with at most 4 edges,
+and the 1-edge cuts of a connector (decompose_one_covers checks a vector on
+them), are read off cycle-space labels in graph.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    _shore_of, cut_edges, is_connected, support_labels)
+                    _adjacency, _shore_of, cut_edges, is_connected, support_labels)
 from .simplex import LpError, solve_lp
 
 
@@ -83,20 +83,14 @@ def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...],
     edge-id order.
 
     A bridge is an edge used once whose label in the support of F is 0.  A
-    shore is reported once per bridge, canonicalized to the side avoiding
-    vertex 0.
+    shore is reported once per bridge, the side avoiding vertex 0.
     """
     label = support_labels(G, F)
     if label is None:
         raise LpInputError("F is not connected")
-    support = Multigraph(G.n, tuple(e for e in G.edges if e.id in label))
-    adj = support.adjacency()
-    cuts: List[Tuple[Tuple[int, ...], int]] = []
-    for eid in sorted(label):
-        if label[eid] == 0 and F[eid] == 1:
-            near = set(_shore_of(support, adj, frozenset((eid,))))
-            cuts.append((tuple(v for v in range(G.n) if v not in near), eid))
-    return cuts
+    adj = _adjacency(G.n, (e for e in G.edges if e.id in label))
+    return [(_shore_of(adj, frozenset((eid,))), eid)
+            for eid in sorted(label) if label[eid] == 0 and F[eid] == 1]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
+from . import serialize
 from .graph import (EdgeVector, GraphError, Multigraph, classify, cut_edges,
                     enumerate_cuts_upto, multiset_degrees, multiset_weight,
                     require_profile)
@@ -42,7 +43,7 @@ class VerifyError(GraphError):
 def verify_document(doc: dict) -> VerifyReport:
     """Parse a document (a malformed one raises ParseError) and re-check it;
     a failed check is a report with ok False, naming what failed."""
-    from . import serialize
+    # Looked up at each call, so a rebound serialize parser is the one used.
     checks = {
         "uniform-cover-certificate": (serialize.certificate_from_json, _check_certificate),
         "approx-result": (serialize.approx_from_json, _check_approx),
@@ -206,11 +207,13 @@ def _check_cycle_cover(G: Multigraph, cc: CycleCoverResult) -> str:
     if cross != list(cc.cross_cycle):
         raise VerifyError(f"stored cross_cycle is not {cross}, the matching edges between cycles")
     covered = []
-    for c in enumerate_cuts_upto(G, 4).of_size(3, 4):
-        crossing = len(c.edge_ids & cover)
+    for c in enumerate_cuts_upto(G, 4):
+        if len(c) < 3:
+            continue
+        crossing = len(c & cover)
         if crossing < 2:
-            raise VerifyError(f"cut of size {c.size} not doubly covered")
-        covered.append((c.edge_ids, crossing))
+            raise VerifyError(f"cut of size {len(c)} not doubly covered")
+        covered.append((c, crossing))
     if tuple(covered) != cc.covered_cuts:
         raise VerifyError("stored covered_cuts is not (cut, |cover ∩ cut|) "
                           "for each 3- and 4-edge cut in enumeration order")

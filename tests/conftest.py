@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import strategies as st
 
 from unicover.decompose import DecompositionError, canonical
 from unicover.graph import Edge, Multigraph, connected_components, cut_edges
-from unicover.lp import _solve_over_cuts
+from unicover.lp import _solve_over_cuts, min_cut
 
 
 def make_graph(n, pairs, weight=1):
@@ -28,6 +29,51 @@ def brute_force_min_cut(G, cap):
         if best is None or value < best:
             best, best_shore = value, shore
     return best, best_shore
+
+
+# Two K4-minus-an-edge blocks: joined by two edges, cubic with a 2-edge
+# cut; each with its missing edge subdivided, and the two new vertices
+# joined, cubic with a bridge.
+BLOCK4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+TWO_CUT_CUBIC = make_graph(8, BLOCK4 + [(a + 4, b + 4) for a, b in BLOCK4] + [(2, 6), (3, 7)])
+BRIDGED_CUBIC = make_graph(10, BLOCK4 + [(2, 4), (3, 4)]
+                           + [(a + 5, b + 5) for a, b in BLOCK4 + [(2, 4), (3, 4)]] + [(4, 9)])
+
+
+def unit_min_cut(G):
+    """Edge connectivity by the Stoer-Wagner min cut with unit capacities;
+    0 for a single vertex."""
+    return int(min_cut(G, {e.id: 1 for e in G.edges})[0]) if G.n > 1 else 0
+
+
+def shore_holding_zero(G, ids):
+    """The side holding vertex 0 of the cut of the connected G whose edge
+    set is `ids`: the vertices that a walk from 0 reaches after crossing
+    `ids` an even number of times.  Checked to be a shore that G leaves
+    through exactly `ids`."""
+    adj = G.adjacency()
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        v, parity = stack.pop()
+        for w, eid in adj[v]:
+            state = (w, parity ^ (eid in ids))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    shore = tuple(sorted(v for v, parity in seen if parity == 0))
+    assert len(shore) < G.n and cut_edges(G, shore) == ids
+    return shore
+
+
+@st.composite
+def regular_multigraphs(draw, d):
+    """A random pairing of d half-edges at each of up to 10 vertices,
+    parallel edges kept and a pair at one vertex dropped: mostly d-regular,
+    sometimes with a bridge, a small cut or several components."""
+    n = draw(st.integers(1, 10).filter(lambda n: n * d % 2 == 0))
+    ends = draw(st.permutations([v for v in range(n) for _ in range(d)]))
+    return make_graph(n, [(u, v) for u, v in zip(ends[::2], ends[1::2]) if u != v])
 
 
 def brute_force_subtour(G):

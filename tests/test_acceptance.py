@@ -145,12 +145,12 @@ def test_criterion_4_approximation_ratios(capsys):
 
 
 def brute_force_two_factor(g):
-    targets = [c for c in enumerate_cuts_upto(g, 4).cuts if c.size in (3, 4)]
+    targets = [c for c in enumerate_cuts_upto(g, 4) if len(c) in (3, 4)]
     for subset in itertools.combinations(sorted(g.edge_ids()), g.n):
         chosen = set(subset)
         deg = multiset_degrees(g, {eid: 1 for eid in chosen})
         if all(d == 2 for d in deg) and \
-                all(len(chosen & c.edge_ids) >= 2 for c in targets):
+                all(len(chosen & c) >= 2 for c in targets):
             return chosen
     return None
 

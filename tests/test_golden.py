@@ -27,6 +27,8 @@ from unicover.graph import NodeWeights, enumerate_cuts_upto
 from unicover.lp import solve_subtour
 from unicover.verify import verify_document
 
+from conftest import shore_holding_zero
+
 
 def digest(doc: dict) -> str:
     return hashlib.sha256(serialize.dumps(doc).encode("utf-8")).hexdigest()
@@ -143,7 +145,9 @@ def test_solver_document_bytes(name, build, sha):
 
 
 def test_small_cut_family_bytes():
-    cuts = enumerate_cuts_upto(random_cubic_3ec(20, 1), 4).cuts
-    rows = sorted([c.size, sorted(c.edge_ids), list(c.shore)] for c in cuts)
+    # Each row's shore is the side holding vertex 0, derived from the edges.
+    g = random_cubic_3ec(20, 1)
+    cuts = enumerate_cuts_upto(g, 4)
+    rows = sorted([len(c), sorted(c), list(shore_holding_zero(g, c))] for c in cuts)
     assert len(rows) == 72
     assert digest(rows) == "3f22fb16c78d52106424b23de6d5f489f8cb819300bded6dbc7abb6d8956140c"

@@ -1,19 +1,21 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicover.families import k4, k5, k33, petersen, prism
-from unicover.graph import (Cut, CutFamily, Edge, GraphError, Multigraph,
-                            NodeWeights, classify, connected_components,
-                            contract, cut_edges,
-                            enumerate_cuts_upto, is_bipartite, min_cut_unit,
-                            multiset_degrees, multiset_union, multiset_weight,
-                            validate_structure)
+from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
+                               petersen, prism, random_cubic_3ec,
+                               random_subcubic_2ec)
+from unicover.graph import (PROFILES, Edge, GraphError, Multigraph, NodeWeights,
+                            classify, connected_components, contract, cut_edges,
+                            enumerate_cuts_upto, is_bipartite, multiset_degrees,
+                            multiset_union, multiset_weight, validate_structure)
 
-from conftest import make_graph
+from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, make_graph, regular_multigraphs,
+                      shore_holding_zero, unit_min_cut)
 
 F = Fraction
 
@@ -67,11 +69,9 @@ class TestValidateStructure:
     def test_two_edge_cut_named(self):
         # Two K4-minus-an-edge blocks joined by a pair of bridges: cubic but
         # only 2-edge-connected.
-        g = make_graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-                           (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
-                           (2, 6), (3, 7)])
+        g = TWO_CUT_CUBIC
         report = validate_structure(g, "cubic-3ec")
-        assert not report.passed and report.edge_connectivity == 2
+        assert not report.passed
         assert report.violation == "2-edge cut {e10,e11}"
 
     def test_subcubic_accepts_cycle(self, c4):
@@ -81,23 +81,82 @@ class TestValidateStructure:
         two_k4 = make_graph(8, [(a + s, b + s) for s in (0, 4)
                                 for a, b in itertools.combinations(range(4), 2)])
         report = validate_structure(two_k4, "cubic-3ec")
-        assert not report.passed and report.edge_connectivity == 0
+        assert not report.passed
         assert report.violation == "disconnected input"
 
 
+# Oracle for each profile: (allowed degrees, edge connectivity, bipartite).
+PROFILE_RULES = {
+    "cubic-3ec": ({3}, 3, False),
+    "cubic-2ec": ({3}, 2, False),
+    "subcubic-2ec": ({0, 1, 2, 3}, 2, False),
+    "bipartite-cubic-3ec": ({3}, 3, True),
+    "4regular-4ec": ({4}, 4, False),
+}
+
+# Two K5-minus-an-edge blocks joined by two edges: 4-regular with a 2-edge
+# cut.
+BLOCK5 = [p for p in itertools.combinations(range(5), 2) if p != (3, 4)]
+TWO_CUT_QUARTIC = make_graph(10, BLOCK5 + [(a + 5, b + 5) for a, b in BLOCK5] + [(3, 8), (4, 9)])
+NAMED = (k4(), k5(), k33(), petersen(), prism(), heawood(), mobius_kantor(), c8_12(),
+         lcf_5(20), random_cubic_3ec(12, 1), random_subcubic_2ec(8, 1),
+         TWO_CUT_CUBIC, BRIDGED_CUBIC, TWO_CUT_QUARTIC)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 8 vertices and 14 edges, parallel edges and isolated vertices
+    allowed."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=14))
+    return make_graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+def test_every_profile_has_an_oracle_rule():
+    assert set(PROFILES) == set(PROFILE_RULES)
+
+
+@given(st.one_of(multigraphs(), regular_multigraphs(3), regular_multigraphs(4),
+                 st.sampled_from(NAMED)),
+       st.sampled_from(sorted(PROFILE_RULES)))
+@settings(max_examples=400, deadline=None)
+def test_profiles_match_the_min_cut_oracle(g, profile):
+    """validate_structure against the unit-capacity Stoer-Wagner min cut: the
+    same verdict, and a failing cut is a smallest cut, named by its edges."""
+    degrees, need, bipartite = PROFILE_RULES[profile]
+    conn = unit_min_cut(g)
+    degrees_ok = all(d in degrees for d in g.degrees())
+    want = degrees_ok and conn >= need and (not bipartite or is_bipartite(g))
+    report = validate_structure(g, profile)
+    assert report.passed == want
+    if want:
+        assert report.violation is None
+    elif not degrees_ok:
+        v, d = map(int, re.fullmatch(r"vertex (\d+) has degree (\d+)", report.violation).groups())
+        assert g.degrees()[v] == d and d not in degrees
+    elif conn == 0:
+        assert report.violation == "disconnected input"
+    elif conn < need:
+        size, names = re.fullmatch(r"(\d+)-edge cut \{(.*)\}", report.violation).groups()
+        ids = frozenset(int(name[1:]) for name in names.split(","))
+        assert int(size) == len(ids) == conn
+        shore_holding_zero(g, ids)
+    else:
+        assert report.violation == "odd cycle found"
+
+
 def brute_force_cuts(G, k):
-    """Reference oracle: every vertex shore holding vertex 0, smallest first,
-    keeping the first shore of each edge set of size <= k."""
-    found = {}
+    """Reference oracle: the edge sets of size <= k that leave some vertex
+    shore holding vertex 0, each once, by size, then by sorted edge ids."""
+    found = set()
     rest = list(range(1, G.n))
     for size in range(0, G.n - 1):
         for extra in itertools.combinations(rest, size):
-            shore = (0,) + extra
-            ids = cut_edges(G, shore)
-            if len(ids) <= k and ids not in found:
-                found[ids] = shore
-    return CutFamily(tuple(sorted((Cut(shore, ids) for ids, shore in found.items()),
-                                  key=lambda c: (c.size, sorted(c.edge_ids), c.shore))))
+            ids = cut_edges(G, (0,) + extra)
+            if len(ids) <= k:
+                found.add(ids)
+    return tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
 
 
 @st.composite
@@ -125,37 +184,40 @@ class TestCutEnumeration:
 
     def test_c4_has_six_2cuts(self, c4):
         fam = enumerate_cuts_upto(c4, 2)
-        assert len(fam.of_size(2)) == 6
+        assert [len(c) for c in fam] == [2] * 6
 
     def test_petersen_small_cuts(self):
         fam = enumerate_cuts_upto(petersen(), 4)
-        assert len(fam.of_size(3)) == 10    # vertex stars
-        assert len(fam.of_size(4)) == 15    # adjacent-pair shores
+        assert sum(len(c) == 3 for c in fam) == 10    # vertex stars
+        assert sum(len(c) == 4 for c in fam) == 15    # adjacent-pair shores
 
     def test_agrees_with_direct_check(self, two_triangles):
         g = two_triangles
         fam = enumerate_cuts_upto(g, 4)
-        for cut in fam.cuts:
-            assert cut_edges(g, cut.shore) == cut.edge_ids
-            assert len(cut.edge_ids) <= 4
+        for cut in fam:
+            assert cut_edges(g, shore_holding_zero(g, cut)) == cut
+            assert len(cut) <= 4
 
     def test_disconnected_shore(self):
         # Blobs {0,1} and {4,5} each hang on {2,3} by two edges, so
         # delta({0,1,4,5}) has 4 edges and a shore in two pieces.
         g = make_graph(6, [(0, 1), (0, 2), (1, 3), (4, 5), (2, 4), (3, 5), (2, 3)])
         fam = enumerate_cuts_upto(g, 4)
-        assert Cut((0, 1, 4, 5), frozenset({1, 2, 4, 5})) in fam.cuts
+        assert frozenset({1, 2, 4, 5}) in fam
+        assert shore_holding_zero(g, frozenset({1, 2, 4, 5})) == (0, 1, 4, 5)
         assert fam == brute_force_cuts(g, 4)
 
     def test_parallel_pair_is_a_2cut(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
         fam = enumerate_cuts_upto(g, 2)
-        assert Cut((0, 1, 2), frozenset({3, 4})) in fam.cuts
+        assert frozenset({3, 4}) in fam
+        assert shore_holding_zero(g, frozenset({3, 4})) == (0, 1, 2)
         assert fam == brute_force_cuts(g, 2)
 
     def test_bridge(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
-        assert enumerate_cuts_upto(g, 1).cuts == (Cut((0, 1, 2), frozenset({6})),)
+        assert enumerate_cuts_upto(g, 1) == (frozenset({6}),)
+        assert shore_holding_zero(g, frozenset({6})) == (0, 1, 2)
 
     def test_rejects_large_k_and_disconnected_input(self, c4):
         with pytest.raises(GraphError, match="k <= 4"):
@@ -164,9 +226,9 @@ class TestCutEnumeration:
             enumerate_cuts_upto(make_graph(4, [(0, 1), (2, 3)]), 2)
 
     def test_edge_connectivity(self, two_triangles):
+        # The first cut listed is a smallest one: its size is the unit min cut.
         for g, want in ((k4(), 3), (petersen(), 3), (two_triangles, 2)):
-            value, shore = min_cut_unit(g)
-            assert value == want == len(cut_edges(g, shore))
+            assert len(enumerate_cuts_upto(g, 4)[0]) == want == unit_min_cut(g)
 
 
 class TestContract:
@@ -217,8 +279,8 @@ class TestClassify:
         cyc.update({e.id: 2 for e in g.edges if abs(e.u - e.v) == 3 and e.u == 0})
         labels = classify(g, cyc)
         if "tour" in labels:
-            for cut in enumerate_cuts_upto(g, 4).cuts:
-                crossing = sum(cyc.get(eid, 0) for eid in cut.edge_ids)
+            for cut in enumerate_cuts_upto(g, 4):
+                crossing = sum(cyc.get(eid, 0) for eid in cut)
                 assert crossing % 2 == 0 and crossing >= 2
 
 

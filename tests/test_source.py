@@ -127,3 +127,16 @@ def test_library_raises_only_its_own_errors():
                 found.append(f"{stem}.py:{node.lineno} raises {name}")
     assert trees, f"no sources under {SOURCE}"
     assert not found, f"raises outside GraphError and LpError: {found}"
+
+
+def test_library_has_no_function_level_imports():
+    # Every import is at module level, where an import cycle shows at once.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = _parents(tree)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and _enclosing(node, parent, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert sorted(SOURCE.glob("*.py")), f"no sources under {SOURCE}"
+    assert not found, f"imports inside functions: {found}"
