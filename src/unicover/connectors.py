@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .graph import EdgeMultiset, EdgeVector, GraphError, Multigraph, support_labels
-from .decompose import (ConvexCombination, DecompositionError, caratheodory_reduce,
-                        clip_at_two, decompose_connectors, make_combination)
+from .decompose import (ConvexCombination, DecompositionError, _decompose_connectors,
+                        _require_subtour, caratheodory_reduce, clip_at_two,
+                        make_combination)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,8 +55,8 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
 
     Two edges are related when their removal disconnects the support, that
     is, when their labels are equal, so a class is a label held by two or
-    more edges.  x is taken to be in the subtour polytope:
-    even_2cut_connectors, the caller, has tested it in decompose_connectors.
+    more edges.  x is taken to be in the subtour polytope: even_2cut_connectors,
+    the caller, tests it or is handed a tested x.
     """
     label = _two_cut_labels(G, x)
     groups: Dict[int, List[int]] = {}
@@ -120,9 +121,16 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
 
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Convex combination of connectors dominated by x, each crossing every
-    2-edge cut an even number of times."""
+    2-edge cut an even number of times.  x must be in the subtour polytope."""
+    _require_subtour(G, x)
+    return _even_2cut_connectors(G, x)
+
+
+def _even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
+    """even_2cut_connectors of an x that the caller has tested, such as the
+    optimum of solve_subtour, whose last separation is that test."""
     xbar = clip_at_two(x)
-    base = decompose_connectors(G, x)
+    base = _decompose_connectors(G, x)
     classes = two_cut_classes(G, x)
     norm = normalize_connectors(base, xbar, G=G)
     if not classes:

@@ -550,6 +550,11 @@ def clip_at_two(x: EdgeVector) -> EdgeVector:
 def decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Equality decomposition of x (clipped at 2) into connectors of G."""
     _require_subtour(G, x)
+    return _decompose_connectors(G, x)
+
+
+def _decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
+    """decompose_connectors of an x that the caller has tested."""
     xbar = {eid: v for eid, v in clip_at_two(x).items() if v > 0}
     rows = sorted(xbar.items())
     raw = _equality_master(rows, _connector_price_max(G, set(xbar)))

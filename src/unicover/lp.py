@@ -1,6 +1,13 @@
 """Exact rational LP layer: global min cut, the subtour membership test and
 the cutting-plane subtour solver.
 
+The subtour LP is solved as its dual, max 2 * sum(y_S) with no edge loaded
+beyond its weight, by column generation on one simplex Tableau: each cut
+is a column, and each separation round adds one and pivots on from the
+current basis (the warm-started cutting-plane loop of Dantzig, Fulkerson
+and Johnson).  The two-phase simplex.solve_lp is not used; the tests check
+this solver against it.
+
 The exact Stoer-Wagner min cut, run over the capacities scaled to ints,
 only separates and tests LP vectors: cuts of a graph with at most 4 edges,
 and the 1-edge cuts of a connector (decompose_one_covers checks a vector on
@@ -11,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     _adjacency, _shore_of, cut_edges, is_connected, support_labels)
-from .simplex import LpError, solve_lp
+from .simplex import LpError, Tableau
+
+ZERO = Fraction(0)
 
 
 class LpInputError(GraphError):
@@ -126,55 +135,59 @@ class LpResult:
     duals: Tuple[Fraction, ...]    # an optimal y >= 0, one per cut; 2 * sum(y) = value
 
 
-def _solve_over_cuts(G: Multigraph, shores: Sequence[Tuple[int, ...]]
-                     ) -> Tuple[Fraction, EdgeVector, List[Fraction]]:
-    """min w.x over x(delta(S)) >= 2 for each shore S: the value, x, and
-    an optimal dual, one y >= 0 per shore."""
-    ids = sorted(G.edge_ids())
-    index = {eid: i for i, eid in enumerate(ids)}
-    weight = {e.id: e.weight for e in G.edges}
-    c = [weight[eid] for eid in ids]
-    rows = []
-    for shore in shores:
-        a = [0] * len(ids)
-        for eid in cut_edges(G, shore):
-            a[index[eid]] += 1
-        rows.append((a, ">=", Fraction(2)))
-    sol = solve_lp(c, rows)
-    x = {eid: sol.x[i] for i, eid in enumerate(ids) if sol.x[i] != 0}
-    return sol.value, x, sol.duals
-
-
 def initial_shores(n: int) -> List[Tuple[int, ...]]:
     """The first pool of solve_subtour: {v} for v = 1..n-1, and {1..n-1}."""
     return [(v,) for v in range(1, n)] + [tuple(range(1, n))]
 
 
 def solve_subtour(G: Multigraph) -> LpResult:
-    """Exact optimum of the subtour elimination LP by cutting planes.  The
+    """Exact optimum of the subtour elimination LP by cutting planes, warm
+    started: the dual LP
+
+        max 2 * sum(y_S)  s.t.  sum_{S : e in delta(S)} y_S <= w_e,  y >= 0
+
+    is solved by column generation on one Tableau, with a row per edge and
+    a column per cut.  Its slack basis is feasible (w >= 0), so no phase 1
+    runs.  The duals of the edge rows are the primal x = -pi / s; a
+    separation round cuts x (in ints, on the scale s) and adds a violated
+    cut as a column, and the simplex goes on from the current basis.  The
     loop stops at the first x whose min cut is at least 2, so that last
     separation is the subtour test of x."""
     if G.n < 3:
         raise LpInputError("LP modules reject n < 3")
     if not is_connected(G):
         raise LpInputError("disconnected input")
-    shores = initial_shores(G.n)
-    seen = {cut_edges(G, s) for s in shores}
-    rounds = 0
+    ids = sorted(G.edge_ids())
+    index = {eid: i for i, eid in enumerate(ids)}
+    weight = {e.id: e.weight for e in G.edges}
+    tab = Tableau([weight[eid] for eid in ids], [ZERO] * len(ids))    # slacks
+    pool: List[Cut] = []
+    seen = set()
+
+    def add_cut(shore: Tuple[int, ...], edges: FrozenSet[int]) -> None:
+        col = [0] * len(ids)
+        for eid in edges:
+            col[index[eid]] = 1
+        tab.add_column(col, -2)      # min -2 * sum(y)
+        pool.append(Cut(shore, edges))
+        seen.add(edges)
+
+    for shore in initial_shores(G.n):
+        add_cut(shore, cut_edges(G, shore))
     while True:
-        value, x, duals = _solve_over_cuts(G, shores)
-        mc_value, mc_shore = min_cut(G, x)
-        if mc_value >= 2:
+        tab.optimize()
+        pi, s = tab.int_duals()
+        mc_value, mc_shore = min_cut(G, {eid: -pi[i] for i, eid in enumerate(ids)})
+        if mc_value >= 2 * s:
             break
-        rounds += 1
-        ids = cut_edges(G, mc_shore)
-        if ids in seen:
+        edges = cut_edges(G, mc_shore)
+        if edges in seen:
             raise LpError("separation returned a known cut; solver bug")
-        seen.add(ids)
-        shores.append(mc_shore)
-    cuts = tuple(Cut(tuple(sorted(shore)), cut_edges(G, shore)) for shore in shores)
-    return LpResult(value=value, x=x, cuts=cuts, separation_rounds=rounds,
-                    duals=tuple(duals))
+        add_cut(mc_shore, edges)
+    x = {eid: Fraction(-pi[i], s) for i, eid in enumerate(ids) if pi[i]}
+    duals = tuple(tab.solution()[tab.rows:])
+    return LpResult(value=2 * sum(duals, ZERO), x=x, cuts=tuple(pool),
+                    separation_rounds=len(pool) - G.n, duals=duals)
 
 
 def everywhere(G: Multigraph, r: Fraction) -> EdgeVector:

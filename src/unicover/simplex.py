@@ -15,9 +15,12 @@ p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for π).  Reduced costs come
 from π = C·c_B·M and the original columns, and α is formed only for the
 entering column, so new columns cost nothing until they are priced.  The
 values `obj`, `solution()` and `duals()` are divided out once, when they
-are read.  The column generation loop of `decompose` adds columns to the
-same tableau and prices them from the undivided duals (`int_duals()`), so
-pricing builds no Fraction; `solve_lp` scales rows to ints first.
+are read.  The column generation loops of `decompose` and of the subtour
+LP in `lp` add columns to one tableau, built on its identity basis, and
+price them from the undivided duals (`int_duals()`), so pricing and
+separation build no Fraction.  `solve_lp`, the two-phase solver for general
+rows, scales rows to ints first; the library does not call it, and the
+tests keep it as their reference LP solver.
 """
 from __future__ import annotations
 

@@ -162,8 +162,10 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> str:
     want = spec.ratio(res.beta)
     if res.ratio != want:
         raise VerifyError(f"ratio {res.ratio} does not match the algorithm's {want}")
-    if res.profile is not None:
-        require_profile(G, res.profile, VerifyError)
+    if res.profile != spec.profile:
+        raise VerifyError(f"profile {res.profile!r} is not {res.algorithm}'s {spec.profile!r}")
+    if spec.profile is not None:
+        require_profile(G, spec.profile, VerifyError)
     z = res.lower_bound
     _check_subtour_optimum(G, z, res.x, res.dual)
     if res.beta is not None and (z <= 0 or res.beta != G.total_weight() / z):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from unicover.decompose import DecompositionError, canonical
 from unicover.graph import Edge, Multigraph, connected_components, cut_edges
-from unicover.lp import _solve_over_cuts, min_cut
+from unicover.lp import min_cut
+from unicover.simplex import solve_lp
 
 
 def make_graph(n, pairs, weight=1):
@@ -76,6 +77,20 @@ def regular_multigraphs(draw, d):
     return make_graph(n, [(u, v) for u, v in zip(ends[::2], ends[1::2]) if u != v])
 
 
+def lp_over_cuts(G, family):
+    """min w.x over x >= 0 and x(delta(S)) >= 2 for each shore S of the
+    family, by the two-phase solve_lp: (value, x, duals), with x as a dict
+    of its nonzero entries and one dual per shore."""
+    ids = sorted(G.edge_ids())
+    weight = {e.id: e.weight for e in G.edges}
+    rows = []
+    for shore in family:
+        crossing = cut_edges(G, shore)
+        rows.append(([int(eid in crossing) for eid in ids], ">=", Fraction(2)))
+    sol = solve_lp([weight[eid] for eid in ids], rows)
+    return sol.value, {eid: v for eid, v in zip(ids, sol.x) if v}, sol.duals
+
+
 def brute_force_subtour(G):
     """Reference oracle for solve_subtour: the LP over every distinct cut,
     as (value, x, duals).  Exponential in n."""
@@ -85,7 +100,7 @@ def brute_force_subtour(G):
         if ids not in seen:
             seen.add(ids)
             family.append(shore)
-    return _solve_over_cuts(G, family)
+    return lp_over_cuts(G, family)
 
 
 def exhaustive_one_cover(crossing, candidate_ids, weights):

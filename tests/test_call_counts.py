@@ -91,15 +91,16 @@ def test_approximate_tests_each_fact_once(calls, algorithm):
     else:
         G = heawood() if profile.startswith("bipartite") else petersen()
         f = random_node_weights(G.n, 1)
-    res = approximate(algorithm, G, f)
-    assert calls["validate_structure"] == (0 if profile is None else 1)
-    repeated = _repeated(calls["min_cut"])
     if profile is None:
-        # solve_subtour's last separation and decompose_connectors' input
-        # test cut the same LP optimum, at two public entry points.
-        assert repeated == {_key(G, res.x): 2}
-    else:
-        assert repeated == {}
+        rounds = lp.solve_subtour(f.induced_graph(G)).separation_rounds
+        calls["min_cut"].clear()
+    approximate(algorithm, G, f)
+    assert calls["validate_structure"] == (0 if profile is None else 1)
+    assert _repeated(calls["min_cut"]) == {}
+    if profile is None:
+        # solve_subtour cuts each x it reaches, and its last separation is
+        # the connector stage's input test.
+        assert len(calls["min_cut"]) == rounds + 1
 
 
 @pytest.mark.parametrize("name", ("classify", "one_edge_cuts", "two_cut_classes"))

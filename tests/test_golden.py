@@ -79,9 +79,9 @@ APPROX = [
     ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f), k33, 6),
      "5844e8fe36bbcd1619e164c47b598f41b1f7378432741922b20d46b3f71cb132"),
     ("twoecbeta", lambda: _beta(twoec_beta),
-     "6c5b99468e9ecd80fc2c2680e5d02259815c97a4355448b7cd26094a449ab11c"),
+     "b31de670506327158ed491c275e66d2af1feb51816623ea71c47e50ee5185129"),
     ("tspbeta", lambda: _beta(tsp_beta),
-     "7331c8044bf03a05665d9c016138b1bb32402edc26d42aec1512cceefc41da4c"),
+     "00aedd5e8541ac86bfc76e2102fdb8df91b590f46d31bffe96411101775177df"),
 ]
 
 
@@ -94,7 +94,7 @@ def test_approx_artifact_bytes(algorithm, build, sha):
 
 
 def _subcubic():
-    # Its subtour LP needs 3 separation rounds.
+    # Its subtour LP needs 2 separation rounds.
     return random_node_weights(10, 3).induced_graph(random_subcubic_2ec(10, 3))
 
 
@@ -120,9 +120,9 @@ def _cycle_cover():
 
 SOLVER_DOCUMENTS = [
     ("lp-petersen", lambda: _lp(petersen),
-     "088bcf86fdcf14a11c06e4e709323683035307dc8b3b3185bf52cde18510ada1"),
+     "0cff0a16e2144bea3b07698214c95f15e7166a7260a73c3536350d7f44244fc2"),
     ("lp-subcubic", lambda: _lp(_subcubic),
-     "d0411e2fa3cb10ec867b3af1c73f7ba3e177753afe97a42ec5ca2d3da85bba41"),
+     "85d85849c2b9cfbaf285127ebec02c67b9158f76c37cd25644b6b294ea320749"),
     ("trees-petersen", lambda: _decomposition(petersen, decompose_spanning_trees, "trees"),
      "890db9f6ae7b759977cde0cfed1542451aff9e00ed0494db992f3ecbcdbacdff"),
     ("connectors-subcubic",
@@ -130,7 +130,7 @@ SOLVER_DOCUMENTS = [
      "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
     ("even2cut-subcubic8",
      lambda: _decomposition(_subcubic8, even_2cut_connectors, "even2cut"),
-     "e2024abec43370cda747e1fda27e822e8186df77647257d46d198c58323e131f"),
+     "84ec01a0d5b0fb33fd1737e550bb50a766f02eb3d225bea4af1ef10bb4179647"),
     ("cycle-cover-cubic16", _cycle_cover,
      "4a94b54cac17a09eed7a6eb3a190d2d3d3802f4656e7638be6b61133b6d69431"),
 ]

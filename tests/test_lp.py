@@ -4,14 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unicover.families import k4, k5, k33, petersen, prism, random_cubic_3ec
+from unicover.families import (k4, k5, k33, petersen, prism, random_cubic_3ec,
+                               random_node_weights, random_subcubic_2ec)
 from unicover.graph import NodeWeights, cut_edges
-from unicover.lp import (LpInputError, everywhere, membership, min_cut, one_edge_cuts,
-                         solve_subtour)
-from unicover import simplex
+from unicover.lp import (LpInputError, everywhere, initial_shores, membership, min_cut,
+                         one_edge_cuts, solve_subtour)
+from unicover import serialize, simplex
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
+from unicover.verify import verify_document
 
-from conftest import brute_force_min_cut, brute_force_subtour, make_graph
+from conftest import brute_force_min_cut, brute_force_subtour, lp_over_cuts, make_graph
 
 F = Fraction
 
@@ -350,6 +352,34 @@ class TestSolveSubtour:
             solve_subtour(make_graph(2, [(0, 1)]))
         with pytest.raises(LpInputError, match="disconnected"):
             solve_subtour(make_graph(4, [(0, 1), (2, 3)]))
+
+
+def _subtour_inputs():
+    """Node-weighted random subcubic graphs at n = 6..12, and the same
+    graphs at n = 6..8 with every third edge weighing 0, whose rows start
+    degenerate (b = 0)."""
+    for n in range(6, 13):
+        for seed in range(1, 4):
+            g = random_node_weights(n, seed).induced_graph(random_subcubic_2ec(n, seed))
+            yield g
+            if n <= 8:
+                yield g.with_weights({e.id: 0 if e.id % 3 == 0 else e.weight
+                                      for e in g.edges})
+
+
+@pytest.mark.parametrize("g", list(_subtour_inputs()))
+def test_solve_subtour_matches_the_two_phase_reference(g):
+    res = solve_subtour(g)
+    shores = [c.shore for c in res.cuts]
+    assert shores[:g.n] == initial_shores(g.n)
+    assert len({c.edge_ids for c in res.cuts}) == len(res.cuts)
+    assert res.separation_rounds == len(res.cuts) - g.n
+    # The dual optimum over the returned pool is the two-phase primal one,
+    # and over every cut when n is small.
+    assert res.value == lp_over_cuts(g, shores)[0]
+    if g.n <= 8:
+        assert res.value == brute_force_subtour(g)[0]
+    assert verify_document(serialize.lp_result_to_json(g, res)).ok
 
 
 @given(st.integers(min_value=0, max_value=50))

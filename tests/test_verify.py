@@ -236,6 +236,20 @@ class TestRejects:
         doc["object_class"] = "cycle-cover"
         assert not verify_document(doc).ok
 
+    @pytest.mark.parametrize("algorithm,profile", [
+        ("tsp75", None), ("tsp75", "subcubic-2ec"), ("tsp75", "cubic-2ec"),
+        ("tspbeta", "subcubic-2ec")])
+    def test_approx_profile_tampered(self, algorithm, profile):
+        # Each graph meets the profile written in, so only a comparison with
+        # the algorithm's own profile rejects these.
+        doc = OPTIMUM_DOCS[algorithm]()
+        if profile is None:
+            del doc["profile"]
+        else:
+            doc["profile"] = profile
+        rep = verify_document(doc)
+        assert not rep.ok and "profile" in rep.detail
+
     def test_lp_value_tampered(self):
         g = k33()
         doc = serialize.lp_result_to_json(g, solve_subtour(g))
