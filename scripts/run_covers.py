@@ -16,9 +16,10 @@ import time
 from fractions import Fraction
 
 from unicover import serialize
-from unicover.covers import VARIANT_TABLE, VARIANTS, uniform_cover
+from unicover.covers import VARIANTS, uniform_cover
 from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
+from unicover.table import TABLE
 
 CORPUS = {
     "18/19": [("k4", k4()), ("petersen", petersen()), ("prism", prism())],
@@ -31,7 +32,7 @@ CORPUS = {
 
 
 def generated(variant: str, n: int, count: int) -> list:
-    profile = VARIANT_TABLE[variant].profile
+    profile = TABLE[variant].profile
     if profile == "cubic-3ec":
         return [(f"random_cubic_3ec({n}, {s})", random_cubic_3ec(n, s))
                 for s in range(1, 1 + count)]

@@ -1,6 +1,6 @@
 """Approximation algorithms with exact ratio certificates.
 
-Every algorithm is one row of ALGORITHM_TABLE: a recipe on a profile, with
+Every algorithm is an approx row of table.TABLE: a recipe on a profile, with
 its ratio.  Node-weighted recipes (cubic, 3-edge-connected) build a cycle
 cover C that crosses every 3- and 4-edge cut twice and add to it a minimum
 spanning tree T of the contraction G/C: "doubled-mst" doubles T (a tour),
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph, NodeWeights,
                     classify, kruskal, multiset_union, multiset_weight, odd_vertices,
@@ -24,32 +24,7 @@ from .cyclecover import contracted_cycle_cover
 from .connectors import _even_2cut_connectors
 from .decompose import min_tjoin, one_cover_completions
 from .lp import everywhere, initial_shores, solve_subtour
-
-
-@dataclass(frozen=True)
-class Algorithm:
-    profile: Optional[str]     # input profile; None for a beta recipe
-    recipe: str
-    object_class: str
-    ratio: Callable[[Optional[Fraction]], Fraction]   # beta = w(E) / bound -> ratio
-
-
-ALGORITHM_TABLE: Dict[str, Algorithm] = {
-    "tsp75": Algorithm("cubic-3ec", "doubled-mst", "tour",
-                       lambda beta: Fraction(7, 5)),
-    "twoec1310": Algorithm("cubic-3ec", "mst+join", "twoec-multigraph",
-                           lambda beta: Fraction(13, 10)),
-    "bip43": Algorithm("bipartite-cubic-3ec", "doubled-mst", "tour",
-                       lambda beta: Fraction(4, 3)),
-    "bip54": Algorithm("bipartite-cubic-3ec", "mst+join", "twoec-multigraph",
-                       lambda beta: Fraction(5, 4)),
-    "twoecbeta": Algorithm(None, "connector+cover", "twoec-multigraph",
-                           lambda beta: (1 + 2 * beta) / 3),
-    "tspbeta": Algorithm(None, "connector+join", "tour",
-                         lambda beta: 1 + beta / 3),
-}
-
-ALGORITHMS = tuple(ALGORITHM_TABLE)
+from .table import TABLE, lookup_row
 
 # A dual solution of the subtour LP: (shore, y) pairs, one per cut
 # x(delta(shore)) >= 2 with y > 0.
@@ -79,8 +54,8 @@ class ApproxResult:
 
 def _finish(G: Multigraph, algorithm: str, sol: EdgeMultiset, z: Fraction,
             beta: Optional[Fraction], x: EdgeVector, dual: Dual) -> ApproxResult:
-    spec = ALGORITHM_TABLE[algorithm]
-    ratio = spec.ratio(beta)
+    spec = TABLE[algorithm]
+    ratio = spec.ratio_at(beta)
     weight = multiset_weight(G, sol)
     if weight > ratio * z:
         raise ApproxError(
@@ -107,7 +82,7 @@ def _parity_join(G: Multigraph, F: EdgeMultiset) -> Tuple[Fraction, EdgeMultiset
 
 
 def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResult:
-    spec = ALGORITHM_TABLE[algorithm]
+    spec = TABLE[algorithm]
     require_profile(G, spec.profile, ApproxError)
     Gw = f.induced_graph(G)
     z = 2 * f.total()
@@ -144,7 +119,7 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
     if z <= 0:
         raise ApproxError("zero lower bound; weights vanish")
     beta = G.total_weight() / z
-    if ALGORITHM_TABLE[algorithm].recipe == "connector+cover":
+    if TABLE[algorithm].recipe == "connector+cover":
         # 1-covers are drawn from everywhere-1/2 outside the connector; the
         # first lightest union found wins.
         candidates = [obj for t in family.terms
@@ -166,12 +141,10 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
 
 
 def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]) -> ApproxResult:
-    """Run an algorithm of ALGORITHM_TABLE.  A node-weighted algorithm needs
-    f; a beta algorithm runs on G weighted by f, or by its own edge weights
-    when f is None."""
-    if algorithm not in ALGORITHM_TABLE:
-        raise ApproxError(f"unknown algorithm {algorithm!r}")
-    if ALGORITHM_TABLE[algorithm].profile is None:
+    """Run an approx row of the table.  A node-weighted algorithm needs f; a
+    beta algorithm runs on G weighted by f, or by its own edge weights when
+    f is None."""
+    if lookup_row(algorithm, "approx", ApproxError).profile is None:
         return _beta(f.induced_graph(G) if f is not None else G, algorithm)
     if f is None:
         raise ApproxError(f"{algorithm} needs node-weights")

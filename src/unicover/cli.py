@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import serialize
-from .approx import ALGORITHMS, approximate
+from .approx import approximate
 from .connectors import even_2cut_connectors
 from .covers import VARIANTS, uniform_cover
 from .cyclecover import find_covering_cycle_cover
@@ -23,6 +23,7 @@ from .graph import GraphError, Multigraph, NodeWeights
 from .lp import solve_subtour
 from .serialize import ParseError
 from .simplex import LpError
+from .table import names
 from .verify import verify_document
 
 EXIT_OK = 0
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_uniform_cover)
 
     p = sub.add_parser("approx", help="approximation algorithm with exact ratio check")
-    p.add_argument("--alg", required=True, choices=ALGORITHMS)
+    p.add_argument("--alg", required=True, choices=names("approx"))
     add_common(p)
     p.add_argument("--node-weights", default=None,
                    help="node weight file, or 'uniform1'")

@@ -1,8 +1,8 @@
 """Certified uniform covers: write an everywhere-alpha vector as a dominating
 convex combination of tours or 2-edge-connected spanning multigraphs.
 
-Every variant is one row of VARIANT_TABLE: three constructions, each used
-with two sets of rationals.  The result is re-verified exactly: coefficients
+Every variant is a cover row of table.TABLE: three recipes, each used with
+two sets of rationals.  The result is re-verified exactly: coefficients
 sum to 1, per-edge slack alpha - coverage is nonnegative, and every term
 passes its structural classifier.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     multiset_union, require_profile)
@@ -19,54 +19,12 @@ from .cyclecover import contracted_cycle_cover
 from .decompose import (ConvexCombination, decompose_spanning_trees, make_combination,
                         one_cover_completions, verify_combination, wolsey_tours)
 from .lp import everywhere
+from .table import Row, check_row, lookup_row, names
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-
-@dataclass(frozen=True)
-class Variant:
-    """How one variant is built and what its certificate must show.
-
-    With C a cycle cover crossing every 3- and 4-edge cut twice, and x the
-    vector 1/2 on C and 1 off C, the constructions are:
-      "cycles+doubled-trees": mixing[0] * (C plus doubled spanning trees of
-          G/C packed from everywhere-r) + mixing[1] * (Wolsey tours of x);
-      "cycles+tours": mixing[0] * (C plus Wolsey tours of G/C from
-          everywhere-r) + mixing[1] * (trees of x, each completed by 1-covers);
-      "tree+cover": trees of everywhere-r, each completed by 1-covers.
-    The 1-covers of a tree are drawn from everywhere-cover_r outside it.
-    """
-    alpha: Fraction
-    object_class: str                  # required label of every term
-    profile: str
-    subgraph_only: bool                # no term may double an edge
-    construction: str
-    r: Fraction
-    cover_r: Optional[Fraction]
-    mixing: Tuple[Fraction, ...]       # weights of a cycle-cover construction's parts
-
-
-VARIANT_TABLE: Dict[str, Variant] = {
-    "18/19": Variant(Fraction(18, 19), "tour", "cubic-3ec", False,
-                     "cycles+doubled-trees", Fraction(2, 5), None,
-                     (Fraction(15, 19), Fraction(4, 19))),
-    "12/13": Variant(Fraction(12, 13), "tour", "bipartite-cubic-3ec", False,
-                     "cycles+doubled-trees", Fraction(1, 3), None,
-                     (Fraction(9, 13), Fraction(4, 13))),
-    "15/17": Variant(Fraction(15, 17), "twoec-multigraph", "cubic-3ec", False,
-                     "cycles+tours", Fraction(2, 5), Fraction(1, 2),
-                     (Fraction(5, 17), Fraction(12, 17))),
-    "8/9": Variant(Fraction(8, 9), "twoec-multigraph", "cubic-3ec", True,
-                   "tree+cover", Fraction(2, 3), Fraction(1, 2), ()),
-    "7/8": Variant(Fraction(7, 8), "twoec-multigraph", "bipartite-cubic-3ec", False,
-                   "cycles+tours", Fraction(1, 3), Fraction(1, 2),
-                   (Fraction(1, 4), Fraction(3, 4))),
-    "3/4": Variant(Fraction(3, 4), "twoec-multigraph", "4regular-4ec", True,
-                   "tree+cover", Fraction(1, 2), Fraction(1, 3), ()),
-}
-
-VARIANTS = tuple(VARIANT_TABLE)
+VARIANTS = names("cover")
 
 
 class CoverError(GraphError):
@@ -92,11 +50,8 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
     """Re-verify a certificate from its raw fields; raises on any defect.
     G's profile is the caller's to test: uniform_cover tests it before it
     builds, and verify after this check."""
-    spec = _spec(cert.variant)
-    for field in ("alpha", "object_class", "profile"):
-        want, got = getattr(spec, field), getattr(cert, field)
-        if got != want:
-            raise CoverError(f"variant {cert.variant} requires {field} {want}, not {got}")
+    spec = lookup_row(cert.variant, "cover", CoverError)
+    check_row(cert.variant, spec, cert, CoverError)
     comb = cert.combination
     if comb.relation != "dominated-by" or comb.target_vector() != everywhere(G, cert.alpha):
         raise CoverError("combination target is not the everywhere-alpha vector")
@@ -127,17 +82,11 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
             raise CoverError(f"metadata cycles {cycles!r} is not a count from 1 to n/2")
 
 
-def _metadata(spec: Variant, cycles: object) -> Dict[str, object]:
+def _metadata(spec: Row, cycles: object) -> Dict[str, object]:
     """The metadata of a certificate of the variant."""
-    if spec.construction == "tree+cover":
-        return {"construction": spec.construction}
+    if spec.recipe == "tree+cover":
+        return {"construction": spec.recipe}
     return {"mixing": ",".join(str(w) for w in spec.mixing), "cycles": cycles}
-
-
-def _spec(variant: str) -> Variant:
-    if variant not in VARIANT_TABLE:
-        raise CoverError(f"unknown variant {variant!r}")
-    return VARIANT_TABLE[variant]
 
 
 def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
@@ -149,13 +98,13 @@ def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
             for coeff, obj in one_cover_completions(G, tree.multiset(), cover_r)]
 
 
-def _cycle_cover_terms(G: Multigraph, spec: Variant
+def _cycle_cover_terms(G: Multigraph, spec: Row
                        ) -> Tuple[List[Tuple[Fraction, EdgeMultiset]], int]:
     """The two mixed parts of a cycle-cover construction, and the number of
     cycles in the cover."""
     cc, H = contracted_cycle_cover(G)
     C = cc.cover_multiset()
-    doubled = spec.construction == "cycles+doubled-trees"
+    doubled = spec.recipe == "cycles+doubled-trees"
     if H.n == 1:
         closed = [(ONE, C)]
     else:
@@ -174,22 +123,22 @@ def _cycle_cover_terms(G: Multigraph, spec: Variant
 
 def uniform_cover(G: Multigraph, variant: str) -> Certificate:
     """Everywhere-alpha dominates a convex combination of the variant's
-    objects; VARIANT_TABLE says how it is built."""
-    spec = _spec(variant)
+    objects; the variant's row of the table says how it is built."""
+    spec = lookup_row(variant, "cover", CoverError)
     require_profile(G, spec.profile, CoverError)
-    if spec.construction == "tree+cover":
+    if spec.recipe == "tree+cover":
         terms, cycles = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r), None
     else:
         terms, cycles = _cycle_cover_terms(G, spec)
-    comb = make_combination(G, terms, everywhere(G, spec.alpha), "dominated-by")
+    comb = make_combination(G, terms, everywhere(G, spec.ratio), "dominated-by")
     cover = comb.coverage()
     cert = Certificate(
         variant=variant,
         profile=spec.profile,
-        alpha=spec.alpha,
+        alpha=spec.ratio,
         object_class=spec.object_class,
         combination=comb,
-        slack=tuple(sorted((e.id, spec.alpha - cover.get(e.id, ZERO)) for e in G.edges)),
+        slack=tuple(sorted((e.id, spec.ratio - cover.get(e.id, ZERO)) for e in G.edges)),
         max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
         metadata=tuple(sorted(_metadata(spec, str(cycles)).items())),
     )

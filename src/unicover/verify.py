@@ -19,12 +19,13 @@ from . import serialize
 from .graph import (EdgeVector, GraphError, Multigraph, classify, cut_edges,
                     enumerate_cuts_upto, multiset_degrees, multiset_weight,
                     require_profile)
-from .approx import ALGORITHM_TABLE, ApproxResult
+from .approx import ApproxResult
 from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult
 from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
 from .lp import LpResult, initial_shores, membership
+from .table import check_row, lookup_row
 
 ZERO = Fraction(0)
 
@@ -146,6 +147,10 @@ def _check_lp_result(G: Multigraph, lp: LpResult) -> str:
 
 
 def _check_approx(G: Multigraph, res: ApproxResult) -> str:
+    row = lookup_row(res.algorithm, "approx", VerifyError)
+    check_row(res.algorithm, row, res, VerifyError)
+    if row.profile is not None:
+        require_profile(G, row.profile, VerifyError)
     sol = res.solution_multiset()
     if any(m <= 0 for m in sol.values()):
         raise VerifyError("nonpositive multiplicity in the solution")
@@ -154,18 +159,6 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> str:
         raise VerifyError(f"solution weighs {weight}, not the stored {res.weight}")
     if res.object_class not in classify(G, sol):
         raise VerifyError(f"solution is not a {res.object_class}")
-    spec = ALGORITHM_TABLE.get(res.algorithm)
-    if spec is None:
-        raise VerifyError(f"unknown algorithm {res.algorithm!r}")
-    if spec.profile is None and res.beta is None:
-        raise VerifyError(f"{res.algorithm} needs a stored beta")
-    want = spec.ratio(res.beta)
-    if res.ratio != want:
-        raise VerifyError(f"ratio {res.ratio} does not match the algorithm's {want}")
-    if res.profile != spec.profile:
-        raise VerifyError(f"profile {res.profile!r} is not {res.algorithm}'s {spec.profile!r}")
-    if spec.profile is not None:
-        require_profile(G, spec.profile, VerifyError)
     z = res.lower_bound
     _check_subtour_optimum(G, z, res.x, res.dual)
     if res.beta is not None and (z <= 0 or res.beta != G.total_weight() / z):

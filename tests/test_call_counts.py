@@ -9,12 +9,13 @@ from collections import Counter
 import pytest
 
 from unicover import graph, lp
-from unicover.approx import ALGORITHM_TABLE, approximate
+from unicover.approx import approximate
 from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
 from unicover.families import (heawood, k4, k5, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
+from unicover.table import TABLE, names
 
 COVER_INPUTS = {"18/19": petersen, "12/13": k33, "15/17": petersen,
                 "8/9": petersen, "7/8": heawood, "3/4": k5}
@@ -83,9 +84,9 @@ def test_find_covering_cycle_cover_tests_each_fact_once(calls):
     assert _repeated(calls["min_cut"]) == {}
 
 
-@pytest.mark.parametrize("algorithm", tuple(ALGORITHM_TABLE))
+@pytest.mark.parametrize("algorithm", names("approx"))
 def test_approximate_tests_each_fact_once(calls, algorithm):
-    profile = ALGORITHM_TABLE[algorithm].profile
+    profile = TABLE[algorithm].profile
     if profile is None:
         G, f = random_subcubic_2ec(10, 3), random_node_weights(10, 3)
     else:

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from unicover.covers import (VARIANT_TABLE, VARIANTS, CoverError,
-                             check_certificate, uniform_cover)
+from unicover.covers import VARIANTS, CoverError, check_certificate, uniform_cover
 from unicover.decompose import verify_combination
 from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
+from unicover.table import TABLE
 
 F = Fraction
 
@@ -27,8 +27,8 @@ INSTANCES = {
 def check(g, variant):
     cert = uniform_cover(g, variant)
     check_certificate(g, cert)
-    spec = VARIANT_TABLE[variant]
-    alpha, object_class = spec.alpha, spec.object_class
+    spec = TABLE[variant]
+    alpha, object_class = spec.ratio, spec.object_class
     assert cert.alpha == alpha
     assert cert.object_class == object_class
     verify_combination(g, cert.combination, object_class)

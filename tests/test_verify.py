@@ -236,6 +236,25 @@ class TestRejects:
         doc["object_class"] = "cycle-cover"
         assert not verify_document(doc).ok
 
+    @pytest.mark.parametrize("algorithm,object_class", [
+        ("tsp75", "connector"), ("tsp75", "twoec-multigraph"), ("tspbeta", "connector")])
+    def test_approx_object_class_not_the_rows(self, algorithm, object_class):
+        # A tour is also a connector and a 2EC multigraph, so only a
+        # comparison with the algorithm's own object class rejects these.
+        doc = OPTIMUM_DOCS[algorithm]()
+        doc["object_class"] = object_class
+        rep = verify_document(doc)
+        assert not rep.ok and "object_class" in rep.detail, rep
+
+    def test_approx_beta_on_a_fixed_ratio_row(self):
+        # The value is the true w(E)/z, so only the row, whose ratio does not
+        # depend on beta, can reject it.
+        doc = OPTIMUM_DOCS["tsp75"]()
+        G, res = serialize.approx_from_json(doc)
+        doc["beta"] = serialize.frac_str(G.total_weight() / res.lower_bound)
+        rep = verify_document(doc)
+        assert not rep.ok and "beta" in rep.detail, rep
+
     @pytest.mark.parametrize("algorithm,profile", [
         ("tsp75", None), ("tsp75", "subcubic-2ec"), ("tsp75", "cubic-2ec"),
         ("tspbeta", "subcubic-2ec")])
