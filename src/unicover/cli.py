@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import serialize
 from .approx import approximate
@@ -123,61 +123,78 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", nargs="?", default=None,
+                   help="graph file in text format (default: stdin)")
+    p.add_argument("--format", choices=("json", "summary"), default="json")
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
+    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("what", choices=serialize.DECOMPOSITION_KINDS)
+    _add_common(p)
+    p.add_argument("--vector", default="lp",
+                   help="'lp' for the LP optimizer or a rational for everywhere-r")
+
+
+def _uniform_cover_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", required=True, choices=VARIANTS)
+    _add_common(p)
+
+
+def _approx_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alg", required=True, choices=names("approx"))
+    _add_common(p)
+    p.add_argument("--node-weights", default=None,
+                   help="node weight file, or 'uniform1'")
+
+
+# command -> (help, handler, the function that adds its arguments)
+COMMANDS: Dict[str, Tuple[str, Callable, Callable]] = {
+    "gen": ("emit a named graph family", _cmd_gen, _gen_arguments),
+    "solve-subtour": ("exact cut-constraint LP optimum", _cmd_solve_subtour, _add_common),
+    "cycle-cover": ("cycle cover crossing all 3- and 4-edge cuts", _cmd_cycle_cover,
+                    _add_common),
+    "decompose": ("convex decomposition of an edge vector", _cmd_decompose,
+                  _decompose_arguments),
+    "uniform-cover": ("certified uniform cover", _cmd_uniform_cover,
+                      _uniform_cover_arguments),
+    "approx": ("approximation algorithm with exact ratio check", _cmd_approx,
+               _approx_arguments),
+    "verify": ("independently re-check a JSON artifact", _cmd_verify, _add_common),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only the subparser of `command` when that
+    names one of COMMANDS, and with all of them otherwise (for help, a
+    missing command and an unknown one).  A one-command parser names all
+    the commands in its usage line, as the full parser does, so its error
+    messages are the same."""
     parser = argparse.ArgumentParser(
         prog="unicover",
         description="Exact certificates for tours, 2-edge-connected covers, "
                     "and approximation algorithms on small graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("input", nargs="?", default=None,
-                       help="graph file in text format (default: stdin)")
-        p.add_argument("--format", choices=("json", "summary"), default="json")
-
-    p = sub.add_parser("gen", help="emit a named graph family")
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("solve-subtour", help="exact cut-constraint LP optimum")
-    add_common(p)
-    p.set_defaults(func=_cmd_solve_subtour)
-
-    p = sub.add_parser("cycle-cover", help="cycle cover crossing all 3- and 4-edge cuts")
-    add_common(p)
-    p.set_defaults(func=_cmd_cycle_cover)
-
-    p = sub.add_parser("decompose", help="convex decomposition of an edge vector")
-    p.add_argument("what", choices=serialize.DECOMPOSITION_KINDS)
-    add_common(p)
-    p.add_argument("--vector", default="lp",
-                   help="'lp' for the LP optimizer or a rational for everywhere-r")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("uniform-cover", help="certified uniform cover")
-    p.add_argument("--variant", required=True, choices=VARIANTS)
-    add_common(p)
-    p.set_defaults(func=_cmd_uniform_cover)
-
-    p = sub.add_parser("approx", help="approximation algorithm with exact ratio check")
-    p.add_argument("--alg", required=True, choices=names("approx"))
-    add_common(p)
-    p.add_argument("--node-weights", default=None,
-                   help="node weight file, or 'uniform1'")
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("verify", help="independently re-check a JSON artifact")
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name, (help_text, handler, add_arguments) in COMMANDS.items():
+        if one and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -67,11 +67,15 @@ class ConvexCombination:
         return {eid: v for eid, v in self.target}
 
     def coverage(self) -> EdgeVector:
-        out: EdgeVector = {}
+        """sum(coefficient * multiplicity) per edge, summed in ints over the
+        lcm Q of the coefficients' denominators and divided by Q once."""
+        Q = lcm(*(t.coefficient.denominator for t in self.terms))
+        sums: Dict[int, int] = {}
         for t in self.terms:
+            c = t.coefficient.numerator * (Q // t.coefficient.denominator)
             for eid, mult in t.edges:
-                out[eid] = out.get(eid, ZERO) + t.coefficient * mult
-        return out
+                sums[eid] = sums.get(eid, 0) + c * mult
+        return {eid: Fraction(v, Q) for eid, v in sums.items()}
 
 
 def make_combination(G: Multigraph, terms: Sequence[Tuple[Fraction, EdgeMultiset]],
@@ -348,7 +352,15 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
     """Exact minimum weight T-join (nonnegative int or Fraction weights) in
     the edges that `weights` lists: shortest paths between T-vertices plus an
     exact matching DP, symmetric difference, all over the weights scaled to
-    ints."""
+    ints.
+
+    The DP pairs the lowest unmatched terminal with each later one, so it
+    reaches only the masks of such pairings (F(|T| + 1) of the 2^|T|, F the
+    Fibonacci numbers).  It runs layer by layer, one pair per layer, each
+    layer's masks in increasing order: every mask's predecessors lie in the
+    layer before it, so ties break as in a scan of all masks in increasing
+    order.  A terminal's search stops once every later terminal is settled;
+    the last terminal is never the lower end of a pair and gets none."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
     if not T:
@@ -363,18 +375,21 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
             adj[e.u].append((e.v, iw[e.id], e.id))
             adj[e.v].append((e.u, iw[e.id], e.id))
     terms = sorted(T)
-    tindex = {v: i for i, v in enumerate(terms)}
     dist_rows: List[List[Optional[int]]] = []    # None: not reached
     prev_rows: List[List[Optional[Tuple[int, int]]]] = []
-    for s in terms:
+    for i, s in enumerate(terms[:-1]):
         dist: List[Optional[int]] = [None] * G.n
         prev_edge: List[Optional[Tuple[int, int]]] = [None] * G.n
         dist[s] = 0
         heap = [(0, s)]
+        later = set(terms[i + 1:])
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
+            later.discard(v)
+            if not later:
+                break
             for w, cost, eid in adj[v]:
                 nd = d + cost
                 if dist[w] is None or nd < dist[w]:
@@ -385,28 +400,30 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
         prev_rows.append(prev_edge)
     t = len(terms)
     full = (1 << t) - 1
-    dp: List[Optional[int]] = [None] * (1 << t)
-    choice: List[Optional[Tuple[int, int]]] = [None] * (1 << t)
-    dp[0] = 0
-    for mask in range(1 << t):
-        if dp[mask] is None or mask == full:
-            continue
-        free = ~mask & full
-        i = (free & -free).bit_length() - 1
-        rest = free & ~(1 << i)
-        j = rest
-        while j:
-            jb = j & -j
-            jidx = jb.bit_length() - 1
-            d = dist_rows[i][jidx]
-            if d is not None:
-                nm = mask | (1 << i) | jb
-                nv = dp[mask] + d
-                if dp[nm] is None or nv < dp[nm]:
-                    dp[nm] = nv
-                    choice[nm] = (i, jidx)
-            j ^= jb
-    if dp[full] is None:
+    layer: Dict[int, int] = {0: 0}
+    choice: Dict[int, Tuple[int, int]] = {}
+    for _ in range(t // 2):
+        reached: Dict[int, int] = {}
+        for mask in sorted(layer):
+            base = layer[mask]
+            free = ~mask & full
+            i = (free & -free).bit_length() - 1
+            row = dist_rows[i]
+            j = free & ~(1 << i)
+            while j:
+                jb = j & -j
+                jidx = jb.bit_length() - 1
+                d = row[jidx]
+                if d is not None:
+                    nm = mask | (1 << i) | jb
+                    nv = base + d
+                    old = reached.get(nm)
+                    if old is None or nv < old:
+                        reached[nm] = nv
+                        choice[nm] = (i, jidx)
+                j ^= jb
+        layer = reached
+    if full not in layer:
         raise DecompositionError("T vertices not connected in the support")
     join: Dict[int, int] = {}
     mask = full

@@ -96,6 +96,49 @@ class NodeWeights:
         return G.with_weights({e.id: self.f[e.u] + self.f[e.v] for e in G.edges})
 
 
+def node_weights_of(G: Multigraph, error: type) -> Tuple[Fraction, ...]:
+    """An f >= 0 with w(uv) = f(u) + f(v) on every edge of the connected G;
+    raises `error`, naming the edge or vertex at fault, when there is none.
+
+    A walk over a spanning tree from vertex 0 writes f(v) = a(v) + s(v)·t,
+    with s = ±1 and t = f(0).  An edge whose ends have equal s closes an odd
+    cycle and fixes t; one whose ends have opposite s must weigh
+    a(u) + a(v).  Without an odd cycle (G bipartite) t stays free, f >= 0
+    leaves max(-a(v) : s(v) = 1) <= t <= min(a(v) : s(v) = -1), and the
+    least such t is taken."""
+    a: List[Optional[Fraction]] = [None] * G.n
+    s = [0] * G.n
+    a[0], s[0] = Fraction(0), 1
+    weight = {e.id: e.weight for e in G.edges}
+    adj = G.adjacency()
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, eid in adj[u]:
+            if a[v] is None:
+                a[v], s[v] = weight[eid] - a[u], -s[u]
+                stack.append(v)
+    if any(av is None for av in a):
+        raise error("edge weights are not node-induced: the graph is disconnected")
+    t: Optional[Fraction] = None
+    for e in G.edges:
+        rest = e.weight - a[e.u] - a[e.v]
+        k = s[e.u] + s[e.v]            # ±2 on an edge closing an odd cycle, else 0
+        if k and t is None:
+            t = rest / k
+        elif rest != (t * k if k else 0):
+            raise error(f"edge weights are not node-induced: e{e.id} weighs {e.weight}, "
+                        f"not f({e.u}) + f({e.v})")
+    if t is None:
+        t = max(-a[v] for v in range(G.n) if s[v] == 1)
+    f = tuple(a[v] + s[v] * t for v in range(G.n))
+    for v, fv in enumerate(f):
+        if fv < 0:
+            raise error(f"edge weights are not induced by node weights f >= 0: "
+                        f"f({v}) = {fv} < 0")
+    return f
+
+
 @dataclass(frozen=True)
 class Cut:
     shore: Tuple[int, ...]         # the side avoiding vertex 0

@@ -6,7 +6,8 @@ bounds) and checks them with exact arithmetic, so a certificate produced
 elsewhere is accepted or rejected on its own merits.  A stored subtour LP
 optimum is certified by weak duality: a primal x in the subtour polytope
 (one min cut) and a dual y >= 0 on cuts that no edge overloads, with
-w.x = 2 * sum(y) = the stored value.
+w.x = 2 * sum(y) = the stored value.  The node-weighted approx rows also
+need edge weights induced by node weights f >= 0, w(uv) = f(u) + f(v).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 from . import serialize
 from .graph import (EdgeVector, GraphError, Multigraph, classify, cut_edges,
                     enumerate_cuts_upto, multiset_degrees, multiset_weight,
-                    require_profile)
+                    node_weights_of, require_profile)
 from .approx import ApproxResult
 from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult
@@ -150,7 +151,9 @@ def _check_approx(G: Multigraph, res: ApproxResult) -> str:
     row = lookup_row(res.algorithm, "approx", VerifyError)
     check_row(res.algorithm, row, res, VerifyError)
     if row.profile is not None:
+        # The rows with a profile are the node-weighted ones.
         require_profile(G, row.profile, VerifyError)
+        node_weights_of(G, VerifyError)
     sol = res.solution_multiset()
     if any(m <= 0 for m in sol.values()):
         raise VerifyError("nonpositive multiplicity in the solution")

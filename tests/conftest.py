@@ -1,5 +1,6 @@
+import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -117,6 +118,71 @@ def exhaustive_one_cover(crossing, candidate_ids, weights):
             if best is None or w < best:
                 best, best_sub = w, sub
     return best, {relevant[i]: 1 for i in range(len(relevant)) if best_sub >> i & 1}
+
+
+def mask_scan_min_tjoin(G, weights, T):
+    """Reference oracle for decompose.min_tjoin: the same shortest paths,
+    run in full from every terminal, and the matching DP over all 2^|T|
+    masks in increasing order, so its ties, and hence its join, are the
+    ones min_tjoin must return."""
+    if not T:
+        return Fraction(0), {}
+    scale = lcm(*(Fraction(w).denominator for w in weights.values()))
+    iw = {eid: Fraction(w).numerator * (scale // Fraction(w).denominator)
+          for eid, w in weights.items()}
+    adj = [[] for _ in range(G.n)]
+    for e in G.edges:
+        if e.id in iw:
+            adj[e.u].append((e.v, iw[e.id], e.id))
+            adj[e.v].append((e.u, iw[e.id], e.id))
+    terms = sorted(T)
+    dist_rows, prev_rows = [], []
+    for s in terms:
+        dist, prev_edge = [None] * G.n, [None] * G.n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for w, cost, eid in adj[v]:
+                nd = d + cost
+                if dist[w] is None or nd < dist[w]:
+                    dist[w] = nd
+                    prev_edge[w] = (v, eid)
+                    heapq.heappush(heap, (nd, w))
+        dist_rows.append([dist[t] for t in terms])
+        prev_rows.append(prev_edge)
+    t = len(terms)
+    full = (1 << t) - 1
+    dp = [None] * (1 << t)
+    choice = [None] * (1 << t)
+    dp[0] = 0
+    for mask in range(1 << t):
+        if dp[mask] is None or mask == full:
+            continue
+        free = ~mask & full
+        i = (free & -free).bit_length() - 1
+        for j in range(i + 1, t):
+            d = dist_rows[i][j]
+            if free >> j & 1 and d is not None:
+                nm = mask | (1 << i) | (1 << j)
+                if dp[nm] is None or dp[mask] + d < dp[nm]:
+                    dp[nm] = dp[mask] + d
+                    choice[nm] = (i, j)
+    if dp[full] is None:
+        raise DecompositionError("T vertices not connected in the support")
+    join = {}
+    mask = full
+    while mask:
+        i, j = choice[mask]
+        v = terms[j]
+        while v != terms[i]:
+            v, eid = prev_rows[i][v]
+            join[eid] = join.get(eid, 0) ^ 1
+        mask &= ~(1 << i) & ~(1 << j)
+    join = {eid: 1 for eid, m in join.items() if m}
+    return Fraction(sum(iw[eid] for eid in join), scale), join
 
 
 def kernel_vector(cols, nrows):

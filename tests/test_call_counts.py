@@ -2,13 +2,15 @@
 test per call, and no global min cut of a (graph, capacity) pair that the
 call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
-labelling, with no component count."""
+labelling, with no component count.  A CLI call builds the parser of its
+own command only."""
+import argparse
 import sys
 from collections import Counter
 
 import pytest
 
-from unicover import graph, lp
+from unicover import cli, graph, lp, serialize
 from unicover.approx import approximate
 from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
@@ -115,3 +117,20 @@ def test_small_cuts_label_once(calls, c4, name):
     assert run()
     assert calls["labels"] == 1
     assert calls["components"] == 0
+
+
+def test_verify_builds_one_subparser(monkeypatch, tmp_path, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    g = k4()
+    path = tmp_path / "lp.json"
+    path.write_text(serialize.dumps(serialize.lp_result_to_json(g, lp.solve_subtour(g))))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+    assert built == ["verify"]
+    assert capsys.readouterr().out.startswith("valid")

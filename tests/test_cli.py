@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from unicover import decompose, lp
-from unicover.cli import EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, main
+from unicover.cli import (COMMANDS, EXIT_INVALID, EXIT_OK, EXIT_PRECONDITION, build_parser,
+                          main)
 from unicover.families import petersen
 from unicover.graph import kruskal
 from unicover.serialize import graph_from_text, graph_to_text
@@ -162,6 +163,43 @@ class TestExitCodes:
                            ["solve-subtour", str(gfile), "--format", "summary"])
         assert code == EXIT_OK and "10/1" in out
 
-    def test_unknown_subcommand(self, capsys, monkeypatch):
-        with pytest.raises(SystemExit):
+    def test_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
+        assert info.value.code == EXIT_PRECONDITION
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_missing_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([])
+        assert info.value.code == EXIT_PRECONDITION
+        assert "required: command" in capsys.readouterr().err
+
+
+def parse_output(capsys, parser, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = parse_output(capsys, build_parser(), ["--help"])
+        assert code == EXIT_OK
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert name in out and help_text in out
+        assert len(COMMANDS) == 7
+
+    @pytest.mark.parametrize("argv", [[name, "--help"] for name in COMMANDS]
+                             + [["verify", "a", "b"], ["gen"], ["decompose", "bogus"],
+                                ["uniform-cover", "--variant", "1/2"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_one_command_parser_prints_what_the_full_one_prints(self, capsys, argv):
+        # Help, usage lines and errors, the top-level "unrecognized
+        # arguments" usage line included.
+        full = parse_output(capsys, build_parser(), argv)
+        one = parse_output(capsys, build_parser(argv[0]), argv)
+        assert one == full
+        assert full[1] or full[2]

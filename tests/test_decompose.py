@@ -19,7 +19,8 @@ from unicover.graph import classify, connected_components, multiset_degrees
 from unicover.lp import everywhere
 from unicover.simplex import solve_lp
 
-from conftest import exhaustive_one_cover, kernel_vector, make_graph, restart_caratheodory
+from conftest import (exhaustive_one_cover, kernel_vector, make_graph, mask_scan_min_tjoin,
+                      restart_caratheodory)
 
 F = Fraction
 
@@ -183,6 +184,13 @@ class TestMinTJoin:
                         best = w
         return best
 
+    def test_each_search_settles_every_later_terminal(self):
+        # From terminal 0, terminals 1 and 2 are settled before 3, which
+        # lies behind the non-terminal 4; the optimum pairs 0 with 3.
+        g = make_graph(5, [(0, 1), (0, 2), (1, 2), (0, 4), (4, 3)])
+        weights = {0: 2, 1: 2, 2: 1, 3: 3, 4: 3}
+        assert min_tjoin(g, weights, {0, 1, 2, 3}) == (7, {3: 1, 4: 1, 2: 1})
+
     def test_matches_exhaustive(self, c4, two_triangles):
         for g in [k4(), c4, prism(), two_triangles]:
             weights = {e.id: F(e.id % 4 + 1, 3) for e in g.edges}
@@ -205,6 +213,30 @@ def test_min_tjoin_is_scale_invariant(data):
     scaled_value, scaled_join = min_tjoin(g, {eid: F(v, s) for eid, v in iw.items()}, T)
     assert scaled_join == join
     assert scaled_value == value / s
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_tjoin_is_the_mask_scan_join(data):
+    # The layered DP over reached masks, with searches stopped early, must
+    # return the join of the full 2^|T| scan, not just its value: zero and
+    # repeated weights make many optimal joins, and a support that drops
+    # edges may leave T disconnected.
+    n = data.draw(st.sampled_from([6, 8, 10, 12, 14]))
+    g = random_cubic_3ec(n, data.draw(st.integers(0, 30)))
+    weights = {e.id: data.draw(st.sampled_from([0, F(0), F(1, 2), F(1), 2, F(3, 4)]))
+               for e in g.edges if data.draw(st.integers(0, 9))}
+    size = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]).filter(lambda k: k <= n))
+    T = set(data.draw(st.permutations(range(n)))[:size])
+    try:
+        expected = mask_scan_min_tjoin(g, weights, T)
+    except DecompositionError:
+        with pytest.raises(DecompositionError, match="not connected"):
+            min_tjoin(g, weights, T)
+        return
+    value, join = min_tjoin(g, weights, T)
+    assert (value, join) == expected
+    assert list(join) == list(expected[1])
 
 
 WEIGHT = st.sampled_from([0, F(0), F(1, 3), F(1, 2), F(1), 1, F(3, 2), 2])
@@ -393,6 +425,66 @@ class TestVerifyCombination:
         comb = make_combination(g, [(F(1), {0: 2})], {0: F(1)}, "dominated-by")
         with pytest.raises(DecompositionError, match="exceeds"):
             verify_combination(g, comb)
+
+
+def fraction_coverage(comb):
+    """Reference for ConvexCombination.coverage: the term-by-term Fraction
+    sum, its keys in order of first appearance."""
+    out = {}
+    for t in comb.terms:
+        for eid, mult in t.edges:
+            out[eid] = out.get(eid, F(0)) + t.coefficient * mult
+    return out
+
+
+def test_coverage_of_no_terms():
+    assert ConvexCombination((), (), "equals").coverage() == {}
+
+
+@st.composite
+def combinations_to_check(draw):
+    """Terms on Petersen's edges with multiplicities up to 3 and
+    coefficients 1/d for distinct d, the last one 1 minus the rest: some
+    denominators are coprime, and the lcm of 6, 10 and 15 is none of them;
+    a target equal to the coverage, or off it on one edge, or with an edge
+    of its own."""
+    denominators = draw(st.lists(st.sampled_from([6, 7, 10, 11, 13, 15]), unique=True,
+                                 max_size=5))
+    coeffs = [F(1, d) for d in denominators]
+    coeffs.append(1 - sum(coeffs, F(0)))
+    terms = []
+    for c in coeffs:
+        edges = draw(st.dictionaries(st.integers(0, 14), st.integers(1, 3), max_size=6))
+        terms.append(Term(c, canonical(edges), frozenset()))
+    comb = ConvexCombination(tuple(terms), (), "equals")
+    target = dict(fraction_coverage(comb))
+    edit = draw(st.sampled_from(["none", "raise", "lower", "extra"]))
+    if edit != "none" and target:
+        eid = draw(st.sampled_from(sorted(target)))
+        target[eid] += {"raise": F(1, 29), "lower": F(-1, 29), "extra": F(0)}[edit]
+    if edit == "extra":
+        target[15] = F(1, 2)
+    relation = draw(st.sampled_from(["equals", "dominated-by"]))
+    return ConvexCombination(tuple(terms), tuple(sorted(target.items())), relation)
+
+
+def verify_outcome(comb):
+    try:
+        return verify_combination(petersen(), comb)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@given(combinations_to_check())
+@settings(max_examples=200, deadline=None)
+def test_coverage_is_the_fraction_sum(comb):
+    # The same exact rationals, keyed in the same order, and so the same
+    # verify_combination report as with the term-by-term sum.
+    cover = comb.coverage()
+    assert list(cover.items()) == list(fraction_coverage(comb).items())
+    outcome = verify_outcome(comb)
+    with mock.patch.object(ConvexCombination, "coverage", fraction_coverage):
+        assert verify_outcome(comb) == outcome
 
 
 def rank(cols):

@@ -12,7 +12,8 @@ from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor
 from unicover.graph import (PROFILES, Edge, GraphError, Multigraph, NodeWeights,
                             classify, connected_components, contract, cut_edges,
                             enumerate_cuts_upto, is_bipartite, multiset_degrees,
-                            multiset_union, multiset_weight, validate_structure)
+                            multiset_union, multiset_weight, node_weights_of,
+                            validate_structure)
 
 from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, make_graph, regular_multigraphs,
                       shore_holding_zero, unit_min_cut)
@@ -322,3 +323,50 @@ def test_components_partition_vertices(g):
     comps = connected_components(g.n, ((e.u, e.v) for e in g.edges))
     seen = [v for comp in comps for v in comp]
     assert sorted(seen) == list(range(g.n))
+
+
+NODE_WEIGHT = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2), F(7, 4)])
+
+
+class TestNodeWeightsOf:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_recovers_the_node_weights(self, data):
+        g = data.draw(st.sampled_from([k4(), petersen(), prism(), k33(), heawood(),
+                                       mobius_kantor(), random_cubic_3ec(12, 3),
+                                       random_subcubic_2ec(9, 2)]))
+        f = [data.draw(NODE_WEIGHT) for _ in range(g.n)]
+        gw = g.with_weights({e.id: f[e.u] + f[e.v] for e in g.edges})
+        got = node_weights_of(gw, GraphError)
+        assert all(v >= 0 for v in got)
+        assert all(e.weight == got[e.u] + got[e.v] for e in gw.edges)
+        if is_bipartite(g):
+            # f is known up to a shift, and the least shift leaves a 0.
+            assert min(got) == 0
+        else:
+            assert list(got) == f
+
+    @pytest.mark.parametrize("g", [petersen(), heawood()], ids=["petersen", "heawood"])
+    def test_rejects_one_edge_off(self, g):
+        # With G - e connected, no f fits the other edges and e too.
+        gw = g.with_weights({e.id: F(2) + (e.id == 4) for e in g.edges})
+        with pytest.raises(GraphError, match=r"not node-induced: e\d+ weighs"):
+            node_weights_of(gw, GraphError)
+
+    def test_rejects_a_negative_node_weight(self):
+        # Petersen's f is unique; Heawood's shift cannot lift vertex 0 off
+        # -1 without pushing vertex 9 (0 here, and not adjacent to 0) below 0.
+        f = [F(-1)] + [F(1)] * 9
+        gw = petersen().with_weights({e.id: f[e.u] + f[e.v] for e in petersen().edges})
+        with pytest.raises(GraphError, match=r"f\(0\) = -1 < 0"):
+            node_weights_of(gw, GraphError)
+        h = heawood()
+        assert 9 not in {w for w, _ in h.adjacency()[0]}
+        f = [F(-1)] + [F(1)] * 8 + [F(0)] + [F(1)] * 4
+        hw = h.with_weights({e.id: f[e.u] + f[e.v] for e in h.edges})
+        with pytest.raises(GraphError, match="node weights f >= 0"):
+            node_weights_of(hw, GraphError)
+
+    def test_rejects_a_disconnected_graph(self):
+        with pytest.raises(GraphError, match="disconnected"):
+            node_weights_of(make_graph(4, [(0, 1), (2, 3)]), GraphError)

@@ -1,17 +1,18 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from unicover import serialize, simplex
-from unicover.approx import (tsp_7_5_node_weighted, tsp_beta, twoec_13_10_node_weighted,
-                             twoec_beta)
+from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
+                             twoec_13_10_node_weighted, twoec_beta)
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
 from unicover.connectors import even_2cut_connectors
 from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
                                 make_combination)
-from unicover.families import (k4, k33, petersen, random_node_weights,
+from unicover.families import (heawood, k4, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
 from unicover.graph import NodeWeights
 from unicover.lp import everywhere, solve_subtour
@@ -268,6 +269,23 @@ class TestRejects:
             doc["profile"] = profile
         rep = verify_document(doc)
         assert not rep.ok and "profile" in rep.detail
+
+    @pytest.mark.parametrize("algorithm,graph", [("tsp75", petersen), ("bip43", heawood)])
+    def test_approx_weights_not_node_induced(self, algorithm, graph):
+        # Raise the weight of an edge off the solution and store the new
+        # graph's LP optimum: the solution weighs the same and the bound only
+        # grows, so every other check passes.  But no node weights induce
+        # the new edge weights.
+        g = graph()
+        ones = NodeWeights((F(1),) * g.n)
+        res = approximate(algorithm, g, ones)
+        off = min(set(g.edge_ids()) - set(res.solution_multiset()))
+        gw = g.with_weights({e.id: F(2) + (e.id == off) for e in g.edges})
+        lp = solve_subtour(gw)
+        res = replace(res, lower_bound=lp.value, x=lp.x,
+                      dual=tuple((c.shore, y) for c, y in zip(lp.cuts, lp.duals) if y))
+        rep = verify_document(serialize.approx_to_json(gw, res))
+        assert not rep.ok and "not node-induced" in rep.detail, rep
 
     def test_lp_value_tampered(self):
         g = k33()
