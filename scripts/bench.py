@@ -12,15 +12,25 @@ end-to-end metrics, failed/attempted counts and determinism fingerprint, the
 median of each metric over the seeds, and, with a baseline, the number of
 seeds on which the change was better.
 
+Every run gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX that
+names one fresh, empty temporary directory, so neither checkout's
+`__pycache__` is read and both sides compile the library from source:
+bytecode left in one checkout would otherwise move its setup_s and
+peak_rss_mb.  The prefix hides the standard library's bytecode too, so
+both metrics include compiling the modules it imports, and they compare
+only with files made the same way.
+
     python3 scripts/bench.py --pr N --seeds 1 2 3 --baseline ../parent
 """
 import argparse
 import json
 import platform
 import re
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,10 +38,10 @@ WORKLOADS = ("cover-matrix", "cubic-cuts", "subcubic-beta")
 FINGERPRINT = re.compile(r"^fingerprint: sha256 ([0-9a-f]{64})", re.M)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, env: dict) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
@@ -81,19 +91,22 @@ def main() -> int:
     if args.baseline is not None:
         sides["parent"] = args.baseline.resolve()
     runs = {side: {w: [] for w in WORKLOADS} for side in sides}
-    for i, seed in enumerate(args.seeds):
-        for w in WORKLOADS:
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for side in order:
-                r = run_once(sides[side], w, seed, seconds)
-                runs[side][w].append(r)
-                print(f"{side:6} {w:13} seed {seed:3}  produce "
-                      f"{r['metrics'].get('produce_ops_per_s', float('nan')):9.3f} ops/s  "
-                      f"failed {r['failed']}/{r['attempted']}  {(r['fingerprint'] or '?')[:12]}",
-                      flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        for i, seed in enumerate(args.seeds):
+            for w in WORKLOADS:
+                order = list(sides) if i % 2 == 0 else list(reversed(sides))
+                for side in order:
+                    r = run_once(sides[side], w, seed, seconds, env)
+                    runs[side][w].append(r)
+                    print(f"{side:6} {w:13} seed {seed:3}  produce "
+                          f"{r['metrics'].get('produce_ops_per_s', float('nan')):9.3f} ops/s  "
+                          f"failed {r['failed']}/{r['attempted']}  "
+                          f"{(r['fingerprint'] or '?')[:12]}", flush=True)
 
     doc = {
-        "command": "python3 perfbench/run.py --workload W --seed S "
+        "command": "PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=<empty dir> "
+                   "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds} --trace 0",
         "seeds": args.seeds,
         "python": platform.python_version(),

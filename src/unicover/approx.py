@@ -21,7 +21,7 @@ from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph, NodeWeight
                     classify, kruskal, multiset_union, multiset_weight, odd_vertices,
                     require_profile)
 from .cyclecover import contracted_cycle_cover
-from .connectors import _even_2cut_connectors
+from .connectors import even_2cut_connectors
 from .decompose import min_tjoin, one_cover_completions
 from .lp import everywhere, initial_shores, solve_subtour
 from .table import TABLE, lookup_row
@@ -114,7 +114,7 @@ def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResul
 def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
     lp = solve_subtour(G)
     # The last separation of solve_subtour is the subtour test of lp.x.
-    family = _even_2cut_connectors(G, lp.x)
+    family = even_2cut_connectors(G, lp.x)
     z = lp.value
     if z <= 0:
         raise ApproxError("zero lower bound; weights vanish")

@@ -14,10 +14,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import serialize
 from .approx import approximate
-from .connectors import even_2cut_connectors
+from .connectors import decomposition
 from .covers import VARIANTS, uniform_cover
 from .cyclecover import find_covering_cycle_cover
-from .decompose import decompose_connectors, decompose_spanning_trees
+from .decompose import require_subtour
 from .families import FAMILY_NAMES, named_family
 from .graph import GraphError, Multigraph, NodeWeights
 from .lp import solve_subtour
@@ -81,14 +81,13 @@ def _cmd_cycle_cover(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = _read_graph(args.input)
-    x = solve_subtour(G).x if args.vector == "lp" else {
-        e.id: serialize.parse_frac(args.vector) for e in G.edges}
-    if args.what == "trees":
-        comb = decompose_spanning_trees(G, x)
-    elif args.what == "connectors":
-        comb = decompose_connectors(G, x)
+    if args.vector == "lp":
+        x = solve_subtour(G).x   # its last separation tests x
     else:
-        comb = even_2cut_connectors(G, x)
+        x = {e.id: serialize.parse_frac(args.vector) for e in G.edges}
+        if args.what != "trees":   # decompose_spanning_trees tests its own input
+            require_subtour(G, x)
+    comb = decomposition(G, x, args.what)
     _emit(args, serialize.decomposition_to_json(G, comb, args.what),
           f"{len(comb.terms)} terms, relation {comb.relation}")
     return EXIT_OK

@@ -1,10 +1,12 @@
 """Connector repair: make every term of a connector decomposition cross each
 2-edge cut an even number of times.
 
-Pipeline: equality decomposition into connectors, multiplicity normalization
-(no term holds two copies of an edge while another holds none), then a per
-cut-class repair with two cases depending on whether the class has an edge of
-fractional value below 1.
+Pipeline, for x in the subtour polytope: equality decomposition into
+connectors, multiplicity normalization (no term holds two copies of an edge
+while another holds none), then a per cut-class repair with two cases
+depending on whether the class has an edge of fractional value below 1.
+The stages pass decompose.Terms on, and the result is labelled once, at the
+end, where every term must be a connector.
 """
 from __future__ import annotations
 
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .graph import EdgeMultiset, EdgeVector, GraphError, Multigraph, support_labels
-from .decompose import (ConvexCombination, DecompositionError, _decompose_connectors,
-                        _require_subtour, caratheodory_reduce, clip_at_two,
+from .graph import EdgeVector, GraphError, Multigraph, support_labels
+from .decompose import (ConvexCombination, DecompositionError, Terms, caratheodory_reduce,
+                        clip_at_two, decompose_connectors, decompose_spanning_trees,
                         make_combination)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
 
     Two edges are related when their removal disconnects the support, that
     is, when their labels are equal, so a class is a label held by two or
-    more edges.  x is taken to be in the subtour polytope: even_2cut_connectors,
-    the caller, tests it or is handed a tested x.
+    more edges.  x is taken to be in the subtour polytope, the precondition of
+    even_2cut_connectors, the caller.
     """
     label = _two_cut_labels(G, x)
     groups: Dict[int, List[int]] = {}
@@ -77,8 +78,7 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
     return tuple(classes)
 
 
-def normalize_connectors(family: ConvexCombination, x: EdgeVector,
-                         G: Multigraph) -> ConvexCombination:
+def normalize_connectors(terms: Terms, x: EdgeVector, G: Multigraph) -> Terms:
     """Rebalance an equality decomposition so that for every edge e, no term
     uses two copies while another uses none.
 
@@ -86,10 +86,6 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
     uses two copies when x_e < 1.  Terms are split when the two coefficients
     differ; total coverage is unchanged edge by edge.
     """
-    if family.relation != "equals":
-        raise DecompositionError("normalization needs an equality decomposition")
-    terms: List[Tuple[Fraction, EdgeMultiset]] = [
-        (t.coefficient, t.multiset()) for t in family.terms]
     limit = G.m + 1
     for eid in sorted(x):
         doubled = [(lam, f) for lam, f in terms if f.get(eid, 0) == 2]
@@ -116,27 +112,19 @@ def normalize_connectors(family: ConvexCombination, x: EdgeVector,
         # the no-2-and-0 invariant on the edges already processed.
         if len(terms) > limit:
             terms = caratheodory_reduce(terms, limit)
-    return make_combination(G, terms, family.target_vector(), "equals")
+    return caratheodory_reduce(terms, limit)
 
 
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Convex combination of connectors dominated by x, each crossing every
-    2-edge cut an even number of times.  x must be in the subtour polytope."""
-    _require_subtour(G, x)
-    return _even_2cut_connectors(G, x)
-
-
-def _even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
-    """even_2cut_connectors of an x that the caller has tested, such as the
-    optimum of solve_subtour, whose last separation is that test."""
+    2-edge cut an even number of times.  x must be in the subtour polytope;
+    it is not tested here (solve_subtour's last separation tests its x)."""
     xbar = clip_at_two(x)
-    base = _decompose_connectors(G, x)
+    base = decompose_connectors(G, x)
     classes = two_cut_classes(G, x)
-    norm = normalize_connectors(base, xbar, G=G)
+    terms = normalize_connectors(base, xbar, G)
     if not classes:
-        return norm
-    terms: List[Tuple[Fraction, EdgeMultiset]] = [
-        (t.coefficient, t.multiset()) for t in norm.terms]
+        return make_combination(G, terms, xbar, "equals", "connector")
     for cls in classes:
         members = sorted(cls.edge_ids)
         if cls.kind == "D1":
@@ -172,3 +160,17 @@ def _even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
                 if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:
                     raise DecompositionError(f"odd crossing of the cut {{e{a},e{b}}}")
     return make_combination(G, terms, dict(x), "dominated-by", "connector")
+
+
+def decomposition(G: Multigraph, x: EdgeVector, kind: str) -> ConvexCombination:
+    """The stored combination of a `unicover decompose` kind: spanning trees
+    dominated by x, connectors equal to x clipped at 2, or even_2cut_connectors.
+    x must be in the subtour polytope; only the trees stage tests it."""
+    if kind == "trees":
+        return make_combination(G, decompose_spanning_trees(G, x), x, "dominated-by")
+    if kind == "connectors":
+        return make_combination(G, decompose_connectors(G, x), clip_at_two(x), "equals",
+                                "connector")
+    if kind == "even2cut":
+        return even_2cut_connectors(G, x)
+    raise DecompositionError(f"unknown decomposition kind {kind!r}")

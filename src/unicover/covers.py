@@ -93,9 +93,9 @@ def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
                       ) -> List[Tuple[Fraction, EdgeMultiset]]:
     """Trees packed from x, each completed by 1-covers of its bridges drawn
     from the everywhere-cover_r vector outside the tree."""
-    return [(tree.coefficient * coeff, obj)
-            for tree in decompose_spanning_trees(G, x).terms
-            for coeff, obj in one_cover_completions(G, tree.multiset(), cover_r)]
+    return [(tc * coeff, obj)
+            for tc, tree in decompose_spanning_trees(G, x)
+            for coeff, obj in one_cover_completions(G, tree, cover_r)]
 
 
 def _cycle_cover_terms(G: Multigraph, spec: Row
@@ -109,11 +109,11 @@ def _cycle_cover_terms(G: Multigraph, spec: Row
         closed = [(ONE, C)]
     else:
         pack, mult = (decompose_spanning_trees, 2) if doubled else (wolsey_tours, 1)
-        closed = [(t.coefficient, multiset_union(C, {eid: mult * m for eid, m in t.edges}))
-                  for t in pack(H, everywhere(H, spec.r)).terms]
+        closed = [(c, multiset_union(C, {eid: mult * m for eid, m in obj.items()}))
+                  for c, obj in pack(H, everywhere(H, spec.r))]
     x = {e.id: (Fraction(1, 2) if e.id in C else ONE) for e in G.edges}
     if doubled:
-        rest = [(t.coefficient, t.multiset()) for t in wolsey_tours(G, x).terms]
+        rest = wolsey_tours(G, x)
     else:
         rest = _tree_cover_terms(G, x, spec.cover_r)
     first, second = spec.mixing

@@ -12,9 +12,10 @@ genuine infeasibility, not a search artifact.  A failed packing names the
 master's final duals: edge weights under which every object weighs at least 1
 but x weighs less, so by LP duality x lies outside the class's dominant.
 
-Every result is built by make_combination (merge, Caratheodory reduction to
-at most |E| + 1 terms in one fraction-free elimination pass, labels) and
-re-checked by verify_combination.
+Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
+pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
+make_combination labels a pipeline's terms once, at its end, and
+verify_combination re-checks the result.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ ONE = Fraction(1)
 CanonicalObject = Tuple[Tuple[int, int], ...]   # sorted ((edge id, multiplicity), ...)
 Weights = Dict[int, Union[int, Fraction]]       # edge id -> pricing weight
 Oracle = Callable[[Weights], Tuple[Union[int, Fraction], EdgeMultiset]]
+Terms = List[Tuple[Fraction, EdgeMultiset]]     # caratheodory_reduce's output
 
 
 class DecompositionError(GraphError):
@@ -138,8 +140,8 @@ def verify_combination(G: Multigraph, comb: ConvexCombination,
 # Caratheodory reduction
 
 
-def caratheodory_reduce(terms: List[Tuple[Fraction, EdgeMultiset]],
-                        limit: int) -> List[Tuple[Fraction, EdgeMultiset]]:
+def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
+                        limit: int) -> Terms:
     """Reduce to at most `limit` terms, preserving the exact coverage vector
     and the coefficient sum.  Terms are a subset of the input objects.  A
     term with a zero coefficient is skipped.  Raises DecompositionError on a
@@ -275,7 +277,7 @@ def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
     return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
 
 
-def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> ConvexCombination:
+def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> Terms:
     """Objects of one class dominated by x, from the master
     max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
 
@@ -305,7 +307,7 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> ConvexCombi
         raise DecompositionError(
             f"{what} packing value {sigma} < 1, so x is outside the dominant: "
             f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
-    return make_combination(G, [(lam / sigma, obj) for lam, obj in raw], x, "dominated-by")
+    return caratheodory_reduce([(lam / sigma, obj) for lam, obj in raw], G.m + 1)
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
@@ -538,50 +540,46 @@ def _minimal_covers(hits: List[int], full: int) -> List[int]:
 # Public decompositions
 
 
-def _require_subtour(G: Multigraph, x: EdgeVector) -> None:
+def require_subtour(G: Multigraph, x: EdgeVector) -> None:
     check = membership(G, x)
     if not check.inside:
         raise DecompositionError(f"input vector is outside subtour: {check.detail}")
 
 
-def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> ConvexCombination:
-    """Spanning trees of the support of x, dominated by x."""
-    _require_subtour(G, x)
+def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
+    """Spanning trees of the support of x, dominated by x.  Tests x for subtour
+    membership: the cover recipes hand in vectors that nothing else tests."""
+    require_subtour(G, x)
     support = {eid for eid, v in x.items() if v > 0}
     return _pack(G, x, "spanning tree", _mst_price(G, support))
 
 
-def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> ConvexCombination:
+def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:
     """T-joins dominated by x, for x in the T-join dominant."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
     if not T:
-        return make_combination(G, [(ONE, {})], x, "dominated-by")
+        return [(ONE, {})]
     return _pack(G, x, "T-join", lambda weights: min_tjoin(G, weights, T))
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
-    return {eid: min(v, Fraction(2)) for eid, v in x.items()}
+    """x capped at 2, on its support."""
+    return {eid: min(v, Fraction(2)) for eid, v in x.items() if v > 0}
 
 
-def decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
-    """Equality decomposition of x (clipped at 2) into connectors of G."""
-    _require_subtour(G, x)
-    return _decompose_connectors(G, x)
-
-
-def _decompose_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
-    """decompose_connectors of an x that the caller has tested."""
-    xbar = {eid: v for eid, v in clip_at_two(x).items() if v > 0}
-    rows = sorted(xbar.items())
-    raw = _equality_master(rows, _connector_price_max(G, set(xbar)))
+def decompose_connectors(G: Multigraph, x: EdgeVector) -> Terms:
+    """Equality decomposition of x (clipped at 2) into connectors of G.  x
+    must be in the subtour polytope; this stage does not test it."""
+    xbar = clip_at_two(x)
+    raw = _equality_master(sorted(xbar.items()), _connector_price_max(G, set(xbar)))
     if raw is None:
         raise DecompositionError("x is not in the connector polytope")
-    return make_combination(G, raw, xbar, "equals", "connector")
+    return caratheodory_reduce(raw, G.m + 1)
 
 
 def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
-                         alpha: Fraction) -> ConvexCombination:
+                         alpha: Fraction) -> Terms:
     """1-covers of the connector F dominated by (2/(1+alpha)) * y."""
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
@@ -597,7 +595,7 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
     cuts = one_edge_cuts(G, F)
     crossing = [cut_edges(G, shore) for shore, _ in cuts]
     if not crossing:
-        return make_combination(G, [(ONE, {})], target, "dominated-by")
+        return [(ONE, {})]
     for (_, bridge), c in zip(cuts, crossing):
         value = sum((y.get(eid, ZERO) for eid in c), ZERO)
         if value < 1:
@@ -611,22 +609,19 @@ def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction
     """F plus each 1-cover drawn from the everywhere-alpha vector outside F,
     with the 1-cover's coefficient."""
     y = {e.id: alpha for e in G.edges if F.get(e.id, 0) == 0}
-    covers = decompose_one_covers(G, F, y, alpha)
-    return [(t.coefficient, multiset_union(F, t.multiset())) for t in covers.terms]
+    return [(c, multiset_union(F, cover)) for c, cover in decompose_one_covers(G, F, y, alpha)]
 
 
-def wolsey_tours(G: Multigraph, x: EdgeVector) -> ConvexCombination:
+def wolsey_tours(G: Multigraph, x: EdgeVector) -> Terms:
     """Tours dominated by (3/2) x: spanning trees of x, each completed with
     parity-fixing joins drawn from x/2 (polyhedral Christofides).
     decompose_spanning_trees tests x for subtour membership."""
-    trees = decompose_spanning_trees(G, x)
     half = {eid: v / 2 for eid, v in x.items()}
-    terms: List[Tuple[Fraction, EdgeMultiset]] = []
-    for tree_term in trees.terms:
-        tree = tree_term.multiset()
-        joins = decompose_tjoins(G, half, odd_vertices(G, tree))
-        for join_term in joins.terms:
-            tour = multiset_union(tree, join_term.multiset())
-            terms.append((tree_term.coefficient * join_term.coefficient, tour))
-    target = {eid: Fraction(3, 2) * v for eid, v in x.items()}
-    return make_combination(G, terms, target, "dominated-by", "tour")
+    tours = caratheodory_reduce(
+        [(tc * jc, multiset_union(tree, join))
+         for tc, tree in decompose_spanning_trees(G, x)
+         for jc, join in decompose_tjoins(G, half, odd_vertices(G, tree))], G.m + 1)
+    for _, tour in tours:
+        if "tour" not in classify(G, tour):
+            raise DecompositionError(f"term {canonical(tour)} is not a tour")
+    return tours

@@ -12,11 +12,10 @@ from fractions import Fraction
 from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
-from unicover.connectors import even_2cut_connectors
+from unicover.connectors import decomposition, even_2cut_connectors
 from unicover.covers import check_certificate, uniform_cover
 from unicover.cyclecover import _perfect_matchings, find_covering_cycle_cover
-from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
-                                min_tjoin)
+from unicover.decompose import min_tjoin
 from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
                                petersen, prism, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
@@ -338,15 +337,15 @@ def _two_triangles():
 def _mutated_decompositions():
     two_triangles = _two_triangles()
     docs = [serialize.decomposition_to_json(
-        g, decompose_spanning_trees(g, everywhere(g, F(2, 3))), "trees")
+        g, decomposition(g, everywhere(g, F(2, 3)), "trees"), "trees")
         for g in (k4(), petersen(), prism())]
     for g in (k33(), two_triangles):
         x = solve_subtour(g).x
-        docs.append(serialize.decomposition_to_json(g, decompose_connectors(g, x),
+        docs.append(serialize.decomposition_to_json(g, decomposition(g, x, "connectors"),
                                                     "connectors"))
     x = solve_subtour(two_triangles).x
     docs.append(serialize.decomposition_to_json(
-        two_triangles, even_2cut_connectors(two_triangles, x), "even2cut"))
+        two_triangles, decomposition(two_triangles, x, "even2cut"), "even2cut"))
     for doc in docs:
         def fresh():
             return serialize.loads(serialize.dumps(doc))

@@ -2,15 +2,15 @@
 test per call, and no global min cut of a (graph, capacity) pair that the
 call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
-labelling, with no component count.  A CLI call builds the parser of its
-own command only."""
+labelling, with no component count.  A pipeline labels its terms once, at
+its end.  A CLI call builds the parser of its own command only."""
 import argparse
 import sys
 from collections import Counter
 
 import pytest
 
-from unicover import cli, graph, lp, serialize
+from unicover import cli, decompose, graph, lp, serialize
 from unicover.approx import approximate
 from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
@@ -69,8 +69,33 @@ def calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def combinations(monkeypatch):
+    """Counts make_combination calls through every binding of it in the
+    library's modules."""
+    seen = []
+    make_combination = decompose.make_combination
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return make_combination(*args, **kwargs)
+
+    _patch(monkeypatch, make_combination, counted)
+    return seen
+
+
 def _repeated(keys):
     return {key: count for key, count in Counter(keys).items() if count > 1}
+
+
+def _approx_input(algorithm):
+    """A graph and node weights for the algorithm: a weighted subcubic graph
+    for a beta row, Heawood or Petersen for a node-weighted one."""
+    profile = TABLE[algorithm].profile
+    if profile is None:
+        return random_subcubic_2ec(10, 3), random_node_weights(10, 3)
+    G = heawood() if profile.startswith("bipartite") else petersen()
+    return G, random_node_weights(G.n, 1)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -78,6 +103,19 @@ def test_uniform_cover_tests_each_fact_once(calls, variant):
     uniform_cover(COVER_INPUTS[variant](), variant)
     assert calls["validate_structure"] == 1
     assert _repeated(calls["min_cut"]) == {}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_uniform_cover_labels_its_terms_once(combinations, variant):
+    uniform_cover(COVER_INPUTS[variant](), variant)
+    assert len(combinations) == 1
+
+
+@pytest.mark.parametrize("algorithm", names("approx"))
+def test_approximate_labels_a_beta_family_once(combinations, algorithm):
+    G, f = _approx_input(algorithm)
+    approximate(algorithm, G, f)
+    assert len(combinations) == (0 if TABLE[algorithm].profile else 1)
 
 
 def test_find_covering_cycle_cover_tests_each_fact_once(calls):
@@ -89,11 +127,7 @@ def test_find_covering_cycle_cover_tests_each_fact_once(calls):
 @pytest.mark.parametrize("algorithm", names("approx"))
 def test_approximate_tests_each_fact_once(calls, algorithm):
     profile = TABLE[algorithm].profile
-    if profile is None:
-        G, f = random_subcubic_2ec(10, 3), random_node_weights(10, 3)
-    else:
-        G = heawood() if profile.startswith("bipartite") else petersen()
-        f = random_node_weights(G.n, 1)
+    G, f = _approx_input(algorithm)
     if profile is None:
         rounds = lp.solve_subtour(f.induced_graph(G)).separation_rounds
         calls["min_cut"].clear()
@@ -104,6 +138,19 @@ def test_approximate_tests_each_fact_once(calls, algorithm):
         # solve_subtour cuts each x it reaches, and its last separation is
         # the connector stage's input test.
         assert len(calls["min_cut"]) == rounds + 1
+
+
+@pytest.mark.parametrize("kind", ("connectors", "even2cut"))
+def test_decompose_cuts_the_lp_optimum_once(calls, tmp_path, kind):
+    # The last separation of solve_subtour tests the optimum that the
+    # connector stages are handed.
+    G = random_node_weights(10, 3).induced_graph(random_subcubic_2ec(10, 3))
+    rounds = lp.solve_subtour(G).separation_rounds
+    calls["min_cut"].clear()
+    path = tmp_path / "g.txt"
+    path.write_text(serialize.graph_to_text(G))
+    assert cli.main(["decompose", kind, str(path)]) == cli.EXIT_OK
+    assert len(calls["min_cut"]) == rounds + 1
 
 
 @pytest.mark.parametrize("name", ("classify", "one_edge_cuts", "two_cut_classes"))

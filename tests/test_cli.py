@@ -74,6 +74,15 @@ class TestPipeline:
         doc = json.loads(out)
         assert doc["type"] == "decomposition" and doc["kind"] == "trees"
 
+    @pytest.mark.parametrize("kind", ["connectors", "even2cut"])
+    def test_decompose_tests_a_connector_input(self, capsys, monkeypatch, kind):
+        # The connector stages take x in the subtour polytope; the CLI tests
+        # an everywhere-r vector before it runs them.
+        code, out, err = run(capsys, monkeypatch, ["decompose", kind, "--vector", "1/2"],
+                             stdin=graph_to_text(petersen()))
+        assert code == EXIT_PRECONDITION and out == ""
+        assert "outside subtour" in err
+
     def test_approx_with_uniform_weights(self, capsys, monkeypatch):
         _, graph_text, _ = run(capsys, monkeypatch, ["gen", "--family", "petersen"])
         code, out, _ = run(capsys, monkeypatch,

@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unicover.connectors import (even_2cut_connectors, normalize_connectors,
+from unicover import connectors
+from unicover.connectors import (decomposition, even_2cut_connectors, normalize_connectors,
                                  two_cut_classes, two_cut_pairs)
 from unicover.decompose import (DecompositionError, decompose_connectors,
                                 verify_combination)
 from unicover.families import k4, petersen, random_subcubic_2ec
 from unicover.graph import GraphError, classify, multiset_degrees
-from unicover.lp import LpInputError, everywhere, one_edge_cuts
+from unicover.lp import LpInputError, everywhere, membership, one_edge_cuts
+from unicover.simplex import LpError
 
 from conftest import (make_graph, one_edge_cuts_oracle, support_bridges,
                       support_components, two_cut_pairs_oracle, two_edge_connected)
@@ -83,28 +85,30 @@ class TestTwoCutClasses:
             two_cut_classes(two_triangles, x)
 
 
+def coverage(terms):
+    out = {}
+    for c, f in terms:
+        for eid, m in f.items():
+            out[eid] = out.get(eid, F(0)) + c * m
+    return out
+
+
 class TestNormalize:
     def test_no_pair_two_and_zero(self, two_triangles):
         x = two_triangles_x(two_triangles)
         base = decompose_connectors(two_triangles, x)
-        norm = normalize_connectors(base, x, G=two_triangles)
+        norm = normalize_connectors(base, x, two_triangles)
         for eid in x:
-            mults = [t.multiset().get(eid, 0) for t in norm.terms]
+            mults = [f.get(eid, 0) for _, f in norm]
             assert not (2 in mults and 0 in mults)
-        assert norm.coverage() == base.coverage()
+        assert coverage(norm) == coverage(base)
 
     def test_coefficients_still_sum_to_one(self):
         g = petersen()
         x = everywhere(g, F(1))
         base = decompose_connectors(g, x)
-        norm = normalize_connectors(base, x, G=g)
-        assert sum(t.coefficient for t in norm.terms) == 1
-
-    def test_rejects_dominated_input(self, c4):
-        from unicover.decompose import decompose_spanning_trees
-        comb = decompose_spanning_trees(c4, everywhere(c4, F(1)))
-        with pytest.raises(DecompositionError, match="equality"):
-            normalize_connectors(comb, everywhere(c4, F(1)), G=c4)
+        norm = normalize_connectors(base, x, g)
+        assert sum(c for c, _ in norm) == 1
 
 
 class TestEven2CutConnectors:
@@ -202,3 +206,40 @@ def test_small_cuts_match_the_remove_and_recount_oracles(case):
     for scan in (two_cut_pairs, two_cut_classes):
         with pytest.raises(GraphError, match=error):
             scan(g, x)
+
+
+def test_even_2cut_connectors_requires_connectors_without_classes(monkeypatch):
+    # K4 at 2/3 has no 2-edge cut, so the normalized terms are returned as
+    # they are; a term with three copies of an edge is not a connector.
+    normalize = connectors.normalize_connectors
+
+    def tripled(terms, x, G):
+        (c, f), *rest = normalize(terms, x, G)
+        return [(c, {**f, 0: 3})] + rest
+
+    monkeypatch.setattr(connectors, "normalize_connectors", tripled)
+    g = k4()
+    with pytest.raises(DecompositionError, match="not a connector"):
+        even_2cut_connectors(g, everywhere(g, F(2, 3)))
+
+
+@given(supports())
+@settings(max_examples=150, deadline=None)
+def test_connector_stages_outside_subtour_raise_or_verify(case):
+    # The connector stages do not test their input.  Given a vector outside
+    # the subtour polytope, each must raise a library error or return a
+    # decomposition that verifies.
+    g, _, x = case
+    assume(not membership(g, x).inside)
+    for kind in ("connectors", "even2cut"):
+        try:
+            comb = decomposition(g, x, kind)
+        except (GraphError, LpError):
+            continue
+        verify_combination(g, comb, "connector")
+
+
+def test_decomposition_rejects_an_unknown_kind():
+    g = k4()
+    with pytest.raises(DecompositionError, match="unknown decomposition kind 'forests'"):
+        decomposition(g, everywhere(g, F(1)), "forests")

@@ -7,6 +7,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from unicover import decompose
+from unicover.connectors import decomposition
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 _equality_master, _minimal_covers,
                                 _one_cover_price, canonical,
@@ -50,20 +51,20 @@ def tree_packing_feasible(g, x):
 class TestSpanningTrees:
     def test_parallel_pair(self):
         g = make_graph(2, [(0, 1), (0, 1)])
-        comb = decompose_spanning_trees(g, everywhere(g, F(1)))
+        comb = decomposition(g, everywhere(g, F(1)), "trees")
         verify_combination(g, comb, "connector")
         for t in comb.terms:
             assert sum(m for _, m in t.edges) == 1
 
     def test_k4_two_thirds(self):
         g = k4()
-        comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+        comb = decomposition(g, everywhere(g, F(2, 3)), "trees")
         verify_combination(g, comb, "connector")
         for t in comb.terms:
             assert sum(m for _, m in t.edges) == g.n - 1
 
     def test_c4_all_ones(self, c4):
-        comb = decompose_spanning_trees(c4, everywhere(c4, F(1)))
+        comb = decomposition(c4, everywhere(c4, F(1)), "trees")
         verify_combination(c4, comb)
         cov = comb.coverage()
         assert all(v <= 1 for v in cov.values())
@@ -72,7 +73,7 @@ class TestSpanningTrees:
         for g, r in [(k4(), F(2, 3)), (c4, F(1)), (prism(), F(2, 3))]:
             x = everywhere(g, r)
             assert tree_packing_feasible(g, x)
-            verify_combination(g, decompose_spanning_trees(g, x))
+            verify_combination(g, decomposition(g, x, "trees"))
 
     def test_infeasible_rejected(self, c4):
         with pytest.raises(DecompositionError):
@@ -88,7 +89,7 @@ class TestSpanningTrees:
 class TestConnectors:
     def test_c4_identity(self, c4):
         x = everywhere(c4, F(1))
-        comb = decompose_connectors(c4, x)
+        comb = decomposition(c4, x, "connectors")
         verify_combination(c4, comb, "connector")
         assert comb.relation == "equals"
         assert comb.coverage() == x
@@ -96,27 +97,27 @@ class TestConnectors:
     def test_three_parallel_edges(self):
         g = make_graph(2, [(0, 1), (0, 1), (0, 1)])
         x = {0: F(1, 2), 1: F(3, 2), 2: F(3, 2)}
-        comb = decompose_connectors(g, x)
+        comb = decomposition(g, x, "connectors")
         verify_combination(g, comb, "connector")
         assert comb.coverage() == x
 
     def test_doubled_tree_identity(self):
         g = k4()
         x = {0: F(2), 1: F(2), 2: F(2)}
-        comb = decompose_connectors(g, x)
-        assert len(comb.terms) == 1
-        assert dict(comb.terms[0].edges) == {0: 2, 1: 2, 2: 2}
+        terms = decompose_connectors(g, x)
+        assert len(terms) == 1
+        assert terms[0][1] == {0: 2, 1: 2, 2: 2}
 
     def test_clips_above_two(self):
         g = make_graph(2, [(0, 1), (0, 1)])
-        comb = decompose_connectors(g, {0: F(3), 1: F(2)})
+        comb = decomposition(g, {0: F(3), 1: F(2)}, "connectors")
         assert comb.coverage() == {0: F(2), 1: F(2)}
 
     def test_equality_exact_on_lp_vectors(self, two_triangles):
         from unicover.lp import solve_subtour
         for g in [k4(), k33(), two_triangles]:
             x = solve_subtour(g).x
-            comb = decompose_connectors(g, x)
+            comb = decomposition(g, x, "connectors")
             assert comb.coverage() == {eid: min(v, F(2)) for eid, v in x.items()}
 
 
@@ -133,12 +134,12 @@ class TestEqualityMaster:
 
 class TestTJoins:
     def test_empty_t(self):
-        comb = decompose_tjoins(k4(), {}, set())
-        assert len(comb.terms) == 1 and comb.terms[0].edges == ()
+        terms = decompose_tjoins(k4(), {}, set())
+        assert len(terms) == 1 and terms[0][1] == {}
 
     def test_cycle_arcs(self, c4):
         x = everywhere(c4, F(1, 2))
-        comb = decompose_tjoins(c4, x, {0, 2})
+        comb = make_combination(c4, decompose_tjoins(c4, x, {0, 2}), x, "dominated-by")
         verify_combination(c4, comb)
         for t in comb.terms:
             deg = multiset_degrees(c4, t.multiset())
@@ -146,7 +147,8 @@ class TestTJoins:
 
     def test_one_third_on_cubic(self):
         g = petersen()
-        comb = decompose_tjoins(g, everywhere(g, F(1, 3)), {0, 1, 2, 3})
+        x = everywhere(g, F(1, 3))
+        comb = make_combination(g, decompose_tjoins(g, x, {0, 1, 2, 3}), x, "dominated-by")
         verify_combination(g, comb)
 
     def test_odd_t_rejected(self):
@@ -297,7 +299,9 @@ class TestOneCovers:
         g = k4()
         tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
         y = {e.id: F(1, 2) for e in g.edges if e.id not in tree}
-        comb = decompose_one_covers(g, tree, y, F(1, 2))
+        # The stage's target, (2 / (1 + alpha)) * y.
+        comb = make_combination(g, decompose_one_covers(g, tree, y, F(1, 2)),
+                                {eid: F(4, 3) * v for eid, v in y.items()}, "dominated-by")
         verify_combination(g, comb)
         target = comb.target_vector()
         assert all(v == F(2, 3) for v in target.values())
@@ -312,8 +316,8 @@ class TestOneCovers:
 
     def test_no_bridges_short_circuit(self, c4):
         cyc = {e.id: 1 for e in c4.edges}
-        comb = decompose_one_covers(c4, cyc, {}, F(1, 2))
-        assert len(comb.terms) == 1 and comb.terms[0].edges == ()
+        terms = decompose_one_covers(c4, cyc, {}, F(1, 2))
+        assert len(terms) == 1 and terms[0][1] == {}
 
     def test_alpha_threshold_enforced(self):
         g = k4()
@@ -341,22 +345,28 @@ class TestOneCovers:
             decompose_one_covers(g, tree, y, F(1, 2))
 
 
+def tour_combination(g, x):
+    """wolsey_tours of x as a combination dominated by (3/2) x."""
+    return make_combination(g, wolsey_tours(g, x), {eid: F(3, 2) * v for eid, v in x.items()},
+                            "dominated-by", "tour")
+
+
 class TestWolseyTours:
     def test_hamiltonian_cycle_identity(self, c4):
         x = everywhere(c4, F(1))
-        comb = wolsey_tours(c4, x)
+        comb = tour_combination(c4, x)
         verify_combination(c4, comb, "tour")
         assert all(v <= F(3, 2) for v in comb.coverage().values())
 
     def test_five_parallel_edges(self):
         g = make_graph(2, [(0, 1)] * 5)
-        comb = wolsey_tours(g, everywhere(g, F(2, 5)))
+        comb = tour_combination(g, everywhere(g, F(2, 5)))
         verify_combination(g, comb, "tour")
         assert all(v <= F(3, 5) for v in comb.coverage().values())
 
     def test_petersen_two_thirds(self):
         g = petersen()
-        comb = wolsey_tours(g, everywhere(g, F(2, 3)))
+        comb = tour_combination(g, everywhere(g, F(2, 3)))
         verify_combination(g, comb, "tour")
         assert all(v <= F(1) for v in comb.coverage().values())
 

@@ -17,10 +17,9 @@ import pytest
 from unicover import serialize
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
-from unicover.connectors import even_2cut_connectors
+from unicover.connectors import decomposition
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.decompose import decompose_connectors, decompose_spanning_trees
 from unicover.families import (k4, k5, k33, petersen, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
 from unicover.graph import NodeWeights, enumerate_cuts_upto
@@ -108,9 +107,9 @@ def _lp(family):
     return serialize.lp_result_to_json(G, solve_subtour(G))
 
 
-def _decomposition(family, decompose, kind):
+def _decomposition(family, kind):
     G = family()
-    return serialize.decomposition_to_json(G, decompose(G, solve_subtour(G).x), kind)
+    return serialize.decomposition_to_json(G, decomposition(G, solve_subtour(G).x, kind), kind)
 
 
 def _cycle_cover():
@@ -123,13 +122,13 @@ SOLVER_DOCUMENTS = [
      "0cff0a16e2144bea3b07698214c95f15e7166a7260a73c3536350d7f44244fc2"),
     ("lp-subcubic", lambda: _lp(_subcubic),
      "85d85849c2b9cfbaf285127ebec02c67b9158f76c37cd25644b6b294ea320749"),
-    ("trees-petersen", lambda: _decomposition(petersen, decompose_spanning_trees, "trees"),
+    ("trees-petersen", lambda: _decomposition(petersen, "trees"),
      "890db9f6ae7b759977cde0cfed1542451aff9e00ed0494db992f3ecbcdbacdff"),
     ("connectors-subcubic",
-     lambda: _decomposition(_subcubic, decompose_connectors, "connectors"),
+     lambda: _decomposition(_subcubic, "connectors"),
      "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
     ("even2cut-subcubic8",
-     lambda: _decomposition(_subcubic8, even_2cut_connectors, "even2cut"),
+     lambda: _decomposition(_subcubic8, "even2cut"),
      "84ec01a0d5b0fb33fd1737e550bb50a766f02eb3d225bea4af1ef10bb4179647"),
     ("cycle-cover-cubic16", _cycle_cover,
      "4a94b54cac17a09eed7a6eb3a190d2d3d3802f4656e7638be6b61133b6d69431"),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from unicover.covers import check_certificate, uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.decompose import decompose_spanning_trees
+from unicover.connectors import decomposition
 from unicover.families import k4, petersen
 from unicover.lp import everywhere
 from unicover.serialize import (ParseError, approx_from_json, approx_to_json,
@@ -94,7 +94,7 @@ class TestJson:
 
     def test_combination_round_trip(self):
         g = k4()
-        comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+        comb = decomposition(g, everywhere(g, F(2, 3)), "trees")
         assert combination_from_json(combination_to_json(comb)) == comb
 
     def test_certificate_round_trip(self):

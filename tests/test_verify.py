@@ -9,9 +9,8 @@ from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.covers import uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.connectors import even_2cut_connectors
-from unicover.decompose import (decompose_connectors, decompose_spanning_trees,
-                                make_combination)
+from unicover.connectors import decomposition, even_2cut_connectors
+from unicover.decompose import make_combination
 from unicover.families import (heawood, k4, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
 from unicover.graph import NodeWeights
@@ -30,7 +29,7 @@ def cert_doc(g=None, variant="18/19"):
 
 
 def trees_doc(g):
-    comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+    comb = decomposition(g, everywhere(g, F(2, 3)), "trees")
     return serialize.decomposition_to_json(g, comb, "trees")
 
 
@@ -131,13 +130,13 @@ class TestAccepts:
 
     def test_decomposition(self):
         g = k4()
-        comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+        comb = decomposition(g, everywhere(g, F(2, 3)), "trees")
         assert verify_document(serialize.decomposition_to_json(g, comb, "trees")).ok
 
     def test_decomposition_of_each_kind(self, two_triangles):
         g, x = two_triangles, solve_subtour(two_triangles).x
-        for kind, comb in (("connectors", decompose_connectors(g, x)),
-                           ("even2cut", even_2cut_connectors(g, x))):
+        for kind in ("connectors", "even2cut"):
+            comb = decomposition(g, x, kind)
             rep = verify_document(serialize.decomposition_to_json(g, comb, kind))
             assert rep.ok and kind in rep.detail
 
@@ -341,7 +340,7 @@ class TestRejects:
 
     def test_decomposition_label_tampered(self):
         g = k4()
-        comb = decompose_spanning_trees(g, everywhere(g, F(2, 3)))
+        comb = decomposition(g, everywhere(g, F(2, 3)), "trees")
         doc = serialize.decomposition_to_json(g, comb, "trees")
         doc["combination"]["terms"][0]["classes"] = ["tour"]
         assert not verify_document(doc).ok
@@ -371,7 +370,7 @@ class TestRejects:
 
     def test_decomposition_kind_even2cut_needs_even_crossings(self, two_triangles):
         g, x = two_triangles, solve_subtour(two_triangles).x
-        doc = serialize.decomposition_to_json(g, decompose_connectors(g, x), "even2cut")
+        doc = serialize.decomposition_to_json(g, decomposition(g, x, "connectors"), "even2cut")
         rep = verify_document(doc)
         assert not rep.ok and "2-edge cut" in rep.detail
 
@@ -455,7 +454,7 @@ class TestRejects:
         # The second term's [7, 2] split into [7, 1], [7, 1] keeps the
         # coverage but not the term classify would see.
         g, x = two_triangles, solve_subtour(two_triangles).x
-        doc = serialize.decomposition_to_json(g, decompose_connectors(g, x), "connectors")
+        doc = serialize.decomposition_to_json(g, decomposition(g, x, "connectors"), "connectors")
         edges = doc["combination"]["terms"][1]["edges"]
         assert edges[-1] == [7, 2]
         edges[-1:] = [[7, 1], [7, 1]]
