@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run uniform-cover variants over the named instance corpus and generated
 n-vertex instances, and print an exact per-variant slack table with each
-certificate's time and the sha256 of its JSON (the bytes `unicover cover`
-writes).
+certificate's time and the sha256 of its JSON (the bytes `unicover
+uniform-cover` writes).
 
 The generated instances are random_cubic_3ec(n, 1 + i), i < --random, for
 the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless

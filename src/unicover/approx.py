@@ -8,8 +8,8 @@ spanning tree T of the contraction G/C: "doubled-mst" doubles T (a tour),
 multigraph).  The beta recipes work on general weights through the repaired
 connector family: "connector+cover" takes the lightest union of a connector
 and one of its 1-covers, "connector+join" the lightest connector plus a
-join of its odd vertices.  Every result re-verifies weight <= ratio * lower
-bound with exact rationals.
+join of its odd vertices.  build_approx_result builds every result, here
+and in verify: it checks weight <= ratio * lower bound with exact rationals.
 """
 from __future__ import annotations
 
@@ -52,19 +52,26 @@ class ApproxResult:
         return dict(self.solution)
 
 
-def _finish(G: Multigraph, algorithm: str, sol: EdgeMultiset, z: Fraction,
-            beta: Optional[Fraction], x: EdgeVector, dual: Dual) -> ApproxResult:
+def build_approx_result(G: Multigraph, algorithm: str, solution: EdgeMultiset,
+                        z: Fraction, x: EdgeVector, dual: Dual) -> ApproxResult:
+    """The result of the solution against the bound z that x and dual
+    certify: the row's fields, the weight, beta = w(E)/z on a beta row and
+    the ratio at beta.  Raises unless the solution is of the row's object
+    class and weighs at most ratio * z."""
     spec = TABLE[algorithm]
+    if spec.profile is None and z <= 0:
+        raise ApproxError(f"{algorithm}: beta = w(E)/z needs a lower bound z > 0, not {z}")
+    beta = None if spec.profile else G.total_weight() / z
     ratio = spec.ratio_at(beta)
-    weight = multiset_weight(G, sol)
+    weight = multiset_weight(G, solution)
     if weight > ratio * z:
         raise ApproxError(
             f"{algorithm}: weight {weight} exceeds the bound {ratio} * {z}")
-    if spec.object_class not in classify(G, sol):
+    if spec.object_class not in classify(G, solution):
         raise ApproxError(f"{algorithm}: output is not a {spec.object_class}")
     return ApproxResult(
         algorithm=algorithm,
-        solution=tuple(sorted((eid, m) for eid, m in sol.items() if m > 0)),
+        solution=tuple(sorted((eid, m) for eid, m in solution.items() if m > 0)),
         weight=weight,
         lower_bound=z,
         ratio=ratio,
@@ -107,8 +114,8 @@ def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResul
     # (the shore {1..n-1} stands for {0}) is tight on every edge, as
     # w_uv = f_u + f_v; both weigh 2 f(V) = z.
     dual = tuple(zip(initial_shores(G.n), f.f[1:] + f.f[:1]))
-    return _finish(Gw, algorithm, multiset_union(C, augment), z, None,
-                   everywhere(Gw, Fraction(2, 3)), dual)
+    return build_approx_result(Gw, algorithm, multiset_union(C, augment), z,
+                               everywhere(Gw, Fraction(2, 3)), dual)
 
 
 def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
@@ -116,9 +123,6 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
     # The last separation of solve_subtour is the subtour test of lp.x.
     family = even_2cut_connectors(G, lp.x)
     z = lp.value
-    if z <= 0:
-        raise ApproxError("zero lower bound; weights vanish")
-    beta = G.total_weight() / z
     if TABLE[algorithm].recipe == "connector+cover":
         # 1-covers are drawn from everywhere-1/2 outside the connector; the
         # first lightest union found wins.
@@ -137,7 +141,7 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
             raise ApproxError("parity join weighs more than a third of the graph")
         sol = multiset_union(F, join)
     dual = tuple((c.shore, y) for c, y in zip(lp.cuts, lp.duals) if y)
-    return _finish(G, algorithm, sol, z, beta, lp.x, dual)
+    return build_approx_result(G, algorithm, sol, z, lp.x, dual)
 
 
 def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]) -> ApproxResult:

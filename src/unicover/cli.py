@@ -153,6 +153,24 @@ def _approx_arguments(p: argparse.ArgumentParser) -> None:
                    help="node weight file, or 'uniform1'")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which also takes positionals after options: a
+    plain parse fills `what` and the optional `input` of `decompose trees
+    --vector 2/3 g.txt` from `trees` and leaves `g.txt` over.  Only a
+    command line with leftovers pays for the slower intermixed parse."""
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if not extras or self._intermixing:   # or a pass of the intermixed parse
+            return parsed, extras
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 # command -> (help, handler, the function that adds its arguments)
 COMMANDS: Dict[str, Tuple[str, Callable, Callable]] = {
     "gen": ("emit a named graph family", _cmd_gen, _gen_arguments),
@@ -180,7 +198,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact certificates for tours, 2-edge-connected covers, "
                     "and approximation algorithms on small graphs.")
     one = command in COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True,
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser,
                                 metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name, (help_text, handler, add_arguments) in COMMANDS.items():
         if one and name != command:

@@ -2,9 +2,10 @@
 convex combination of tours or 2-edge-connected spanning multigraphs.
 
 Every variant is a cover row of table.TABLE: three recipes, each used with
-two sets of rationals.  The result is re-verified exactly: coefficients
-sum to 1, per-edge slack alpha - coverage is nonnegative, and every term
-passes its structural classifier.
+two sets of rationals.  build_certificate builds every certificate from
+its combination.  check_certificate re-verifies the combination exactly
+(convex, dominated by everywhere-alpha, every term of its class) and then
+compares each stored field with the certificate built from it.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .cyclecover import contracted_cycle_cover
 from .decompose import (ConvexCombination, decompose_spanning_trees, make_combination,
                         one_cover_completions, verify_combination, wolsey_tours)
 from .lp import everywhere
-from .table import Row, check_row, lookup_row, names
+from .table import Row, check_fields, lookup_row, names
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,28 +47,32 @@ class Certificate:
         return {eid: v for eid, v in self.slack}
 
 
+def build_certificate(G: Multigraph, variant: str, comb: ConvexCombination,
+                      coverage: EdgeVector, cycles: object) -> Certificate:
+    """The certificate of the variant's combination: the row's fields, the
+    slack alpha - coverage on every edge and the largest multiplicity."""
+    spec = lookup_row(variant, "cover", CoverError)
+    return Certificate(
+        variant=variant,
+        profile=spec.profile,
+        alpha=spec.ratio,
+        object_class=spec.object_class,
+        combination=comb,
+        slack=tuple(sorted((e.id, spec.ratio - coverage.get(e.id, ZERO)) for e in G.edges)),
+        max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
+        metadata=tuple(sorted(_metadata(spec, cycles).items())),
+    )
+
+
 def check_certificate(G: Multigraph, cert: Certificate) -> None:
     """Re-verify a certificate from its raw fields; raises on any defect.
     G's profile is the caller's to test: uniform_cover tests it before it
     builds, and verify after this check."""
     spec = lookup_row(cert.variant, "cover", CoverError)
-    check_row(cert.variant, spec, cert, CoverError)
     comb = cert.combination
-    if comb.relation != "dominated-by" or comb.target_vector() != everywhere(G, cert.alpha):
+    if comb.relation != "dominated-by" or comb.target_vector() != everywhere(G, spec.ratio):
         raise CoverError("combination target is not the everywhere-alpha vector")
-    cover = verify_combination(G, comb, cert.object_class)
-    slack = cert.slack_vector()
-    if set(slack) != set(G.edge_ids()):
-        raise CoverError("slack vector does not match the edge set")
-    for eid, stored in slack.items():
-        s = cert.alpha - cover.get(eid, ZERO)
-        if stored != s:
-            raise CoverError(f"stored slack {stored} != {s} on e{eid}")
-    seen_max = max((m for t in comb.terms for _, m in t.edges), default=0)
-    if seen_max != cert.max_multiplicity:
-        raise CoverError("stored max multiplicity is wrong")
-    if spec.subgraph_only and seen_max > 1:
-        raise CoverError("subgraph variant contains a doubled edge")
+    cover = verify_combination(G, comb, spec.object_class)
     meta = dict(cert.metadata)
     want = _metadata(spec, meta.get("cycles"))   # cycles: range-checked below
     if set(meta) != set(want):
@@ -80,6 +85,10 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
         if not (isinstance(cycles, str) and re.fullmatch(r"[1-9][0-9]*", cycles)
                 and len(cycles) <= len(str(G.n)) and 2 * int(cycles) <= G.n):
             raise CoverError(f"metadata cycles {cycles!r} is not a count from 1 to n/2")
+    built = build_certificate(G, cert.variant, comb, cover, meta.get("cycles"))
+    if spec.subgraph_only and built.max_multiplicity > 1:
+        raise CoverError("subgraph variant contains a doubled edge")
+    check_fields(cert, built, CoverError)
 
 
 def _metadata(spec: Row, cycles: object) -> Dict[str, object]:
@@ -131,16 +140,6 @@ def uniform_cover(G: Multigraph, variant: str) -> Certificate:
     else:
         terms, cycles = _cycle_cover_terms(G, spec)
     comb = make_combination(G, terms, everywhere(G, spec.ratio), "dominated-by")
-    cover = comb.coverage()
-    cert = Certificate(
-        variant=variant,
-        profile=spec.profile,
-        alpha=spec.ratio,
-        object_class=spec.object_class,
-        combination=comb,
-        slack=tuple(sorted((e.id, spec.ratio - cover.get(e.id, ZERO)) for e in G.edges)),
-        max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
-        metadata=tuple(sorted(_metadata(spec, str(cycles)).items())),
-    )
+    cert = build_certificate(G, variant, comb, comb.coverage(), str(cycles))
     check_certificate(G, cert)
     return cert

@@ -3,9 +3,11 @@ cut at least twice, found by complete search over perfect matchings.
 
 In a cubic graph a 2-factor is the complement of a perfect matching, so the
 search enumerates perfect matchings in canonical edge-id order and returns the
-first whose complement covers the enumerated small cuts.  Those cuts, the
-profile test (cubic-2ec: cubic and bridgeless) and verify_contraction's
-check all come from the cycle-space labels of graph.enumerate_cuts_upto.
+first whose complement covers the 3- and 4-edge cuts (small_cuts).  Those
+cuts, the profile test (cubic-2ec: cubic and bridgeless) and
+verify_contraction's check all come from the cycle-space labels of
+graph.enumerate_cuts_upto.  build_cycle_cover is the one builder of a
+result from its cover, for the search and for verify.
 
 contracted_cycle_cover runs the search without find_covering_cycle_cover's
 profile test, for callers that have tested a stronger profile already.
@@ -94,37 +96,39 @@ def find_covering_cycle_cover(G: Multigraph) -> CycleCoverResult:
     return _search(G)
 
 
+def small_cuts(G: Multigraph) -> List[FrozenSet[int]]:
+    """The 3- and 4-edge cuts of G, in enumeration order."""
+    return [c for c in enumerate_cuts_upto(G, 4) if len(c) >= 3]
+
+
 def _search(G: Multigraph) -> CycleCoverResult:
     """find_covering_cycle_cover without its profile test."""
-    targets = [c for c in enumerate_cuts_upto(G, 4) if len(c) >= 3]
+    cuts = small_cuts(G)
     all_ids = set(G.edge_ids())
     for matching in _perfect_matchings(G):
         cover = all_ids - set(matching)
-        if all(len(cover & c) >= 2 for c in targets):
-            return _build_result(G, cover, set(matching), targets)
+        if all(len(cover & c) >= 2 for c in cuts):
+            return build_cycle_cover(G, cover, cuts)
     raise CycleCoverError("no cycle cover found covering all 3- and 4-edge cuts")
 
 
-def _build_result(G: Multigraph, cover: Set[int], matching: Set[int],
-                  targets: List[FrozenSet[int]]) -> CycleCoverResult:
-    cycles = _cycles_of(G, cover)
-    vertex_cycle: Dict[int, int] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            vertex_cycle[v] = ci
-    intra, cross = [], []
-    for e in sorted((e for e in G.edges if e.id in matching), key=lambda e: e.id):
-        (intra if vertex_cycle[e.u] == vertex_cycle[e.v] else cross).append(e.id)
-    covered = tuple((c, len(cover & c)) for c in targets)
+def build_cycle_cover(G: Multigraph, cover: Set[int], cuts: List[FrozenSet[int]]
+                      ) -> CycleCoverResult:
+    """The result of the 2-factor `cover` of G: its cycles, the matching
+    E - C split into edges within one cycle and edges between two, and
+    (cut, |C ∩ cut|) for each of the cuts."""
     if any(d != 2 for d in multiset_degrees(G, {eid: 1 for eid in cover})):
         raise CycleCoverError("cover is not a 2-factor")
+    cycles = _cycles_of(G, cover)
+    cycle_of = {v: i for i, cycle in enumerate(cycles) for v in cycle}
+    matching = sorted((e for e in G.edges if e.id not in cover), key=lambda e: e.id)
     return CycleCoverResult(
         cover=tuple(sorted(cover)),
         cycles=tuple(tuple(c) for c in cycles),
-        matching=tuple(sorted(matching)),
-        intra_cycle=tuple(intra),
-        cross_cycle=tuple(cross),
-        covered_cuts=covered,
+        matching=tuple(e.id for e in matching),
+        intra_cycle=tuple(e.id for e in matching if cycle_of[e.u] == cycle_of[e.v]),
+        cross_cycle=tuple(e.id for e in matching if cycle_of[e.u] != cycle_of[e.v]),
+        covered_cuts=tuple((c, len(cover & c)) for c in cuts),
     )
 
 

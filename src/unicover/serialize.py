@@ -110,10 +110,6 @@ def graph_from_text(text: str) -> Multigraph:
         raise ParseError(str(exc))
 
 
-def weights_to_text(f: NodeWeights) -> str:
-    return "\n".join(frac_str(v) for v in f.f) + "\n"
-
-
 def weights_from_text(text: str, n: Optional[int] = None) -> NodeWeights:
     values = []
     for ln, raw in enumerate(text.splitlines(), start=1):

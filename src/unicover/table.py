@@ -1,8 +1,10 @@
 """The one table of uniform-cover variants and approximation algorithms:
-covers and approx build from a row, and check_row holds a document to it."""
+covers and approx build from a row.  check_fields compares a stored record
+with the one its builder rebuilds from the record's claim."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -72,13 +74,14 @@ def lookup_row(name: str, kind: str, error: type) -> Row:
     return row
 
 
-def check_row(name: str, row: Row, doc: object, error: type) -> None:
-    """Raise error unless the document's stored profile, object class,
-    alpha or ratio, and whether it stores beta, are its row's."""
-    beta = getattr(doc, "beta", None)
-    if (beta is None) != (row.profile is not None):
-        raise error(f"{name} requires {'no' if row.profile else 'a stored'} beta")
-    for field, want in (("profile", row.profile), ("object_class", row.object_class),
-                        ("alpha" if row.kind == "cover" else "ratio", row.ratio_at(beta))):
-        if getattr(doc, field) != want:
-            raise error(f"{name} requires {field} {want}, not {getattr(doc, field)}")
+def check_fields(stored: object, want: object, error: type) -> None:
+    """Raise error naming the first dataclass field of stored that differs
+    from want's."""
+    for field in fields(want):
+        got, value = getattr(stored, field.name), getattr(want, field.name)
+        if got != value:
+            raise error(f"stored {field.name} {_show(got)} is not {_show(value)}")
+
+
+def _show(value: object) -> str:
+    return str(value) if isinstance(value, (str, int, Fraction)) else reprlib.repr(value)

@@ -1,6 +1,8 @@
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +106,41 @@ class TestPipeline:
                            stdin=graph_to_text(petersen()))
         assert code == EXIT_OK
         assert json.loads(out)["lower_bound"] == "10/1"
+
+
+def readme_cli_lines():
+    """The `unicover` lines of the README's CLI block, without comments."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("unicover")]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, monkeypatch, tmp_path):
+        # Each line runs in tmp_path's terms: a `> FILE` redirect writes
+        # FILE there, and a pipe hands one command's stdout to the next.
+        lines = readme_cli_lines()
+        assert len(lines) >= 8 and lines[0].endswith("> g.txt")
+        for line in lines:
+            line, _, target = line.partition(" > ")
+            out = ""
+            for command in line.split("|"):
+                argv = [str(tmp_path / a) if a == "g.txt" else a for a in shlex.split(command)]
+                assert argv[0] == "unicover"
+                code, out, err = run(capsys, monkeypatch, argv[1:], stdin=out)
+                assert code == EXIT_OK, (command, err)
+            if target:
+                (tmp_path / target).write_text(out)
+        assert graph_from_text((tmp_path / "g.txt").read_text()) == petersen()
+
+    def test_decompose_takes_the_file_before_or_after_the_vector(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(graph_to_text(petersen()))
+        after = run(capsys, monkeypatch, ["decompose", "trees", "--vector", "2/3", str(gfile)])
+        before = run(capsys, monkeypatch, ["decompose", "trees", str(gfile), "--vector", "2/3"])
+        assert after == before and after[0] == EXIT_OK and after[1]
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -493,3 +494,76 @@ def test_verify_never_enters_the_simplex(monkeypatch, two_triangles):
         assert rep.ok, rep
         kinds.add(rep.kind)
     assert len(kinds) == 5
+
+
+# Each producer's record, with the graph it is stored on and its writer.
+@lru_cache(maxsize=None)
+def cover_record():
+    return petersen(), uniform_cover(petersen(), "18/19"), serialize.certificate_to_json
+
+
+@lru_cache(maxsize=None)
+def node_weighted_record():
+    g, f = petersen(), random_node_weights(10, 5)
+    return f.induced_graph(g), tsp_7_5_node_weighted(g, f), serialize.approx_to_json
+
+
+@lru_cache(maxsize=None)
+def beta_record():
+    g = random_node_weights(8, 11).induced_graph(random_subcubic_2ec(8, 3))
+    return g, tsp_beta(g), serialize.approx_to_json
+
+
+@lru_cache(maxsize=None)
+def cycle_cover_record():
+    return petersen(), find_covering_cycle_cover(petersen()), serialize.cycle_cover_to_json
+
+
+def _bump_first(pairs):
+    (key, value), rest = pairs[0], pairs[1:]
+    return ((key, value + 1),) + rest
+
+
+# (record, derived field, its tampered value); the fields are all those a
+# builder derives from the stored claim.
+DERIVED_EDITS = [
+    (cover_record, "profile", lambda r: "cubic-2ec"),
+    (cover_record, "alpha", lambda r: F(17, 19)),
+    (cover_record, "object_class", lambda r: "twoec-multigraph"),
+    (cover_record, "slack", lambda r: _bump_first(r.slack)),
+    (cover_record, "max_multiplicity", lambda r: r.max_multiplicity + 1),
+    (cover_record, "metadata",
+     lambda r: tuple((k, "1/2,1/2" if k == "mixing" else v) for k, v in r.metadata)),
+] + [(record, field, tamper) for record in (node_weighted_record, beta_record)
+     for field, tamper in (
+         ("weight", lambda r: r.weight + 1),
+         ("ratio", lambda r: r.ratio + 1),
+         ("object_class", lambda r: "connector"),
+         ("beta", lambda r: F(1) if r.beta is None else r.beta + F(1, 3)),
+         ("profile", lambda r: "subcubic-2ec"))] + [
+    (cycle_cover_record, "matching", lambda r: r.matching[1:]),
+    (cycle_cover_record, "intra_cycle", lambda r: r.intra_cycle + r.cross_cycle[:1]),
+    (cycle_cover_record, "cross_cycle", lambda r: r.cross_cycle[1:]),
+    (cycle_cover_record, "covered_cuts", lambda r: _bump_first(r.covered_cuts)),
+    (cycle_cover_record, "cycles", lambda r: r.cycles[::-1]),
+]
+
+
+@pytest.mark.parametrize("record,field,tamper", DERIVED_EDITS,
+                         ids=[f"{record.__name__[:-7]}-{field}"
+                              for record, field, _ in DERIVED_EDITS])
+def test_every_derived_field_is_checked(record, field, tamper):
+    g, produced, to_json = record()
+    value = tamper(produced)
+    assert value != getattr(produced, field)
+    rep = verify_document(to_json(g, replace(produced, **{field: value})))
+    assert not rep.ok and field in rep.detail, rep
+
+
+def test_approx_solution_out_of_edge_id_order():
+    # The producer writes the pairs in edge-id order, and the rebuilt
+    # record has them so.
+    doc = approx_doc()
+    doc["solution"].reverse()
+    rep = verify_document(doc)
+    assert not rep.ok and "solution" in rep.detail, rep
