@@ -8,9 +8,12 @@ For every seed and workload this runs
 with N the `run_seconds` of BENCHMARK.json, in this checkout ("change")
 and, with --baseline DIR, in a second source checkout ("parent"),
 alternating which runs first from seed to seed.  The file keeps every run's
-end-to-end metrics, failed/attempted counts and determinism fingerprint, the
-median of each metric over the seeds, and, with a baseline, the number of
-seeds on which the change was better.
+end-to-end metrics, failed/attempted counts and determinism fingerprint, and
+the median of each metric over the seeds.  With a baseline it also keeps,
+and prints at the end, per workload: the number of seeds on which the
+change was better, the seeds whose parent and change fingerprints differ,
+and the parent's spread of each metric, the distance between its quartiles
+(statistics.quantiles, exclusive method) over its median.
 
 Every run gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX that
 names one fresh temporary directory, so neither checkout's `__pycache__`
@@ -78,6 +81,23 @@ def better_counts(change: list, parent: list, declared: dict) -> dict:
     return out
 
 
+def fingerprint_differs(change: list, parent: list) -> list:
+    """The seeds on which the two sides' fingerprints differ."""
+    return [c["seed"] for c, p in zip(change, parent) if c["fingerprint"] != p["fingerprint"]]
+
+
+def iqr_over_median(runs: list) -> dict:
+    """metric -> (third quartile - first quartile) / median over the runs."""
+    out = {}
+    for name in sorted({name for r in runs for name in r["metrics"]}):
+        values = [r["metrics"][name] for r in runs if name in r["metrics"]]
+        median = statistics.median(values)
+        if len(values) >= 2 and median:
+            q1, _, q3 = statistics.quantiles(values, n=4)
+            out[name] = (q3 - q1) / median
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, help="suffix of the output file name")
@@ -128,6 +148,18 @@ def main() -> int:
         doc["change_better_in"] = {
             w: better_counts(runs["change"][w], runs["parent"][w], declared)
             for w in WORKLOADS}
+        doc["fingerprint_differs"] = {
+            w: fingerprint_differs(runs["change"][w], runs["parent"][w]) for w in WORKLOADS}
+        doc["parent_iqr_over_median"] = {
+            w: iqr_over_median(runs["parent"][w]) for w in WORKLOADS}
+        for w in WORKLOADS:
+            print(f"{w}: fingerprints differ on seeds {doc['fingerprint_differs'][w] or 'none'}")
+            for name in declared:
+                spread = doc["parent_iqr_over_median"][w].get(name)
+                print(f"  {name:18} parent IQR/median "
+                      f"{'n/a' if spread is None else f'{spread:.1%}'}  "
+                      f"change better in {doc['change_better_in'][w][name]}"
+                      f"/{len(runs['change'][w])}")
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

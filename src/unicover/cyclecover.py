@@ -3,7 +3,9 @@ cut at least twice, found by complete search over perfect matchings.
 
 In a cubic graph a 2-factor is the complement of a perfect matching, so the
 search enumerates perfect matchings in canonical edge-id order and returns the
-first whose complement covers the 3- and 4-edge cuts (small_cuts).  Those
+first whose complement covers the 3- and 4-edge cuts (small_cuts).  The
+enumeration walks per-vertex incidence lists, and each matching is tested
+against the cuts as int bitmasks, one AND and one bit count a cut.  Those
 cuts, the profile test (cubic-2ec: cubic and bridgeless) and
 verify_contraction's check all come from the cycle-space labels of
 graph.enumerate_cuts_upto.  build_cycle_cover is the one builder of a
@@ -40,27 +42,33 @@ class CycleCoverResult:
 
 
 def _perfect_matchings(G: Multigraph):
-    """All perfect matchings, in canonical order on sorted edge ids."""
-    edges = sorted(G.edges, key=lambda e: e.id)
+    """All perfect matchings, in canonical order: the lowest unmatched
+    vertex is matched first, along its edges in id order."""
     n = G.n
+    incident: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # (edge id, other end)
+    for e in sorted(G.edges, key=lambda e: e.id):
+        incident[e.u].append((e.id, e.v))
+        incident[e.v].append((e.id, e.u))
+    used = [False] * n
+    chosen: List[int] = []
 
-    def rec(used: Set[int], chosen: List[int]):
-        if len(used) == n:
+    def rec(v: int):
+        while v < n and used[v]:
+            v += 1
+        if v == n:
             yield tuple(chosen)
             return
-        # Match the lowest unmatched vertex to keep the search canonical.
-        v = min(set(range(n)) - used)
-        for e in edges:
-            if v in (e.u, e.v) and e.u not in used and e.v not in used:
-                chosen.append(e.id)
-                used.add(e.u)
-                used.add(e.v)
-                yield from rec(used, chosen)
+        used[v] = True
+        for eid, w in incident[v]:
+            if not used[w]:
+                used[w] = True
+                chosen.append(eid)
+                yield from rec(v + 1)
                 chosen.pop()
-                used.discard(e.u)
-                used.discard(e.v)
+                used[w] = False
+        used[v] = False
 
-    yield from rec(set(), [])
+    yield from rec(0)
 
 
 def _cycles_of(G: Multigraph, cover: Set[int]) -> List[List[int]]:
@@ -102,13 +110,22 @@ def small_cuts(G: Multigraph) -> List[FrozenSet[int]]:
 
 
 def _search(G: Multigraph) -> CycleCoverResult:
-    """find_covering_cycle_cover without its profile test."""
+    """find_covering_cycle_cover without its profile test.  Cuts and
+    matchings are bitmasks over edge positions in id order: the complement
+    of the matching M crosses the cut c at least twice exactly when
+    |c & M| <= |c| - 2.  The cut that failed last is tried first, since
+    consecutive matchings differ in a few edges and tend to fail on it."""
     cuts = small_cuts(G)
-    all_ids = set(G.edge_ids())
+    ids = sorted(G.edge_ids())
+    bit = {eid: 1 << i for i, eid in enumerate(ids)}
+    masks = [(sum(bit[eid] for eid in c), len(c) - 2) for c in cuts]
     for matching in _perfect_matchings(G):
-        cover = all_ids - set(matching)
-        if all(len(cover & c) >= 2 for c in cuts):
-            return build_cycle_cover(G, cover, cuts)
+        M = sum(map(bit.__getitem__, matching))
+        failed = next((i for i, (c, most) in enumerate(masks) if (c & M).bit_count() > most),
+                      None)
+        if failed is None:
+            return build_cycle_cover(G, set(ids) - set(matching), cuts)
+        masks.insert(0, masks.pop(failed))
     raise CycleCoverError("no cycle cover found covering all 3- and 4-edge cuts")
 
 

@@ -5,7 +5,6 @@ after construction; every operation returns new values.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
@@ -271,25 +270,38 @@ def _shore_of(adj: List[List[Tuple[int, int]]], cut: FrozenSet[int]) -> Tuple[in
 
 
 def _cuts_upto(label: Dict[int, int], k: int) -> Tuple[FrozenSet[int], ...]:
-    """The edge sets of at most k edges whose labels XOR to 0: every
-    (j-1)-subset of edges, in lexicographic order of edge ids, looks up the
-    edges of higher id whose label closes it."""
+    """The edge sets of at most k <= 4 edges whose labels XOR to 0, sorted
+    by size, then by the tuple of their positions in id order.
+
+    A 1-cut is an edge of label 0 and a 2-cut two edges of one label.  For
+    larger cuts one table maps the XOR of each pair of positions a < b to
+    its pairs: a 3-cut is a pair whose XOR is the label of an edge c > b,
+    and a 4-cut is two pairs (a, b) and (c, d) of one XOR with b < c, the
+    one split of a zero-XOR 4-set that puts its two lowest positions first.
+    So the cost is O(m) for k <= 2 and O(m^2) plus the output above."""
     ids = sorted(label)
     labels = [label[eid] for eid in ids]
     closing: Dict[int, List[int]] = {}     # label -> positions in ids, ascending
     for i, x in enumerate(labels):
         closing.setdefault(x, []).append(i)
-    cuts: List[FrozenSet[int]] = []
-    for j in range(1, k + 1):
-        for head in itertools.combinations(range(len(ids)), j - 1):
-            x = 0
-            for i in head:
-                x ^= labels[i]
-            after = head[-1] if head else -1
-            for last in closing.get(x, ()):
-                if last > after:
-                    cuts.append(frozenset(ids[i] for i in head + (last,)))
-    return tuple(cuts)
+    found: List[List[Tuple[int, ...]]] = [[(a,) for a in closing.get(0, ())], [], [], []]
+    if k >= 2:
+        found[1] = [(a, c) for a, x in enumerate(labels) for c in closing[x] if c > a]
+    if k >= 3:
+        pairs: Dict[int, List[Tuple[int, int]]] = {}
+        for a, la in enumerate(labels):
+            for b in range(a + 1, len(labels)):
+                pairs.setdefault(la ^ labels[b], []).append((a, b))
+        threes, fours = found[2], found[3]
+        for x, same in pairs.items():
+            if x in closing:
+                threes += [(a, b, c) for a, b in same for c in closing[x] if c > b]
+            if k >= 4 and len(same) > 1:
+                for i, (a, b) in enumerate(same):
+                    fours += [(a, b, c, d) for c, d in same[i + 1:] if b < c]
+        threes.sort()
+        fours.sort()
+    return tuple(frozenset(ids[i] for i in cut) for cuts in found[:k] for cut in cuts)
 
 
 def enumerate_cuts_upto(G: Multigraph, k: int) -> Tuple[FrozenSet[int], ...]:
@@ -297,8 +309,10 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> Tuple[FrozenSet[int], ...]:
     sorted by size, then by sorted edge ids.
 
     Works in the cycle space: an edge set is a cut exactly when the XOR of
-    its labels (see _cycle_space_labels) is 0.  For each size j <= k the
-    search costs O(C(m, j-1)) dictionary lookups.
+    its labels (see _cycle_space_labels) is 0.  Cuts of 3 and 4 edges are
+    met in the middle over pairs of edges (see _cuts_upto), so the search
+    costs O(m) dictionary lookups for k <= 2 and O(m^2) plus the output for
+    k = 3 and 4.
     """
     if k > 4:
         raise GraphError("cut enumeration is limited to k <= 4")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Sequence, Tuple
 
 from . import serialize
@@ -29,8 +30,6 @@ from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
 from .lp import LpResult, initial_shores, membership
 from .table import check_fields, lookup_row
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -105,24 +104,37 @@ def _check_subtour_optimum(G: Multigraph, value: Fraction, x: EdgeVector,
     check = membership(G, x)
     if not check.inside:
         raise VerifyError(f"x is not in the subtour polytope: {check.detail}")
-    total = sum((e.weight * x.get(e.id, ZERO) for e in G.edges), ZERO)
-    if total != value:
-        raise VerifyError(f"x weighs {total}, not the stored {value_field} {value}")
+    # Every sum runs in ints over the lcm Q of all denominators, as
+    # coverage() does; a Fraction is built only for a report.
+    Q = lcm(value.denominator, *(e.weight.denominator for e in G.edges),
+            *(v.denominator for v in x.values()), *(y.denominator for _, y in dual))
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (Q // q.denominator)
+
+    weight = {e.id: scaled(e.weight) for e in G.edges}
+    total = sum(weight[eid] * scaled(v) for eid, v in x.items())
+    if total != scaled(value) * Q:
+        raise VerifyError(f"x weighs {Fraction(total, Q * Q)}, "
+                          f"not the stored {value_field} {value}")
     n = G.n
-    load: Dict[int, Fraction] = {}
+    load: Dict[int, int] = {}
+    ysum = 0
     for i, (shore, y) in enumerate(dual):
         _check_shore(shore, n, f"{dual_field}[{i}] shore")
         if y < 0:
             raise VerifyError(f"{dual_field}[{i}] has y = {y} < 0")
+        iy = scaled(y)
+        ysum += iy
         for eid in cut_edges(G, shore):
-            load[eid] = load.get(eid, ZERO) + y
+            load[eid] = load.get(eid, 0) + iy
     for e in G.edges:
-        if load.get(e.id, ZERO) > e.weight:
-            raise VerifyError(f"the y of {dual_field} load e{e.id} with {load[e.id]}, "
-                              f"more than its weight {e.weight}")
-    bound = 2 * sum((y for _, y in dual), ZERO)
-    if bound != value:
-        raise VerifyError(f"2 * sum(y) over {dual_field} is {bound}, "
+        if load.get(e.id, 0) > weight[e.id]:
+            raise VerifyError(f"the y of {dual_field} load e{e.id} with "
+                              f"{Fraction(load[e.id], Q)}, more than its weight {e.weight}")
+    bound = 2 * ysum
+    if bound != scaled(value):
+        raise VerifyError(f"2 * sum(y) over {dual_field} is {Fraction(bound, Q)}, "
                           f"not the stored {value_field} {value}")
 
 

@@ -1,12 +1,15 @@
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
 
+from unicover.cyclecover import CycleCoverError, build_cycle_cover
 from unicover.decompose import DecompositionError, canonical
-from unicover.graph import Edge, Multigraph, connected_components, cut_edges
+from unicover.graph import (Edge, Multigraph, _cycle_space_labels, connected_components,
+                            cut_edges)
 from unicover.lp import min_cut
 from unicover.simplex import solve_lp
 
@@ -183,6 +186,63 @@ def mask_scan_min_tjoin(G, weights, T):
         mask &= ~(1 << i) & ~(1 << j)
     join = {eid: 1 for eid, m in join.items() if m}
     return Fraction(sum(iw[eid] for eid in join), scale), join
+
+
+def triple_scan_cuts(label, k):
+    """Reference oracle for graph._cuts_upto: the edge sets of at most k
+    edges whose labels XOR to 0, found by letting every (j-1)-subset of
+    positions, in lexicographic order, look up the edges of higher position
+    whose label closes it, so 4-edge cuts cost a scan of all triples."""
+    ids = sorted(label)
+    labels = [label[eid] for eid in ids]
+    closing = {}
+    for i, x in enumerate(labels):
+        closing.setdefault(x, []).append(i)
+    cuts = []
+    for j in range(1, k + 1):
+        for head in itertools.combinations(range(len(ids)), j - 1):
+            x = 0
+            for i in head:
+                x ^= labels[i]
+            after = head[-1] if head else -1
+            for last in closing.get(x, ()):
+                if last > after:
+                    cuts.append(frozenset(ids[i] for i in head + (last,)))
+    return tuple(cuts)
+
+
+def set_scan_matchings(G):
+    """Reference oracle for cyclecover._perfect_matchings: every perfect
+    matching, the lowest unmatched vertex matched first along the edges of
+    a full scan in id order."""
+    edges = sorted(G.edges, key=lambda e: e.id)
+
+    def rec(used, chosen):
+        if len(used) == G.n:
+            yield tuple(chosen)
+            return
+        v = min(set(range(G.n)) - used)
+        for e in edges:
+            if v in (e.u, e.v) and e.u not in used and e.v not in used:
+                chosen.append(e.id)
+                yield from rec(used | {e.u, e.v}, chosen)
+                chosen.pop()
+
+    yield from rec(frozenset(), [])
+
+
+def set_scan_search(G):
+    """Reference oracle for cyclecover._search on a connected G: the first
+    matching of set_scan_matchings whose complement, as a set, meets every
+    3- and 4-edge cut of triple_scan_cuts in at least two edges."""
+    cuts = [c for c in triple_scan_cuts(_cycle_space_labels(G.edges, G.adjacency()), 4)
+            if len(c) >= 3]
+    all_ids = set(G.edge_ids())
+    for matching in set_scan_matchings(G):
+        cover = all_ids - set(matching)
+        if all(len(cover & c) >= 2 for c in cuts):
+            return build_cycle_cover(G, cover, cuts)
+    raise CycleCoverError("no cycle cover found covering all 3- and 4-edge cuts")
 
 
 def kernel_vector(cols, nrows):

@@ -17,7 +17,7 @@ from unicover.lp import min_cut
 from unicover.verify import verify_document
 
 from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, make_graph, regular_multigraphs,
-                      unit_min_cut)
+                      set_scan_matchings, set_scan_search, unit_min_cut)
 
 
 def brute_force_cover(g):
@@ -149,6 +149,19 @@ class TestContraction:
 
 CUBIC = (k4(), k33(), prism(), petersen(), heawood(), mobius_kantor(),
          random_cubic_3ec(10, 1), random_cubic_3ec(12, 2), TWO_CUT_CUBIC, BRIDGED_CUBIC)
+
+
+@pytest.mark.parametrize("g", CUBIC)
+def test_perfect_matchings_follow_the_set_scan(g):
+    assert list(_perfect_matchings(g)) == list(set_scan_matchings(g))
+
+
+# All but BRIDGED_CUBIC, which fails the profile test.
+@pytest.mark.parametrize("g", CUBIC[:-1] + tuple(
+    random_cubic_3ec(n, seed) for n in (14, 18, 24) for seed in (1, 2)))
+def test_search_follows_the_set_scan(g):
+    """The bitmask search returns the set scan's cover, built alike."""
+    assert find_covering_cycle_cover(g) == set_scan_search(g)
 
 
 @st.composite

@@ -10,13 +10,14 @@ from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor
                                petersen, prism, random_cubic_3ec,
                                random_subcubic_2ec)
 from unicover.graph import (PROFILES, Edge, GraphError, Multigraph, NodeWeights,
-                            classify, connected_components, contract, cut_edges,
+                            _cuts_upto, _cycle_space_labels, classify,
+                            connected_components, contract, cut_edges,
                             enumerate_cuts_upto, is_bipartite, multiset_degrees,
                             multiset_union, multiset_weight, node_weights_of,
                             validate_structure)
 
 from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, make_graph, regular_multigraphs,
-                      shore_holding_zero, unit_min_cut)
+                      shore_holding_zero, triple_scan_cuts, unit_min_cut)
 
 F = Fraction
 
@@ -177,6 +178,28 @@ def connected_multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_cut_enumeration_matches_brute_force(g, k):
     assert enumerate_cuts_upto(g, k) == brute_force_cuts(g, k)
+
+
+# Labels of 2-5 bits, so that zero labels, repeated labels and pairs with
+# equal XOR are common.
+narrow_labels = st.integers(2, 5).flatmap(lambda bits: st.dictionaries(
+    st.integers(0, 40), st.integers(0, (1 << bits) - 1), max_size=14))
+
+
+@given(narrow_labels, st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_cuts_upto_follows_the_triple_scan(label, k):
+    """The pair table lists the same sets as the triple scan, in the same order."""
+    assert _cuts_upto(label, k) == triple_scan_cuts(label, k)
+
+
+@given(st.one_of(
+    st.builds(random_cubic_3ec, st.integers(2, 16).map(lambda h: 2 * h), st.integers(0, 99)),
+    st.builds(lcf_5, st.integers(6, 16).map(lambda h: 2 * h))), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_cut_enumeration_follows_the_triple_scan_on_cubic_graphs(g, k):
+    label = _cycle_space_labels(g.edges, g.adjacency())
+    assert enumerate_cuts_upto(g, k) == triple_scan_cuts(label, k)
 
 
 class TestCutEnumeration:

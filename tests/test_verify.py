@@ -4,6 +4,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicover import serialize, simplex
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
@@ -14,10 +16,11 @@ from unicover.connectors import decomposition, even_2cut_connectors
 from unicover.decompose import make_combination
 from unicover.families import (heawood, k4, k33, petersen, random_node_weights,
                                random_subcubic_2ec)
-from unicover.graph import NodeWeights
-from unicover.lp import everywhere, solve_subtour
+from unicover.graph import GraphError, NodeWeights, cut_edges
+from unicover.lp import everywhere, membership, solve_subtour
 from unicover.serialize import ParseError
-from unicover.verify import verify_document
+from unicover.verify import (VerifyError, _check_shore, _check_subtour_optimum,
+                             verify_document)
 
 from conftest import make_graph
 
@@ -567,3 +570,72 @@ def test_approx_solution_out_of_edge_id_order():
     doc["solution"].reverse()
     rep = verify_document(doc)
     assert not rep.ok and "solution" in rep.detail, rep
+
+
+def fraction_sum_subtour_check(G, value, x, dual, fields=("lower_bound", "dual")):
+    """Reference oracle for verify._check_subtour_optimum: the same checks in
+    the same order, with w.x, the dual loads and sum(y) summed in Fractions."""
+    value_field, dual_field = fields
+    check = membership(G, x)
+    if not check.inside:
+        raise VerifyError(f"x is not in the subtour polytope: {check.detail}")
+    total = sum((e.weight * x.get(e.id, F(0)) for e in G.edges), F(0))
+    if total != value:
+        raise VerifyError(f"x weighs {total}, not the stored {value_field} {value}")
+    load = {}
+    for i, (shore, y) in enumerate(dual):
+        _check_shore(shore, G.n, f"{dual_field}[{i}] shore")
+        if y < 0:
+            raise VerifyError(f"{dual_field}[{i}] has y = {y} < 0")
+        for eid in cut_edges(G, shore):
+            load[eid] = load.get(eid, F(0)) + y
+    for e in G.edges:
+        if load.get(e.id, F(0)) > e.weight:
+            raise VerifyError(f"the y of {dual_field} load e{e.id} with {load[e.id]}, "
+                              f"more than its weight {e.weight}")
+    bound = 2 * sum((y for _, y in dual), F(0))
+    if bound != value:
+        raise VerifyError(f"2 * sum(y) over {dual_field} is {bound}, "
+                          f"not the stored {value_field} {value}")
+
+
+def _weighted(g):
+    """g with weights of several denominators."""
+    return g.with_weights({e.id: F(1 + e.id % 3, 1 + e.id % 4) for e in g.edges})
+
+
+SUBTOUR_OPTIMA = [(g, solve_subtour(g)) for g in (
+    petersen(), _weighted(k33()), _weighted(random_subcubic_2ec(10, 1)),
+    random_node_weights(10, 2).induced_graph(petersen()))]
+
+
+@st.composite
+def tampered_optima(draw):
+    """A stored subtour optimum (value, x, dual), with a few x entries
+    raised (so x stays in the polytope), a few y replaced and sometimes the
+    value moved."""
+    g, lp = draw(st.sampled_from(SUBTOUR_OPTIMA))
+    small = st.fractions(F(-1, 2), F(3), max_denominator=12)
+    x = dict(lp.x)
+    for eid in draw(st.lists(st.sampled_from(sorted(x)), max_size=2)):
+        x[eid] += abs(draw(small))
+    dual = [(c.shore, y) for c, y in zip(lp.cuts, lp.duals)]
+    for i in draw(st.lists(st.integers(0, len(dual) - 1), max_size=2)):
+        dual[i] = (dual[i][0], draw(small))
+    value = lp.value + draw(st.sampled_from([0, 0, F(1, 3), F(-1, 2)]))
+    return g, value, x, dual
+
+
+@given(tampered_optima())
+@settings(max_examples=200, deadline=None)
+def test_subtour_optimum_check_sums_like_fractions(drawn):
+    """The int sums accept exactly what the Fraction sums accept, and
+    report every failure with the same words and numbers."""
+    def outcome(check):
+        try:
+            check(*drawn)
+        except GraphError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(_check_subtour_optimum) == outcome(fraction_sum_subtour_check)
