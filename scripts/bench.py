@@ -10,10 +10,13 @@ and, with --baseline DIR, in a second source checkout ("parent"),
 alternating which runs first from seed to seed.  The file keeps every run's
 end-to-end metrics, failed/attempted counts and determinism fingerprint, and
 the median of each metric over the seeds.  With a baseline it also keeps,
-and prints at the end, per workload: the number of seeds on which the
-change was better, the seeds whose parent and change fingerprints differ,
-and the parent's spread of each metric, the distance between its quartiles
-(statistics.quantiles, exclusive method) over its median.
+and prints at the end, per workload: the seeds whose parent and change
+fingerprints differ, and for each metric the change's median over the
+parent's (median_ratio), the number of seeds on which the change was
+better, and the parent's spread, the distance between its quartiles
+(statistics.quantiles, exclusive method) over its median.  A gain is shown
+when the change wins nine tenths of the pairs and its median is beyond the
+parent's by more than that spread.
 
 Every run gets PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX that
 names one fresh temporary directory, so neither checkout's `__pycache__`
@@ -86,6 +89,13 @@ def fingerprint_differs(change: list, parent: list) -> list:
     return [c["seed"] for c, p in zip(change, parent) if c["fingerprint"] != p["fingerprint"]]
 
 
+def median_ratio(change: list, parent: list) -> dict:
+    """metric -> the change's median over the parent's."""
+    ours, theirs = medians(change), medians(parent)
+    return {name: ours[name] / theirs[name] for name in ours
+            if name in theirs and theirs[name]}
+
+
 def iqr_over_median(runs: list) -> dict:
     """metric -> (third quartile - first quartile) / median over the runs."""
     out = {}
@@ -152,14 +162,18 @@ def main() -> int:
             w: fingerprint_differs(runs["change"][w], runs["parent"][w]) for w in WORKLOADS}
         doc["parent_iqr_over_median"] = {
             w: iqr_over_median(runs["parent"][w]) for w in WORKLOADS}
+        doc["median_ratio"] = {
+            w: median_ratio(runs["change"][w], runs["parent"][w]) for w in WORKLOADS}
         for w in WORKLOADS:
             print(f"{w}: fingerprints differ on seeds {doc['fingerprint_differs'][w] or 'none'}")
             for name in declared:
                 spread = doc["parent_iqr_over_median"][w].get(name)
-                print(f"  {name:18} parent IQR/median "
-                      f"{'n/a' if spread is None else f'{spread:.1%}'}  "
+                ratio = doc["median_ratio"][w].get(name)
+                print(f"  {name:18} median change/parent "
+                      f"{'n/a' if ratio is None else f'{ratio:.3f}'}  "
                       f"change better in {doc['change_better_in'][w][name]}"
-                      f"/{len(runs['change'][w])}")
+                      f"/{len(runs['change'][w])}  parent IQR/median "
+                      f"{'n/a' if spread is None else f'{spread:.1%}'}")
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

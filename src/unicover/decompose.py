@@ -23,12 +23,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
-                    union)
+                    scale_to_ints, union)
 from .lp import membership, one_edge_cuts
 from .simplex import Tableau
 
@@ -71,10 +71,9 @@ class ConvexCombination:
     def coverage(self) -> EdgeVector:
         """sum(coefficient * multiplicity) per edge, summed in ints over the
         lcm Q of the coefficients' denominators and divided by Q once."""
-        Q = lcm(*(t.coefficient.denominator for t in self.terms))
+        Q, coeffs = scale_to_ints(t.coefficient for t in self.terms)
         sums: Dict[int, int] = {}
-        for t in self.terms:
-            c = t.coefficient.numerator * (Q // t.coefficient.denominator)
+        for c, t in zip(coeffs, self.terms):
             for eid, mult in t.edges:
                 sums[eid] = sums.get(eid, 0) + c * mult
         return {eid: Fraction(v, Q) for eid, v in sums.items()}
@@ -148,30 +147,33 @@ def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
     negative coefficient, and when more than `limit` of the terms are
     affinely independent.
 
-    One fraction-free elimination over the columns (chi, 1) of the sorted
-    terms: cross-multiply by the pivot entries, then divide by the gcd.  The
-    coefficients are ints c over one common denominator Q.  At a dependent
-    column j the kernel of the columns so far is one-dimensional; its vector
-    d (d_j > 0) steps c_i -> c_i·d_k − c_k·d_i and Q -> Q·d_k, with k the
-    least c_k / d_k over d_k > 0, found by cross-multiplying; the terms that
-    reach 0 drop.  If one earlier term f drops, every stored combination is
-    rewritten without f through d and the pass goes on at the next column;
-    if term j drops, nothing needs rewriting.  Only when several drop does
-    the elimination start again from column 0.  The kernel at the first
-    dependent column is unique up to scale, so the steps are those of
-    restarting the elimination after every drop."""
-    merged: Dict[CanonicalObject, Fraction] = {}
-    for coeff, obj in terms:
-        if coeff < 0:
+    The coefficients are ints c over one common denominator Q, the lcm of
+    all the input denominators, from the merge of equal objects on; a
+    Fraction is built only for each returned coefficient.  One
+    fraction-free elimination runs over the columns (chi, 1) of the sorted
+    terms: cross-multiply by the pivot entries, then divide by the gcd.  At
+    a dependent column j the kernel of the columns so far is
+    one-dimensional; its vector d (d_j > 0) steps c_i -> c_i·d_k − c_k·d_i
+    and Q -> Q·d_k, with k the least c_k / d_k over d_k > 0, found by
+    cross-multiplying; the terms that reach 0 drop.  If one earlier term f
+    drops, every stored combination is rewritten without f through d and
+    the pass goes on at the next column; if term j drops, nothing needs
+    rewriting.  Only when several drop does the elimination start again
+    from column 0.  The kernel at the first dependent column is unique up
+    to scale, so the steps are those of restarting the elimination after
+    every drop."""
+    Q, scaled = scale_to_ints(coeff for coeff, _ in terms)
+    merged: Dict[CanonicalObject, int] = {}
+    for a, (coeff, obj) in zip(scaled, terms):
+        if a < 0:
             raise DecompositionError(f"term {canonical(obj)} has coefficient {coeff} < 0")
-        if coeff:
+        if a:
             key = canonical(obj)
-            merged[key] = merged.get(key, ZERO) + coeff
+            merged[key] = merged.get(key, 0) + a
     keys = sorted(merged)
+    c = [merged[key] for key in keys]
     if len(keys) <= limit:
-        return [(merged[key], dict(key)) for key in keys]
-    Q = lcm(*(merged[key].denominator for key in keys))
-    c = [merged[key].numerator * (Q // merged[key].denominator) for key in keys]
+        return [(Fraction(a, Q), dict(key)) for key, a in zip(keys, c)]
     rowindex = {eid: i for i, eid in enumerate(sorted({e for key in keys for e, _ in key}))}
     vecs: List[List[int]] = []      # reduced kept columns
     combos: List[List[int]] = []    # each one's combination of the columns 0..j-1
@@ -367,13 +369,11 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
         raise GraphError("odd |T|")
     if not T:
         return ZERO, {}
-    allowed = set(weights)
-    scale = lcm(*(weights[eid].denominator for eid in allowed))
-    iw = {eid: weights[eid].numerator * (scale // weights[eid].denominator)
-          for eid in allowed}
+    scale, ints = scale_to_ints(weights.values())
+    iw = dict(zip(weights, ints))
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]
     for e in G.edges:
-        if e.id in allowed:
+        if e.id in iw:
             adj[e.u].append((e.v, iw[e.id], e.id))
             adj[e.v].append((e.u, iw[e.id], e.id))
     terms = sorted(T)
@@ -492,8 +492,7 @@ def _one_cover_price(crossing: List[FrozenSet[int]], candidate_ids: Set[int]) ->
         w = [weights.get(eid, 0) for eid in relevant]
         if any(v < 0 for v in w):
             raise DecompositionError("1-cover pricing needs nonnegative weights")
-        scale = lcm(*(v.denominator for v in w))
-        iw = [v.numerator * (scale // v.denominator) for v in w]
+        scale, iw = scale_to_ints(w)
         best, best_cover = None, ()
         for cover in covers:
             total = sum(iw[i] for i in cover)

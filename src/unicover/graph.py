@@ -1,12 +1,16 @@
 """Multigraph representation, cut enumeration, contraction and structural classifiers.
 
-All arithmetic on weights is exact (fractions.Fraction).  Graphs are immutable
-after construction; every operation returns new values.
+All arithmetic on weights is exact: weights are fractions.Fraction, and sums
+of them (total weights, multiset weights, node-induced edge weights) run in
+ints over the lcm of the denominators (scale_to_ints), with one Fraction
+built for the result.  Graphs are immutable after construction; every
+operation returns new values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -15,6 +19,14 @@ EdgeVector = Dict[int, Fraction]       # edge id -> exact rational >= 0
 
 class GraphError(ValueError):
     pass
+
+
+def scale_to_ints(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """(Q, [v·Q for each v]) with Q the lcm of the values' denominators (1
+    for no values): exact rationals as ints over one common denominator."""
+    values = list(values)
+    Q = lcm(*(v.denominator for v in values))
+    return Q, [v.numerator * (Q // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,17 @@ class Multigraph:
         return deg
 
     def total_weight(self) -> Fraction:
-        return sum((e.weight for e in self.edges), Fraction(0))
+        Q, weights = scale_to_ints(e.weight for e in self.edges)
+        return Fraction(sum(weights), Q)
 
     def with_weights(self, weights: Mapping[int, Fraction]) -> "Multigraph":
-        return Multigraph(self.n, tuple(
-            Edge(e.u, e.v, Fraction(weights[e.id]), e.id) for e in self.edges))
+        """The same edges with new weights; a weight that is not already a
+        Fraction is made one."""
+        edges = []
+        for e in self.edges:
+            w = weights[e.id]
+            edges.append(Edge(e.u, e.v, w if isinstance(w, Fraction) else Fraction(w), e.id))
+        return Multigraph(self.n, tuple(edges))
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> List[List[Tuple[int, int]]]:
@@ -87,12 +105,17 @@ class NodeWeights:
                 raise GraphError(f"node weight of vertex {i} must be positive")
 
     def total(self) -> Fraction:
-        return sum(self.f, Fraction(0))
+        L, a = scale_to_ints(self.f)
+        return Fraction(sum(a), L)
 
     def induced_graph(self, G: Multigraph) -> Multigraph:
+        """G weighted by w(uv) = f(u) + f(v), each a_u + a_v over L, with
+        a = f·L and L the lcm of the denominators of f."""
         if len(self.f) != G.n:
             raise GraphError("node weight vector length mismatch")
-        return G.with_weights({e.id: self.f[e.u] + self.f[e.v] for e in G.edges})
+        L, a = scale_to_ints(self.f)
+        return Multigraph(G.n, tuple(Edge(e.u, e.v, Fraction(a[e.u] + a[e.v], L), e.id)
+                                     for e in G.edges))
 
 
 def node_weights_of(G: Multigraph, error: type) -> Tuple[Fraction, ...]:
@@ -361,10 +384,12 @@ def odd_vertices(G: Multigraph, H: EdgeMultiset) -> Set[int]:
 
 
 def multiset_weight(G: Multigraph, H: EdgeMultiset) -> Fraction:
-    total = Fraction(0)
-    for e in G.edges:
-        total += e.weight * H.get(e.id, 0)
-    return total
+    """sum(weight · multiplicity) over the edges of G that H uses, in ints
+    over the lcm of their weights' denominators; ids of H not in G count
+    for nothing."""
+    used = [(e.weight, H[e.id]) for e in G.edges if H.get(e.id)]
+    Q, weights = scale_to_ints(w for w, _ in used)
+    return Fraction(sum(w * mult for w, (_, mult) in zip(weights, used)), Q)
 
 
 def multiset_union(*parts: EdgeMultiset) -> EdgeMultiset:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import FrozenSet, List, Optional, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    _adjacency, _shore_of, cut_edges, is_connected, support_labels)
+                    _adjacency, _shore_of, cut_edges, is_connected, scale_to_ints,
+                    support_labels)
 from .simplex import LpError, Tableau
 
 ZERO = Fraction(0)
@@ -41,15 +41,14 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     n = G.n
     if n < 2:
         raise LpInputError("min cut needs at least 2 vertices")
-    for eid, c in cap.items():
-        if c < 0:
-            raise LpInputError("negative capacity")
-    scale = lcm(*(c.denominator for c in cap.values()))
+    scale, ints = scale_to_ints(cap.values())
+    if any(c < 0 for c in ints):
+        raise LpInputError("negative capacity")
+    icap = dict(zip(cap, ints))
     w = [[0] * n for _ in range(n)]
     for e in G.edges:
-        c = cap.get(e.id, 0)
+        c = icap.get(e.id, 0)
         if c:
-            c = c.numerator * (scale // c.denominator)
             w[e.u][e.v] += c
             w[e.v][e.u] += c
     groups: List[List[int]] = [[v] for v in range(n)]
@@ -191,4 +190,5 @@ def solve_subtour(G: Multigraph) -> LpResult:
 
 
 def everywhere(G: Multigraph, r: Fraction) -> EdgeVector:
-    return {e.id: Fraction(r) for e in G.edges}
+    r = Fraction(r)
+    return {e.id: r for e in G.edges}

@@ -34,7 +34,8 @@ class ParseError(GraphError):
 
 
 def frac_str(v: Fraction) -> str:
-    v = Fraction(v)
+    if type(v) is not int and not isinstance(v, Fraction):
+        v = Fraction(v)
     return f"{v.numerator}/{v.denominator}"
 
 

@@ -1,9 +1,12 @@
 """Exact fraction-free revised simplex (Bland's rule) with incremental columns.
 
-There is no floating point anywhere, and no `fractions.Fraction` inside a
-pivot or a pricing step.  One `Tableau` serves every LP.  It keeps the
-original columns as sparse ints and the basis as one integer matrix
-M = D·B⁻¹, where D = det(B) > 0, so M is the adjugate of B.  Each pivot is
+There is no floating point anywhere, and no `fractions.Fraction` inside
+the set-up, a pivot or a pricing step.  One `Tableau` serves every LP.  It
+is built from b scaled to ints over the lcm L of its denominators
+(graph.scale_to_ints), its identity basis as sparse unit columns, and the
+costs as ints over their common denominator C.  It keeps the original
+columns as sparse ints and the basis as one integer matrix M = D·B⁻¹,
+where D = det(B) > 0, so M is the adjugate of B.  Each pivot is
 Edmonds' integer-preserving update (Bareiss 1968):
 
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
@@ -29,6 +32,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
+from .graph import scale_to_ints
+
 ZERO = Fraction(0)
 
 SparseColumn = List[Tuple[int, int]]     # (row, nonzero int entry), rows ascending
@@ -51,27 +56,26 @@ class Tableau:
 
     Column i < rows is the unit vector e_i with cost `identity_costs[i]`; these
     columns form the initial basis.  Further columns are supplied one by one.
-    Costs and b may be any rationals.
+    Costs and b may be ints or Fractions; b is scaled to ints over the lcm L
+    of its denominators, and the costs over their own common denominator C.
     """
 
     def __init__(self, b: Sequence[Fraction], identity_costs: Sequence[Fraction]):
         self.rows = len(b)
-        b = [Fraction(v) for v in b]
-        if any(v < 0 for v in b):
+        if len(identity_costs) != self.rows:
+            raise LpError("one identity cost per row")
+        self.L, self.beta = scale_to_ints(b)   # β = M . b . L
+        if any(v < 0 for v in self.beta):
             raise LpError("right-hand side must be nonnegative")
-        self.cols: List[SparseColumn] = []
+        self.cols: List[SparseColumn] = [[(i, 1)] for i in range(self.rows)]
         self.icosts: List[int] = []            # C * cost of each column, ints
         self.C = 1                             # common denominator of the costs
         self.basis = list(range(self.rows))
-        self.L = lcm(*(v.denominator for v in b)) if b else 1
         self.D = 1
         self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
-        self.beta = [int(v * self.L) for v in b]    # M . b . L
         self._pi: Optional[List[int]] = None    # C . c_B . M, once priced
-        for i, cost in enumerate(identity_costs):
-            col = [0] * self.rows
-            col[i] = 1
-            self.add_column(col, cost)
+        for cost in identity_costs:
+            self._append_cost(cost)
 
     def add_column(self, col: Sequence[int], cost: Fraction) -> int:
         """Add an integer column given in ORIGINAL coordinates; returns its index."""
@@ -94,13 +98,15 @@ class Tableau:
             self._append_cost(cost)
 
     def _append_cost(self, cost: Fraction) -> None:
-        cost = Fraction(cost)
-        if self.C % cost.denominator:
-            factor = lcm(self.C, cost.denominator) // self.C
+        """Append an int or Fraction cost as an int over C, raising C to the
+        lcm with the cost's denominator when it does not divide it."""
+        den = cost.denominator
+        if self.C % den:
+            factor = lcm(self.C, den) // self.C
             self.C *= factor
             self.icosts = [c * factor for c in self.icosts]
             self._pi = None
-        self.icosts.append(cost.numerator * (self.C // cost.denominator))
+        self.icosts.append(cost.numerator * (self.C // den))
 
     def _prices(self) -> List[int]:
         """π = C·c_B·M, so the reduced cost of column j is
@@ -248,9 +254,8 @@ def solve_lp(c: Sequence[Fraction],
         if rhs < 0:
             sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
             sign = -1
-        s = lcm(*(v.denominator for v in a)) if a else 1    # ints or Fractions
-        k = sign * s
-        norm.append(([v.numerator * (k // v.denominator) for v in a], sense, rhs * k, sign, s))
+        s, ints = scale_to_ints(a)                           # ints or Fractions
+        norm.append(([sign * v for v in ints], sense, rhs * (sign * s), sign, s))
 
     # Identity block: slack where possible, artificial (phase 1 cost)
     # otherwise.  The artificial of a row scaled by s stands for s times the

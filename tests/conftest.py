@@ -325,6 +325,58 @@ def restart_caratheodory(terms, limit, steps=None):
     return [(coeff, dict(key)) for key, coeff in work]
 
 
+def fraction_multiset_weight(G, H):
+    """Reference oracle for graph.multiset_weight: one Fraction product and
+    one Fraction addition per edge of G, multiplicity 0 for an id H lacks."""
+    total = Fraction(0)
+    for e in G.edges:
+        total += e.weight * H.get(e.id, 0)
+    return total
+
+
+def fraction_sum(values):
+    """Reference oracle for NodeWeights.total and Multigraph.total_weight:
+    the values added one by one as Fractions."""
+    return sum(values, Fraction(0))
+
+
+def fraction_induced_weights(f, G):
+    """Reference oracle for NodeWeights.induced_graph: edge id -> f(u) + f(v),
+    added as Fractions."""
+    return {e.id: Fraction(f[e.u] + f[e.v]) for e in G.edges}
+
+
+def fraction_tableau_state(b, identity_costs):
+    """Reference oracle for the state simplex.Tableau(b, identity_costs)
+    starts from: (L, beta, C, icosts, cols), with b made Fractions and beta
+    their products with L, and each identity column found by scanning a
+    dense unit vector."""
+    b = [Fraction(v) for v in b]
+    L = lcm(*(v.denominator for v in b)) if b else 1
+    beta = [int(v * L) for v in b]
+    C, icosts = 1, []
+    for cost in identity_costs:
+        cost = Fraction(cost)
+        if C % cost.denominator:
+            factor = lcm(C, cost.denominator) // C
+            C *= factor
+            icosts = [c * factor for c in icosts]
+        icosts.append(cost.numerator * (C // cost.denominator))
+    cols = []
+    for i in range(len(b)):
+        dense = [0] * len(b)
+        dense[i] = 1
+        cols.append([(k, v) for k, v in enumerate(dense) if v])
+    return L, beta, C, icosts, cols
+
+
+def fraction_frac_str(v):
+    """Reference oracle for serialize.frac_str: every value made a Fraction
+    first."""
+    v = Fraction(v)
+    return f"{v.numerator}/{v.denominator}"
+
+
 def support_components(G, H, without=()):
     """Components of the support of H (the edges of G with H positive) less
     the edges `without`."""

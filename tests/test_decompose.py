@@ -639,3 +639,21 @@ def test_tied_term_lists_reach_each_step_kind(kind):
     find(term_lists(TIED), reaches,
          settings=settings(database=None, derandomize=True, max_examples=1000,
                            phases=[Phase.generate]))
+
+
+MIXED = st.builds(F, st.integers(0, 12), st.integers(1, 12))
+
+
+@given(term_lists(MIXED))
+@settings(max_examples=300, deadline=None)
+def test_caratheodory_over_mixed_denominators_is_the_fraction_merge(case):
+    # The merge runs in ints over the lcm of every input denominator; the
+    # oracle merges as Fractions.  Equal lists, types included.
+    terms, limit = case
+    check_against_oracle(terms, limit)
+    try:
+        want = restart_caratheodory(terms, limit)
+    except DecompositionError:
+        return
+    got = caratheodory_reduce(terms, limit)
+    assert [(type(c), c, obj) for c, obj in got] == [(type(c), c, obj) for c, obj in want]

@@ -16,8 +16,10 @@ from unicover.graph import (PROFILES, Edge, GraphError, Multigraph, NodeWeights,
                             multiset_union, multiset_weight, node_weights_of,
                             validate_structure)
 
-from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, make_graph, regular_multigraphs,
-                      shore_holding_zero, triple_scan_cuts, unit_min_cut)
+from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, fraction_induced_weights,
+                      fraction_multiset_weight, fraction_sum, make_graph,
+                      regular_multigraphs, shore_holding_zero, triple_scan_cuts,
+                      unit_min_cut)
 
 F = Fraction
 
@@ -393,3 +395,56 @@ class TestNodeWeightsOf:
     def test_rejects_a_disconnected_graph(self):
         with pytest.raises(GraphError, match="disconnected"):
             node_weights_of(make_graph(4, [(0, 1), (2, 3)]), GraphError)
+
+
+# Exact sums in ints over one lcm, against the term-by-term Fraction sums.
+RATIONAL = st.builds(F, st.integers(0, 30), st.integers(1, 12))
+POSITIVE = st.one_of(st.builds(F, st.integers(1, 30), st.integers(1, 12)), st.integers(1, 30))
+
+
+@st.composite
+def weighted_graphs(draw, weight=st.one_of(RATIONAL, st.integers(0, 30))):
+    """2 to 8 vertices and up to 14 edges, each weighing a Fraction over a
+    denominator 1-12 or an int."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=14))
+    return Multigraph(n, tuple(Edge(u, v, draw(weight), i) for i, (u, v) in enumerate(pairs)))
+
+
+@given(weighted_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_multiset_weight_is_the_fraction_sum(g, data):
+    # Ids reach past G's edges, multiplicities include 0, and H may be empty.
+    H = data.draw(st.dictionaries(st.integers(0, g.m + 2), st.integers(0, 3)))
+    got = multiset_weight(g, H)
+    assert type(got) is F
+    assert got == fraction_multiset_weight(g, H)
+
+
+def test_multiset_weight_of_nothing():
+    g = make_graph(3, [(0, 1), (1, 2)], weight=F(5, 7))
+    for H in ({}, {0: 0, 1: 0}, {7: 2}):
+        assert type(multiset_weight(g, H)) is F and multiset_weight(g, H) == 0
+
+
+@given(weighted_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_induced_weights_and_totals_are_the_fraction_sums(g, data):
+    f = NodeWeights(tuple(data.draw(POSITIVE) for _ in range(g.n)))
+    gw = f.induced_graph(g)
+    assert [(e.u, e.v, e.id) for e in gw.edges] == [(e.u, e.v, e.id) for e in g.edges]
+    want = fraction_induced_weights(f.f, g)
+    for e in gw.edges:
+        assert type(e.weight) is F and e.weight == want[e.id]
+    for got, values in ((f.total(), f.f), (g.total_weight(), [e.weight for e in g.edges]),
+                        (gw.total_weight(), list(want.values()))):
+        assert type(got) is F and got == fraction_sum(values)
+
+
+def test_with_weights_makes_every_weight_a_fraction():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    third = F(1, 3)
+    gw = g.with_weights({0: third, 1: 2})
+    assert gw.edges[0].weight is third
+    assert type(gw.edges[1].weight) is F and gw.edges[1].weight == 2

@@ -13,7 +13,8 @@ from unicover import serialize, simplex
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 from unicover.verify import verify_document
 
-from conftest import brute_force_min_cut, brute_force_subtour, lp_over_cuts, make_graph
+from conftest import (brute_force_min_cut, brute_force_subtour, fraction_tableau_state,
+                      lp_over_cuts, make_graph)
 
 F = Fraction
 
@@ -87,6 +88,28 @@ class TestSimplex:
         tab.D = 2
         with pytest.raises(LpError, match="inexact division"):
             tab._pivot(0, [2], 1)
+
+
+    def test_one_identity_cost_per_row(self):
+        with pytest.raises(LpError, match="one identity cost per row"):
+            Tableau([F(1), F(2)], [F(0)])
+
+    def test_rejects_a_negative_right_hand_side(self):
+        with pytest.raises(LpError, match="nonnegative"):
+            Tableau([F(1), F(-1, 3)], [F(0), F(0)])
+
+
+@given(st.lists(st.one_of(st.builds(F, st.integers(0, 30), st.integers(1, 12)),
+                          st.integers(0, 30)), max_size=8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tableau_starts_from_the_fraction_state(b, data):
+    # b and the identity costs mix ints and Fractions over denominators 1-12.
+    cost = st.one_of(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+                     st.integers(-5, 5))
+    costs = data.draw(st.lists(cost, min_size=len(b), max_size=len(b)))
+    tab = Tableau(b, costs)
+    assert (tab.L, tab.beta, tab.C, tab.icosts, tab.cols) == fraction_tableau_state(b, costs)
+    assert all(type(v) is int for v in [tab.L, tab.C, *tab.beta, *tab.icosts])
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -19,6 +19,8 @@ from unicover.serialize import (ParseError, approx_from_json, approx_to_json,
                                 weights_from_text)
 from unicover.graph import NodeWeights
 
+from conftest import fraction_frac_str
+
 F = Fraction
 
 
@@ -126,3 +128,14 @@ class TestJson:
     def test_top_level_must_be_object(self):
         with pytest.raises(ParseError, match="object"):
             loads("[1, 2]")
+
+
+@given(st.one_of(st.integers(-50, 50), st.booleans(),
+                 st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+                 st.builds(lambda q: f" {q} ", st.builds(F, st.integers(-50, 50),
+                                                          st.integers(1, 12)))))
+@settings(max_examples=200, deadline=None)
+def test_frac_str_is_the_fraction_form(v):
+    # ints and Fractions are written as they are; anything else, bools and
+    # strings included, is made a Fraction first.
+    assert frac_str(v) == fraction_frac_str(v)
