@@ -44,7 +44,7 @@ def main() -> None:
         print(f"== {name} on {profile or 'weighted subcubic-2ec'} ==")
         for tag, G, f in instances(profile, args.n, args.instances):
             t0 = time.perf_counter()
-            res = approximate(name, G, f)
+            _, res = approximate(name, G, f)
             elapsed = time.perf_counter() - t0
             print(f"  {tag:12s} weight={res.weight} z={res.lower_bound} "
                   f"achieved={res.weight / res.lower_bound} claimed={res.ratio} "

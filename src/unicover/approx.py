@@ -88,10 +88,10 @@ def _parity_join(G: Multigraph, F: EdgeMultiset) -> Tuple[Fraction, EdgeMultiset
     return min_tjoin(G, {e.id: e.weight for e in G.edges}, odd_vertices(G, F))
 
 
-def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResult:
+def _node_weighted(Gw: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResult:
+    """The algorithm's result on Gw, a graph weighted by f."""
     spec = TABLE[algorithm]
-    require_profile(G, spec.profile, ApproxError)
-    Gw = f.induced_graph(G)
+    require_profile(Gw, spec.profile, ApproxError)
     z = 2 * f.total()
     cc, H = contracted_cycle_cover(Gw)
     # Cycle covers and perfect matchings have fixed weight on these inputs.
@@ -113,7 +113,7 @@ def _node_weighted(G: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResul
     # or more edges) with 2, and y = f_v on the cut around each vertex v
     # (the shore {1..n-1} stands for {0}) is tight on every edge, as
     # w_uv = f_u + f_v; both weigh 2 f(V) = z.
-    dual = tuple(zip(initial_shores(G.n), f.f[1:] + f.f[:1]))
+    dual = tuple(zip(initial_shores(Gw.n), f.f[1:] + f.f[:1]))
     return build_approx_result(Gw, algorithm, multiset_union(C, augment), z,
                                everywhere(Gw, Fraction(2, 3)), dual)
 
@@ -144,25 +144,26 @@ def _beta(G: Multigraph, algorithm: str) -> ApproxResult:
     return build_approx_result(G, algorithm, sol, z, lp.x, dual)
 
 
-def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]) -> ApproxResult:
-    """Run an approx row of the table.  A node-weighted algorithm needs f; a
-    beta algorithm runs on G weighted by f, or by its own edge weights when
-    f is None."""
-    if lookup_row(algorithm, "approx", ApproxError).profile is None:
-        return _beta(f.induced_graph(G) if f is not None else G, algorithm)
-    if f is None:
+def approximate(algorithm: str, G: Multigraph, f: Optional[NodeWeights]
+                ) -> Tuple[Multigraph, ApproxResult]:
+    """Run an approx row of the table on G weighted by f, and return that
+    graph with the result.  A node-weighted algorithm needs f; a beta
+    algorithm runs on G's own edge weights when f is None."""
+    beta = lookup_row(algorithm, "approx", ApproxError).profile is None
+    if f is None and not beta:
         raise ApproxError(f"{algorithm} needs node-weights")
-    return _node_weighted(G, f, algorithm)
+    Gw = G if f is None else f.induced_graph(G)
+    return Gw, _beta(Gw, algorithm) if beta else _node_weighted(Gw, f, algorithm)
 
 
 def tsp_7_5_node_weighted(G: Multigraph, f: NodeWeights) -> ApproxResult:
     """Tour of weight at most (7/5) of the cut lower bound."""
-    return _node_weighted(G, f, "tsp75")
+    return _node_weighted(f.induced_graph(G), f, "tsp75")
 
 
 def twoec_13_10_node_weighted(G: Multigraph, f: NodeWeights) -> ApproxResult:
     """2-edge-connected multigraph of weight at most (13/10) of the bound."""
-    return _node_weighted(G, f, "twoec1310")
+    return _node_weighted(f.induced_graph(G), f, "twoec1310")
 
 
 def twoec_beta(G: Multigraph) -> ApproxResult:

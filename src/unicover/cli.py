@@ -85,8 +85,7 @@ def _cmd_decompose(args) -> int:
         x = solve_subtour(G).x   # its last separation tests x
     else:
         x = {e.id: serialize.parse_frac(args.vector) for e in G.edges}
-        if args.what != "trees":   # decompose_spanning_trees tests its own input
-            require_subtour(G, x)
+        require_subtour(G, x)
     comb = decomposition(G, x, args.what)
     _emit(args, serialize.decomposition_to_json(G, comb, args.what),
           f"{len(comb.terms)} terms, relation {comb.relation}")
@@ -106,8 +105,7 @@ def _cmd_uniform_cover(args) -> int:
 def _cmd_approx(args) -> int:
     G = _read_graph(args.input)
     f = _node_weights(args.node_weights, G.n)
-    res = approximate(args.alg, G, f)
-    Gw = f.induced_graph(G) if f is not None else G
+    Gw, res = approximate(args.alg, G, f)
     _emit(args, serialize.approx_to_json(Gw, res),
           f"{res.algorithm}: weight {serialize.frac_str(res.weight)} <= "
           f"{serialize.frac_str(res.ratio)} * {serialize.frac_str(res.lower_bound)}")

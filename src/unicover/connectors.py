@@ -17,8 +17,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .graph import EdgeVector, GraphError, Multigraph, support_labels
 from .decompose import (ConvexCombination, DecompositionError, Terms, caratheodory_reduce,
-                        clip_at_two, decompose_connectors, decompose_spanning_trees,
-                        make_combination)
+                        clip_at_two, coverage_of, decompose_connectors, make_combination,
+                        pack_spanning_trees)
 
 ZERO = Fraction(0)
 
@@ -143,10 +143,7 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
                 else:
                     raise DecompositionError(
                         "normalization left two copies on a sub-1 edge")
-    cover: EdgeVector = {}
-    for coeff, f in terms:
-        for eid, m in f.items():
-            cover[eid] = cover.get(eid, ZERO) + coeff * m
+    cover = coverage_of([(coeff, f.items()) for coeff, f in terms])
     class_edges = {eid for cls in classes for eid in cls.edge_ids}
     for eid, v in cover.items():
         if v > xbar.get(eid, ZERO):
@@ -165,9 +162,9 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
 def decomposition(G: Multigraph, x: EdgeVector, kind: str) -> ConvexCombination:
     """The stored combination of a `unicover decompose` kind: spanning trees
     dominated by x, connectors equal to x clipped at 2, or even_2cut_connectors.
-    x must be in the subtour polytope; only the trees stage tests it."""
+    x must be in the subtour polytope; no kind tests it."""
     if kind == "trees":
-        return make_combination(G, decompose_spanning_trees(G, x), x, "dominated-by")
+        return make_combination(G, pack_spanning_trees(G, x), x, "dominated-by")
     if kind == "connectors":
         return make_combination(G, decompose_connectors(G, x), clip_at_two(x), "equals",
                                 "connector")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
@@ -69,14 +69,19 @@ class ConvexCombination:
         return {eid: v for eid, v in self.target}
 
     def coverage(self) -> EdgeVector:
-        """sum(coefficient * multiplicity) per edge, summed in ints over the
-        lcm Q of the coefficients' denominators and divided by Q once."""
-        Q, coeffs = scale_to_ints(t.coefficient for t in self.terms)
-        sums: Dict[int, int] = {}
-        for c, t in zip(coeffs, self.terms):
-            for eid, mult in t.edges:
-                sums[eid] = sums.get(eid, 0) + c * mult
-        return {eid: Fraction(v, Q) for eid, v in sums.items()}
+        return coverage_of([(t.coefficient, t.edges) for t in self.terms])
+
+
+def coverage_of(terms: Sequence[Tuple[Fraction, Iterable[Tuple[int, int]]]]) -> EdgeVector:
+    """sum(coefficient * multiplicity) per edge over (coefficient, (edge id,
+    multiplicity) pairs) terms, summed in ints over the lcm Q of the
+    coefficients' denominators and divided by Q once."""
+    Q, coeffs = scale_to_ints(c for c, _ in terms)
+    sums: Dict[int, int] = {}
+    for c, (_, edges) in zip(coeffs, terms):
+        for eid, mult in edges:
+            sums[eid] = sums.get(eid, 0) + c * mult
+    return {eid: Fraction(v, Q) for eid, v in sums.items()}
 
 
 def make_combination(G: Multigraph, terms: Sequence[Tuple[Fraction, EdgeMultiset]],
@@ -252,31 +257,15 @@ def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],
 # Column generation masters
 
 
-def _generate_columns(tab: Tableau, ids: Sequence[int], cost: Fraction,
-                      improving: Callable[[], Optional[EdgeMultiset]],
-                      ) -> List[Tuple[Fraction, EdgeMultiset]]:
-    """Column generation on a master whose rows are the edges `ids`, then
-    any convexity rows.  `improving` re-optimizes the master and returns an
-    object that prices out, or None once the master is optimal over the whole
-    class.  Each new column costs `cost`.  Returns the positive lambdas."""
-    index = {eid: i for i, eid in enumerate(ids)}
-    objects: List[EdgeMultiset] = []
-    known: Set[CanonicalObject] = set()
-    while True:
-        obj = improving()
-        if obj is None:
-            break
-        key = canonical(obj)
-        if key in known:
-            raise DecompositionError("pricing returned a known column; solver bug")
-        known.add(key)
-        objects.append(dict(key))
-        col = [0] * len(ids) + [1] * (tab.rows - len(ids))
-        for eid, mult in key:
-            col[index[eid]] = mult
-        tab.add_column(col, cost)
-    lambdas = tab.solution()[tab.rows:]
-    return [(lam, obj) for lam, obj in zip(lambdas, objects) if lam > 0]
+def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
+          obj: EdgeMultiset) -> List[int]:
+    """Keep obj and return its master column: its multiplicities on the edge
+    rows of `index`, then 1 on each convexity row up to `rows`."""
+    objects.append(obj)
+    col = [0] * len(index) + [1] * (rows - len(index))
+    for eid, mult in obj.items():
+        col[index[eid]] = mult
+    return col
 
 
 def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> Terms:
@@ -290,20 +279,20 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> Terms:
     it: every object weighs at least 1 under w, but w.x = sigma.
     """
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
-    ids = [eid for eid, _ in rows]
-    tab = Tableau([v for _, v in rows], [ZERO] * len(ids))    # slacks
+    index = {eid: i for i, (eid, _) in enumerate(rows)}
+    tab = Tableau([v for _, v in rows], [ZERO] * len(rows))    # slacks
+    objects: List[EdgeMultiset] = []
 
-    def improving() -> Optional[EdgeMultiset]:
-        tab.optimize()
-        pi, s = tab.int_duals()
-        value, obj = price({eid: -pi[i] for i, eid in enumerate(ids)})
-        return obj if value < s else None
+    def improving(pi: List[int], s: int) -> Optional[List[int]]:
+        value, obj = price({eid: -pi[i] for eid, i in index.items()})
+        return _keep(objects, index, tab.rows, obj) if value < s else None
 
-    raw = _generate_columns(tab, ids, -ONE, improving)
+    tab.generate(improving, -ONE)
+    raw = [(lam, obj) for lam, obj in zip(tab.solution()[tab.rows:], objects) if lam > 0]
     sigma = sum((lam for lam, _ in raw), ZERO)
     if sigma < 1:
         y = tab.duals()
-        w = {eid: -y[i] for i, eid in enumerate(ids)}
+        w = {eid: -y[i] for eid, i in index.items()}
         shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
         wx = sum((w[eid] * v for eid, v in rows), ZERO)
         raise DecompositionError(
@@ -320,19 +309,19 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
     edge rows, and must return an exact maximum weight object of the class;
     it prices out when it weighs more than -π of the convexity row.
     """
-    ids = [eid for eid, _ in target_rows]
-    nrows = len(ids) + 1               # + convexity row
+    index = {eid: i for i, (eid, _) in enumerate(target_rows)}
+    nrows = len(index) + 1             # + convexity row
     tab = Tableau([v for _, v in target_rows] + [ONE], [ONE] * nrows)   # artificials
-    artificials = set(range(nrows))
+    objects: List[EdgeMultiset] = []
 
-    def improving() -> Optional[EdgeMultiset]:
-        tab.optimize(forbidden=artificials if tab.obj == 0 else None)
-        pi, _ = tab.int_duals()
-        value, obj = price_max({eid: pi[i] for i, eid in enumerate(ids)})
-        return obj if value > -pi[-1] else None
+    def improving(pi: List[int], s: int) -> Optional[List[int]]:
+        value, obj = price_max({eid: pi[i] for eid, i in index.items()})
+        return _keep(objects, index, nrows, obj) if value > -pi[-1] else None
 
-    lambdas = _generate_columns(tab, ids, ZERO, improving)
-    return lambdas if tab.obj == 0 else None
+    tab.generate(improving, ZERO, forbidden=set(range(nrows)))
+    if tab.obj:
+        return None
+    return [(lam, obj) for lam, obj in zip(tab.solution()[nrows:], objects) if lam > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +534,17 @@ def require_subtour(G: Multigraph, x: EdgeVector) -> None:
         raise DecompositionError(f"input vector is outside subtour: {check.detail}")
 
 
-def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
-    """Spanning trees of the support of x, dominated by x.  Tests x for subtour
-    membership: the cover recipes hand in vectors that nothing else tests."""
-    require_subtour(G, x)
+def pack_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
+    """Spanning trees of the support of x, dominated by x; x is not tested."""
     support = {eid for eid, v in x.items() if v > 0}
     return _pack(G, x, "spanning tree", _mst_price(G, support))
+
+
+def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
+    """pack_spanning_trees after a subtour test of x: the cover recipes hand
+    in vectors that nothing else tests."""
+    require_subtour(G, x)
+    return pack_spanning_trees(G, x)
 
 
 def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:

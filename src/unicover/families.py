@@ -1,7 +1,7 @@
 """Named graph families and seeded random instance generators.
 
-All generators return unit edge weights; callers reweight via
-Multigraph.with_weights or NodeWeights.induced_graph.
+All generators return unit edge weights; the library reweights a graph
+only through NodeWeights.induced_graph.
 """
 from __future__ import annotations
 

@@ -2,11 +2,12 @@
 the cutting-plane subtour solver.
 
 The subtour LP is solved as its dual, max 2 * sum(y_S) with no edge loaded
-beyond its weight, by column generation on one simplex Tableau: each cut
-is a column, and each separation round adds one and pivots on from the
-current basis (the warm-started cutting-plane loop of Dantzig, Fulkerson
-and Johnson).  The two-phase simplex.solve_lp is not used; the tests check
-this solver against it.
+beyond its weight, on Tableau.generate, the column generation loop that the
+decomposition masters share: each cut is a column, and each separation
+round adds one and pivots on from the current basis (the warm-started
+cutting-plane loop of Dantzig, Fulkerson and Johnson, which is column
+generation on the dual).  The two-phase simplex.solve_lp is not used; the
+tests check this solver against it.
 
 The exact Stoer-Wagner min cut, run over the capacities scaled to ints,
 only separates and tests LP vectors: cuts of a graph with at most 4 edges,
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     _adjacency, _shore_of, cut_edges, is_connected, scale_to_ints,
                     support_labels)
-from .simplex import LpError, Tableau
+from .simplex import Tableau
 
 ZERO = Fraction(0)
 
@@ -145,45 +146,39 @@ def solve_subtour(G: Multigraph) -> LpResult:
 
         max 2 * sum(y_S)  s.t.  sum_{S : e in delta(S)} y_S <= w_e,  y >= 0
 
-    is solved by column generation on one Tableau, with a row per edge and
-    a column per cut.  Its slack basis is feasible (w >= 0), so no phase 1
-    runs.  The duals of the edge rows are the primal x = -pi / s; a
-    separation round cuts x (in ints, on the scale s) and adds a violated
-    cut as a column, and the simplex goes on from the current basis.  The
-    loop stops at the first x whose min cut is at least 2, so that last
-    separation is the subtour test of x."""
+    is solved by Tableau.generate, with a row per edge and a column per
+    cut.  Its slack basis is feasible (w >= 0), so no phase 1 runs.  The
+    duals of the edge rows are the primal x = -pi / s; a separation round
+    cuts x (in ints, on the scale s) and adds a violated cut as a column,
+    and the simplex goes on from the current basis.  The loop stops at the
+    first x whose min cut is at least 2, so that last separation is the
+    subtour test of x."""
     if G.n < 3:
         raise LpInputError("LP modules reject n < 3")
     if not is_connected(G):
         raise LpInputError("disconnected input")
-    ids = sorted(G.edge_ids())
-    index = {eid: i for i, eid in enumerate(ids)}
-    weight = {e.id: e.weight for e in G.edges}
-    tab = Tableau([weight[eid] for eid in ids], [ZERO] * len(ids))    # slacks
+    edges = sorted(G.edges, key=lambda e: e.id)
+    index = {e.id: i for i, e in enumerate(edges)}
+    tab = Tableau([e.weight for e in edges], [ZERO] * len(edges))    # slacks
     pool: List[Cut] = []
-    seen = set()
 
-    def add_cut(shore: Tuple[int, ...], edges: FrozenSet[int]) -> None:
-        col = [0] * len(ids)
-        for eid in edges:
+    def cut(shore: Tuple[int, ...]) -> List[int]:
+        crossing = cut_edges(G, shore)
+        pool.append(Cut(shore, crossing))
+        col = [0] * len(index)
+        for eid in crossing:
             col[index[eid]] = 1
-        tab.add_column(col, -2)      # min -2 * sum(y)
-        pool.append(Cut(shore, edges))
-        seen.add(edges)
+        return col
+
+    def separate(pi: List[int], s: int) -> Optional[List[int]]:
+        value, shore = min_cut(G, {eid: -pi[i] for eid, i in index.items()})
+        return None if value >= 2 * s else cut(shore)
 
     for shore in initial_shores(G.n):
-        add_cut(shore, cut_edges(G, shore))
-    while True:
-        tab.optimize()
-        pi, s = tab.int_duals()
-        mc_value, mc_shore = min_cut(G, {eid: -pi[i] for i, eid in enumerate(ids)})
-        if mc_value >= 2 * s:
-            break
-        edges = cut_edges(G, mc_shore)
-        if edges in seen:
-            raise LpError("separation returned a known cut; solver bug")
-        add_cut(mc_shore, edges)
-    x = {eid: Fraction(-pi[i], s) for i, eid in enumerate(ids) if pi[i]}
+        tab.add_column(cut(shore), -2)      # min -2 * sum(y)
+    tab.generate(separate, -2)
+    pi, s = tab.int_duals()
+    x = {eid: Fraction(-pi[i], s) for eid, i in index.items() if pi[i]}
     duals = tuple(tab.solution()[tab.rows:])
     return LpResult(value=2 * sum(duals, ZERO), x=x, cuts=tuple(pool),
                     separation_rounds=len(pool) - G.n, duals=duals)

@@ -18,19 +18,20 @@ p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for π).  Reduced costs come
 from π = C·c_B·M and the original columns, and α is formed only for the
 entering column, so new columns cost nothing until they are priced.  The
 values `obj`, `solution()` and `duals()` are divided out once, when they
-are read.  The column generation loops of `decompose` and of the subtour
-LP in `lp` add columns to one tableau, built on its identity basis, and
-price them from the undivided duals (`int_duals()`), so pricing and
-separation build no Fraction.  `solve_lp`, the two-phase solver for general
-rows, scales rows to ints first; the library does not call it, and the
-tests keep it as their reference LP solver.
+are read.  `generate` is the library's one column generation loop: the
+subtour LP's cutting planes in `lp` and both decomposition masters in
+`decompose` run on it.  Each starts from its identity basis and prices from
+the undivided duals (`int_duals()`), so pricing and separation build no
+Fraction.  `solve_lp`, the two-phase solver for general rows, scales rows
+to ints first; the library does not call it, and the tests keep it as
+their reference LP solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .graph import scale_to_ints
 
@@ -88,6 +89,25 @@ class Tableau:
         self.cols.append(sparse)
         self._append_cost(cost)
         return len(self.cols) - 1
+
+    def generate(self, price: Callable[[List[int], int], Optional[Sequence[int]]],
+                 cost: Fraction, forbidden: Optional[set] = None) -> None:
+        """Column generation: optimize, hand the undivided duals (π, s) to
+        `price` and add the column it returns at `cost`, until it returns
+        None.  `forbidden` applies once the objective is 0 (after phase 1).
+        A column added before the call is known, an identity column is not;
+        pricing a known column raises LpError."""
+        known = {tuple(col) for col in self.cols[self.rows:]}
+        while True:
+            self.optimize(forbidden if forbidden and self.obj == 0 else None)
+            col = price(*self.int_duals())
+            if col is None:
+                return
+            key = tuple((i, v) for i, v in enumerate(col) if v)
+            if key in known:
+                raise LpError("pricing returned a known column; solver bug")
+            known.add(key)
+            self.add_column(col, cost)
 
     def set_costs(self, costs: Sequence[Fraction]) -> None:
         """Replace the cost of every column."""

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Sequence, Tuple
 
 from . import serialize
 from .graph import (EdgeVector, GraphError, Multigraph, cut_edges, node_weights_of,
-                    require_profile)
+                    require_profile, scale_to_ints)
 from .approx import ApproxResult, build_approx_result
 from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult, build_cycle_cover, small_cuts
@@ -106,25 +105,20 @@ def _check_subtour_optimum(G: Multigraph, value: Fraction, x: EdgeVector,
         raise VerifyError(f"x is not in the subtour polytope: {check.detail}")
     # Every sum runs in ints over the lcm Q of all denominators, as
     # coverage() does; a Fraction is built only for a report.
-    Q = lcm(value.denominator, *(e.weight.denominator for e in G.edges),
-            *(v.denominator for v in x.values()), *(y.denominator for _, y in dual))
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (Q // q.denominator)
-
-    weight = {e.id: scaled(e.weight) for e in G.edges}
-    total = sum(weight[eid] * scaled(v) for eid, v in x.items())
-    if total != scaled(value) * Q:
+    m, k = G.m, len(x)
+    Q, ints = scale_to_ints([value, *(e.weight for e in G.edges), *x.values(),
+                             *(y for _, y in dual)])
+    weight = dict(zip((e.id for e in G.edges), ints[1:m + 1]))
+    total = sum(weight[eid] * v for eid, v in zip(x, ints[m + 1:m + 1 + k]))
+    if total != ints[0] * Q:
         raise VerifyError(f"x weighs {Fraction(total, Q * Q)}, "
                           f"not the stored {value_field} {value}")
-    n = G.n
     load: Dict[int, int] = {}
     ysum = 0
-    for i, (shore, y) in enumerate(dual):
-        _check_shore(shore, n, f"{dual_field}[{i}] shore")
+    for i, ((shore, y), iy) in enumerate(zip(dual, ints[m + 1 + k:])):
+        _check_shore(shore, G.n, f"{dual_field}[{i}] shore")
         if y < 0:
             raise VerifyError(f"{dual_field}[{i}] has y = {y} < 0")
-        iy = scaled(y)
         ysum += iy
         for eid in cut_edges(G, shore):
             load[eid] = load.get(eid, 0) + iy
@@ -133,7 +127,7 @@ def _check_subtour_optimum(G: Multigraph, value: Fraction, x: EdgeVector,
             raise VerifyError(f"the y of {dual_field} load e{e.id} with "
                               f"{Fraction(load[e.id], Q)}, more than its weight {e.weight}")
     bound = 2 * ysum
-    if bound != scaled(value):
+    if bound != ints[0]:
         raise VerifyError(f"2 * sum(y) over {dual_field} is {Fraction(bound, Q)}, "
                           f"not the stored {value_field} {value}")
 

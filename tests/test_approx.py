@@ -63,14 +63,14 @@ class TestNodeWeighted:
 
 class TestBipartite:
     def test_k33_tour(self):
-        res = approximate("bip43", k33(), unit_weights(6))
+        _, res = approximate("bip43", k33(), unit_weights(6))
         assert res.ratio == F(4, 3)
         assert res.weight <= F(4, 3) * res.lower_bound
 
     def test_heawood_both_targets(self):
         f = unit_weights(14)
-        tour = approximate("bip43", heawood(), f)
-        twoec = approximate("bip54", heawood(), f)
+        _, tour = approximate("bip43", heawood(), f)
+        _, twoec = approximate("bip54", heawood(), f)
         assert tour.ratio == F(4, 3) and twoec.ratio == F(5, 4)
         assert twoec.weight <= tour.weight
 

@@ -3,7 +3,8 @@ test per call, and no global min cut of a (graph, capacity) pair that the
 call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
 labelling, with no component count.  A pipeline labels its terms once, at
-its end.  A CLI call builds the parser of its own command only."""
+its end.  A CLI call builds the parser of its own command only, and
+weights a node-weighted graph once."""
 import argparse
 import sys
 from collections import Counter
@@ -140,10 +141,10 @@ def test_approximate_tests_each_fact_once(calls, algorithm):
         assert len(calls["min_cut"]) == rounds + 1
 
 
-@pytest.mark.parametrize("kind", ("connectors", "even2cut"))
+@pytest.mark.parametrize("kind", ("trees", "connectors", "even2cut"))
 def test_decompose_cuts_the_lp_optimum_once(calls, tmp_path, kind):
-    # The last separation of solve_subtour tests the optimum that the
-    # connector stages are handed.
+    # The last separation of solve_subtour tests the optimum that every
+    # kind is handed.
     G = random_node_weights(10, 3).induced_graph(random_subcubic_2ec(10, 3))
     rounds = lp.solve_subtour(G).separation_rounds
     calls["min_cut"].clear()
@@ -151,6 +152,27 @@ def test_decompose_cuts_the_lp_optimum_once(calls, tmp_path, kind):
     path.write_text(serialize.graph_to_text(G))
     assert cli.main(["decompose", kind, str(path)]) == cli.EXIT_OK
     assert len(calls["min_cut"]) == rounds + 1
+
+
+@pytest.mark.parametrize("algorithm", ("tsp75", "twoecbeta"))
+def test_approx_cli_weights_the_graph_once(monkeypatch, tmp_path, capsys, algorithm):
+    G, f = _approx_input(algorithm)
+    want = serialize.dumps(serialize.approx_to_json(*approximate(algorithm, G, f)))
+    built = []
+    induced_graph = graph.NodeWeights.induced_graph
+
+    def counted(self, G):
+        built.append(G)
+        return induced_graph(self, G)
+
+    monkeypatch.setattr(graph.NodeWeights, "induced_graph", counted)
+    gpath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"
+    gpath.write_text(serialize.graph_to_text(G))
+    wpath.write_text("".join(f"{serialize.frac_str(v)}\n" for v in f.f))
+    assert cli.main(["approx", "--alg", algorithm, str(gpath),
+                     "--node-weights", str(wpath)]) == cli.EXIT_OK
+    assert len(built) == 1
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name", ("classify", "one_edge_cuts", "two_cut_classes"))

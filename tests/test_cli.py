@@ -182,25 +182,27 @@ class TestExitCodes:
         code, _, err = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
         assert code == EXIT_PRECONDITION and "parse error" in err
 
-    def test_pricing_failure_exits_2(self, capsys, monkeypatch):
-        # An oracle that keeps returning the same tree is a solver bug, not
-        # a failed verification.
+    @pytest.mark.parametrize("master", ["trees", "connectors", "subtour"])
+    def test_known_column_exits_2(self, capsys, monkeypatch, master):
+        # A pricing step that returns a column the master already has is a
+        # solver bug, not a failed verification: an oracle that keeps
+        # returning one tree or one connector, or a min cut that names a cut
+        # of the initial pool as violated.
         g = petersen()
         tree = {e.id: 1 for e in kruskal(list(range(g.n)), g.edges)}
-        monkeypatch.setattr(decompose, "_mst_price",
-                            lambda G, support: lambda weights: (0, dict(tree)))
-        code, out, err = run(capsys, monkeypatch, ["decompose", "trees", "--vector", "2/3"],
-                             stdin=graph_to_text(g))
+        if master == "trees":
+            monkeypatch.setattr(decompose, "_mst_price",
+                                lambda G, support: lambda weights: (0, dict(tree)))
+        elif master == "connectors":
+            monkeypatch.setattr(decompose, "_connector_price_max",
+                                lambda G, support: lambda weights: (10 ** 6, dict(tree)))
+        else:
+            monkeypatch.setattr(lp, "min_cut", lambda G, cap: (Fraction(0), (1,)))
+        command = (["solve-subtour"] if master == "subtour"
+                   else ["decompose", master, "--vector", "2/3"])
+        code, out, err = run(capsys, monkeypatch, command, stdin=graph_to_text(g))
         assert code == EXIT_PRECONDITION and out == ""
         assert err == "error: pricing returned a known column; solver bug\n"
-
-    def test_separation_failure_exits_2(self, capsys, monkeypatch):
-        # A min cut that names a cut of the initial pool as violated.
-        monkeypatch.setattr(lp, "min_cut", lambda G, cap: (Fraction(0), (1,)))
-        code, out, err = run(capsys, monkeypatch, ["solve-subtour"],
-                             stdin=graph_to_text(petersen()))
-        assert code == EXIT_PRECONDITION and out == ""
-        assert err == "error: separation returned a known cut; solver bug\n"
 
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         gfile = tmp_path / "g.txt"

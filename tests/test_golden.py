@@ -73,9 +73,9 @@ APPROX = [
      "737523519c52da64f4a84e978d95d8e2a8ca531f3092d52b5a3417cc159d880c"),
     ("twoec1310", lambda: _node_weighted(twoec_13_10_node_weighted, petersen, 10),
      "e83366a8356a84d0d57d208d679ca7442e8669aad5cecd8b033c8a285dd472d5"),
-    ("bip43", lambda: _node_weighted(lambda G, f: approximate("bip43", G, f), k33, 6),
+    ("bip43", lambda: _node_weighted(lambda G, f: approximate("bip43", G, f)[1], k33, 6),
      "4d037b06445450d569486d5fd4c0a213480c3cc5bba656a4c4581aff8582b10b"),
-    ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f), k33, 6),
+    ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f)[1], k33, 6),
      "5844e8fe36bbcd1619e164c47b598f41b1f7378432741922b20d46b3f71cb132"),
     ("twoecbeta", lambda: _beta(twoec_beta),
      "b31de670506327158ed491c275e66d2af1feb51816623ea71c47e50ee5185129"),

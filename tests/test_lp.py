@@ -99,6 +99,34 @@ class TestSimplex:
             Tableau([F(1), F(-1, 3)], [F(0), F(0)])
 
 
+def _pricer(*columns):
+    """A pricing step that returns the columns in turn, then None."""
+    queue = list(columns)
+    return lambda pi, s: queue.pop(0) if queue else None
+
+
+class TestGenerate:
+    """Tableau.generate on max y1 + y2 s.t. y <= (1, 1), in slack form."""
+
+    def test_a_repeated_column_raises(self):
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        with pytest.raises(LpError, match="pricing returned a known column"):
+            tab.generate(_pricer([1, 1], [1, 1]), F(-1))
+
+    def test_a_column_equal_to_an_identity_column_is_accepted(self):
+        # A one-edge T-join has the column of its edge row's slack.
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab.generate(_pricer([1, 0], [0, 1]), F(-1))
+        assert tab.cols[2:] == [[(0, 1)], [(1, 1)]]
+        assert tab.obj == -2 and tab.solution()[2:] == [1, 1]
+
+    def test_a_column_added_before_the_loop_is_known(self):
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab.add_column([1, 1], F(-1))
+        with pytest.raises(LpError, match="pricing returned a known column"):
+            tab.generate(_pricer([1, 1]), F(-1))
+
+
 @given(st.lists(st.one_of(st.builds(F, st.integers(0, 30), st.integers(1, 12)),
                           st.integers(0, 30)), max_size=8), st.data())
 @settings(max_examples=300, deadline=None)

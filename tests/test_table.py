@@ -25,10 +25,10 @@ def produce(name):
         return serialize.certificate_to_json(G, uniform_cover(G, name))
     if row.profile is None:
         G = random_node_weights(8, 11).induced_graph(random_subcubic_2ec(8, 3))
-        return serialize.approx_to_json(G, approximate(name, G, None))
+        return serialize.approx_to_json(*approximate(name, G, None))
     G = SMALL[row.profile]()
     f = random_node_weights(G.n, 1)
-    return serialize.approx_to_json(f.induced_graph(G), approximate(name, G, f))
+    return serialize.approx_to_json(*approximate(name, G, f))
 
 
 @pytest.mark.parametrize("name", TABLE)

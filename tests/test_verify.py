@@ -281,7 +281,7 @@ class TestRejects:
         # the new edge weights.
         g = graph()
         ones = NodeWeights((F(1),) * g.n)
-        res = approximate(algorithm, g, ones)
+        _, res = approximate(algorithm, g, ones)
         off = min(set(g.edge_ids()) - set(res.solution_multiset()))
         gw = g.with_weights({e.id: F(2) + (e.id == off) for e in g.edges})
         lp = solve_subtour(gw)
