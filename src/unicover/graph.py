@@ -1,10 +1,12 @@
 """Multigraph representation, cut enumeration, contraction and structural classifiers.
 
-All arithmetic on weights is exact: weights are fractions.Fraction, and sums
-of them (total weights, multiset weights, node-induced edge weights) run in
-ints over the lcm of the denominators (scale_to_ints), with one Fraction
-built for the result.  Graphs are immutable after construction; every
-operation returns new values.
+All arithmetic on weights is exact: weights are ints or fractions.Fraction
+(a graph with any other weight, or a negative one, is rejected when it is
+built, by the sign of the numerator), and sums of them (total weights,
+multiset weights, node-induced edge weights) run in ints over the lcm of
+the denominators (scale_to_ints), with one Fraction built for the result.
+Graphs are immutable after construction; every operation returns new
+values.
 """
 from __future__ import annotations
 
@@ -49,7 +51,10 @@ class Multigraph:
                 raise GraphError(f"self-loop on vertex {e.u} (edge e{e.id})")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise GraphError(f"edge e{e.id} endpoint out of range")
-            if e.weight < 0:
+            if not isinstance(e.weight, (int, Fraction)):
+                raise GraphError(f"edge e{e.id} has weight {e.weight!r}, "
+                                 f"not an int or a Fraction")
+            if e.weight.numerator < 0:
                 raise GraphError(f"edge e{e.id} has negative weight")
             if e.id in seen:
                 raise GraphError(f"duplicate edge id e{e.id}")
@@ -296,12 +301,14 @@ def _cuts_upto(label: Dict[int, int], k: int) -> Tuple[FrozenSet[int], ...]:
     """The edge sets of at most k <= 4 edges whose labels XOR to 0, sorted
     by size, then by the tuple of their positions in id order.
 
-    A 1-cut is an edge of label 0 and a 2-cut two edges of one label.  For
-    larger cuts one table maps the XOR of each pair of positions a < b to
-    its pairs: a 3-cut is a pair whose XOR is the label of an edge c > b,
-    and a 4-cut is two pairs (a, b) and (c, d) of one XOR with b < c, the
-    one split of a zero-XOR 4-set that puts its two lowest positions first.
-    So the cost is O(m) for k <= 2 and O(m^2) plus the output above."""
+    A 1-cut is an edge of label 0 and a 2-cut two edges of one label.
+    Larger cuts come from one sweep over the positions c in ascending
+    order, with a table `seen` from the XOR of each pair of positions
+    a < b < c to its pairs: a 3-cut (a, b, c) is a pair seen at label[c],
+    and a 4-cut (a, b, c, d) with d > c a pair seen at label[c] ^ label[d].
+    Only then are the pairs (a, c) added.  So a zero-XOR 4-set
+    p < q < r < s is met once, as the split (p, q | r, s) at c = r.  The
+    cost is O(m) for k <= 2 and O(m^2) plus the output above."""
     ids = sorted(label)
     labels = [label[eid] for eid in ids]
     closing: Dict[int, List[int]] = {}     # label -> positions in ids, ascending
@@ -311,17 +318,23 @@ def _cuts_upto(label: Dict[int, int], k: int) -> Tuple[FrozenSet[int], ...]:
     if k >= 2:
         found[1] = [(a, c) for a, x in enumerate(labels) for c in closing[x] if c > a]
     if k >= 3:
-        pairs: Dict[int, List[Tuple[int, int]]] = {}
-        for a, la in enumerate(labels):
-            for b in range(a + 1, len(labels)):
-                pairs.setdefault(la ^ labels[b], []).append((a, b))
         threes, fours = found[2], found[3]
-        for x, same in pairs.items():
-            if x in closing:
-                threes += [(a, b, c) for a, b in same for c in closing[x] if c > b]
-            if k >= 4 and len(same) > 1:
-                for i, (a, b) in enumerate(same):
-                    fours += [(a, b, c, d) for c, d in same[i + 1:] if b < c]
+        seen: Dict[int, List[Tuple[int, int]]] = {}
+        get = seen.get
+        for c, lc in enumerate(labels):
+            threes += [(a, b, c) for a, b in get(lc, ())]
+            if k >= 4:
+                for d in range(c + 1, len(labels)):
+                    same = get(lc ^ labels[d])
+                    if same:
+                        fours += [(a, b, c, d) for a, b in same]
+            for a in range(c):
+                x = labels[a] ^ lc
+                same = get(x)
+                if same is None:
+                    seen[x] = [(a, c)]
+                else:
+                    same.append((a, c))
         threes.sort()
         fours.sort()
     return tuple(frozenset(ids[i] for i in cut) for cuts in found[:k] for cut in cuts)
@@ -333,9 +346,11 @@ def enumerate_cuts_upto(G: Multigraph, k: int) -> Tuple[FrozenSet[int], ...]:
 
     Works in the cycle space: an edge set is a cut exactly when the XOR of
     its labels (see _cycle_space_labels) is 0.  Cuts of 3 and 4 edges are
-    met in the middle over pairs of edges (see _cuts_upto), so the search
-    costs O(m) dictionary lookups for k <= 2 and O(m^2) plus the output for
-    k = 3 and 4.
+    met in the middle, in one sweep over the edges in id order that looks
+    up a table of the pairs of edges before the current one (see
+    _cuts_upto); each 4-edge cut is met once, at its third edge.  So the
+    search costs O(m) dictionary lookups for k <= 2 and O(m^2) plus the
+    output for k = 3 and 4.
     """
     if k > 4:
         raise GraphError("cut enumeration is limited to k <= 4")

@@ -38,7 +38,13 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     Capacities may be ints or Fractions.  The phases run over the capacities
     times the lcm of their denominators, in ints; scaling keeps every
     comparison, so the shore is the one the rationals give.  The value comes
-    back as a Fraction."""
+    back as a Fraction.
+
+    Each phase starts from the lowest active vertex and keeps the others in
+    a list of ascending ids, so max() over it picks the most tightly
+    connected vertex with the lowest id on a tie.  The cut of the phase is
+    the last vertex's key when it is picked; the earliest lightest phase
+    gives the shore, reported as the side avoiding vertex 0."""
     n = G.n
     if n < 2:
         raise LpInputError("min cut needs at least 2 vertices")
@@ -58,19 +64,17 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     best_shore: Tuple[int, ...] = ()
     while len(active) > 1:
         # Minimum cut phase starting from the first active vertex.
-        order = [active[0]]
-        key = {v: w[active[0]][v] for v in active if v != active[0]}
-        while key:
-            pick = min(key, key=lambda v: (-key[v], v))
-            order.append(pick)
-            del key[pick]
-            for v in key:
-                key[v] += w[pick][v]
-        t = order[-1]
-        s = order[-2]
-        phase_value = sum(w[t][v] for v in active if v != t)
-        if best_value is None or phase_value < best_value:
-            best_value = phase_value
+        rest = active[1:]
+        key = w[active[0]][:]
+        s = t = active[0]
+        while rest:
+            s, t = t, max(rest, key=key.__getitem__)
+            rest.remove(t)
+            row = w[t]
+            for v in rest:
+                key[v] += row[v]
+        if best_value is None or key[t] < best_value:
+            best_value = key[t]
             best_shore = tuple(sorted(groups[t]))
         # Merge t into s.
         groups[s] = sorted(groups[s] + groups[t])

@@ -4,10 +4,17 @@ Graph text format: first line "n m", then m lines "u v p/q [mult]" with
 0-based endpoints and an exact rational weight; a multiplicity k expands to k
 parallel edges.  Node-weight files hold one rational per line.  JSON carries
 every rational as a lowest-terms string "p/q" so no consumer ever rounds.
+
+One writer, dumps, lays out every document: for the values the documents
+hold (str-keyed dicts, lists, tuples, strs, ints, bools and None) it writes
+the bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n", in one
+recursive pass.  The standard library falls back to its pure-Python encoder
+whenever indent is set, so writing the layout directly costs less.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -336,8 +343,58 @@ def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
         return G, res
 
 
+class EncodeError(GraphError, TypeError):
+    """A value of a type that no document holds, met by dumps: a TypeError,
+    as json.dumps raises, and a library error, which the CLI reports with
+    exit code 2."""
+
+
+class _Lines(dict):
+    """depth -> (the newline that indents a value at that depth, the same
+    after the comma that ends the value before it)."""
+
+    def __missing__(self, depth: int) -> Tuple[str, str]:
+        line = "\n" + "  " * depth
+        self[depth] = pair = (line, "," + line)
+        return pair
+
+
+_LINES = _Lines()
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _encode(v: object, depth: int) -> str:
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        line, sep = _LINES[depth + 1]
+        # Most list items are ints (vertex and edge ids): written inline.
+        items = [int.__repr__(x) if type(x) is int else _encode(x, depth + 1) for x in v]
+        return "[" + line + sep.join(items) + _LINES[depth][0] + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        line, sep = _LINES[depth + 1]
+        items = [encode_basestring_ascii(key) + ": " + _encode(v[key], depth + 1)
+                 for key in sorted(v)]
+        return "{" + line + sep.join(items) + _LINES[depth][0] + "}"
+    if t is bool or v is None:
+        return _CONSTANTS[v]
+    raise EncodeError(f"{t.__name__} value {v!r} is not written to JSON")
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as indent-2 JSON with sorted keys and a final newline: the bytes
+    of json.dumps(obj, indent=2, sort_keys=True) + "\n".  A value of any
+    other type raises EncodeError, and a key that is not a str raises
+    TypeError."""
+    return _encode(obj, 0) + "\n"
 
 
 def loads(text: str) -> dict:

@@ -45,6 +45,47 @@ BRIDGED_CUBIC = make_graph(10, BLOCK4 + [(2, 4), (3, 4)]
                            + [(a + 5, b + 5) for a, b in BLOCK4 + [(2, 4), (3, 4)]] + [(4, 9)])
 
 
+def dict_scan_min_cut(G, cap):
+    """Reference oracle for min_cut's (value, shore): Stoer-Wagner over the
+    capacities scaled to ints, each phase picking from a dict of keys the
+    vertex of largest key, the lowest id on a tie, and adding the picked
+    vertex's weights to every key left; the cut of the phase is summed
+    over the active vertices."""
+    n = G.n
+    scale = lcm(*(Fraction(c).denominator for c in cap.values()))
+    w = [[0] * n for _ in range(n)]
+    for e in G.edges:
+        c = int(cap.get(e.id, 0) * scale)
+        w[e.u][e.v] += c
+        w[e.v][e.u] += c
+    groups = [[v] for v in range(n)]
+    active = list(range(n))
+    best_value, best_shore = None, ()
+    while len(active) > 1:
+        order = [active[0]]
+        key = {v: w[active[0]][v] for v in active if v != active[0]}
+        while key:
+            pick = min(key, key=lambda v: (-key[v], v))
+            order.append(pick)
+            del key[pick]
+            for v in key:
+                key[v] += w[pick][v]
+        t, s = order[-1], order[-2]
+        phase_value = sum(w[t][v] for v in active if v != t)
+        if best_value is None or phase_value < best_value:
+            best_value, best_shore = phase_value, tuple(sorted(groups[t]))
+        groups[s] = sorted(groups[s] + groups[t])
+        for v in active:
+            if v not in (s, t):
+                w[s][v] += w[t][v]
+                w[v][s] = w[s][v]
+        active.remove(t)
+    if 0 in best_shore:
+        comp = sorted(set(range(n)) - set(best_shore))
+        best_shore = tuple(comp) if comp else best_shore
+    return Fraction(best_value, scale), best_shore
+
+
 def unit_min_cut(G):
     """Edge connectivity by the Stoer-Wagner min cut with unit capacities;
     0 for a single vertex."""

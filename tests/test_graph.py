@@ -34,8 +34,14 @@ class TestMultigraph:
             Multigraph(2, (Edge(0, 1, F(1), 0), Edge(0, 1, F(1), 0)))
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(GraphError, match="negative"):
-            Multigraph(2, (Edge(0, 1, F(-1), 0),))
+        for weight in [F(-1), F(-1, 3), -2]:
+            with pytest.raises(GraphError, match="e0 has negative weight"):
+                Multigraph(2, (Edge(0, 1, weight, 0),))
+
+    @pytest.mark.parametrize("weight", [0.5, "1/2"])
+    def test_rejects_a_weight_that_is_not_exact(self, weight):
+        with pytest.raises(GraphError, match="e3 has weight .* not an int or a Fraction"):
+            Multigraph(2, (Edge(0, 1, weight, 3),))
 
     def test_parallel_edges_allowed(self):
         g = make_graph(2, [(0, 1), (0, 1), (0, 1)])
@@ -191,7 +197,8 @@ narrow_labels = st.integers(2, 5).flatmap(lambda bits: st.dictionaries(
 @given(narrow_labels, st.integers(0, 4))
 @settings(max_examples=400, deadline=None)
 def test_cuts_upto_follows_the_triple_scan(label, k):
-    """The pair table lists the same sets as the triple scan, in the same order."""
+    """The one-sweep pair table lists the same sets as the triple scan, in
+    the same order."""
     assert _cuts_upto(label, k) == triple_scan_cuts(label, k)
 
 

@@ -13,8 +13,8 @@ from unicover import serialize, simplex
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 from unicover.verify import verify_document
 
-from conftest import (brute_force_min_cut, brute_force_subtour, fraction_tableau_state,
-                      lp_over_cuts, make_graph)
+from conftest import (brute_force_min_cut, brute_force_subtour, dict_scan_min_cut,
+                      fraction_tableau_state, lp_over_cuts, make_graph)
 
 F = Fraction
 
@@ -431,6 +431,28 @@ def test_solve_subtour_matches_the_two_phase_reference(g):
     if g.n <= 8:
         assert res.value == brute_force_subtour(g)[0]
     assert verify_document(serialize.lp_result_to_json(g, res)).ok
+
+
+@st.composite
+def capacitated_graphs(draw):
+    """A multigraph on 2-9 vertices, maybe disconnected, with small
+    capacities (zero and missing ones included), so that equal keys and
+    equal phase cuts are common."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16)) if u != v]
+    g = make_graph(n, pairs)
+    cap = {e.id: F(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3])))
+           for e in g.edges if draw(st.booleans()) or e.id % 3}
+    return g, cap
+
+
+@given(capacitated_graphs())
+@settings(max_examples=300, deadline=None)
+def test_min_cut_follows_the_dict_scan(drawn):
+    """The same (value, shore) as the dict-scan Stoer-Wagner, ties included."""
+    g, cap = drawn
+    assert min_cut(g, cap) == dict_scan_min_cut(g, cap)
 
 
 @given(st.integers(min_value=0, max_value=50))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,42 @@ def test_frac_str_is_the_fraction_form(v):
     # ints and Fractions are written as they are; anything else, bools and
     # strings included, is made a Fraction first.
     assert frac_str(v) == fraction_frac_str(v)
+
+
+# JSON text: any character, with the ones JSON escapes or uses as syntax
+# drawn often.
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\,[]{}:\n\t\x00\x1f\x7fé€😀')),
+                    max_size=8)
+json_leaves = st.one_of(json_text, st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                        st.booleans(), st.none())
+
+
+def json_containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.lists(children, max_size=4).map(tuple),
+                     st.dictionaries(json_text, children, max_size=4))
+
+
+def nest(value, kinds):
+    """value wrapped in one container per kind, innermost first."""
+    for kind, key in kinds:
+        value = {key: value} if kind == "dict" else [value] if kind == "list" else (value,)
+    return value
+
+
+json_trees = st.recursive(json_leaves, json_containers, max_leaves=30)
+deep_json_trees = st.builds(nest, json_trees, st.lists(
+    st.tuples(st.sampled_from(["dict", "list", "tuple"]), json_text), min_size=6, max_size=9))
+
+
+@given(st.one_of(json_trees, deep_json_trees))
+@settings(max_examples=400, deadline=None)
+def test_dumps_writes_the_stdlib_bytes(v):
+    assert dumps(v) == json.dumps(v, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("v", [{"a": 0.5}, [{1, 2}], {"a": {1: "b"}}],
+                         ids=["float", "set", "int key"])
+def test_dumps_rejects_what_no_document_holds(v):
+    with pytest.raises(TypeError):
+        dumps(v)
