@@ -349,17 +349,6 @@ class EncodeError(GraphError, TypeError):
     exit code 2."""
 
 
-class _Lines(dict):
-    """depth -> (the newline that indents a value at that depth, the same
-    after the comma that ends the value before it)."""
-
-    def __missing__(self, depth: int) -> Tuple[str, str]:
-        line = "\n" + "  " * depth
-        self[depth] = pair = (line, "," + line)
-        return pair
-
-
-_LINES = _Lines()
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
@@ -372,18 +361,17 @@ def _encode(v: object, depth: int) -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        line, sep = _LINES[depth + 1]
-        # Most list items are ints (vertex and edge ids): written inline.
-        items = [int.__repr__(x) if type(x) is int else _encode(x, depth + 1) for x in v]
-        return "[" + line + sep.join(items) + _LINES[depth][0] + "]"
+        line = "\n" + "  " * (depth + 1)
+        items = [_encode(x, depth + 1) for x in v]
+        return "[" + line + ("," + line).join(items) + "\n" + "  " * depth + "]"
     if t is dict:
         if not v:
             return "{}"
         # encode_basestring_ascii raises TypeError on a key that is not a str.
-        line, sep = _LINES[depth + 1]
+        line = "\n" + "  " * (depth + 1)
         items = [encode_basestring_ascii(key) + ": " + _encode(v[key], depth + 1)
                  for key in sorted(v)]
-        return "{" + line + sep.join(items) + _LINES[depth][0] + "}"
+        return "{" + line + ("," + line).join(items) + "\n" + "  " * depth + "}"
     if t is bool or v is None:
         return _CONSTANTS[v]
     raise EncodeError(f"{t.__name__} value {v!r} is not written to JSON")
