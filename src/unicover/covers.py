@@ -5,11 +5,12 @@ Every variant is a cover row of table.TABLE: three recipes, each used with
 two sets of rationals.  build_certificate builds every certificate from
 its combination.  check_certificate re-verifies the combination exactly
 (convex, dominated by everywhere-alpha, every term of its class) and then
-compares each stored field with the certificate built from it.
+compares each stored field with the certificate built from it.  The
+metadata holds only what the row fixes (its mixing weights or its
+construction), so every metadata field is checked by equality too.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -48,7 +49,7 @@ class Certificate:
 
 
 def build_certificate(G: Multigraph, variant: str, comb: ConvexCombination,
-                      coverage: EdgeVector, cycles: object) -> Certificate:
+                      coverage: EdgeVector) -> Certificate:
     """The certificate of the variant's combination: the row's fields, the
     slack alpha - coverage on every edge and the largest multiplicity."""
     spec = lookup_row(variant, "cover", CoverError)
@@ -60,7 +61,7 @@ def build_certificate(G: Multigraph, variant: str, comb: ConvexCombination,
         combination=comb,
         slack=tuple(sorted((e.id, spec.ratio - coverage.get(e.id, ZERO)) for e in G.edges)),
         max_multiplicity=max((m for t in comb.terms for _, m in t.edges), default=0),
-        metadata=tuple(sorted(_metadata(spec, cycles).items())),
+        metadata=tuple(sorted(_metadata(spec).items())),
     )
 
 
@@ -74,28 +75,23 @@ def check_certificate(G: Multigraph, cert: Certificate) -> None:
         raise CoverError("combination target is not the everywhere-alpha vector")
     cover = verify_combination(G, comb, spec.object_class)
     meta = dict(cert.metadata)
-    want = _metadata(spec, meta.get("cycles"))   # cycles: range-checked below
+    want = _metadata(spec)
     if set(meta) != set(want):
         raise CoverError(f"metadata fields {sorted(meta)} are not {sorted(want)}")
     for field, value in want.items():
         if meta[field] != value:
             raise CoverError(f"metadata {field} {meta[field]!r} is not {value!r}")
-    if "cycles" in want:   # the cover is not stored, so a range is all there is
-        cycles = meta["cycles"]
-        if not (isinstance(cycles, str) and re.fullmatch(r"[1-9][0-9]*", cycles)
-                and len(cycles) <= len(str(G.n)) and 2 * int(cycles) <= G.n):
-            raise CoverError(f"metadata cycles {cycles!r} is not a count from 1 to n/2")
-    built = build_certificate(G, cert.variant, comb, cover, meta.get("cycles"))
+    built = build_certificate(G, cert.variant, comb, cover)
     if spec.subgraph_only and built.max_multiplicity > 1:
         raise CoverError("subgraph variant contains a doubled edge")
     check_fields(cert, built, CoverError)
 
 
-def _metadata(spec: Row, cycles: object) -> Dict[str, object]:
+def _metadata(spec: Row) -> Dict[str, str]:
     """The metadata of a certificate of the variant."""
     if spec.recipe == "tree+cover":
         return {"construction": spec.recipe}
-    return {"mixing": ",".join(str(w) for w in spec.mixing), "cycles": cycles}
+    return {"mixing": ",".join(str(w) for w in spec.mixing)}
 
 
 def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
@@ -107,10 +103,8 @@ def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
             for coeff, obj in one_cover_completions(G, tree, cover_r)]
 
 
-def _cycle_cover_terms(G: Multigraph, spec: Row
-                       ) -> Tuple[List[Tuple[Fraction, EdgeMultiset]], int]:
-    """The two mixed parts of a cycle-cover construction, and the number of
-    cycles in the cover."""
+def _cycle_cover_terms(G: Multigraph, spec: Row) -> List[Tuple[Fraction, EdgeMultiset]]:
+    """The two mixed parts of a cycle-cover construction."""
     cc, H = contracted_cycle_cover(G)
     C = cc.cover_multiset()
     doubled = spec.recipe == "cycles+doubled-trees"
@@ -127,7 +121,7 @@ def _cycle_cover_terms(G: Multigraph, spec: Row
         rest = _tree_cover_terms(G, x, spec.cover_r)
     first, second = spec.mixing
     return ([(first * coeff, obj) for coeff, obj in closed]
-            + [(second * coeff, obj) for coeff, obj in rest]), len(cc.cycles)
+            + [(second * coeff, obj) for coeff, obj in rest])
 
 
 def uniform_cover(G: Multigraph, variant: str) -> Certificate:
@@ -136,10 +130,10 @@ def uniform_cover(G: Multigraph, variant: str) -> Certificate:
     spec = lookup_row(variant, "cover", CoverError)
     require_profile(G, spec.profile, CoverError)
     if spec.recipe == "tree+cover":
-        terms, cycles = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r), None
+        terms = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r)
     else:
-        terms, cycles = _cycle_cover_terms(G, spec)
+        terms = _cycle_cover_terms(G, spec)
     comb = make_combination(G, terms, everywhere(G, spec.ratio), "dominated-by")
-    cert = build_certificate(G, variant, comb, comb.coverage(), str(cycles))
+    cert = build_certificate(G, variant, comb, comb.coverage())
     check_certificate(G, cert)
     return cert

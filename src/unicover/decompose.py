@@ -305,9 +305,11 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
                      ) -> Optional[List[Tuple[Fraction, EdgeMultiset]]]:
     """Find lambda >= 0, sum = 1, sum(lambda * chi) = target; None if impossible.
 
-    `price_max` gets arbitrary-sign edge weights, the int duals π of the
-    edge rows, and must return an exact maximum weight object of the class;
-    it prices out when it weighs more than -π of the convexity row.
+    A phase 1 over the artificials: it stops at the first feasible lambda,
+    where the objective is 0.  `price_max` gets arbitrary-sign edge weights,
+    the int duals π of the edge rows, and must return an exact maximum
+    weight object of the class; it prices out when it weighs more than -π
+    of the convexity row.
     """
     index = {eid: i for i, (eid, _) in enumerate(target_rows)}
     nrows = len(index) + 1             # + convexity row
@@ -315,10 +317,14 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
     objects: List[EdgeMultiset] = []
 
     def improving(pi: List[int], s: int) -> Optional[List[int]]:
+        # At objective 0 every artificial is 0, and a further pivot could
+        # only be degenerate, so lambda is final.
+        if not tab.obj:
+            return None
         value, obj = price_max({eid: pi[i] for eid, i in index.items()})
         return _keep(objects, index, nrows, obj) if value > -pi[-1] else None
 
-    tab.generate(improving, ZERO, forbidden=set(range(nrows)))
+    tab.generate(improving, ZERO)
     if tab.obj:
         return None
     return [(lam, obj) for lam, obj in zip(tab.solution()[nrows:], objects) if lam > 0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 EdgeMultiset = Dict[int, int]          # edge id -> multiplicity >= 0
@@ -81,15 +81,6 @@ class Multigraph:
     def total_weight(self) -> Fraction:
         Q, weights = scale_to_ints(e.weight for e in self.edges)
         return Fraction(sum(weights), Q)
-
-    def with_weights(self, weights: Mapping[int, Fraction]) -> "Multigraph":
-        """The same edges with new weights; a weight that is not already a
-        Fraction is made one."""
-        edges = []
-        for e in self.edges:
-            w = weights[e.id]
-            edges.append(Edge(e.u, e.v, w if isinstance(w, Fraction) else Fraction(w), e.id))
-        return Multigraph(self.n, tuple(edges))
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> List[List[Tuple[int, int]]]:

@@ -5,16 +5,13 @@ Graph text format: first line "n m", then m lines "u v p/q [mult]" with
 parallel edges.  Node-weight files hold one rational per line.  JSON carries
 every rational as a lowest-terms string "p/q" so no consumer ever rounds.
 
-One writer, dumps, lays out every document: for the values the documents
-hold (str-keyed dicts, lists, tuples, strs, ints, bools and None) it writes
-the bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n", in one
-recursive pass.  The standard library falls back to its pure-Python encoder
-whenever indent is set, so writing the layout directly costs less.
+One writer, dumps, lays out every document: compact JSON on one line,
+keys sorted, ASCII only, with a final newline.  It is one json.dumps call,
+which runs the standard library's C encoder.
 """
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -349,40 +346,14 @@ class EncodeError(GraphError, TypeError):
     exit code 2."""
 
 
-_CONSTANTS = {True: "true", False: "false", None: "null"}
-
-
-def _encode(v: object, depth: int) -> str:
-    t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if t is int:
-        return int.__repr__(v)
-    if t is list or t is tuple:
-        if not v:
-            return "[]"
-        line = "\n" + "  " * (depth + 1)
-        items = [_encode(x, depth + 1) for x in v]
-        return "[" + line + ("," + line).join(items) + "\n" + "  " * depth + "]"
-    if t is dict:
-        if not v:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str.
-        line = "\n" + "  " * (depth + 1)
-        items = [encode_basestring_ascii(key) + ": " + _encode(v[key], depth + 1)
-                 for key in sorted(v)]
-        return "{" + line + ("," + line).join(items) + "\n" + "  " * depth + "}"
-    if t is bool or v is None:
-        return _CONSTANTS[v]
-    raise EncodeError(f"{t.__name__} value {v!r} is not written to JSON")
+def _refuse(v: object) -> object:
+    raise EncodeError(f"{type(v).__name__} value {v!r} is not written to JSON")
 
 
 def dumps(obj: dict) -> str:
-    """obj as indent-2 JSON with sorted keys and a final newline: the bytes
-    of json.dumps(obj, indent=2, sort_keys=True) + "\n".  A value of any
-    other type raises EncodeError, and a key that is not a str raises
-    TypeError."""
-    return _encode(obj, 0) + "\n"
+    """obj as compact JSON with sorted keys and a final newline.  A value
+    JSON cannot hold (a Fraction, a set) raises EncodeError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_refuse) + "\n"
 
 
 def loads(text: str) -> dict:

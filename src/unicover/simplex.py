@@ -91,15 +91,14 @@ class Tableau:
         return len(self.cols) - 1
 
     def generate(self, price: Callable[[List[int], int], Optional[Sequence[int]]],
-                 cost: Fraction, forbidden: Optional[set] = None) -> None:
+                 cost: Fraction) -> None:
         """Column generation: optimize, hand the undivided duals (π, s) to
         `price` and add the column it returns at `cost`, until it returns
-        None.  `forbidden` applies once the objective is 0 (after phase 1).
-        A column added before the call is known, an identity column is not;
-        pricing a known column raises LpError."""
+        None.  A column added before the call is known, an identity column
+        is not; pricing a known column raises LpError."""
         known = {tuple(col) for col in self.cols[self.rows:]}
         while True:
-            self.optimize(forbidden if forbidden and self.obj == 0 else None)
+            self.optimize()
             col = price(*self.int_duals())
             if col is None:
                 return

@@ -19,6 +19,12 @@ def make_graph(n, pairs, weight=1):
         Edge(u, v, Fraction(weight), i) for i, (u, v) in enumerate(pairs)))
 
 
+def reweighted(G, weights):
+    """G's edges with new weights, each made a Fraction."""
+    return Multigraph(G.n, tuple(Edge(e.u, e.v, Fraction(weights[e.id]), e.id)
+                                 for e in G.edges))
+
+
 def shores(n):
     """Every nonempty vertex set avoiding vertex 0, in bitmask order."""
     for mask in range(1, 1 << (n - 1)):

@@ -4,7 +4,8 @@ call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
 labelling, with no component count.  A pipeline labels its terms once, at
 its end.  A CLI call builds the parser of its own command only, and
-weights a node-weighted graph once."""
+weights a node-weighted graph once.  The connector master prices only
+while it is infeasible."""
 import argparse
 import sys
 from collections import Counter
@@ -152,6 +153,31 @@ def test_decompose_cuts_the_lp_optimum_once(calls, tmp_path, kind):
     path.write_text(serialize.graph_to_text(G))
     assert cli.main(["decompose", kind, str(path)]) == cli.EXIT_OK
     assert len(calls["min_cut"]) == rounds + 1
+
+
+def test_connector_master_stops_at_feasibility(monkeypatch):
+    # Every pricing call adds a column: none is made once lambda is
+    # feasible, where further pivots are degenerate.
+    seen = {"priced": 0, "kept": 0}
+    price_max, keep = decompose._connector_price_max, decompose._keep
+
+    def counted_price_max(G, support):
+        price = price_max(G, support)
+
+        def counted(weights):
+            seen["priced"] += 1
+            return price(weights)
+        return counted
+
+    def counted_keep(*args):
+        seen["kept"] += 1
+        return keep(*args)
+
+    _patch(monkeypatch, price_max, counted_price_max)
+    _patch(monkeypatch, keep, counted_keep)
+    G, _ = _approx_input("twoecbeta")
+    decompose.decompose_connectors(G, lp.solve_subtour(G).x)
+    assert seen == {"priced": 11, "kept": 11}
 
 
 @pytest.mark.parametrize("algorithm", ("tsp75", "twoecbeta"))

@@ -42,20 +42,23 @@ def cubic20():
 
 
 COVERS = [
-    ("18/19", k4, "5dd8f1128a1d12c06b1037ad2e9441a0e3b5a699ed2090ca77111b94f51d4fec"),
-    ("15/17", k4, "6316a4d32858c4ee5e26117dd056c21b55148f912f426219a1c50913fbb280b6"),
-    ("8/9", k4, "8c0fbd2af86090fd6b999a8eac8cb764ed4b96d6a42ace7004eae2c00e61fa27"),
-    ("12/13", k33, "6b4f26dca902ba77497f217881d74307a8ca8d646155a42a4372d7ab894ee2b3"),
-    ("7/8", k33, "434313f3d22d934a86b038f823dfe459884a717ea69eef3fb18b9381b7eb610a"),
-    ("3/4", k5, "a8ae58c66f5efc921253a4fed5b62b468cf08f5c8f373058b2f8ce78bb3ea65a"),
-    ("18/19", cubic20, "4f93863e12c9eb80555da30264997c7ba8533521ea3f41012169a23cb1785285"),
+    ("18/19", k4, "c02c966204910d2cde84358be72cda82ee21067ec4dfe78ca041169da668be18"),
+    ("15/17", k4, "7ab454c983c3f94a1ddba80261ec87703bf213476ba2130dede477621d076686"),
+    ("8/9", k4, "ade351ec66dd4fa151bcfc93f9ddebe6f7a426217f00df770b1542ebe272674d"),
+    ("12/13", k33, "d186e217f26eafa1159492fddde150db2c38258b2084ddfa010e43b0e2f6b137"),
+    ("7/8", k33, "0acc861d610438c7b881310d17189c03bff69dce8666534e6df9f2c6a0bb8dc6"),
+    ("3/4", k5, "2d40a7cdb2714e3bb02a5410595a3e5429a9903fddf1dc13a6699628b5b1bb17"),
+    ("18/19", cubic20, "01858886b324257d7ca330a58c758240bcdd39778e1b5fca5c610dd2703e0393"),
 ]
 
 
-@pytest.mark.parametrize("variant,family,sha", COVERS)
+@pytest.mark.parametrize("variant,family,sha", COVERS,
+                         ids=[f"{v}-{family.__name__}" for v, family, _ in COVERS])
 def test_cover_artifact_bytes(variant, family, sha):
     G = family()
-    assert digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+    doc = serialize.certificate_to_json(G, uniform_cover(G, variant))
+    assert digest(doc) == sha
+    assert verify_document(doc).ok
 
 
 def _node_weighted(run, family, n):
@@ -70,17 +73,17 @@ def _beta(run):
 
 APPROX = [
     ("tsp75", lambda: _node_weighted(tsp_7_5_node_weighted, petersen, 10),
-     "737523519c52da64f4a84e978d95d8e2a8ca531f3092d52b5a3417cc159d880c"),
+     "2f4bf368e887394926b4bd51f01f0e632de2212354fa23839be29cd3a856bada"),
     ("twoec1310", lambda: _node_weighted(twoec_13_10_node_weighted, petersen, 10),
-     "e83366a8356a84d0d57d208d679ca7442e8669aad5cecd8b033c8a285dd472d5"),
+     "f39b0caf964600dec10131eb8eaf833c1228df3fb15a5e71fecc5a7f458c7017"),
     ("bip43", lambda: _node_weighted(lambda G, f: approximate("bip43", G, f)[1], k33, 6),
-     "4d037b06445450d569486d5fd4c0a213480c3cc5bba656a4c4581aff8582b10b"),
+     "21d9da9ad871f9314d09dcd7fc8ca353fcc51a0235a6b050f9988f72837aef99"),
     ("bip54", lambda: _node_weighted(lambda G, f: approximate("bip54", G, f)[1], k33, 6),
-     "5844e8fe36bbcd1619e164c47b598f41b1f7378432741922b20d46b3f71cb132"),
+     "69c8f1ee104c78765d2b14f284619f90cb87a76a2cf366917d8d09b14742f759"),
     ("twoecbeta", lambda: _beta(twoec_beta),
-     "b31de670506327158ed491c275e66d2af1feb51816623ea71c47e50ee5185129"),
+     "761f6b141e4ca49671f781ec990aa640c1ae1064578d16f5c68fbac199db457e"),
     ("tspbeta", lambda: _beta(tsp_beta),
-     "00aedd5e8541ac86bfc76e2102fdb8df91b590f46d31bffe96411101775177df"),
+     "32fe16cec97a2f851d2498e5f13a48ae8b7bb1e1f091142b72b8764e20fb72a4"),
 ]
 
 
@@ -119,19 +122,19 @@ def _cycle_cover():
 
 SOLVER_DOCUMENTS = [
     ("lp-petersen", lambda: _lp(petersen),
-     "0cff0a16e2144bea3b07698214c95f15e7166a7260a73c3536350d7f44244fc2"),
+     "1a5e9103a97da9a372a9a1a0c3104475fe81cfd10354625ff555b4a04683c59c"),
     ("lp-subcubic", lambda: _lp(_subcubic),
-     "85d85849c2b9cfbaf285127ebec02c67b9158f76c37cd25644b6b294ea320749"),
+     "b2d1437fbdf45df8be48a829981fa91694a42fb749d049daa9a5eca1669995af"),
     ("trees-petersen", lambda: _decomposition(petersen, "trees"),
-     "890db9f6ae7b759977cde0cfed1542451aff9e00ed0494db992f3ecbcdbacdff"),
+     "d4104468ebe2bbf99cabe36d1301c2d7c50f34b2e3cc3391811fdb4d6c50f052"),
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, "connectors"),
-     "4a68926540d2527a608a4a8a67dd6f1ab41ee1cfdff13bc32a84bb3f566c2201"),
+     "3e173bc03f29360672220360b69f5a047908376aa30e9d6900f57464a34cca20"),
     ("even2cut-subcubic8",
      lambda: _decomposition(_subcubic8, "even2cut"),
-     "84ec01a0d5b0fb33fd1737e550bb50a766f02eb3d225bea4af1ef10bb4179647"),
+     "55d5b05bd22a2d5ae10189de1c53e8799df71b9d59fb71f6fcb4d54a0ed52807"),
     ("cycle-cover-cubic16", _cycle_cover,
-     "4a94b54cac17a09eed7a6eb3a190d2d3d3802f4656e7638be6b61133b6d69431"),
+     "7369206861583918df28f41cb9fe5f3aa5df9c0d989807e8f506644982d58a45"),
 ]
 
 
@@ -149,4 +152,4 @@ def test_small_cut_family_bytes():
     cuts = enumerate_cuts_upto(g, 4)
     rows = sorted([len(c), sorted(c), list(shore_holding_zero(g, c))] for c in cuts)
     assert len(rows) == 72
-    assert digest(rows) == "3f22fb16c78d52106424b23de6d5f489f8cb819300bded6dbc7abb6d8956140c"
+    assert digest(rows) == "153d3c73048199e79ec8d123762e562dd59f4645adb49fde94d21f7fda1838da"

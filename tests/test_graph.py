@@ -18,7 +18,7 @@ from unicover.graph import (PROFILES, Edge, GraphError, Multigraph, NodeWeights,
 
 from conftest import (BRIDGED_CUBIC, TWO_CUT_CUBIC, fraction_induced_weights,
                       fraction_multiset_weight, fraction_sum, make_graph,
-                      regular_multigraphs, shore_holding_zero, triple_scan_cuts,
+                      regular_multigraphs, reweighted, shore_holding_zero, triple_scan_cuts,
                       unit_min_cut)
 
 F = Fraction
@@ -368,7 +368,7 @@ class TestNodeWeightsOf:
                                        mobius_kantor(), random_cubic_3ec(12, 3),
                                        random_subcubic_2ec(9, 2)]))
         f = [data.draw(NODE_WEIGHT) for _ in range(g.n)]
-        gw = g.with_weights({e.id: f[e.u] + f[e.v] for e in g.edges})
+        gw = reweighted(g, {e.id: f[e.u] + f[e.v] for e in g.edges})
         got = node_weights_of(gw, GraphError)
         assert all(v >= 0 for v in got)
         assert all(e.weight == got[e.u] + got[e.v] for e in gw.edges)
@@ -381,7 +381,7 @@ class TestNodeWeightsOf:
     @pytest.mark.parametrize("g", [petersen(), heawood()], ids=["petersen", "heawood"])
     def test_rejects_one_edge_off(self, g):
         # With G - e connected, no f fits the other edges and e too.
-        gw = g.with_weights({e.id: F(2) + (e.id == 4) for e in g.edges})
+        gw = reweighted(g, {e.id: F(2) + (e.id == 4) for e in g.edges})
         with pytest.raises(GraphError, match=r"not node-induced: e\d+ weighs"):
             node_weights_of(gw, GraphError)
 
@@ -389,13 +389,13 @@ class TestNodeWeightsOf:
         # Petersen's f is unique; Heawood's shift cannot lift vertex 0 off
         # -1 without pushing vertex 9 (0 here, and not adjacent to 0) below 0.
         f = [F(-1)] + [F(1)] * 9
-        gw = petersen().with_weights({e.id: f[e.u] + f[e.v] for e in petersen().edges})
+        gw = reweighted(petersen(), {e.id: f[e.u] + f[e.v] for e in petersen().edges})
         with pytest.raises(GraphError, match=r"f\(0\) = -1 < 0"):
             node_weights_of(gw, GraphError)
         h = heawood()
         assert 9 not in {w for w, _ in h.adjacency()[0]}
         f = [F(-1)] + [F(1)] * 8 + [F(0)] + [F(1)] * 4
-        hw = h.with_weights({e.id: f[e.u] + f[e.v] for e in h.edges})
+        hw = reweighted(h, {e.id: f[e.u] + f[e.v] for e in h.edges})
         with pytest.raises(GraphError, match="node weights f >= 0"):
             node_weights_of(hw, GraphError)
 
@@ -447,11 +447,3 @@ def test_induced_weights_and_totals_are_the_fraction_sums(g, data):
     for got, values in ((f.total(), f.f), (g.total_weight(), [e.weight for e in g.edges]),
                         (gw.total_weight(), list(want.values()))):
         assert type(got) is F and got == fraction_sum(values)
-
-
-def test_with_weights_makes_every_weight_a_fraction():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    third = F(1, 3)
-    gw = g.with_weights({0: third, 1: 2})
-    assert gw.edges[0].weight is third
-    assert type(gw.edges[1].weight) is F and gw.edges[1].weight == 2

@@ -14,7 +14,7 @@ from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 from unicover.verify import verify_document
 
 from conftest import (brute_force_min_cut, brute_force_subtour, dict_scan_min_cut,
-                      fraction_tableau_state, lp_over_cuts, make_graph)
+                      fraction_tableau_state, lp_over_cuts, make_graph, reweighted)
 
 F = Fraction
 
@@ -395,7 +395,7 @@ class TestSolveSubtour:
     def test_scaling_invariance(self):
         g = prism()
         base = solve_subtour(g).value
-        scaled = g.with_weights({e.id: e.weight * F(7, 3) for e in g.edges})
+        scaled = reweighted(g, {e.id: e.weight * F(7, 3) for e in g.edges})
         assert solve_subtour(scaled).value == base * F(7, 3)
 
     def test_rejects_small_and_disconnected(self):
@@ -414,8 +414,8 @@ def _subtour_inputs():
             g = random_node_weights(n, seed).induced_graph(random_subcubic_2ec(n, seed))
             yield g
             if n <= 8:
-                yield g.with_weights({e.id: 0 if e.id % 3 == 0 else e.weight
-                                      for e in g.edges})
+                yield reweighted(g, {e.id: 0 if e.id % 3 == 0 else e.weight
+                                     for e in g.edges})
 
 
 @pytest.mark.parametrize("g", list(_subtour_inputs()))

@@ -10,7 +10,7 @@ from unicover.cyclecover import find_covering_cycle_cover
 from unicover.connectors import decomposition
 from unicover.families import k4, petersen
 from unicover.lp import everywhere
-from unicover.serialize import (ParseError, approx_from_json, approx_to_json,
+from unicover.serialize import (EncodeError, ParseError, approx_from_json, approx_to_json,
                                 certificate_from_json, certificate_to_json,
                                 combination_from_json, combination_to_json,
                                 cycle_cover_to_json, dumps, frac_str,
@@ -168,14 +168,53 @@ deep_json_trees = st.builds(nest, json_trees, st.lists(
     st.tuples(st.sampled_from(["dict", "list", "tuple"]), json_text), min_size=6, max_size=9))
 
 
+def as_read(v):
+    """v as JSON reads it back: every tuple a list."""
+    if isinstance(v, (list, tuple)):
+        return [as_read(x) for x in v]
+    if isinstance(v, dict):
+        return {key: as_read(x) for key, x in v.items()}
+    return v
+
+
 @given(st.one_of(json_trees, deep_json_trees))
 @settings(max_examples=400, deadline=None)
-def test_dumps_writes_the_stdlib_bytes(v):
-    assert dumps(v) == json.dumps(v, indent=2, sort_keys=True) + "\n"
+def test_dumps_round_trips_on_one_ascii_line(v):
+    text = dumps(v)
+    assert json.loads(text) == as_read(v)
+    assert text.isascii() and text.endswith("\n") and text.count("\n") == 1
 
 
-@pytest.mark.parametrize("v", [{"a": 0.5}, [{1, 2}], {"a": {1: "b"}}],
-                         ids=["float", "set", "int key"])
+@pytest.mark.parametrize("v", [[{1, 2}], {"a": F(1, 2)}], ids=["set", "Fraction"])
 def test_dumps_rejects_what_no_document_holds(v):
-    with pytest.raises(TypeError):
+    with pytest.raises(EncodeError):
         dumps(v)
+
+
+def _walk(v, keys, leaves):
+    """Append v's dict keys to keys and its other non-list values to leaves."""
+    if isinstance(v, list):
+        for x in v:
+            _walk(x, keys, leaves)
+    elif isinstance(v, dict):
+        keys.extend(v)
+        for x in v.values():
+            _walk(x, keys, leaves)
+    else:
+        leaves.append(v)
+
+
+def test_golden_documents_hold_only_json_types():
+    # The writer accepts any JSON value; the builders must make only these.
+    from test_golden import APPROX, COVERS, SOLVER_DOCUMENTS
+    docs = [build() for _, build, _ in APPROX + SOLVER_DOCUMENTS]
+    for variant, family, _ in COVERS:
+        G = family()
+        docs.append(certificate_to_json(G, uniform_cover(G, variant)))
+    assert {doc["type"] for doc in docs} == {
+        "uniform-cover-certificate", "approx-result", "lp-result", "decomposition",
+        "cycle-cover"}
+    keys, leaves = [], []
+    _walk(docs, keys, leaves)
+    assert {type(key) for key in keys} == {str}
+    assert {type(v) for v in leaves} <= {str, int, bool, type(None)}

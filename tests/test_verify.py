@@ -22,7 +22,7 @@ from unicover.serialize import ParseError
 from unicover.verify import (VerifyError, _check_shore, _check_subtour_optimum,
                              verify_document)
 
-from conftest import make_graph
+from conftest import make_graph, reweighted
 
 F = Fraction
 
@@ -101,20 +101,21 @@ OPTIMUM_EDITS = {
 
 
 # (variant, stored metadata, what the report names); the graph is Petersen
-# for 18/19 (n = 10, so at most 5 cycles) and K4 for 8/9.
+# for 18/19 and K4 for 8/9.  A cycle-cover certificate's metadata is its
+# mixing weights alone: a cycle count, which no stored field could confirm,
+# is an extra field whatever its value.
 METADATA_EDITS = {
     "extra-fields": ("18/19", {"mixing": "1/2,1/2", "cycles": "99", "anything": "x"},
                      "metadata fields"),
     "foreign-fields": ("18/19", {"a": [1]}, "metadata fields"),
-    "cycles-missing": ("18/19", {"mixing": "15/19,4/19"}, "metadata fields"),
-    "mixing": ("18/19", {"mixing": "1/2,1/2", "cycles": "2"}, "metadata mixing"),
-    "cycles-over-n/2": ("18/19", {"mixing": "15/19,4/19", "cycles": "6"}, "metadata cycles"),
-    "cycles-zero": ("18/19", {"mixing": "15/19,4/19", "cycles": "0"}, "metadata cycles"),
-    "cycles-padded": ("18/19", {"mixing": "15/19,4/19", "cycles": "02"}, "metadata cycles"),
-    "cycles-not-text": ("18/19", {"mixing": "15/19,4/19", "cycles": 2}, "metadata cycles"),
-    # past the digits int() converts by default
+    "cycles-present": ("18/19", {"mixing": "15/19,4/19", "cycles": "2"}, "metadata fields"),
+    "mixing": ("18/19", {"mixing": "1/2,1/2"}, "metadata mixing"),
+    "cycles-over-n/2": ("18/19", {"mixing": "15/19,4/19", "cycles": "6"}, "metadata fields"),
+    "cycles-zero": ("18/19", {"mixing": "15/19,4/19", "cycles": "0"}, "metadata fields"),
+    "cycles-padded": ("18/19", {"mixing": "15/19,4/19", "cycles": "02"}, "metadata fields"),
+    "cycles-not-text": ("18/19", {"mixing": "15/19,4/19", "cycles": 2}, "metadata fields"),
     "cycles-5000-digits": ("18/19", {"mixing": "15/19,4/19", "cycles": "9" * 5000},
-                           "metadata cycles"),
+                           "metadata fields"),
     "construction": ("8/9", {"construction": "cycles+tours"}, "metadata construction"),
     "construction-missing": ("8/9", {}, "metadata fields"),
 }
@@ -283,7 +284,7 @@ class TestRejects:
         ones = NodeWeights((F(1),) * g.n)
         _, res = approximate(algorithm, g, ones)
         off = min(set(g.edge_ids()) - set(res.solution_multiset()))
-        gw = g.with_weights({e.id: F(2) + (e.id == off) for e in g.edges})
+        gw = reweighted(g, {e.id: F(2) + (e.id == off) for e in g.edges})
         lp = solve_subtour(gw)
         res = replace(res, lower_bound=lp.value, x=lp.x,
                       dual=tuple((c.shore, y) for c, y in zip(lp.cuts, lp.duals) if y))
@@ -424,7 +425,7 @@ class TestRejects:
     def test_approx_zero_lower_bound(self):
         # On zero weights, x = 1 and the empty dual certify a bound of 0,
         # against which no beta = w(E) / 0 can be checked.
-        g = k4().with_weights({e.id: 0 for e in k4().edges})
+        g = reweighted(k4(), {e.id: 0 for e in k4().edges})
         tour = {frozenset(p) for p in ((0, 1), (1, 2), (2, 3), (3, 0))}
         doc = {"type": "approx-result", "graph": serialize.graph_to_json(g),
                "algorithm": "tspbeta", "object_class": "tour",
@@ -601,7 +602,7 @@ def fraction_sum_subtour_check(G, value, x, dual, fields=("lower_bound", "dual")
 
 def _weighted(g):
     """g with weights of several denominators."""
-    return g.with_weights({e.id: F(1 + e.id % 3, 1 + e.id % 4) for e in g.edges})
+    return reweighted(g, {e.id: F(1 + e.id % 3, 1 + e.id % 4) for e in g.edges})
 
 
 SUBTOUR_OPTIMA = [(g, solve_subtour(g)) for g in (
