@@ -9,16 +9,23 @@ the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
 --random is 0.  One row of the ROADMAP's size table, for example:
 
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
+
+With --counts each row also gives the run's master solves (optimize calls),
+pivots, pricing rounds, full entering scans, T-join pricing calls and
+largest |T|, counted by wrappers that this script installs around the
+simplex kernel and the T-join oracle; the library itself keeps no counts.
 """
 import argparse
 import hashlib
 import time
 from fractions import Fraction
+from typing import Dict
 
-from unicover import serialize
+from unicover import decompose, serialize
 from unicover.covers import VARIANTS, uniform_cover
 from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
+from unicover.simplex import Tableau
 from unicover.table import TABLE
 
 CORPUS = {
@@ -41,6 +48,36 @@ def generated(variant: str, n: int, count: int) -> list:
     return []
 
 
+COUNTS = ("solves", "pivots", "rounds", "scans", "tjoins", "max|T|")
+
+
+def install_counters() -> Dict[str, int]:
+    """Wrap Tableau.optimize, _pivot, _entering and generate's pricing step,
+    and every T-join oracle, master and one-shot alike; return the counts."""
+    counts = dict.fromkeys(COUNTS, 0)
+    generate, tjoin_price = Tableau.generate, decompose._tjoin_price
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_generate(self, price, cost):
+        return generate(self, counted(price, "rounds"), cost)
+
+    def counted_tjoin_price(G, ids, T):
+        counts["max|T|"] = max(counts["max|T|"], len(T))
+        return counted(tjoin_price(G, ids, T), "tjoins")
+
+    Tableau.optimize = counted(Tableau.optimize, "solves")
+    Tableau._pivot = counted(Tableau._pivot, "pivots")
+    Tableau._entering = counted(Tableau._entering, "scans")
+    Tableau.generate = counted_generate
+    decompose._tjoin_price = counted_tjoin_price
+    return counts
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -50,12 +87,17 @@ def main() -> None:
     parser.add_argument("--random", type=int, default=3,
                         help="random instances per cubic-3ec variant; the bipartite "
                              "variants get their one LCF instance unless this is 0")
+    parser.add_argument("--counts", action="store_true",
+                        help="also print each run's simplex and T-join pricing counts")
     args = parser.parse_args()
+    counts = install_counters() if args.counts else None
 
     for variant in args.variant or VARIANTS:
         print(f"== variant {variant} ==")
         instances = CORPUS[variant] + generated(variant, args.n, args.random)
         for name, G in instances:
+            if counts is not None:
+                counts.update(dict.fromkeys(COUNTS, 0))
             t0 = time.perf_counter()
             cert = uniform_cover(G, variant)
             elapsed = time.perf_counter() - t0
@@ -65,6 +107,8 @@ def main() -> None:
             print(f"  {name:28s} terms={len(cert.combination.terms):3d} "
                   f"maxmult={cert.max_multiplicity} min-slack={slack} "
                   f"[{elapsed:.2f}s] sha256 {digest}")
+            if counts is not None:
+                print("    " + " ".join(f"{key}={value}" for key, value in counts.items()))
 
 
 if __name__ == "__main__":

@@ -3,14 +3,19 @@
 All decompositions run exact column generation: a fraction-free simplex master
 over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
-minimum 1-cover over the minimal covers, listed once per connector).  The
-masters price with their undivided integer duals (π, s), y = π / s: each
-oracle's choices depend only on the order of the weights, which scaling by
-s > 0 keeps, ties included.  Optimality of the pricing step proves optimality
-of the master over the full object class, so a failed decomposition is a
-genuine infeasibility, not a search artifact.  A failed packing names the
-master's final duals: edge weights under which every object weighs at least 1
-but x weighs less, so by LP duality x lies outside the class's dominant.
+minimum 1-cover over the minimal covers, listed once per connector).  Each
+oracle is built once per master, for the master's edge rows (the T-join
+oracle builds its adjacency there, with each edge's row), and then takes
+one int weight per row, in row order; `min_tjoin` is the one-shot form of
+the T-join oracle.  The masters price with their undivided integer duals
+(π, s), y = π / s: each oracle's choices depend only on the order of the
+weights, which scaling by s > 0 keeps, ties included.  The packing master
+reads λ undivided as well, and divides once, by its sum.  Optimality of the
+pricing step proves optimality of the master over the full object class,
+so a failed decomposition is a genuine infeasibility, not a search
+artifact.  A failed packing names the master's final duals: edge weights
+under which every object weighs at least 1 but x weighs less, so by LP
+duality x lies outside the class's dominant.
 
 Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
 pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
@@ -36,8 +41,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CanonicalObject = Tuple[Tuple[int, int], ...]   # sorted ((edge id, multiplicity), ...)
-Weights = Dict[int, Union[int, Fraction]]       # edge id -> pricing weight
-Oracle = Callable[[Weights], Tuple[Union[int, Fraction], EdgeMultiset]]
+Weights = Dict[int, Union[int, Fraction]]       # edge id -> weight
+# A pricing oracle: an int weight per master row, in row order -> (the best
+# object's weight, the object).
+Oracle = Callable[[List[int]], Tuple[int, EdgeMultiset]]
 Terms = List[Tuple[Fraction, EdgeMultiset]]     # caratheodory_reduce's output
 
 
@@ -268,29 +275,38 @@ def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
     return col
 
 
-def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> Terms:
+def _pack(G: Multigraph, x: EdgeVector, what: str,
+          oracle: Callable[[List[int]], Oracle]) -> Terms:
     """Objects of one class dominated by x, from the master
     max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
 
-    `price` gets nonnegative edge weights, the int duals -π on the scale s,
-    and must return an exact minimum weight object of the class (weight,
-    multiset); the object prices out when it weighs less than s.  When the
-    packing value sigma is below 1, the final weights w = -y = -π / s prove
-    it: every object weighs at least 1 under w, but w.x = sigma.
+    The master has a row per edge of x's support, in ascending id order, and
+    `oracle(ids)` builds its pricing state once, for those edge ids.  The
+    price it returns gets the nonnegative int weights -π, one per row, on
+    the dual scale s, and must return an exact minimum weight object of the
+    class (weight, multiset); the object prices out when it weighs less
+    than s.  λ is rescaled as its undivided values over their sum, so a
+    round builds no Fraction.  When the packing value sigma is below 1, the
+    final weights w = -y = -π / s prove it: every object weighs at least 1
+    under w, but w.x = sigma.
     """
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
-    index = {eid: i for i, (eid, _) in enumerate(rows)}
+    ids = [eid for eid, _ in rows]
+    index = {eid: i for i, eid in enumerate(ids)}
+    price = oracle(ids)
     tab = Tableau([v for _, v in rows], [ZERO] * len(rows))    # slacks
     objects: List[EdgeMultiset] = []
 
     def improving(pi: List[int], s: int) -> Optional[List[int]]:
-        value, obj = price({eid: -pi[i] for eid, i in index.items()})
+        value, obj = price([-p for p in pi])
         return _keep(objects, index, tab.rows, obj) if value < s else None
 
     tab.generate(improving, -ONE)
-    raw = [(lam, obj) for lam, obj in zip(tab.solution()[tab.rows:], objects) if lam > 0]
-    sigma = sum((lam for lam, _ in raw), ZERO)
-    if sigma < 1:
+    lam, scale = tab.int_solution()
+    raw = [(v, obj) for v, obj in zip(lam[tab.rows:], objects) if v > 0]
+    total = sum(v for v, _ in raw)
+    if total < scale:
+        sigma = Fraction(total, scale)
         y = tab.duals()
         w = {eid: -y[i] for eid, i in index.items()}
         shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
@@ -298,7 +314,7 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, price: Oracle) -> Terms:
         raise DecompositionError(
             f"{what} packing value {sigma} < 1, so x is outside the dominant: "
             f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
-    return caratheodory_reduce([(lam / sigma, obj) for lam, obj in raw], G.m + 1)
+    return caratheodory_reduce([(Fraction(v, total), obj) for v, obj in raw], G.m + 1)
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
@@ -306,10 +322,10 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
     """Find lambda >= 0, sum = 1, sum(lambda * chi) = target; None if impossible.
 
     A phase 1 over the artificials: it stops at the first feasible lambda,
-    where the objective is 0.  `price_max` gets arbitrary-sign edge weights,
-    the int duals π of the edge rows, and must return an exact maximum
-    weight object of the class; it prices out when it weighs more than -π
-    of the convexity row.
+    where the objective is 0, read undivided.  `price_max` gets the
+    arbitrary-sign int duals π of the edge rows, in the order of
+    `target_rows`, and must return an exact maximum weight object of the
+    class; it prices out when it weighs more than -π of the convexity row.
     """
     index = {eid: i for i, (eid, _) in enumerate(target_rows)}
     nrows = len(index) + 1             # + convexity row
@@ -319,13 +335,13 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
     def improving(pi: List[int], s: int) -> Optional[List[int]]:
         # At objective 0 every artificial is 0, and a further pivot could
         # only be degenerate, so lambda is final.
-        if not tab.obj:
+        if not tab.int_obj()[0]:
             return None
-        value, obj = price_max({eid: pi[i] for eid, i in index.items()})
+        value, obj = price_max(pi[:-1])
         return _keep(objects, index, nrows, obj) if value > -pi[-1] else None
 
     tab.generate(improving, ZERO)
-    if tab.obj:
+    if tab.int_obj()[0]:
         return None
     return [(lam, obj) for lam, obj in zip(tab.solution()[nrows:], objects) if lam > 0]
 
@@ -334,24 +350,37 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
 # Pricing routines
 
 
-def _mst_price(G: Multigraph, support: Set[int]) -> Oracle:
-    edges = sorted((e for e in G.edges if e.id in support), key=lambda e: e.id)
+def _mst_price(G: Multigraph, ids: List[int]) -> Oracle:
+    """Minimum spanning tree in the edges `ids` (ascending), ties going to
+    the lower id; the oracle sorts the row positions by their weights."""
+    at = {eid: i for i, eid in enumerate(ids)}
+    edge_of = {at[e.id]: e for e in G.edges if e.id in at}
+    rows = sorted(edge_of)
 
-    def price(weights: Weights) -> Tuple[Union[int, Fraction], EdgeMultiset]:
-        order = sorted(edges, key=lambda e: (weights.get(e.id, 0), e.id))
-        tree = kruskal(list(range(G.n)), order)
+    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
+        tree = kruskal(list(range(G.n)), [edge_of[i] for i in sorted(rows, key=w.__getitem__)])
         if len(tree) != G.n - 1:
             raise DecompositionError("support does not contain a spanning tree")
-        return sum(weights.get(e.id, 0) for e in tree), {e.id: 1 for e in tree}
+        return sum(w[at[e.id]] for e in tree), {e.id: 1 for e in tree}
 
     return price
 
 
 def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, EdgeMultiset]:
     """Exact minimum weight T-join (nonnegative int or Fraction weights) in
-    the edges that `weights` lists: shortest paths between T-vertices plus an
-    exact matching DP, symmetric difference, all over the weights scaled to
-    ints.
+    the edges that `weights` lists: `_tjoin_price` once, over the weights
+    scaled to ints."""
+    scale, ints = scale_to_ints(weights.values())
+    value, join = _tjoin_price(G, list(weights), T)(ints)
+    return Fraction(value, scale), join
+
+
+def _tjoin_price(G: Multigraph, ids: Sequence[int], T: Set[int]) -> Oracle:
+    """Exact minimum weight T-join in the edges `ids`, under a nonnegative
+    int weight per id: shortest paths between T-vertices plus an exact
+    matching DP, symmetric difference.  The adjacency, with the position of
+    each edge in `ids`, is built once, here; a negative weight raises
+    DecompositionError.
 
     The DP pairs the lowest unmatched terminal with each later one, so it
     reaches only the masks of such pairings (F(|T| + 1) of the 2^|T|, F the
@@ -362,98 +391,106 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
     the last terminal is never the lower end of a pair and gets none."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
-    if not T:
-        return ZERO, {}
-    scale, ints = scale_to_ints(weights.values())
-    iw = dict(zip(weights, ints))
-    adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]
+    at = {eid: i for i, eid in enumerate(ids)}
+    adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]   # (end, row, edge id)
     for e in G.edges:
-        if e.id in iw:
-            adj[e.u].append((e.v, iw[e.id], e.id))
-            adj[e.v].append((e.u, iw[e.id], e.id))
+        if e.id in at:
+            adj[e.u].append((e.v, at[e.id], e.id))
+            adj[e.v].append((e.u, at[e.id], e.id))
     terms = sorted(T)
-    dist_rows: List[List[Optional[int]]] = []    # None: not reached
-    prev_rows: List[List[Optional[Tuple[int, int]]]] = []
-    for i, s in enumerate(terms[:-1]):
-        dist: List[Optional[int]] = [None] * G.n
-        prev_edge: List[Optional[Tuple[int, int]]] = [None] * G.n
-        dist[s] = 0
-        heap = [(0, s)]
-        later = set(terms[i + 1:])
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            later.discard(v)
-            if not later:
-                break
-            for w, cost, eid in adj[v]:
-                nd = d + cost
-                if dist[w] is None or nd < dist[w]:
-                    dist[w] = nd
-                    prev_edge[w] = (v, eid)
-                    heapq.heappush(heap, (nd, w))
-        dist_rows.append([dist[t] for t in terms])
-        prev_rows.append(prev_edge)
-    t = len(terms)
-    full = (1 << t) - 1
-    layer: Dict[int, int] = {0: 0}
-    choice: Dict[int, Tuple[int, int]] = {}
-    for _ in range(t // 2):
-        reached: Dict[int, int] = {}
-        for mask in sorted(layer):
-            base = layer[mask]
-            free = ~mask & full
-            i = (free & -free).bit_length() - 1
-            row = dist_rows[i]
-            j = free & ~(1 << i)
-            while j:
-                jb = j & -j
-                jidx = jb.bit_length() - 1
-                d = row[jidx]
-                if d is not None:
-                    nm = mask | (1 << i) | jb
-                    nv = base + d
-                    old = reached.get(nm)
-                    if old is None or nv < old:
-                        reached[nm] = nv
-                        choice[nm] = (i, jidx)
-                j ^= jb
-        layer = reached
-    if full not in layer:
-        raise DecompositionError("T vertices not connected in the support")
-    join: Dict[int, int] = {}
-    mask = full
-    while mask:
-        # The shortest path from terms[i] to terms[j], walked back from j.
-        i, j = choice[mask]
-        v = terms[j]
-        while v != terms[i]:
-            v, eid = prev_rows[i][v]
-            join[eid] = join.get(eid, 0) ^ 1
-        mask &= ~(1 << i) & ~(1 << j)
-    join = {eid: 1 for eid, m in join.items() if m}
-    return Fraction(sum(iw[eid] for eid in join), scale), join
+
+    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
+        if w and min(w) < 0:
+            raise DecompositionError("T-join pricing needs nonnegative weights")
+        if not terms:
+            return 0, {}
+        dist_rows: List[List[Optional[int]]] = []    # None: not reached
+        prev_rows: List[List[Optional[Tuple[int, int]]]] = []
+        for i, s in enumerate(terms[:-1]):
+            dist: List[Optional[int]] = [None] * G.n
+            prev_edge: List[Optional[Tuple[int, int]]] = [None] * G.n
+            dist[s] = 0
+            heap = [(0, s)]
+            later = set(terms[i + 1:])
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                later.discard(v)
+                if not later:
+                    break
+                for u, row, eid in adj[v]:
+                    nd = d + w[row]
+                    if dist[u] is None or nd < dist[u]:
+                        dist[u] = nd
+                        prev_edge[u] = (v, eid)
+                        heapq.heappush(heap, (nd, u))
+            dist_rows.append([dist[t] for t in terms])
+            prev_rows.append(prev_edge)
+        t = len(terms)
+        full = (1 << t) - 1
+        layer: Dict[int, int] = {0: 0}
+        choice: Dict[int, Tuple[int, int]] = {}
+        for _ in range(t // 2):
+            reached: Dict[int, int] = {}
+            for mask in sorted(layer):
+                base = layer[mask]
+                free = ~mask & full
+                i = (free & -free).bit_length() - 1
+                row = dist_rows[i]
+                j = free & ~(1 << i)
+                while j:
+                    jb = j & -j
+                    jidx = jb.bit_length() - 1
+                    d = row[jidx]
+                    if d is not None:
+                        nm = mask | (1 << i) | jb
+                        nv = base + d
+                        old = reached.get(nm)
+                        if old is None or nv < old:
+                            reached[nm] = nv
+                            choice[nm] = (i, jidx)
+                    j ^= jb
+            layer = reached
+        if full not in layer:
+            raise DecompositionError("T vertices not connected in the support")
+        join: Dict[int, int] = {}
+        mask = full
+        while mask:
+            # The shortest path from terms[i] to terms[j], walked back from j.
+            i, j = choice[mask]
+            v = terms[j]
+            while v != terms[i]:
+                v, eid = prev_rows[i][v]
+                join[eid] = join.get(eid, 0) ^ 1
+            mask &= ~(1 << i) & ~(1 << j)
+        join = {eid: 1 for eid, m in join.items() if m}
+        return sum(w[at[eid]] for eid in join), join
+
+    return price
 
 
-def _connector_price_max(G: Multigraph, support: Set[int]) -> Oracle:
-    edges = [e for e in G.edges if e.id in support]
+def _connector_price_max(G: Multigraph, ids: List[int]) -> Oracle:
+    """Maximum weight connector in the edges `ids` (ascending): every edge
+    of positive weight twice, then a maximum weight forest over the rest,
+    ties going to the lower id."""
+    at = {eid: i for i, eid in enumerate(ids)}
+    edges = [(at[e.id], e) for e in G.edges if e.id in at]
 
-    def price(weights: Weights) -> Tuple[Union[int, Fraction], EdgeMultiset]:
+    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
         obj: EdgeMultiset = {}
         total = 0
         parent = list(range(G.n))
-        for e in edges:
-            w = weights.get(e.id, 0)
-            if w > 0:
+        for i, e in edges:
+            if w[i] > 0:
                 obj[e.id] = 2
-                total += 2 * w
+                total += 2 * w[i]
                 union(parent, e.u, e.v)
         # Connect the remaining components with a maximum weight forest.
-        order = sorted(edges, key=lambda e: (-weights.get(e.id, 0), e.id))
-        for e in kruskal(parent, order):
+        order = sorted(edges, key=lambda ie: (-w[ie[0]], ie[1].id))
+        for e in kruskal(parent, [e for _, e in order]):
             obj[e.id] = obj.get(e.id, 0) + 1
-            total += weights.get(e.id, 0)
+            total += w[at[e.id]]
         roots = {find(parent, v) for v in range(G.n)}
         if len(roots) != 1:
             raise DecompositionError("graph is disconnected")
@@ -462,38 +499,38 @@ def _connector_price_max(G: Multigraph, support: Set[int]) -> Oracle:
     return price
 
 
-def _one_cover_price(crossing: List[FrozenSet[int]], candidate_ids: Set[int]) -> Oracle:
-    """Exact minimum 1-cover: a cheapest set of candidate edges meeting each
-    of the `crossing` edge sets (the 1-edge cuts of a connector), ties going
-    to the lowest bitmask over the sorted candidates.
+def _one_cover_price(crossing: List[FrozenSet[int]], ids: List[int]) -> Oracle:
+    """Exact minimum 1-cover: a cheapest set of the candidate edges `ids`
+    meeting each of the `crossing` edge sets (the 1-edge cuts of a
+    connector), ties going to the lowest bitmask over the sorted candidates.
 
     The minimal covers are listed once, here; each call weighs only them.
     Under nonnegative weights every cover contains a minimal cover that
     weighs no more and has a lower bitmask, so this is the argmin over all
     covers.  A negative weight raises DecompositionError."""
-    relevant: List[int] = sorted(
-        eid for eid in candidate_ids if any(eid in c for c in crossing))
+    at = {eid: i for i, eid in enumerate(ids)}
+    relevant: List[int] = sorted(eid for eid in ids if any(eid in c for c in crossing))
     if len(relevant) > 22:
         raise DecompositionError("1-cover pricing capped at 22 candidate edges")
     for c in crossing:
         if not any(eid in c for eid in relevant):
             raise DecompositionError("a 1-edge cut of F has no candidate cover edge")
+    rows = [at[eid] for eid in relevant]
     # hits[i]: the crossing sets that candidate i meets, as a bitmask.
     hits = [sum(1 << ci for ci, c in enumerate(crossing) if eid in c) for eid in relevant]
     covers = [tuple(i for i in range(len(relevant)) if sub >> i & 1)
               for sub in sorted(_minimal_covers(hits, (1 << len(crossing)) - 1))]
 
-    def price(weights: Weights) -> Tuple[Fraction, EdgeMultiset]:
-        w = [weights.get(eid, 0) for eid in relevant]
-        if any(v < 0 for v in w):
+    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
+        iw = [w[i] for i in rows]
+        if any(v < 0 for v in iw):
             raise DecompositionError("1-cover pricing needs nonnegative weights")
-        scale, iw = scale_to_ints(w)
         best, best_cover = None, ()
         for cover in covers:
             total = sum(iw[i] for i in cover)
             if best is None or total < best:
                 best, best_cover = total, cover
-        return Fraction(best, scale), {relevant[i]: 1 for i in best_cover}
+        return best, {relevant[i]: 1 for i in best_cover}
 
     return price
 
@@ -542,8 +579,7 @@ def require_subtour(G: Multigraph, x: EdgeVector) -> None:
 
 def pack_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
     """Spanning trees of the support of x, dominated by x; x is not tested."""
-    support = {eid for eid, v in x.items() if v > 0}
-    return _pack(G, x, "spanning tree", _mst_price(G, support))
+    return _pack(G, x, "spanning tree", lambda ids: _mst_price(G, ids))
 
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
@@ -559,7 +595,7 @@ def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:
         raise GraphError("odd |T|")
     if not T:
         return [(ONE, {})]
-    return _pack(G, x, "T-join", lambda weights: min_tjoin(G, weights, T))
+    return _pack(G, x, "T-join", lambda ids: _tjoin_price(G, ids, T))
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
@@ -571,7 +607,8 @@ def decompose_connectors(G: Multigraph, x: EdgeVector) -> Terms:
     """Equality decomposition of x (clipped at 2) into connectors of G.  x
     must be in the subtour polytope; this stage does not test it."""
     xbar = clip_at_two(x)
-    raw = _equality_master(sorted(xbar.items()), _connector_price_max(G, set(xbar)))
+    rows = sorted(xbar.items())
+    raw = _equality_master(rows, _connector_price_max(G, [eid for eid, _ in rows]))
     if raw is None:
         raise DecompositionError("x is not in the connector polytope")
     return caratheodory_reduce(raw, G.m + 1)
@@ -600,7 +637,7 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
         if value < 1:
             raise DecompositionError(f"input vector is outside cover: 1-edge cut "
                                      f"of F at e{bridge} has value {value} < 1")
-    return _pack(G, target, "1-cover", _one_cover_price(crossing, set(target)))
+    return _pack(G, target, "1-cover", lambda ids: _one_cover_price(crossing, ids))
 
 
 def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction

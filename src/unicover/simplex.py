@@ -5,32 +5,36 @@ the set-up, a pivot or a pricing step.  One `Tableau` serves every LP.  It
 is built from b scaled to ints over the lcm L of its denominators
 (graph.scale_to_ints), its identity basis as sparse unit columns, and the
 costs as ints over their common denominator C.  It keeps the original
-columns as sparse ints and the basis as one integer matrix M = D·B⁻¹,
-where D = det(B) > 0, so M is the adjugate of B.  Each pivot is
-Edmonds' integer-preserving update (Bareiss 1968):
+columns as sparse ints, each with an `operator.itemgetter` of its rows, and
+the basis as one integer matrix M = D·B⁻¹, where D = det(B) > 0, so M is
+the adjugate of B.  Each pivot is Edmonds' integer-preserving update
+(Bareiss 1968):
 
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
 
 with α = M·A_e for the entering column e and p = α_r; every division is
-exact.  Each row is formed once, by floor division, and checked as a whole:
-floor remainders are nonnegative, so they are all zero exactly when
-p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for π).  Reduced costs come
-from π = C·c_B·M and the original columns, and α is formed only for the
-entering column, so new columns cost nothing until they are priced.  The
-values `obj`, `solution()` and `duals()` are divided out once, when they
-are read.  `generate` is the library's one column generation loop: the
-subtour LP's cutting planes in `lp` and both decomposition masters in
-`decompose` run on it.  Each starts from its identity basis and prices from
-the undivided duals (`int_duals()`), so pricing and separation build no
-Fraction.  `solve_lp`, the two-phase solver for general rows, scales rows
-to ints first; the library does not call it, and the tests keep it as
-their reference LP solver.
+exact.  At D = 1 there is no division.  Otherwise each row is formed once,
+by floor division, and checked as a whole: floor remainders are
+nonnegative, so they are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i
+(and likewise for π).  The sums ΣM_i are kept with M, so each row is summed
+once, when it is formed.  Reduced costs come from π = C·c_B·M and the
+original columns, and α is formed only for the entering column, so new
+columns cost nothing until they are priced.  The values `obj`,
+`solution()` and `duals()` are divided out once, when they are read; their
+`int_` forms are not divided.  `generate` is the library's one column
+generation loop: the subtour LP's cutting planes in `lp` and both
+decomposition masters in `decompose` run on it.  Each starts from its
+identity basis and prices from the undivided duals (`int_duals()`), so
+pricing and separation build no Fraction.  `solve_lp`, the two-phase solver
+for general rows, scales rows to ints first; the library does not call it,
+and the tests keep it as their reference LP solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .graph import scale_to_ints
@@ -38,6 +42,24 @@ from .graph import scale_to_ints
 ZERO = Fraction(0)
 
 SparseColumn = List[Tuple[int, int]]     # (row, nonzero int entry), rows ascending
+# A column's rows as an itemgetter, and its entries, or None when all are 1.
+Dot = Tuple[Callable[[Sequence[int]], Sequence[int]], Optional[Tuple[int, ...]]]
+
+
+def _dot_of(col: SparseColumn) -> Dot:
+    rows = [i for i, _ in col]
+    if len(rows) > 1:
+        get = itemgetter(*rows)
+    else:                       # one index would get a scalar, a slice gets a list
+        get = itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
+    vals = tuple(v for _, v in col)
+    return get, None if vals.count(1) == len(vals) else vals
+
+
+def _dot(dot: Dot, vec: Sequence[int]) -> int:
+    """The column of `dot` times `vec`."""
+    get, vals = dot
+    return sum(get(vec)) if vals is None else sum(map(mul, get(vec), vals))
 
 
 class LpError(RuntimeError):
@@ -69,11 +91,13 @@ class Tableau:
         if any(v < 0 for v in self.beta):
             raise LpError("right-hand side must be nonnegative")
         self.cols: List[SparseColumn] = [[(i, 1)] for i in range(self.rows)]
+        self.dots: List[Dot] = [(itemgetter(slice(i, i + 1)), None) for i in range(self.rows)]
         self.icosts: List[int] = []            # C * cost of each column, ints
         self.C = 1                             # common denominator of the costs
         self.basis = list(range(self.rows))
         self.D = 1
         self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
+        self.msum = [1] * self.rows             # the sum of each row of M
         self._pi: Optional[List[int]] = None    # C . c_B . M, once priced
         for cost in identity_costs:
             self._append_cost(cost)
@@ -87,6 +111,7 @@ class Tableau:
                     raise LpError("tableau columns must be integer")
                 sparse.append((i, int(v)))
         self.cols.append(sparse)
+        self.dots.append(_dot_of(sparse))
         self._append_cost(cost)
         return len(self.cols) - 1
 
@@ -95,10 +120,17 @@ class Tableau:
         """Column generation: optimize, hand the undivided duals (π, s) to
         `price` and add the column it returns at `cost`, until it returns
         None.  A column added before the call is known, an identity column
-        is not; pricing a known column raises LpError."""
+        is not; pricing a known column raises LpError.
+
+        A column is added at an optimum, where no column prices below zero,
+        and adding it moves neither the basis nor the duals (a rise of C
+        rescales every reduced cost by the same factor).  So Bland's rule
+        could pick only the new column: it alone is priced, and the simplex
+        goes on from it if it enters.  Every optimum that `price` sees was
+        proved by a full scan at the same basis."""
         known = {tuple(col) for col in self.cols[self.rows:]}
+        self.optimize()
         while True:
-            self.optimize()
             col = price(*self.int_duals())
             if col is None:
                 return
@@ -106,7 +138,11 @@ class Tableau:
             if key in known:
                 raise LpError("pricing returned a known column; solver bug")
             known.add(key)
-            self.add_column(col, cost)
+            enter = self.add_column(col, cost)
+            red = self._reduced_cost(enter)
+            if red < 0:
+                self._enter(enter, red, set())
+                self.optimize()
 
     def set_costs(self, costs: Sequence[Fraction]) -> None:
         """Replace the cost of every column."""
@@ -139,103 +175,134 @@ class Tableau:
             self._pi = pi
         return self._pi
 
+    def _reduced_cost(self, j: int) -> int:
+        """Column j's reduced cost times D·C."""
+        return self.D * self.icosts[j] - _dot(self.dots[j], self._prices())
+
     def _entering(self, forbidden: set) -> Tuple[int, int]:
         """Bland's rule: the lowest non-forbidden column of negative reduced
         cost, with that cost times D·C; (-1, 0) at an optimum."""
         pi = self._prices()
-        D = self.D
-        basic = set(self.basis)
-        for j, col in enumerate(self.cols):
-            if j in basic or j in forbidden:
+        D, icosts = self.D, self.icosts
+        skip = forbidden.union(self.basis)
+        for j, (get, vals) in enumerate(self.dots):
+            if j in skip:
                 continue
-            r = D * self.icosts[j]
-            for i, v in col:
-                r -= pi[i] * v
+            # _reduced_cost(j), inlined: this loop prices every column.
+            r = D * icosts[j] - (sum(get(pi)) if vals is None
+                                 else sum(map(mul, get(pi), vals)))
             if r < 0:
                 return j, r
         return -1, 0
 
     def _pivot(self, row: int, alpha: List[int], red: int) -> None:
-        """Edmonds' update on M, β and π; every division by D must be exact,
-        or LpError is raised.  `red` is the entering column's reduced cost
-        times D·C, so that π' = (p·π + red·M_r) / D."""
-        D, M, p = self.D, self.M, alpha[row]
-        Mr, br = M[row], self.beta[row]
-        sr = sum(Mr)
-        for i in range(self.rows):
-            a = alpha[i]
+        """Edmonds' update on M, its row sums, β and π; every division by D
+        must be exact, or LpError is raised.  `red` is the entering column's
+        reduced cost times D·C, so that π' = (p·π + red·M_r) / D."""
+        D, M, msum, beta, p = self.D, self.M, self.msum, self.beta, alpha[row]
+        Mr, br, sr = M[row], beta[row], msum[row]
+        pi = self._pi
+        for i, a in enumerate(alpha):
             if i == row or (not a and p == D):
                 continue
             Mi = M[i]
+            if D == 1:
+                M[i] = [p * u - a * v for u, v in zip(Mi, Mr)]
+                msum[i] = p * msum[i] - a * sr
+                beta[i] = p * beta[i] - a * br
+                continue
             new = [(p * u - a * v) // D for u, v in zip(Mi, Mr)]
-            b_new, b_rem = divmod(p * self.beta[i] - a * br, D)
+            total = sum(new)
+            b_new, b_rem = divmod(p * beta[i] - a * br, D)
             # Floor division leaves nonnegative remainders (D > 0), so they
             # are all zero exactly when the row's sums agree.
-            if p * sum(Mi) - a * sr != D * sum(new) or b_rem:
+            if p * msum[i] - a * sr != D * total or b_rem:
                 raise LpError("inexact division in an integer pivot")
-            M[i] = new
-            self.beta[i] = b_new
-        pi = self._pi
-        new = [(p * u + red * v) // D for u, v in zip(pi, Mr)]
-        if sum(new) * D != p * sum(pi) + red * sum(Mr):
-            raise LpError("inexact division in an integer pivot")
-        self._pi = new
+            M[i], msum[i], beta[i] = new, total, b_new
+        if D == 1:
+            pi = [p * u + red * v for u, v in zip(pi, Mr)]
+        else:
+            new = [(p * u + red * v) // D for u, v in zip(pi, Mr)]
+            if sum(new) * D != p * sum(pi) + red * sr:
+                raise LpError("inexact division in an integer pivot")
+            pi = new
+        self._pi = pi
         if p < 0:
-            # Keep D = |det B| > 0 by negating M, β and π with it.
+            # Keep D = |det B| > 0 by negating M, its sums, β and π with it.
             self.M = [[-u for u in Mi] for Mi in M]
-            self.beta = [-b for b in self.beta]
-            self._pi = [-u for u in new]
+            self.msum = [-u for u in msum]
+            self.beta = [-b for b in beta]
+            self._pi = [-u for u in pi]
             p = -p
         self.D = p
 
-    def optimize(self, forbidden: Optional[set] = None) -> None:
-        """Primal simplex with Bland's rule; `forbidden` columns never enter.
+    def _enter(self, enter: int, red: int, forbidden: set) -> None:
+        """One simplex step: column `enter`, of reduced cost `red` (times
+        D·C) below zero, enters the basis.
 
         A forbidden column that is basic at zero (an artificial after phase
         1) stays at zero: a step that would raise it makes it leave instead,
         in a degenerate pivot on its negative entry."""
+        get, vals = self.dots[enter]
+        if vals is None:
+            alpha = [sum(get(Mi)) for Mi in self.M]
+        else:
+            alpha = [sum(map(mul, get(Mi), vals)) for Mi in self.M]
+        beta, basis = self.beta, self.basis
+        # Ratio test on β_i / α_i over α_i > 0 (D > 0 cancels), by
+        # cross-multiplying; ties go to the lower basis index.
+        leave_row = -1
+        for i, a in enumerate(alpha):
+            if a > 0:
+                if leave_row < 0:
+                    leave_row = i
+                    continue
+                lhs = beta[i] * alpha[leave_row]
+                rhs = beta[leave_row] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
+                    leave_row = i
+        if forbidden and (leave_row < 0 or beta[leave_row]):
+            stuck = [i for i, a in enumerate(alpha) if a < 0 and not beta[i]
+                     and basis[i] in forbidden]
+            if stuck:
+                leave_row = min(stuck, key=lambda i: basis[i])
+        if leave_row < 0:
+            raise Unbounded("unbounded LP")
+        self._pivot(leave_row, alpha, red)
+        basis[leave_row] = enter
+
+    def optimize(self, forbidden: Optional[set] = None) -> None:
+        """Primal simplex with Bland's rule; `forbidden` columns never enter,
+        and one basic at zero stays at zero (see `_enter`)."""
         forbidden = forbidden or set()
         while True:
             enter, red = self._entering(forbidden)
             if enter < 0:
                 return
-            col = self.cols[enter]
-            alpha = [sum(Mi[k] * v for k, v in col) for Mi in self.M]
-            # Ratio test on β_i / α_i over α_i > 0 (D > 0 cancels), by
-            # cross-multiplying; ties go to the lower basis index.
-            leave_row = -1
-            for i, a in enumerate(alpha):
-                if a > 0:
-                    if leave_row < 0:
-                        leave_row = i
-                        continue
-                    lhs = self.beta[i] * alpha[leave_row]
-                    rhs = self.beta[leave_row] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave_row]):
-                        leave_row = i
-            if forbidden and (leave_row < 0 or self.beta[leave_row]):
-                stuck = [i for i, a in enumerate(alpha) if a < 0 and not self.beta[i]
-                         and self.basis[i] in forbidden]
-                if stuck:
-                    leave_row = min(stuck, key=lambda i: self.basis[i])
-            if leave_row < 0:
-                raise Unbounded("unbounded LP")
-            self._pivot(leave_row, alpha, red)
-            self.basis[leave_row] = enter
+            self._enter(enter, red, forbidden)
+
+    def int_obj(self) -> Tuple[int, int]:
+        """c_B . x_B undivided: (z, s) with the objective z / s and s = C·D·L > 0."""
+        total = sum(self.icosts[j] * self.beta[i] for i, j in enumerate(self.basis))
+        return total, self.C * self.D * self.L
 
     @property
     def obj(self) -> Fraction:
         """c_B . x_B of the current basic solution."""
-        total = sum(self.icosts[j] * self.beta[i] for i, j in enumerate(self.basis))
-        return Fraction(total, self.C * self.D * self.L)
+        return Fraction(*self.int_obj())
+
+    def int_solution(self) -> Tuple[List[int], int]:
+        """The basic solution undivided: (x, s) with column j at x[j] / s
+        and s = D·L > 0."""
+        x = [0] * len(self.cols)
+        for i, j in enumerate(self.basis):
+            x[j] = self.beta[i]
+        return x, self.D * self.L
 
     def solution(self) -> List[Fraction]:
         """The value of every column in the current basic solution."""
-        x = [ZERO] * len(self.cols)
-        scale = self.D * self.L
-        for i, j in enumerate(self.basis):
-            x[j] = Fraction(self.beta[i], scale)
-        return x
+        x, s = self.int_solution()
+        return [Fraction(v, s) if v else ZERO for v in x]
 
     def duals(self) -> List[Fraction]:
         """y = c_B B⁻¹, one per row."""

@@ -5,14 +5,15 @@ can trust it.  Bridges and 2-edge cuts are read from one cycle-space
 labelling, with no component count.  A pipeline labels its terms once, at
 its end.  A CLI call builds the parser of its own command only, and
 weights a node-weighted graph once.  The connector master prices only
-while it is infeasible."""
+while it is infeasible.  Column generation takes a pinned path: a round
+that adds a column prices that column alone, not every column."""
 import argparse
 import sys
 from collections import Counter
 
 import pytest
 
-from unicover import cli, decompose, graph, lp, serialize
+from unicover import cli, decompose, graph, lp, serialize, simplex
 from unicover.approx import approximate
 from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
@@ -178,6 +179,38 @@ def test_connector_master_stops_at_feasibility(monkeypatch):
     G, _ = _approx_input("twoecbeta")
     decompose.decompose_connectors(G, lp.solve_subtour(G).x)
     assert seen == {"priced": 11, "kept": 11}
+
+
+# (pivots, full entering scans).  The pivots are those of the kernel that
+# scanned every column after each added column: 305 and 11.  That kernel made
+# 512 and 23 full scans, of which 190 and 11 followed a round that added a
+# column; each of those is now one column's reduced cost.
+PIVOT_PATHS = {"18/19-petersen": (305, 512 - 190), "connectors": (11, 23 - 11)}
+
+
+@pytest.mark.parametrize("run", sorted(PIVOT_PATHS))
+def test_column_generation_takes_the_pinned_pivot_path(monkeypatch, run):
+    seen = {"pivots": 0, "scans": 0}
+    pivot, entering = simplex.Tableau._pivot, simplex.Tableau._entering
+
+    def counted_pivot(self, *args):
+        seen["pivots"] += 1
+        return pivot(self, *args)
+
+    def counted_entering(self, *args):
+        seen["scans"] += 1
+        return entering(self, *args)
+
+    if run == "connectors":
+        G, _ = _approx_input("twoecbeta")
+        x = lp.solve_subtour(G).x
+    monkeypatch.setattr(simplex.Tableau, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex.Tableau, "_entering", counted_entering)
+    if run == "connectors":
+        decompose.decompose_connectors(G, x)
+    else:
+        uniform_cover(petersen(), "18/19")
+    assert (seen["pivots"], seen["scans"]) == PIVOT_PATHS[run]
 
 
 @pytest.mark.parametrize("algorithm", ("tsp75", "twoecbeta"))

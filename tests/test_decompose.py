@@ -173,6 +173,17 @@ class TestTJoins:
 
 
 class TestMinTJoin:
+    def test_a_negative_weight_raises(self, c4):
+        # Dijkstra would settle vertex 1 at 1 before the path 0-3-2-1 of
+        # weight 1 + 1 - 2 = 0 reaches it, and return a join that is not
+        # the minimum; both pricing forms refuse the weights instead.
+        with pytest.raises(DecompositionError, match="nonnegative"):
+            min_tjoin(c4, {0: 1, 1: -2, 2: 1, 3: 1}, {0, 1})
+        price = decompose._tjoin_price(c4, [0, 1, 2, 3], {0, 1})
+        assert price([1, 3, 1, 1]) == (1, {0: 1})
+        with pytest.raises(DecompositionError, match="nonnegative"):
+            price([1, -2, 1, 1])
+
     def exhaustive_min(self, g, weights, T):
         import itertools
         ids = sorted(weights)
@@ -263,7 +274,8 @@ def crossing_family(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_cover_price_matches_exhaustive_scan(case):
     crossing, candidates, weights = case
-    value, cover = _one_cover_price(crossing, candidates)(weights)
+    ids = sorted(candidates)
+    value, cover = _one_cover_price(crossing, ids)([weights.get(eid, 0) for eid in ids])
     assert (value, cover) == exhaustive_one_cover(crossing, candidates, weights)
 
 
@@ -288,10 +300,10 @@ def test_minimal_covers_are_all_the_minimal_covers(hits):
 
 def test_one_cover_price_rejects_a_negative_weight():
     crossing = [frozenset({0, 1}), frozenset({1, 2})]
-    price = _one_cover_price(crossing, {0, 1, 2})
-    assert price({0: 1, 1: 3, 2: 1}) == (2, {0: 1, 2: 1})
+    price = _one_cover_price(crossing, [0, 1, 2])
+    assert price([1, 3, 1]) == (2, {0: 1, 2: 1})
     with pytest.raises(DecompositionError, match="nonnegative"):
-        price({0: 1, 1: F(-1, 2), 2: 1})
+        price([1, F(-1, 2), 1])
 
 
 class TestOneCovers:

@@ -9,10 +9,13 @@ from unicover.families import (k4, k5, k33, petersen, prism, random_cubic_3ec,
 from unicover.graph import NodeWeights, cut_edges
 from unicover.lp import (LpInputError, everywhere, initial_shores, membership, min_cut,
                          one_edge_cuts, solve_subtour)
-from unicover import serialize, simplex
+from unicover import decompose, serialize, simplex
+from unicover import lp as lp_layer
+from unicover.covers import uniform_cover
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 from unicover.verify import verify_document
 
+import test_golden as golden
 from conftest import (brute_force_min_cut, brute_force_subtour, dict_scan_min_cut,
                       fraction_tableau_state, lp_over_cuts, make_graph, reweighted)
 
@@ -80,6 +83,25 @@ class TestSimplex:
         with pytest.raises(LpError, match="inexact division"):
             tab._pivot(0, [1, 1], 0)
 
+    def test_pivot_rejects_a_row_of_m_its_sum_disagrees_with(self):
+        # One pivot on p = 2 leaves D = 2 and M = ((1, 0), (-1, 2)), whose
+        # rows sum to the kept (1, 1).  Pivoting on row 0 with α = (2, 2)
+        # then divides M_1 − M_0 by nothing but checks it through the sums.
+        # Adding 2 to M_1 keeps every entry's division exact, but M_1 no
+        # longer sums to 1, so the next divided pivot must raise.
+        def after_one_pivot():
+            tab = Tableau([F(1), F(1)], [F(0), F(0)])
+            tab.add_column([2, 1], F(-1))
+            tab.optimize()
+            assert (tab.D, tab.M, tab.msum) == (2, [[1, 0], [-1, 2]], [1, 1])
+            return tab
+
+        after_one_pivot()._pivot(0, [2, 2], 0)
+        tab = after_one_pivot()
+        tab.M[1] = [1, 2]
+        with pytest.raises(LpError, match="inexact division"):
+            tab._pivot(0, [2, 2], 0)
+
     def test_pivot_rejects_an_inexact_dual_update(self):
         # One row, so no row update; with D = 2 tampered in, π becomes
         # (2·0 + 1·1) / 2.
@@ -138,6 +160,51 @@ def test_tableau_starts_from_the_fraction_state(b, data):
     tab = Tableau(b, costs)
     assert (tab.L, tab.beta, tab.C, tab.icosts, tab.cols) == fraction_tableau_state(b, costs)
     assert all(type(v) is int for v in [tab.L, tab.C, *tab.beta, *tab.icosts])
+
+
+def fraction_inverse(B):
+    """B⁻¹ of a square Fraction matrix, by Gauss-Jordan elimination."""
+    m = len(B)
+    A = [[F(v) for v in row] + [F(int(i == k)) for k in range(m)] for i, row in enumerate(B)]
+    for c in range(m):
+        r = next(r for r in range(c, m) if A[r][c])
+        A[c], A[r] = A[r], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(m):
+            if r != c and A[r][c]:
+                A[r] = [v - A[r][c] * w for v, w in zip(A[r], A[c])]
+    return [row[m:] for row in A]
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6), min_size=1,
+                max_size=5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_d1_pivot_is_the_fraction_update(b, data):
+    # From the identity basis (D = 1) one pivot forms its rows with no
+    # division.  Against the Fraction state: D' = |det B'| and M' = D'·B'⁻¹,
+    # with β' = M'·(L·b), π' = C·c_B'·M' and the sums of M''s rows kept.
+    m = len(b)
+    costs = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                               min_size=m, max_size=m))
+    col = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+                    .filter(lambda c: any(c)))
+    row = data.draw(st.sampled_from([i for i, v in enumerate(col) if v]))
+    cost = data.draw(st.integers(-5, 5))
+    L, beta, C, icosts, _ = fraction_tableau_state(b, costs)
+    tab = Tableau(b, costs)
+    j = tab.add_column(col, F(cost))
+    tab._pivot(row, list(col), tab._reduced_cost(j))
+    tab.basis[row] = j
+    B = [[F(int(i == k)) for k in range(m)] for i in range(m)]
+    for i in range(m):
+        B[i][row] = F(col[i])
+    D = abs(col[row])
+    M = [[D * v for v in r] for r in fraction_inverse(B)]
+    basic_costs = icosts[:row] + [cost * C] + icosts[row + 1:]
+    assert tab.D == D
+    assert tab.M == M and tab.msum == [sum(r) for r in M]
+    assert tab.beta == [sum(v * w for v, w in zip(r, beta)) for r in M]
+    assert tab._prices() == [sum(c * r[k] for c, r in zip(basic_costs, M)) for k in range(m)]
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -306,6 +373,53 @@ def test_solve_lp_follows_the_fraction_tableau(lp):
         return
     sol = solve_lp(c, rows)
     assert (sol.value, sol.x, sol.duals) == want
+
+
+class KernelCheckedTableau(Tableau):
+    """A Tableau that checks the state it keeps: after every pivot, each
+    kept row sum is the sum of its row of M, and each one-column entering
+    check of `generate` returns what a full Bland scan would."""
+    pivots = 0
+    column_checks = 0
+
+    def _pivot(self, row, alpha, red):
+        super()._pivot(row, alpha, red)
+        assert self.msum == [sum(Mi) for Mi in self.M]
+        KernelCheckedTableau.pivots += 1
+
+    def _reduced_cost(self, j):
+        red = super()._reduced_cost(j)
+        assert self._entering(set()) == ((j, red) if red < 0 else (-1, 0))
+        KernelCheckedTableau.column_checks += 1
+        return red
+
+
+@given(st.one_of(feasible_bounded_lp(), any_lp()))
+@settings(max_examples=200, deadline=None)
+def test_row_sums_follow_m_on_random_lps(lp):
+    c, rows = lp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "Tableau", KernelCheckedTableau)
+        try:
+            solve_lp(c, rows)
+        except (Infeasible, Unbounded):
+            pass
+
+
+def test_kept_state_holds_on_the_golden_masters(monkeypatch):
+    # Every master of the golden corpus: the covers (their spanning tree,
+    # T-join and 1-cover packings), the beta rows' connector masters and the
+    # subtour LPs under all of them, with the digests unchanged.
+    for module in (simplex, lp_layer, decompose):
+        monkeypatch.setattr(module, "Tableau", KernelCheckedTableau)
+    pivots, checks = KernelCheckedTableau.pivots, KernelCheckedTableau.column_checks
+    for variant, family, sha in golden.COVERS:
+        G = family()
+        assert golden.digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+    for _, build, sha in golden.APPROX:
+        assert golden.digest(build()) == sha
+    assert KernelCheckedTableau.pivots > pivots
+    assert KernelCheckedTableau.column_checks > checks
 
 
 class TestMinCut:
