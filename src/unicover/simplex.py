@@ -56,12 +56,6 @@ def _dot_of(col: SparseColumn) -> Dot:
     return get, None if vals.count(1) == len(vals) else vals
 
 
-def _dot(dot: Dot, vec: Sequence[int]) -> int:
-    """The column of `dot` times `vec`."""
-    get, vals = dot
-    return sum(get(vec)) if vals is None else sum(map(mul, get(vec), vals))
-
-
 class LpError(RuntimeError):
     pass
 
@@ -177,7 +171,10 @@ class Tableau:
 
     def _reduced_cost(self, j: int) -> int:
         """Column j's reduced cost times D·C."""
-        return self.D * self.icosts[j] - _dot(self.dots[j], self._prices())
+        get, vals = self.dots[j]
+        pi = self._prices()
+        return self.D * self.icosts[j] - (sum(get(pi)) if vals is None
+                                          else sum(map(mul, get(pi), vals)))
 
     def _entering(self, forbidden: set) -> Tuple[int, int]:
         """Bland's rule: the lowest non-forbidden column of negative reduced
@@ -188,7 +185,7 @@ class Tableau:
         for j, (get, vals) in enumerate(self.dots):
             if j in skip:
                 continue
-            # _reduced_cost(j), inlined: this loop prices every column.
+            # _reduced_cost(j), inlined, as this loop prices every column.
             r = D * icosts[j] - (sum(get(pi)) if vals is None
                                  else sum(map(mul, get(pi), vals)))
             if r < 0:
