@@ -66,9 +66,9 @@ def install_counters() -> Dict[str, int]:
     def counted_generate(self, price, cost):
         return generate(self, counted(price, "rounds"), cost)
 
-    def counted_tjoin_price(G, ids, T):
+    def counted_tjoin_price(G, index, T):
         counts["max|T|"] = max(counts["max|T|"], len(T))
-        return counted(tjoin_price(G, ids, T), "tjoins")
+        return counted(tjoin_price(G, index, T), "tjoins")
 
     Tableau.optimize = counted(Tableau.optimize, "solves")
     Tableau._pivot = counted(Tableau._pivot, "pivots")

@@ -4,16 +4,16 @@ All decompositions run exact column generation: a fraction-free simplex master
 over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
 minimum 1-cover over the minimal covers, listed once per connector).  Each
-oracle is built once per master, for the master's edge rows (the T-join
-oracle builds its adjacency there, with each edge's row), and then takes
-one int weight per row, in row order; `min_tjoin` is the one-shot form of
-the T-join oracle.  The masters price with their undivided integer duals
-(π, s), y = π / s: each oracle's choices depend only on the order of the
-weights, which scaling by s > 0 keeps, ties included.  The packing master
-reads λ undivided as well, and divides once, by its sum.  Optimality of the
-pricing step proves optimality of the master over the full object class,
-so a failed decomposition is a genuine infeasibility, not a search
-artifact.  A failed packing names the master's final duals: edge weights
+master maps its edge ids to rows once and builds its oracle from that map
+(the T-join oracle builds its adjacency there); the oracle takes one int
+weight per row, in row order, and `_keep` turns the object into the
+kernel's sparse column.  `min_tjoin` is the one-shot T-join oracle.  The
+masters price with their undivided integer duals (π, s), y = π / s: each
+oracle's choices depend only on the order of the weights, which scaling by
+s > 0 keeps, ties included.  The packing master reads λ undivided as well,
+and divides once, by its sum.  Optimality of the pricing step proves
+optimality of the master over the full object class, so a failed
+decomposition is a genuine infeasibility, not a search artifact.  A failed packing names the master's final duals: edge weights
 under which every object weighs at least 1 but x weighs less, so by LP
 duality x lies outside the class's dominant.
 
@@ -35,7 +35,7 @@ from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
                     scale_to_ints, union)
 from .lp import membership, one_edge_cuts
-from .simplex import Tableau
+from .simplex import SparseColumn, Tableau
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +45,7 @@ Weights = Dict[int, Union[int, Fraction]]       # edge id -> weight
 # A pricing oracle: an int weight per master row, in row order -> (the best
 # object's weight, the object).
 Oracle = Callable[[List[int]], Tuple[int, EdgeMultiset]]
+OracleBuilder = Callable[[Dict[int, int]], Oracle]     # from edge id -> row
 Terms = List[Tuple[Fraction, EdgeMultiset]]     # caratheodory_reduce's output
 
 
@@ -265,25 +266,22 @@ def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],
 
 
 def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
-          obj: EdgeMultiset) -> List[int]:
+          obj: EdgeMultiset) -> SparseColumn:
     """Keep obj and return its master column: its multiplicities on the edge
     rows of `index`, then 1 on each convexity row up to `rows`."""
     objects.append(obj)
-    col = [0] * len(index) + [1] * (rows - len(index))
-    for eid, mult in obj.items():
-        col[index[eid]] = mult
-    return col
+    return sorted((index[eid], m) for eid, m in obj.items()) + [
+        (i, 1) for i in range(len(index), rows)]
 
 
-def _pack(G: Multigraph, x: EdgeVector, what: str,
-          oracle: Callable[[List[int]], Oracle]) -> Terms:
+def _pack(G: Multigraph, x: EdgeVector, what: str, oracle: OracleBuilder) -> Terms:
     """Objects of one class dominated by x, from the master
     max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
 
     The master has a row per edge of x's support, in ascending id order, and
-    `oracle(ids)` builds its pricing state once, for those edge ids.  The
-    price it returns gets the nonnegative int weights -π, one per row, on
-    the dual scale s, and must return an exact minimum weight object of the
+    `oracle(index)` builds its pricing state once, from its map `index` of
+    edge id to row.  The price it returns gets the nonnegative int weights
+    -π, one per row, on the dual scale s, and must return an exact minimum weight object of the
     class (weight, multiset); the object prices out when it weighs less
     than s.  λ is rescaled as its undivided values over their sum, so a
     round builds no Fraction.  When the packing value sigma is below 1, the
@@ -291,13 +289,12 @@ def _pack(G: Multigraph, x: EdgeVector, what: str,
     under w, but w.x = sigma.
     """
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
-    ids = [eid for eid, _ in rows]
-    index = {eid: i for i, eid in enumerate(ids)}
-    price = oracle(ids)
+    index = {eid: i for i, (eid, _) in enumerate(rows)}
+    price = oracle(index)
     tab = Tableau([v for _, v in rows], [ZERO] * len(rows))    # slacks
     objects: List[EdgeMultiset] = []
 
-    def improving(pi: List[int], s: int) -> Optional[List[int]]:
+    def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
         value, obj = price([-p for p in pi])
         return _keep(objects, index, tab.rows, obj) if value < s else None
 
@@ -317,22 +314,24 @@ def _pack(G: Multigraph, x: EdgeVector, what: str,
     return caratheodory_reduce([(Fraction(v, total), obj) for v, obj in raw], G.m + 1)
 
 
-def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
+def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuilder,
                      ) -> Optional[List[Tuple[Fraction, EdgeMultiset]]]:
     """Find lambda >= 0, sum = 1, sum(lambda * chi) = target; None if impossible.
 
     A phase 1 over the artificials: it stops at the first feasible lambda,
-    where the objective is 0, read undivided.  `price_max` gets the
-    arbitrary-sign int duals π of the edge rows, in the order of
-    `target_rows`, and must return an exact maximum weight object of the
-    class; it prices out when it weighs more than -π of the convexity row.
+    where the objective is 0, read undivided.  `oracle` is built as in
+    _pack; its price gets the arbitrary-sign int duals π of the edge rows,
+    in the order of `target_rows`, and must return an exact maximum weight
+    object of the class; it prices out when it weighs more than -π of the
+    convexity row.
     """
     index = {eid: i for i, (eid, _) in enumerate(target_rows)}
+    price_max = oracle(index)
     nrows = len(index) + 1             # + convexity row
     tab = Tableau([v for _, v in target_rows] + [ONE], [ONE] * nrows)   # artificials
     objects: List[EdgeMultiset] = []
 
-    def improving(pi: List[int], s: int) -> Optional[List[int]]:
+    def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
         # At objective 0 every artificial is 0, and a further pivot could
         # only be degenerate, so lambda is final.
         if not tab.int_obj()[0]:
@@ -350,18 +349,17 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], price_max: Oracle,
 # Pricing routines
 
 
-def _mst_price(G: Multigraph, ids: List[int]) -> Oracle:
-    """Minimum spanning tree in the edges `ids` (ascending), ties going to
-    the lower id; the oracle sorts the row positions by their weights."""
-    at = {eid: i for i, eid in enumerate(ids)}
-    edge_of = {at[e.id]: e for e in G.edges if e.id in at}
+def _mst_price(G: Multigraph, index: Dict[int, int]) -> Oracle:
+    """Minimum spanning tree in the edges of `index`, ties going to the
+    lower id; the oracle sorts the rows (in id order) by their weights."""
+    edge_of = {index[e.id]: e for e in G.edges if e.id in index}
     rows = sorted(edge_of)
 
     def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
         tree = kruskal(list(range(G.n)), [edge_of[i] for i in sorted(rows, key=w.__getitem__)])
         if len(tree) != G.n - 1:
             raise DecompositionError("support does not contain a spanning tree")
-        return sum(w[at[e.id]] for e in tree), {e.id: 1 for e in tree}
+        return sum(w[index[e.id]] for e in tree), {e.id: 1 for e in tree}
 
     return price
 
@@ -369,17 +367,17 @@ def _mst_price(G: Multigraph, ids: List[int]) -> Oracle:
 def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, EdgeMultiset]:
     """Exact minimum weight T-join (nonnegative int or Fraction weights) in
     the edges that `weights` lists: `_tjoin_price` once, over the weights
-    scaled to ints."""
+    scaled to ints, with a row per listed edge."""
     scale, ints = scale_to_ints(weights.values())
-    value, join = _tjoin_price(G, list(weights), T)(ints)
+    value, join = _tjoin_price(G, {eid: i for i, eid in enumerate(weights)}, T)(ints)
     return Fraction(value, scale), join
 
 
-def _tjoin_price(G: Multigraph, ids: Sequence[int], T: Set[int]) -> Oracle:
-    """Exact minimum weight T-join in the edges `ids`, under a nonnegative
-    int weight per id: shortest paths between T-vertices plus an exact
-    matching DP, symmetric difference.  The adjacency, with the position of
-    each edge in `ids`, is built once, here; a negative weight raises
+def _tjoin_price(G: Multigraph, index: Dict[int, int], T: Set[int]) -> Oracle:
+    """Exact minimum weight T-join in the edges of `index`, under a
+    nonnegative int weight per row: shortest paths between T-vertices plus
+    an exact matching DP, symmetric difference.  The adjacency, with the
+    row of each edge, is built once, here; a negative weight raises
     DecompositionError.
 
     The DP pairs the lowest unmatched terminal with each later one, so it
@@ -391,12 +389,11 @@ def _tjoin_price(G: Multigraph, ids: Sequence[int], T: Set[int]) -> Oracle:
     the last terminal is never the lower end of a pair and gets none."""
     if len(T) % 2 == 1:
         raise GraphError("odd |T|")
-    at = {eid: i for i, eid in enumerate(ids)}
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]   # (end, row, edge id)
     for e in G.edges:
-        if e.id in at:
-            adj[e.u].append((e.v, at[e.id], e.id))
-            adj[e.v].append((e.u, at[e.id], e.id))
+        if e.id in index:
+            adj[e.u].append((e.v, index[e.id], e.id))
+            adj[e.v].append((e.u, index[e.id], e.id))
     terms = sorted(T)
 
     def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
@@ -465,17 +462,16 @@ def _tjoin_price(G: Multigraph, ids: Sequence[int], T: Set[int]) -> Oracle:
                 join[eid] = join.get(eid, 0) ^ 1
             mask &= ~(1 << i) & ~(1 << j)
         join = {eid: 1 for eid, m in join.items() if m}
-        return sum(w[at[eid]] for eid in join), join
+        return sum(w[index[eid]] for eid in join), join
 
     return price
 
 
-def _connector_price_max(G: Multigraph, ids: List[int]) -> Oracle:
-    """Maximum weight connector in the edges `ids` (ascending): every edge
-    of positive weight twice, then a maximum weight forest over the rest,
-    ties going to the lower id."""
-    at = {eid: i for i, eid in enumerate(ids)}
-    edges = [(at[e.id], e) for e in G.edges if e.id in at]
+def _connector_price_max(G: Multigraph, index: Dict[int, int]) -> Oracle:
+    """Maximum weight connector in the edges of `index`: every edge of
+    positive weight twice, then a maximum weight forest over the rest, ties
+    going to the lower id."""
+    edges = [(index[e.id], e) for e in G.edges if e.id in index]
 
     def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
         obj: EdgeMultiset = {}
@@ -490,7 +486,7 @@ def _connector_price_max(G: Multigraph, ids: List[int]) -> Oracle:
         order = sorted(edges, key=lambda ie: (-w[ie[0]], ie[1].id))
         for e in kruskal(parent, [e for _, e in order]):
             obj[e.id] = obj.get(e.id, 0) + 1
-            total += w[at[e.id]]
+            total += w[index[e.id]]
         roots = {find(parent, v) for v in range(G.n)}
         if len(roots) != 1:
             raise DecompositionError("graph is disconnected")
@@ -499,23 +495,22 @@ def _connector_price_max(G: Multigraph, ids: List[int]) -> Oracle:
     return price
 
 
-def _one_cover_price(crossing: List[FrozenSet[int]], ids: List[int]) -> Oracle:
-    """Exact minimum 1-cover: a cheapest set of the candidate edges `ids`
-    meeting each of the `crossing` edge sets (the 1-edge cuts of a
+def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> Oracle:
+    """Exact minimum 1-cover: a cheapest set of the candidate edges of
+    `index` meeting each of the `crossing` edge sets (the 1-edge cuts of a
     connector), ties going to the lowest bitmask over the sorted candidates.
 
     The minimal covers are listed once, here; each call weighs only them.
     Under nonnegative weights every cover contains a minimal cover that
     weighs no more and has a lower bitmask, so this is the argmin over all
     covers.  A negative weight raises DecompositionError."""
-    at = {eid: i for i, eid in enumerate(ids)}
-    relevant: List[int] = sorted(eid for eid in ids if any(eid in c for c in crossing))
+    relevant: List[int] = sorted(eid for eid in index if any(eid in c for c in crossing))
     if len(relevant) > 22:
         raise DecompositionError("1-cover pricing capped at 22 candidate edges")
     for c in crossing:
         if not any(eid in c for eid in relevant):
             raise DecompositionError("a 1-edge cut of F has no candidate cover edge")
-    rows = [at[eid] for eid in relevant]
+    rows = [index[eid] for eid in relevant]
     # hits[i]: the crossing sets that candidate i meets, as a bitmask.
     hits = [sum(1 << ci for ci, c in enumerate(crossing) if eid in c) for eid in relevant]
     covers = [tuple(i for i in range(len(relevant)) if sub >> i & 1)
@@ -579,7 +574,7 @@ def require_subtour(G: Multigraph, x: EdgeVector) -> None:
 
 def pack_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
     """Spanning trees of the support of x, dominated by x; x is not tested."""
-    return _pack(G, x, "spanning tree", lambda ids: _mst_price(G, ids))
+    return _pack(G, x, "spanning tree", lambda index: _mst_price(G, index))
 
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
@@ -595,7 +590,7 @@ def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:
         raise GraphError("odd |T|")
     if not T:
         return [(ONE, {})]
-    return _pack(G, x, "T-join", lambda ids: _tjoin_price(G, ids, T))
+    return _pack(G, x, "T-join", lambda index: _tjoin_price(G, index, T))
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
@@ -606,9 +601,8 @@ def clip_at_two(x: EdgeVector) -> EdgeVector:
 def decompose_connectors(G: Multigraph, x: EdgeVector) -> Terms:
     """Equality decomposition of x (clipped at 2) into connectors of G.  x
     must be in the subtour polytope; this stage does not test it."""
-    xbar = clip_at_two(x)
-    rows = sorted(xbar.items())
-    raw = _equality_master(rows, _connector_price_max(G, [eid for eid, _ in rows]))
+    raw = _equality_master(sorted(clip_at_two(x).items()),
+                           lambda index: _connector_price_max(G, index))
     if raw is None:
         raise DecompositionError("x is not in the connector polytope")
     return caratheodory_reduce(raw, G.m + 1)
@@ -637,7 +631,7 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
         if value < 1:
             raise DecompositionError(f"input vector is outside cover: 1-edge cut "
                                      f"of F at e{bridge} has value {value} < 1")
-    return _pack(G, target, "1-cover", lambda ids: _one_cover_price(crossing, ids))
+    return _pack(G, target, "1-cover", lambda index: _one_cover_price(crossing, index))
 
 
 def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     _adjacency, _shore_of, cut_edges, is_connected, scale_to_ints,
                     support_labels)
-from .simplex import Tableau
+from .simplex import SparseColumn, Tableau
 
 ZERO = Fraction(0)
 
@@ -166,15 +166,12 @@ def solve_subtour(G: Multigraph) -> LpResult:
     tab = Tableau([e.weight for e in edges], [ZERO] * len(edges))    # slacks
     pool: List[Cut] = []
 
-    def cut(shore: Tuple[int, ...]) -> List[int]:
+    def cut(shore: Tuple[int, ...]) -> SparseColumn:
         crossing = cut_edges(G, shore)
         pool.append(Cut(shore, crossing))
-        col = [0] * len(index)
-        for eid in crossing:
-            col[index[eid]] = 1
-        return col
+        return [(i, 1) for i in sorted(index[eid] for eid in crossing)]
 
-    def separate(pi: List[int], s: int) -> Optional[List[int]]:
+    def separate(pi: List[int], s: int) -> Optional[SparseColumn]:
         value, shore = min_cut(G, {eid: -pi[i] for eid, i in index.items()})
         return None if value >= 2 * s else cut(shore)
 

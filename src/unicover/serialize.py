@@ -61,6 +61,22 @@ def _fields(what: str) -> Iterator[None]:
         raise ParseError(f"bad {what} object: {exc}")
 
 
+def _int(v: object) -> int:
+    """A stored int field, which must be a JSON integer: a float, a string
+    or a bool raises ValueError, a ParseError under _fields."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
+def _key(k: str) -> int:
+    """An object key, which must be the decimal string of its id."""
+    v = int(k)
+    if str(v) != k:
+        raise ValueError(f"key {k!r} is not the decimal string of an id")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Text formats
 
@@ -137,12 +153,12 @@ def vector_to_json(x: EdgeVector) -> Dict[str, str]:
 
 
 def vector_from_json(obj: Dict[str, str]) -> EdgeVector:
-    return {int(k): parse_frac(v) for k, v in obj.items()}
+    return {_key(k): parse_frac(v) for k, v in obj.items()}
 
 
 def _edge_set(ids: List[int], field: str) -> FrozenSet[int]:
     """A stored cut's edge ids, read as a list so a repeat is caught."""
-    ids = tuple(int(eid) for eid in ids)
+    ids = tuple(map(_int, ids))
     if len(set(ids)) != len(ids):
         raise ValueError(f"{field} repeats an edge id in {list(ids)}")
     return frozenset(ids)
@@ -151,7 +167,7 @@ def _edge_set(ids: List[int], field: str) -> FrozenSet[int]:
 def _edge_pairs(pairs: List[List[int]], field: str) -> Tuple[Tuple[int, int], ...]:
     """Stored (edge id, multiplicity) pairs; a repeated id is caught as in
     _edge_set, so no two readers of the pairs can disagree."""
-    pairs = tuple((int(eid), int(m)) for eid, m in pairs)
+    pairs = tuple((_int(eid), _int(m)) for eid, m in pairs)
     _edge_set([eid for eid, _ in pairs], field)
     return pairs
 
@@ -166,9 +182,9 @@ def graph_to_json(G: Multigraph) -> dict:
 
 def graph_from_json(obj: dict) -> Multigraph:
     with _fields("graph"):
-        edges = tuple(Edge(int(u), int(v), parse_frac(w), int(eid))
+        edges = tuple(Edge(_int(u), _int(v), parse_frac(w), _int(eid))
                       for u, v, w, eid in obj["edges"])
-        return Multigraph(int(obj["n"]), edges)
+        return Multigraph(_int(obj["n"]), edges)
 
 
 def combination_to_json(comb: ConvexCombination) -> dict:
@@ -212,10 +228,10 @@ def lp_result_from_json(obj: dict) -> Tuple[Multigraph, LpResult]:
         res = LpResult(
             value=parse_frac(obj["value"]),
             x=vector_from_json(obj["x"]),
-            cuts=tuple(Cut(tuple(int(v) for v in c["shore"]),
+            cuts=tuple(Cut(tuple(map(_int, c["shore"])),
                            _edge_set(c["edges"], f"cuts[{i}].edges"))
                        for i, c in enumerate(obj["cuts"])),
-            separation_rounds=int(obj["separation_rounds"]),
+            separation_rounds=_int(obj["separation_rounds"]),
             duals=tuple(parse_frac(c["y"]) for c in obj["cuts"]),
         )
         return G, res
@@ -236,17 +252,17 @@ def cycle_cover_to_json(G: Multigraph, res: CycleCoverResult) -> dict:
 
 def cycle_cover_from_json(obj: dict) -> Tuple[Multigraph, CycleCoverResult]:
     def ids(key: str) -> Tuple[int, ...]:
-        return tuple(int(eid) for eid in obj[key])
+        return tuple(map(_int, obj[key]))
 
     with _fields("cycle-cover"):
         G = graph_from_json(obj["graph"])
         res = CycleCoverResult(
             cover=ids("cover"),
-            cycles=tuple(tuple(int(v) for v in c) for c in obj["cycles"]),
+            cycles=tuple(tuple(map(_int, c)) for c in obj["cycles"]),
             matching=ids("matching"),
             intra_cycle=ids("intra_cycle"),
             cross_cycle=ids("cross_cycle"),
-            covered_cuts=tuple((_edge_set(cut, f"covered_cuts[{i}]"), int(count))
+            covered_cuts=tuple((_edge_set(cut, f"covered_cuts[{i}]"), _int(count))
                                for i, (cut, count) in enumerate(obj["covered_cuts"])),
         )
         return G, res
@@ -295,7 +311,7 @@ def certificate_from_json(obj: dict) -> Tuple[Multigraph, Certificate]:
             object_class=obj["object_class"],
             combination=combination_from_json(obj["combination"]),
             slack=tuple(sorted(vector_from_json(obj["slack"]).items())),
-            max_multiplicity=int(obj["max_multiplicity"]),
+            max_multiplicity=_int(obj["max_multiplicity"]),
             metadata=tuple(sorted(obj.get("metadata", {}).items())),
         )
         return G, cert
@@ -332,7 +348,7 @@ def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
             ratio=parse_frac(obj["ratio"]),
             object_class=obj["object_class"],
             x=vector_from_json(obj["x"]),
-            dual=tuple((tuple(int(v) for v in shore), parse_frac(y))
+            dual=tuple((tuple(map(_int, shore)), parse_frac(y))
                        for shore, y in obj["dual"]),
             beta=parse_frac(obj["beta"]) if "beta" in obj else None,
             profile=obj.get("profile"),

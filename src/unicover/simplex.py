@@ -4,10 +4,11 @@ There is no floating point anywhere, and no `fractions.Fraction` inside
 the set-up, a pivot or a pricing step.  One `Tableau` serves every LP.  It
 is built from b scaled to ints over the lcm L of its denominators
 (graph.scale_to_ints), its identity basis as sparse unit columns, and the
-costs as ints over their common denominator C.  It keeps the original
-columns as sparse ints, each with an `operator.itemgetter` of its rows, and
-the basis as one integer matrix M = D·B⁻¹, where D = det(B) > 0, so M is
-the adjugate of B.  Each pivot is Edmonds' integer-preserving update
+costs as ints over their common denominator C.  Every producer hands it
+columns in the one format it keeps, (row, nonzero int entry) pairs with
+the rows ascending, each with an `operator.itemgetter` of its rows.  The
+basis is one integer matrix M = D·B⁻¹, where D = det(B) > 0, so M is the
+adjugate of B.  Each pivot is Edmonds' integer-preserving update
 (Bareiss 1968):
 
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
@@ -96,25 +97,27 @@ class Tableau:
         for cost in identity_costs:
             self._append_cost(cost)
 
-    def add_column(self, col: Sequence[int], cost: Fraction) -> int:
-        """Add an integer column given in ORIGINAL coordinates; returns its index."""
-        sparse: SparseColumn = []
-        for i, v in enumerate(col):
-            if v:
-                if v.denominator != 1:
-                    raise LpError("tableau columns must be integer")
-                sparse.append((i, int(v)))
-        self.cols.append(sparse)
-        self.dots.append(_dot_of(sparse))
+    def add_column(self, col: SparseColumn, cost: Fraction) -> int:
+        """Add a column of (row, nonzero int entry) pairs, the rows rising
+        inside [0, rows); returns its index.  Any other raises LpError."""
+        last = -1
+        for i, v in col:
+            if type(v) is not int:
+                raise LpError("tableau columns must be integer")
+            if not v or type(i) is not int or not last < i < self.rows:
+                raise LpError("a column is nonzero entries on rising rows of the tableau")
+            last = i
+        self.cols.append(col)
+        self.dots.append(_dot_of(col))
         self._append_cost(cost)
         return len(self.cols) - 1
 
-    def generate(self, price: Callable[[List[int], int], Optional[Sequence[int]]],
+    def generate(self, price: Callable[[List[int], int], Optional[SparseColumn]],
                  cost: Fraction) -> None:
         """Column generation: optimize, hand the undivided duals (π, s) to
-        `price` and add the column it returns at `cost`, until it returns
-        None.  A column added before the call is known, an identity column
-        is not; pricing a known column raises LpError.
+        `price` and add the sparse column it returns at `cost`, until it
+        returns None.  A column added before the call is known, an identity
+        column is not; pricing a known column raises LpError.
 
         A column is added at an optimum, where no column prices below zero,
         and adding it moves neither the basis nor the duals (a rise of C
@@ -128,7 +131,7 @@ class Tableau:
             col = price(*self.int_duals())
             if col is None:
                 return
-            key = tuple((i, v) for i, v in enumerate(col) if v)
+            key = tuple(col)
             if key in known:
                 raise LpError("pricing returned a known column; solver bug")
             known.add(key)
@@ -347,12 +350,10 @@ def solve_lp(c: Sequence[Fraction],
                   [ZERO if sense == "<=" else Fraction(1, s) for _, sense, _, _, s in norm])
     artificials = {i for i, (_, sense, _, _, _) in enumerate(norm) if sense != "<="}
     for j in range(nvars):
-        tab.add_column([a[j] for a, _, _, _, _ in norm], ZERO)
+        tab.add_column([(i, a[j]) for i, (a, _, _, _, _) in enumerate(norm) if a[j]], ZERO)
     for i, (_, sense, _, _, s) in enumerate(norm):
         if sense == ">=":
-            col = [0] * m
-            col[i] = -s
-            tab.add_column(col, ZERO)
+            tab.add_column([(i, -s)], ZERO)
     tab.optimize()
     if tab.obj != 0:
         raise Infeasible("infeasible LP")

@@ -129,7 +129,7 @@ class TestEqualityMaster:
             k = max(range(3), key=lambda k: weights[0] * k)
             return weights[0] * k, {0: k}
 
-        assert _equality_master([(0, F(3))], at_most_two_copies) is None
+        assert _equality_master([(0, F(3))], lambda index: at_most_two_copies) is None
 
 
 class TestTJoins:
@@ -179,7 +179,7 @@ class TestMinTJoin:
         # the minimum; both pricing forms refuse the weights instead.
         with pytest.raises(DecompositionError, match="nonnegative"):
             min_tjoin(c4, {0: 1, 1: -2, 2: 1, 3: 1}, {0, 1})
-        price = decompose._tjoin_price(c4, [0, 1, 2, 3], {0, 1})
+        price = decompose._tjoin_price(c4, {0: 0, 1: 1, 2: 2, 3: 3}, {0, 1})
         assert price([1, 3, 1, 1]) == (1, {0: 1})
         with pytest.raises(DecompositionError, match="nonnegative"):
             price([1, -2, 1, 1])
@@ -275,7 +275,8 @@ def crossing_family(draw):
 def test_one_cover_price_matches_exhaustive_scan(case):
     crossing, candidates, weights = case
     ids = sorted(candidates)
-    value, cover = _one_cover_price(crossing, ids)([weights.get(eid, 0) for eid in ids])
+    index = {eid: i for i, eid in enumerate(ids)}
+    value, cover = _one_cover_price(crossing, index)([weights.get(eid, 0) for eid in ids])
     assert (value, cover) == exhaustive_one_cover(crossing, candidates, weights)
 
 
@@ -300,7 +301,7 @@ def test_minimal_covers_are_all_the_minimal_covers(hits):
 
 def test_one_cover_price_rejects_a_negative_weight():
     crossing = [frozenset({0, 1}), frozenset({1, 2})]
-    price = _one_cover_price(crossing, [0, 1, 2])
+    price = _one_cover_price(crossing, {0: 0, 1: 1, 2: 2})
     assert price([1, 3, 1]) == (2, {0: 1, 2: 1})
     with pytest.raises(DecompositionError, match="nonnegative"):
         price([1, F(-1, 2), 1])

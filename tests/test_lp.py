@@ -70,7 +70,29 @@ class TestSimplex:
     def test_rejects_fractional_tableau_column(self):
         tab = Tableau([F(1)], [F(0)])
         with pytest.raises(LpError, match="integer"):
-            tab.add_column([F(1, 2)], F(-1))
+            tab.add_column([(0, F(1, 2))], F(-1))
+
+    @pytest.mark.parametrize("col", [
+        [(2, 1)],                   # a row past the last, once a late IndexError
+        [(0, 1), (0, 1)],           # a repeated row
+        [(1, 1), (0, 1)],           # descending rows
+        [(-1, 1)],                  # a row before the first
+        [(0, 0)],                   # a zero entry
+        [(0, 1), (1, 0)],
+        [(0.5, 1)],                 # a row that is not an int
+        [(0, 1), (1, 2), (2, 1)],   # a dense column of one entry per row, and more
+    ])
+    def test_rejects_a_column_outside_the_sparse_format(self, col):
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        with pytest.raises(LpError, match="rising rows"):
+            tab.add_column(col, F(-1))
+        assert len(tab.cols) == 2
+
+    @pytest.mark.parametrize("entry", [F(2), True, 1.0])
+    def test_rejects_an_entry_that_is_not_an_int(self, entry):
+        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        with pytest.raises(LpError, match="tableau columns must be integer"):
+            tab.add_column([(0, 1), (1, entry)], F(-1))
 
     def test_pivot_rejects_an_inexact_row_update(self):
         # With D = 2 tampered in, row 1 becomes (M_1 - M_0) / 2 = (-1, 1) / 2:
@@ -91,7 +113,7 @@ class TestSimplex:
         # longer sums to 1, so the next divided pivot must raise.
         def after_one_pivot():
             tab = Tableau([F(1), F(1)], [F(0), F(0)])
-            tab.add_column([2, 1], F(-1))
+            tab.add_column([(0, 2), (1, 1)], F(-1))
             tab.optimize()
             assert (tab.D, tab.M, tab.msum) == (2, [[1, 0], [-1, 2]], [1, 1])
             return tab
@@ -133,20 +155,20 @@ class TestGenerate:
     def test_a_repeated_column_raises(self):
         tab = Tableau([F(1), F(1)], [F(0), F(0)])
         with pytest.raises(LpError, match="pricing returned a known column"):
-            tab.generate(_pricer([1, 1], [1, 1]), F(-1))
+            tab.generate(_pricer([(0, 1), (1, 1)], [(0, 1), (1, 1)]), F(-1))
 
     def test_a_column_equal_to_an_identity_column_is_accepted(self):
         # A one-edge T-join has the column of its edge row's slack.
         tab = Tableau([F(1), F(1)], [F(0), F(0)])
-        tab.generate(_pricer([1, 0], [0, 1]), F(-1))
+        tab.generate(_pricer([(0, 1)], [(1, 1)]), F(-1))
         assert tab.cols[2:] == [[(0, 1)], [(1, 1)]]
         assert tab.obj == -2 and tab.solution()[2:] == [1, 1]
 
     def test_a_column_added_before_the_loop_is_known(self):
         tab = Tableau([F(1), F(1)], [F(0), F(0)])
-        tab.add_column([1, 1], F(-1))
+        tab.add_column([(0, 1), (1, 1)], F(-1))
         with pytest.raises(LpError, match="pricing returned a known column"):
-            tab.generate(_pricer([1, 1]), F(-1))
+            tab.generate(_pricer([(0, 1), (1, 1)]), F(-1))
 
 
 @given(st.lists(st.one_of(st.builds(F, st.integers(0, 30), st.integers(1, 12)),
@@ -192,7 +214,7 @@ def test_a_d1_pivot_is_the_fraction_update(b, data):
     cost = data.draw(st.integers(-5, 5))
     L, beta, C, icosts, _ = fraction_tableau_state(b, costs)
     tab = Tableau(b, costs)
-    j = tab.add_column(col, F(cost))
+    j = tab.add_column([(i, v) for i, v in enumerate(col) if v], F(cost))
     tab._pivot(row, list(col), tab._reduced_cost(j))
     tab.basis[row] = j
     B = [[F(int(i == k)) for k in range(m)] for i in range(m)]

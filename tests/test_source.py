@@ -140,3 +140,21 @@ def test_library_has_no_function_level_imports():
                   and _enclosing(node, parent, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert sorted(SOURCE.glob("*.py")), f"no sources under {SOURCE}"
     assert not found, f"imports inside functions: {found}"
+
+
+def test_json_readers_call_no_bare_int():
+    # int() reads 1.9, "0" and True as ints, so a JSON reader takes each
+    # stored int through serialize._int, which accepts JSON integers only.
+    # The text-format readers parse text with int(), and _key reads an id
+    # key with int() and then requires the key to be the id's decimal
+    # string.
+    path = SOURCE / "serialize.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    parent = _parents(tree)
+    exempt = {"graph_from_text", "weights_from_text", "_key"}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "int"]
+    found = [f"serialize.py:{node.lineno}" for node in calls
+             if getattr(_enclosing(node, parent, ast.FunctionDef), "name", None) not in exempt]
+    assert calls, "serialize.py calls int() nowhere, so this guard checks nothing"
+    assert not found, f"bare int() calls in JSON readers: {found}"

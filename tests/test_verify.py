@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicover import serialize, simplex
+from unicover import cli, serialize, simplex
 from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.covers import uniform_cover
@@ -640,3 +641,92 @@ def test_subtour_optimum_check_sums_like_fractions(drawn):
         return None
 
     assert outcome(_check_subtour_optimum) == outcome(fraction_sum_subtour_check)
+
+
+# Small documents of each type for the strict int readers, each with its
+# int fields, named by their innermost object key.  Petersen's cycle cover
+# has cross-cycle matching edges and K4's has intra-cycle ones.
+CYCLE_COVER_FIELDS = {"n", "edges", "cover", "cycles", "matching", "covered_cuts"}
+STRICT_DOCS = {
+    "uniform-cover-certificate": (lambda: cert_doc(k4()),
+                                  {"n", "edges", "max_multiplicity"}),
+    "decomposition": (lambda: trees_doc(k4()), {"n", "edges"}),
+    "lp-result": (lambda: serialize.lp_result_to_json(k33(), solve_subtour(k33())),
+                  {"n", "edges", "shore", "separation_rounds"}),
+    "cycle-cover-petersen": (lambda: serialize.cycle_cover_to_json(
+        petersen(), find_covering_cycle_cover(petersen())),
+        CYCLE_COVER_FIELDS | {"cross_cycle"}),
+    "cycle-cover-k4": (lambda: serialize.cycle_cover_to_json(
+        k4(), find_covering_cycle_cover(k4())), CYCLE_COVER_FIELDS | {"intra_cycle"}),
+    "approx-result": (OPTIMUM_DOCS["twoecbeta"], {"n", "edges", "solution", "dual"}),
+}
+ID_KEYED = ("x", "target", "slack")        # objects whose keys are edge ids
+INT_EDITS = {"float": lambda v: v + 0.5, "integral-float": float, "string": str,
+             "bool": bool}
+KEY_EDITS = {"zero-padded": lambda k: "0" + k, "spaced": lambda k: " " + k,
+             "signed": lambda k: "+" + k, "underscored": lambda k: "0_" + k}
+
+
+def int_sites(node, path=()):
+    """The path of every int value in a JSON document, and of every object
+    keyed by edge ids (its own path with the key last)."""
+    if isinstance(node, dict):
+        if path and path[-1] in ID_KEYED:
+            yield from (("key", path + (k,)) for k in node)
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for k, v in items:
+        if type(v) is int:
+            yield "int", path + (k,)
+        else:
+            yield from int_sites(v, path + (k,))
+
+
+def edited(doc, site, edit):
+    """A copy of doc with the int or key at `site` replaced by its edit."""
+    kind, path = site
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    for k in path[:-1]:
+        node = node[k]
+    if kind == "int":
+        node[path[-1]] = edit(node[path[-1]])
+    else:
+        node[edit(path[-1])] = node.pop(path[-1])
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_DOCS))
+def test_every_stored_int_is_read_strictly(name):
+    # A float, a string or a bool in an int field, and an id key that is
+    # not the id's decimal string, are parse errors; none is read as an int.
+    build, fields = STRICT_DOCS[name]
+    doc = build()
+    assert name.startswith(doc["type"]) and verify_document(doc).ok
+    sites = list(int_sites(doc))
+    assert {next(k for k in reversed(path) if isinstance(k, str))
+            for kind, path in sites if kind == "int"} == fields
+    assert any(kind == "key" for kind, _ in sites) == (doc["type"] != "cycle-cover")
+    for site in sites:
+        for edit in (INT_EDITS if site[0] == "int" else KEY_EDITS).values():
+            with pytest.raises(ParseError, match="not an integer|decimal string|invalid"):
+                verify_document(edited(doc, site, edit))
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_DOCS))
+def test_verify_exits_2_on_a_lenient_int(name, tmp_path, capsys):
+    doc = STRICT_DOCS[name][0]()
+    sites = list(int_sites(doc))
+    picks = [(sites[0], edit) for edit in INT_EDITS.values()]
+    picks += [(site, edit) for site in sites[-1:] if site[0] == "key"
+              for edit in KEY_EDITS.values()]
+    path = tmp_path / "doc.json"
+    for site, edit in picks:
+        path.write_text(json.dumps(edited(doc, site, edit)))
+        assert cli.main(["verify", str(path)]) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "parse error" in err, err
+
