@@ -13,9 +13,10 @@ oracle's choices depend only on the order of the weights, which scaling by
 s > 0 keeps, ties included.  The packing master reads λ undivided as well,
 and divides once, by its sum.  Optimality of the pricing step proves
 optimality of the master over the full object class, so a failed
-decomposition is a genuine infeasibility, not a search artifact.  A failed packing names the master's final duals: edge weights
-under which every object weighs at least 1 but x weighs less, so by LP
-duality x lies outside the class's dominant.
+decomposition is a genuine infeasibility, not a search artifact.  A failed
+packing names the master's final duals: edge weights under which every
+object weighs at least 1 but x weighs less, so by LP duality x lies
+outside the class's dominant.
 
 Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
 pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
@@ -281,10 +282,10 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, oracle: OracleBuilder) -> Ter
     The master has a row per edge of x's support, in ascending id order, and
     `oracle(index)` builds its pricing state once, from its map `index` of
     edge id to row.  The price it returns gets the nonnegative int weights
-    -π, one per row, on the dual scale s, and must return an exact minimum weight object of the
-    class (weight, multiset); the object prices out when it weighs less
-    than s.  λ is rescaled as its undivided values over their sum, so a
-    round builds no Fraction.  When the packing value sigma is below 1, the
+    -π, one per row, on the dual scale s, and must return an exact minimum
+    weight object of the class (weight, multiset); the object prices out
+    when it weighs less than s.  λ is rescaled as its undivided values over
+    their sum, so a round builds no Fraction.  When the packing value sigma is below 1, the
     final weights w = -y = -π / s prove it: every object weighs at least 1
     under w, but w.x = sigma.
     """
