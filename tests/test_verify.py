@@ -712,17 +712,17 @@ def test_every_stored_int_is_read_strictly(name):
     assert any(kind == "key" for kind, _ in sites) == (doc["type"] != "cycle-cover")
     for site in sites:
         for edit in (INT_EDITS if site[0] == "int" else KEY_EDITS).values():
-            with pytest.raises(ParseError, match="not an integer|decimal string|invalid"):
+            with pytest.raises(ParseError, match="not an integer|decimal string"):
                 verify_document(edited(doc, site, edit))
 
 
 @pytest.mark.parametrize("name", sorted(STRICT_DOCS))
 def test_verify_exits_2_on_a_lenient_int(name, tmp_path, capsys):
     doc = STRICT_DOCS[name][0]()
-    sites = list(int_sites(doc))
-    picks = [(sites[0], edit) for edit in INT_EDITS.values()]
-    picks += [(site, edit) for site in sites[-1:] if site[0] == "key"
-              for edit in KEY_EDITS.values()]
+    ints = [site for site in int_sites(doc) if site[0] == "int"]
+    keys = [site for site in int_sites(doc) if site[0] == "key"]
+    picks = [(ints[0], edit) for edit in INT_EDITS.values()]
+    picks += [(site, edit) for site in keys[:1] for edit in KEY_EDITS.values()]
     path = tmp_path / "doc.json"
     for site, edit in picks:
         path.write_text(json.dumps(edited(doc, site, edit)))
