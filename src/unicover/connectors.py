@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .graph import EdgeVector, GraphError, Multigraph, support_labels
-from .decompose import (ConvexCombination, DecompositionError, Terms, caratheodory_reduce,
-                        clip_at_two, coverage_of, decompose_connectors, make_combination,
-                        pack_spanning_trees)
+from .graph import EdgeVector, GraphError, Multigraph, scale_to_ints, support_labels
+from .decompose import (ConvexCombination, DecompositionError, Terms, clip_at_two,
+                        coverage_of, decompose_connectors, make_combination,
+                        pack_spanning_trees, reduce_int_terms)
 
 ZERO = Fraction(0)
 
@@ -84,35 +84,40 @@ def normalize_connectors(terms: Terms, x: EdgeVector, G: Multigraph) -> Terms:
 
     Consequences: every term uses e at least once when x_e >= 1, and no term
     uses two copies when x_e < 1.  Terms are split when the two coefficients
-    differ; total coverage is unchanged edge by edge.
+    differ; total coverage is unchanged edge by edge.  The coefficients are
+    ints over one denominator Q throughout, as in caratheodory_reduce, whose
+    int core re-reduces them; a Fraction is built only for each returned
+    coefficient.
     """
     limit = G.m + 1
+    Q, scaled = scale_to_ints(lam for lam, _ in terms)
+    current = [(a, f) for a, (_, f) in zip(scaled, terms)]
     for eid in sorted(x):
-        doubled = [(lam, f) for lam, f in terms if f.get(eid, 0) == 2]
-        absent = [(lam, f) for lam, f in terms if f.get(eid, 0) == 0]
-        keep = [(lam, f) for lam, f in terms if f.get(eid, 0) == 1]
+        doubled = [(a, f) for a, f in current if f.get(eid, 0) == 2]
+        absent = [(a, f) for a, f in current if f.get(eid, 0) == 0]
+        keep = [(a, f) for a, f in current if f.get(eid, 0) == 1]
         while doubled and absent:
-            li, fi = doubled[-1]
-            lj, fj = absent[-1]
-            t = min(li, lj)
+            ai, fi = doubled.pop()
+            aj, fj = absent.pop()
+            t = min(ai, aj)
             donor = dict(fi)
             donor[eid] = 1
             receiver = dict(fj)
             receiver[eid] = 1
             keep.append((t, donor))
             keep.append((t, receiver))
-            doubled.pop()
-            absent.pop()
-            if li > t:
-                doubled.append((li - t, fi))
-            if lj > t:
-                absent.append((lj - t, fj))
-        terms = keep + doubled + absent
+            if ai > t:
+                doubled.append((ai - t, fi))
+            if aj > t:
+                absent.append((aj - t, fj))
+        current = keep + doubled + absent
         # Re-reducing keeps a subset of the current objects, which preserves
         # the no-2-and-0 invariant on the edges already processed.
-        if len(terms) > limit:
-            terms = caratheodory_reduce(terms, limit)
-    return caratheodory_reduce(terms, limit)
+        if len(current) > limit:
+            Q, kept = reduce_int_terms(Q, current, limit)
+            current = [(a, dict(key)) for key, a in kept]
+    Q, kept = reduce_int_terms(Q, current, limit)
+    return [(Fraction(a, Q), dict(key)) for key, a in kept]
 
 
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:

@@ -177,17 +177,29 @@ def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
     to scale, so the steps are those of restarting the elimination after
     every drop."""
     Q, scaled = scale_to_ints(coeff for coeff, _ in terms)
+    Q, kept = reduce_int_terms(Q, [(a, obj) for a, (_, obj) in zip(scaled, terms)], limit)
+    return [(Fraction(a, Q), dict(key)) for key, a in kept]
+
+
+def reduce_int_terms(Q: int, terms: Sequence[Tuple[int, EdgeMultiset]], limit: int
+                     ) -> Tuple[int, List[Tuple[CanonicalObject, int]]]:
+    """The elimination of caratheodory_reduce, on coefficients given as the
+    ints a over one denominator Q: it returns the new denominator and the
+    kept (canonical object, a) pairs.  No step depends on the scale of Q,
+    so the same coefficients over a multiple of Q keep the same objects
+    with the same values."""
     merged: Dict[CanonicalObject, int] = {}
-    for a, (coeff, obj) in zip(scaled, terms):
+    for a, obj in terms:
         if a < 0:
-            raise DecompositionError(f"term {canonical(obj)} has coefficient {coeff} < 0")
+            raise DecompositionError(
+                f"term {canonical(obj)} has coefficient {Fraction(a, Q)} < 0")
         if a:
             key = canonical(obj)
             merged[key] = merged.get(key, 0) + a
     keys = sorted(merged)
     c = [merged[key] for key in keys]
     if len(keys) <= limit:
-        return [(Fraction(a, Q), dict(key)) for key, a in zip(keys, c)]
+        return Q, list(zip(keys, c))
     rowindex = {eid: i for i, eid in enumerate(sorted({e for key in keys for e, _ in key}))}
     vecs: List[List[int]] = []      # reduced kept columns
     combos: List[List[int]] = []    # each one's combination of the columns 0..j-1
@@ -236,7 +248,7 @@ def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
             _rewrite_without(vecs, combos, d, dropped[0])
         for i in reversed(dropped):
             del keys[i], c[i]
-    return [(Fraction(a, Q), dict(key)) for key, a in zip(keys, c)]
+    return Q, list(zip(keys, c))
 
 
 def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],

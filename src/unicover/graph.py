@@ -416,11 +416,14 @@ def support_labels(G: Multigraph, H: Union[EdgeMultiset, EdgeVector]
     return _cycle_space_labels(support, _adjacency(G.n, support))
 
 
+# The labels classify gives, so the only ones a stored term may hold.
+LABELS = ("tour", "twoec-multigraph", "connector", "cycle-cover")
+
+
 def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
     """Multi-label structural classification of an edge multiset.
 
-    Labels: tour, twoec-multigraph, connector, cycle-cover.  Empty set means
-    no label applies.
+    Labels: those of LABELS.  Empty set means no label applies.
     """
     for eid, mult in H.items():
         if mult < 0:

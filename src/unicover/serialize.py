@@ -2,8 +2,15 @@
 
 Graph text format: first line "n m", then m lines "u v p/q [mult]" with
 0-based endpoints and an exact rational weight; a multiplicity k expands to k
-parallel edges.  Node-weight files hold one rational per line.  JSON carries
-every rational as a lowest-terms string "p/q" so no consumer ever rounds.
+parallel edges.  Node-weight files hold one rational per line.
+
+Each JSON document type is one table of fields, each of a kind (int,
+rational, string, id-keyed map, edge-id set, ...), and one reader and one
+writer walk the tables.  A rational is the lowest-terms string "p/q" that
+frac_str writes, so no consumer ever rounds.  The readers take no default
+and no other form: a missing or unknown field, a value of another JSON
+type, a rational written otherwise ("2/4", " 2/3", "1", "1.0"), and a
+repeated or unknown class label are each a ParseError (CLI exit code 2).
 
 One writer, dumps, lays out every document: compact JSON on one line,
 keys sorted, ASCII only, with a final newline.  It is one json.dumps call,
@@ -12,19 +19,23 @@ which runs the standard library's C encoder.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from dataclasses import fields
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .graph import Cut, Edge, EdgeVector, GraphError, Multigraph, NodeWeights
+from .graph import LABELS, Cut, Edge, EdgeVector, GraphError, Multigraph, NodeWeights
 from .decompose import ConvexCombination, Term
 from .lp import LpResult
 from .cyclecover import CycleCoverResult
 from .covers import Certificate
 from .approx import ApproxResult
 
+# A kind is a (read, write) pair: read takes a JSON value to the library's,
+# or raises _FieldError, and write takes it back.
+Kind = Tuple[Callable[[object], object], Callable[[object], object]]
 
-# What each kind's terms are: spanning trees, connectors, or connectors
+# What a decomposition's terms are: spanning trees, connectors, or connectors
 # crossing every 2-edge cut of the target's support an even number of times.
 DECOMPOSITION_KINDS = ("trees", "connectors", "even2cut")
 
@@ -50,31 +61,6 @@ def parse_frac(text: str, line: Optional[int] = None) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {text.strip()!r}", line)
-
-
-@contextmanager
-def _fields(what: str) -> Iterator[None]:
-    """Turn a missing or mistyped JSON field into a ParseError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"bad {what} object: {exc}")
-
-
-def _int(v: object) -> int:
-    """A stored int field, which must be a JSON integer: a float, a string
-    or a bool raises ValueError, a ParseError under _fields."""
-    if type(v) is not int:
-        raise ValueError(f"{v!r} is not an integer")
-    return v
-
-
-def _key(k: str) -> int:
-    """An object key, which must be the decimal string of its id."""
-    v = int(k)
-    if str(v) != k:
-        raise ValueError(f"key {k!r} is not the decimal string of an id")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -145,215 +131,331 @@ def weights_from_text(text: str, n: Optional[int] = None) -> NodeWeights:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON kinds
 
 
-def vector_to_json(x: EdgeVector) -> Dict[str, str]:
-    return {str(eid): frac_str(v) for eid, v in sorted(x.items())}
+class _FieldError(ParseError):
+    """A bad JSON value.  The message is its path, in the ".name" and "[i]"
+    steps that tables and lists add on the way out, then what is wrong."""
 
 
-def vector_from_json(obj: Dict[str, str]) -> EdgeVector:
-    return {_key(k): parse_frac(v) for k, v in obj.items()}
+def _read(kind: Kind, obj: object, what: str):
+    try:
+        return kind[0](obj)
+    except _FieldError as exc:
+        raise ParseError(f"bad {what}: {str(exc).lstrip('. ')}") from None
 
 
-def _edge_set(ids: List[int], field: str) -> FrozenSet[int]:
-    """A stored cut's edge ids, read as a list so a repeat is caught."""
-    ids = tuple(map(_int, ids))
+def _same(v: object) -> object:
+    return v
+
+
+def _sorted_items(d: Dict) -> Tuple[Tuple[object, object], ...]:
+    return tuple(sorted(d.items()))
+
+
+def _typed(t: type, what: str, names: Tuple[str, ...] = ()) -> Kind:
+    """A JSON value of type t, and one of names if any are given."""
+    def read(v: object) -> object:
+        if type(v) is not t or (names and v not in names):
+            raise _FieldError(f" {v!r} is not {what}")
+        return v
+    return read, _same
+
+
+def _rational(v: object) -> Fraction:
+    """The text frac_str writes: "p/q" with q > 0 and gcd(p, q) = 1."""
+    if type(v) is str:
+        p, _, q = v.partition("/")
+        try:
+            num, den = int(p), int(q)
+        except ValueError:
+            pass
+        else:
+            if den > 0 and f"{num}/{den}" == v:
+                value = Fraction(num, den)
+                if value.denominator == den:
+                    return value
+    raise _FieldError(f" {v!r} is not a rational p/q in lowest terms")
+
+
+def _key(k: str) -> int:
+    """An object key, which must be the decimal string of its id."""
+    try:
+        v = int(k)
+    except ValueError:
+        v = None
+    if v is None or str(v) != k:
+        raise _FieldError(f" has the key {k!r}, not the decimal string of an id")
+    return v
+
+
+def _locate(read: Callable, items: Iterable[Tuple[object, object]]) -> None:
+    """Raise the error of the first item that read refuses, at its index or
+    key.  A container's reader calls it once reading all its items failed;
+    readers are pure, so the same item fails again."""
+    for k, v in items:
+        try:
+            read(v)
+        except _FieldError as exc:
+            raise _FieldError(f"[{k}]{exc}") from None
+
+
+def _distinct(ids: Tuple[object, ...], what: str) -> None:
     if len(set(ids)) != len(ids):
-        raise ValueError(f"{field} repeats an edge id in {list(ids)}")
-    return frozenset(ids)
+        raise _FieldError(f" repeats {what} in {list(ids)}")
 
 
-def _edge_pairs(pairs: List[List[int]], field: str) -> Tuple[Tuple[int, int], ...]:
-    """Stored (edge id, multiplicity) pairs; a repeated id is caught as in
-    _edge_set, so no two readers of the pairs can disagree."""
-    pairs = tuple((_int(eid), _int(m)) for eid, m in pairs)
-    _edge_set([eid for eid, _ in pairs], field)
+def _list(item: Kind, make: Callable = tuple, what: str = "") -> Kind:
+    """A JSON list, read into make of the tuple of its items, which must
+    not repeat if what names them."""
+    read_item, write_item = item
+
+    def read(v: object) -> object:
+        if type(v) is not list:
+            raise _FieldError(f" {v!r} is not a list")
+        try:
+            items = tuple(map(read_item, v))
+        except _FieldError:
+            _locate(read_item, enumerate(v))
+        if what:
+            _distinct(items, what)
+        return make(items)
+    return read, list if write_item is _same else lambda v: list(map(write_item, v))
+
+
+def _row(*places: Kind, make: Optional[Callable] = None, parts: Callable = _same) -> Kind:
+    """A JSON list of one value per place, read into the tuple of the
+    values, or into make(*values), and written from parts(value).  A bad
+    place is reported at the row."""
+    reads, writes = zip(*places)
+    size = len(reads)
+
+    def read(v: object) -> object:
+        if type(v) is not list or len(v) != size:
+            raise _FieldError(f" {v!r} is not a list of {size} values")
+        values = [r(x) for r, x in zip(reads, v)]
+        return tuple(values) if make is None else make(*values)
+
+    convert = [(i, w) for i, w in enumerate(writes) if w is not _same]
+
+    def write(v: object) -> list:
+        out = list(parts(v))
+        for i, w in convert:
+            out[i] = w(out[i])
+        return out
+    return read, list if parts is _same and not convert else write
+
+
+def _map(key: Callable[[str], object], value: Kind, make: Callable[[Dict], object]) -> Kind:
+    """A JSON object of any keys, each read by key, read into make of the
+    dict, and written from a dict or from (key, value) pairs."""
+    read_value, write_value = value
+
+    def read(v: object) -> object:
+        if type(v) is not dict:
+            raise _FieldError(f" {v!r} is not an object")
+        try:
+            return make({key(k): read_value(x) for k, x in v.items()})
+        except _FieldError:
+            for k in v:
+                key(k)
+            _locate(read_value, v.items())
+
+    def write(v: object) -> dict:
+        return {str(k): write_value(x) for k, x in (v.items() if type(v) is dict else v)}
+    return read, write
+
+
+def _getters(cls: type) -> Callable[[object], Tuple[object, ...]]:
+    """The values of a dataclass's fields, in order."""
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
+def _table(make: Callable, *table: Tuple[str, Kind], parts: Optional[Callable] = None,
+           optional: Tuple[str, ...] = ()) -> Kind:
+    """A JSON object of the table's fields, read into make(*values) and
+    written from parts(value), by default the fields of the dataclass make,
+    both in table order.  Every field is required but those in optional,
+    which read as None when missing and are not written when None.  A key
+    the table does not name is refused."""
+    names = [name for name, _ in table]
+    known = set(names)
+    reads, writes = zip(*(kind for _, kind in table))
+    parts = parts or _getters(make)
+
+    def read(v: object) -> object:
+        if type(v) is not dict:
+            raise _FieldError(f" {v!r} is not an object")
+        values = []
+        for name, read_field in zip(names, reads):
+            if name in v:
+                try:
+                    values.append(read_field(v[name]))
+                except _FieldError as exc:
+                    raise _FieldError(f".{name}{exc}") from None
+            elif name in optional:
+                values.append(None)
+            else:
+                raise _FieldError(f".{name} is missing")
+        if not known.issuperset(v):
+            raise _FieldError(f" has fields {sorted(set(v) - known)} outside its table")
+        return make(*values)
+
+    def write(v: object) -> dict:
+        return {name: write_field(x) for name, write_field, x in zip(names, writes, parts(v))
+                if x is not None or name not in optional}
+    return read, write
+
+
+def _document(name: str, make: Callable, *table: Tuple[str, Kind],
+              parts: Optional[Callable] = None, optional: Tuple[str, ...] = ()) -> Kind:
+    """A document: its type, its graph, and the table of one value, read
+    into (graph, value) and written from it."""
+    parts = parts or _getters(make)
+    return _table(lambda _, G, *values: (G, make(*values)),
+                  ("type", _typed(str, repr(name), (name,))), ("graph", GRAPH), *table,
+                  parts=lambda doc: (name, doc[0], *parts(doc[1])), optional=optional)
+
+
+def _edge_pairs(v: object) -> Tuple[Tuple[int, int], ...]:
+    """(edge id, multiplicity) pairs, no id twice: a list of rows of two
+    ints, taken in one pass when every row is one, or else read row by row,
+    which names the bad row."""
+    pairs = ()
+    if type(v) is list:
+        pairs = tuple([(p[0], p[1]) for p in v if type(p) is list and len(p) == 2
+                       and type(p[0]) is int and type(p[1]) is int])
+    if type(v) is not list or len(pairs) != len(v):
+        pairs = INT_PAIRS[0](v)
+    _distinct(tuple(eid for eid, _ in pairs), "an edge id")
     return pairs
 
 
+INT = _typed(int, "an integer")
+STRING = _typed(str, "a string")
+ANY = (_same, _same)          # metadata, which verify compares with its row's
+RATIONAL = (_rational, frac_str)
+INTS = _list(INT)
+INT_PAIRS = _list(_row(INT, INT))
+PAIRS = (_edge_pairs, INT_PAIRS[1])
+# Sets are read from lists, so that a repeat is caught, and written sorted.
+EDGE_SET = (_list(INT, frozenset, "an edge id")[0], sorted)
+LABEL_SET = (_list(_typed(str, "a class label", LABELS), frozenset, "a label")[0], sorted)
+ID_VECTOR = _map(_key, RATIONAL, _same)
+ID_PAIRS = _map(_key, RATIONAL, _sorted_items)
+
+
+# ---------------------------------------------------------------------------
+# JSON documents, each one table
+
+
+EDGE = _row(INT, INT, RATIONAL, INT, make=Edge, parts=attrgetter("u", "v", "weight", "id"))
+GRAPH = _table(Multigraph, ("n", INT), ("edges", _list(EDGE)),
+               parts=lambda G: (G.n, sorted(G.edges, key=attrgetter("id"))))
+TERM = _table(Term, ("lambda", RATIONAL), ("edges", PAIRS), ("classes", LABEL_SET))
+COMBINATION = _table(ConvexCombination,
+                     ("terms", _list(TERM)), ("target", ID_PAIRS), ("relation", STRING))
+# A stored cut carries its dual y, so an lp-result is read from (Cut, y) pairs.
+CUT_WITH_DUAL = _table(lambda shore, edges, y: (Cut(shore, edges), y),
+                       ("shore", INTS), ("edges", EDGE_SET), ("y", RATIONAL),
+                       parts=lambda pair: (pair[0].shore, pair[0].edge_ids, pair[1]))
+LP_RESULT = _document(
+    "lp-result",
+    lambda value, x, cuts, rounds: LpResult(value, x, tuple(c for c, _ in cuts), rounds,
+                                            tuple(y for _, y in cuts)),
+    ("value", RATIONAL), ("x", ID_VECTOR), ("cuts", _list(CUT_WITH_DUAL)),
+    ("separation_rounds", INT),
+    parts=lambda res: (res.value, res.x, zip(res.cuts, res.duals), res.separation_rounds))
+CYCLE_COVER = _document(
+    "cycle-cover", CycleCoverResult,
+    ("cover", INTS), ("cycles", _list(INTS)), ("matching", INTS),
+    ("intra_cycle", INTS), ("cross_cycle", INTS),
+    ("covered_cuts", _list(_row(EDGE_SET, INT))))
+DECOMPOSITION = _document(
+    "decomposition", lambda kind, comb: (kind, comb),
+    ("kind", _typed(str, "a decomposition kind", DECOMPOSITION_KINDS)),
+    ("combination", COMBINATION), parts=_same)
+CERTIFICATE = _document(
+    "uniform-cover-certificate", Certificate,
+    ("variant", STRING), ("profile", STRING), ("alpha", RATIONAL), ("object_class", STRING),
+    ("combination", COMBINATION), ("slack", ID_PAIRS), ("max_multiplicity", INT),
+    ("metadata", _map(_same, ANY, _sorted_items)))
+APPROX = _document(
+    "approx-result", ApproxResult,
+    ("algorithm", STRING), ("solution", PAIRS), ("weight", RATIONAL),
+    ("lower_bound", RATIONAL), ("ratio", RATIONAL), ("object_class", STRING),
+    ("x", ID_VECTOR), ("dual", _list(_row(INTS, RATIONAL))),
+    ("beta", RATIONAL), ("profile", STRING), optional=("beta", "profile"))
+
+
+# The public readers and writers, each one call into its kind.  A document
+# is written from, and read into, its graph and its value.
+
+
+def vector_to_json(x: EdgeVector) -> Dict[str, str]:
+    return ID_VECTOR[1](x)
+
+
+def vector_from_json(obj: dict) -> EdgeVector:
+    return _read(ID_VECTOR, obj, "vector")
+
+
 def graph_to_json(G: Multigraph) -> dict:
-    return {
-        "n": G.n,
-        "edges": [[e.u, e.v, frac_str(e.weight), e.id]
-                  for e in sorted(G.edges, key=lambda e: e.id)],
-    }
+    return GRAPH[1](G)
 
 
 def graph_from_json(obj: dict) -> Multigraph:
-    with _fields("graph"):
-        edges = tuple(Edge(_int(u), _int(v), parse_frac(w), _int(eid))
-                      for u, v, w, eid in obj["edges"])
-        return Multigraph(_int(obj["n"]), edges)
+    return _read(GRAPH, obj, "graph")
 
 
 def combination_to_json(comb: ConvexCombination) -> dict:
-    return {
-        "relation": comb.relation,
-        "target": {str(eid): frac_str(v) for eid, v in comb.target},
-        "terms": [{
-            "lambda": frac_str(t.coefficient),
-            "edges": [[eid, m] for eid, m in t.edges],
-            "classes": sorted(t.labels),
-        } for t in comb.terms],
-    }
+    return COMBINATION[1](comb)
 
 
 def combination_from_json(obj: dict) -> ConvexCombination:
-    with _fields("combination"):
-        terms = tuple(
-            Term(parse_frac(t["lambda"]),
-                 _edge_pairs(t["edges"], f"terms[{i}].edges"),
-                 frozenset(t.get("classes", ())))
-            for i, t in enumerate(obj["terms"]))
-        target = tuple(sorted(vector_from_json(obj["target"]).items()))
-        return ConvexCombination(terms, target, obj["relation"])
+    return _read(COMBINATION, obj, "combination")
 
 
 def lp_result_to_json(G: Multigraph, res: LpResult) -> dict:
-    return {
-        "type": "lp-result",
-        "graph": graph_to_json(G),
-        "value": frac_str(res.value),
-        "x": vector_to_json(res.x),
-        "cuts": [{"shore": list(c.shore), "edges": sorted(c.edge_ids), "y": frac_str(y)}
-                 for c, y in zip(res.cuts, res.duals)],
-        "separation_rounds": res.separation_rounds,
-    }
+    return LP_RESULT[1]((G, res))
 
 
 def lp_result_from_json(obj: dict) -> Tuple[Multigraph, LpResult]:
-    with _fields("lp-result"):
-        G = graph_from_json(obj["graph"])
-        res = LpResult(
-            value=parse_frac(obj["value"]),
-            x=vector_from_json(obj["x"]),
-            cuts=tuple(Cut(tuple(map(_int, c["shore"])),
-                           _edge_set(c["edges"], f"cuts[{i}].edges"))
-                       for i, c in enumerate(obj["cuts"])),
-            separation_rounds=_int(obj["separation_rounds"]),
-            duals=tuple(parse_frac(c["y"]) for c in obj["cuts"]),
-        )
-        return G, res
+    return _read(LP_RESULT, obj, "lp-result")
 
 
 def cycle_cover_to_json(G: Multigraph, res: CycleCoverResult) -> dict:
-    return {
-        "type": "cycle-cover",
-        "graph": graph_to_json(G),
-        "cover": list(res.cover),
-        "cycles": [list(c) for c in res.cycles],
-        "matching": list(res.matching),
-        "intra_cycle": list(res.intra_cycle),
-        "cross_cycle": list(res.cross_cycle),
-        "covered_cuts": [[sorted(ids), count] for ids, count in res.covered_cuts],
-    }
+    return CYCLE_COVER[1]((G, res))
 
 
 def cycle_cover_from_json(obj: dict) -> Tuple[Multigraph, CycleCoverResult]:
-    def ids(key: str) -> Tuple[int, ...]:
-        return tuple(map(_int, obj[key]))
-
-    with _fields("cycle-cover"):
-        G = graph_from_json(obj["graph"])
-        res = CycleCoverResult(
-            cover=ids("cover"),
-            cycles=tuple(tuple(map(_int, c)) for c in obj["cycles"]),
-            matching=ids("matching"),
-            intra_cycle=ids("intra_cycle"),
-            cross_cycle=ids("cross_cycle"),
-            covered_cuts=tuple((_edge_set(cut, f"covered_cuts[{i}]"), _int(count))
-                               for i, (cut, count) in enumerate(obj["covered_cuts"])),
-        )
-        return G, res
+    return _read(CYCLE_COVER, obj, "cycle-cover")
 
 
 def decomposition_to_json(G: Multigraph, comb: ConvexCombination, kind: str) -> dict:
-    return {
-        "type": "decomposition",
-        "kind": kind,
-        "graph": graph_to_json(G),
-        "combination": combination_to_json(comb),
-    }
+    return DECOMPOSITION[1]((G, (kind, comb)))
 
 
 def decomposition_from_json(obj: dict) -> Tuple[Multigraph, Tuple[str, ConvexCombination]]:
     """The graph, and the decomposition's kind with its combination."""
-    with _fields("decomposition"):
-        kind = obj["kind"]
-        if kind not in DECOMPOSITION_KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        return graph_from_json(obj["graph"]), (kind, combination_from_json(obj["combination"]))
+    return _read(DECOMPOSITION, obj, "decomposition")
 
 
 def certificate_to_json(G: Multigraph, cert: Certificate) -> dict:
-    return {
-        "type": "uniform-cover-certificate",
-        "graph": graph_to_json(G),
-        "variant": cert.variant,
-        "profile": cert.profile,
-        "alpha": frac_str(cert.alpha),
-        "object_class": cert.object_class,
-        "combination": combination_to_json(cert.combination),
-        "slack": {str(eid): frac_str(v) for eid, v in cert.slack},
-        "max_multiplicity": cert.max_multiplicity,
-        "metadata": {k: v for k, v in cert.metadata},
-    }
+    return CERTIFICATE[1]((G, cert))
 
 
 def certificate_from_json(obj: dict) -> Tuple[Multigraph, Certificate]:
-    with _fields("certificate"):
-        G = graph_from_json(obj["graph"])
-        cert = Certificate(
-            variant=obj["variant"],
-            profile=obj["profile"],
-            alpha=parse_frac(obj["alpha"]),
-            object_class=obj["object_class"],
-            combination=combination_from_json(obj["combination"]),
-            slack=tuple(sorted(vector_from_json(obj["slack"]).items())),
-            max_multiplicity=_int(obj["max_multiplicity"]),
-            metadata=tuple(sorted(obj.get("metadata", {}).items())),
-        )
-        return G, cert
+    return _read(CERTIFICATE, obj, "certificate")
 
 
 def approx_to_json(G: Multigraph, res: ApproxResult) -> dict:
-    out = {
-        "type": "approx-result",
-        "graph": graph_to_json(G),
-        "algorithm": res.algorithm,
-        "solution": [[eid, m] for eid, m in res.solution],
-        "weight": frac_str(res.weight),
-        "lower_bound": frac_str(res.lower_bound),
-        "ratio": frac_str(res.ratio),
-        "object_class": res.object_class,
-        "x": vector_to_json(res.x),
-        "dual": [[list(shore), frac_str(y)] for shore, y in res.dual],
-    }
-    if res.beta is not None:
-        out["beta"] = frac_str(res.beta)
-    if res.profile is not None:
-        out["profile"] = res.profile
-    return out
+    return APPROX[1]((G, res))
 
 
 def approx_from_json(obj: dict) -> Tuple[Multigraph, ApproxResult]:
-    with _fields("approx"):
-        G = graph_from_json(obj["graph"])
-        res = ApproxResult(
-            algorithm=obj["algorithm"],
-            solution=_edge_pairs(obj["solution"], "solution"),
-            weight=parse_frac(obj["weight"]),
-            lower_bound=parse_frac(obj["lower_bound"]),
-            ratio=parse_frac(obj["ratio"]),
-            object_class=obj["object_class"],
-            x=vector_from_json(obj["x"]),
-            dual=tuple((tuple(map(_int, shore)), parse_frac(y))
-                       for shore, y in obj["dual"]),
-            beta=parse_frac(obj["beta"]) if "beta" in obj else None,
-            profile=obj.get("profile"),
-        )
-        return G, res
+    return _read(APPROX, obj, "approx-result")
 
 
 class EncodeError(GraphError, TypeError):

@@ -41,39 +41,6 @@ def _enclosing(node, parent, kind):
     return None
 
 
-def _fields_guarded(tree, parent):
-    """A test for the nodes of serialize.py whose ValueError `_fields` turns
-    into a ParseError: those inside a `with _fields(...)` block, and those in
-    functions called only from such nodes."""
-
-    def under_fields(node):
-        while True:
-            node = _enclosing(node, parent, ast.With)
-            if node is None:
-                return False
-            if any(getattr(getattr(item.context_expr, "func", None), "id", None) == "_fields"
-                   for item in node.items):
-                return True
-
-    def caller(node):
-        fn = _enclosing(node, parent, ast.FunctionDef)
-        return fn.name if fn else None
-
-    sites = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            sites.setdefault(node.func.id, []).append(node)
-    guarded_functions = set()
-    while True:
-        more = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                and sites.get(fn.name)
-                and all(under_fields(c) or caller(c) in guarded_functions
-                        for c in sites[fn.name])}
-        if more <= guarded_functions:
-            return lambda node: under_fields(node) or caller(node) in guarded_functions
-        guarded_functions |= more
-
-
 def test_library_raises_only_its_own_errors():
     # cli.main turns GraphError and LpError into exit code 2; anything else
     # would surface as a traceback with exit code 1, the code of a failed
@@ -115,14 +82,11 @@ def test_library_raises_only_its_own_errors():
         else:
             yield resolve(stem, exc)
 
-    guarded = _fields_guarded(trees["serialize"], parents["serialize"])
     found = []
     for stem, tree in trees.items():
         for node in (n for n in ast.walk(tree) if isinstance(n, ast.Raise)):
             for name, cls in raised(stem, node):
                 if isinstance(cls, type) and issubclass(cls, (GraphError, LpError)):
-                    continue
-                if stem == "serialize" and cls is ValueError and guarded(node):
                     continue
                 found.append(f"{stem}.py:{node.lineno} raises {name}")
     assert trees, f"no sources under {SOURCE}"
@@ -143,18 +107,33 @@ def test_library_has_no_function_level_imports():
 
 
 def test_json_readers_call_no_bare_int():
-    # int() reads 1.9, "0" and True as ints, so a JSON reader takes each
-    # stored int through serialize._int, which accepts JSON integers only.
-    # The text-format readers parse text with int(), and _key reads an id
-    # key with int() and then requires the key to be the id's decimal
-    # string.
+    # int() reads 1.9, "0" and True as ints, Fraction() reads "2/4", " 2/3"
+    # and "1.0", frozenset() drops a repeat, and .get() fills in a missing
+    # field.  So each JSON leaf is read by its kind, and only the kinds'
+    # own readers call these: _key and _rational read decimal text with
+    # int() and then require the text to be the value's own, _rational
+    # builds the Fraction, and the set kinds build a frozenset after the
+    # repeat check.  frac_str writes, and the text-format readers parse
+    # text with int() and parse_frac.
     path = SOURCE / "serialize.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     parent = _parents(tree)
-    exempt = {"graph_from_text", "weights_from_text", "_key"}
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "int"]
-    found = [f"serialize.py:{node.lineno}" for node in calls
-             if getattr(_enclosing(node, parent, ast.FunctionDef), "name", None) not in exempt]
-    assert calls, "serialize.py calls int() nowhere, so this guard checks nothing"
-    assert not found, f"bare int() calls in JSON readers: {found}"
+    allowed = {
+        "int": {"graph_from_text", "weights_from_text", "_key", "_rational"},
+        "Fraction": {"parse_frac", "frac_str", "_rational"},
+        "parse_frac": {"graph_from_text", "weights_from_text"},
+        "frozenset": set(),
+        "get": set(),
+    }
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and name(node) in allowed]
+    found = [f"serialize.py:{node.lineno} calls {name(node)}" for node in calls
+             if getattr(_enclosing(node, parent, ast.FunctionDef), "name", None)
+             not in allowed[name(node)]]
+    assert {name(node) for node in calls} >= {"int", "Fraction", "parse_frac"}, \
+        "serialize.py calls none of the guarded readers, so this guard checks nothing"
+    assert not found, f"JSON readers that bypass their kind: {found}"

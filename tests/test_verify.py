@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -643,9 +644,10 @@ def test_subtour_optimum_check_sums_like_fractions(drawn):
     assert outcome(_check_subtour_optimum) == outcome(fraction_sum_subtour_check)
 
 
-# Small documents of each type for the strict int readers, each with its
-# int fields, named by their innermost object key.  Petersen's cycle cover
-# has cross-cycle matching edges and K4's has intra-cycle ones.
+# Small documents of each type for the strict readers, each with its int
+# fields, named by their innermost object key.  Petersen's cycle cover has
+# cross-cycle matching edges and K4's has intra-cycle ones; the tsp75
+# document stores a profile and no beta, the twoecbeta one the reverse.
 CYCLE_COVER_FIELDS = {"n", "edges", "cover", "cycles", "matching", "covered_cuts"}
 STRICT_DOCS = {
     "uniform-cover-certificate": (lambda: cert_doc(k4()),
@@ -659,20 +661,47 @@ STRICT_DOCS = {
     "cycle-cover-k4": (lambda: serialize.cycle_cover_to_json(
         k4(), find_covering_cycle_cover(k4())), CYCLE_COVER_FIELDS | {"intra_cycle"}),
     "approx-result": (OPTIMUM_DOCS["twoecbeta"], {"n", "edges", "solution", "dual"}),
+    "approx-result-tsp75": (OPTIMUM_DOCS["tsp75"], {"n", "edges", "solution", "dual"}),
 }
 ID_KEYED = ("x", "target", "slack")        # objects whose keys are edge ids
+MAPS = ID_KEYED + ("metadata",)            # objects of any keys, not tables
+LOOKS_RATIONAL = ("variant",)              # strings such as "18/19"
+OPTIONAL = (("beta",), ("profile",))       # of an approx-result
+# verify reads `type` to pick the reader, and a missing or unknown type is
+# a failed report (test_unknown_type), so its field is not walked.
+UNWALKED = (("type",),)
 INT_EDITS = {"float": lambda v: v + 0.5, "integral-float": float, "string": str,
              "bool": bool}
 KEY_EDITS = {"zero-padded": lambda k: "0" + k, "spaced": lambda k: " " + k,
              "signed": lambda k: "+" + k, "underscored": lambda k: "0_" + k}
+RATIONAL_EDITS = {
+    "unreduced": lambda q: "/".join(str(2 * int(t)) for t in q.split("/")),
+    "leading-space": lambda q: " " + q, "trailing-space": lambda q: q + " ",
+    "signed": lambda q: "+" + q, "underscored": lambda q: q.replace("/", "_0/"),
+    "signed-denominator": lambda q: q.replace("/", "/+"),
+    "negative-denominator": lambda q: "{}/-{}".format(-int(q.split("/")[0]), q.split("/")[1]),
+    "integer": lambda q: "1", "decimal": lambda q: "1.0", "half": lambda q: "0.5"}
+LABEL_EDITS = {"repeated": lambda labels: labels + labels[:1],
+               "unknown": lambda labels: labels + ["bridge"]}
+FIELD_EDITS = {"missing": lambda node, k: node.pop(k),
+               "unknown": lambda node, k: node.update({k + "_copy": node[k]})}
+SITE_EDITS = {"int": INT_EDITS, "key": KEY_EDITS, "rational": RATIONAL_EDITS,
+              "labels": LABEL_EDITS, "field": FIELD_EDITS}
+SITE_ERRORS = {"int": "not an integer", "key": "decimal string", "rational": "not a rational",
+               "labels": "not a class label|repeats a label",
+               "field": "is missing|outside its table"}
 
 
 def int_sites(node, path=()):
-    """The path of every int value in a JSON document, and of every object
-    keyed by edge ids (its own path with the key last)."""
+    """The path of every stored int, rational and term label list of a JSON
+    document, of every object keyed by edge ids (its own path with the key
+    last), and of every field of a table object."""
     if isinstance(node, dict):
         if path and path[-1] in ID_KEYED:
             yield from (("key", path + (k,)) for k in node)
+        if not path or path[-1] not in MAPS:
+            skip = UNWALKED + (OPTIONAL if node.get("type") == "approx-result" else ())
+            yield from (("field", path + (k,)) for k in node if path + (k,) not in skip)
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
@@ -681,52 +710,65 @@ def int_sites(node, path=()):
     for k, v in items:
         if type(v) is int:
             yield "int", path + (k,)
+        elif (type(v) is str and re.fullmatch(r"-?[0-9]+/[0-9]+", v)
+              and k not in LOOKS_RATIONAL):
+            yield "rational", path + (k,)
+        elif k == "classes":
+            yield "labels", path + (k,)
         else:
             yield from int_sites(v, path + (k,))
 
 
 def edited(doc, site, edit):
-    """A copy of doc with the int or key at `site` replaced by its edit."""
+    """A copy of doc with the value, key or field at `site` edited."""
     kind, path = site
     copy = json.loads(json.dumps(doc))
     node = copy
     for k in path[:-1]:
         node = node[k]
-    if kind == "int":
-        node[path[-1]] = edit(node[path[-1]])
-    else:
+    if kind == "key":
         node[edit(path[-1])] = node.pop(path[-1])
+    elif kind == "field":
+        edit(node, path[-1])
+    else:
+        node[path[-1]] = edit(node[path[-1]])
     return copy
 
 
 @pytest.mark.parametrize("name", sorted(STRICT_DOCS))
 def test_every_stored_int_is_read_strictly(name):
-    # A float, a string or a bool in an int field, and an id key that is
-    # not the id's decimal string, are parse errors; none is read as an int.
+    # A float, a string or a bool in an int field, an id key that is not
+    # the id's decimal string, a rational in any form but the writer's
+    # lowest-terms "p/q", a repeated or unknown class label, and a missing
+    # or unknown field are parse errors; none is read leniently.
     build, fields = STRICT_DOCS[name]
     doc = build()
     assert name.startswith(doc["type"]) and verify_document(doc).ok
     sites = list(int_sites(doc))
     assert {next(k for k in reversed(path) if isinstance(k, str))
             for kind, path in sites if kind == "int"} == fields
-    assert any(kind == "key" for kind, _ in sites) == (doc["type"] != "cycle-cover")
+    kinds = {kind for kind, _ in sites}
+    assert ("key" in kinds) == (doc["type"] != "cycle-cover")
+    assert ("labels" in kinds) == (doc["type"] in ("uniform-cover-certificate",
+                                                   "decomposition"))
+    assert {"int", "rational", "field"} <= kinds
     for site in sites:
-        for edit in (INT_EDITS if site[0] == "int" else KEY_EDITS).values():
-            with pytest.raises(ParseError, match="not an integer|decimal string"):
+        for edit in SITE_EDITS[site[0]].values():
+            with pytest.raises(ParseError, match=SITE_ERRORS[site[0]]):
                 verify_document(edited(doc, site, edit))
 
 
 @pytest.mark.parametrize("name", sorted(STRICT_DOCS))
 def test_verify_exits_2_on_a_lenient_int(name, tmp_path, capsys):
     doc = STRICT_DOCS[name][0]()
-    ints = [site for site in int_sites(doc) if site[0] == "int"]
-    keys = [site for site in int_sites(doc) if site[0] == "key"]
-    picks = [(ints[0], edit) for edit in INT_EDITS.values()]
-    picks += [(site, edit) for site in keys[:1] for edit in KEY_EDITS.values()]
+    first = {}
+    for kind, path in int_sites(doc):
+        first.setdefault(kind, (kind, path))
+    picks = [(site, edit) for kind, site in first.items()
+             for edit in SITE_EDITS[kind].values()]
     path = tmp_path / "doc.json"
     for site, edit in picks:
         path.write_text(json.dumps(edited(doc, site, edit)))
-        assert cli.main(["verify", str(path)]) == cli.EXIT_PRECONDITION
+        assert cli.main(["verify", str(path)]) == cli.EXIT_PRECONDITION, site
         err = capsys.readouterr().err
         assert "parse error" in err, err
-
