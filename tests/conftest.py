@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from unicover.cyclecover import CycleCoverError, build_cycle_cover
-from unicover.decompose import DecompositionError, canonical
+from unicover.decompose import DecompositionError, canonical, caratheodory_reduce
 from unicover.graph import (Edge, Multigraph, _cycle_space_labels, connected_components,
                             cut_edges)
 from unicover.lp import min_cut
@@ -474,3 +474,26 @@ def two_triangles():
     """Two triangles joined by a pair of bridges: has a genuine 2-edge cut."""
     return make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (2, 3), (5, 0)])
+
+
+def fraction_normalize_connectors(terms, x, G):
+    """Reference oracle for connectors.normalize_connectors: the same
+    rebalance with Fraction coefficients, re-reduced by caratheodory_reduce."""
+    limit = G.m + 1
+    for eid in sorted(x):
+        doubled = [(lam, f) for lam, f in terms if f.get(eid, 0) == 2]
+        absent = [(lam, f) for lam, f in terms if f.get(eid, 0) == 0]
+        keep = [(lam, f) for lam, f in terms if f.get(eid, 0) == 1]
+        while doubled and absent:
+            li, fi = doubled.pop()
+            lj, fj = absent.pop()
+            t = min(li, lj)
+            keep += [(t, {**fi, eid: 1}), (t, {**fj, eid: 1})]
+            if li > t:
+                doubled.append((li - t, fi))
+            if lj > t:
+                absent.append((lj - t, fj))
+        terms = keep + doubled + absent
+        if len(terms) > limit:
+            terms = caratheodory_reduce(terms, limit)
+    return caratheodory_reduce(terms, limit)

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from unicover import connectors
 from unicover.connectors import (decomposition, even_2cut_connectors, normalize_connectors,
                                  two_cut_classes, two_cut_pairs)
-from unicover.decompose import (DecompositionError, decompose_connectors,
-                                verify_combination)
-from unicover.families import k4, petersen, random_subcubic_2ec
+from unicover.decompose import (DecompositionError, clip_at_two, decompose_connectors,
+                                reduce_int_terms, verify_combination)
+from unicover.families import k4, petersen, random_node_weights, random_subcubic_2ec
 from unicover.graph import GraphError, classify, multiset_degrees
-from unicover.lp import LpInputError, everywhere, membership, one_edge_cuts
+from unicover.lp import LpInputError, everywhere, membership, one_edge_cuts, solve_subtour
 from unicover.simplex import LpError
 
-from conftest import (make_graph, one_edge_cuts_oracle, support_bridges,
-                      support_components, two_cut_pairs_oracle, two_edge_connected)
+from conftest import (fraction_normalize_connectors, make_graph, one_edge_cuts_oracle,
+                      support_bridges, support_components, two_cut_pairs_oracle,
+                      two_edge_connected)
 
 F = Fraction
 
@@ -109,6 +110,25 @@ class TestNormalize:
         base = decompose_connectors(g, x)
         norm = normalize_connectors(base, x, g)
         assert sum(c for c, _ in norm) == 1
+
+    def test_matches_the_fraction_rebalance(self, monkeypatch):
+        # Coefficients kept as ints over one denominator give the terms
+        # that Fraction coefficients re-reduced by caratheodory_reduce give,
+        # the re-reductions inside the loop included.
+        cuts = []
+
+        def counted(Q, terms, limit):
+            cuts.append(len(terms) > limit)
+            return reduce_int_terms(Q, terms, limit)
+        monkeypatch.setattr(connectors, "reduce_int_terms", counted)
+        for seed in range(6):
+            g = random_node_weights(10, seed + 100).induced_graph(random_subcubic_2ec(10, seed))
+            x = solve_subtour(g).x
+            base = decompose_connectors(g, x)
+            xbar = clip_at_two(x)
+            assert (normalize_connectors([(c, dict(f)) for c, f in base], xbar, g)
+                    == fraction_normalize_connectors([(c, dict(f)) for c, f in base], xbar, g))
+        assert any(cuts[:-1]), "no re-reduction inside the loop cut a term"
 
 
 class TestEven2CutConnectors:
