@@ -347,7 +347,7 @@ ID_PAIRS = _map(_key, RATIONAL, _sorted_items)
 
 
 # ---------------------------------------------------------------------------
-# JSON documents, each one table
+# JSON tables: the five document types and the values inside them
 
 
 EDGE = _row(INT, INT, RATIONAL, INT, make=Edge, parts=attrgetter("u", "v", "weight", "id"))
