@@ -2,12 +2,14 @@
 
 Commands read a graph in the text format from a file argument or stdin and
 write JSON (or a short summary) to stdout.  Exit codes: 0 success, 2 for
-precondition, profile, or parse failures and internal solver failures, 1 for
-verification failures.
+precondition, profile, or parse failures, an input that cannot be read, and
+internal solver failures, 1 for verification failures.  One parser serves
+every command; it is built on the first call of main in a process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -32,10 +34,17 @@ EXIT_PRECONDITION = 2
 
 
 def _read_text(path: Optional[str]) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the file at path, or of stdin for None or "-".  An input
+    that cannot be opened or read as UTF-8 is a GraphError naming it."""
+    stdin = path is None or path == "-"
+    try:
+        if stdin:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise GraphError(f"cannot read {'stdin' if stdin else path}: {reason}") from None
 
 
 def _read_graph(path: Optional[str]) -> Multigraph:
@@ -185,22 +194,16 @@ COMMANDS: Dict[str, Tuple[str, Callable, Callable]] = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI's parser, with only the subparser of `command` when that
-    names one of COMMANDS, and with all of them otherwise (for help, a
-    missing command and an unknown one).  A one-command parser names all
-    the commands in its usage line, as the full parser does, so its error
-    messages are the same."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with a subparser for each of COMMANDS, built once
+    per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="unicover",
         description="Exact certificates for tours, 2-edge-connected covers, "
                     "and approximation algorithms on small graphs.")
-    one = command in COMMANDS
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (help_text, handler, add_arguments) in COMMANDS.items():
-        if one and name != command:
-            continue
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -208,8 +211,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

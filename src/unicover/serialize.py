@@ -479,6 +479,10 @@ def loads(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}", exc.lineno)
+    # An int of more digits than int() converts, or nesting deeper than the
+    # decoder recurses.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     return obj

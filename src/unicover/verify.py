@@ -28,6 +28,7 @@ from .cyclecover import CycleCoverResult, build_cycle_cover, small_cuts
 from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
 from .lp import LpResult, initial_shores, membership
+from .serialize import ParseError
 from .table import check_fields, lookup_row
 
 
@@ -43,8 +44,9 @@ class VerifyError(GraphError):
 
 
 def verify_document(doc: dict) -> VerifyReport:
-    """Parse a document (a malformed one raises ParseError) and re-check it;
-    a failed check is a report with ok False, naming what failed."""
+    """Parse a document (a malformed one, a missing or unknown type
+    included, raises ParseError) and re-check it; a failed check is a
+    report with ok False, naming what failed."""
     # Looked up at each call, so a rebound serialize parser is the one used.
     checks = {
         "uniform-cover-certificate": (serialize.certificate_from_json, _check_certificate),
@@ -53,9 +55,11 @@ def verify_document(doc: dict) -> VerifyReport:
         "lp-result": (serialize.lp_result_from_json, _check_lp_result),
         "cycle-cover": (serialize.cycle_cover_from_json, _check_cycle_cover),
     }
-    kind = doc.get("type")
-    if not isinstance(kind, str) or kind not in checks:
-        return VerifyReport(str(kind), False, f"unknown document type {kind!r}")
+    if "type" not in doc:
+        raise ParseError("bad document: type is missing")
+    kind = doc["type"]
+    if type(kind) is not str or kind not in checks:
+        raise ParseError(f"bad document: type {kind!r} is not one of {list(checks)}")
     parse, check = checks[kind]
     G, obj = parse(doc)
     try:

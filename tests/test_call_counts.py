@@ -247,7 +247,7 @@ def test_small_cuts_label_once(calls, c4, name):
     assert calls["components"] == 0
 
 
-def test_verify_builds_one_subparser(monkeypatch, tmp_path, capsys):
+def test_the_parser_is_built_once(monkeypatch, tmp_path, capsys):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -259,6 +259,9 @@ def test_verify_builds_one_subparser(monkeypatch, tmp_path, capsys):
     g = k4()
     path = tmp_path / "lp.json"
     path.write_text(serialize.dumps(serialize.lp_result_to_json(g, lp.solve_subtour(g))))
+    cli.build_parser.cache_clear()
     assert cli.main(["verify", str(path)]) == cli.EXIT_OK
-    assert built == ["verify"]
-    assert capsys.readouterr().out.startswith("valid")
+    assert built == list(cli.COMMANDS)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+    assert built == list(cli.COMMANDS)
+    assert capsys.readouterr().out.count("valid") == 2

@@ -164,6 +164,41 @@ class TestExitCodes:
                            stdin=graph_to_text(petersen()))
         assert code == EXIT_PRECONDITION and "node-weights" in err
 
+    @pytest.mark.parametrize("argv,content,stdin,message", [
+        # A missing, non-string or unknown document type.
+        (["verify", "IN"], b"{}", b"", "parse error: bad document: type is missing"),
+        (["verify", "IN"], b'{"type": ["lp-result"]}', b"", "parse error: bad document"),
+        (["verify", "IN"], b'{"type": "mystery"}', b"", "parse error: bad document"),
+        # What json.loads refuses beyond JSON syntax: an int of 5,000
+        # digits, and nesting deeper than the decoder recurses.
+        (["verify", "IN"], b'{"n": ' + b"9" * 5000 + b"}", b"", "parse error: bad JSON"),
+        (["verify", "IN"], b"[" * 3000 + b"]" * 3000, b"", "parse error: bad JSON"),
+        (["verify", "IN"], b"[" * 100000 + b"]" * 100000, b"", "parse error: bad JSON"),
+        # An input that cannot be opened, or is not UTF-8.
+        (["verify", "IN"], None, b"", "error: cannot read IN: No such file"),
+        (["solve-subtour", "DIR"], None, b"", "error: cannot read DIR: Is a directory"),
+        (["verify", "IN"], b"\xff\xfe{}", b"", "error: cannot read IN: 'utf-8' codec"),
+        (["solve-subtour"], None, b"\xff\xfe", "error: cannot read stdin: 'utf-8' codec"),
+        (["approx", "--alg", "tsp75", "--node-weights", "IN"], b"\xff\xfe1/1\n",
+         graph_to_text(petersen()).encode(), "error: cannot read IN: 'utf-8' codec"),
+    ], ids=["no type", "list type", "unknown type", "5000-digit int", "3000 deep",
+            "100000 deep", "no such file", "directory", "file not UTF-8",
+            "stdin not UTF-8", "weights not UTF-8"])
+    def test_bad_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, content, stdin,
+                               message):
+        # One line that starts with message, and no traceback.  The stdin
+        # is strict, as it is under a plain UTF-8 locale.
+        path = tmp_path / "in.txt"
+        if content is not None:
+            path.write_bytes(content)
+        argv = [{"IN": str(path), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+        message = message.replace("IN", str(path)).replace("DIR", str(tmp_path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_PRECONDITION and captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("doc_type", ["lp-result", "decomposition", "cycle-cover"])
     def test_verify_malformed_document(self, capsys, monkeypatch, doc_type):
         code, out, err = run(capsys, monkeypatch, ["verify"],
@@ -225,11 +260,14 @@ class TestExitCodes:
 
 
 def parse_output(capsys, parser, argv):
-    """(exit code, stdout, stderr) of a parse that exits."""
-    with pytest.raises(SystemExit) as info:
-        parser.parse_args(argv)
+    """(exit code, stdout, stderr) of a parse that exits, and (the parsed
+    arguments, stdout, stderr) of one that does not."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
     captured = capsys.readouterr()
-    return info.value.code, captured.out, captured.err
+    return result, captured.out, captured.err
 
 
 class TestParser:
@@ -242,12 +280,13 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [[name, "--help"] for name in COMMANDS]
                              + [["verify", "a", "b"], ["gen"], ["decompose", "bogus"],
-                                ["uniform-cover", "--variant", "1/2"]],
+                                ["uniform-cover", "--variant", "1/2"],
+                                ["decompose", "trees", "--vector", "2/3", "g.txt"],
+                                ["frobnicate"]],
                              ids=lambda argv: " ".join(argv))
-    def test_one_command_parser_prints_what_the_full_one_prints(self, capsys, argv):
-        # Help, usage lines and errors, the top-level "unrecognized
-        # arguments" usage line included.
-        full = parse_output(capsys, build_parser(), argv)
-        one = parse_output(capsys, build_parser(argv[0]), argv)
-        assert one == full
-        assert full[1] or full[2]
+    def test_cached_parser_matches_fresh(self, capsys, argv):
+        # Help, usage lines, errors and the intermixed re-parse, each run
+        # twice, leave nothing behind in the one parser of the process.
+        fresh = parse_output(capsys, build_parser.__wrapped__(), argv)
+        assert [parse_output(capsys, build_parser(), argv) for _ in range(2)] == [fresh] * 2
+        assert fresh[1] or fresh[2] or fresh[0]["input"] == "g.txt"

@@ -170,8 +170,11 @@ class TestAccepts:
 
 class TestRejects:
     def test_unknown_type(self):
+        with pytest.raises(ParseError, match="type is missing"):
+            verify_document({})
         for kind in ("mystery", ["lp-result"], None):
-            assert not verify_document({"type": kind}).ok
+            with pytest.raises(ParseError, match="is not one of"):
+                verify_document({"type": kind})
 
     def test_certificate_lambda_tampered(self):
         doc = cert_doc()
@@ -667,9 +670,6 @@ ID_KEYED = ("x", "target", "slack")        # objects whose keys are edge ids
 MAPS = ID_KEYED + ("metadata",)            # objects of any keys, not tables
 LOOKS_RATIONAL = ("variant",)              # strings such as "18/19"
 OPTIONAL = (("beta",), ("profile",))       # of an approx-result
-# verify reads `type` to pick the reader, and a missing or unknown type is
-# a failed report (test_unknown_type), so its field is not walked.
-UNWALKED = (("type",),)
 INT_EDITS = {"float": lambda v: v + 0.5, "integral-float": float, "string": str,
              "bool": bool}
 KEY_EDITS = {"zero-padded": lambda k: "0" + k, "spaced": lambda k: " " + k,
@@ -700,7 +700,7 @@ def int_sites(node, path=()):
         if path and path[-1] in ID_KEYED:
             yield from (("key", path + (k,)) for k in node)
         if not path or path[-1] not in MAPS:
-            skip = UNWALKED + (OPTIONAL if node.get("type") == "approx-result" else ())
+            skip = OPTIONAL if node.get("type") == "approx-result" else ()
             yield from (("field", path + (k,)) for k in node if path + (k,) not in skip)
         items = node.items()
     elif isinstance(node, list):
@@ -772,3 +772,48 @@ def test_verify_exits_2_on_a_lenient_int(name, tmp_path, capsys):
         assert cli.main(["verify", str(path)]) == cli.EXIT_PRECONDITION, site
         err = capsys.readouterr().err
         assert "parse error" in err, err
+
+
+# Any JSON value, and often one of the small ints and the strings that the
+# documents hold, so that an edit gets past the reader to the checks.
+JSON_VALUES = st.integers(-1, 4) | st.sampled_from(
+    ["0/1", "1/2", "1/1", "2/4", "tour", "connector", "lp-result"]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+@lru_cache(maxsize=None)
+def fuzz_seeds():
+    """A K4 certificate and a K_{3,3} lp-result, as JSON text."""
+    return {"certificate": json.dumps(cert_doc(k4())),
+            "lp-result": json.dumps(serialize.lp_result_to_json(k33(), solve_subtour(k33())))}
+
+
+def subtree_paths(node, path=()):
+    """The path of every value below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield path + (k,)
+        yield from subtree_paths(v, path + (k,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(["certificate", "lp-result"]), st.data())
+def test_an_edited_document_is_reported_or_refused(seed, data):
+    # One to three subtrees replaced by any JSON values: verify_document
+    # returns a report or raises a library error (a ParseError among them),
+    # which the CLI turns into exit code 2; nothing else.
+    doc = json.loads(fuzz_seeds()[seed])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(subtree_paths(doc))))
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        verify_document(doc)
+    except GraphError:
+        pass
