@@ -44,9 +44,6 @@ class Certificate:
     max_multiplicity: int
     metadata: Tuple[Tuple[str, str], ...]
 
-    def slack_vector(self) -> EdgeVector:
-        return {eid: v for eid, v in self.slack}
-
 
 def build_certificate(G: Multigraph, variant: str, comb: ConvexCombination,
                       coverage: EdgeVector) -> Certificate:

@@ -304,14 +304,14 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, oracle: OracleBuilder) -> Ter
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
     index = {eid: i for i, (eid, _) in enumerate(rows)}
     price = oracle(index)
-    tab = Tableau([v for _, v in rows], [ZERO] * len(rows))    # slacks
+    tab = Tableau([v for _, v in rows], [0] * len(rows))    # slacks
     objects: List[EdgeMultiset] = []
 
     def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
         value, obj = price([-p for p in pi])
         return _keep(objects, index, tab.rows, obj) if value < s else None
 
-    tab.generate(improving, -ONE)
+    tab.generate(improving, -1)
     lam, scale = tab.int_solution()
     raw = [(v, obj) for v, obj in zip(lam[tab.rows:], objects) if v > 0]
     total = sum(v for v, _ in raw)
@@ -341,7 +341,7 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuil
     index = {eid: i for i, (eid, _) in enumerate(target_rows)}
     price_max = oracle(index)
     nrows = len(index) + 1             # + convexity row
-    tab = Tableau([v for _, v in target_rows] + [ONE], [ONE] * nrows)   # artificials
+    tab = Tableau([v for _, v in target_rows] + [ONE], [1] * nrows)   # artificials
     objects: List[EdgeMultiset] = []
 
     def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
@@ -352,7 +352,7 @@ def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuil
         value, obj = price_max(pi[:-1])
         return _keep(objects, index, nrows, obj) if value > -pi[-1] else None
 
-    tab.generate(improving, ZERO)
+    tab.generate(improving, 0)
     if tab.int_obj()[0]:
         return None
     return [(lam, obj) for lam, obj in zip(tab.solution()[nrows:], objects) if lam > 0]

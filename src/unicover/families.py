@@ -13,10 +13,6 @@ from .graph import Edge, GraphError, Multigraph, NodeWeights, validate_structure
 
 ONE = Fraction(1)
 
-FAMILY_NAMES = ("k4", "k5", "petersen", "k33", "prism", "heawood",
-                "mobius-kantor", "c8-12", "random-cubic-3ec",
-                "random-subcubic-2ec")
-
 
 def _graph(n: int, pairs: Sequence[Tuple[int, int]]) -> Multigraph:
     return Multigraph(n, tuple(
@@ -139,15 +135,18 @@ def random_node_weights(n: int, seed: int) -> NodeWeights:
         Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(n)))
 
 
+# Every family by its name, in the order `unicover gen --help` lists them.
+# A random family takes (n, seed); a named graph takes no argument.
+FAMILIES = {
+    "k4": k4, "k5": k5, "petersen": petersen, "k33": k33, "prism": prism,
+    "heawood": heawood, "mobius-kantor": mobius_kantor, "c8-12": c8_12,
+    "random-cubic-3ec": random_cubic_3ec, "random-subcubic-2ec": random_subcubic_2ec,
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
 def named_family(name: str, n: int = 10, seed: int = 0) -> Multigraph:
-    builders = {
-        "k4": k4, "k5": k5, "petersen": petersen, "k33": k33, "prism": prism,
-        "heawood": heawood, "mobius-kantor": mobius_kantor, "c8-12": c8_12,
-    }
-    if name in builders:
-        return builders[name]()
-    if name == "random-cubic-3ec":
-        return random_cubic_3ec(n, seed)
-    if name == "random-subcubic-2ec":
-        return random_subcubic_2ec(n, seed)
-    raise GraphError(f"unknown family {name!r}")
+    if name not in FAMILIES:
+        raise GraphError(f"unknown family {name!r}")
+    build = FAMILIES[name]
+    return build(n, seed) if name.startswith("random-") else build()

@@ -6,8 +6,8 @@ beyond its weight, on Tableau.generate, the column generation loop that the
 decomposition masters share: each cut is a column, and each separation
 round adds one and pivots on from the current basis (the warm-started
 cutting-plane loop of Dantzig, Fulkerson and Johnson, which is column
-generation on the dual).  The two-phase simplex.solve_lp is not used; the
-tests check this solver against it.
+generation on the dual).  The two-phase simplex.solve_lp, which shares no
+code with Tableau, is not used; the tests check this solver against it.
 
 The exact Stoer-Wagner min cut, run over the capacities scaled to ints,
 only separates and tests LP vectors: cuts of a graph with at most 4 edges,
@@ -44,7 +44,10 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
     a list of ascending ids, so max() over it picks the most tightly
     connected vertex with the lowest id on a tie.  The cut of the phase is
     the last vertex's key when it is picked; the earliest lightest phase
-    gives the shore, reported as the side avoiding vertex 0."""
+    gives the shore, the vertices merged into that last vertex.  It avoids
+    vertex 0: every phase starts from vertex 0, the lowest active one, and
+    only a phase's last vertex leaves the active list, so 0 is never merged
+    into another."""
     n = G.n
     if n < 2:
         raise LpInputError("min cut needs at least 2 vertices")
@@ -83,9 +86,6 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
                 w[s][v] += w[t][v]
                 w[v][s] = w[s][v]
         active.remove(t)
-    if 0 in best_shore:
-        comp = sorted(set(range(n)) - set(best_shore))
-        best_shore = tuple(comp) if comp else best_shore
     if best_value is None:
         raise LpInputError("min cut found no phase")
     return Fraction(best_value, scale), best_shore
@@ -163,7 +163,7 @@ def solve_subtour(G: Multigraph) -> LpResult:
         raise LpInputError("disconnected input")
     edges = sorted(G.edges, key=lambda e: e.id)
     index = {e.id: i for i, e in enumerate(edges)}
-    tab = Tableau([e.weight for e in edges], [ZERO] * len(edges))    # slacks
+    tab = Tableau([e.weight for e in edges], [0] * len(edges))    # slacks
     pool: List[Cut] = []
 
     def cut(shore: Tuple[int, ...]) -> SparseColumn:

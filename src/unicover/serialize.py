@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .graph import LABELS, Cut, Edge, EdgeVector, GraphError, Multigraph, NodeWeights
+from .graph import LABELS, Cut, Edge, GraphError, Multigraph, NodeWeights
 from .decompose import ConvexCombination, Term
 from .lp import LpResult
 from .cyclecover import CycleCoverResult
@@ -393,24 +393,8 @@ APPROX = _document(
 # is written from, and read into, its graph and its value.
 
 
-def vector_to_json(x: EdgeVector) -> Dict[str, str]:
-    return ID_VECTOR[1](x)
-
-
-def vector_from_json(obj: dict) -> EdgeVector:
-    return _read(ID_VECTOR, obj, "vector")
-
-
-def graph_to_json(G: Multigraph) -> dict:
-    return GRAPH[1](G)
-
-
 def graph_from_json(obj: dict) -> Multigraph:
     return _read(GRAPH, obj, "graph")
-
-
-def combination_to_json(comb: ConvexCombination) -> dict:
-    return COMBINATION[1](comb)
 
 
 def combination_from_json(obj: dict) -> ConvexCombination:

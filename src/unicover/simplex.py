@@ -1,40 +1,38 @@
 """Exact fraction-free revised simplex (Bland's rule) with incremental columns.
 
 There is no floating point anywhere, and no `fractions.Fraction` inside
-the set-up, a pivot or a pricing step.  One `Tableau` serves every LP.  It
-is built from b scaled to ints over the lcm L of its denominators
-(graph.scale_to_ints), its identity basis as sparse unit columns, and the
-costs as ints over their common denominator C.  Every producer hands it
-columns in the one format it keeps, (row, nonzero int entry) pairs with
-the rows ascending, each with an `operator.itemgetter` of its rows.  The
-basis is one integer matrix M = D·B⁻¹, where D = det(B) > 0, so M is the
-adjugate of B.  Each pivot is Edmonds' integer-preserving update
-(Bareiss 1968):
+the set-up, a pivot or a pricing step.  One `Tableau` serves every LP the
+library builds.  It is built from b scaled to ints over the lcm L of its
+denominators (graph.scale_to_ints), an identity basis of slacks or
+artificials as sparse unit columns, and int costs.  Every producer hands it
+columns in the one format it keeps, (row, nonzero int entry) pairs with the
+rows ascending, each with an `operator.itemgetter` of its rows.  The basis
+is one integer matrix M = D·B⁻¹, where D = det(B) > 0, so M is the
+adjugate of B.  Each pivot is Edmonds' integer-preserving update (Bareiss
+1968) on a positive entry p = α_r:
 
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
 
-with α = M·A_e for the entering column e and p = α_r; every division is
-exact.  At D = 1 there is no division.  Otherwise each row is formed once,
-by floor division, and checked as a whole: floor remainders are
-nonnegative, so they are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i
-(and likewise for π).  The sums ΣM_i are kept with M, so each row is summed
-once, when it is formed.  Reduced costs come from π = C·c_B·M and the
-original columns, and α is formed only for the entering column, so new
-columns cost nothing until they are priced.  The values `obj`,
-`solution()` and `duals()` are divided out once, when they are read; their
-`int_` forms are not divided.  `generate` is the library's one column
-generation loop: the subtour LP's cutting planes in `lp` and both
-decomposition masters in `decompose` run on it.  Each starts from its
-identity basis and prices from the undivided duals (`int_duals()`), so
-pricing and separation build no Fraction.  `solve_lp`, the two-phase solver
-for general rows, scales rows to ints first; the library does not call it,
-and the tests keep it as their reference LP solver.
+with α = M·A_e for the entering column e; every division is exact.  At
+D = 1 there is no division.  Otherwise each row is formed once, by floor
+division, and checked as a whole: floor remainders are nonnegative, so they
+are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for
+π).  The sums ΣM_i are kept with M.  Reduced costs come from π = c_B·M and
+the original columns, and α is formed only for the entering column, so new
+columns cost nothing until they are priced.  `solution()` and `duals()`
+are divided out when read; their `int_` forms are not.  `generate` is the
+library's one column generation loop: the subtour LP's cutting planes in
+`lp` and both decomposition masters in `decompose` run on it, each from its
+identity basis and pricing from the undivided duals (`int_duals()`).
+
+`solve_lp`, the two-phase solver for general rows, is a dense Fraction
+tableau that shares no code with `Tableau`.  The library does not call it;
+the tests keep it as their independent reference LP solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -74,32 +72,32 @@ class Tableau:
 
     Column i < rows is the unit vector e_i with cost `identity_costs[i]`; these
     columns form the initial basis.  Further columns are supplied one by one.
-    Costs and b may be ints or Fractions; b is scaled to ints over the lcm L
-    of its denominators, and the costs over their own common denominator C.
+    Costs must be ints; b may hold ints or Fractions, and is scaled to ints
+    over the lcm L of its denominators.
     """
 
-    def __init__(self, b: Sequence[Fraction], identity_costs: Sequence[Fraction]):
+    def __init__(self, b: Sequence[Fraction], identity_costs: Sequence[int]):
         self.rows = len(b)
         if len(identity_costs) != self.rows:
             raise LpError("one identity cost per row")
+        if any(type(c) is not int for c in identity_costs):
+            raise LpError("tableau costs must be integer")
         self.L, self.beta = scale_to_ints(b)   # β = M . b . L
         if any(v < 0 for v in self.beta):
             raise LpError("right-hand side must be nonnegative")
         self.cols: List[SparseColumn] = [[(i, 1)] for i in range(self.rows)]
         self.dots: List[Dot] = [(itemgetter(slice(i, i + 1)), None) for i in range(self.rows)]
-        self.icosts: List[int] = []            # C * cost of each column, ints
-        self.C = 1                             # common denominator of the costs
+        self.icosts: List[int] = list(identity_costs)
         self.basis = list(range(self.rows))
         self.D = 1
         self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
         self.msum = [1] * self.rows             # the sum of each row of M
-        self._pi: Optional[List[int]] = None    # C . c_B . M, once priced
-        for cost in identity_costs:
-            self._append_cost(cost)
+        self._pi: Optional[List[int]] = None    # c_B . M, once priced
 
-    def add_column(self, col: SparseColumn, cost: Fraction) -> int:
+    def add_column(self, col: SparseColumn, cost: int) -> int:
         """Add a column of (row, nonzero int entry) pairs, the rows rising
-        inside [0, rows); returns its index.  Any other raises LpError."""
+        inside [0, rows), at an int cost; returns its index.  Any other
+        raises LpError."""
         last = -1
         for i, v in col:
             if type(v) is not int:
@@ -107,21 +105,22 @@ class Tableau:
             if not v or type(i) is not int or not last < i < self.rows:
                 raise LpError("a column is nonzero entries on rising rows of the tableau")
             last = i
+        if type(cost) is not int:
+            raise LpError("tableau costs must be integer")
         self.cols.append(col)
         self.dots.append(_dot_of(col))
-        self._append_cost(cost)
+        self.icosts.append(cost)
         return len(self.cols) - 1
 
     def generate(self, price: Callable[[List[int], int], Optional[SparseColumn]],
-                 cost: Fraction) -> None:
+                 cost: int) -> None:
         """Column generation: optimize, hand the undivided duals (π, s) to
         `price` and add the sparse column it returns at `cost`, until it
         returns None.  A column added before the call is known, an identity
         column is not; pricing a known column raises LpError.
 
         A column is added at an optimum, where no column prices below zero,
-        and adding it moves neither the basis nor the duals (a rise of C
-        rescales every reduced cost by the same factor).  So Bland's rule
+        and adding it moves neither the basis nor the duals.  So Bland's rule
         could pick only the new column: it alone is priced, and the simplex
         goes on from it if it enters.  Every optimum that `price` sees was
         proved by a full scan at the same basis."""
@@ -138,31 +137,11 @@ class Tableau:
             enter = self.add_column(col, cost)
             red = self._reduced_cost(enter)
             if red < 0:
-                self._enter(enter, red, set())
+                self._enter(enter, red)
                 self.optimize()
 
-    def set_costs(self, costs: Sequence[Fraction]) -> None:
-        """Replace the cost of every column."""
-        if len(costs) != len(self.cols):
-            raise LpError("one cost per column")
-        self.icosts, self.C, self._pi = [], 1, None
-        for cost in costs:
-            self._append_cost(cost)
-
-    def _append_cost(self, cost: Fraction) -> None:
-        """Append an int or Fraction cost as an int over C, raising C to the
-        lcm with the cost's denominator when it does not divide it."""
-        den = cost.denominator
-        if self.C % den:
-            factor = lcm(self.C, den) // self.C
-            self.C *= factor
-            self.icosts = [c * factor for c in self.icosts]
-            self._pi = None
-        self.icosts.append(cost.numerator * (self.C // den))
-
     def _prices(self) -> List[int]:
-        """π = C·c_B·M, so the reduced cost of column j is
-        (D·C·c_j − π·A_j) / (D·C)."""
+        """π = c_B·M, so the reduced cost of column j is (D·c_j − π·A_j) / D."""
         if self._pi is None:
             pi = [0] * self.rows
             for i, j in enumerate(self.basis):
@@ -173,20 +152,20 @@ class Tableau:
         return self._pi
 
     def _reduced_cost(self, j: int) -> int:
-        """Column j's reduced cost times D·C."""
+        """Column j's reduced cost times D."""
         get, vals = self.dots[j]
         pi = self._prices()
         return self.D * self.icosts[j] - (sum(get(pi)) if vals is None
                                           else sum(map(mul, get(pi), vals)))
 
-    def _entering(self, forbidden: set) -> Tuple[int, int]:
-        """Bland's rule: the lowest non-forbidden column of negative reduced
-        cost, with that cost times D·C; (-1, 0) at an optimum."""
+    def _entering(self) -> Tuple[int, int]:
+        """Bland's rule: the lowest nonbasic column of negative reduced cost,
+        with that cost times D; (-1, 0) at an optimum."""
         pi = self._prices()
         D, icosts = self.D, self.icosts
-        skip = forbidden.union(self.basis)
+        basic = set(self.basis)
         for j, (get, vals) in enumerate(self.dots):
-            if j in skip:
+            if j in basic:
                 continue
             # _reduced_cost(j), inlined, as this loop prices every column.
             r = D * icosts[j] - (sum(get(pi)) if vals is None
@@ -196,9 +175,9 @@ class Tableau:
         return -1, 0
 
     def _pivot(self, row: int, alpha: List[int], red: int) -> None:
-        """Edmonds' update on M, its row sums, β and π; every division by D
-        must be exact, or LpError is raised.  `red` is the entering column's
-        reduced cost times D·C, so that π' = (p·π + red·M_r) / D."""
+        """Edmonds' update on M, its row sums, β and π on the positive entry
+        alpha[row]; a division by D that is not exact raises LpError.  `red`
+        is the entering column's reduced cost times D: π' = (p·π + red·M_r) / D."""
         D, M, msum, beta, p = self.D, self.M, self.msum, self.beta, alpha[row]
         Mr, br, sr = M[row], beta[row], msum[row]
         pi = self._pi
@@ -227,22 +206,11 @@ class Tableau:
                 raise LpError("inexact division in an integer pivot")
             pi = new
         self._pi = pi
-        if p < 0:
-            # Keep D = |det B| > 0 by negating M, its sums, β and π with it.
-            self.M = [[-u for u in Mi] for Mi in M]
-            self.msum = [-u for u in msum]
-            self.beta = [-b for b in beta]
-            self._pi = [-u for u in pi]
-            p = -p
         self.D = p
 
-    def _enter(self, enter: int, red: int, forbidden: set) -> None:
-        """One simplex step: column `enter`, of reduced cost `red` (times
-        D·C) below zero, enters the basis.
-
-        A forbidden column that is basic at zero (an artificial after phase
-        1) stays at zero: a step that would raise it makes it leave instead,
-        in a degenerate pivot on its negative entry."""
+    def _enter(self, enter: int, red: int) -> None:
+        """One simplex step: column `enter`, of reduced cost `red` (times D)
+        below zero, enters the basis."""
         get, vals = self.dots[enter]
         if vals is None:
             alpha = [sum(get(Mi)) for Mi in self.M]
@@ -261,35 +229,23 @@ class Tableau:
                 rhs = beta[leave_row] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
                     leave_row = i
-        if forbidden and (leave_row < 0 or beta[leave_row]):
-            stuck = [i for i, a in enumerate(alpha) if a < 0 and not beta[i]
-                     and basis[i] in forbidden]
-            if stuck:
-                leave_row = min(stuck, key=lambda i: basis[i])
         if leave_row < 0:
             raise Unbounded("unbounded LP")
         self._pivot(leave_row, alpha, red)
         basis[leave_row] = enter
 
-    def optimize(self, forbidden: Optional[set] = None) -> None:
-        """Primal simplex with Bland's rule; `forbidden` columns never enter,
-        and one basic at zero stays at zero (see `_enter`)."""
-        forbidden = forbidden or set()
+    def optimize(self) -> None:
+        """Primal simplex with Bland's rule."""
         while True:
-            enter, red = self._entering(forbidden)
+            enter, red = self._entering()
             if enter < 0:
                 return
-            self._enter(enter, red, forbidden)
+            self._enter(enter, red)
 
     def int_obj(self) -> Tuple[int, int]:
-        """c_B . x_B undivided: (z, s) with the objective z / s and s = C·D·L > 0."""
+        """c_B . x_B undivided: (z, s) with the objective z / s and s = D·L > 0."""
         total = sum(self.icosts[j] * self.beta[i] for i, j in enumerate(self.basis))
-        return total, self.C * self.D * self.L
-
-    @property
-    def obj(self) -> Fraction:
-        """c_B . x_B of the current basic solution."""
-        return Fraction(*self.int_obj())
+        return total, self.D * self.L
 
     def int_solution(self) -> Tuple[List[int], int]:
         """The basic solution undivided: (x, s) with column j at x[j] / s
@@ -310,8 +266,8 @@ class Tableau:
         return [Fraction(p, s) for p in pi]
 
     def int_duals(self) -> Tuple[List[int], int]:
-        """The duals undivided: (π, s) with y = π / s and s = C·D > 0."""
-        return list(self._prices()), self.C * self.D
+        """The duals undivided: (π, s) with y = π / s and s = D > 0."""
+        return list(self._prices()), self.D
 
 
 @dataclass
@@ -325,40 +281,70 @@ def solve_lp(c: Sequence[Fraction],
              rows: Sequence[Tuple[Sequence[Fraction], str, Fraction]]) -> LpSolution:
     """min c.x  s.t.  each row (a, sense, rhs) with sense in <=, >=, =; x >= 0.
 
-    Two-phase simplex; duals are reported per input row (sign convention:
-    reduced cost of original column j is c_j - sum_i y_i a_ij).
+    Two-phase simplex on a dense Fraction tableau that stores every column
+    as B⁻¹A_j, with the kernel's rules (Bland's entering column, ratio ties
+    to the lower basis index) but none of its code.  A row of negative rhs
+    is negated; it starts with a slack if it reads <=, else an artificial,
+    and a >= row has a surplus column after the structural ones.  In phase 2
+    no artificial enters, and one basic at zero leaves on a negative entry
+    rather than rise.  Duals are per input row: the reduced cost of column j
+    is c_j - sum_i y_i a_ij.
     """
-    nvars = len(c)
-    m = len(rows)
-    # Normalize to a_i . x (+ slack) = b_i with b_i >= 0 and a_i integer: a
-    # row with fractional coefficients is multiplied by their common
-    # denominator s, its dual divided by s.
-    norm = []
+    m, nvars = len(rows), len(c)
+    A, b, senses, signs = [], [], [], []
     for a, sense, rhs in rows:
-        rhs = Fraction(rhs)
-        sign = 1
-        if rhs < 0:
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            sign = -1
-        s, ints = scale_to_ints(a)                           # ints or Fractions
-        norm.append(([sign * v for v in ints], sense, rhs * (sign * s), sign, s))
+        sign = -1 if rhs < 0 else 1
+        A.append([sign * Fraction(v) for v in a])
+        b.append(sign * Fraction(rhs))
+        senses.append({"<=": ">=", ">=": "<="}.get(sense, sense) if sign < 0 else sense)
+        signs.append(sign)
+    surplus = [i for i in range(m) if senses[i] == ">="]
+    cols = ([[Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+            + [[A[k][j] for k in range(m)] for j in range(nvars)]
+            + [[Fraction(-int(i == k)) for k in range(m)] for i in surplus])
+    basis = list(range(m))
+    artificials = {i for i in range(m) if senses[i] != "<="}
 
-    # Identity block: slack where possible, artificial (phase 1 cost)
-    # otherwise.  The artificial of a row scaled by s stands for s times the
-    # unscaled one, so it costs 1/s.
-    tab = Tableau([rhs for _, _, rhs, _, _ in norm],
-                  [ZERO if sense == "<=" else Fraction(1, s) for _, sense, _, _, s in norm])
-    artificials = {i for i, (_, sense, _, _, _) in enumerate(norm) if sense != "<="}
-    for j in range(nvars):
-        tab.add_column([(i, a[j]) for i, (a, _, _, _, _) in enumerate(norm) if a[j]], ZERO)
-    for i, (_, sense, _, _, s) in enumerate(norm):
-        if sense == ">=":
-            tab.add_column([(i, -s)], ZERO)
-    tab.optimize()
-    if tab.obj != 0:
+    def optimize(costs: List[Fraction], forbidden: set) -> None:
+        while True:
+            red = [costs[j] - sum(costs[basis[i]] * col[i] for i in range(m))
+                   for j, col in enumerate(cols)]
+            enter = next((j for j in range(len(cols)) if j not in forbidden and red[j] < 0),
+                         None)
+            if enter is None:
+                return
+            col = cols[enter]
+            pos = [i for i in range(m) if col[i] > 0]
+            leave = min(pos, key=lambda i: (b[i] / col[i], basis[i]), default=None)
+            stuck = [i for i in range(m) if col[i] < 0 and b[i] == 0 and basis[i] in forbidden]
+            if stuck and (leave is None or b[leave] > 0):
+                leave = min(stuck, key=lambda i: basis[i])
+            if leave is None:
+                raise Unbounded("unbounded LP")
+            piv = col[leave]
+            for other in cols:
+                other[leave] /= piv
+            b[leave] /= piv
+            for i in range(m):
+                f = col[i]
+                if i != leave and f:
+                    for other in cols:
+                        other[i] -= f * other[leave]
+                    b[i] -= f * b[leave]
+            basis[leave] = enter
+
+    def value(costs: List[Fraction]) -> Fraction:
+        return sum((costs[basis[i]] * b[i] for i in range(m)), ZERO)
+
+    phase1 = [Fraction(int(i in artificials)) for i in range(m)] + [ZERO] * (len(cols) - m)
+    optimize(phase1, set())
+    if value(phase1) != 0:
         raise Infeasible("infeasible LP")
-    # Phase 2: the true objective on the structural columns, zero elsewhere.
-    tab.set_costs([ZERO] * m + list(c) + [ZERO] * (len(tab.cols) - m - nvars))
-    tab.optimize(forbidden=artificials)
-    y = [sign * s * v for (_, _, _, sign, s), v in zip(norm, tab.duals())]
-    return LpSolution(value=tab.obj, x=tab.solution()[m:m + nvars], duals=y)
+    costs = [ZERO] * m + [Fraction(v) for v in c] + [ZERO] * len(surplus)
+    optimize(costs, artificials)
+    x = [ZERO] * len(cols)
+    for i, j in enumerate(basis):
+        x[j] = b[i]
+    duals = [signs[i] * sum((costs[basis[k]] * cols[i][k] for k in range(m)), ZERO)
+             for i in range(m)]
+    return LpSolution(value=value(costs), x=x[m:m + nvars], duals=duals)

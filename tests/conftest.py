@@ -86,9 +86,6 @@ def dict_scan_min_cut(G, cap):
                 w[s][v] += w[t][v]
                 w[v][s] = w[s][v]
         active.remove(t)
-    if 0 in best_shore:
-        comp = sorted(set(range(n)) - set(best_shore))
-        best_shore = tuple(comp) if comp else best_shore
     return Fraction(best_value, scale), best_shore
 
 
@@ -129,22 +126,19 @@ def regular_multigraphs(draw, d):
 
 
 def lp_over_cuts(G, family):
-    """min w.x over x >= 0 and x(delta(S)) >= 2 for each shore S of the
-    family, by the two-phase solve_lp: (value, x, duals), with x as a dict
-    of its nonzero entries and one dual per shore."""
-    ids = sorted(G.edge_ids())
-    weight = {e.id: e.weight for e in G.edges}
-    rows = []
-    for shore in family:
-        crossing = cut_edges(G, shore)
-        rows.append(([int(eid in crossing) for eid in ids], ">=", Fraction(2)))
-    sol = solve_lp([weight[eid] for eid in ids], rows)
-    return sol.value, {eid: v for eid, v in zip(ids, sol.x) if v}, sol.duals
+    """The value of min w.x over x >= 0 and x(delta(S)) >= 2 for each shore
+    S of the family, by the two-phase solve_lp on its dual: max 2 * sum(y_S)
+    over y >= 0 with no edge loaded beyond its weight, a row per edge and a
+    column per cut."""
+    crossing = [cut_edges(G, shore) for shore in family]
+    rows = [([int(e.id in ids) for ids in crossing], "<=", e.weight)
+            for e in sorted(G.edges, key=lambda e: e.id)]
+    return -solve_lp([-2] * len(family), rows).value
 
 
 def brute_force_subtour(G):
-    """Reference oracle for solve_subtour: the LP over every distinct cut,
-    as (value, x, duals).  Exponential in n."""
+    """Reference oracle for solve_subtour's value: the LP over every
+    distinct cut.  Exponential in n."""
     seen, family = set(), []
     for shore in shores(G.n):
         ids = cut_edges(G, shore)
@@ -395,26 +389,18 @@ def fraction_induced_weights(f, G):
 
 def fraction_tableau_state(b, identity_costs):
     """Reference oracle for the state simplex.Tableau(b, identity_costs)
-    starts from: (L, beta, C, icosts, cols), with b made Fractions and beta
+    starts from: (L, beta, icosts, cols), with b made Fractions and beta
     their products with L, and each identity column found by scanning a
     dense unit vector."""
     b = [Fraction(v) for v in b]
     L = lcm(*(v.denominator for v in b)) if b else 1
     beta = [int(v * L) for v in b]
-    C, icosts = 1, []
-    for cost in identity_costs:
-        cost = Fraction(cost)
-        if C % cost.denominator:
-            factor = lcm(C, cost.denominator) // C
-            C *= factor
-            icosts = [c * factor for c in icosts]
-        icosts.append(cost.numerator * (C // cost.denominator))
     cols = []
     for i in range(len(b)):
         dense = [0] * len(b)
         dense[i] = 1
         cols.append([(k, v) for k, v in enumerate(dense) if v])
-    return L, beta, C, icosts, cols
+    return L, beta, list(identity_costs), cols
 
 
 def fraction_frac_str(v):

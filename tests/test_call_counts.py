@@ -3,8 +3,8 @@ test per call, and no global min cut of a (graph, capacity) pair that the
 call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
 labelling, with no component count.  A pipeline labels its terms once, at
-its end.  A CLI call builds the parser of its own command only, and
-weights a node-weighted graph once.  The connector master prices only
+its end.  A process builds the CLI's parser once, and a CLI call weights
+a node-weighted graph once.  The connector master prices only
 while it is infeasible.  Column generation takes a pinned path: a round
 that adds a column prices that column alone, not every column."""
 import argparse

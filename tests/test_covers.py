@@ -36,7 +36,7 @@ def check(g, variant):
     for e in g.edges:
         v = cover.get(e.id, F(0))
         assert v <= alpha
-        assert cert.slack_vector()[e.id] == alpha - v
+        assert dict(cert.slack)[e.id] == alpha - v
     if spec.subgraph_only:
         assert cert.max_multiplicity <= 1
     return cert

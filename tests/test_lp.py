@@ -9,7 +9,7 @@ from unicover.families import (k4, k5, k33, petersen, prism, random_cubic_3ec,
 from unicover.graph import NodeWeights, cut_edges
 from unicover.lp import (LpInputError, everywhere, initial_shores, membership, min_cut,
                          one_edge_cuts, solve_subtour)
-from unicover import decompose, serialize, simplex
+from unicover import decompose, serialize
 from unicover import lp as lp_layer
 from unicover.covers import uniform_cover
 from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
@@ -68,9 +68,20 @@ class TestSimplex:
         assert sol.value == 1 and sol.x == [F(1)]
 
     def test_rejects_fractional_tableau_column(self):
-        tab = Tableau([F(1)], [F(0)])
+        tab = Tableau([F(1)], [0])
         with pytest.raises(LpError, match="integer"):
-            tab.add_column([(0, F(1, 2))], F(-1))
+            tab.add_column([(0, F(1, 2))], -1)
+
+    @pytest.mark.parametrize("cost", [F(1), F(1, 2), True, 1.0])
+    def test_rejects_a_cost_that_is_not_an_int(self, cost):
+        with pytest.raises(LpError, match="tableau costs must be integer"):
+            Tableau([F(1), F(1)], [0, cost])
+        tab = Tableau([F(1), F(1)], [0, 0])
+        with pytest.raises(LpError, match="tableau costs must be integer"):
+            tab.add_column([(0, 1)], cost)
+        with pytest.raises(LpError, match="tableau costs must be integer"):
+            tab.generate(_pricer([(0, 1)]), cost)
+        assert len(tab.cols) == len(tab.icosts) == 2
 
     @pytest.mark.parametrize("col", [
         [(2, 1)],                   # a row past the last, once a late IndexError
@@ -83,23 +94,23 @@ class TestSimplex:
         [(0, 1), (1, 2), (2, 1)],   # a dense column of one entry per row, and more
     ])
     def test_rejects_a_column_outside_the_sparse_format(self, col):
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab = Tableau([F(1), F(1)], [0, 0])
         with pytest.raises(LpError, match="rising rows"):
-            tab.add_column(col, F(-1))
+            tab.add_column(col, -1)
         assert len(tab.cols) == 2
 
     @pytest.mark.parametrize("entry", [F(2), True, 1.0])
     def test_rejects_an_entry_that_is_not_an_int(self, entry):
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab = Tableau([F(1), F(1)], [0, 0])
         with pytest.raises(LpError, match="tableau columns must be integer"):
-            tab.add_column([(0, 1), (1, entry)], F(-1))
+            tab.add_column([(0, 1), (1, entry)], -1)
 
     def test_pivot_rejects_an_inexact_row_update(self):
         # With D = 2 tampered in, row 1 becomes (M_1 - M_0) / 2 = (-1, 1) / 2:
         # both floor remainders are 1, though the numerators sum to 0, so a
         # divisibility test of that sum alone would pass.  The π update,
         # (π + 0·M_0) / 2 = 0, would be exact.
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab = Tableau([F(1), F(1)], [0, 0])
         tab._prices()
         tab.D = 2
         with pytest.raises(LpError, match="inexact division"):
@@ -112,8 +123,8 @@ class TestSimplex:
         # Adding 2 to M_1 keeps every entry's division exact, but M_1 no
         # longer sums to 1, so the next divided pivot must raise.
         def after_one_pivot():
-            tab = Tableau([F(1), F(1)], [F(0), F(0)])
-            tab.add_column([(0, 2), (1, 1)], F(-1))
+            tab = Tableau([F(1), F(1)], [0, 0])
+            tab.add_column([(0, 2), (1, 1)], -1)
             tab.optimize()
             assert (tab.D, tab.M, tab.msum) == (2, [[1, 0], [-1, 2]], [1, 1])
             return tab
@@ -127,7 +138,7 @@ class TestSimplex:
     def test_pivot_rejects_an_inexact_dual_update(self):
         # One row, so no row update; with D = 2 tampered in, π becomes
         # (2·0 + 1·1) / 2.
-        tab = Tableau([F(1)], [F(0)])
+        tab = Tableau([F(1)], [0])
         tab._prices()
         tab.D = 2
         with pytest.raises(LpError, match="inexact division"):
@@ -136,11 +147,11 @@ class TestSimplex:
 
     def test_one_identity_cost_per_row(self):
         with pytest.raises(LpError, match="one identity cost per row"):
-            Tableau([F(1), F(2)], [F(0)])
+            Tableau([F(1), F(2)], [0])
 
     def test_rejects_a_negative_right_hand_side(self):
         with pytest.raises(LpError, match="nonnegative"):
-            Tableau([F(1), F(-1, 3)], [F(0), F(0)])
+            Tableau([F(1), F(-1, 3)], [0, 0])
 
 
 def _pricer(*columns):
@@ -153,35 +164,33 @@ class TestGenerate:
     """Tableau.generate on max y1 + y2 s.t. y <= (1, 1), in slack form."""
 
     def test_a_repeated_column_raises(self):
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
+        tab = Tableau([F(1), F(1)], [0, 0])
         with pytest.raises(LpError, match="pricing returned a known column"):
-            tab.generate(_pricer([(0, 1), (1, 1)], [(0, 1), (1, 1)]), F(-1))
+            tab.generate(_pricer([(0, 1), (1, 1)], [(0, 1), (1, 1)]), -1)
 
     def test_a_column_equal_to_an_identity_column_is_accepted(self):
         # A one-edge T-join has the column of its edge row's slack.
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
-        tab.generate(_pricer([(0, 1)], [(1, 1)]), F(-1))
+        tab = Tableau([F(1), F(1)], [0, 0])
+        tab.generate(_pricer([(0, 1)], [(1, 1)]), -1)
         assert tab.cols[2:] == [[(0, 1)], [(1, 1)]]
-        assert tab.obj == -2 and tab.solution()[2:] == [1, 1]
+        assert F(*tab.int_obj()) == -2 and tab.solution()[2:] == [1, 1]
 
     def test_a_column_added_before_the_loop_is_known(self):
-        tab = Tableau([F(1), F(1)], [F(0), F(0)])
-        tab.add_column([(0, 1), (1, 1)], F(-1))
+        tab = Tableau([F(1), F(1)], [0, 0])
+        tab.add_column([(0, 1), (1, 1)], -1)
         with pytest.raises(LpError, match="pricing returned a known column"):
-            tab.generate(_pricer([(0, 1), (1, 1)]), F(-1))
+            tab.generate(_pricer([(0, 1), (1, 1)]), -1)
 
 
 @given(st.lists(st.one_of(st.builds(F, st.integers(0, 30), st.integers(1, 12)),
                           st.integers(0, 30)), max_size=8), st.data())
 @settings(max_examples=300, deadline=None)
 def test_tableau_starts_from_the_fraction_state(b, data):
-    # b and the identity costs mix ints and Fractions over denominators 1-12.
-    cost = st.one_of(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
-                     st.integers(-5, 5))
-    costs = data.draw(st.lists(cost, min_size=len(b), max_size=len(b)))
+    # b mixes ints and Fractions over denominators 1-12.
+    costs = data.draw(st.lists(st.integers(-30, 30), min_size=len(b), max_size=len(b)))
     tab = Tableau(b, costs)
-    assert (tab.L, tab.beta, tab.C, tab.icosts, tab.cols) == fraction_tableau_state(b, costs)
-    assert all(type(v) is int for v in [tab.L, tab.C, *tab.beta, *tab.icosts])
+    assert (tab.L, tab.beta, tab.icosts, tab.cols) == fraction_tableau_state(b, costs)
+    assert all(type(v) is int for v in [tab.L, *tab.beta, *tab.icosts])
 
 
 def fraction_inverse(B):
@@ -202,27 +211,27 @@ def fraction_inverse(B):
                 max_size=5), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_d1_pivot_is_the_fraction_update(b, data):
-    # From the identity basis (D = 1) one pivot forms its rows with no
-    # division.  Against the Fraction state: D' = |det B'| and M' = D'·B'⁻¹,
-    # with β' = M'·(L·b), π' = C·c_B'·M' and the sums of M''s rows kept.
+    # From the identity basis (D = 1) one pivot on a positive entry forms
+    # its rows with no division.  Against the Fraction state: D' = det B'
+    # and M' = D'·B'⁻¹, with β' = M'·(L·b), π' = c_B'·M' and the sums of
+    # M''s rows kept.
     m = len(b)
-    costs = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                               min_size=m, max_size=m))
+    costs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     col = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)
-                    .filter(lambda c: any(c)))
-    row = data.draw(st.sampled_from([i for i, v in enumerate(col) if v]))
+                    .filter(lambda c: max(c) > 0))
+    row = data.draw(st.sampled_from([i for i, v in enumerate(col) if v > 0]))
     cost = data.draw(st.integers(-5, 5))
-    L, beta, C, icosts, _ = fraction_tableau_state(b, costs)
+    L, beta, icosts, _ = fraction_tableau_state(b, costs)
     tab = Tableau(b, costs)
-    j = tab.add_column([(i, v) for i, v in enumerate(col) if v], F(cost))
+    j = tab.add_column([(i, v) for i, v in enumerate(col) if v], cost)
     tab._pivot(row, list(col), tab._reduced_cost(j))
     tab.basis[row] = j
     B = [[F(int(i == k)) for k in range(m)] for i in range(m)]
     for i in range(m):
         B[i][row] = F(col[i])
-    D = abs(col[row])
+    D = col[row]
     M = [[D * v for v in r] for r in fraction_inverse(B)]
-    basic_costs = icosts[:row] + [cost * C] + icosts[row + 1:]
+    basic_costs = icosts[:row] + [cost] + icosts[row + 1:]
     assert tab.D == D
     assert tab.M == M and tab.msum == [sum(r) for r in M]
     assert tab.beta == [sum(v * w for v, w in zip(r, beta)) for r in M]
@@ -273,14 +282,72 @@ def test_solve_lp_certifies_its_optimum(lp):
     assert sum((y * rhs for y, (_, _, rhs) in zip(sol.duals, rows)), F(0)) == sol.value
 
 
+@st.composite
+def kernel_lp(draw):
+    """An LP of one of the two shapes the library builds, over random
+    distinct int columns: "<=" rows over a slack basis with int costs, or
+    "=" rows over an artificial basis with zero column costs.  b >= 0, and
+    is often 0, so degenerate pivots are common.  The columns from index
+    `split` on share one cost, so `run_kernel` can generate them.  Returns
+    (shape, b, columns, costs, split), each column dense."""
+    m = draw(st.integers(1, 4))
+    b = draw(st.lists(st.one_of(st.just(F(0)), st.fractions(0, 4, max_denominator=4)),
+                      min_size=m, max_size=m))
+    cols = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                         min_size=1, max_size=6, unique_by=tuple))
+    split = draw(st.integers(0, len(cols)))
+    shape = draw(st.sampled_from(["slack", "artificial"]))
+    if shape == "slack":
+        costs = draw(st.lists(st.integers(-4, 4), min_size=split, max_size=split))
+        costs += [draw(st.integers(-4, 0))] * (len(cols) - split)
+    else:
+        costs = [0] * len(cols)
+    return shape, b, cols, costs, split
+
+
+def _sparse(col):
+    return [(i, v) for i, v in enumerate(col) if v]
+
+
+def run_kernel(cls, shape, b, cols, costs, split):
+    """A `cls` Tableau of the kernel_lp: the columns before `split` added,
+    the rest handed to `generate` in turn at their shared cost."""
+    tab = cls(b, [0 if shape == "slack" else 1] * len(b))
+    for col, cost in zip(cols[:split], costs[:split]):
+        tab.add_column(_sparse(col), cost)
+    tab.generate(_pricer(*map(_sparse, cols[split:])), costs[-1] if costs[split:] else 0)
+    return tab
+
+
+def reference_lp(shape, b, cols, costs):
+    """The same LP for solve_lp: the rows as "<=" or "=", and the costs."""
+    sense = "<=" if shape == "slack" else "="
+    return costs, [([col[i] for col in cols], sense, b[i]) for i in range(len(b))]
+
+
+def assert_kernel_optimum(tab, shape, b, cols, costs):
+    """tab is at the optimum solve_lp finds: the same value for a slack
+    basis, and for an artificial basis a zero phase 1 value exactly when
+    the rows are feasible."""
+    try:
+        want = solve_lp(*reference_lp(shape, b, cols, costs))
+    except Infeasible:
+        assert shape == "artificial" and tab.int_obj()[0] > 0
+        return
+    if shape == "slack":
+        assert F(*tab.int_obj()) == want.value
+    else:
+        assert tab.int_obj()[0] == 0
+
+
 class CheckedTableau(Tableau):
     """A Tableau that checks its undivided duals after every optimize: π/s
     equals duals(), and π prices every basic column at its cost and no
-    allowed column below it (costs are stored times C, so s·c_j = D·C·c_j)."""
+    column below it (s = D, so s·c_j = D·c_j)."""
     checked = 0
 
-    def optimize(self, forbidden=None):
-        super().optimize(forbidden)
+    def optimize(self):
+        super().optimize()
         pi, s = self.int_duals()
         assert s > 0 and all(type(p) is int for p in pi)
         assert [F(p, s) for p in pi] == self.duals()
@@ -288,113 +355,51 @@ class CheckedTableau(Tableau):
             priced = sum(pi[i] * v for i, v in col)
             if j in self.basis:
                 assert priced == self.D * self.icosts[j]
-            elif j not in (forbidden or ()):
+            else:
                 assert priced <= self.D * self.icosts[j]
         CheckedTableau.checked += 1
 
 
-@given(feasible_bounded_lp())
-@settings(max_examples=100, deadline=None)
+@given(kernel_lp())
+@settings(max_examples=200, deadline=None)
 def test_int_duals_undivided_equal_duals(lp):
-    c, rows = lp
     before = CheckedTableau.checked
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "Tableau", CheckedTableau)
-        solve_lp(c, rows)
-    assert CheckedTableau.checked == before + 2     # phase 1 and phase 2
-
-
-def dense_fraction_lp(c, rows):
-    """Oracle for the pivot sequence: `solve_lp` on a dense Fraction tableau
-    that stores every column as B^-1 A_j, with the same rules (Bland's
-    entering column, ratio ties to the lower basis index, artificials that
-    are basic at zero leave rather than rise).  Returns (value, x, duals)."""
-    m, nvars = len(rows), len(c)
-    A, b, senses, signs = [], [], [], []
-    for a, sense, rhs in rows:
-        sign = -1 if rhs < 0 else 1
-        A.append([sign * F(v) for v in a])
-        b.append(sign * F(rhs))
-        senses.append({"<=": ">=", ">=": "<="}.get(sense, sense) if sign < 0 else sense)
-        signs.append(sign)
-    surplus = [i for i in range(m) if senses[i] == ">="]
-    cols = ([[F(int(i == k)) for k in range(m)] for i in range(m)]
-            + [[A[k][j] for k in range(m)] for j in range(nvars)]
-            + [[F(-int(i == k)) for k in range(m)] for i in surplus])
-    basis = list(range(m))
-    artificials = {i for i in range(m) if senses[i] != "<="}
-
-    def optimize(costs, forbidden):
-        while True:
-            red = [costs[j] - sum(costs[basis[i]] * col[i] for i in range(m))
-                   for j, col in enumerate(cols)]
-            enter = next((j for j in range(len(cols)) if j not in forbidden and red[j] < 0),
-                         None)
-            if enter is None:
-                return
-            col = cols[enter]
-            pos = [i for i in range(m) if col[i] > 0]
-            leave = min(pos, key=lambda i: (b[i] / col[i], basis[i]), default=None)
-            stuck = [i for i in range(m) if col[i] < 0 and b[i] == 0 and basis[i] in forbidden]
-            if stuck and (leave is None or b[leave] > 0):
-                leave = min(stuck, key=lambda i: basis[i])
-            if leave is None:
-                raise Unbounded("unbounded LP")
-            piv = col[leave]
-            for other in cols:
-                other[leave] /= piv
-            b[leave] /= piv
-            for i in range(m):
-                f = col[i]
-                if i != leave and f:
-                    for other in cols:
-                        other[i] -= f * other[leave]
-                    b[i] -= f * b[leave]
-            basis[leave] = enter
-
-    def value(costs):
-        return sum((costs[basis[i]] * b[i] for i in range(m)), F(0))
-
-    phase1 = [F(int(i in artificials)) for i in range(m)] + [F(0)] * (len(cols) - m)
-    optimize(phase1, set())
-    if value(phase1) != 0:
-        raise Infeasible("infeasible LP")
-    costs = [F(0)] * m + [F(v) for v in c] + [F(0)] * len(surplus)
-    optimize(costs, artificials)
-    x = [F(0)] * len(cols)
-    for i, j in enumerate(basis):
-        x[j] = b[i]
-    duals = [signs[i] * sum((costs[basis[k]] * cols[i][k] for k in range(m)), F(0))
-             for i in range(m)]
-    return value(costs), x[m:m + nvars], duals
-
-
-@st.composite
-def any_lp(draw):
-    nvars = draw(st.integers(1, 4))
-    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    rows = [([draw(entry) for _ in range(nvars)], draw(st.sampled_from(["<=", ">=", "="])),
-             draw(entry)) for _ in range(draw(st.integers(1, 4)))]
-    return [draw(entry) for _ in range(nvars)], rows
-
-
-@given(st.one_of(feasible_bounded_lp(), any_lp()))
-@example(([F(-1), F(-4), F(1)],       # phase 1 depends on the artificials' 1/s costs
-          [([F(-3, 2), F(-3), F(-4)], ">=", F(-6)), ([F(-2), F(-5), F(2)], "=", F(-5, 2)),
-           ([F(-3, 2), F(0), F(6)], "=", F(0))]))
-@settings(max_examples=300, deadline=None)
-def test_solve_lp_follows_the_fraction_tableau(lp):
-    # Degenerate LPs with several optimal vertices are common here, so the
-    # returned vertex pins the pivot sequence, not just the optimum.
-    c, rows = lp
     try:
-        want = dense_fraction_lp(c, rows)
-    except (Infeasible, Unbounded) as exc:
-        with pytest.raises(type(exc)):
-            solve_lp(c, rows)
+        tab = run_kernel(CheckedTableau, *lp)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            solve_lp(*reference_lp(*lp[:4]))
         return
-    sol = solve_lp(c, rows)
-    assert (sol.value, sol.x, sol.duals) == want
+    assert CheckedTableau.checked > before
+    assert_kernel_optimum(tab, *lp[:4])
+
+
+@given(kernel_lp())
+@settings(max_examples=300, deadline=None)
+def test_tableau_follows_solve_lp(lp):
+    # Degenerate LPs with several optimal vertices are common here, so the
+    # returned vertex pins the pivot path, not just the optimum.  With every
+    # column added before the simplex runs, the kernel's columns are
+    # solve_lp's in the same order, and on these shapes phase 1 of solve_lp
+    # is the kernel's run (artificial basis) or makes no pivot (slack basis).
+    shape, b, cols, costs, _ = lp
+    lp = shape, b, cols, costs, len(cols)
+    try:
+        want = solve_lp(*reference_lp(shape, b, cols, costs))
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            run_kernel(Tableau, *lp)
+        return
+    except Infeasible:
+        want = None
+    tab = run_kernel(Tableau, *lp)
+    if want is None:
+        assert shape == "artificial" and tab.int_obj()[0] > 0
+    elif shape == "slack":
+        assert (tab.solution()[tab.rows:], F(*tab.int_obj()), tab.duals()) == (
+            want.x, want.value, want.duals)
+    else:
+        assert (tab.solution()[tab.rows:], tab.int_obj()[0]) == (want.x, 0)
 
 
 class KernelCheckedTableau(Tableau):
@@ -411,28 +416,28 @@ class KernelCheckedTableau(Tableau):
 
     def _reduced_cost(self, j):
         red = super()._reduced_cost(j)
-        assert self._entering(set()) == ((j, red) if red < 0 else (-1, 0))
+        assert self._entering() == ((j, red) if red < 0 else (-1, 0))
         KernelCheckedTableau.column_checks += 1
         return red
 
 
-@given(st.one_of(feasible_bounded_lp(), any_lp()))
+@given(kernel_lp())
 @settings(max_examples=200, deadline=None)
 def test_row_sums_follow_m_on_random_lps(lp):
-    c, rows = lp
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "Tableau", KernelCheckedTableau)
-        try:
-            solve_lp(c, rows)
-        except (Infeasible, Unbounded):
-            pass
+    try:
+        tab = run_kernel(KernelCheckedTableau, *lp)
+    except Unbounded:
+        with pytest.raises(Unbounded):
+            solve_lp(*reference_lp(*lp[:4]))
+        return
+    assert_kernel_optimum(tab, *lp[:4])
 
 
 def test_kept_state_holds_on_the_golden_masters(monkeypatch):
     # Every master of the golden corpus: the covers (their spanning tree,
     # T-join and 1-cover packings), the beta rows' connector masters and the
     # subtour LPs under all of them, with the digests unchanged.
-    for module in (simplex, lp_layer, decompose):
+    for module in (lp_layer, decompose):
         monkeypatch.setattr(module, "Tableau", KernelCheckedTableau)
     pivots, checks = KernelCheckedTableau.pivots, KernelCheckedTableau.column_checks
     for variant, family, sha in golden.COVERS:
@@ -519,7 +524,7 @@ class TestSolveSubtour:
 
     def test_matches_brute_force_small(self, two_triangles):
         for g in [k4(), k33(), prism(), k5(), two_triangles]:
-            assert solve_subtour(g).value == brute_force_subtour(g)[0]
+            assert solve_subtour(g).value == brute_force_subtour(g)
 
     def test_node_weighted_identity(self):
         for seed in range(3):
@@ -561,11 +566,11 @@ def test_solve_subtour_matches_the_two_phase_reference(g):
     assert shores[:g.n] == initial_shores(g.n)
     assert len({c.edge_ids for c in res.cuts}) == len(res.cuts)
     assert res.separation_rounds == len(res.cuts) - g.n
-    # The dual optimum over the returned pool is the two-phase primal one,
-    # and over every cut when n is small.
-    assert res.value == lp_over_cuts(g, shores)[0]
+    # The optimum over the returned pool is the two-phase reference's, and
+    # over every cut when n is small.
+    assert res.value == lp_over_cuts(g, shores)
     if g.n <= 8:
-        assert res.value == brute_force_subtour(g)[0]
+        assert res.value == brute_force_subtour(g)
     assert verify_document(serialize.lp_result_to_json(g, res)).ok
 
 
@@ -588,7 +593,9 @@ def capacitated_graphs(draw):
 def test_min_cut_follows_the_dict_scan(drawn):
     """The same (value, shore) as the dict-scan Stoer-Wagner, ties included."""
     g, cap = drawn
-    assert min_cut(g, cap) == dict_scan_min_cut(g, cap)
+    value, shore = min_cut(g, cap)
+    assert (value, shore) == dict_scan_min_cut(g, cap)
+    assert 0 not in shore
 
 
 @given(st.integers(min_value=0, max_value=50))

@@ -137,3 +137,17 @@ def test_json_readers_call_no_bare_int():
     assert {name(node) for node in calls} >= {"int", "Fraction", "parse_frac"}, \
         "serialize.py calls none of the guarded readers, so this guard checks nothing"
     assert not found, f"JSON readers that bypass their kind: {found}"
+
+
+def test_solve_lp_shares_no_code_with_the_kernel():
+    # The tests check Tableau against solve_lp, so a kernel fault must not
+    # reach solve_lp too: its body names none of the kernel's parts.
+    path = SOURCE / "simplex.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    solve_lp = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "solve_lp")
+    kernel = {"Tableau", "_dot_of", "SparseColumn", "scale_to_ints"}
+    named = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(solve_lp)}
+    assert "Fraction" in named, "solve_lp names no Fraction, so this guard checks nothing"
+    assert not named & kernel, f"solve_lp names kernel code: {sorted(named & kernel)}"

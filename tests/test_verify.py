@@ -223,7 +223,7 @@ class TestRejects:
 
     def test_certificate_wrong_graph(self):
         doc = cert_doc()
-        doc["graph"] = serialize.graph_to_json(k33())
+        doc["graph"] = serialize.GRAPH[1](k33())
         assert not verify_document(doc).ok
 
     def test_approx_weight_tampered(self):
@@ -432,7 +432,7 @@ class TestRejects:
         # against which no beta = w(E) / 0 can be checked.
         g = reweighted(k4(), {e.id: 0 for e in k4().edges})
         tour = {frozenset(p) for p in ((0, 1), (1, 2), (2, 3), (3, 0))}
-        doc = {"type": "approx-result", "graph": serialize.graph_to_json(g),
+        doc = {"type": "approx-result", "graph": serialize.GRAPH[1](g),
                "algorithm": "tspbeta", "object_class": "tour",
                "solution": [[e.id, 1] for e in g.edges if frozenset((e.u, e.v)) in tour],
                "weight": "0/1", "lower_bound": "0/1", "beta": "1/1", "ratio": "4/3",
