@@ -3,20 +3,15 @@
 All decompositions run exact column generation: a fraction-free simplex master
 over the generated objects plus an exact pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
-minimum 1-cover over the minimal covers, listed once per connector).  Each
-master maps its edge ids to rows once and builds its oracle from that map
-(the T-join oracle builds its adjacency there); the oracle takes one int
-weight per row, in row order, and `_keep` turns the object into the
-kernel's sparse column.  `min_tjoin` is the one-shot T-join oracle.  The
+minimum 1-cover over the minimal covers, listed once per connector).  The
 masters price with their undivided integer duals (π, s), y = π / s: each
 oracle's choices depend only on the order of the weights, which scaling by
-s > 0 keeps, ties included.  The packing master reads λ undivided as well,
-and divides once, by its sum.  Optimality of the pricing step proves
-optimality of the master over the full object class, so a failed
-decomposition is a genuine infeasibility, not a search artifact.  A failed
-packing names the master's final duals: edge weights under which every
-object weighs at least 1 but x weighs less, so by LP duality x lies
-outside the class's dominant.
+s > 0 keeps, ties included.  Optimality of the pricing step proves
+optimality of the master over the full object class.  The packing master
+returns that proof as a Packing: the value sigma, the terms and the final
+duals w, under which every object weighs at least 1 and x weighs sigma, so
+sigma < 1 puts x outside the class's dominant.  `Packing.terms_of` is the
+one place that words that refusal.
 
 Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
 pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
@@ -114,9 +109,9 @@ def make_combination(G: Multigraph, terms: Sequence[Tuple[Fraction, EdgeMultiset
 def verify_combination(G: Multigraph, comb: ConvexCombination,
                        required_label: Optional[str] = None) -> EdgeVector:
     """Re-check a combination from its stored fields and return its coverage:
-    at most |E| + 1 terms, positive coefficients summing to 1, the relation
-    to the target, and stored labels equal to the classifier's (holding
-    `required_label`, if given)."""
+    at most |E| + 1 terms, positive coefficients summing to 1, a target on
+    edges of G, the relation to it, and stored labels equal to the
+    classifier's (holding `required_label`, if given)."""
     if comb.relation not in ("equals", "dominated-by"):
         raise DecompositionError(f"unknown relation {comb.relation!r}")
     if len(comb.terms) > G.m + 1:
@@ -129,6 +124,9 @@ def verify_combination(G: Multigraph, comb: ConvexCombination,
     if total != 1:
         raise DecompositionError(f"coefficients sum to {total}, not 1")
     target = comb.target_vector()
+    foreign = set(target).difference(G.edge_ids())
+    if foreign:
+        raise DecompositionError(f"target names e{min(foreign)}, not an edge of the graph")
     cover = comb.coverage()
     for eid in set(cover) | set(target):
         lhs = cover.get(eid, ZERO)
@@ -287,20 +285,31 @@ def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
         (i, 1) for i in range(len(index), rows)]
 
 
-def _pack(G: Multigraph, x: EdgeVector, what: str, oracle: OracleBuilder) -> Terms:
-    """Objects of one class dominated by x, from the master
-    max sum(lambda) s.t. sum(lambda * chi) <= x, rescaled to sum 1.
+@dataclass(frozen=True)
+class Packing:
+    sigma: Fraction             # the packing value, sum(lambda)
+    terms: Terms                # lambda over its sum, reduced; [] when sigma < 1
+    w: Dict[int, Fraction]      # the final duals -π / s, per edge id of x's support
 
-    The master has a row per edge of x's support, in ascending id order, and
-    `oracle(index)` builds its pricing state once, from its map `index` of
-    edge id to row.  The price it returns gets the nonnegative int weights
-    -π, one per row, on the dual scale s, and must return an exact minimum
-    weight object of the class (weight, multiset); the object prices out
-    when it weighs less than s.  λ is rescaled as its undivided values over
-    their sum, so a round builds no Fraction.  When the packing value sigma is below 1, the
-    final weights w = -y = -π / s prove it: every object weighs at least 1
-    under w, but w.x = sigma.
-    """
+    def terms_of(self, x: EdgeVector, what: str) -> Terms:
+        """The terms, or, when sigma < 1, the DecompositionError naming w."""
+        if self.sigma >= 1:
+            return self.terms
+        shown = ", ".join(f"e{eid}: {v}" for eid, v in self.w.items() if v)
+        wx = sum((v * x[eid] for eid, v in self.w.items()), ZERO)
+        raise DecompositionError(
+            f"{what} packing value {self.sigma} < 1, so x is outside the dominant: "
+            f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
+
+
+def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
+    """The Packing of x by one class (sigma, terms and w), from the master
+    max sum(lambda) s.t. sum(lambda * chi) <= x, a row per edge of x's
+    support in ascending id order.  `oracle(index)` builds the pricing state
+    once, from the map `index` of edge id to row; its price gets the
+    nonnegative int weights -π, one per row, on the dual scale s, and
+    returns an exact minimum weight object (weight, multiset), which prices
+    out when it weighs less than s.  λ is read undivided, divided once."""
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
     index = {eid: i for i, (eid, _) in enumerate(rows)}
     price = oracle(index)
@@ -315,16 +324,11 @@ def _pack(G: Multigraph, x: EdgeVector, what: str, oracle: OracleBuilder) -> Ter
     lam, scale = tab.int_solution()
     raw = [(v, obj) for v, obj in zip(lam[tab.rows:], objects) if v > 0]
     total = sum(v for v, _ in raw)
-    if total < scale:
-        sigma = Fraction(total, scale)
-        y = tab.duals()
-        w = {eid: -y[i] for eid, i in index.items()}
-        shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
-        wx = sum((w[eid] * v for eid, v in rows), ZERO)
-        raise DecompositionError(
-            f"{what} packing value {sigma} < 1, so x is outside the dominant: "
-            f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
-    return caratheodory_reduce([(Fraction(v, total), obj) for v, obj in raw], G.m + 1)
+    terms = (caratheodory_reduce([(Fraction(v, total), obj) for v, obj in raw], G.m + 1)
+             if total >= scale else [])
+    pi, s = tab.int_duals()
+    return Packing(Fraction(total, scale), terms,
+                   {eid: Fraction(-pi[i], s) for eid, i in index.items()})
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuilder,
@@ -533,12 +537,8 @@ def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> O
         iw = [w[i] for i in rows]
         if any(v < 0 for v in iw):
             raise DecompositionError("1-cover pricing needs nonnegative weights")
-        best, best_cover = None, ()
-        for cover in covers:
-            total = sum(iw[i] for i in cover)
-            if best is None or total < best:
-                best, best_cover = total, cover
-        return best, {relevant[i]: 1 for i in best_cover}
+        best = min(covers, key=lambda cover: sum(map(iw.__getitem__, cover)))
+        return sum(map(iw.__getitem__, best)), {relevant[i]: 1 for i in best}
 
     return price
 
@@ -587,7 +587,7 @@ def require_subtour(G: Multigraph, x: EdgeVector) -> None:
 
 def pack_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
     """Spanning trees of the support of x, dominated by x; x is not tested."""
-    return _pack(G, x, "spanning tree", lambda index: _mst_price(G, index))
+    return _pack(G, x, lambda index: _mst_price(G, index)).terms_of(x, "spanning tree")
 
 
 def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
@@ -599,11 +599,9 @@ def decompose_spanning_trees(G: Multigraph, x: EdgeVector) -> Terms:
 
 def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:
     """T-joins dominated by x, for x in the T-join dominant."""
-    if len(T) % 2 == 1:
-        raise GraphError("odd |T|")
     if not T:
         return [(ONE, {})]
-    return _pack(G, x, "T-join", lambda index: _tjoin_price(G, index, T))
+    return _pack(G, x, lambda index: _tjoin_price(G, index, T)).terms_of(x, "T-join")
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
@@ -644,7 +642,8 @@ def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
         if value < 1:
             raise DecompositionError(f"input vector is outside cover: 1-edge cut "
                                      f"of F at e{bridge} has value {value} < 1")
-    return _pack(G, target, "1-cover", lambda index: _one_cover_price(crossing, index))
+    packing = _pack(G, target, lambda index: _one_cover_price(crossing, index))
+    return packing.terms_of(target, "1-cover")
 
 
 def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction

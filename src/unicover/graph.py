@@ -423,9 +423,12 @@ LABELS = ("tour", "twoec-multigraph", "connector", "cycle-cover")
 def classify(G: Multigraph, H: EdgeMultiset) -> Set[str]:
     """Multi-label structural classification of an edge multiset.
 
-    Labels: those of LABELS.  Empty set means no label applies.
-    """
+    Labels: those of LABELS.  Empty set means no label applies.  An id of H
+    that is not an edge of G raises GraphError."""
+    ids = set(G.edge_ids())
     for eid, mult in H.items():
+        if eid not in ids:
+            raise GraphError(f"e{eid} is not an edge of the graph")
         if mult < 0:
             raise GraphError("negative multiplicity")
     active = {eid: m for eid, m in H.items() if m > 0}

@@ -86,8 +86,6 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
                 w[s][v] += w[t][v]
                 w[v][s] = w[s][v]
         active.remove(t)
-    if best_value is None:
-        raise LpInputError("min cut found no phase")
     return Fraction(best_value, scale), best_shore
 
 

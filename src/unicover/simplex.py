@@ -19,8 +19,8 @@ division, and checked as a whole: floor remainders are nonnegative, so they
 are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for
 π).  The sums ΣM_i are kept with M.  Reduced costs come from π = c_B·M and
 the original columns, and α is formed only for the entering column, so new
-columns cost nothing until they are priced.  `solution()` and `duals()`
-are divided out when read; their `int_` forms are not.  `generate` is the
+columns cost nothing until they are priced.  `solution()` is divided out
+when read; `int_solution()` and `int_duals()` are not.  `generate` is the
 library's one column generation loop: the subtour LP's cutting planes in
 `lp` and both decomposition masters in `decompose` run on it, each from its
 identity basis and pricing from the undivided duals (`int_duals()`).
@@ -260,13 +260,9 @@ class Tableau:
         x, s = self.int_solution()
         return [Fraction(v, s) if v else ZERO for v in x]
 
-    def duals(self) -> List[Fraction]:
-        """y = c_B B⁻¹, one per row."""
-        pi, s = self.int_duals()
-        return [Fraction(p, s) for p in pi]
-
     def int_duals(self) -> Tuple[List[int], int]:
-        """The duals undivided: (π, s) with y = π / s and s = D > 0."""
+        """The duals y = c_B B⁻¹, one per row, undivided: (π, s) with
+        y = π / s and s = D > 0."""
         return list(self._prices()), self.D
 
 

@@ -326,6 +326,13 @@ def _mutated_approx():
             d = fresh()
             d["beta"] = serialize.frac_str(serialize.parse_frac(d["beta"]) + F(1, 3))
             yield d
+        # Ids that are not edges of the graph.
+        d = fresh()
+        d["solution"].insert(0, [-1, 7])
+        yield d
+        d = fresh()
+        d["solution"].append([999, 1])
+        yield d
 
 
 def _two_triangles():
@@ -376,6 +383,13 @@ def _mutated_decompositions():
         d = fresh()
         d["combination"]["relation"] = "contains"
         yield d
+        if doc["kind"] != "trees":
+            # Edge 999, not in the graph, in the target and in every term.
+            d = fresh()
+            d["combination"]["target"]["999"] = "1/1"
+            for term in d["combination"]["terms"]:
+                term["edges"].append([999, 1])
+            yield d
 
 
 def _mutated_lp_results():

@@ -35,6 +35,17 @@ class TestGen:
         assert a == b and a[0] == EXIT_OK
 
 
+TSP75 = ["approx", "--alg", "tsp75", "--node-weights", "uniform1"]
+
+
+def add_edge_999(doc):
+    """Edge 999, which Petersen lacks, at 1 in the target and in every
+    term, so that the coverage still meets the target."""
+    doc["combination"]["target"]["999"] = "1/1"
+    for term in doc["combination"]["terms"]:
+        term["edges"].append([999, 1])
+
+
 class TestPipeline:
     def test_solve_subtour_json(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["solve-subtour"],
@@ -61,6 +72,19 @@ class TestPipeline:
         doc["alpha"] = "1/1"
         code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
         assert code == EXIT_INVALID and out.startswith("INVALID")
+
+    @pytest.mark.parametrize("command,edit,named", [
+        (TSP75, lambda doc: doc["solution"].insert(0, [-1, 7]), "e-1 is not an edge"),
+        (TSP75, lambda doc: doc["solution"].append([999, 1]), "e999 is not an edge"),
+        (["decompose", "connectors", "--vector", "2/3"], add_edge_999, "target names e999"),
+        (["decompose", "even2cut", "--vector", "2/3"], add_edge_999, "target names e999"),
+    ], ids=["approx-head", "approx-tail", "connectors", "even2cut"])
+    def test_verify_names_a_foreign_edge_id(self, capsys, monkeypatch, command, edit, named):
+        _, out, _ = run(capsys, monkeypatch, command, stdin=graph_to_text(petersen()))
+        doc = json.loads(out)
+        edit(doc)
+        code, out, _ = run(capsys, monkeypatch, ["verify"], stdin=json.dumps(doc))
+        assert code == EXIT_INVALID and out.startswith("INVALID") and named in out
 
     def test_cycle_cover_summary(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch,

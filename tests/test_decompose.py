@@ -6,8 +6,9 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from unicover import decompose
+from unicover import decompose, serialize
 from unicover.connectors import decomposition
+from unicover.covers import uniform_cover
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 _equality_master, _minimal_covers,
                                 _one_cover_price, canonical,
@@ -22,6 +23,7 @@ from unicover.simplex import solve_lp
 
 from conftest import (exhaustive_one_cover, kernel_vector, make_graph, mask_scan_min_tjoin,
                       restart_caratheodory)
+import test_golden as golden
 
 F = Fraction
 
@@ -155,21 +157,91 @@ class TestTJoins:
         with pytest.raises(Exception, match="odd"):
             decompose_tjoins(k4(), {}, {0})
 
-    def test_outside_dominant_names_the_dual(self):
+    def test_outside_dominant_names_the_dual(self, monkeypatch):
         # The minimum {0, 1}-odd cut of 1/4 everywhere is a vertex star, 3/4.
+        packings = record_packings(monkeypatch)
         for g in (k4(), random_cubic_3ec(16, 1)):
             x = everywhere(g, F(1, 4))
             with pytest.raises(DecompositionError,
                                match=r"T-join packing value 3/4 < 1.*w\.x = 3/4") as info:
                 decompose_tjoins(g, x, {0, 1})
-            # The named weights certify it: every T-join weighs at least 1.
-            shown = re.search(r"w = \{(.*)\}", str(info.value)).group(1)
-            w = {e.id: F(0) for e in g.edges}
-            for eid, v in re.findall(r"e(\d+): ([\d/]+)", shown):
-                w[int(eid)] = F(v)
+            # The master's weights certify it, and the message names them:
+            # every T-join weighs at least 1.
+            packing = packings[-1][-1]
+            assert packing.sigma == F(3, 4) and packing.terms == []
+            w = packing.w
+            shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
+            assert f"w = {{{shown}}}" in str(info.value)
+            assert sorted(w) == sorted(x)
             assert all(v >= 0 for v in w.values())
             assert sum(w[eid] * v for eid, v in x.items()) == F(3, 4)
             assert min_tjoin(g, w, {0, 1})[0] >= 1
+
+
+def record_packings(monkeypatch):
+    """Wrap decompose._pack and the three packing oracle builders from
+    outside; each packing appends (G, x, (builder name, its arguments),
+    Packing) to the list returned."""
+    seen, built = [], []
+    for name in ("_mst_price", "_tjoin_price", "_one_cover_price"):
+        def builder(*args, name=name, real=getattr(decompose, name)):
+            built.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(decompose, name, builder)
+    pack = decompose._pack
+
+    def recording(G, x, oracle):
+        packing = pack(G, x, oracle)
+        seen.append((G, x, built[-1], packing))
+        return packing
+
+    monkeypatch.setattr(decompose, "_pack", recording)
+    return seen
+
+
+def prim_min_tree(G, w):
+    """The least weight of a spanning tree in the edges that w lists, grown
+    from vertex 0 by Prim's rule; None when they do not span G."""
+    edges = [e for e in G.edges if e.id in w]
+    inside, total = {0}, F(0)
+    while len(inside) < G.n:
+        leaving = [e for e in edges if (e.u in inside) != (e.v in inside)]
+        if not leaving:
+            return None
+        e = min(leaving, key=lambda e: w[e.id])
+        inside |= {e.u, e.v}
+        total += w[e.id]
+    return total
+
+
+def test_every_golden_packing_carries_its_proof(monkeypatch):
+    # Every tree, T-join and 1-cover packing of the golden covers: the dual
+    # weights w are nonnegative, weigh x at sigma exactly, and weigh every
+    # object of the class at least 1, by the tests' own oracles; the terms
+    # pack sigma copies of their coverage below x.
+    packings = record_packings(monkeypatch)
+    for variant, family, sha in golden.COVERS:
+        G = family()
+        assert golden.digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+    kinds = set()
+    for G, x, (name, args), packing in packings:
+        w = packing.w
+        assert sorted(w) == sorted(eid for eid, v in x.items() if v > 0)
+        assert all(v >= 0 for v in w.values())
+        assert sum(v * x[eid] for eid, v in w.items()) == packing.sigma
+        assert packing.terms and packing.sigma >= 1
+        assert sum(c for c, _ in packing.terms) == 1
+        cover = decompose.coverage_of([(c, obj.items()) for c, obj in packing.terms])
+        assert all(packing.sigma * v <= x[eid] for eid, v in cover.items())
+        if name == "_mst_price":
+            least = prim_min_tree(G, w)
+        elif name == "_tjoin_price":
+            least = mask_scan_min_tjoin(G, w, args[2])[0]
+        else:
+            least = exhaustive_one_cover(args[0], w, w)[0]
+        assert least >= 1
+        kinds.add(name)
+    assert kinds == {"_mst_price", "_tjoin_price", "_one_cover_price"}
 
 
 class TestMinTJoin:

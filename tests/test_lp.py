@@ -340,17 +340,42 @@ def assert_kernel_optimum(tab, shape, b, cols, costs):
         assert tab.int_obj()[0] == 0
 
 
-class CheckedTableau(Tableau):
-    """A Tableau that checks its undivided duals after every optimize: π/s
-    equals duals(), and π prices every basic column at its cost and no
-    column below it (s = D, so s·c_j = D·c_j)."""
+# The most pivots that one optimize made in this file's tier-1 run, over the
+# hypothesis draws and the golden masters, was 42.  A kernel fault that
+# cycles under Bland's rule reaches the cap within seconds and fails the
+# test instead of hanging it.
+PIVOT_CAP = 1000
+
+
+class PivotCappedTableau(Tableau):
+    """A Tableau that fails once more than PIVOT_CAP pivots follow the start
+    of one optimize."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.optimize_pivots = 0
+
+    def optimize(self):
+        self.optimize_pivots = 0
+        super().optimize()
+
+    def _pivot(self, row, alpha, red):
+        self.optimize_pivots += 1
+        if self.optimize_pivots > PIVOT_CAP:
+            raise AssertionError(f"one optimize made more than {PIVOT_CAP} pivots")
+        super()._pivot(row, alpha, red)
+
+
+class CheckedTableau(PivotCappedTableau):
+    """A Tableau that checks its undivided duals after every optimize: π
+    prices every basic column at its cost and no column below it (s = D,
+    so s·c_j = D·c_j)."""
     checked = 0
 
     def optimize(self):
         super().optimize()
         pi, s = self.int_duals()
         assert s > 0 and all(type(p) is int for p in pi)
-        assert [F(p, s) for p in pi] == self.duals()
         for j, col in enumerate(self.cols):
             priced = sum(pi[i] * v for i, v in col)
             if j in self.basis:
@@ -388,21 +413,22 @@ def test_tableau_follows_solve_lp(lp):
         want = solve_lp(*reference_lp(shape, b, cols, costs))
     except Unbounded:
         with pytest.raises(Unbounded):
-            run_kernel(Tableau, *lp)
+            run_kernel(PivotCappedTableau, *lp)
         return
     except Infeasible:
         want = None
-    tab = run_kernel(Tableau, *lp)
+    tab = run_kernel(PivotCappedTableau, *lp)
     if want is None:
         assert shape == "artificial" and tab.int_obj()[0] > 0
     elif shape == "slack":
-        assert (tab.solution()[tab.rows:], F(*tab.int_obj()), tab.duals()) == (
+        pi, s = tab.int_duals()
+        assert (tab.solution()[tab.rows:], F(*tab.int_obj()), [F(p, s) for p in pi]) == (
             want.x, want.value, want.duals)
     else:
         assert (tab.solution()[tab.rows:], tab.int_obj()[0]) == (want.x, 0)
 
 
-class KernelCheckedTableau(Tableau):
+class KernelCheckedTableau(PivotCappedTableau):
     """A Tableau that checks the state it keeps: after every pivot, each
     kept row sum is the sum of its row of M, and each one-column entering
     check of `generate` returns what a full Bland scan would."""
