@@ -5,17 +5,17 @@ Pipeline, for x in the subtour polytope: equality decomposition into
 connectors, multiplicity normalization (no term holds two copies of an edge
 while another holds none), then a per cut-class repair with two cases
 depending on whether the class has an edge of fractional value below 1.
-The stages pass decompose.Terms on, and the result is labelled once, at the
-end, where every term must be a connector.
+The classes are graph.two_cut_groups, and graph.odd_two_cut checks the
+repaired terms, as verify does.  The stages pass decompose.Terms on, and the
+result is labelled once, at the end, where every term must be a connector.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
-from .graph import EdgeVector, GraphError, Multigraph, scale_to_ints, support_labels
+from .graph import EdgeVector, Multigraph, odd_two_cut, scale_to_ints, two_cut_groups
 from .decompose import (ConvexCombination, DecompositionError, Terms, clip_at_two,
                         coverage_of, decompose_connectors, make_combination,
                         pack_spanning_trees, reduce_int_terms)
@@ -30,51 +30,20 @@ class TwoCutClass:
     distinguished: Optional[int]   # the unique sub-1 edge of a D2 class
 
 
-def _two_cut_labels(G: Multigraph, x: EdgeVector) -> Dict[int, int]:
-    """The cycle-space labels of the support of x, which must be spanning
-    and 2-edge-connected: no label is 0."""
-    label = support_labels(G, x)
-    if label is None:
-        raise GraphError("support is not spanning connected")
-    if 0 in label.values():
-        raise GraphError("support is not 2-edge-connected")
-    return label
-
-
-def two_cut_pairs(G: Multigraph, x: EdgeVector) -> List[Tuple[int, int]]:
-    """Pairs of support edges whose joint removal disconnects the support:
-    the pairs with equal labels, in the order of G's edges."""
-    label = _two_cut_labels(G, x)
-    support = [e.id for e in G.edges if e.id in label]
-    return [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
-            if label[a] == label[b]]
-
-
 def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
-    """Equivalence classes of edges lying in 2-edge cuts, tagged D1 or D2,
-    sorted by least edge id.
-
-    Two edges are related when their removal disconnects the support, that
-    is, when their labels are equal, so a class is a label held by two or
-    more edges.  x is taken to be in the subtour polytope, the precondition of
+    """The groups of graph.two_cut_groups, the edges of x's support that
+    lie in 2-edge cuts, tagged D1 or D2, ordered by least edge id.  x is
+    taken to be in the subtour polytope, the precondition of
     even_2cut_connectors, the caller.
     """
-    label = _two_cut_labels(G, x)
-    groups: Dict[int, List[int]] = {}
-    for eid in sorted(label):
-        groups.setdefault(label[eid], []).append(eid)
     classes = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
+    for members in two_cut_groups(G, x):
         sub_one = [eid for eid in members if x[eid] < 1]
         if len(sub_one) > 1:
             raise DecompositionError(
                 "two edges of one cut class are below 1; x violates a cut constraint")
-        if sub_one:
-            classes.append(TwoCutClass(frozenset(members), "D2", sub_one[0]))
-        else:
-            classes.append(TwoCutClass(frozenset(members), "D1", None))
+        classes.append(TwoCutClass(frozenset(members), "D2" if sub_one else "D1",
+                                   sub_one[0] if sub_one else None))
     return tuple(classes)
 
 
@@ -130,37 +99,28 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     terms = normalize_connectors(base, xbar, G)
     if not classes:
         return make_combination(G, terms, xbar, "equals", "connector")
-    for cls in classes:
-        members = sorted(cls.edge_ids)
-        if cls.kind == "D1":
-            for _, f in terms:
+    groups = [sorted(cls.edge_ids) for cls in classes]
+    for cls, members in zip(classes, groups):
+        e = cls.distinguished
+        for _, f in terms:
+            if cls.kind == "D1" or f.get(e, 0) == 1:
                 for eid in members:
                     f[eid] = 1
-        else:
-            e = cls.distinguished
-            for _, f in terms:
-                if f.get(e, 0) == 1:
-                    for eid in members:
-                        f[eid] = 1
-                elif f.get(e, 0) == 0:
-                    for eid in members:
-                        f[eid] = 0 if eid == e else 2
-                else:
-                    raise DecompositionError(
-                        "normalization left two copies on a sub-1 edge")
+            elif f.get(e, 0) == 0:
+                for eid in members:
+                    f[eid] = 0 if eid == e else 2
+            else:
+                raise DecompositionError("normalization left two copies on a sub-1 edge")
     cover = coverage_of([(coeff, f.items()) for coeff, f in terms])
-    class_edges = {eid for cls in classes for eid in cls.edge_ids}
+    class_edges = {eid for members in groups for eid in members}
     for eid, v in cover.items():
         if v > xbar.get(eid, ZERO):
             raise DecompositionError(f"repair broke domination on e{eid}")
         if eid not in class_edges and v != xbar.get(eid, ZERO):
             raise DecompositionError(f"repair changed coverage off the classes on e{eid}")
-    # The 2-edge cuts are exactly the pairs inside one class.
-    for cls in classes:
-        for a, b in itertools.combinations(sorted(cls.edge_ids), 2):
-            for _, f in terms:
-                if (f.get(a, 0) + f.get(b, 0)) % 2 != 0:
-                    raise DecompositionError(f"odd crossing of the cut {{e{a},e{b}}}")
+    odd = min((pair for _, f in terms if (pair := odd_two_cut(f, groups))), default=None)
+    if odd:
+        raise DecompositionError(f"odd crossing of the cut {{e{odd[0]},e{odd[1]}}}")
     return make_combination(G, terms, dict(x), "dominated-by", "connector")
 
 

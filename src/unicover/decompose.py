@@ -29,8 +29,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
-                    scale_to_ints, union)
-from .lp import membership, one_edge_cuts
+                    one_edge_cuts, scale_to_ints, union)
+from .lp import membership
 from .simplex import SparseColumn, Tableau
 
 ZERO = Fraction(0)
@@ -515,7 +515,8 @@ def _connector_price_max(G: Multigraph, index: Dict[int, int]) -> Oracle:
 def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> Oracle:
     """Exact minimum 1-cover: a cheapest set of the candidate edges of
     `index` meeting each of the `crossing` edge sets (the 1-edge cuts of a
-    connector), ties going to the lowest bitmask over the sorted candidates.
+    connector, each of value at least 1 on the rows, so each meets a
+    candidate), ties going to the lowest bitmask over the sorted candidates.
 
     The minimal covers are listed once, here; each call weighs only them.
     Under nonnegative weights every cover contains a minimal cover that
@@ -524,9 +525,6 @@ def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> O
     relevant: List[int] = sorted(eid for eid in index if any(eid in c for c in crossing))
     if len(relevant) > 22:
         raise DecompositionError("1-cover pricing capped at 22 candidate edges")
-    for c in crossing:
-        if not any(eid in c for eid in relevant):
-            raise DecompositionError("a 1-edge cut of F has no candidate cover edge")
     rows = [index[eid] for eid in relevant]
     # hits[i]: the crossing sets that candidate i meets, as a bitmask.
     hits = [sum(1 << ci for ci, c in enumerate(crossing) if eid in c) for eid in relevant]

@@ -1,5 +1,8 @@
 """Multigraph representation, cut enumeration, contraction and structural classifiers.
 
+Every small-cut question about a support (bridges, 2-edge cuts, odd
+crossings, classify's labels) is read off its cycle-space labels here.
+
 All arithmetic on weights is exact: weights are ints or fractions.Fraction
 (a graph with any other weight, or a negative one, is rejected when it is
 built, by the sign of the numerator), and sums of them (total weights,
@@ -414,6 +417,50 @@ def support_labels(G: Multigraph, H: Union[EdgeMultiset, EdgeVector]
     does not connect every vertex of G."""
     support = [e for e in G.edges if H.get(e.id, 0) > 0]
     return _cycle_space_labels(support, _adjacency(G.n, support))
+
+
+def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...], int]]:
+    """1-edge cuts of the connector F: list of (shore, bridge edge id), in
+    edge-id order.
+
+    A bridge is an edge used once whose label in the support of F is 0.  A
+    shore is reported once per bridge, the side avoiding vertex 0.
+    """
+    label = support_labels(G, F)
+    if label is None:
+        raise GraphError("F is not connected")
+    adj = _adjacency(G.n, (e for e in G.edges if e.id in label))
+    return [(_shore_of(adj, frozenset((eid,))), eid)
+            for eid in sorted(label) if label[eid] == 0 and F[eid] == 1]
+
+
+def two_cut_groups(G: Multigraph, x: Union[EdgeMultiset, EdgeVector]) -> List[List[int]]:
+    """The 2-edge cuts of the support of x, which must span G with no
+    bridge (no label 0): its edges grouped by label, each group in id order,
+    the groups of two or more edges ordered by least id.  Two edges form a
+    2-edge cut exactly when they lie in one group."""
+    label = support_labels(G, x)
+    if label is None:
+        raise GraphError("support is not spanning connected")
+    if 0 in label.values():
+        raise GraphError("support is not 2-edge-connected")
+    groups: Dict[int, List[int]] = {}
+    for eid in sorted(label):
+        groups.setdefault(label[eid], []).append(eid)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def odd_two_cut(H: EdgeMultiset, groups: Iterable[Sequence[int]]) -> Optional[Tuple[int, int]]:
+    """The least pair {a, b} in id order of one group of `groups` (from
+    two_cut_groups), a 2-edge cut, that H crosses an odd number of times, or
+    None.  H crosses a group's cuts evenly exactly when it uses all the
+    group's edges with one parity."""
+    for a, *rest in groups:
+        parity = H.get(a, 0) % 2
+        for b in rest:
+            if H.get(b, 0) % 2 != parity:
+                return a, b
+    return None
 
 
 # The labels classify gives, so the only ones a stored term may hold.

@@ -10,9 +10,9 @@ generation on the dual).  The two-phase simplex.solve_lp, which shares no
 code with Tableau, is not used; the tests check this solver against it.
 
 The exact Stoer-Wagner min cut, run over the capacities scaled to ints,
-only separates and tests LP vectors: cuts of a graph with at most 4 edges,
-and the 1-edge cuts of a connector (decompose_one_covers checks a vector on
-them), are read off cycle-space labels in graph.
+only separates and tests LP vectors: the small cuts of a graph or of a
+support (cuts of at most 4 edges, bridges, 2-edge cuts) are read off
+cycle-space labels in graph.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .graph import (Cut, EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    _adjacency, _shore_of, cut_edges, is_connected, scale_to_ints,
-                    support_labels)
+from .graph import (Cut, EdgeVector, GraphError, Multigraph, cut_edges, is_connected,
+                    scale_to_ints)
 from .simplex import SparseColumn, Tableau
 
 ZERO = Fraction(0)
@@ -87,21 +86,6 @@ def min_cut(G: Multigraph, cap: EdgeVector) -> Tuple[Fraction, Tuple[int, ...]]:
                 w[v][s] = w[s][v]
         active.remove(t)
     return Fraction(best_value, scale), best_shore
-
-
-def one_edge_cuts(G: Multigraph, F: EdgeMultiset) -> List[Tuple[Tuple[int, ...], int]]:
-    """1-edge cuts of the connector F: list of (shore, bridge edge id), in
-    edge-id order.
-
-    A bridge is an edge used once whose label in the support of F is 0.  A
-    shore is reported once per bridge, the side avoiding vertex 0.
-    """
-    label = support_labels(G, F)
-    if label is None:
-        raise LpInputError("F is not connected")
-    adj = _adjacency(G.n, (e for e in G.edges if e.id in label))
-    return [(_shore_of(adj, frozenset((eid,))), eid)
-            for eid in sorted(label) if label[eid] == 0 and F[eid] == 1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ with α = M·A_e for the entering column e; every division is exact.  At
 D = 1 there is no division.  Otherwise each row is formed once, by floor
 division, and checked as a whole: floor remainders are nonnegative, so they
 are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for
-π).  The sums ΣM_i are kept with M.  Reduced costs come from π = c_B·M and
+π).  The sums ΣM_i are kept with M.  Reduced costs come from π = c_B·M,
+the identity costs at construction (M = I) and kept by each pivot, and
 the original columns, and α is formed only for the entering column, so new
 columns cost nothing until they are priced.  `solution()` is divided out
 when read; `int_solution()` and `int_duals()` are not.  `generate` is the
@@ -92,7 +93,7 @@ class Tableau:
         self.D = 1
         self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
         self.msum = [1] * self.rows             # the sum of each row of M
-        self._pi: Optional[List[int]] = None    # c_B . M, once priced
+        self._pi = list(identity_costs)         # π = c_B . M, kept by each pivot
 
     def add_column(self, col: SparseColumn, cost: int) -> int:
         """Add a column of (row, nonzero int entry) pairs, the rows rising
@@ -140,28 +141,17 @@ class Tableau:
                 self._enter(enter, red)
                 self.optimize()
 
-    def _prices(self) -> List[int]:
-        """π = c_B·M, so the reduced cost of column j is (D·c_j − π·A_j) / D."""
-        if self._pi is None:
-            pi = [0] * self.rows
-            for i, j in enumerate(self.basis):
-                c = self.icosts[j]
-                if c:
-                    pi = [p + c * m for p, m in zip(pi, self.M[i])]
-            self._pi = pi
-        return self._pi
-
     def _reduced_cost(self, j: int) -> int:
-        """Column j's reduced cost times D."""
+        """Column j's reduced cost times D, (D·c_j − π·A_j) with π = c_B·M."""
         get, vals = self.dots[j]
-        pi = self._prices()
+        pi = self._pi
         return self.D * self.icosts[j] - (sum(get(pi)) if vals is None
                                           else sum(map(mul, get(pi), vals)))
 
     def _entering(self) -> Tuple[int, int]:
         """Bland's rule: the lowest nonbasic column of negative reduced cost,
         with that cost times D; (-1, 0) at an optimum."""
-        pi = self._prices()
+        pi = self._pi
         D, icosts = self.D, self.icosts
         basic = set(self.basis)
         for j, (get, vals) in enumerate(self.dots):
@@ -263,7 +253,7 @@ class Tableau:
     def int_duals(self) -> Tuple[List[int], int]:
         """The duals y = c_B B⁻¹, one per row, undivided: (π, s) with
         y = π / s and s = D > 0."""
-        return list(self._prices()), self.D
+        return list(self._pi), self.D
 
 
 @dataclass

@@ -21,9 +21,8 @@ from typing import Dict, Sequence, Tuple
 
 from . import serialize
 from .graph import (EdgeVector, GraphError, Multigraph, cut_edges, node_weights_of,
-                    require_profile, scale_to_ints)
+                    odd_two_cut, require_profile, scale_to_ints, two_cut_groups)
 from .approx import ApproxResult, build_approx_result
-from .connectors import two_cut_pairs
 from .cyclecover import CycleCoverResult, build_cycle_cover, small_cuts
 from .covers import Certificate, check_certificate
 from .decompose import ConvexCombination, verify_combination
@@ -82,13 +81,12 @@ def _check_decomposition(G: Multigraph, doc: Tuple[str, ConvexCombination]) -> s
             if len(t.edges) != G.n - 1 or any(m != 1 for _, m in t.edges):
                 raise VerifyError(f"term {t.edges} is not a spanning tree")
     elif kind == "even2cut":
-        pairs = two_cut_pairs(G, comb.target_vector())
+        groups = two_cut_groups(G, comb.target_vector())
         for t in comb.terms:
-            f = t.multiset()
-            for a, b in pairs:
-                if (f.get(a, 0) + f.get(b, 0)) % 2:
-                    raise VerifyError(
-                        f"term {t.edges} crosses the 2-edge cut {{e{a},e{b}}} an odd number of times")
+            odd = odd_two_cut(t.multiset(), groups)
+            if odd:
+                raise VerifyError(f"term {t.edges} crosses the 2-edge cut "
+                                  f"{{e{odd[0]},e{odd[1]}}} an odd number of times")
     return f"{kind}: {len(comb.terms)} terms, {comb.relation}"
 
 

@@ -11,7 +11,36 @@ from unicover.decompose import DecompositionError, canonical, caratheodory_reduc
 from unicover.graph import (Edge, Multigraph, _cycle_space_labels, connected_components,
                             cut_edges)
 from unicover.lp import min_cut
-from unicover.simplex import solve_lp
+from unicover.simplex import Tableau, solve_lp
+
+
+# The most pivots that one optimize made over a tier-1 run, the hypothesis
+# draws and the library's masters included, was 42.  A kernel fault that
+# cycles under Bland's rule reaches the cap within seconds and fails the test
+# that ran it, instead of hanging the session.
+PIVOT_CAP = 1000
+
+
+@pytest.fixture(autouse=True, scope="session")
+def pivot_cap():
+    """Every Tableau of the session, subclasses included, raises once more
+    than PIVOT_CAP pivots follow the start of one optimize."""
+    optimize, pivot = Tableau.optimize, Tableau._pivot
+
+    def capped_optimize(self):
+        self.optimize_pivots = 0
+        optimize(self)
+
+    def capped_pivot(self, row, alpha, red):
+        self.optimize_pivots = getattr(self, "optimize_pivots", 0) + 1
+        if self.optimize_pivots > PIVOT_CAP:
+            raise AssertionError(f"one optimize made more than {PIVOT_CAP} pivots")
+        pivot(self, row, alpha, red)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tableau, "optimize", capped_optimize)
+        patch.setattr(Tableau, "_pivot", capped_pivot)
+        yield
 
 
 def make_graph(n, pairs, weight=1):
@@ -431,7 +460,7 @@ def support_bridges(G, H):
 
 
 def one_edge_cuts_oracle(G, F):
-    """Reference oracle for lp.one_edge_cuts on a spanning support: the
+    """Reference oracle for graph.one_edge_cuts on a spanning support: the
     support's bridges that F uses once."""
     return [(shore, eid) for shore, eid in support_bridges(G, F) if F[eid] == 1]
 
@@ -443,8 +472,9 @@ def two_edge_connected(G, H):
 
 
 def two_cut_pairs_oracle(G, x):
-    """Reference oracle for connectors.two_cut_pairs: the pairs of support
-    edges, in the order of G's edges, whose removal splits the support."""
+    """Reference oracle for the 2-edge cuts of graph.two_cut_groups: the
+    pairs of support edges, in the order of G's edges, whose removal splits
+    the support."""
     support = [e.id for e in G.edges if x.get(e.id, 0) > 0]
     return [(a, b) for i, a in enumerate(support) for b in support[i + 1:]
             if len(support_components(G, x, (a, b))) > 1]

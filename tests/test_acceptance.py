@@ -478,14 +478,54 @@ def _mutated_cycle_covers():
         yield d
 
 
+def _drop_one_copy(g, d, required):
+    """d with one copy of one edge of its first term dropped, the first edge
+    whose loss costs the term the label `required`, and with the
+    classifier's labels stored for what is left."""
+    term = d["combination"]["terms"][0]
+    for i, (eid, mult) in enumerate(term["edges"]):
+        edges = [list(pair) for pair in term["edges"]]
+        if mult == 1:
+            del edges[i]
+        else:
+            edges[i][1] -= 1
+        labels = classify(g, dict(map(tuple, edges)))
+        if required not in labels:
+            term["edges"], term["classes"] = edges, sorted(labels)
+            return d
+    raise AssertionError(f"no one copy of an edge of term 0 carries its {required} label")
+
+
+def _mutations_with_messages():
+    """(mutated document, the text its rejection must hold), one for each
+    check that the other mutations leave unreached."""
+    g = petersen()
+    for variant, required in (("18/19", "tour"), ("8/9", "twoec-multigraph")):
+        doc = serialize.certificate_to_json(g, uniform_cover(g, variant))
+        yield _drop_one_copy(g, doc, required), f"is not a {required}"
+    x = solve_subtour(g).x
+    for kind in ("trees", "even2cut"):
+        doc = serialize.decomposition_to_json(g, decomposition(g, x, kind), kind)
+        yield _drop_one_copy(g, doc, "connector"), "is not a connector"
+    doc = serialize.approx_to_json(*approximate("tsp75", g, NodeWeights((F(1),) * g.n)))
+    used = {eid for eid, _ in doc["solution"]}
+    doc["solution"].append([next(eid for eid in g.edge_ids() if eid not in used), 0])
+    yield doc, "nonpositive multiplicity in the solution"
+    doc = serialize.cycle_cover_to_json(g, find_covering_cycle_cover(g))
+    for cover in (doc["cover"][::-1], doc["cover"] + [999]):
+        yield {**doc, "cover": cover}, "stored cover is not a sorted set of edge ids"
+
+
 def test_criterion_7_mutation_robustness(capsys):
     rejected = 0
     total = 0
-    survivors = []
+    survivors, misnamed = [], []
     kinds = set()
-    for doc in itertools.chain(_mutated_certificates(), _mutated_approx(),
-                               _mutated_decompositions(), _mutated_lp_results(),
-                               _mutated_cycle_covers()):
+    unnamed = itertools.chain(_mutated_certificates(), _mutated_approx(),
+                              _mutated_decompositions(), _mutated_lp_results(),
+                              _mutated_cycle_covers())
+    for doc, message in itertools.chain(((doc, None) for doc in unnamed),
+                                        _mutations_with_messages()):
         total += 1
         kinds.add(doc["type"])
         rep = verify_document(doc)
@@ -493,8 +533,11 @@ def test_criterion_7_mutation_robustness(capsys):
             survivors.append((total, doc.get("type"), rep.detail))
         else:
             rejected += 1
-    ok = total >= 200 and rejected == total and len(kinds) == 5
+            if message is not None and message not in rep.detail:
+                misnamed.append((total, message, rep.detail))
+    ok = total >= 200 and rejected == total and len(kinds) == 5 and not misnamed
     report(capsys, 7, ok, f"{rejected}/{total} mutations of {len(kinds)} document types rejected")
     assert total >= 200, f"only {total} mutations generated"
     assert len(kinds) == 5, f"mutations cover only {sorted(kinds)}"
     assert not survivors, f"mutations passed verification: {survivors}"
+    assert not misnamed, f"mutations rejected by another check: {misnamed}"

@@ -240,7 +240,7 @@ def test_small_cuts_label_once(calls, c4, name):
     doubled = {e.id: 2 if e.id == 0 else 1 for e in g.edges}
     star = {e.id: 1 for e in k4().edges if 0 in (e.u, e.v)}
     run = {"classify": lambda: graph.classify(g, doubled),
-           "one_edge_cuts": lambda: lp.one_edge_cuts(k4(), star),
+           "one_edge_cuts": lambda: graph.one_edge_cuts(k4(), star),
            "two_cut_classes": lambda: two_cut_classes(c4, lp.everywhere(c4, 1))}[name]
     assert run()
     assert calls["labels"] == 1

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import strategies as st
 
 from unicover import connectors
 from unicover.connectors import (decomposition, even_2cut_connectors, normalize_connectors,
-                                 two_cut_classes, two_cut_pairs)
+                                 two_cut_classes)
 from unicover.decompose import (DecompositionError, clip_at_two, decompose_connectors,
                                 reduce_int_terms, verify_combination)
 from unicover.families import k4, petersen, random_node_weights, random_subcubic_2ec
-from unicover.graph import GraphError, classify, multiset_degrees
-from unicover.lp import LpInputError, everywhere, membership, one_edge_cuts, solve_subtour
+from unicover.graph import (GraphError, classify, multiset_degrees, odd_two_cut, one_edge_cuts,
+                            two_cut_groups)
+from unicover.lp import everywhere, membership, solve_subtour
 from unicover.simplex import LpError
 
 from conftest import (fraction_normalize_connectors, make_graph, one_edge_cuts_oracle,
@@ -27,6 +29,13 @@ def two_triangles_x(two_triangles):
     x[6] = F(1, 2)
     x[7] = F(3, 2)
     return x
+
+
+def two_cut_pairs(G, x):
+    """The pairs of edges in one group of two_cut_groups, in id order: the
+    2-edge cuts of x's support."""
+    return sorted(pair for group in two_cut_groups(G, x)
+                  for pair in itertools.combinations(group, 2))
 
 
 class TestTwoCutPairs:
@@ -47,15 +56,25 @@ class TestTwoCutPairs:
 
     def test_rejects_disconnected_support(self, c4):
         with pytest.raises(GraphError, match="connected"):
-            two_cut_pairs(c4, {0: F(1), 2: F(1)})
+            two_cut_groups(c4, {0: F(1), 2: F(1)})
 
     def test_rejects_a_support_with_a_bridge(self):
         # The pendant edge 3-4 is a bridge, so no pair is a 2-edge cut.
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
         with pytest.raises(GraphError, match="support is not 2-edge-connected"):
-            two_cut_pairs(g, everywhere(g, F(1)))
+            two_cut_groups(g, everywhere(g, F(1)))
         with pytest.raises(GraphError, match="support is not 2-edge-connected"):
             two_cut_classes(g, everywhere(g, F(1)))
+
+
+    def test_odd_crossing_names_the_least_pair(self, c4, two_triangles):
+        groups = two_cut_groups(c4, everywhere(c4, F(1)))
+        assert groups == [[0, 1, 2, 3]]
+        assert odd_two_cut({0: 1, 1: 1, 2: 2, 3: 1}, groups) == (0, 2)
+        assert odd_two_cut({0: 2, 1: 0, 2: 2}, groups) is None
+        groups = two_cut_groups(two_triangles, everywhere(two_triangles, F(1)))
+        assert odd_two_cut({6: 1}, groups) == (6, 7)
+        assert odd_two_cut({6: 2, 7: 2}, groups) is None
 
 
 class TestTwoCutClasses:
@@ -197,7 +216,7 @@ def test_small_cuts_match_the_remove_and_recount_oracles(case):
     if spanning:
         assert one_edge_cuts(g, H) == one_edge_cuts_oracle(g, H)
     else:
-        with pytest.raises(LpInputError, match="F is not connected"):
+        with pytest.raises(GraphError, match="F is not connected"):
             one_edge_cuts(g, H)
 
     if len(support_components(g, x)) > 1:
@@ -207,6 +226,8 @@ def test_small_cuts_match_the_remove_and_recount_oracles(case):
     else:
         pairs = two_cut_pairs_oracle(g, x)
         assert two_cut_pairs(g, x) == pairs
+        assert odd_two_cut(H, two_cut_groups(g, x)) == next(
+            ((a, b) for a, b in pairs if (H.get(a, 0) + H.get(b, 0)) % 2), None)
         partners = {}
         for a, b in pairs:
             partners.setdefault(a, {a}).add(b)
@@ -223,7 +244,7 @@ def test_small_cuts_match_the_remove_and_recount_oracles(case):
                 assert (c.kind, c.distinguished) == (
                     ("D2", sub_one[0]) if sub_one else ("D1", None))
         return
-    for scan in (two_cut_pairs, two_cut_classes):
+    for scan in (two_cut_groups, two_cut_classes):
         with pytest.raises(GraphError, match=error):
             scan(g, x)
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +18,8 @@ from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 decompose_tjoins, make_combination, min_tjoin,
                                 verify_combination, wolsey_tours)
 from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
-from unicover.graph import classify, connected_components, multiset_degrees
+from unicover.graph import (GraphError, classify, connected_components, multiset_degrees,
+                            one_edge_cuts)
 from unicover.lp import everywhere
 from unicover.simplex import solve_lp
 
@@ -30,7 +32,6 @@ F = Fraction
 
 def spanning_trees_of(g):
     """All spanning trees by exhaustive enumeration (oracle helper)."""
-    import itertools
     out = []
     for subset in itertools.combinations(sorted(g.edge_ids()), g.n - 1):
         chosen = set(subset)
@@ -391,7 +392,6 @@ class TestOneCovers:
         target = comb.target_vector()
         assert all(v == F(2, 3) for v in target.values())
         # Every term touches all three leaf cuts.
-        from unicover.lp import one_edge_cuts
         shores = [set(s) for s, _ in one_edge_cuts(g, tree)]
         edge = {e.id: e for e in g.edges}
         for t in comb.terms:
@@ -427,6 +427,23 @@ class TestOneCovers:
         y = {e.id: F(1, 2) for e in g.edges if e.id not in tree}
         y[99] = F(1, 2)
         with pytest.raises(DecompositionError, match=r"outside the graph \(e99\)"):
+            decompose_one_covers(g, tree, y, F(1, 2))
+
+    @pytest.mark.parametrize("alpha", [F(0), F(-1, 2), F(3, 2)])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        g = k4()
+        tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
+        with pytest.raises(GraphError, match=r"alpha must be in \(0, 1\]"):
+            decompose_one_covers(g, tree, {}, alpha)
+
+    def test_more_than_22_candidates_rejected(self):
+        # The star at vertex 0 of K9 has 8 bridges; each leaf's cut meets 7
+        # of the 28 edges off the star, so all 28 are candidates.
+        g = make_graph(9, list(itertools.combinations(range(9), 2)))
+        tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
+        y = {e.id: F(1, 2) for e in g.edges if e.id not in tree}
+        with pytest.raises(DecompositionError,
+                           match="1-cover pricing capped at 22 candidate edges"):
             decompose_one_covers(g, tree, y, F(1, 2))
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from unicover.families import (k4, k5, k33, petersen, prism, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
-from unicover.graph import NodeWeights, cut_edges
+from unicover.graph import GraphError, NodeWeights, cut_edges, one_edge_cuts
 from unicover.lp import (LpInputError, everywhere, initial_shores, membership, min_cut,
-                         one_edge_cuts, solve_subtour)
+                         solve_subtour)
 from unicover import decompose, serialize
 from unicover import lp as lp_layer
 from unicover.covers import uniform_cover
@@ -16,8 +16,9 @@ from unicover.simplex import Infeasible, LpError, Tableau, Unbounded, solve_lp
 from unicover.verify import verify_document
 
 import test_golden as golden
-from conftest import (brute_force_min_cut, brute_force_subtour, dict_scan_min_cut,
-                      fraction_tableau_state, lp_over_cuts, make_graph, reweighted)
+from conftest import (PIVOT_CAP, brute_force_min_cut, brute_force_subtour,
+                      dict_scan_min_cut, fraction_tableau_state, lp_over_cuts, make_graph,
+                      reweighted)
 
 F = Fraction
 
@@ -111,7 +112,6 @@ class TestSimplex:
         # divisibility test of that sum alone would pass.  The π update,
         # (π + 0·M_0) / 2 = 0, would be exact.
         tab = Tableau([F(1), F(1)], [0, 0])
-        tab._prices()
         tab.D = 2
         with pytest.raises(LpError, match="inexact division"):
             tab._pivot(0, [1, 1], 0)
@@ -139,7 +139,6 @@ class TestSimplex:
         # One row, so no row update; with D = 2 tampered in, π becomes
         # (2·0 + 1·1) / 2.
         tab = Tableau([F(1)], [0])
-        tab._prices()
         tab.D = 2
         with pytest.raises(LpError, match="inexact division"):
             tab._pivot(0, [2], 1)
@@ -190,6 +189,8 @@ def test_tableau_starts_from_the_fraction_state(b, data):
     costs = data.draw(st.lists(st.integers(-30, 30), min_size=len(b), max_size=len(b)))
     tab = Tableau(b, costs)
     assert (tab.L, tab.beta, tab.icosts, tab.cols) == fraction_tableau_state(b, costs)
+    # M = I, so π = c_B·M is the identity costs before any pivot.
+    assert tab._pi == costs
     assert all(type(v) is int for v in [tab.L, *tab.beta, *tab.icosts])
 
 
@@ -235,7 +236,7 @@ def test_a_d1_pivot_is_the_fraction_update(b, data):
     assert tab.D == D
     assert tab.M == M and tab.msum == [sum(r) for r in M]
     assert tab.beta == [sum(v * w for v, w in zip(r, beta)) for r in M]
-    assert tab._prices() == [sum(c * r[k] for c, r in zip(basic_costs, M)) for k in range(m)]
+    assert tab._pi == [sum(c * r[k] for c, r in zip(basic_costs, M)) for k in range(m)]
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -340,33 +341,7 @@ def assert_kernel_optimum(tab, shape, b, cols, costs):
         assert tab.int_obj()[0] == 0
 
 
-# The most pivots that one optimize made in this file's tier-1 run, over the
-# hypothesis draws and the golden masters, was 42.  A kernel fault that
-# cycles under Bland's rule reaches the cap within seconds and fails the
-# test instead of hanging it.
-PIVOT_CAP = 1000
-
-
-class PivotCappedTableau(Tableau):
-    """A Tableau that fails once more than PIVOT_CAP pivots follow the start
-    of one optimize."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.optimize_pivots = 0
-
-    def optimize(self):
-        self.optimize_pivots = 0
-        super().optimize()
-
-    def _pivot(self, row, alpha, red):
-        self.optimize_pivots += 1
-        if self.optimize_pivots > PIVOT_CAP:
-            raise AssertionError(f"one optimize made more than {PIVOT_CAP} pivots")
-        super()._pivot(row, alpha, red)
-
-
-class CheckedTableau(PivotCappedTableau):
+class CheckedTableau(Tableau):
     """A Tableau that checks its undivided duals after every optimize: π
     prices every basic column at its cost and no column below it (s = D,
     so s·c_j = D·c_j)."""
@@ -413,11 +388,11 @@ def test_tableau_follows_solve_lp(lp):
         want = solve_lp(*reference_lp(shape, b, cols, costs))
     except Unbounded:
         with pytest.raises(Unbounded):
-            run_kernel(PivotCappedTableau, *lp)
+            run_kernel(Tableau, *lp)
         return
     except Infeasible:
         want = None
-    tab = run_kernel(PivotCappedTableau, *lp)
+    tab = run_kernel(Tableau, *lp)
     if want is None:
         assert shape == "artificial" and tab.int_obj()[0] > 0
     elif shape == "slack":
@@ -428,7 +403,7 @@ def test_tableau_follows_solve_lp(lp):
         assert (tab.solution()[tab.rows:], tab.int_obj()[0]) == (want.x, 0)
 
 
-class KernelCheckedTableau(PivotCappedTableau):
+class KernelCheckedTableau(Tableau):
     """A Tableau that checks the state it keeps: after every pivot, each
     kept row sum is the sum of its row of M, and each one-column entering
     check of `generate` returns what a full Bland scan would."""
@@ -457,6 +432,20 @@ def test_row_sums_follow_m_on_random_lps(lp):
             solve_lp(*reference_lp(*lp[:4]))
         return
     assert_kernel_optimum(tab, *lp[:4])
+
+
+def test_a_cycling_optimize_fails_at_the_session_pivot_cap():
+    # An entering rule that always offers the nonbasic one of two equal
+    # columns pivots forever; conftest's cap turns that into a failure.
+    class Cycling(Tableau):
+        def _entering(self):
+            return (2 if self.basis[0] == 1 else 1), -1
+
+    tab = Cycling([F(1)], [0])
+    tab.add_column([(0, 1)], -1)
+    tab.add_column([(0, 1)], -1)
+    with pytest.raises(AssertionError, match=f"more than {PIVOT_CAP} pivots"):
+        tab.optimize()
 
 
 def test_kept_state_holds_on_the_golden_masters(monkeypatch):
@@ -529,7 +518,7 @@ class TestMembership:
         # A triangle 0-1-2 and the edge 3-4, with e4 = 2-3 unused: no edge of
         # F is a bridge of a connected F, so none may be listed.
         g = make_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (2, 3)])
-        with pytest.raises(LpInputError, match="F is not connected"):
+        with pytest.raises(GraphError, match="F is not connected"):
             one_edge_cuts(g, {0: 1, 1: 1, 2: 1, 3: 2})
 
     def test_negative_entry_rejected(self):

@@ -151,3 +151,29 @@ def test_solve_lp_shares_no_code_with_the_kernel():
              for node in ast.walk(solve_lp)}
     assert "Fraction" in named, "solve_lp names no Fraction, so this guard checks nothing"
     assert not named & kernel, f"solve_lp names kernel code: {sorted(named & kernel)}"
+
+
+def test_library_imports_no_private_name_of_another_module():
+    # An underscore name is its module's own: a module that needs another
+    # module's private helper calls a public function of that module instead.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()            # library modules bound by `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("unicover")):
+                if node.module in (None, "unicover"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules
+                  and _private(node.attr)]
+    assert sorted(SOURCE.glob("*.py")), f"no sources under {SOURCE}"
+    assert not found, f"private names taken from another module: {found}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
