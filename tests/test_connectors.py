@@ -66,7 +66,6 @@ class TestTwoCutPairs:
         with pytest.raises(GraphError, match="support is not 2-edge-connected"):
             two_cut_classes(g, everywhere(g, F(1)))
 
-
     def test_odd_crossing_names_the_least_pair(self, c4, two_triangles):
         groups = two_cut_groups(c4, everywhere(c4, F(1)))
         assert groups == [[0, 1, 2, 3]]
