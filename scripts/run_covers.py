@@ -11,9 +11,10 @@ the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
 
 With --counts each row also gives the run's master solves (optimize calls),
-pivots, pricing rounds, full entering scans, T-join pricing calls and
-largest |T|, counted by wrappers that this script installs around the
-simplex kernel and the T-join oracle; the library itself keeps no counts.
+pivots, pricing rounds, full entering scans, T-join pricing calls, largest
+|T| and widest kernel lanes in bits (the Tableau's and Caratheodory's),
+counted by wrappers that this script installs around the simplex kernel
+and the T-join oracle; the library itself keeps no counts.
 """
 import argparse
 import hashlib
@@ -25,7 +26,7 @@ from unicover import decompose, serialize
 from unicover.covers import VARIANTS, uniform_cover
 from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
-from unicover.simplex import Tableau
+from unicover.simplex import Adjugate, Tableau
 from unicover.table import TABLE
 
 CORPUS = {
@@ -48,12 +49,13 @@ def generated(variant: str, n: int, count: int) -> list:
     return []
 
 
-COUNTS = ("solves", "pivots", "rounds", "scans", "tjoins", "max|T|")
+COUNTS = ("solves", "pivots", "rounds", "scans", "tjoins", "max|T|", "lanes")
 
 
 def install_counters() -> Dict[str, int]:
     """Wrap Tableau.optimize, _pivot, _entering and generate's pricing step,
-    and every T-join oracle, master and one-shot alike; return the counts."""
+    every T-join oracle, master and one-shot alike, and the kernel's start
+    and widening; return the counts."""
     counts = dict.fromkeys(COUNTS, 0)
     generate, tjoin_price = Tableau.generate, decompose._tjoin_price
 
@@ -66,6 +68,12 @@ def install_counters() -> Dict[str, int]:
     def counted_generate(self, price, cost):
         return generate(self, counted(price, "rounds"), cost)
 
+    def widest(fn):
+        def wrapper(self, *args):
+            fn(self, *args)
+            counts["lanes"] = max(counts["lanes"], self.width)
+        return wrapper
+
     def counted_tjoin_price(G, index, T):
         counts["max|T|"] = max(counts["max|T|"], len(T))
         return counted(tjoin_price(G, index, T), "tjoins")
@@ -74,6 +82,8 @@ def install_counters() -> Dict[str, int]:
     Tableau._pivot = counted(Tableau._pivot, "pivots")
     Tableau._entering = counted(Tableau._entering, "scans")
     Tableau.generate = counted_generate
+    Adjugate.__init__ = widest(Adjugate.__init__)
+    Adjugate.widen = widest(Adjugate.widen)
     decompose._tjoin_price = counted_tjoin_price
     return counts
 

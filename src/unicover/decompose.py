@@ -15,6 +15,8 @@ one place that words that refusal.
 
 Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
 pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
+That pass runs as basis exchanges on the simplex kernel's packed adjugate
+(simplex.Adjugate); this module holds no pivot code of its own.
 make_combination labels a pipeline's terms once, at its end, and
 verify_combination re-checks the result.
 """
@@ -31,7 +33,7 @@ from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
                     classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
                     one_edge_cuts, scale_to_ints, union)
 from .lp import membership
-from .simplex import SparseColumn, Tableau
+from .simplex import Adjugate, SparseColumn, Tableau, dot_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,19 +163,23 @@ def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
 
     The coefficients are ints c over one common denominator Q, the lcm of
     all the input denominators, from the merge of equal objects on; a
-    Fraction is built only for each returned coefficient.  One
-    fraction-free elimination runs over the columns (chi, 1) of the sorted
-    terms: cross-multiply by the pivot entries, then divide by the gcd.  At
-    a dependent column j the kernel of the columns so far is
-    one-dimensional; its vector d (d_j > 0) steps c_i -> c_i·d_k − c_k·d_i
-    and Q -> Q·d_k, with k the least c_k / d_k over d_k > 0, found by
-    cross-multiplying; the terms that reach 0 drop.  If one earlier term f
-    drops, every stored combination is rewritten without f through d and
-    the pass goes on at the next column; if term j drops, nothing needs
-    rewriting.  Only when several drop does the elimination start again
-    from column 0.  The kernel at the first dependent column is unique up
-    to scale, so the steps are those of restarting the elimination after
-    every drop."""
+    Fraction is built only for each returned coefficient.  The columns
+    (chi, 1) of the sorted terms are taken in order.  Those independent of
+    the columns before them, the prefix, form a basis together with unit
+    columns, kept as an adjugate M = D·B⁻¹ (simplex.Adjugate).  A column is
+    independent when its coordinates α = M·(chi, 1) are nonzero on a row
+    that a unit column holds, and it is exchanged in there.  At the
+    first dependent column j the kernel of the prefix and j is
+    one-dimensional: its vector d is −α on the prefix (by the sign each
+    prefix term entered with) and D > 0 on j.  It steps
+    c_i -> c_i·d_k − c_k·d_i and Q -> Q·d_k, with k the least c_k / d_k over
+    d_k > 0, found by cross-multiplying, ties going to j and then to the
+    lowest index; the terms that reach 0 drop, and (Q, c) is reduced by its
+    gcd.  If only j drops, the basis stays.  If one earlier term drops, j
+    is exchanged into its row.  If several drop, unit columns are exchanged
+    into their rows, and j, if kept, is taken next, as an independent
+    column.  The kernel vector is unique up to scale, so the steps are
+    those of restarting the elimination after every drop."""
     Q, scaled = scale_to_ints(coeff for coeff, _ in terms)
     Q, kept = reduce_int_terms(Q, [(a, obj) for a, (_, obj) in zip(scaled, terms)], limit)
     return [(Fraction(a, Q), dict(key)) for key, a in kept]
@@ -181,10 +187,10 @@ def caratheodory_reduce(terms: Sequence[Tuple[Fraction, EdgeMultiset]],
 
 def reduce_int_terms(Q: int, terms: Sequence[Tuple[int, EdgeMultiset]], limit: int
                      ) -> Tuple[int, List[Tuple[CanonicalObject, int]]]:
-    """The elimination of caratheodory_reduce, on coefficients given as the
-    ints a over one denominator Q: it returns the new denominator and the
-    kept (canonical object, a) pairs.  No step depends on the scale of Q,
-    so the same coefficients over a multiple of Q keep the same objects
+    """The basis exchanges of caratheodory_reduce, on coefficients given as
+    the ints a over one denominator Q: it returns the new denominator and
+    the kept (canonical object, a) pairs.  No step depends on the scale of
+    Q, so the same coefficients over a multiple of Q keep the same objects
     with the same values."""
     merged: Dict[CanonicalObject, int] = {}
     for a, obj in terms:
@@ -199,34 +205,24 @@ def reduce_int_terms(Q: int, terms: Sequence[Tuple[int, EdgeMultiset]], limit: i
     if len(keys) <= limit:
         return Q, list(zip(keys, c))
     rowindex = {eid: i for i, eid in enumerate(sorted({e for key in keys for e, _ in key}))}
-    vecs: List[List[int]] = []      # reduced kept columns
-    combos: List[List[int]] = []    # each one's combination of the columns 0..j-1
-    pivots: List[int] = []          # their pivot rows
+    rows = len(rowindex) + 1
+    kernel = Adjugate(rows)         # the basis: the prefix, and unit columns
+    held: List[Tuple[int, int]] = []    # each prefix term's basis row and sign
+    free = [True] * rows            # the rows that unit columns hold
     j = 0
     while len(keys) > limit:
         if j == len(keys):
             raise DecompositionError(
                 f"{len(keys)} affinely independent terms cannot be reduced to {limit}")
-        v = [0] * (len(rowindex) + 1)
-        for eid, mult in keys[j]:
-            v[rowindex[eid]] = mult
-        v[-1] = 1
-        cmb = [0] * j + [1]
-        for vec, combo, prow in zip(vecs, combos, pivots):
-            factor = v[prow]
-            if factor:
-                p = vec[prow]
-                v = [p * a - factor * b for a, b in zip(v, vec)]
-                cmb = [p * a - factor * b for a, b in zip_longest(cmb, combo, fillvalue=0)]
-        pivot_row = next((r for r, a in enumerate(v) if a), None)
-        if pivot_row is not None:
-            g = gcd(*v, *cmb)
-            vecs.append([a // g for a in v])
-            combos.append([a // g for a in cmb])
-            pivots.append(pivot_row)
+        alpha = kernel.express(dot_of([(rowindex[eid], mult) for eid, mult in keys[j]]
+                                      + [(rows - 1, 1)]))
+        row = next((r for r, a in enumerate(alpha) if a and free[r]), -1)
+        if row >= 0:
+            held.append(_enter(kernel, row, alpha))
+            free[row] = False
             j += 1
             continue
-        d = cmb if cmb[j] > 0 else [-a for a in cmb]
+        d = [-sign * alpha[r] for r, sign in held] + [kernel.D]
         k = j
         for i, di in enumerate(d):
             if di > 0 and c[i] * d[k] < c[k] * di:
@@ -239,37 +235,31 @@ def reduce_int_terms(Q: int, terms: Sequence[Tuple[int, EdgeMultiset]], limit: i
             Q //= g
             c = [a // g for a in c]
         dropped = [i for i in range(j + 1) if not c[i]]
-        if len(dropped) > 1:
-            j = 0
-            del vecs[:], combos[:], pivots[:]
-        elif dropped[0] < j:
-            _rewrite_without(vecs, combos, d, dropped[0])
         for i in reversed(dropped):
             del keys[i], c[i]
+        earlier = [held.pop(i)[0] for i in reversed(dropped) if i < j]
+        j -= len(earlier)
+        if len(dropped) == 1 and earlier:
+            held.append(_enter(kernel, earlier[0], alpha))
+            j += 1
+        else:
+            # Unit columns take the rows of the terms that dropped; a kept
+            # column j is next, and enters as an independent column.
+            for r in earlier:
+                kernel.release(r)
+                free[r] = True
     return Q, list(zip(keys, c))
 
 
-def _rewrite_without(vecs: List[List[int]], combos: List[List[int]],
-                     d: List[int], f: int) -> None:
-    """Rewrite each combination without column f, which the kernel vector d
-    (d_f > 0) expresses by the others: combo -> s·combo − t·d with
-    s / t = d_f / combo_f in lowest terms, its vector scaled by s, and then
-    drop position f."""
-    df = d[f]
-    for i, combo in enumerate(combos):
-        cf = combo[f] if f < len(combo) else 0
-        if cf:
-            g = gcd(df, cf)
-            s, t = df // g, cf // g
-            combo = [s * a - t * b for a, b in zip_longest(combo, d, fillvalue=0)]
-            if s != 1:
-                vec = [s * a for a in vecs[i]]
-                g = gcd(*vec, *combo)
-                vecs[i] = [a // g for a in vec]
-                combo = [a // g for a in combo]
-            combos[i] = combo
-        if f < len(combo):
-            del combo[f]
+def _enter(kernel: Adjugate, row: int, alpha: Sequence[int]) -> Tuple[int, int]:
+    """Exchange the column of coordinates alpha into the basis at `row`,
+    negated when alpha[row] < 0 so that D stays positive; returns the row
+    and the sign."""
+    if alpha[row] > 0:
+        kernel.exchange(row, alpha)
+        return row, 1
+    kernel.exchange(row, [-a for a in alpha])
+    return row, -1
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,38 @@ adjugate of B.  Each pivot is Edmonds' integer-preserving update (Bareiss
 
     M'_i = (p·M_i − α_i·M_r) / D  for i ≠ r,   M'_r = M_r,   D' = p,
 
-with α = M·A_e for the entering column e; every division is exact.  At
-D = 1 there is no division.  Otherwise each row is formed once, by floor
-division, and checked as a whole: floor remainders are nonnegative, so they
-are all zero exactly when p·ΣM_i − α_i·ΣM_r = D·ΣM'_i (and likewise for
-π).  The sums ΣM_i are kept with M.  Reduced costs come from π = c_B·M,
-the identity costs at construction (M = I) and kept by each pivot, and
-the original columns, and α is formed only for the entering column, so new
-columns cost nothing until they are priced.  `solution()` is divided out
-when read; `int_solution()` and `int_duals()` are not.  `generate` is the
-library's one column generation loop: the subtour LP's cutting planes in
-`lp` and both decomposition masters in `decompose` run on it, each from its
-identity basis and pricing from the undivided duals (`int_duals()`).
+with α = M·A_e for the entering column e; every division is exact.
+
+`Adjugate` holds M, for the Tableau and for decompose's Carathéodory
+reduction alike, as one Python int per column: M_ik is a signed lane of W
+bits at bit W·i (Fisher and Dietz's SIMD within a register).  α is one
+multiply-add per nonzero of A_e and one decode (`to_bytes`, then
+`struct.unpack` at W = 64).  A pivot is one multiply-subtract-divide per
+column, C_k ← (p·C_k − M_rk·Ã) / D, with Ã = α − D at row r so that row r
+stays; at D = 1 nothing is divided.  A lane that does not divide can leave
+its column divisible through carries, so the check is twofold: the packed
+remainder is 0, and every lane of every quotient lies within ±2^T, one OR
+and one AND per pivot.  With T + bits(D) ≤ W − 1 and every numerator lane
+below 2^(W−1), which the bound on M's entries and the pivot's operands
+show, an inexact lane cannot pass: a numerator's lanes are unique.  W is
+never set: it starts at 64 and doubles, by repacking, before a step whose
+operands could break the bound, once a tightened bound shows they still
+would.
+
+β and π stay int lists, each divided at once and checked by its sum:
+floor remainders are nonnegative, so they are all zero exactly when
+p·Σβ − ΣÃ·β_r = D·Σβ' (and likewise for π).  Reduced costs come from
+π = c_B·M, the identity costs at construction (M = I) and kept by each
+pivot, and the original columns, and α is formed only for the entering
+column, so new columns cost nothing until they are priced.  `solution()`
+is divided out when read; `int_solution()` and `int_duals()` are not.
+`generate` is the library's one column generation loop: the subtour LP's
+cutting planes in `lp` and both decomposition masters in `decompose` run
+on it, each from its identity basis and pricing from the undivided duals
+(`int_duals()`).
 
 `solve_lp`, the two-phase solver for general rows, is a dense Fraction
-tableau that shares no code with `Tableau`.  The library does not call it;
+tableau that shares no code with `Tableau` or `Adjugate`.  The library does not call it;
 the tests keep it as their independent reference LP solver.
 """
 from __future__ import annotations
@@ -35,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
+from struct import Struct
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .graph import scale_to_ints
@@ -46,7 +64,9 @@ SparseColumn = List[Tuple[int, int]]     # (row, nonzero int entry), rows ascend
 Dot = Tuple[Callable[[Sequence[int]], Sequence[int]], Optional[Tuple[int, ...]]]
 
 
-def _dot_of(col: SparseColumn) -> Dot:
+def dot_of(col: SparseColumn) -> Dot:
+    """A sparse column's rows as an itemgetter, and its entries (None when
+    all are 1)."""
     rows = [i for i, _ in col]
     if len(rows) > 1:
         get = itemgetter(*rows)
@@ -66,6 +86,138 @@ class Infeasible(LpError):
 
 class Unbounded(LpError):
     pass
+
+
+class Adjugate:
+    """M = D·B⁻¹ for a basis B of `rows` columns, D = det(B) > 0, packed one
+    Python int per column: M_ik is the signed lane of `width` bits at bit
+    width·i of column k.  It starts at B = I.  Every entry of M lies within
+    ±`bound`.
+
+    `express` forms α = M·A for a column A, `exchange` brings that column
+    into the basis at a row, `release` brings a unit column in, and `widen`
+    repacks at twice the width; `row`, `column` and `matrix` decode."""
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.D = 1
+        self.bound = 1 if rows else 0
+        self._set_width(64)
+        self.cols = [1 << (self.width * k) for k in range(rows)]
+
+    def _set_width(self, width: int) -> None:
+        self.width = width
+        self._ones = sum(1 << (width * i) for i in range(self.rows))
+        self._top = self._ones << (width - 1)           # 2^(W-1) in every lane
+        self._lanes = Struct(f"<{self.rows}q") if width == 64 else None
+
+    def _decode(self, packed: int) -> Sequence[int]:
+        # Adding 2^(W-1) to each lane leaves no borrows, and flipping each
+        # lane's top bit then gives its two's complement.
+        raw = ((packed + self._top) ^ self._top).to_bytes(self.rows * self.width // 8, "little")
+        if self._lanes is not None:
+            return self._lanes.unpack(raw)
+        w = self.width // 8
+        return [int.from_bytes(raw[i:i + w], "little", signed=True)
+                for i in range(0, len(raw), w)]
+
+    def _encode(self, lanes: Sequence[int]) -> int:
+        if self._lanes is not None:
+            raw = self._lanes.pack(*lanes)
+        else:
+            raw = b"".join(v.to_bytes(self.width // 8, "little", signed=True) for v in lanes)
+        return (int.from_bytes(raw, "little") ^ self._top) - self._top
+
+    def row(self, r: int) -> List[int]:
+        shift, top, half = self.width * r, self._top, 1 << (self.width - 1)
+        lane = 2 * half - 1
+        return [((c + top) >> shift & lane) - half for c in self.cols]
+
+    def column(self, k: int) -> Sequence[int]:
+        return self._decode(self.cols[k])
+
+    def matrix(self) -> List[List[int]]:
+        """M decoded, as a list of rows."""
+        return [list(r) for r in zip(*map(self._decode, self.cols))]
+
+    def widen(self) -> None:
+        """Repack every column at twice the lane width."""
+        lanes = [self._decode(c) for c in self.cols]
+        self._set_width(2 * self.width)
+        self.cols = [self._encode(v) for v in lanes]
+
+    def _fit(self) -> None:
+        """Tighten `bound` to the largest entry of M, or, when it is tight
+        already, widen."""
+        bound = max((max(max(v), -min(v)) for v in map(self._decode, self.cols)), default=0)
+        if bound < self.bound:
+            self.bound = bound
+        else:
+            self.widen()
+
+    def express(self, dot: Dot) -> Sequence[int]:
+        """α = M·A for the column A given as its Dot: one multiply-add per
+        nonzero of A, then one decode.  Each |α_i| is at most the sum of
+        |A| times `bound`, which must be below 2^(W-1)."""
+        get, vals = dot
+        while True:
+            cs = get(self.cols)
+            norm = len(cs) if vals is None else sum(map(abs, vals))
+            if not (norm * self.bound) >> (self.width - 1):
+                break
+            self._fit()
+        return self._decode(sum(cs) if vals is None else sum(map(mul, cs, vals)))
+
+    def exchange(self, r: int, alpha: Sequence[int]) -> List[int]:
+        """The column of α = M·A enters the basis at row r, on p = α_r > 0;
+        returns row r of M, which the exchange keeps.  `release` does not
+        pass through here, so a wrapper of `exchange` sees exactly the
+        columns that callers bring in."""
+        return self._exchange(r, alpha)
+
+    def release(self, r: int) -> None:
+        """A unit column e_s enters the basis at row r, for the lowest s
+        with M_rs != 0, negated when M_rs < 0."""
+        s = next(k for k, v in enumerate(self.row(r)) if v)
+        alpha = self.column(s)
+        self._exchange(r, alpha if alpha[r] > 0 else [-a for a in alpha])
+
+    def _exchange(self, r: int, alpha: Sequence[int]) -> List[int]:
+        # Edmonds' update, per column: C_k <- (p·C_k - M_rk·Ã) / D with
+        # Ã = α - D at row r, so that row r keeps its value.
+        D, p = self.D, alpha[r]
+        Mr = self.row(r)
+        mr, amax = max(max(Mr), -min(Mr)), max(max(alpha), -min(alpha))
+        while True:
+            # Each lane of a numerator lies within ±nb, and each quotient
+            # within ±bound' = nb // D < 2^T.
+            nb = p * self.bound + (amax + D) * mr
+            bound = nb // D
+            T = bound.bit_length()
+            if not nb >> (self.width - 1) and T + D.bit_length() < self.width:
+                break
+            self._fit()
+        at = self._encode(alpha) - (D << (self.width * r))
+        if D == 1:
+            self.cols = [p * c - m * at for c, m in zip(self.cols, Mr)]
+        else:
+            # A lane that does not divide can leave its column divisible
+            # through carries, but then some quotient lane lies outside
+            # ±2^T: D·2^T < 2^(W-1) and the lanes of a numerator are unique.
+            # Biased by 2^T, every lane of every quotient must fit T + 1 bits.
+            ones, cols = self._ones, []
+            bias, rem, acc = ones << T, 0, 0
+            for c, m in zip(self.cols, Mr):
+                if m or p != D:
+                    c, x = divmod(p * c - m * at, D)
+                    rem |= x
+                    acc |= c + bias
+                cols.append(c)
+            if rem or acc & ~((ones << (T + 1)) - ones):
+                raise LpError("inexact division in an integer pivot")
+            self.cols = cols
+        self.bound, self.D = bound, p
+        return Mr
 
 
 class Tableau:
@@ -90,10 +242,16 @@ class Tableau:
         self.dots: List[Dot] = [(itemgetter(slice(i, i + 1)), None) for i in range(self.rows)]
         self.icosts: List[int] = list(identity_costs)
         self.basis = list(range(self.rows))
-        self.D = 1
-        self.M = [[int(i == k) for k in range(self.rows)] for i in range(self.rows)]
-        self.msum = [1] * self.rows             # the sum of each row of M
+        self.kernel = Adjugate(self.rows)       # M = D·B⁻¹
         self._pi = list(identity_costs)         # π = c_B . M, kept by each pivot
+
+    @property
+    def D(self) -> int:
+        return self.kernel.D
+
+    @D.setter
+    def D(self, value: int) -> None:
+        self.kernel.D = value
 
     def add_column(self, col: SparseColumn, cost: int) -> int:
         """Add a column of (row, nonzero int entry) pairs, the rows rising
@@ -109,7 +267,7 @@ class Tableau:
         if type(cost) is not int:
             raise LpError("tableau costs must be integer")
         self.cols.append(col)
-        self.dots.append(_dot_of(col))
+        self.dots.append(dot_of(col))
         self.icosts.append(cost)
         return len(self.cols) - 1
 
@@ -164,48 +322,33 @@ class Tableau:
                 return j, r
         return -1, 0
 
-    def _pivot(self, row: int, alpha: List[int], red: int) -> None:
-        """Edmonds' update on M, its row sums, β and π on the positive entry
-        alpha[row]; a division by D that is not exact raises LpError.  `red`
-        is the entering column's reduced cost times D: π' = (p·π + red·M_r) / D."""
-        D, M, msum, beta, p = self.D, self.M, self.msum, self.beta, alpha[row]
-        Mr, br, sr = M[row], beta[row], msum[row]
-        pi = self._pi
-        for i, a in enumerate(alpha):
-            if i == row or (not a and p == D):
-                continue
-            Mi = M[i]
-            if D == 1:
-                M[i] = [p * u - a * v for u, v in zip(Mi, Mr)]
-                msum[i] = p * msum[i] - a * sr
-                beta[i] = p * beta[i] - a * br
-                continue
-            new = [(p * u - a * v) // D for u, v in zip(Mi, Mr)]
-            total = sum(new)
-            b_new, b_rem = divmod(p * beta[i] - a * br, D)
-            # Floor division leaves nonnegative remainders (D > 0), so they
-            # are all zero exactly when the row's sums agree.
-            if p * msum[i] - a * sr != D * total or b_rem:
-                raise LpError("inexact division in an integer pivot")
-            M[i], msum[i], beta[i] = new, total, b_new
+    def _pivot(self, row: int, alpha: Sequence[int], red: int) -> None:
+        """The kernel's exchange on the positive entry p = alpha[row], and
+        Edmonds' update on β and π; a division by D that is not exact
+        raises LpError.  `red` is the entering column's reduced cost times
+        D: π' = (p·π + red·M_r) / D."""
+        D, p, beta, pi = self.D, alpha[row], self.beta, self._pi
+        Mr = self.kernel.exchange(row, alpha)
+        at = list(alpha)
+        at[row] -= D                            # so that β_r stays
+        br = beta[row]
         if D == 1:
-            pi = [p * u + red * v for u, v in zip(pi, Mr)]
-        else:
-            new = [(p * u + red * v) // D for u, v in zip(pi, Mr)]
-            if sum(new) * D != p * sum(pi) + red * sr:
-                raise LpError("inexact division in an integer pivot")
-            pi = new
-        self._pi = pi
-        self.D = p
+            self.beta = [p * b - a * br for b, a in zip(beta, at)]
+            self._pi = [p * u + red * v for u, v in zip(pi, Mr)]
+            return
+        new_beta = [(p * b - a * br) // D for b, a in zip(beta, at)]
+        new_pi = [(p * u + red * v) // D for u, v in zip(pi, Mr)]
+        # Floor division leaves remainders in [0, D), so a list is exact
+        # exactly when its sum is.
+        if (D * sum(new_beta) != p * sum(beta) - sum(at) * br
+                or D * sum(new_pi) != p * sum(pi) + red * sum(Mr)):
+            raise LpError("inexact division in an integer pivot")
+        self.beta, self._pi = new_beta, new_pi
 
     def _enter(self, enter: int, red: int) -> None:
         """One simplex step: column `enter`, of reduced cost `red` (times D)
         below zero, enters the basis."""
-        get, vals = self.dots[enter]
-        if vals is None:
-            alpha = [sum(get(Mi)) for Mi in self.M]
-        else:
-            alpha = [sum(map(mul, get(Mi), vals)) for Mi in self.M]
+        alpha = self.kernel.express(self.dots[enter])
         beta, basis = self.beta, self.basis
         # Ratio test on β_i / α_i over α_i > 0 (D > 0 cancels), by
         # cross-multiplying; ties go to the lower basis index.

@@ -22,6 +22,8 @@ from unicover.families import (heawood, k4, k5, k33, petersen, random_node_weigh
                                random_subcubic_2ec)
 from unicover.table import TABLE, names
 
+import test_golden as golden
+
 COVER_INPUTS = {"18/19": petersen, "12/13": k33, "15/17": petersen,
                 "8/9": petersen, "7/8": heawood, "3/4": k5}
 
@@ -211,6 +213,41 @@ def test_column_generation_takes_the_pinned_pivot_path(monkeypatch, run):
     else:
         uniform_cover(petersen(), "18/19")
     assert (seen["pivots"], seen["scans"]) == PIVOT_PATHS[run]
+
+
+def _widest_lanes(monkeypatch):
+    """The widest lanes that any kernel reaches after the call, starting
+    from the width of a new kernel."""
+    widest = [simplex.Adjugate(1).width]
+    widen = simplex.Adjugate.widen
+
+    def recorded(self):
+        widen(self)
+        widest[0] = max(widest[0], self.width)
+
+    monkeypatch.setattr(simplex.Adjugate, "widen", recorded)
+    return widest
+
+
+@pytest.mark.parametrize("run", sorted(PIVOT_PATHS))
+def test_the_pinned_pivot_paths_keep_64_bit_lanes(monkeypatch, run):
+    # Lanes are as narrow as the values allow; a kernel that widened early
+    # would still be exact, only slower, so its width is pinned here.
+    if run == "connectors":
+        G, _ = _approx_input("twoecbeta")
+        x = lp.solve_subtour(G).x
+    widest = _widest_lanes(monkeypatch)
+    if run == "connectors":
+        decompose.decompose_connectors(G, x)
+    else:
+        uniform_cover(petersen(), "18/19")
+    assert widest == [64]
+
+
+def test_the_golden_cubic20_cover_widens_its_lanes(monkeypatch):
+    widest = _widest_lanes(monkeypatch)
+    uniform_cover(golden.cubic20(), "18/19")
+    assert widest[0] > 64
 
 
 @pytest.mark.parametrize("algorithm", ("tsp75", "twoecbeta"))

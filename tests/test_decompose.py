@@ -21,7 +21,7 @@ from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
 from unicover.graph import (GraphError, classify, connected_components, multiset_degrees,
                             one_edge_cuts)
 from unicover.lp import everywhere
-from unicover.simplex import solve_lp
+from unicover.simplex import Adjugate, solve_lp
 
 from conftest import (exhaustive_one_cover, kernel_vector, make_graph, mask_scan_min_tjoin,
                       restart_caratheodory)
@@ -649,39 +649,49 @@ TIED = st.sampled_from([F(1), F(2)])
 
 
 @st.composite
-def term_lists(draw, coeff=COEFF):
-    """Terms over m <= 4 edges with multiplicities 0-2: each object of a pool
-    of m + 2 to 12 distinct ones, more than the rank m + 1, then repeats
-    drawn from the pool; and a limit from m - 1 to m + 2, below and above
-    the rank.  With `coeff` TIED, ratio tests tie often, so steps drop
-    several terms at once."""
+def term_lists(draw, coeff=COEFF, mult=st.integers(0, 2)):
+    """Terms over m <= 4 edges with multiplicities `mult` (0-2): each object
+    of a pool of m + 2 to 12 distinct ones, more than the rank m + 1, then
+    repeats drawn from the pool; and a limit from m - 1 to m + 2, below and
+    above the rank.  With `coeff` TIED, ratio tests tie often, so steps
+    drop several terms at once."""
     m = draw(st.integers(1, 4))
-    obj = st.dictionaries(st.integers(0, m - 1), st.integers(0, 2), max_size=m)
+    obj = st.dictionaries(st.integers(0, m - 1), mult, max_size=m)
     pool = draw(st.lists(obj, min_size=m + 2, max_size=12, unique_by=canonical))
     repeats = draw(st.lists(st.sampled_from(pool), max_size=6))
     terms = [(draw(coeff), obj) for obj in pool + repeats]
     return terms, draw(st.integers(m - 1, m + 2))
 
 
-def reduce_counting_rewrites(terms, limit):
-    """caratheodory_reduce's result, and how many of its steps rewrote the
-    stored combinations without one earlier term."""
-    rewrites = 0
-    rewrite = decompose._rewrite_without
+def reduce_counting_swaps(terms, limit):
+    """caratheodory_reduce's result, and how many of its kernel exchanges
+    brought a term into a row that another term held.  The spy keeps the
+    rows that terms hold: `exchange` brings a term in, `release` a unit
+    column."""
+    swaps = 0
+    term_rows = {}              # kernel -> the rows its terms hold
+    exchange, release = Adjugate.exchange, Adjugate.release
 
-    def spy(*args):
-        nonlocal rewrites
-        rewrites += 1
-        return rewrite(*args)
+    def spy_exchange(self, row, alpha):
+        nonlocal swaps
+        held = term_rows.setdefault(self, set())
+        swaps += row in held
+        held.add(row)
+        return exchange(self, row, alpha)
 
-    with mock.patch.object(decompose, "_rewrite_without", spy):
-        return caratheodory_reduce(terms, limit), rewrites
+    def spy_release(self, row):
+        term_rows[self].remove(row)
+        return release(self, row)
+
+    with mock.patch.object(Adjugate, "exchange", spy_exchange), \
+            mock.patch.object(Adjugate, "release", spy_release):
+        return caratheodory_reduce(terms, limit), swaps
 
 
 def check_against_oracle(terms, limit):
     """caratheodory_reduce gives the restarting oracle's list, order and
-    coefficients, or its error, and rewrites its combinations once for each
-    step that drops one earlier term; returns the oracle's step kinds."""
+    coefficients, or its error, and exchanges a term for a term once for
+    each step that drops one earlier term; returns the oracle's step kinds."""
     steps = []
     try:
         want = restart_caratheodory(terms, limit, steps)
@@ -689,9 +699,9 @@ def check_against_oracle(terms, limit):
         with pytest.raises(DecompositionError, match=re.escape(str(exc))):
             caratheodory_reduce(terms, limit)
         return steps
-    got, rewrites = reduce_counting_rewrites(terms, limit)
+    got, swaps = reduce_counting_swaps(terms, limit)
     assert got == want
-    assert rewrites == steps.count("earlier")
+    assert swaps == steps.count("earlier")
     return steps
 
 
@@ -705,6 +715,32 @@ def test_caratheodory_matches_the_restarting_oracle(case):
 @settings(max_examples=300, deadline=None)
 def test_caratheodory_matches_the_restarting_oracle_on_ties(case):
     check_against_oracle(*case)
+
+
+@given(term_lists(mult=st.integers(0, 2 ** 40)))
+@settings(max_examples=200, deadline=None)
+def test_caratheodory_matches_the_restarting_oracle_on_wide_multiplicities(case):
+    # Multiplicities up to 2^40 put the basis's adjugate past 64-bit lanes.
+    check_against_oracle(*case)
+
+
+def test_caratheodory_widens_its_lanes(monkeypatch):
+    # Over three edges of multiplicities near 2^40, the adjugate's entries
+    # pass 2^80, and the lanes widen; the oracle still agrees.
+    widths = []
+    widen = Adjugate.widen
+
+    def recorded(self):
+        widen(self)
+        widths.append(self.width)
+
+    monkeypatch.setattr(Adjugate, "widen", recorded)
+    big = 2 ** 40
+    terms = [(F(1, 6), {}), (F(1, 6), {0: big}), (F(1, 6), {1: big + 1}),
+             (F(1, 6), {2: big + 3}), (F(1, 6), {0: big, 1: big + 1, 2: big + 3}),
+             (F(1, 6), {0: 1, 1: 1, 2: 1})]
+    assert check_against_oracle(terms, 4)
+    assert widths and max(widths) > 64
 
 
 @pytest.mark.parametrize("terms, limit, steps", [

@@ -116,24 +116,30 @@ class TestSimplex:
         with pytest.raises(LpError, match="inexact division"):
             tab._pivot(0, [1, 1], 0)
 
-    def test_pivot_rejects_a_row_of_m_its_sum_disagrees_with(self):
-        # One pivot on p = 2 leaves D = 2 and M = ((1, 0), (-1, 2)), whose
-        # rows sum to the kept (1, 1).  Pivoting on row 0 with α = (2, 2)
-        # then divides M_1 − M_0 by nothing but checks it through the sums.
-        # Adding 2 to M_1 keeps every entry's division exact, but M_1 no
-        # longer sums to 1, so the next divided pivot must raise.
+    def test_pivot_rejects_a_lane_that_divides_only_through_carries(self):
+        # One pivot on p = 2 leaves D = 2 and M = ((1, 0), (-1, 2)).  The
+        # column (1, 1) then has α = (1, 1), and a pivot on its row 0
+        # divides both columns of M by D.  Column 1's numerator is
+        # 1·(0, 2) − M_01·Ã = (0, 2), as M_01 = 0.  Adding 1 to M_11 makes
+        # its lane 1 odd, but lane 0 stays 0, so the packed numerator
+        # 3·2^W is still even: only the bound on the quotient's lanes can
+        # catch it.
         def after_one_pivot():
             tab = Tableau([F(1), F(1)], [0, 0])
             tab.add_column([(0, 2), (1, 1)], -1)
             tab.optimize()
-            assert (tab.D, tab.M, tab.msum) == (2, [[1, 0], [-1, 2]], [1, 1])
-            return tab
+            assert (tab.D, tab.kernel.matrix()) == (2, [[1, 0], [-1, 2]])
+            return tab, tab.add_column([(0, 1), (1, 1)], -1)
 
-        after_one_pivot()._pivot(0, [2, 2], 0)
-        tab = after_one_pivot()
-        tab.M[1] = [1, 2]
+        tab, j = after_one_pivot()
+        tab._pivot(0, [1, 1], tab._reduced_cost(j))
+        assert (tab.D, tab.kernel.matrix()) == (1, [[1, 0], [-1, 1]])
+        tab, j = after_one_pivot()
+        tab.kernel.cols[1] += 1 << tab.kernel.width
+        assert tab.kernel.matrix() == [[1, 0], [-1, 3]]
+        assert tab.kernel.cols[1] % tab.D == 0
         with pytest.raises(LpError, match="inexact division"):
-            tab._pivot(0, [2, 2], 0)
+            tab._pivot(0, [1, 1], tab._reduced_cost(j))
 
     def test_pivot_rejects_an_inexact_dual_update(self):
         # One row, so no row update; with D = 2 tampered in, π becomes
@@ -214,8 +220,7 @@ def fraction_inverse(B):
 def test_a_d1_pivot_is_the_fraction_update(b, data):
     # From the identity basis (D = 1) one pivot on a positive entry forms
     # its rows with no division.  Against the Fraction state: D' = det B'
-    # and M' = D'·B'⁻¹, with β' = M'·(L·b), π' = c_B'·M' and the sums of
-    # M''s rows kept.
+    # and M' = D'·B'⁻¹, with β' = M'·(L·b) and π' = c_B'·M'.
     m = len(b)
     costs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     col = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)
@@ -234,7 +239,7 @@ def test_a_d1_pivot_is_the_fraction_update(b, data):
     M = [[D * v for v in r] for r in fraction_inverse(B)]
     basic_costs = icosts[:row] + [cost] + icosts[row + 1:]
     assert tab.D == D
-    assert tab.M == M and tab.msum == [sum(r) for r in M]
+    assert tab.kernel.matrix() == M
     assert tab.beta == [sum(v * w for v, w in zip(r, beta)) for r in M]
     assert tab._pi == [sum(c * r[k] for c, r in zip(basic_costs, M)) for k in range(m)]
 
@@ -383,16 +388,22 @@ def test_tableau_follows_solve_lp(lp):
     # solve_lp's in the same order, and on these shapes phase 1 of solve_lp
     # is the kernel's run (artificial basis) or makes no pivot (slack basis).
     shape, b, cols, costs, _ = lp
+    assert_follows_solve_lp(Tableau, shape, b, cols, costs)
+
+
+def assert_follows_solve_lp(cls, shape, b, cols, costs):
+    """A `cls` Tableau with every column added before the simplex runs
+    returns solve_lp's vertex, value and duals, or its exception."""
     lp = shape, b, cols, costs, len(cols)
     try:
         want = solve_lp(*reference_lp(shape, b, cols, costs))
     except Unbounded:
         with pytest.raises(Unbounded):
-            run_kernel(Tableau, *lp)
+            run_kernel(cls, *lp)
         return
     except Infeasible:
         want = None
-    tab = run_kernel(Tableau, *lp)
+    tab = run_kernel(cls, *lp)
     if want is None:
         assert shape == "artificial" and tab.int_obj()[0] > 0
     elif shape == "slack":
@@ -404,15 +415,22 @@ def test_tableau_follows_solve_lp(lp):
 
 
 class KernelCheckedTableau(Tableau):
-    """A Tableau that checks the state it keeps: after every pivot, each
-    kept row sum is the sum of its row of M, and each one-column entering
-    check of `generate` returns what a full Bland scan would."""
+    """A Tableau that checks the state it keeps: after every pivot,
+    M·B = D·I for the basis columns B, π = c_B·M, and every entry of M lies
+    within the kernel's bound; and each one-column entering check of
+    `generate` returns what a full Bland scan would."""
     pivots = 0
     column_checks = 0
 
-    def _pivot(self, row, alpha, red):
-        super()._pivot(row, alpha, red)
-        assert self.msum == [sum(Mi) for Mi in self.M]
+    def _enter(self, enter, red):
+        super()._enter(enter, red)
+        M, D = self.kernel.matrix(), self.D
+        for k, j in enumerate(self.basis):
+            assert [sum(Mi[r] * v for r, v in self.cols[j]) for Mi in M] == [
+                D * (i == k) for i in range(self.rows)]
+        assert self._pi == [sum(self.icosts[j] * M[i][k] for i, j in enumerate(self.basis))
+                            for k in range(self.rows)]
+        assert all(abs(v) <= self.kernel.bound for Mi in M for v in Mi)
         KernelCheckedTableau.pivots += 1
 
     def _reduced_cost(self, j):
@@ -424,7 +442,7 @@ class KernelCheckedTableau(Tableau):
 
 @given(kernel_lp())
 @settings(max_examples=200, deadline=None)
-def test_row_sums_follow_m_on_random_lps(lp):
+def test_kernel_state_follows_the_basis_on_random_lps(lp):
     try:
         tab = run_kernel(KernelCheckedTableau, *lp)
     except Unbounded:
@@ -432,6 +450,35 @@ def test_row_sums_follow_m_on_random_lps(lp):
             solve_lp(*reference_lp(*lp[:4]))
         return
     assert_kernel_optimum(tab, *lp[:4])
+
+
+@pytest.mark.parametrize("scale, bits", [(2 ** 16, 30), (2 ** 32, 62)])
+def test_wide_adjugate_entries_follow_solve_lp(scale, bits):
+    # B = ((s, 0, 1), (1, s, 0), (0, 1, s)) has det s³ + 1 and adjugate
+    # entries up to s², past 2^bits; every column enters.  So the lanes
+    # widen, the second time past 128 bits.
+    b, cols = [F(1)] * 3, [[scale, 1, 0], [0, scale, 1], [1, 0, scale]]
+    tab = run_kernel(KernelCheckedTableau, "slack", b, cols, [-1] * 3, 3)
+    assert tab.basis == [3, 4, 5]
+    assert max(abs(v) for row in tab.kernel.matrix() for v in row) > 2 ** bits
+    assert tab.kernel.width > 64
+    want = solve_lp(*reference_lp("slack", b, cols, [-1] * 3))
+    pi, s = tab.int_duals()
+    assert (tab.solution()[3:], F(*tab.int_obj()), [F(p, s) for p in pi]) == (
+        want.x, want.value, want.duals)
+
+
+@given(kernel_lp(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tableau_follows_solve_lp_on_wide_columns(lp, data):
+    # test_tableau_follows_solve_lp with each column scaled by up to 2^70,
+    # so that D and the entries of M outgrow 64-bit lanes; the kernel's
+    # state is checked after every pivot.
+    shape, b, cols, costs, _ = lp
+    scales = data.draw(st.lists(st.integers(1, 2 ** 70), min_size=len(cols),
+                                max_size=len(cols)))
+    cols = [[v * k for v in col] for col, k in zip(cols, scales)]
+    assert_follows_solve_lp(KernelCheckedTableau, shape, b, cols, costs)
 
 
 def test_a_cycling_optimize_fails_at_the_session_pivot_cap():

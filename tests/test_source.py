@@ -146,7 +146,7 @@ def test_solve_lp_shares_no_code_with_the_kernel():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     solve_lp = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "solve_lp")
-    kernel = {"Tableau", "_dot_of", "SparseColumn", "scale_to_ints"}
+    kernel = {"Tableau", "Adjugate", "dot_of", "SparseColumn", "scale_to_ints"}
     named = {getattr(node, "id", None) or getattr(node, "attr", None)
              for node in ast.walk(solve_lp)}
     assert "Fraction" in named, "solve_lp names no Fraction, so this guard checks nothing"
