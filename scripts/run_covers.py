@@ -11,10 +11,12 @@ the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
 
 With --counts each row also gives the run's master solves (optimize calls),
-pivots, pricing rounds, full entering scans, T-join pricing calls, largest
-|T| and widest kernel lanes in bits (the Tableau's and Caratheodory's),
-counted by wrappers that this script installs around the simplex kernel
-and the T-join oracle; the library itself keeps no counts.
+pivots, pricing rounds, full entering scans, T-join oracle builds
+(tmasters: one per T-join master, so one per packed tree in wolsey_tours,
+and one per one-shot min_tjoin), T-join pricing calls, largest |T| and
+widest kernel lanes in bits (the Tableau's and Caratheodory's), counted by
+wrappers that this script installs around the simplex kernel and the
+T-join oracle; the library itself keeps no counts.
 """
 import argparse
 import hashlib
@@ -49,13 +51,13 @@ def generated(variant: str, n: int, count: int) -> list:
     return []
 
 
-COUNTS = ("solves", "pivots", "rounds", "scans", "tjoins", "max|T|", "lanes")
+COUNTS = ("solves", "pivots", "rounds", "scans", "tmasters", "tjoins", "max|T|", "lanes")
 
 
 def install_counters() -> Dict[str, int]:
     """Wrap Tableau.optimize, _pivot, _entering and generate's pricing step,
-    every T-join oracle, master and one-shot alike, and the kernel's start
-    and widening; return the counts."""
+    every T-join oracle's build and calls, master and one-shot alike, and
+    the kernel's start and widening; return the counts."""
     counts = dict.fromkeys(COUNTS, 0)
     generate, tjoin_price = Tableau.generate, decompose._tjoin_price
 
@@ -75,6 +77,7 @@ def install_counters() -> Dict[str, int]:
         return wrapper
 
     def counted_tjoin_price(G, index, T):
+        counts["tmasters"] += 1
         counts["max|T|"] = max(counts["max|T|"], len(T))
         return counted(tjoin_price(G, index, T), "tjoins")
 

@@ -7,11 +7,13 @@ minimum 1-cover over the minimal covers, listed once per connector).  The
 masters price with their undivided integer duals (π, s), y = π / s: each
 oracle's choices depend only on the order of the weights, which scaling by
 s > 0 keeps, ties included.  Optimality of the pricing step proves
-optimality of the master over the full object class.  The packing master
-returns that proof as a Packing: the value sigma, the terms and the final
-duals w, under which every object weighs at least 1 and x weighs sigma, so
-sigma < 1 puts x outside the class's dominant.  `Packing.terms_of` is the
-one place that words that refusal.
+optimality of the master over the full object class.  A packing master
+stops pricing once its restricted master packs value 1, all that a cover
+needs, and below 1 runs to its optimum.  It returns a Packing: the value
+sigma, the terms and the final duals w.  At an optimum below 1 every object
+weighs at least 1 under w and x weighs sigma, which puts x outside the
+class's dominant.  `Packing.terms_of` is the one place that words that
+refusal.
 
 Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
 pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
@@ -277,7 +279,11 @@ def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
 
 @dataclass(frozen=True)
 class Packing:
-    sigma: Fraction             # the packing value, sum(lambda)
+    """A packing master's result.  sigma is the packing value reached: at
+    least 1 when there are terms, and the largest packing value when it is
+    below 1.  Only then is w a proof, by LP duality, that no packing does
+    better; a master stopped at value 1 leaves the duals of its last basis."""
+    sigma: Fraction             # the packing value reached, sum(lambda)
     terms: Terms                # lambda over its sum, reduced; [] when sigma < 1
     w: Dict[int, Fraction]      # the final duals -π / s, per edge id of x's support
 
@@ -299,7 +305,12 @@ def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
     once, from the map `index` of edge id to row; its price gets the
     nonnegative int weights -π, one per row, on the dual scale s, and
     returns an exact minimum weight object (weight, multiset), which prices
-    out when it weighs less than s.  λ is read undivided, divided once."""
+    out when it weighs less than s.  λ is read undivided, divided once.
+
+    Pricing stops once the restricted master packs sum(lambda) = sigma >= 1.
+    Its optimum is feasible for the full master, so lambda / sigma is
+    dominated by x / sigma <= x, which is all the terms need.  Below 1 the
+    master runs to its optimum, where w is the refusal's proof."""
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
     index = {eid: i for i, (eid, _) in enumerate(rows)}
     price = oracle(index)
@@ -307,6 +318,10 @@ def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
     objects: List[EdgeMultiset] = []
 
     def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
+        # Each generated column costs -1, so sum(lambda) is -z over its scale.
+        z, scale = tab.int_obj()
+        if -z >= scale:
+            return None
         value, obj = price([-p for p in pi])
         return _keep(objects, index, tab.rows, obj) if value < s else None
 

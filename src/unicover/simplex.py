@@ -279,10 +279,11 @@ class Tableau:
         column is not; pricing a known column raises LpError.
 
         A column is added at an optimum, where no column prices below zero,
-        and adding it moves neither the basis nor the duals.  So Bland's rule
-        could pick only the new column: it alone is priced, and the simplex
-        goes on from it if it enters.  Every optimum that `price` sees was
-        proved by a full scan at the same basis."""
+        and adding it moves neither the basis nor the duals.  So every old
+        column still prices at zero or above, under any entering rule, and
+        only the new column needs pricing: the simplex goes on from it if it
+        enters.  Every optimum that `price` sees was proved by a full scan at
+        the same basis."""
         known = {tuple(col) for col in self.cols[self.rows:]}
         self.optimize()
         while True:

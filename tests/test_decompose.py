@@ -16,10 +16,10 @@ from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
                                 decompose_tjoins, make_combination, min_tjoin,
-                                verify_combination, wolsey_tours)
+                                pack_spanning_trees, verify_combination, wolsey_tours)
 from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
-from unicover.graph import (GraphError, classify, connected_components, multiset_degrees,
-                            one_edge_cuts)
+from unicover.graph import (GraphError, classify, connected_components, cut_edges,
+                            multiset_degrees, one_edge_cuts)
 from unicover.lp import everywhere
 from unicover.simplex import Adjugate, solve_lp
 
@@ -81,6 +81,22 @@ class TestSpanningTrees:
     def test_infeasible_rejected(self, c4):
         with pytest.raises(DecompositionError):
             decompose_spanning_trees(c4, everywhere(c4, F(1, 2)))
+
+    def test_outside_dominant_names_the_dual(self, monkeypatch):
+        # 1/4 everywhere packs spanning trees to 1/2 on K4 and to 2/5 on a
+        # cubic graph of 16 vertices.  Below 1 the master runs to its
+        # optimum, so w is its proof, and the message names it.
+        packings = record_packings(monkeypatch)
+        for g, value, weight in ((k4(), F(1, 2), "1/3"), (random_cubic_3ec(16, 1), F(2, 5), "1/15")):
+            with pytest.raises(DecompositionError) as info:
+                pack_spanning_trees(g, everywhere(g, F(1, 4)))
+            shown = ", ".join(f"e{eid}: {weight}" for eid in range(g.m))
+            assert str(info.value) == (
+                f"spanning tree packing value {value} < 1, so x is outside the dominant: "
+                f"every spanning tree weighs at least 1 under w = {{{shown}}}, but w.x = {value}")
+            packing = packings[-1][3]
+            assert packing.sigma == value and packing.terms == []
+            assert prim_min_tree(g, packing.w) >= 1
 
     def test_deterministic(self):
         g = petersen()
@@ -168,7 +184,7 @@ class TestTJoins:
                 decompose_tjoins(g, x, {0, 1})
             # The master's weights certify it, and the message names them:
             # every T-join weighs at least 1.
-            packing = packings[-1][-1]
+            packing = packings[-1][3]
             assert packing.sigma == F(3, 4) and packing.terms == []
             w = packing.w
             shown = ", ".join(f"e{eid}: {v}" for eid, v in w.items() if v)
@@ -180,22 +196,44 @@ class TestTJoins:
 
 
 def record_packings(monkeypatch):
-    """Wrap decompose._pack and the three packing oracle builders from
-    outside; each packing appends (G, x, (builder name, its arguments),
-    Packing) to the list returned."""
-    seen, built = [], []
+    """Wrap decompose._pack, its Tableau and the three packing oracle
+    builders from outside.  Each packing appends (G, x, (builder name, its
+    arguments), Packing, rounds) to the list returned; rounds holds, per
+    pricing call of its master, the restricted master's sum(lambda) read
+    from the tableau before the call and whether the object priced out."""
+    seen, built, tableaux = [], [], []
     for name in ("_mst_price", "_tjoin_price", "_one_cover_price"):
         def builder(*args, name=name, real=getattr(decompose, name)):
             built.append((name, args))
             return real(*args)
         monkeypatch.setattr(decompose, name, builder)
+
+    class Recorded(decompose.Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tableaux.append(self)
+
     pack = decompose._pack
 
     def recording(G, x, oracle):
-        packing = pack(G, x, oracle)
-        seen.append((G, x, built[-1], packing))
+        rounds = []
+
+        def recorded_oracle(index):
+            price = oracle(index)
+
+            def priced(w):
+                tab = tableaux[-1]
+                z, scale = tab.int_obj()
+                value, obj = price(w)
+                rounds.append((F(-z, scale), value < tab.D))
+                return value, obj
+            return priced
+
+        packing = pack(G, x, recorded_oracle)
+        seen.append((G, x, built[-1], packing, rounds))
         return packing
 
+    monkeypatch.setattr(decompose, "Tableau", Recorded)
     monkeypatch.setattr(decompose, "_pack", recording)
     return seen
 
@@ -215,25 +253,71 @@ def prim_min_tree(G, w):
     return total
 
 
-def test_every_golden_packing_carries_its_proof(monkeypatch):
-    # Every tree, T-join and 1-cover packing of the golden covers: the dual
-    # weights w are nonnegative, weigh x at sigma exactly, and weigh every
-    # object of the class at least 1, by the tests' own oracles; the terms
-    # pack sigma copies of their coverage below x.
-    packings = record_packings(monkeypatch)
+def k4_star_links():
+    """K4, the 1-edge cuts of its star at vertex 0 as crossing sets, and the
+    three links off the star: each crossing set is the two links at one
+    leaf, so every 1-cover takes two links."""
+    g = k4()
+    star = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
+    crossing = [cut_edges(g, shore) for shore, _ in one_edge_cuts(g, star)]
+    return g, crossing, [e.id for e in g.edges if e.id not in star]
+
+
+def pack_one_covers(g, crossing, x):
+    """The 1-cover packing master on x itself, its oracle looked up on the
+    module so that record_packings sees it."""
+    packing = decompose._pack(g, x, lambda index: decompose._one_cover_price(crossing, index))
+    return packing.terms_of(x, "1-cover")
+
+
+def refuse_each_class():
+    """One input outside each class's dominant: 1/4 everywhere on K4 packs
+    spanning trees to 1/2 and {0, 1}-joins to 3/4, and 1/2 on the links off
+    K4's star packs its 1-covers to 3/4."""
+    g, crossing, links = k4_star_links()
+    quarter = everywhere(g, F(1, 4))
+    for refusal in (lambda: pack_spanning_trees(g, quarter),
+                    lambda: decompose_tjoins(g, quarter, {0, 1}),
+                    lambda: pack_one_covers(g, crossing, {eid: F(1, 2) for eid in links})):
+        with pytest.raises(DecompositionError, match="packing value"):
+            refusal()
+
+
+def build_golden_covers():
     for variant, family, sha in golden.COVERS:
         G = family()
         assert golden.digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
-    kinds = set()
-    for G, x, (name, args), packing in packings:
+
+
+def test_every_golden_packing_carries_its_proof(monkeypatch):
+    # Every tree, T-join and 1-cover packing of the golden covers, and one
+    # refusal of each class.  A packing with terms packs sigma >= 1 copies
+    # of their coverage below x.  Where the last pricing call found no
+    # improving object, the master ran to its optimum and w is its proof:
+    # nonnegative, weighing x at sigma exactly and every object of the class
+    # at least 1, by the tests' own oracles.  A master that stops at value 1
+    # prices no more, so its last call improved and its w proves nothing;
+    # every golden master stops so, and only the refusals carry the proof.
+    packings = record_packings(monkeypatch)
+    build_golden_covers()
+    refuse_each_class()
+    packed, proved = set(), set()
+    for G, x, (name, args), packing, rounds in packings:
         w = packing.w
         assert sorted(w) == sorted(eid for eid, v in x.items() if v > 0)
+        if packing.terms:
+            assert packing.sigma >= 1
+            assert sum(c for c, _ in packing.terms) == 1
+            cover = decompose.coverage_of([(c, obj.items()) for c, obj in packing.terms])
+            assert all(packing.sigma * v <= x[eid] for eid, v in cover.items())
+            packed.add(name)
+        else:
+            assert packing.sigma < 1
+        if rounds[-1][1]:
+            assert packing.terms
+            continue
         assert all(v >= 0 for v in w.values())
         assert sum(v * x[eid] for eid, v in w.items()) == packing.sigma
-        assert packing.terms and packing.sigma >= 1
-        assert sum(c for c, _ in packing.terms) == 1
-        cover = decompose.coverage_of([(c, obj.items()) for c, obj in packing.terms])
-        assert all(packing.sigma * v <= x[eid] for eid, v in cover.items())
         if name == "_mst_price":
             least = prim_min_tree(G, w)
         elif name == "_tjoin_price":
@@ -241,8 +325,21 @@ def test_every_golden_packing_carries_its_proof(monkeypatch):
         else:
             least = exhaustive_one_cover(args[0], w, w)[0]
         assert least >= 1
-        kinds.add(name)
-    assert kinds == {"_mst_price", "_tjoin_price", "_one_cover_price"}
+        proved.add(name)
+    assert packed == proved == {"_mst_price", "_tjoin_price", "_one_cover_price"}
+
+
+def test_golden_masters_price_nothing_once_they_pack_value_1(monkeypatch):
+    # A restricted optimum's sum(lambda) never falls from one pricing call
+    # to the next, and every call sees it below 1; each golden master packs
+    # at least 1 though its last call still improved, so the stop ended it.
+    packings = record_packings(monkeypatch)
+    build_golden_covers()
+    assert packings
+    for _, _, _, packing, rounds in packings:
+        values = [v for v, _ in rounds]
+        assert values == sorted(values) and values[-1] < 1 <= packing.sigma
+        assert rounds[-1][1]
 
 
 class TestMinTJoin:
@@ -398,6 +495,22 @@ class TestOneCovers:
             chosen = dict(t.edges)
             for s in shores:
                 assert any((edge[eid].u in s) != (edge[eid].v in s) for eid in chosen)
+
+    def test_outside_dominant_names_the_dual(self, monkeypatch):
+        # Every 1-cover of K4's star takes two of the three links, so 1/2
+        # on each packs 1-covers to 3/4; decompose_one_covers' own target
+        # never falls outside, so the master is run on this one directly.
+        packings = record_packings(monkeypatch)
+        g, crossing, links = k4_star_links()
+        x = {eid: F(1, 2) for eid in links}
+        with pytest.raises(DecompositionError) as info:
+            pack_one_covers(g, crossing, x)
+        assert str(info.value) == (
+            "1-cover packing value 3/4 < 1, so x is outside the dominant: every 1-cover "
+            "weighs at least 1 under w = {e3: 1/2, e4: 1/2, e5: 1/2}, but w.x = 3/4")
+        packing = packings[-1][3]
+        assert packing.sigma == F(3, 4) and packing.terms == []
+        assert exhaustive_one_cover(crossing, links, packing.w)[0] == 1
 
     def test_no_bridges_short_circuit(self, c4):
         cyc = {e.id: 1 for e in c4.edges}

@@ -42,13 +42,13 @@ def cubic20():
 
 
 COVERS = [
-    ("18/19", k4, "c02c966204910d2cde84358be72cda82ee21067ec4dfe78ca041169da668be18"),
-    ("15/17", k4, "7ab454c983c3f94a1ddba80261ec87703bf213476ba2130dede477621d076686"),
-    ("8/9", k4, "ade351ec66dd4fa151bcfc93f9ddebe6f7a426217f00df770b1542ebe272674d"),
-    ("12/13", k33, "d186e217f26eafa1159492fddde150db2c38258b2084ddfa010e43b0e2f6b137"),
-    ("7/8", k33, "0acc861d610438c7b881310d17189c03bff69dce8666534e6df9f2c6a0bb8dc6"),
-    ("3/4", k5, "2d40a7cdb2714e3bb02a5410595a3e5429a9903fddf1dc13a6699628b5b1bb17"),
-    ("18/19", cubic20, "01858886b324257d7ca330a58c758240bcdd39778e1b5fca5c610dd2703e0393"),
+    ("18/19", k4, "92f14fc7106c4b6a3b906eeb884f9a34c664527310fb38e6db307b7b132d43b5"),
+    ("15/17", k4, "8df024ced0208e39ce05f049cb9e0c53f925e25b138930a97f52fc2d053e5880"),
+    ("8/9", k4, "5918adaf8f3db78aeab50762fcf789872c4ae1ae1f84eb4104659112d0e25110"),
+    ("12/13", k33, "37e577508d6b088f78df4241b0c466e50e22d9f8b6d4c625c4303ba6a54a5166"),
+    ("7/8", k33, "828e2807a8ac24722774d9e47e260f1c47a8a6e5817b7367fcefd3131463196d"),
+    ("3/4", k5, "d5d35a6601b810d71908dd7b18f795cf160d9c65d1d72bfa32a0c57377482e4a"),
+    ("18/19", cubic20, "fd93dd07a36d918c96d2472ee0d81f4841823ce8845b4f249bf9eba6c18dd29a"),
 ]
 
 
@@ -126,7 +126,7 @@ SOLVER_DOCUMENTS = [
     ("lp-subcubic", lambda: _lp(_subcubic),
      "b2d1437fbdf45df8be48a829981fa91694a42fb749d049daa9a5eca1669995af"),
     ("trees-petersen", lambda: _decomposition(petersen, "trees"),
-     "d4104468ebe2bbf99cabe36d1301c2d7c50f34b2e3cc3391811fdb4d6c50f052"),
+     "c35a6576d1397f66fa7a7d7cf437b8eae87a1498eea9c4ed6747c08554783888"),
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, "connectors"),
      "3e173bc03f29360672220360b69f5a047908376aa30e9d6900f57464a34cca20"),
