@@ -2,7 +2,10 @@
 """Run uniform-cover variants over the named instance corpus and generated
 n-vertex instances, and print an exact per-variant slack table with each
 certificate's time and the sha256 of its JSON (the bytes `unicover
-uniform-cover` writes).
+uniform-cover` writes).  Each variant's `== variant ... ==` header gives the
+alpha, r, cover_r and mixing that the table derives for it (table.Row),
+so every row records the numbers it ran with; "-" marks a number the
+recipe does not use.
 
 The generated instances are random_cubic_3ec(n, 1 + i), i < --random, for
 the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
@@ -106,7 +109,10 @@ def main() -> None:
     counts = install_counters() if args.counts else None
 
     for variant in args.variant or VARIANTS:
-        print(f"== variant {variant} ==")
+        row = TABLE[variant]
+        mixing = ",".join(map(str, row.mixing)) or "-"
+        print(f"== variant {variant} alpha={row.ratio} r={row.r} "
+              f"cover_r={row.cover_r or '-'} mixing={mixing} ==")
         instances = CORPUS[variant] + generated(variant, args.n, args.random)
         for name, G in instances:
             if counts is not None:

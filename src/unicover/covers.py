@@ -1,9 +1,12 @@
 """Certified uniform covers: write an everywhere-alpha vector as a dominating
 convex combination of tours or 2-edge-connected spanning multigraphs.
 
-Every variant is a cover row of table.TABLE: three recipes, each used with
-two sets of rationals.  build_certificate builds every certificate from
-its combination.  check_certificate re-verifies the combination exactly
+Every variant is a cover row of table.TABLE.  cover_parts builds the parts
+of its recipe in table.RECIPES, which bounds what each part covers on the
+cycle cover C and on the matching E - C; table.Row derives the row's alpha,
+mixing, r and cover_r from those bounds, and uniform_cover weighs the parts
+by the mixing.  build_certificate builds every certificate from its
+combination.  check_certificate re-verifies the combination exactly
 (convex, dominated by everywhere-alpha, every term of its class) and then
 compares each stored field with the certificate built from it.  The
 metadata holds only what the row fixes (its mixing weights or its
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    multiset_union, require_profile)
+from .graph import EdgeVector, GraphError, Multigraph, multiset_union, require_profile
 from .cyclecover import contracted_cycle_cover
-from .decompose import (ConvexCombination, decompose_spanning_trees, make_combination,
+from .decompose import (ConvexCombination, Terms, decompose_spanning_trees, make_combination,
                         one_cover_completions, verify_combination, wolsey_tours)
 from .lp import everywhere
 from .table import Row, check_fields, lookup_row, names
@@ -91,8 +93,7 @@ def _metadata(spec: Row) -> Dict[str, str]:
     return {"mixing": ",".join(str(w) for w in spec.mixing)}
 
 
-def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
-                      ) -> List[Tuple[Fraction, EdgeMultiset]]:
+def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction) -> Terms:
     """Trees packed from x, each completed by 1-covers of its bridges drawn
     from the everywhere-cover_r vector outside the tree."""
     return [(tc * coeff, obj)
@@ -100,8 +101,12 @@ def _tree_cover_terms(G: Multigraph, x: EdgeVector, cover_r: Fraction
             for coeff, obj in one_cover_completions(G, tree, cover_r)]
 
 
-def _cycle_cover_terms(G: Multigraph, spec: Row) -> List[Tuple[Fraction, EdgeMultiset]]:
-    """The two mixed parts of a cycle-cover construction."""
+def cover_parts(G: Multigraph, spec: Row) -> List[Terms]:
+    """The parts of the row's recipe, each a convex combination, that
+    uniform_cover weighs by the row's mixing.  G's profile is the caller's
+    to test."""
+    if spec.recipe == "tree+cover":
+        return [_tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r)]
     cc, H = contracted_cycle_cover(G)
     C = cc.cover_multiset()
     doubled = spec.recipe == "cycles+doubled-trees"
@@ -112,13 +117,8 @@ def _cycle_cover_terms(G: Multigraph, spec: Row) -> List[Tuple[Fraction, EdgeMul
         closed = [(c, multiset_union(C, {eid: mult * m for eid, m in obj.items()}))
                   for c, obj in pack(H, everywhere(H, spec.r))]
     x = {e.id: (Fraction(1, 2) if e.id in C else ONE) for e in G.edges}
-    if doubled:
-        rest = wolsey_tours(G, x)
-    else:
-        rest = _tree_cover_terms(G, x, spec.cover_r)
-    first, second = spec.mixing
-    return ([(first * coeff, obj) for coeff, obj in closed]
-            + [(second * coeff, obj) for coeff, obj in rest])
+    rest = wolsey_tours(G, x) if doubled else _tree_cover_terms(G, x, spec.cover_r)
+    return [closed, rest]
 
 
 def uniform_cover(G: Multigraph, variant: str) -> Certificate:
@@ -126,10 +126,9 @@ def uniform_cover(G: Multigraph, variant: str) -> Certificate:
     objects; the variant's row of the table says how it is built."""
     spec = lookup_row(variant, "cover", CoverError)
     require_profile(G, spec.profile, CoverError)
-    if spec.recipe == "tree+cover":
-        terms = _tree_cover_terms(G, everywhere(G, spec.r), spec.cover_r)
-    else:
-        terms = _cycle_cover_terms(G, spec)
+    terms = [(weight * coeff, obj)
+             for weight, part in zip(spec.mixing or (ONE,), cover_parts(G, spec))
+             for coeff, obj in part]
     comb = make_combination(G, terms, everywhere(G, spec.ratio), "dominated-by")
     cert = build_certificate(G, variant, comb, comb.coverage())
     check_certificate(G, cert)

@@ -149,17 +149,24 @@ def build_cycle_cover(G: Multigraph, cover: Set[int], cuts: List[FrozenSet[int]]
     )
 
 
-def verify_contraction(G: Multigraph, result: CycleCoverResult) -> Multigraph:
-    """G/C for the cover C of `result`, once it is checked: 5-edge-connected
-    in general, and with all even degrees and connectivity at least 6 when G
-    is bipartite.  Raises CycleCoverError otherwise.
+def contraction_connectivity(bipartite: bool) -> int:
+    """The edge-connectivity of G/C, for C a 2-factor of a cubic
+    3-edge-connected G that crosses every 3- and 4-edge cut: 5, or 6 when G
+    is bipartite.  A cut of G/C is a cut of G that C does not cross, so it
+    has at least 5 edges.  When G is bipartite every cycle of C is even, so
+    every degree of G/C is even, every cut of G/C is even, and so at least
+    6.  verify_contraction checks both facts on each G/C it returns."""
+    return 6 if bipartite else 5
 
-    H has no cut of at most 4 edges, and when all its degrees are even
-    every cut of H is even, so at least 6."""
+
+def verify_contraction(G: Multigraph, result: CycleCoverResult) -> Multigraph:
+    """G/C for the cover C of `result`, once it is checked: no cut below
+    contraction_connectivity, and all degrees even when G is bipartite.
+    Raises CycleCoverError otherwise."""
     H = contract(G, result.cover_multiset())
     if H.n == 1:
         return H
-    small = enumerate_cuts_upto(H, 4)
+    small = enumerate_cuts_upto(H, contraction_connectivity(False) - 1)
     if small:
         raise CycleCoverError(f"bad contraction: {describe_cut(small[0])} in the contraction")
     if is_bipartite(G) and any(d % 2 for d in H.degrees()):

@@ -15,12 +15,14 @@ weighs at least 1 under w and x weighs sigma, which puts x outside the
 class's dominant.  `Packing.terms_of` is the one place that words that
 refusal.
 
-Every stage returns Terms: at most |E| + 1 merged (coefficient, multiset)
-pairs in canonical order, as one fraction-free Caratheodory pass leaves them.
-That pass runs as basis exchanges on the simplex kernel's packed adjugate
-(simplex.Adjugate); this module holds no pivot code of its own.
-make_combination labels a pipeline's terms once, at its end, and
-verify_combination re-checks the result.
+Every stage returns Terms: at most |E| + 1 distinct (coefficient, multiset)
+pairs in canonical order.  A master's terms are its basic solution, at most
+one per master row, so they need no reducing.  make_combination,
+wolsey_tours and normalize_connectors reduce the terms they combine by one
+fraction-free Caratheodory pass, run as basis exchanges on the simplex
+kernel's packed adjugate (simplex.Adjugate); this module holds no pivot
+code of its own.  make_combination labels a pipeline's terms once, at its
+end, and verify_combination re-checks the result.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ Weights = Dict[int, Union[int, Fraction]]       # edge id -> weight
 # object's weight, the object).
 Oracle = Callable[[List[int]], Tuple[int, EdgeMultiset]]
 OracleBuilder = Callable[[Dict[int, int]], Oracle]     # from edge id -> row
-Terms = List[Tuple[Fraction, EdgeMultiset]]     # caratheodory_reduce's output
+# At most |E| + 1 distinct (coefficient, multiset) pairs, in canonical order.
+Terms = List[Tuple[Fraction, EdgeMultiset]]
 
 
 class DecompositionError(GraphError):
@@ -284,7 +287,8 @@ class Packing:
     below 1.  Only then is w a proof, by LP duality, that no packing does
     better; a master stopped at value 1 leaves the duals of its last basis."""
     sigma: Fraction             # the packing value reached, sum(lambda)
-    terms: Terms                # lambda over its sum, reduced; [] when sigma < 1
+    terms: Terms                # lambda over its sum, a basic solution: at most one
+                                # term per row, canonical order; [] when sigma < 1
     w: Dict[int, Fraction]      # the final duals -π / s, per edge id of x's support
 
     def terms_of(self, x: EdgeVector, what: str) -> Terms:
@@ -329,11 +333,18 @@ def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
     lam, scale = tab.int_solution()
     raw = [(v, obj) for v, obj in zip(lam[tab.rows:], objects) if v > 0]
     total = sum(v for v, _ in raw)
-    terms = (caratheodory_reduce([(Fraction(v, total), obj) for v, obj in raw], G.m + 1)
-             if total >= scale else [])
+    terms = _basic_terms([(Fraction(v, total), obj) for v, obj in raw]) if total >= scale else []
     pi, s = tab.int_duals()
     return Packing(Fraction(total, scale), terms,
                    {eid: Fraction(-pi[i], s) for eid, i in index.items()})
+
+
+def _basic_terms(terms: List[Tuple[Fraction, EdgeMultiset]]) -> Terms:
+    """A master's positive basic variables, in canonical order.  A basic
+    solution has at most one nonzero column per master row, and rows <=
+    |E| + 1; generate refuses a repeated column.  So a Caratheodory pass
+    would find nothing to merge or reduce."""
+    return sorted(terms, key=lambda term: canonical(term[1]))
 
 
 def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuilder,
@@ -619,7 +630,7 @@ def decompose_connectors(G: Multigraph, x: EdgeVector) -> Terms:
                            lambda index: _connector_price_max(G, index))
     if raw is None:
         raise DecompositionError("x is not in the connector polytope")
-    return caratheodory_reduce(raw, G.m + 1)
+    return _basic_terms(raw)
 
 
 def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,
