@@ -14,12 +14,13 @@ the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
 
 With --counts each row also gives the run's master solves (optimize calls),
-pivots, pricing rounds, full entering scans, T-join oracle builds
-(tmasters: one per T-join master, so one per packed tree in wolsey_tours,
-and one per one-shot min_tjoin), T-join pricing calls, largest |T| and
-widest kernel lanes in bits (the Tableau's and Caratheodory's), counted by
-wrappers that this script installs around the simplex kernel and the
-T-join oracle; the library itself keeps no counts.
+pivots, pricing rounds, full entering scans, T-join oracle builds (tbuilds:
+one per tour master in wolsey_tours, one per decompose_tjoins master and
+one per one-shot min_tjoin), T-join oracle calls (tjoins), the largest |T|
+that a call was handed and the widest kernel lanes in bits (the Tableau's
+and Caratheodory's), counted by wrappers that this script installs around
+the simplex kernel and the T-join oracle; the library itself keeps no
+counts.
 """
 import argparse
 import hashlib
@@ -54,7 +55,7 @@ def generated(variant: str, n: int, count: int) -> list:
     return []
 
 
-COUNTS = ("solves", "pivots", "rounds", "scans", "tmasters", "tjoins", "max|T|", "lanes")
+COUNTS = ("solves", "pivots", "rounds", "scans", "tbuilds", "tjoins", "max|T|", "lanes")
 
 
 def install_counters() -> Dict[str, int]:
@@ -79,10 +80,15 @@ def install_counters() -> Dict[str, int]:
             counts["lanes"] = max(counts["lanes"], self.width)
         return wrapper
 
-    def counted_tjoin_price(G, index, T):
-        counts["tmasters"] += 1
-        counts["max|T|"] = max(counts["max|T|"], len(T))
-        return counted(tjoin_price(G, index, T), "tjoins")
+    def counted_tjoin_price(G, index):
+        counts["tbuilds"] += 1
+        price = tjoin_price(G, index)
+
+        def counted_price(w, T):
+            counts["tjoins"] += 1
+            counts["max|T|"] = max(counts["max|T|"], len(T))
+            return price(w, T)
+        return counted_price
 
     Tableau.optimize = counted(Tableau.optimize, "solves")
     Tableau._pivot = counted(Tableau._pivot, "pivots")

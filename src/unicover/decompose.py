@@ -1,28 +1,30 @@
 """Convex decomposition of edge vectors into combinatorial objects.
 
 All decompositions run exact column generation: a fraction-free simplex master
-over the generated objects plus an exact pricing routine (minimum spanning tree,
+over the generated objects plus a pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
-minimum 1-cover over the minimal covers, listed once per connector).  The
-masters price with their undivided integer duals (π, s), y = π / s: each
-oracle's choices depend only on the order of the weights, which scaling by
-s > 0 keeps, ties included.  Optimality of the pricing step proves
-optimality of the master over the full object class.  A packing master
-stops pricing once its restricted master packs value 1, all that a cover
-needs, and below 1 runs to its optimum.  It returns a Packing: the value
-sigma, the terms and the final duals w.  At an optimum below 1 every object
-weighs at least 1 under w and x weighs sigma, which puts x outside the
-class's dominant.  `Packing.terms_of` is the one place that words that
-refusal.
+minimum 1-cover over the minimal covers, listed once per connector, and the
+tour "tree plus parity join").  The masters price with their undivided
+integer duals (π, s), y = π / s: each oracle's choices depend only on the
+order of the weights, which scaling by s > 0 keeps, ties included.  Where
+the pricing step is exact, its optimality proves optimality of the master
+over the full object class.  A packing master stops pricing once its
+restricted master packs value 1, all that a cover needs, and below 1 runs
+to its optimum.  It returns a Packing: the value sigma, the terms and the
+final duals w.  At an optimum below 1 every object weighs at least 1 under
+w and x weighs sigma, which puts x outside the class's dominant.
+`Packing.terms_of` is the one place that words that refusal.  The tour
+oracle is not exact, so the tour master never refuses: wolsey_tours shows
+that it reaches value 1, and a stall below it is an internal error.
 
 Every stage returns Terms: at most |E| + 1 distinct (coefficient, multiset)
 pairs in canonical order.  A master's terms are its basic solution, at most
-one per master row, so they need no reducing.  make_combination,
-wolsey_tours and normalize_connectors reduce the terms they combine by one
-fraction-free Caratheodory pass, run as basis exchanges on the simplex
-kernel's packed adjugate (simplex.Adjugate); this module holds no pivot
-code of its own.  make_combination labels a pipeline's terms once, at its
-end, and verify_combination re-checks the result.
+one per master row, so they need no reducing; wolsey_tours' terms are its
+master's.  make_combination and normalize_connectors reduce the terms they
+combine by one fraction-free Caratheodory pass, run as basis exchanges on
+the simplex kernel's packed adjugate (simplex.Adjugate); this module holds
+no pivot code of its own.  make_combination labels a pipeline's terms once,
+at its end, and verify_combination re-checks the result.
 """
 from __future__ import annotations
 
@@ -47,6 +49,8 @@ Weights = Dict[int, Union[int, Fraction]]       # edge id -> weight
 # A pricing oracle: an int weight per master row, in row order -> (the best
 # object's weight, the object).
 Oracle = Callable[[List[int]], Tuple[int, EdgeMultiset]]
+# The T-join oracle: the same, for the set T of odd vertices it is handed.
+JoinOracle = Callable[[List[int], Set[int]], Tuple[int, EdgeMultiset]]
 OracleBuilder = Callable[[Dict[int, int]], Oracle]     # from edge id -> row
 # At most |E| + 1 distinct (coefficient, multiset) pairs, in canonical order.
 Terms = List[Tuple[Fraction, EdgeMultiset]]
@@ -308,8 +312,10 @@ def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
     support in ascending id order.  `oracle(index)` builds the pricing state
     once, from the map `index` of edge id to row; its price gets the
     nonnegative int weights -π, one per row, on the dual scale s, and
-    returns an exact minimum weight object (weight, multiset), which prices
-    out when it weighs less than s.  λ is read undivided, divided once.
+    returns an object (weight, multiset), which prices out when it weighs
+    less than s: an exact minimum weight object, or for tours one that
+    weighs at most (3/2)·w·x (see wolsey_tours).  λ is read undivided,
+    divided once.
 
     Pricing stops once the restricted master packs sum(lambda) = sigma >= 1.
     Its optimum is feasible for the full master, so lambda / sigma is
@@ -402,16 +408,16 @@ def min_tjoin(G: Multigraph, weights: Weights, T: Set[int]) -> Tuple[Fraction, E
     the edges that `weights` lists: `_tjoin_price` once, over the weights
     scaled to ints, with a row per listed edge."""
     scale, ints = scale_to_ints(weights.values())
-    value, join = _tjoin_price(G, {eid: i for i, eid in enumerate(weights)}, T)(ints)
+    value, join = _tjoin_price(G, {eid: i for i, eid in enumerate(weights)})(ints, T)
     return Fraction(value, scale), join
 
 
-def _tjoin_price(G: Multigraph, index: Dict[int, int], T: Set[int]) -> Oracle:
+def _tjoin_price(G: Multigraph, index: Dict[int, int]) -> JoinOracle:
     """Exact minimum weight T-join in the edges of `index`, under a
-    nonnegative int weight per row: shortest paths between T-vertices plus
-    an exact matching DP, symmetric difference.  The adjacency, with the
-    row of each edge, is built once, here; a negative weight raises
-    DecompositionError.
+    nonnegative int weight per row, for the T of each call: shortest paths
+    between T-vertices plus an exact matching DP, symmetric difference.
+    The adjacency, with the row of each edge, is built once, here; an odd
+    |T| raises GraphError and a negative weight DecompositionError.
 
     The DP pairs the lowest unmatched terminal with each later one, so it
     reaches only the masks of such pairings (F(|T| + 1) of the 2^|T|, F the
@@ -420,18 +426,18 @@ def _tjoin_price(G: Multigraph, index: Dict[int, int], T: Set[int]) -> Oracle:
     layer before it, so ties break as in a scan of all masks in increasing
     order.  A terminal's search stops once every later terminal is settled;
     the last terminal is never the lower end of a pair and gets none."""
-    if len(T) % 2 == 1:
-        raise GraphError("odd |T|")
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(G.n)]   # (end, row, edge id)
     for e in G.edges:
         if e.id in index:
             adj[e.u].append((e.v, index[e.id], e.id))
             adj[e.v].append((e.u, index[e.id], e.id))
-    terms = sorted(T)
 
-    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
+    def price(w: List[int], T: Set[int]) -> Tuple[int, EdgeMultiset]:
+        if len(T) % 2 == 1:
+            raise GraphError("odd |T|")
         if w and min(w) < 0:
             raise DecompositionError("T-join pricing needs nonnegative weights")
+        terms = sorted(T)
         if not terms:
             return 0, {}
         dist_rows: List[List[Optional[int]]] = []    # None: not reached
@@ -496,6 +502,21 @@ def _tjoin_price(G: Multigraph, index: Dict[int, int], T: Set[int]) -> Oracle:
             mask &= ~(1 << i) & ~(1 << j)
         join = {eid: 1 for eid, m in join.items() if m}
         return sum(w[index[eid]] for eid in join), join
+
+    return price
+
+
+def _tour_price(G: Multigraph, index: Dict[int, int]) -> Oracle:
+    """Polyhedral Christofides as a pricing step: the minimum spanning tree
+    under w (_mst_price) plus a minimum T-join of its odd vertices T
+    (_tjoin_price), as a multiset, with its weight.  Not a minimum weight
+    tour; wolsey_tours says why it prices well enough."""
+    tree_price, join_price = _mst_price(G, index), _tjoin_price(G, index)
+
+    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
+        tree_weight, tree = tree_price(w)
+        join_weight, join = join_price(w, odd_vertices(G, tree))
+        return tree_weight + join_weight, multiset_union(tree, join)
 
     return price
 
@@ -615,7 +636,12 @@ def decompose_tjoins(G: Multigraph, x: EdgeVector, T: Set[int]) -> Terms:
     """T-joins dominated by x, for x in the T-join dominant."""
     if not T:
         return [(ONE, {})]
-    return _pack(G, x, lambda index: _tjoin_price(G, index, T)).terms_of(x, "T-join")
+
+    def oracle(index: Dict[int, int]) -> Oracle:
+        price = _tjoin_price(G, index)
+        return lambda w: price(w, T)
+
+    return _pack(G, x, oracle).terms_of(x, "T-join")
 
 
 def clip_at_two(x: EdgeVector) -> EdgeVector:
@@ -669,15 +695,29 @@ def one_cover_completions(G: Multigraph, F: EdgeMultiset, alpha: Fraction
 
 
 def wolsey_tours(G: Multigraph, x: EdgeVector) -> Terms:
-    """Tours dominated by (3/2) x: spanning trees of x, each completed with
-    parity-fixing joins drawn from x/2 (polyhedral Christofides).
-    decompose_spanning_trees tests x for subtour membership."""
-    half = {eid: v / 2 for eid, v in x.items()}
-    tours = caratheodory_reduce(
-        [(tc * jc, multiset_union(tree, join))
-         for tc, tree in decompose_spanning_trees(G, x)
-         for jc, join in decompose_tjoins(G, half, odd_vertices(G, tree))], G.m + 1)
-    for _, tour in tours:
+    """Tours dominated by (3/2) x, for x in the subtour polytope, which is
+    tested first (polyhedral Christofides; Wolsey 1980).  One packing
+    master, max sum(lambda) s.t. sum(lambda * chi) <= (3/2) x, priced by
+    _tour_price: H_w, a minimum spanning tree under w plus a minimum join
+    of its odd vertices.  Its terms are the master's basic solution.
+
+    The oracle is not an exact minimum, yet the master reaches value 1.
+    x lies in the spanning tree dominant, so the tree weighs at most w.x;
+    x/2 lies in every T-join dominant, so the join weighs at most w.x / 2.
+    So w(H_w) <= (3/2) w.x.  At a restricted optimum of value sigma < 1,
+    on the dual scale s, LP duality gives (3/2) w.x = sigma s < s: H_w
+    prices out, and it is a new column, since every kept column weighs at
+    least s there.  A master that ends below 1 has broken that bound, an
+    internal error that no input can cause."""
+    require_subtour(G, x)
+    target = {eid: Fraction(3, 2) * v for eid, v in x.items()}
+    packing = _pack(G, target, lambda index: _tour_price(G, index))
+    if packing.sigma < 1:
+        raise DecompositionError(
+            f"tour packing value {packing.sigma} < 1 for x in the subtour polytope: "
+            f"a tour that the pricing step returned broke Wolsey's bound "
+            f"w(tree + join) <= (3/2) w.x")
+    for _, tour in packing.terms:
         if "tour" not in classify(G, tour):
             raise DecompositionError(f"term {canonical(tour)} is not a tour")
-    return tours
+    return packing.terms

@@ -74,11 +74,12 @@ class Recipe:
 
 RECIPES: Dict[str, Recipe] = {
     # C plus doubled spanning trees of G/C packed from everywhere-r; Wolsey
-    # tours of x, dominated by (3/2)·x.
+    # tours of x, dominated by (3/2)·x: one master priced by a minimum
+    # spanning tree plus a minimum join of its odd vertices.
     "cycles+doubled-trees": Recipe("tour", False, True, False,
                                    lambda r, c: ((F(1), 2 * r), (F(3, 4), F(3, 2)))),
-    # C plus Wolsey tours of G/C from everywhere-r; trees of x, each
-    # completed by 1-covers.
+    # C plus Wolsey tours of G/C from everywhere-r, by the same master; trees
+    # of x, each completed by 1-covers.
     "cycles+tours": Recipe("twoec-multigraph", False, True, True,
                            lambda r, c: ((F(1), F(3, 2) * r),
                                          ((1 + one_cover_factor(c)) / 2, F(1)))),

@@ -18,11 +18,10 @@ from unicover.approx import approximate
 from unicover.connectors import two_cut_classes
 from unicover.covers import VARIANTS, uniform_cover
 from unicover.cyclecover import find_covering_cycle_cover
-from unicover.families import (heawood, k4, k5, k33, petersen, random_node_weights,
-                               random_subcubic_2ec)
+from unicover.families import (heawood, k4, k5, k33, petersen, random_cubic_3ec,
+                               random_node_weights, random_subcubic_2ec)
 from unicover.table import TABLE, names
 
-import test_golden as golden
 
 COVER_INPUTS = {"18/19": petersen, "12/13": k33, "15/17": petersen,
                 "8/9": petersen, "7/8": heawood, "3/4": k5}
@@ -187,8 +186,9 @@ def test_connector_master_stops_at_feasibility(monkeypatch):
 # the kernel that scanned every column after each added column: 11.  That
 # kernel made 23 full scans, of which 11 followed a round that added a column;
 # each of those is now one column's reduced cost.  The 18/19 path is that of
-# packing masters that stop once they pack value 1.
-PIVOT_PATHS = {"18/19-petersen": (87, 94), "connectors": (11, 23 - 11)}
+# packing masters that stop once they pack value 1, its tours packed by one
+# master priced by "tree plus parity join".
+PIVOT_PATHS = {"18/19-petersen": (70, 72), "connectors": (11, 23 - 11)}
 
 
 @pytest.mark.parametrize("run", sorted(PIVOT_PATHS))
@@ -245,9 +245,11 @@ def test_the_pinned_pivot_paths_keep_64_bit_lanes(monkeypatch, run):
     assert widest == [64]
 
 
-def test_the_golden_cubic20_cover_widens_its_lanes(monkeypatch):
+def test_an_18_19_cover_at_n_24_widens_its_lanes(monkeypatch):
+    # The golden cubic20 cover keeps 64-bit lanes; at n = 24 the values
+    # outgrow them.
     widest = _widest_lanes(monkeypatch)
-    uniform_cover(golden.cubic20(), "18/19")
+    uniform_cover(random_cubic_3ec(24, 1), "18/19")
     assert widest[0] > 64
 
 

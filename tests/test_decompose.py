@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from unicover import decompose, serialize
+from unicover import cli, decompose, serialize
 from unicover.connectors import decomposition
 from unicover.covers import uniform_cover
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
@@ -26,6 +26,7 @@ from unicover.simplex import Adjugate, solve_lp
 from conftest import (exhaustive_one_cover, kernel_vector, make_graph, mask_scan_min_tjoin,
                       restart_caratheodory)
 import test_golden as golden
+from test_acceptance import criterion_1_matrix
 
 F = Fraction
 
@@ -195,17 +196,29 @@ class TestTJoins:
             assert min_tjoin(g, w, {0, 1})[0] >= 1
 
 
+PRICING = ("_mst_price", "_tjoin_price", "_one_cover_price", "_tour_price")
+
+
 def record_packings(monkeypatch):
-    """Wrap decompose._pack, its Tableau and the three packing oracle
+    """Wrap decompose._pack, its Tableau and the four packing oracle
     builders from outside.  Each packing appends (G, x, (builder name, its
-    arguments), Packing, rounds) to the list returned; rounds holds, per
-    pricing call of its master, the restricted master's sum(lambda) read
-    from the tableau before the call and whether the object priced out."""
+    arguments, the arguments after w of each call of its price), Packing,
+    rounds) to the list returned; the builder is the master's own, not the
+    ones that the tour builder calls.  rounds holds, per pricing call of
+    its master, the restricted master's sum(lambda) read from the tableau
+    before the call, whether the object priced out, the int weights w, the
+    object's weight and the dual scale s."""
     seen, built, tableaux = [], [], []
-    for name in ("_mst_price", "_tjoin_price", "_one_cover_price"):
+    for name in PRICING:
         def builder(*args, name=name, real=getattr(decompose, name)):
-            built.append((name, args))
-            return real(*args)
+            calls = []
+            built.append((name, args, calls))
+            price = real(*args)
+
+            def called(w, *rest):
+                calls.append(rest)
+                return price(w, *rest)
+            return called
         monkeypatch.setattr(decompose, name, builder)
 
     class Recorded(decompose.Tableau):
@@ -216,7 +229,7 @@ def record_packings(monkeypatch):
     pack = decompose._pack
 
     def recording(G, x, oracle):
-        rounds = []
+        rounds, start = [], len(built)
 
         def recorded_oracle(index):
             price = oracle(index)
@@ -225,12 +238,12 @@ def record_packings(monkeypatch):
                 tab = tableaux[-1]
                 z, scale = tab.int_obj()
                 value, obj = price(w)
-                rounds.append((F(-z, scale), value < tab.D))
+                rounds.append((F(-z, scale), value < tab.D, list(w), value, tab.D))
                 return value, obj
             return priced
 
         packing = pack(G, x, recorded_oracle)
-        seen.append((G, x, built[-1], packing, rounds))
+        seen.append((G, x, built[start], packing, rounds))
         return packing
 
     monkeypatch.setattr(decompose, "Tableau", Recorded)
@@ -284,25 +297,30 @@ def refuse_each_class():
 
 
 def build_golden_covers():
+    """The golden covers, digests checked, and the golden T-join packing:
+    the covers pack tours in one master and run no T-join master."""
     for variant, family, sha in golden.COVERS:
         G = family()
         assert golden.digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+    golden.tjoin_packing()
 
 
 def test_every_golden_packing_carries_its_proof(monkeypatch):
-    # Every tree, T-join and 1-cover packing of the golden covers, and one
-    # refusal of each class.  A packing with terms packs sigma >= 1 copies
-    # of their coverage below x.  Where the last pricing call found no
-    # improving object, the master ran to its optimum and w is its proof:
-    # nonnegative, weighing x at sigma exactly and every object of the class
-    # at least 1, by the tests' own oracles.  A master that stops at value 1
-    # prices no more, so its last call improved and its w proves nothing;
-    # every golden master stops so, and only the refusals carry the proof.
+    # Every tree, tour and 1-cover packing of the golden covers, the golden
+    # T-join packing, and one refusal of each exact class.  A packing with
+    # terms packs sigma >= 1 copies of their coverage below x.  Where the
+    # last pricing call found no improving object, the master ran to its
+    # optimum and w is its proof: nonnegative, weighing x at sigma exactly
+    # and every object of the class at least 1, by the tests' own oracles.
+    # A master that stops at value 1 prices no more, so its last call
+    # improved and its w proves nothing; every golden master stops so, and
+    # only the refusals carry the proof.  The tour oracle is not exact, so
+    # a tour master's w proves nothing: it is packed, never proved.
     packings = record_packings(monkeypatch)
     build_golden_covers()
     refuse_each_class()
     packed, proved = set(), set()
-    for G, x, (name, args), packing, rounds in packings:
+    for G, x, (name, args, calls), packing, rounds in packings:
         w = packing.w
         assert sorted(w) == sorted(eid for eid, v in x.items() if v > 0)
         if packing.terms:
@@ -316,17 +334,19 @@ def test_every_golden_packing_carries_its_proof(monkeypatch):
         if rounds[-1][1]:
             assert packing.terms
             continue
+        assert name != "_tour_price"
         assert all(v >= 0 for v in w.values())
         assert sum(v * x[eid] for eid, v in w.items()) == packing.sigma
         if name == "_mst_price":
             least = prim_min_tree(G, w)
         elif name == "_tjoin_price":
-            least = mask_scan_min_tjoin(G, w, args[2])[0]
+            least = mask_scan_min_tjoin(G, w, calls[-1][0])[0]
         else:
             least = exhaustive_one_cover(args[0], w, w)[0]
         assert least >= 1
         proved.add(name)
-    assert packed == proved == {"_mst_price", "_tjoin_price", "_one_cover_price"}
+    assert packed == set(PRICING)
+    assert proved == {"_mst_price", "_tjoin_price", "_one_cover_price"}
 
 
 def test_golden_masters_price_nothing_once_they_pack_value_1(monkeypatch):
@@ -335,9 +355,9 @@ def test_golden_masters_price_nothing_once_they_pack_value_1(monkeypatch):
     # at least 1 though its last call still improved, so the stop ended it.
     packings = record_packings(monkeypatch)
     build_golden_covers()
-    assert packings
+    assert {name for _, _, (name, _, _), _, _ in packings} == set(PRICING)
     for _, _, _, packing, rounds in packings:
-        values = [v for v, _ in rounds]
+        values = [v for v, *_ in rounds]
         assert values == sorted(values) and values[-1] < 1 <= packing.sigma
         assert rounds[-1][1]
 
@@ -349,10 +369,10 @@ class TestMinTJoin:
         # the minimum; both pricing forms refuse the weights instead.
         with pytest.raises(DecompositionError, match="nonnegative"):
             min_tjoin(c4, {0: 1, 1: -2, 2: 1, 3: 1}, {0, 1})
-        price = decompose._tjoin_price(c4, {0: 0, 1: 1, 2: 2, 3: 3}, {0, 1})
-        assert price([1, 3, 1, 1]) == (1, {0: 1})
+        price = decompose._tjoin_price(c4, {0: 0, 1: 1, 2: 2, 3: 3})
+        assert price([1, 3, 1, 1], {0, 1}) == (1, {0: 1})
         with pytest.raises(DecompositionError, match="nonnegative"):
-            price([1, -2, 1, 1])
+            price([1, -2, 1, 1], {0, 1})
 
     def exhaustive_min(self, g, weights, T):
         import itertools
@@ -589,6 +609,54 @@ class TestWolseyTours:
         g = petersen()
         with pytest.raises(DecompositionError, match="outside subtour"):
             wolsey_tours(g, everywhere(g, F(1, 2)))
+
+    def test_a_stalled_master_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        # An oracle that weighs each tour 1 more than it is breaks Wolsey's
+        # bound at the first call, where w = 0 and s = 1: nothing prices
+        # out and the master ends at value 0.  That is no proof that x is
+        # outside anything, and the error says what broke.
+        real = decompose._tour_price
+
+        def over_heavy(G, index):
+            price = real(G, index)
+
+            def heavier(w):
+                value, tour = price(w)
+                return value + 1, tour
+            return heavier
+
+        monkeypatch.setattr(decompose, "_tour_price", over_heavy)
+        g = petersen()
+        with pytest.raises(DecompositionError,
+                           match=r"tour packing value 0 < 1 .*broke Wolsey's bound"):
+            wolsey_tours(g, everywhere(g, F(2, 3)))
+        path = tmp_path / "k4.txt"
+        path.write_text(serialize.graph_to_text(k4()))
+        assert cli.main(["uniform-cover", "--variant", "18/19", str(path)]) == cli.EXIT_PRECONDITION
+        assert "broke Wolsey's bound" in capsys.readouterr().err
+
+
+def test_every_tour_call_keeps_wolseys_bound(monkeypatch):
+    # wolsey_tours ends because every call of its oracle returns a tour of
+    # weight at most (3/2) w.x on the dual scale s.  The master's rows are
+    # (3/2) x, so that is w.b, which is sigma * s at each restricted
+    # optimum.  Below 1 the tour prices out, and each master ends on a call
+    # that improved, at value 1 or more: on every golden cover and on the
+    # criterion-1 matrix.
+    packings = record_packings(monkeypatch)
+    build_golden_covers()
+    for variant, g in criterion_1_matrix():
+        uniform_cover(g, variant)
+    tours = [p for p in packings if p[2][0] == "_tour_price"]
+    assert len(tours) > len(golden.COVERS)
+    for _, b, _, packing, rounds in tours:
+        rows = sorted(eid for eid, v in b.items() if v > 0)
+        for sigma, improved, w, value, s in rounds:
+            wb = sum((wi * b[eid] for wi, eid in zip(w, rows)), F(0))
+            assert wb == sigma * s
+            assert value <= wb
+            assert sigma < 1 and improved
+        assert packing.sigma >= 1 and packing.terms
 
 
 class TestCaratheodory:

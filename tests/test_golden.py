@@ -4,8 +4,8 @@ Each case pins the sha256 of the JSON artifact that `serialize.dumps` writes
 for one cheap instance of a cover variant, an approximation algorithm, the
 subtour LP, a decomposition of its optimum or a covering cycle cover, and of
 the small-cut family of one cubic graph.  One more cover, 18/19 on a
-20-vertex cubic graph, is there for its size: the denominators in its
-column-generation masters reach 4.6·10⁸.  A
+20-vertex cubic graph, is there for its size: the determinants of its
+column-generation masters reach 2.7·10⁶.  A
 refactor must leave every digest unchanged; a change that alters artifacts on
 purpose must say why in CHANGES.md and update the digests here.
 """
@@ -19,10 +19,11 @@ from unicover.approx import (approximate, tsp_7_5_node_weighted, tsp_beta,
                              twoec_13_10_node_weighted, twoec_beta)
 from unicover.connectors import decomposition
 from unicover.covers import uniform_cover
-from unicover.cyclecover import find_covering_cycle_cover
+from unicover.cyclecover import contracted_cycle_cover, find_covering_cycle_cover
+from unicover.decompose import decompose_spanning_trees, decompose_tjoins
 from unicover.families import (k4, k5, k33, petersen, random_cubic_3ec,
                                random_node_weights, random_subcubic_2ec)
-from unicover.graph import NodeWeights, enumerate_cuts_upto
+from unicover.graph import NodeWeights, enumerate_cuts_upto, odd_vertices
 from unicover.lp import solve_subtour
 from unicover.verify import verify_document
 
@@ -42,13 +43,13 @@ def cubic20():
 
 
 COVERS = [
-    ("18/19", k4, "92f14fc7106c4b6a3b906eeb884f9a34c664527310fb38e6db307b7b132d43b5"),
+    ("18/19", k4, "8a6f1b4f947f49aa5f2be5351f14a8fd7e100073f07c68d1c33cc05e744325a9"),
     ("15/17", k4, "8df024ced0208e39ce05f049cb9e0c53f925e25b138930a97f52fc2d053e5880"),
     ("8/9", k4, "5918adaf8f3db78aeab50762fcf789872c4ae1ae1f84eb4104659112d0e25110"),
-    ("12/13", k33, "37e577508d6b088f78df4241b0c466e50e22d9f8b6d4c625c4303ba6a54a5166"),
+    ("12/13", k33, "9a611bd7bfc94ce198e1b75a6049c2fac7ebcd50760268e66dada830ac38e984"),
     ("7/8", k33, "828e2807a8ac24722774d9e47e260f1c47a8a6e5817b7367fcefd3131463196d"),
     ("3/4", k5, "d5d35a6601b810d71908dd7b18f795cf160d9c65d1d72bfa32a0c57377482e4a"),
-    ("18/19", cubic20, "fd93dd07a36d918c96d2472ee0d81f4841823ce8845b4f249bf9eba6c18dd29a"),
+    ("18/19", cubic20, "8f6e513aa130cabf0a4957dbc17d3b04027c652af598948df1743f8df32f3f9b"),
 ]
 
 
@@ -59,6 +60,18 @@ def test_cover_artifact_bytes(variant, family, sha):
     doc = serialize.certificate_to_json(G, uniform_cover(G, variant))
     assert digest(doc) == sha
     assert verify_document(doc).ok
+
+
+def tjoin_packing():
+    """The corpus's T-join master, since the covers pack their tours in one
+    master and run none: T-joins of x/2 on Petersen, with x the vector that
+    18/19 hands wolsey_tours there (1/2 on the covering cycle cover, 1 off
+    it) and T the odd vertices of the first spanning tree packed from x."""
+    G = petersen()
+    cover = contracted_cycle_cover(G)[0].cover_multiset()
+    x = {e.id: Fraction(1, 2) if e.id in cover else Fraction(1) for e in G.edges}
+    tree = decompose_spanning_trees(G, x)[0][1]
+    return decompose_tjoins(G, {eid: v / 2 for eid, v in x.items()}, odd_vertices(G, tree))
 
 
 def _node_weighted(run, family, n):

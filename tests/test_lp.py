@@ -497,14 +497,16 @@ def test_a_cycling_optimize_fails_at_the_session_pivot_cap():
 
 def test_kept_state_holds_on_the_golden_masters(monkeypatch):
     # Every master of the golden corpus: the covers (their spanning tree,
-    # T-join and 1-cover packings), the beta rows' connector masters and the
-    # subtour LPs under all of them, with the digests unchanged.
+    # tour and 1-cover packings), the golden T-join packing, the beta rows'
+    # connector masters and the subtour LPs under all of them, with the
+    # digests unchanged.
     for module in (lp_layer, decompose):
         monkeypatch.setattr(module, "Tableau", KernelCheckedTableau)
     pivots, checks = KernelCheckedTableau.pivots, KernelCheckedTableau.column_checks
     for variant, family, sha in golden.COVERS:
         G = family()
         assert golden.digest(serialize.certificate_to_json(G, uniform_cover(G, variant))) == sha
+    assert golden.tjoin_packing()
     for _, build, sha in golden.APPROX:
         assert golden.digest(build()) == sha
     assert KernelCheckedTableau.pivots > pivots
