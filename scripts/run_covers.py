@@ -14,13 +14,15 @@ the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
 
 With --counts each row also gives the run's master solves (optimize calls),
-pivots, pricing rounds, full entering scans, T-join oracle builds (tbuilds:
-one per tour master in wolsey_tours, one per decompose_tjoins master and
-one per one-shot min_tjoin), T-join oracle calls (tjoins), the largest |T|
-that a call was handed and the widest kernel lanes in bits (the Tableau's
-and Caratheodory's), counted by wrappers that this script installs around
-the simplex kernel and the T-join oracle; the library itself keeps no
-counts.
+pivots, pricing rounds, the packing rounds whose column found at smoothed
+duals did not price out at the duals themselves, so that the round priced
+again there (mispriced), full entering scans, T-join oracle builds
+(tbuilds: one per tour master in wolsey_tours, one per decompose_tjoins
+master and one per one-shot min_tjoin), T-join oracle calls (tjoins), the
+largest |T| that a call was handed and the widest kernel lanes in bits (the
+Tableau's and Caratheodory's), counted by wrappers that this script
+installs around the simplex kernel, the packing masters' oracles and the
+T-join oracle; the library itself keeps no counts.
 """
 import argparse
 import hashlib
@@ -55,15 +57,19 @@ def generated(variant: str, n: int, count: int) -> list:
     return []
 
 
-COUNTS = ("solves", "pivots", "rounds", "scans", "tbuilds", "tjoins", "max|T|", "lanes")
+COUNTS = ("solves", "pivots", "rounds", "mispriced", "scans", "tbuilds", "tjoins", "max|T|",
+          "lanes")
 
 
 def install_counters() -> Dict[str, int]:
     """Wrap Tableau.optimize, _pivot, _entering and generate's pricing step,
-    every T-join oracle's build and calls, master and one-shot alike, and
-    the kernel's start and widening; return the counts."""
+    the oracle of every packing master (_pack prices at most twice a round,
+    the second time only on a mispricing), every T-join oracle's build and
+    calls, master and one-shot alike, and the kernel's start and widening;
+    return the counts."""
     counts = dict.fromkeys(COUNTS, 0)
-    generate, tjoin_price = Tableau.generate, decompose._tjoin_price
+    generate, tjoin_price, pack = Tableau.generate, decompose._tjoin_price, decompose._pack
+    priced = [0]            # oracle calls in the current pricing round
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -72,7 +78,23 @@ def install_counters() -> Dict[str, int]:
         return wrapper
 
     def counted_generate(self, price, cost):
-        return generate(self, counted(price, "rounds"), cost)
+        def round_(*args):
+            counts["rounds"] += 1
+            priced[0] = 0
+            return price(*args)
+        return generate(self, round_, cost)
+
+    def counted_pack(G, x, oracle):
+        def built(index):
+            price = oracle(index)
+
+            def counted_price(w):
+                priced[0] += 1
+                if priced[0] == 2:
+                    counts["mispriced"] += 1
+                return price(w)
+            return counted_price
+        return pack(G, x, built)
 
     def widest(fn):
         def wrapper(self, *args):
@@ -97,6 +119,7 @@ def install_counters() -> Dict[str, int]:
     Adjugate.__init__ = widest(Adjugate.__init__)
     Adjugate.widen = widest(Adjugate.widen)
     decompose._tjoin_price = counted_tjoin_price
+    decompose._pack = counted_pack
     return counts
 
 

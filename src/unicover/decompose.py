@@ -5,14 +5,18 @@ over the generated objects plus a pricing routine (minimum spanning tree,
 minimum T-join via shortest paths and a matching DP, maximum-weight connector,
 minimum 1-cover over the minimal covers, listed once per connector, and the
 tour "tree plus parity join").  The masters price with their undivided
-integer duals (π, s), y = π / s: each oracle's choices depend only on the
-order of the weights, which scaling by s > 0 keeps, ties included.  Where
-the pricing step is exact, its optimality proves optimality of the master
-over the full object class.  A packing master stops pricing once its
-restricted master packs value 1, all that a cover needs, and below 1 runs
-to its optimum.  It returns a Packing: the value sigma, the terms and the
-final duals w.  At an optimum below 1 every object weighs at least 1 under
-w and x weighs sigma, which puts x outside the class's dominant.
+integer duals (π, s), y = π / s, so the oracles get ints.  A packing master
+(_pack) first prices each round at smoothed duals, a convex combination of
+y and a centre floored to ints (Wentges), whose object enters only if it
+prices out at y; otherwise it prices again at y itself.  The smoothing
+only chooses which improving column enters: pricing at y still decides
+when the master ends, so where the pricing step is exact, its optimality
+at y proves optimality of the master over the full object class, as
+before.  A packing master stops pricing once its restricted master packs
+value 1, all that a cover needs, and below 1 runs to its optimum.  It
+returns a Packing: the value sigma, the terms and the final duals w.  At an
+optimum below 1 every object weighs at least 1 under w and x weighs sigma,
+which puts x outside the class's dominant.
 `Packing.terms_of` is the one place that words that refusal.  The tour
 oracle is not exact, so the tour master never refuses: wolsey_tours shows
 that it reaches value 1, and a stall below it is an internal error.
@@ -306,34 +310,62 @@ class Packing:
             f"every {what} weighs at least 1 under w = {{{shown}}}, but w.x = {wx}")
 
 
+SMOOTHING = Fraction(3, 4)     # the centre's share of each smoothed price
+SMOOTH_BITS = 16                # smoothed weights are ints on the scale s·2^16
+
+
 def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
     """The Packing of x by one class (sigma, terms and w), from the master
     max sum(lambda) s.t. sum(lambda * chi) <= x, a row per edge of x's
     support in ascending id order.  `oracle(index)` builds the pricing state
-    once, from the map `index` of edge id to row; its price gets the
-    nonnegative int weights -π, one per row, on the dual scale s, and
-    returns an object (weight, multiset), which prices out when it weighs
-    less than s: an exact minimum weight object, or for tours one that
-    weighs at most (3/2)·w·x (see wolsey_tours).  λ is read undivided,
-    divided once.
+    once, from the map `index` of edge id to row; its price gets nonnegative
+    int weights, one per row, and returns an object (weight, multiset): an
+    exact minimum weight object, or for tours one that weighs at most
+    (3/2)·w·x (see wolsey_tours).  λ is read undivided, divided once.
+
+    Each round prices first at smoothed duals (Wentges): ỹ = α·ȳ + (1 − α)·y
+    with α = SMOOTHING, y = -π / s the master's duals and ȳ the centre,
+    which starts at 1 / sum(x) on every row and moves to ỹ after each round.
+    ỹ is floored to ints on the scale s·2^SMOOTH_BITS, so the oracles still
+    get ints.  Its object enters when it prices out at y, that is when its
+    own weight under the ints -π is below s; at a restricted optimum every
+    kept column weighs at least s, so it is a new one.  Otherwise the round
+    is a mispricing, and prices again at y itself, whose object enters when
+    the oracle weighs it below s.  So the loop still ends only when pricing
+    at y finds nothing, or once the restricted master packs value 1.
 
     Pricing stops once the restricted master packs sum(lambda) = sigma >= 1.
     Its optimum is feasible for the full master, so lambda / sigma is
     dominated by x / sigma <= x, which is all the terms need.  Below 1 the
-    master runs to its optimum, where w is the refusal's proof."""
+    master runs to its optimum, proved by an exact oracle at y, where w is
+    the refusal's proof, as it would be without smoothing."""
     rows = sorted((eid, v) for eid, v in x.items() if v > 0)
     index = {eid: i for i, (eid, _) in enumerate(rows)}
     price = oracle(index)
     tab = Tableau([v for _, v in rows], [0] * len(rows))    # slacks
     objects: List[EdgeMultiset] = []
+    num, den = SMOOTHING.numerator, SMOOTHING.denominator
+    size = sum((v for _, v in rows), ZERO)
+    centre, cscale = [size.denominator] * len(rows), size.numerator     # ȳ = centre / cscale
 
     def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
+        nonlocal centre, cscale
         # Each generated column costs -1, so sum(lambda) is -z over its scale.
         z, scale = tab.int_obj()
         if -z >= scale:
             return None
-        value, obj = price([-p for p in pi])
-        return _keep(objects, index, tab.rows, obj) if value < s else None
+        w = [-p for p in pi]
+        # ỹ·s·2^k = (α·ȳ·s + (1 − α)·w)·2^k, with α = num / den and
+        # ȳ = centre / cscale, over the one denominator den·cscale.
+        smoothed = [((num * c * s + (den - num) * cscale * v) << SMOOTH_BITS) // (den * cscale)
+                    for c, v in zip(centre, w)]
+        centre, cscale = smoothed, s << SMOOTH_BITS
+        obj = price(smoothed)[1]
+        if sum(w[index[eid]] * m for eid, m in obj.items()) >= s:
+            value, obj = price(w)           # a mispricing: price at y
+            if value >= s:
+                return None
+        return _keep(objects, index, tab.rows, obj)
 
     tab.generate(improving, -1)
     lam, scale = tab.int_solution()
@@ -704,11 +736,13 @@ def wolsey_tours(G: Multigraph, x: EdgeVector) -> Terms:
     The oracle is not an exact minimum, yet the master reaches value 1.
     x lies in the spanning tree dominant, so the tree weighs at most w.x;
     x/2 lies in every T-join dominant, so the join weighs at most w.x / 2.
-    So w(H_w) <= (3/2) w.x.  At a restricted optimum of value sigma < 1,
-    on the dual scale s, LP duality gives (3/2) w.x = sigma s < s: H_w
-    prices out, and it is a new column, since every kept column weighs at
-    least s there.  A master that ends below 1 has broken that bound, an
-    internal error that no input can cause."""
+    So w(H_w) <= (3/2) w.x, for any w >= 0.  At a restricted optimum of
+    value sigma < 1, with w the duals on their scale s, LP duality gives
+    (3/2) w.x = sigma s < s: H_w prices out, and it is a new column, since
+    every kept column weighs at least s there.  So a round whose smoothed
+    weights misprice still finds a column at the duals themselves.  A
+    master that ends below 1 has broken that bound, an internal error that
+    no input can cause."""
     require_subtour(G, x)
     target = {eid: Fraction(3, 2) * v for eid, v in x.items()}
     packing = _pack(G, target, lambda index: _tour_price(G, index))

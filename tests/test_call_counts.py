@@ -187,8 +187,9 @@ def test_connector_master_stops_at_feasibility(monkeypatch):
 # kernel made 23 full scans, of which 11 followed a round that added a column;
 # each of those is now one column's reduced cost.  The 18/19 path is that of
 # packing masters that stop once they pack value 1, its tours packed by one
-# master priced by "tree plus parity join".
-PIVOT_PATHS = {"18/19-petersen": (70, 72), "connectors": (11, 23 - 11)}
+# master priced by "tree plus parity join", every master priced first at
+# smoothed duals.
+PIVOT_PATHS = {"18/19-petersen": (22, 24), "connectors": (11, 23 - 11)}
 
 
 @pytest.mark.parametrize("run", sorted(PIVOT_PATHS))
@@ -245,11 +246,12 @@ def test_the_pinned_pivot_paths_keep_64_bit_lanes(monkeypatch, run):
     assert widest == [64]
 
 
-def test_an_18_19_cover_at_n_24_widens_its_lanes(monkeypatch):
-    # The golden cubic20 cover keeps 64-bit lanes; at n = 24 the values
-    # outgrow them.
+def test_an_18_19_cover_at_n_28_widens_its_lanes(monkeypatch):
+    # The golden cubic20 cover keeps 64-bit lanes, and with smoothed
+    # pricing so do the 18/19 covers of random_cubic_3ec(24, s), s = 1-3;
+    # at n = 28 the values outgrow them.
     widest = _widest_lanes(monkeypatch)
-    uniform_cover(random_cubic_3ec(24, 1), "18/19")
+    uniform_cover(random_cubic_3ec(28, 1), "18/19")
     assert widest[0] > 64
 
 

@@ -19,7 +19,7 @@ from unicover.decompose import (ConvexCombination, DecompositionError, Term,
                                 pack_spanning_trees, verify_combination, wolsey_tours)
 from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
 from unicover.graph import (GraphError, classify, connected_components, cut_edges,
-                            multiset_degrees, one_edge_cuts)
+                            multiset_degrees, multiset_union, one_edge_cuts)
 from unicover.lp import everywhere
 from unicover.simplex import Adjugate, solve_lp
 
@@ -203,11 +203,15 @@ def record_packings(monkeypatch):
     """Wrap decompose._pack, its Tableau and the four packing oracle
     builders from outside.  Each packing appends (G, x, (builder name, its
     arguments, the arguments after w of each call of its price), Packing,
-    rounds) to the list returned; the builder is the master's own, not the
-    ones that the tour builder calls.  rounds holds, per pricing call of
-    its master, the restricted master's sum(lambda) read from the tableau
-    before the call, whether the object priced out, the int weights w, the
-    object's weight and the dual scale s."""
+    rounds, added) to the list returned; the builder is the master's own,
+    not the ones that the tour builder calls.  rounds holds, per pricing
+    call of its master, the restricted master's sum(lambda) read from the
+    tableau before the call, whether the object priced out at the master's
+    duals y (weighed under the ints -π, below the dual scale s), whether w
+    was -π itself rather than smoothed weights, the int weights w, the
+    object's weight under w, and w's own scale: s for -π, s·2^SMOOTH_BITS
+    for smoothed weights.  added holds, per column the master added, its
+    weight under -π and s, read just before it was added."""
     seen, built, tableaux = [], [], []
     for name in PRICING:
         def builder(*args, name=name, real=getattr(decompose, name)):
@@ -224,7 +228,13 @@ def record_packings(monkeypatch):
     class Recorded(decompose.Tableau):
         def __init__(self, *args):
             super().__init__(*args)
+            self.added = []
             tableaux.append(self)
+
+        def add_column(self, col, cost):
+            pi, s = self.int_duals()
+            self.added.append((sum(-pi[i] * v for i, v in col), s))
+            return super().add_column(col, cost)
 
     pack = decompose._pack
 
@@ -237,13 +247,18 @@ def record_packings(monkeypatch):
             def priced(w):
                 tab = tableaux[-1]
                 z, scale = tab.int_obj()
+                pi, s = tab.int_duals()
+                y = [-p for p in pi]
                 value, obj = price(w)
-                rounds.append((F(-z, scale), value < tab.D, list(w), value, tab.D))
+                weight = sum(y[index[eid]] * m for eid, m in obj.items())
+                at_y = list(w) == y
+                rounds.append((F(-z, scale), weight < s, at_y, list(w), value,
+                               s if at_y else s << decompose.SMOOTH_BITS))
                 return value, obj
             return priced
 
         packing = pack(G, x, recorded_oracle)
-        seen.append((G, x, built[start], packing, rounds))
+        seen.append((G, x, built[start], packing, rounds, tableaux[-1].added))
         return packing
 
     monkeypatch.setattr(decompose, "Tableau", Recorded)
@@ -309,8 +324,9 @@ def test_every_golden_packing_carries_its_proof(monkeypatch):
     # Every tree, tour and 1-cover packing of the golden covers, the golden
     # T-join packing, and one refusal of each exact class.  A packing with
     # terms packs sigma >= 1 copies of their coverage below x.  Where the
-    # last pricing call found no improving object, the master ran to its
-    # optimum and w is its proof: nonnegative, weighing x at sigma exactly
+    # last pricing call found no improving object, it priced at the duals
+    # themselves, not at smoothed ones, so the master ran to its optimum
+    # and w is its proof: nonnegative, weighing x at sigma exactly
     # and every object of the class at least 1, by the tests' own oracles.
     # A master that stops at value 1 prices no more, so its last call
     # improved and its w proves nothing; every golden master stops so, and
@@ -320,7 +336,7 @@ def test_every_golden_packing_carries_its_proof(monkeypatch):
     build_golden_covers()
     refuse_each_class()
     packed, proved = set(), set()
-    for G, x, (name, args, calls), packing, rounds in packings:
+    for G, x, (name, args, calls), packing, rounds, _ in packings:
         w = packing.w
         assert sorted(w) == sorted(eid for eid, v in x.items() if v > 0)
         if packing.terms:
@@ -334,6 +350,7 @@ def test_every_golden_packing_carries_its_proof(monkeypatch):
         if rounds[-1][1]:
             assert packing.terms
             continue
+        assert rounds[-1][2]
         assert name != "_tour_price"
         assert all(v >= 0 for v in w.values())
         assert sum(v * x[eid] for eid, v in w.items()) == packing.sigma
@@ -355,8 +372,8 @@ def test_golden_masters_price_nothing_once_they_pack_value_1(monkeypatch):
     # at least 1 though its last call still improved, so the stop ended it.
     packings = record_packings(monkeypatch)
     build_golden_covers()
-    assert {name for _, _, (name, _, _), _, _ in packings} == set(PRICING)
-    for _, _, _, packing, rounds in packings:
+    assert {name for _, _, (name, _, _), _, _, _ in packings} == set(PRICING)
+    for _, _, _, packing, rounds, _ in packings:
         values = [v for v, *_ in rounds]
         assert values == sorted(values) and values[-1] < 1 <= packing.sigma
         assert rounds[-1][1]
@@ -611,10 +628,11 @@ class TestWolseyTours:
             wolsey_tours(g, everywhere(g, F(1, 2)))
 
     def test_a_stalled_master_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
-        # An oracle that weighs each tour 1 more than it is breaks Wolsey's
-        # bound at the first call, where w = 0 and s = 1: nothing prices
-        # out and the master ends at value 0.  That is no proof that x is
-        # outside anything, and the error says what broke.
+        # An oracle that returns H_w plus two copies of every edge, a tour
+        # that breaks Wolsey's bound whenever w is nonzero.  Its columns
+        # enter while they still price out at y, and then nothing does: the
+        # master ends below 1.  That is no proof that x is outside anything,
+        # and the error says what broke.
         real = decompose._tour_price
 
         def over_heavy(G, index):
@@ -622,41 +640,67 @@ class TestWolseyTours:
 
             def heavier(w):
                 value, tour = price(w)
-                return value + 1, tour
+                return value + 2 * sum(w), multiset_union(tour, dict.fromkeys(index, 2))
             return heavier
 
         monkeypatch.setattr(decompose, "_tour_price", over_heavy)
         g = petersen()
         with pytest.raises(DecompositionError,
-                           match=r"tour packing value 0 < 1 .*broke Wolsey's bound"):
+                           match=r"tour packing value 31/86 < 1 .*broke Wolsey's bound"):
             wolsey_tours(g, everywhere(g, F(2, 3)))
         path = tmp_path / "k4.txt"
         path.write_text(serialize.graph_to_text(k4()))
         assert cli.main(["uniform-cover", "--variant", "18/19", str(path)]) == cli.EXIT_PRECONDITION
-        assert "broke Wolsey's bound" in capsys.readouterr().err
+        # 18/19 on K4 hands wolsey_tours 1/2 on its cycle cover and 1 off it.
+        err = capsys.readouterr().err
+        assert "tour packing value 3/10 < 1" in err and "broke Wolsey's bound" in err
 
 
 def test_every_tour_call_keeps_wolseys_bound(monkeypatch):
     # wolsey_tours ends because every call of its oracle returns a tour of
-    # weight at most (3/2) w.x on the dual scale s.  The master's rows are
-    # (3/2) x, so that is w.b, which is sigma * s at each restricted
-    # optimum.  Below 1 the tour prices out, and each master ends on a call
-    # that improved, at value 1 or more: on every golden cover and on the
-    # criterion-1 matrix.
+    # weight at most (3/2) w.x, for any weights w >= 0, smoothed or not.
+    # The master's rows are (3/2) x, so that is w.b, which is sigma * s at
+    # each restricted optimum when w is the duals on their scale s.  Below
+    # 1 the tour found at the duals prices out, and every column that
+    # enters prices out there; each master ends on a call that improved, at
+    # value 1 or more: on every golden cover and on the criterion-1 matrix.
     packings = record_packings(monkeypatch)
     build_golden_covers()
     for variant, g in criterion_1_matrix():
         uniform_cover(g, variant)
     tours = [p for p in packings if p[2][0] == "_tour_price"]
     assert len(tours) > len(golden.COVERS)
-    for _, b, _, packing, rounds in tours:
+    for _, b, _, packing, rounds, added in tours:
         rows = sorted(eid for eid, v in b.items() if v > 0)
-        for sigma, improved, w, value, s in rounds:
+        for sigma, improved, at_y, w, value, s in rounds:
             wb = sum((wi * b[eid] for wi, eid in zip(w, rows)), F(0))
-            assert wb == sigma * s
             assert value <= wb
-            assert sigma < 1 and improved
+            assert sigma < 1
+            if at_y:
+                assert wb == sigma * s and improved
+        assert all(weight < s for weight, s in added)
+        assert rounds[-1][1]
         assert packing.sigma >= 1 and packing.terms
+
+
+def test_a_golden_master_misprices_and_prices_again_at_its_duals(monkeypatch):
+    # 8/9 on K4: one 1-cover master's smoothed weights find a cover that
+    # does not price out at the duals y.  That round prices again at y, and
+    # the cover found there enters; the master still packs value 1.
+    packings = record_packings(monkeypatch)
+    g = k4()
+    uniform_cover(g, "8/9")
+    mispriced = [(name, rounds[i + 1], added, packing)
+                 for _, _, (name, _, _), packing, rounds, added in packings
+                 for i, (_, improved, at_y, *_) in enumerate(rounds)
+                 if not (improved or at_y)]
+    assert len(mispriced) == 1
+    name, again, added, packing = mispriced[0]
+    assert name == "_one_cover_price"
+    sigma, improved, at_y, w, value, s = again
+    assert at_y and improved and value < s
+    assert all(weight < s for weight, s in added)
+    assert packing.sigma >= 1
 
 
 class TestCaratheodory:

@@ -5,7 +5,7 @@ for one cheap instance of a cover variant, an approximation algorithm, the
 subtour LP, a decomposition of its optimum or a covering cycle cover, and of
 the small-cut family of one cubic graph.  One more cover, 18/19 on a
 20-vertex cubic graph, is there for its size: the determinants of its
-column-generation masters reach 2.7·10⁶.  A
+column-generation masters reach 3.9·10⁴.  A
 refactor must leave every digest unchanged; a change that alters artifacts on
 purpose must say why in CHANGES.md and update the digests here.
 """
@@ -43,13 +43,13 @@ def cubic20():
 
 
 COVERS = [
-    ("18/19", k4, "8a6f1b4f947f49aa5f2be5351f14a8fd7e100073f07c68d1c33cc05e744325a9"),
-    ("15/17", k4, "8df024ced0208e39ce05f049cb9e0c53f925e25b138930a97f52fc2d053e5880"),
-    ("8/9", k4, "5918adaf8f3db78aeab50762fcf789872c4ae1ae1f84eb4104659112d0e25110"),
-    ("12/13", k33, "9a611bd7bfc94ce198e1b75a6049c2fac7ebcd50760268e66dada830ac38e984"),
+    ("18/19", k4, "b801957e1a16ec5a5af5c76dff5f0e6faec5f6ef748028792c0f0edfcaefefde"),
+    ("15/17", k4, "476486d08c6bbda18a008697d51e532f7d3fbe16b20444fcec0f80ded98326dc"),
+    ("8/9", k4, "32d81f0f2b4336c36f56edbed27596386fac41b25d47de9a464c1de5755629af"),
+    ("12/13", k33, "aa02f118ad536bef2f66a436fe660743d531e3859d3bc6f6bd772154bfa33132"),
     ("7/8", k33, "828e2807a8ac24722774d9e47e260f1c47a8a6e5817b7367fcefd3131463196d"),
-    ("3/4", k5, "d5d35a6601b810d71908dd7b18f795cf160d9c65d1d72bfa32a0c57377482e4a"),
-    ("18/19", cubic20, "8f6e513aa130cabf0a4957dbc17d3b04027c652af598948df1743f8df32f3f9b"),
+    ("3/4", k5, "e9e166db239295edfac57f4ae4892d12de7b7c7bf6fe4263d52c63d3c9d4873c"),
+    ("18/19", cubic20, "dfcbb661bddfb17b3231ef13393079de073c8fe878eca0c1d487f49ceff336ce"),
 ]
 
 
@@ -139,7 +139,7 @@ SOLVER_DOCUMENTS = [
     ("lp-subcubic", lambda: _lp(_subcubic),
      "b2d1437fbdf45df8be48a829981fa91694a42fb749d049daa9a5eca1669995af"),
     ("trees-petersen", lambda: _decomposition(petersen, "trees"),
-     "c35a6576d1397f66fa7a7d7cf437b8eae87a1498eea9c4ed6747c08554783888"),
+     "2f761a21d54bbfe44283548f493d4d243f88e6e8bcfe20d3e0b98202c15166c7"),
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, "connectors"),
      "3e173bc03f29360672220360b69f5a047908376aa30e9d6900f57464a34cca20"),
