@@ -69,7 +69,7 @@ def install_counters() -> Dict[str, int]:
     return the counts."""
     counts = dict.fromkeys(COUNTS, 0)
     generate, tjoin_price, pack = Tableau.generate, decompose._tjoin_price, decompose._pack
-    priced = [0]            # oracle calls in the current pricing round
+    last = [0]              # the pricing round of the last packing oracle call
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -78,20 +78,16 @@ def install_counters() -> Dict[str, int]:
         return wrapper
 
     def counted_generate(self, price, cost):
-        def round_(*args):
-            counts["rounds"] += 1
-            priced[0] = 0
-            return price(*args)
-        return generate(self, round_, cost)
+        return generate(self, counted(price, "rounds"), cost)
 
     def counted_pack(G, x, oracle):
         def built(index):
             price = oracle(index)
 
             def counted_price(w):
-                priced[0] += 1
-                if priced[0] == 2:
+                if last[0] == counts["rounds"]:
                     counts["mispriced"] += 1
+                last[0] = counts["rounds"]
                 return price(w)
             return counted_price
         return pack(G, x, built)
