@@ -101,7 +101,7 @@ def _node_weighted(Gw: Multigraph, f: NodeWeights, algorithm: str) -> ApproxResu
     matching = {eid: 1 for eid in cc.matching}
     if multiset_weight(Gw, matching) != z / 2:
         raise ApproxError("perfect matching weight is not the node weight sum")
-    tree = kruskal(list(range(H.n)), sorted(H.edges, key=lambda e: (e.weight, e.id)))
+    tree = kruskal(H.n, sorted(H.edges, key=lambda e: (e.weight, e.id)))
     if len(tree) != H.n - 1:
         raise ApproxError("contraction is disconnected")
     T = {e.id: 1 for e in tree}

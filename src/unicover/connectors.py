@@ -1,9 +1,9 @@
 """Connector repair: make every term of a connector decomposition cross each
 2-edge cut an even number of times.
 
-Pipeline, for x in the subtour polytope: equality decomposition into
-connectors, multiplicity normalization (no term holds two copies of an edge
-while another holds none), then a per cut-class repair with two cases
+Pipeline, for x in the subtour polytope: decompose_connectors, connectors
+summing exactly to x clipped at 2 in which no term holds two copies of an
+edge while another holds none, then a per cut-class repair with two cases
 depending on whether the class has an edge of fractional value below 1.
 The classes are graph.two_cut_groups, and graph.odd_two_cut checks the
 repaired terms, as verify does.  The stages pass decompose.Terms on, and the
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .graph import EdgeVector, Multigraph, odd_two_cut, scale_to_ints, two_cut_groups
-from .decompose import (ConvexCombination, DecompositionError, Terms, clip_at_two,
-                        coverage_of, decompose_connectors, make_combination,
-                        pack_spanning_trees, reduce_int_terms)
+from .graph import EdgeVector, Multigraph, odd_two_cut, two_cut_groups
+from .decompose import (ConvexCombination, DecompositionError, clip_at_two, coverage_of,
+                        decompose_connectors, make_combination, pack_spanning_trees)
 
 ZERO = Fraction(0)
 
@@ -47,56 +46,13 @@ def two_cut_classes(G: Multigraph, x: EdgeVector) -> Tuple[TwoCutClass, ...]:
     return tuple(classes)
 
 
-def normalize_connectors(terms: Terms, x: EdgeVector, G: Multigraph) -> Terms:
-    """Rebalance an equality decomposition so that for every edge e, no term
-    uses two copies while another uses none.
-
-    Consequences: every term uses e at least once when x_e >= 1, and no term
-    uses two copies when x_e < 1.  Terms are split when the two coefficients
-    differ; total coverage is unchanged edge by edge.  The coefficients are
-    ints over one denominator Q throughout, as in caratheodory_reduce, whose
-    int core re-reduces them; a Fraction is built only for each returned
-    coefficient.
-    """
-    limit = G.m + 1
-    Q, scaled = scale_to_ints(lam for lam, _ in terms)
-    current = [(a, f) for a, (_, f) in zip(scaled, terms)]
-    for eid in sorted(x):
-        doubled = [(a, f) for a, f in current if f.get(eid, 0) == 2]
-        absent = [(a, f) for a, f in current if f.get(eid, 0) == 0]
-        keep = [(a, f) for a, f in current if f.get(eid, 0) == 1]
-        while doubled and absent:
-            ai, fi = doubled.pop()
-            aj, fj = absent.pop()
-            t = min(ai, aj)
-            donor = dict(fi)
-            donor[eid] = 1
-            receiver = dict(fj)
-            receiver[eid] = 1
-            keep.append((t, donor))
-            keep.append((t, receiver))
-            if ai > t:
-                doubled.append((ai - t, fi))
-            if aj > t:
-                absent.append((aj - t, fj))
-        current = keep + doubled + absent
-        # Re-reducing keeps a subset of the current objects, which preserves
-        # the no-2-and-0 invariant on the edges already processed.
-        if len(current) > limit:
-            Q, kept = reduce_int_terms(Q, current, limit)
-            current = [(a, dict(key)) for key, a in kept]
-    Q, kept = reduce_int_terms(Q, current, limit)
-    return [(Fraction(a, Q), dict(key)) for key, a in kept]
-
-
 def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
     """Convex combination of connectors dominated by x, each crossing every
     2-edge cut an even number of times.  x must be in the subtour polytope;
     it is not tested here (solve_subtour's last separation tests its x)."""
     xbar = clip_at_two(x)
-    base = decompose_connectors(G, x)
+    terms = decompose_connectors(G, x)
     classes = two_cut_classes(G, x)
-    terms = normalize_connectors(base, xbar, G)
     if not classes:
         return make_combination(G, terms, xbar, "equals", "connector")
     groups = [sorted(cls.edge_ids) for cls in classes]
@@ -110,7 +66,7 @@ def even_2cut_connectors(G: Multigraph, x: EdgeVector) -> ConvexCombination:
                 for eid in members:
                     f[eid] = 0 if eid == e else 2
             else:
-                raise DecompositionError("normalization left two copies on a sub-1 edge")
+                raise DecompositionError(f"a term holds two copies of the sub-1 edge e{e}")
     cover = coverage_of([(coeff, f.items()) for coeff, f in terms])
     class_edges = {eid for members in groups for eid in members}
     for eid, v in cover.items():

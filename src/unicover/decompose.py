@@ -1,30 +1,32 @@
 """Convex decomposition of edge vectors into combinatorial objects.
 
-All decompositions run exact column generation: a fraction-free simplex master
-over the generated objects plus a pricing routine (minimum spanning tree,
-minimum T-join via shortest paths and a matching DP, maximum-weight connector,
-minimum 1-cover over the minimal covers, listed once per connector, and the
-tour "tree plus parity join").  The masters price with their undivided
-integer duals (π, s), y = π / s, so the oracles get ints.  A packing master
-(_pack) first prices each round at smoothed duals, a convex combination of
-y and a centre floored to ints (Wentges), whose object enters only if it
-prices out at y; otherwise it prices again at y itself.  The smoothing
-only chooses which improving column enters: pricing at y still decides
-when the master ends, so where the pricing step is exact, its optimality
-at y proves optimality of the master over the full object class, as
-before.  A packing master stops pricing once its restricted master packs
-value 1, all that a cover needs, and below 1 runs to its optimum.  It
-returns a Packing: the value sigma, the terms and the final duals w.  At an
-optimum below 1 every object weighs at least 1 under w and x weighs sigma,
-which puts x outside the class's dominant.
-`Packing.terms_of` is the one place that words that refusal.  The tour
-oracle is not exact, so the tour master never refuses: wolsey_tours shows
-that it reaches value 1, and a stall below it is an internal error.
+All decompositions run one kind of exact column generation, the packing
+master _pack: a fraction-free simplex master over the generated objects plus
+a pricing routine (minimum spanning tree, minimum T-join via shortest paths
+and a matching DP, minimum 1-cover over the minimal covers, listed once per
+connector, and the tour "tree plus parity join").  Connectors are spanning
+trees packed under x clipped at 2 and topped up to it exactly, with no master
+of their own.  The masters price with their undivided integer duals (π, s),
+y = π / s, so the oracles get ints.  A packing master first prices each
+round at smoothed duals, a convex combination of y and a centre floored to
+ints (Wentges), whose object enters only if it prices out at y; otherwise
+it prices again at y itself.  The smoothing only chooses which improving
+column enters: pricing at y still decides when the master ends, so where
+the pricing step is exact, its optimality at y proves optimality of the
+master over the full object class, as before.  A packing master stops
+pricing once its restricted master packs value 1, all that a cover needs,
+and below 1 runs to its optimum.  It returns a Packing: the value sigma,
+the terms and the final duals w.  At an optimum below 1 every object weighs
+at least 1 under w and x weighs sigma, which puts x outside the class's
+dominant.  `Packing.terms_of` is the one place that words that refusal.
+The tour oracle is not exact, so the tour master never refuses:
+wolsey_tours shows that it reaches value 1, and a stall below it is an
+internal error.
 
 Every stage returns Terms: at most |E| + 1 distinct (coefficient, multiset)
 pairs in canonical order.  A master's terms are its basic solution, at most
 one per master row, so they need no reducing; wolsey_tours' terms are its
-master's.  make_combination and normalize_connectors reduce the terms they
+master's.  make_combination and decompose_connectors reduce the terms they
 combine by one fraction-free Caratheodory pass, run as basis exchanges on
 the simplex kernel's packed adjugate (simplex.Adjugate); this module holds
 no pivot code of its own.  make_combination labels a pipeline's terms once,
@@ -40,8 +42,8 @@ from math import gcd
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import (EdgeMultiset, EdgeVector, GraphError, Multigraph,
-                    classify, cut_edges, find, kruskal, multiset_union, odd_vertices,
-                    one_edge_cuts, scale_to_ints, union)
+                    classify, cut_edges, kruskal, multiset_union, odd_vertices,
+                    one_edge_cuts, scale_to_ints)
 from .lp import membership
 from .simplex import Adjugate, SparseColumn, Tableau, dot_of
 
@@ -279,15 +281,6 @@ def _enter(kernel: Adjugate, row: int, alpha: Sequence[int]) -> Tuple[int, int]:
 # Column generation masters
 
 
-def _keep(objects: List[EdgeMultiset], index: Dict[int, int], rows: int,
-          obj: EdgeMultiset) -> SparseColumn:
-    """Keep obj and return its master column: its multiplicities on the edge
-    rows of `index`, then 1 on each convexity row up to `rows`."""
-    objects.append(obj)
-    return sorted((index[eid], m) for eid, m in obj.items()) + [
-        (i, 1) for i in range(len(index), rows)]
-
-
 @dataclass(frozen=True)
 class Packing:
     """A packing master's result.  sigma is the packing value reached: at
@@ -365,55 +358,21 @@ def _pack(G: Multigraph, x: EdgeVector, oracle: OracleBuilder) -> Packing:
             value, obj = price(w)           # a mispricing: price at y
             if value >= s:
                 return None
-        return _keep(objects, index, tab.rows, obj)
+        objects.append(obj)
+        return sorted((index[eid], m) for eid, m in obj.items())
 
     tab.generate(improving, -1)
     lam, scale = tab.int_solution()
     raw = [(v, obj) for v, obj in zip(lam[tab.rows:], objects) if v > 0]
     total = sum(v for v, _ in raw)
-    terms = _basic_terms([(Fraction(v, total), obj) for v, obj in raw]) if total >= scale else []
+    # A basic solution has at most one nonzero column per master row, rows
+    # <= |E|, and generate refuses a repeated column, so a Caratheodory pass
+    # would find nothing to merge or reduce: the terms need only sorting.
+    terms = sorted(((Fraction(v, total), obj) for v, obj in raw),
+                   key=lambda term: canonical(term[1])) if total >= scale else []
     pi, s = tab.int_duals()
     return Packing(Fraction(total, scale), terms,
                    {eid: Fraction(-pi[i], s) for eid, i in index.items()})
-
-
-def _basic_terms(terms: List[Tuple[Fraction, EdgeMultiset]]) -> Terms:
-    """A master's positive basic variables, in canonical order.  A basic
-    solution has at most one nonzero column per master row, and rows <=
-    |E| + 1; generate refuses a repeated column.  So a Caratheodory pass
-    would find nothing to merge or reduce."""
-    return sorted(terms, key=lambda term: canonical(term[1]))
-
-
-def _equality_master(target_rows: List[Tuple[int, Fraction]], oracle: OracleBuilder,
-                     ) -> Optional[List[Tuple[Fraction, EdgeMultiset]]]:
-    """Find lambda >= 0, sum = 1, sum(lambda * chi) = target; None if impossible.
-
-    A phase 1 over the artificials: it stops at the first feasible lambda,
-    where the objective is 0, read undivided.  `oracle` is built as in
-    _pack; its price gets the arbitrary-sign int duals π of the edge rows,
-    in the order of `target_rows`, and must return an exact maximum weight
-    object of the class; it prices out when it weighs more than -π of the
-    convexity row.
-    """
-    index = {eid: i for i, (eid, _) in enumerate(target_rows)}
-    price_max = oracle(index)
-    nrows = len(index) + 1             # + convexity row
-    tab = Tableau([v for _, v in target_rows] + [ONE], [1] * nrows)   # artificials
-    objects: List[EdgeMultiset] = []
-
-    def improving(pi: List[int], s: int) -> Optional[SparseColumn]:
-        # At objective 0 every artificial is 0, and a further pivot could
-        # only be degenerate, so lambda is final.
-        if not tab.int_obj()[0]:
-            return None
-        value, obj = price_max(pi[:-1])
-        return _keep(objects, index, nrows, obj) if value > -pi[-1] else None
-
-    tab.generate(improving, 0)
-    if tab.int_obj()[0]:
-        return None
-    return [(lam, obj) for lam, obj in zip(tab.solution()[nrows:], objects) if lam > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +386,7 @@ def _mst_price(G: Multigraph, index: Dict[int, int]) -> Oracle:
     rows = sorted(edge_of)
 
     def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
-        tree = kruskal(list(range(G.n)), [edge_of[i] for i in sorted(rows, key=w.__getitem__)])
+        tree = kruskal(G.n, [edge_of[i] for i in sorted(rows, key=w.__getitem__)])
         if len(tree) != G.n - 1:
             raise DecompositionError("support does not contain a spanning tree")
         return sum(w[index[e.id]] for e in tree), {e.id: 1 for e in tree}
@@ -553,34 +512,6 @@ def _tour_price(G: Multigraph, index: Dict[int, int]) -> Oracle:
     return price
 
 
-def _connector_price_max(G: Multigraph, index: Dict[int, int]) -> Oracle:
-    """Maximum weight connector in the edges of `index`: every edge of
-    positive weight twice, then a maximum weight forest over the rest, ties
-    going to the lower id."""
-    edges = [(index[e.id], e) for e in G.edges if e.id in index]
-
-    def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
-        obj: EdgeMultiset = {}
-        total = 0
-        parent = list(range(G.n))
-        for i, e in edges:
-            if w[i] > 0:
-                obj[e.id] = 2
-                total += 2 * w[i]
-                union(parent, e.u, e.v)
-        # Connect the remaining components with a maximum weight forest.
-        order = sorted(edges, key=lambda ie: (-w[ie[0]], ie[1].id))
-        for e in kruskal(parent, [e for _, e in order]):
-            obj[e.id] = obj.get(e.id, 0) + 1
-            total += w[index[e.id]]
-        roots = {find(parent, v) for v in range(G.n)}
-        if len(roots) != 1:
-            raise DecompositionError("graph is disconnected")
-        return total, obj
-
-    return price
-
-
 def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> Oracle:
     """Exact minimum 1-cover: a cheapest set of the candidate edges of
     `index` meeting each of the `crossing` edge sets (the 1-edge cuts of a
@@ -682,13 +613,45 @@ def clip_at_two(x: EdgeVector) -> EdgeVector:
 
 
 def decompose_connectors(G: Multigraph, x: EdgeVector) -> Terms:
-    """Equality decomposition of x (clipped at 2) into connectors of G.  x
-    must be in the subtour polytope; this stage does not test it."""
-    raw = _equality_master(sorted(clip_at_two(x).items()),
-                           lambda index: _connector_price_max(G, index))
-    if raw is None:
-        raise DecompositionError("x is not in the connector polytope")
-    return _basic_terms(raw)
+    """Connectors of G summing exactly to x̄, x clipped at 2: spanning trees
+    packed under x̄, topped up to it.  x must be in the subtour polytope;
+    this stage does not test it.
+
+    x̄(δ(S)) >= 2 for every S, so x̄ lies in the spanning tree dominant
+    (Nash-Williams-Tutte) and the trees pack value 1.  Per edge e in id
+    order, the deficit d = x̄_e - sum(lambda chi_e) >= 0 goes first as a
+    first copy of e to the terms that lack it, then as a second copy,
+    splitting at most one term per level; x̄_e <= 2 makes it fit.  Every term
+    holds a spanning tree and each edge at most twice, so it is a connector.
+    A second copy goes in only once no term lacks e, so no term holds two
+    copies of an edge while another holds none.  The coefficients are ints
+    a over one denominator Q, and one reduction to |E| + 1 terms, which
+    keeps a subset of them, ends the stage."""
+    xbar = clip_at_two(x)
+    trees = pack_spanning_trees(G, xbar)
+    ids = sorted(xbar)
+    Q, ints = scale_to_ints([c for c, _ in trees] + [xbar[eid] for eid in ids])
+    terms = [(a, dict(tree)) for a, (_, tree) in zip(ints, trees)]
+    for eid, target in zip(ids, ints[len(trees):]):
+        d = target - sum(a * f.get(eid, 0) for a, f in terms)
+        for level in (0, 1):
+            for i, (a, f) in enumerate(terms):
+                if not d:
+                    break
+                if f.get(eid, 0) != level:
+                    continue
+                t = min(a, d)
+                if t < a:
+                    terms[i] = (a - t, f)
+                    terms.append((t, {**f, eid: level + 1}))
+                else:
+                    f[eid] = level + 1
+                d -= t
+        if d:
+            raise DecompositionError(
+                f"a deficit of {Fraction(d, Q)} on e{eid} does not fit two copies")
+    Q, kept = reduce_int_terms(Q, terms, G.m + 1)
+    return [(Fraction(a, Q), dict(key)) for key, a in kept]
 
 
 def decompose_one_covers(G: Multigraph, F: EdgeMultiset, y: EdgeVector,

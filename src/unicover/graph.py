@@ -183,9 +183,10 @@ def union(parent: List[int], a: int, b: int) -> bool:
     return True
 
 
-def kruskal(parent: List[int], order: Iterable[Edge]) -> List[Edge]:
-    """Greedy forest: the edges of `order` that join two classes of the
-    union-find `parent`, merged in as they are taken."""
+def kruskal(n: int, order: Iterable[Edge]) -> List[Edge]:
+    """Greedy forest on vertices 0..n-1: the edges of `order` that join two
+    of its components, merged in as they are taken."""
+    parent = list(range(n))
     return [e for e in order if union(parent, e.u, e.v)]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from unicover.cyclecover import CycleCoverError, build_cycle_cover
-from unicover.decompose import DecompositionError, canonical, caratheodory_reduce
+from unicover.decompose import DecompositionError, canonical
 from unicover.graph import (Edge, Multigraph, _cycle_space_labels, connected_components,
                             cut_edges)
 from unicover.lp import min_cut
@@ -492,24 +492,7 @@ def two_triangles():
                           (2, 3), (5, 0)])
 
 
-def fraction_normalize_connectors(terms, x, G):
-    """Reference oracle for connectors.normalize_connectors: the same
-    rebalance with Fraction coefficients, re-reduced by caratheodory_reduce."""
-    limit = G.m + 1
-    for eid in sorted(x):
-        doubled = [(lam, f) for lam, f in terms if f.get(eid, 0) == 2]
-        absent = [(lam, f) for lam, f in terms if f.get(eid, 0) == 0]
-        keep = [(lam, f) for lam, f in terms if f.get(eid, 0) == 1]
-        while doubled and absent:
-            li, fi = doubled.pop()
-            lj, fj = absent.pop()
-            t = min(li, lj)
-            keep += [(t, {**fi, eid: 1}), (t, {**fj, eid: 1})]
-            if li > t:
-                doubled.append((li - t, fi))
-            if lj > t:
-                absent.append((lj - t, fj))
-        terms = keep + doubled + absent
-        if len(terms) > limit:
-            terms = caratheodory_reduce(terms, limit)
-    return caratheodory_reduce(terms, limit)
+def two_triangles_x(two_triangles):
+    """All ones except a half/three-halves split across the bridge pair."""
+    return {e.id: {6: Fraction(1, 2), 7: Fraction(3, 2)}.get(e.id, Fraction(1))
+            for e in two_triangles.edges}

@@ -4,8 +4,8 @@ call has already cut.  Graphs are immutable, so the stages after the test
 can trust it.  Bridges and 2-edge cuts are read from one cycle-space
 labelling, with no component count.  A pipeline labels its terms once, at
 its end.  A process builds the CLI's parser once, and a CLI call weights
-a node-weighted graph once.  The connector master prices only
-while it is infeasible.  Column generation takes a pinned path: a round
+a node-weighted graph once.  The connectors' tree master prices only
+until it packs value 1.  Column generation takes a pinned path: a round
 that adds a column prices that column alone, not every column."""
 import argparse
 import sys
@@ -158,38 +158,39 @@ def test_decompose_cuts_the_lp_optimum_once(calls, tmp_path, kind):
 
 
 def test_connector_master_stops_at_feasibility(monkeypatch):
-    # Every pricing call adds a column: none is made once lambda is
-    # feasible, where further pivots are degenerate.
+    # The connectors' one master packs spanning trees, and prices only
+    # until it packs value 1.  Each round adds one column, priced once at
+    # smoothed duals, or twice when they misprice.  This optimum is a
+    # Hamiltonian cycle, so its first tree packs value 1 on its own.
     seen = {"priced": 0, "kept": 0}
-    price_max, keep = decompose._connector_price_max, decompose._keep
+    mst_price, add_column = decompose._mst_price, simplex.Tableau.add_column
 
-    def counted_price_max(G, support):
-        price = price_max(G, support)
+    def counted_mst_price(G, index):
+        price = mst_price(G, index)
 
         def counted(weights):
             seen["priced"] += 1
             return price(weights)
         return counted
 
-    def counted_keep(*args):
+    def counted_add_column(self, *args):
         seen["kept"] += 1
-        return keep(*args)
+        return add_column(self, *args)
 
-    _patch(monkeypatch, price_max, counted_price_max)
-    _patch(monkeypatch, keep, counted_keep)
     G, _ = _approx_input("twoecbeta")
-    decompose.decompose_connectors(G, lp.solve_subtour(G).x)
-    assert seen == {"priced": 11, "kept": 11}
+    x = lp.solve_subtour(G).x
+    _patch(monkeypatch, mst_price, counted_mst_price)
+    monkeypatch.setattr(simplex.Tableau, "add_column", counted_add_column)
+    decompose.decompose_connectors(G, x)
+    assert seen == {"priced": 1, "kept": 1}
 
 
-# (pivots, full entering scans).  The connector path's pivots are those of
-# the kernel that scanned every column after each added column: 11.  That
-# kernel made 23 full scans, of which 11 followed a round that added a column;
-# each of those is now one column's reduced cost.  The 18/19 path is that of
-# packing masters that stop once they pack value 1, its tours packed by one
-# master priced by "tree plus parity join", every master priced first at
-# smoothed duals.
-PIVOT_PATHS = {"18/19-petersen": (22, 24), "connectors": (11, 23 - 11)}
+# (pivots, full entering scans).  Both paths are those of packing masters
+# that stop once they pack value 1, every master priced first at smoothed
+# duals.  The connector path is its spanning tree master, whose first tree
+# packs value 1: one pivot, and the scans before and after it.  The 18/19
+# path packs its tours in one master priced by "tree plus parity join".
+PIVOT_PATHS = {"18/19-petersen": (22, 24), "connectors": (1, 2)}
 
 
 @pytest.mark.parametrize("run", sorted(PIVOT_PATHS))

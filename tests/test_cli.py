@@ -244,17 +244,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("master", ["trees", "connectors", "subtour"])
     def test_known_column_exits_2(self, capsys, monkeypatch, master):
         # A pricing step that returns a column the master already has is a
-        # solver bug, not a failed verification: an oracle that keeps
-        # returning one tree or one connector, or a min cut that names a cut
-        # of the initial pool as violated.
+        # solver bug, not a failed verification: a tree oracle that keeps
+        # returning one tree, under `decompose trees` or under the tree
+        # master of `decompose connectors`, or a min cut that names a cut of
+        # the initial pool as violated.
         g = petersen()
-        tree = {e.id: 1 for e in kruskal(list(range(g.n)), g.edges)}
-        if master == "trees":
+        tree = {e.id: 1 for e in kruskal(g.n, g.edges)}
+        if master in ("trees", "connectors"):
             monkeypatch.setattr(decompose, "_mst_price",
                                 lambda G, support: lambda weights: (0, dict(tree)))
-        elif master == "connectors":
-            monkeypatch.setattr(decompose, "_connector_price_max",
-                                lambda G, support: lambda weights: (10 ** 6, dict(tree)))
         else:
             monkeypatch.setattr(lp, "min_cut", lambda G, cap: (Fraction(0), (1,)))
         command = (["solve-subtour"] if master == "subtour"

@@ -5,30 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unicover import connectors
-from unicover.connectors import (decomposition, even_2cut_connectors, normalize_connectors,
-                                 two_cut_classes)
-from unicover.decompose import (DecompositionError, clip_at_two, decompose_connectors,
-                                reduce_int_terms, verify_combination)
+from unicover import connectors, decompose
+from unicover.connectors import decomposition, even_2cut_connectors, two_cut_classes
+from unicover.decompose import (DecompositionError, canonical, clip_at_two,
+                                decompose_connectors, reduce_int_terms, verify_combination)
 from unicover.families import k4, petersen, random_node_weights, random_subcubic_2ec
 from unicover.graph import (GraphError, classify, multiset_degrees, odd_two_cut, one_edge_cuts,
                             two_cut_groups)
 from unicover.lp import everywhere, membership, solve_subtour
 from unicover.simplex import LpError
 
-from conftest import (fraction_normalize_connectors, make_graph, one_edge_cuts_oracle,
-                      support_bridges, support_components, two_cut_pairs_oracle,
-                      two_edge_connected)
+from conftest import (make_graph, one_edge_cuts_oracle, support_bridges, support_components,
+                      two_cut_pairs_oracle, two_edge_connected, two_triangles_x)
 
 F = Fraction
-
-
-def two_triangles_x(two_triangles):
-    """All ones except a half/three-halves split across the bridge pair."""
-    x = everywhere(two_triangles, F(1))
-    x[6] = F(1, 2)
-    x[7] = F(3, 2)
-    return x
 
 
 def two_cut_pairs(G, x):
@@ -112,41 +102,51 @@ def coverage(terms):
     return out
 
 
+def two_and_zero(terms):
+    """The least edge id that one term holds twice while another lacks it,
+    or None."""
+    return min((eid for eid in {eid for _, f in terms for eid in f}
+                if {0, 2} <= {f.get(eid, 0) for _, f in terms}), default=None)
+
+
 class TestNormalize:
+    """decompose_connectors' terms sum exactly to x clipped at 2, and no term
+    holds two copies of an edge while another holds none."""
+
     def test_no_pair_two_and_zero(self, two_triangles):
         x = two_triangles_x(two_triangles)
-        base = decompose_connectors(two_triangles, x)
-        norm = normalize_connectors(base, x, two_triangles)
-        for eid in x:
-            mults = [f.get(eid, 0) for _, f in norm]
-            assert not (2 in mults and 0 in mults)
-        assert coverage(norm) == coverage(base)
+        terms = decompose_connectors(two_triangles, x)
+        assert len(terms) > 1
+        assert two_and_zero(terms) is None
+        assert coverage(terms) == clip_at_two(x)
 
     def test_coefficients_still_sum_to_one(self):
         g = petersen()
         x = everywhere(g, F(1))
-        base = decompose_connectors(g, x)
-        norm = normalize_connectors(base, x, g)
-        assert sum(c for c, _ in norm) == 1
+        terms = decompose_connectors(g, x)
+        assert sum(c for c, _ in terms) == 1
+        assert coverage(terms) == x
 
-    def test_matches_the_fraction_rebalance(self, monkeypatch):
-        # Coefficients kept as ints over one denominator give the terms
-        # that Fraction coefficients re-reduced by caratheodory_reduce give,
-        # the re-reductions inside the loop included.
+    def test_terms_sum_exactly_to_the_clipped_x(self, monkeypatch):
+        # The top-up splits terms.  On the parallel pair at (1/2, 3/2) it
+        # makes 4, and its one reduction at the end cuts them back to
+        # |E| + 1 = 3; on the six subcubic optima it never makes more.
         cuts = []
 
         def counted(Q, terms, limit):
             cuts.append(len(terms) > limit)
             return reduce_int_terms(Q, terms, limit)
-        monkeypatch.setattr(connectors, "reduce_int_terms", counted)
+        monkeypatch.setattr(decompose, "reduce_int_terms", counted)
+        cases = [(make_graph(2, [(0, 1), (0, 1)]), {0: F(1, 2), 1: F(3, 2)})]
         for seed in range(6):
             g = random_node_weights(10, seed + 100).induced_graph(random_subcubic_2ec(10, seed))
-            x = solve_subtour(g).x
-            base = decompose_connectors(g, x)
-            xbar = clip_at_two(x)
-            assert (normalize_connectors([(c, dict(f)) for c, f in base], xbar, g)
-                    == fraction_normalize_connectors([(c, dict(f)) for c, f in base], xbar, g))
-        assert any(cuts[:-1]), "no re-reduction inside the loop cut a term"
+            cases.append((g, solve_subtour(g).x))
+        for g, x in cases:
+            terms = decompose_connectors(g, x)
+            assert coverage(terms) == clip_at_two(x)
+            assert len(terms) <= g.m + 1
+            assert two_and_zero(terms) is None
+        assert cuts == [True] + [False] * 6
 
 
 class TestEven2CutConnectors:
@@ -249,15 +249,15 @@ def test_small_cuts_match_the_remove_and_recount_oracles(case):
 
 
 def test_even_2cut_connectors_requires_connectors_without_classes(monkeypatch):
-    # K4 at 2/3 has no 2-edge cut, so the normalized terms are returned as
+    # K4 at 2/3 has no 2-edge cut, so the connector terms are returned as
     # they are; a term with three copies of an edge is not a connector.
-    normalize = connectors.normalize_connectors
+    original = connectors.decompose_connectors
 
-    def tripled(terms, x, G):
-        (c, f), *rest = normalize(terms, x, G)
+    def tripled(G, x):
+        (c, f), *rest = original(G, x)
         return [(c, {**f, 0: 3})] + rest
 
-    monkeypatch.setattr(connectors, "normalize_connectors", tripled)
+    monkeypatch.setattr(connectors, "decompose_connectors", tripled)
     g = k4()
     with pytest.raises(DecompositionError, match="not a connector"):
         even_2cut_connectors(g, everywhere(g, F(2, 3)))
@@ -277,6 +277,40 @@ def test_connector_stages_outside_subtour_raise_or_verify(case):
         except (GraphError, LpError):
             continue
         verify_combination(g, comb, "connector")
+
+
+@st.composite
+def subtour_members(draw):
+    """A subtour optimum of a random subcubic graph, node-weighted or not,
+    or a supports() vector that lies in the subtour polyhedron."""
+    if draw(st.booleans()):
+        n, seed = draw(st.integers(3, 14)), draw(st.integers(1, 8))
+        g = random_subcubic_2ec(n, seed)
+        if draw(st.booleans()):
+            g = random_node_weights(n, seed).induced_graph(g)
+        return g, solve_subtour(g).x
+    g, _, x = draw(supports())
+    assume(membership(g, x).inside)
+    return g, x
+
+
+@given(subtour_members())
+@settings(max_examples=200, deadline=None)
+def test_connectors_sum_exactly_to_the_clipped_x(case):
+    g, x = case
+    xbar = clip_at_two(x)
+    terms = decompose_connectors(g, x)
+    assert coverage(terms) == xbar
+    assert sum(c for c, _ in terms) == 1 and all(c > 0 for c, _ in terms)
+    assert len(terms) <= g.m + 1
+    keys = [canonical(f) for _, f in terms]
+    assert keys == sorted(set(keys))
+    for _, f in terms:
+        assert "connector" in classify(g, f)
+    assert two_and_zero(terms) is None
+    if all(v.denominator == 1 for v in xbar.values()):
+        # Every term is topped up to x̄ itself: an integral tour is one term.
+        assert terms == [(1, {eid: int(v) for eid, v in xbar.items()})]
 
 
 def test_decomposition_rejects_an_unknown_kind():

@@ -11,7 +11,7 @@ from unicover import cli, decompose, serialize
 from unicover.connectors import decomposition
 from unicover.covers import uniform_cover
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
-                                _equality_master, _minimal_covers,
+                                _minimal_covers,
                                 _one_cover_price, canonical,
                                 caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
@@ -20,7 +20,7 @@ from unicover.decompose import (ConvexCombination, DecompositionError, Term,
 from unicover.families import k4, k33, petersen, prism, random_cubic_3ec
 from unicover.graph import (GraphError, classify, connected_components, cut_edges,
                             multiset_degrees, multiset_union, one_edge_cuts)
-from unicover.lp import everywhere
+from unicover.lp import everywhere, solve_subtour
 from unicover.simplex import Adjugate, solve_lp
 
 from conftest import (exhaustive_one_cover, kernel_vector, make_graph, mask_scan_min_tjoin,
@@ -134,22 +134,23 @@ class TestConnectors:
         assert comb.coverage() == {0: F(2), 1: F(2)}
 
     def test_equality_exact_on_lp_vectors(self, two_triangles):
-        from unicover.lp import solve_subtour
         for g in [k4(), k33(), two_triangles]:
             x = solve_subtour(g).x
             comb = decomposition(g, x, "connectors")
             assert comb.coverage() == {eid: min(v, F(2)) for eid, v in x.items()}
 
+    def test_an_integral_tour_is_one_term(self, two_triangles):
+        # The subtour optimum of two_triangles is a Hamiltonian cycle.
+        x = solve_subtour(two_triangles).x
+        tour = {eid: 1 for eid, v in x.items() if v}
+        assert all(v in (0, 1) for v in x.values())
+        assert decompose_connectors(two_triangles, x) == [(1, tour)]
 
-class TestEqualityMaster:
-    def test_infeasible_target_returns_none(self):
-        # Exact maximum over the objects holding 0, 1 or 2 copies of edge 0;
-        # no average of them reaches 3.
-        def at_most_two_copies(weights):
-            k = max(range(3), key=lambda k: weights[0] * k)
-            return weights[0] * k, {0: k}
-
-        assert _equality_master([(0, F(3))], lambda index: at_most_two_copies) is None
+    def test_outside_the_tree_dominant_refused(self, c4):
+        # 1/2 on the 4-cycle packs spanning trees only to 2/3, so no average
+        # of connectors sums to it.
+        with pytest.raises(DecompositionError, match="spanning tree packing value 2/3 < 1"):
+            decompose_connectors(c4, everywhere(c4, F(1, 2)))
 
 
 class TestTJoins:

@@ -114,8 +114,15 @@ def _subcubic():
 
 
 def _subcubic8():
-    # normalize_connectors re-reduces its terms 8 times on this one.
+    # Its subtour optimum is a Hamiltonian cycle, one D1 class, so every
+    # connector is topped up to the cycle itself.
     return random_node_weights(8, 1).induced_graph(random_subcubic_2ec(8, 1))
+
+
+def _subcubic8_half():
+    # Its subtour optimum takes 1/2 on some edges, so the connectors are
+    # trees topped up in two different ways.
+    return random_node_weights(8, 11).induced_graph(random_subcubic_2ec(8, 11))
 
 
 def _lp(family):
@@ -142,10 +149,16 @@ SOLVER_DOCUMENTS = [
      "2f761a21d54bbfe44283548f493d4d243f88e6e8bcfe20d3e0b98202c15166c7"),
     ("connectors-subcubic",
      lambda: _decomposition(_subcubic, "connectors"),
-     "3e173bc03f29360672220360b69f5a047908376aa30e9d6900f57464a34cca20"),
+     "8f1d53fbb78893bfa30b81ba7d54461dbf202022098566fe2c30b2edcc3ee9e8"),
     ("even2cut-subcubic8",
      lambda: _decomposition(_subcubic8, "even2cut"),
      "55d5b05bd22a2d5ae10189de1c53e8799df71b9d59fb71f6fcb4d54a0ed52807"),
+    ("connectors-subcubic8-half",
+     lambda: _decomposition(_subcubic8_half, "connectors"),
+     "75a028358af339b90f14922d1a07c4b431316b32535f99048e606fc56fb51243"),
+    ("even2cut-subcubic8-half",
+     lambda: _decomposition(_subcubic8_half, "even2cut"),
+     "d55ddfb77f6eeda7edfd947dd53aadb34b8b1ad4f4522929ccf24b92508edd9d"),
     ("cycle-cover-cubic16", _cycle_cover,
      "7369206861583918df28f41cb9fe5f3aa5df9c0d989807e8f506644982d58a45"),
 ]

@@ -24,7 +24,7 @@ from unicover.serialize import ParseError
 from unicover.verify import (VerifyError, _check_shore, _check_subtour_optimum,
                              verify_document)
 
-from conftest import make_graph, reweighted
+from conftest import make_graph, reweighted, two_triangles_x
 
 F = Fraction
 
@@ -379,7 +379,8 @@ class TestRejects:
         assert verify_document(dict(doc, kind="connectors")).ok
 
     def test_decomposition_kind_even2cut_needs_even_crossings(self, two_triangles):
-        g, x = two_triangles, solve_subtour(two_triangles).x
+        # The term lacking the half-valued bridge e6 holds e7 once.
+        g, x = two_triangles, two_triangles_x(two_triangles)
         doc = serialize.decomposition_to_json(g, decomposition(g, x, "connectors"), "even2cut")
         rep = verify_document(doc)
         assert not rep.ok and "2-edge cut" in rep.detail
@@ -461,14 +462,14 @@ class TestRejects:
         assert not rep.ok and "the y of cuts load" in rep.detail
 
     def test_decomposition_repeated_term_edge(self, two_triangles):
-        # The second term's [7, 2] split into [7, 1], [7, 1] keeps the
+        # The first term's [7, 2] split into [7, 1], [7, 1] keeps the
         # coverage but not the term classify would see.
-        g, x = two_triangles, solve_subtour(two_triangles).x
+        g, x = two_triangles, two_triangles_x(two_triangles)
         doc = serialize.decomposition_to_json(g, decomposition(g, x, "connectors"), "connectors")
-        edges = doc["combination"]["terms"][1]["edges"]
+        edges = doc["combination"]["terms"][0]["edges"]
         assert edges[-1] == [7, 2]
         edges[-1:] = [[7, 1], [7, 1]]
-        with pytest.raises(ParseError, match=r"terms\[1\]\.edges repeats an edge id"):
+        with pytest.raises(ParseError, match=r"terms\[0\]\.edges repeats an edge id"):
             verify_document(doc)
 
     def test_approx_repeated_solution_edge(self):
