@@ -8,10 +8,12 @@ so every row records the numbers it ran with; "-" marks a number the
 recipe does not use.
 
 The generated instances are random_cubic_3ec(n, 1 + i), i < --random, for
-the cubic-3ec variants, and LCF [5, -5]^(n/2) for the bipartite ones unless
---random is 0.  One row of the ROADMAP's size table, for example:
+the cubic-3ec variants, LCF [5, -5]^(n/2) for the bipartite ones and the
+circulant C_n(1, 2), its edges listed jump by jump, for 3/4, the last two
+unless --random is 0.  Rows of the ROADMAP's size table, for example:
 
     PYTHONPATH=src python3 scripts/run_covers.py --variant 18/19 --n 24 --random 1
+    PYTHONPATH=src python3 scripts/run_covers.py --variant 3/4 --n 24 --counts
 
 With --counts each row also gives the run's master solves (optimize calls),
 pivots, pricing rounds, the packing rounds whose column found at smoothed
@@ -32,8 +34,8 @@ from typing import Dict
 
 from unicover import decompose, serialize
 from unicover.covers import VARIANTS, uniform_cover
-from unicover.families import (c8_12, heawood, k4, k5, k33, lcf_5, mobius_kantor,
-                               petersen, prism, random_cubic_3ec)
+from unicover.families import (c8_12, circulant, heawood, k4, k5, k33, lcf_5,
+                               mobius_kantor, petersen, prism, random_cubic_3ec)
 from unicover.simplex import Adjugate, Tableau
 from unicover.table import TABLE
 
@@ -54,6 +56,8 @@ def generated(variant: str, n: int, count: int) -> list:
                 for s in range(1, 1 + count)]
     if profile == "bipartite-cubic-3ec" and count > 0:
         return [(f"lcf[5,-5]^{n // 2}", lcf_5(n))]
+    if profile == "4regular-4ec" and count > 0:
+        return [(f"C_{n}(1,2)", circulant(n, (1, 2)))]
     return []
 
 
@@ -127,7 +131,8 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=10, help="vertices of a generated instance")
     parser.add_argument("--random", type=int, default=3,
                         help="random instances per cubic-3ec variant; the bipartite "
-                             "variants get their one LCF instance unless this is 0")
+                             "variants get their one LCF instance and 3/4 its one "
+                             "circulant unless this is 0")
     parser.add_argument("--counts", action="store_true",
                         help="also print each run's simplex and T-join pricing counts")
     args = parser.parse_args()

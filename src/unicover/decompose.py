@@ -3,10 +3,10 @@
 All decompositions run one kind of exact column generation, the packing
 master _pack: a fraction-free simplex master over the generated objects plus
 a pricing routine (minimum spanning tree, minimum T-join via shortest paths
-and a matching DP, minimum 1-cover over the minimal covers, listed once per
-connector, and the tour "tree plus parity join").  Connectors are spanning
-trees packed under x clipped at 2 and topped up to it exactly, with no master
-of their own.  The masters price with their undivided integer duals (π, s),
+and a matching DP, minimum 1-cover by a branch and bound on each call, and
+the tour "tree plus parity join").  Connectors are spanning trees packed
+under x clipped at 2 and topped up to it exactly, with no master of their
+own.  The masters price with their undivided integer duals (π, s),
 y = π / s, so the oracles get ints.  A packing master first prices each
 round at smoothed duals, a convex combination of y and a centre floored to
 ints (Wentges), whose object enters only if it prices out at y; otherwise
@@ -518,59 +518,50 @@ def _one_cover_price(crossing: List[FrozenSet[int]], index: Dict[int, int]) -> O
     connector, each of value at least 1 on the rows, so each meets a
     candidate), ties going to the lowest bitmask over the sorted candidates.
 
-    The minimal covers are listed once, here; each call weighs only them.
-    Under nonnegative weights every cover contains a minimal cover that
-    weighs no more and has a lower bitmask, so this is the argmin over all
-    covers.  A negative weight raises DecompositionError."""
+    A branch and bound in ints, run on each call.  A node branches on its
+    uncovered set with the fewest candidates, taken in (weight, index)
+    order, each branch barring those tried before it.  So every cover
+    contains the chosen edges of a leaf, which under nonnegative weights
+    weigh no more and have a lower bitmask.  A node is pruned when (its
+    weight plus the largest cheapest-candidate weight over its uncovered
+    sets, its bitmask) is not below the best found: a completion only adds
+    weight and bits.  A crossing set that meets no candidate, or a negative
+    weight, raises DecompositionError."""
     relevant: List[int] = sorted(eid for eid in index if any(eid in c for c in crossing))
-    if len(relevant) > 22:
-        raise DecompositionError("1-cover pricing capped at 22 candidate edges")
     rows = [index[eid] for eid in relevant]
-    # hits[i]: the crossing sets that candidate i meets, as a bitmask.
-    hits = [sum(1 << ci for ci, c in enumerate(crossing) if eid in c) for eid in relevant]
-    covers = [tuple(i for i in range(len(relevant)) if sub >> i & 1)
-              for sub in sorted(_minimal_covers(hits, (1 << len(crossing)) - 1))]
+    # Set bits go fewest candidates first, so a node branches on its lowest
+    # uncovered bit; hits[i]: the sets that candidate i meets.
+    members = sorted(([i for i, eid in enumerate(relevant) if eid in c] for c in crossing), key=len)
+    if [] in members:
+        raise DecompositionError("1-cover pricing: a crossing set meets no candidate edge")
+    hits = [sum(1 << bit for bit, m in enumerate(members) if i in m) for i in range(len(relevant))]
+    full = (1 << len(members)) - 1
 
     def price(w: List[int]) -> Tuple[int, EdgeMultiset]:
         iw = [w[i] for i in rows]
         if any(v < 0 for v in iw):
             raise DecompositionError("1-cover pricing needs nonnegative weights")
-        best = min(covers, key=lambda cover: sum(map(iw.__getitem__, cover)))
-        return sum(map(iw.__getitem__, best)), {relevant[i]: 1 for i in best}
+        order = [sorted(m, key=lambda i: (iw[i], i)) for m in members]
+        cheapest = sorted(((iw[o[0]], 1 << bit) for bit, o in enumerate(order)), reverse=True)
+        best = (sum(iw) + 1, 0)             # heavier than every cover
+
+        def search(covered: int, chosen: int, weight: int, barred: int) -> None:
+            nonlocal best
+            bound = next((c for c, bit in cheapest if not covered & bit), 0)
+            if (weight + bound, chosen) >= best:
+                return
+            if covered == full:
+                best = (weight, chosen)
+                return
+            for i in order[(~covered & (covered + 1)).bit_length() - 1]:
+                if not barred >> i & 1:
+                    search(covered | hits[i], chosen | 1 << i, weight + iw[i], barred)
+                    barred |= 1 << i
+
+        search(0, 0, 0, 0)
+        return best[0], {relevant[i]: 1 for i in range(len(relevant)) if best[1] >> i & 1}
 
     return price
-
-
-def _minimal_covers(hits: List[int], full: int) -> List[int]:
-    """Every inclusion-minimal set of candidates (a bitmask) whose `hits`
-    together make `full`.  Candidates are taken in index order; one is taken
-    only if it meets a set not met yet, and the search stops at a cover.  A
-    cover found is minimal when each candidate in it meets a set that no
-    other candidate in it meets."""
-    k = len(hits)
-    reach = [0] * (k + 1)              # reach[i]: sets that candidates i.. meet
-    for i in range(k - 1, -1, -1):
-        reach[i] = reach[i + 1] | hits[i]
-    out: List[int] = []
-
-    def extend(i: int, sub: int, covered: int) -> None:
-        if covered == full:
-            once = twice = 0
-            for j in range(k):
-                if sub >> j & 1:
-                    twice |= once & hits[j]
-                    once |= hits[j]
-            if all(hits[j] & ~twice for j in range(k) if sub >> j & 1):
-                out.append(sub)
-            return
-        if covered | reach[i] != full:
-            return
-        if hits[i] & ~covered:
-            extend(i + 1, sub | 1 << i, covered | hits[i])
-        extend(i + 1, sub, covered)
-
-    extend(0, 0, 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

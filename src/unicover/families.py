@@ -71,10 +71,16 @@ def mobius_kantor() -> Multigraph:
     return lcf_5(16)
 
 
+def circulant(n: int, jumps: Sequence[int]) -> Multigraph:
+    """C_n(jumps): i joined to i + j mod n for each jump j, listed jump by
+    jump as (min, max) pairs.  C_n(1, 2) is 4-regular and 4-edge-connected
+    for n >= 5."""
+    return _graph(n, [(min(i, (i + j) % n), max(i, (i + j) % n)) for j in jumps for i in range(n)])
+
+
 def c8_12() -> Multigraph:
-    """Circulant on 8 vertices with jumps 1 and 2 (4-regular, 4-edge-connected)."""
-    pairs = [(i, (i + 1) % 8) for i in range(8)] + [(i, (i + 2) % 8) for i in range(8)]
-    return _graph(8, [(min(a, b), max(a, b)) for a, b in pairs])
+    """C_8(1, 2)."""
+    return circulant(8, (1, 2))
 
 
 def random_cubic_3ec(n: int, seed: int) -> Multigraph:

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from unicover import serialize
 from unicover.covers import VARIANTS, CoverError, check_certificate, uniform_cover
 from unicover.decompose import verify_combination
-from unicover.families import (c8_12, heawood, k4, k5, k33, mobius_kantor,
+from unicover.families import (c8_12, circulant, heawood, k4, k5, k33, mobius_kantor,
                                petersen, prism, random_cubic_3ec)
 from unicover.table import TABLE
+from unicover.verify import verify_document
+
+from conftest import make_graph
 
 F = Fraction
 
@@ -46,6 +50,17 @@ def check(g, variant):
 def test_variant_on_named_instances(variant):
     for family in INSTANCES[variant]:
         check(family(), variant)
+
+
+@pytest.mark.parametrize("n, sorted_pairs", [(24, False), (32, False), (20, True)])
+def test_3_4_on_circulants(n, sorted_pairs):
+    # Each 1-cover master on C_n(1, 2) prices over the n + 1 edges off its
+    # tree.  At n = 20, the edges as sorted vertex pairs rather than jump by
+    # jump make the tree master stop at many more trees.
+    g = circulant(n, (1, 2))
+    if sorted_pairs:
+        g = make_graph(n, sorted((e.u, e.v) for e in g.edges))
+    assert verify_document(serialize.certificate_to_json(g, check(g, "3/4"))).ok
 
 
 def test_random_cubic_instances():

@@ -11,7 +11,6 @@ from unicover import cli, decompose, serialize
 from unicover.connectors import decomposition
 from unicover.covers import uniform_cover
 from unicover.decompose import (ConvexCombination, DecompositionError, Term,
-                                _minimal_covers,
                                 _one_cover_price, canonical,
                                 caratheodory_reduce, decompose_connectors,
                                 decompose_one_covers, decompose_spanning_trees,
@@ -460,17 +459,17 @@ def test_min_tjoin_is_the_mask_scan_join(data):
     assert list(join) == list(expected[1])
 
 
-WEIGHT = st.sampled_from([0, F(0), F(1, 3), F(1, 2), F(1), 1, F(3, 2), 2])
+WEIGHT = st.sampled_from([0, 0, F(0), F(0), F(1, 3), F(1, 2), F(1), 1, F(3, 2), 2])
 
 
 @st.composite
 def crossing_family(draw):
     """Crossing edge sets over the ids 0..k+1, each holding a candidate,
-    and candidate weights with zeros and ties."""
-    k = draw(st.integers(1, 8))
+    and candidate weights with many zeros and ties."""
+    k = draw(st.integers(1, 12))
     candidates = set(range(k))
     crossing = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 8))):
         extra = draw(st.sets(st.integers(0, k + 1), max_size=k))
         crossing.append(frozenset(extra | {draw(st.integers(0, k - 1))}))
     weights = {eid: draw(WEIGHT) for eid in sorted(candidates)
@@ -481,6 +480,8 @@ def crossing_family(draw):
 @given(crossing_family())
 @settings(max_examples=300, deadline=None)
 def test_one_cover_price_matches_exhaustive_scan(case):
+    # The branch and bound must return the scan's cover, not just its
+    # value: ties go to the lowest bitmask over the sorted candidates.
     crossing, candidates, weights = case
     ids = sorted(candidates)
     index = {eid: i for i, eid in enumerate(ids)}
@@ -488,23 +489,18 @@ def test_one_cover_price_matches_exhaustive_scan(case):
     assert (value, cover) == exhaustive_one_cover(crossing, candidates, weights)
 
 
-@given(st.lists(st.integers(1, 63), min_size=1, max_size=8))
-@settings(max_examples=300, deadline=None)
-def test_minimal_covers_are_all_the_minimal_covers(hits):
-    full = 0
-    for h in hits:
-        full |= h
+def test_one_cover_price_takes_the_dearest_candidate_of_every_set():
+    # e2 is the dearest candidate of each set but covers all three alone;
+    # a search that tried only each set's cheaper candidates would pay 4.
+    crossing = [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({2, 5, 6})]
+    price = _one_cover_price(crossing, {eid: eid for eid in range(7)})
+    assert price([0, 0, 3, 2, 2, 2, 2]) == (3, {2: 1})
 
-    def covers(sub):
-        got = 0
-        for i, h in enumerate(hits):
-            if sub >> i & 1:
-                got |= h
-        return got == full
 
-    want = [sub for sub in range(1 << len(hits)) if covers(sub)
-            and not any(sub >> i & 1 and covers(sub & ~(1 << i)) for i in range(len(hits)))]
-    assert sorted(_minimal_covers(hits, full)) == want
+def test_one_cover_price_rejects_a_crossing_set_with_no_candidate():
+    crossing = [frozenset({0, 1}), frozenset({5, 6})]
+    with pytest.raises(DecompositionError, match="meets no candidate edge"):
+        _one_cover_price(crossing, {0: 0, 1: 1, 2: 2})([1, 1, 1])
 
 
 def test_one_cover_price_rejects_a_negative_weight():
@@ -587,15 +583,20 @@ class TestOneCovers:
         with pytest.raises(GraphError, match=r"alpha must be in \(0, 1\]"):
             decompose_one_covers(g, tree, {}, alpha)
 
-    def test_more_than_22_candidates_rejected(self):
+    def test_k9_star_packs_its_28_candidates(self):
         # The star at vertex 0 of K9 has 8 bridges; each leaf's cut meets 7
         # of the 28 edges off the star, so all 28 are candidates.
         g = make_graph(9, list(itertools.combinations(range(9), 2)))
         tree = {e.id: 1 for e in g.edges if 0 in (e.u, e.v)}
         y = {e.id: F(1, 2) for e in g.edges if e.id not in tree}
-        with pytest.raises(DecompositionError,
-                           match="1-cover pricing capped at 22 candidate edges"):
-            decompose_one_covers(g, tree, y, F(1, 2))
+        comb = make_combination(g, decompose_one_covers(g, tree, y, F(1, 2)),
+                                {eid: F(4, 3) * v for eid, v in y.items()}, "dominated-by")
+        verify_combination(g, comb)
+        shores = [set(s) for s, _ in one_edge_cuts(g, tree)]
+        edge = {e.id: e for e in g.edges}
+        for t in comb.terms:
+            for s in shores:
+                assert any((edge[eid].u in s) != (edge[eid].v in s) for eid, _ in t.edges)
 
 
 def tour_combination(g, x):
